@@ -54,13 +54,14 @@ def _fail(message: str, code: int = EXIT_INPUT_ERROR) -> int:
     return code
 
 
+def _solver_options(args) -> dict:
+    """--tol/--seed reach the gap solver only on the iterative route."""
+    return {"tol": args.tol, "seed": args.seed} if args.method == "iterative" else {}
+
+
 def cmd_gap(args) -> int:
     channel = load_channel(args.instance)
-    report = spectral_gap(
-        channel,
-        method=args.method,
-        **({"tol": args.tol, "seed": args.seed} if args.method == "iterative" else {}),
-    )
+    report = spectral_gap(channel, method=args.method, **_solver_options(args))
     _emit(
         {
             "command": "gap",
@@ -79,7 +80,7 @@ def cmd_gap(args) -> int:
 
 def cmd_decide(args) -> int:
     instance = load_instance(args.instance)
-    decision, report = decide(instance, method=args.method)
+    decision, report = decide(instance, method=args.method, **_solver_options(args))
     _emit(
         {
             "command": "decide",
@@ -233,6 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="decide a non-expander instance")
     p.add_argument("instance")
     p.add_argument("--method", choices=["auto", "dense", "iterative"], default="auto")
+    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("verify", help="run the Merlin-Arthur verification protocol")

@@ -8,15 +8,26 @@ Merlin encodes a traceless matrix A (with ||A||_F = 1) as the state
 2. An estimate of <psi_A| W^dag W |psi_A> = ||Phi(A)||_F^2, assembled from
    Hadamard tests of the pair unitaries
 
-       V_{d,e} = (U_d^dag (x) U_d^T)(U_e (x) conj(U_e))
+       V_{d,e} = (U_d (x) conj(U_d))^dag (U_e (x) conj(U_e))
 
-   through the identity (for a D-regular channel)
+   through the identity, for weights w_d,
 
-       <psi|W^dag W|psi> = 1/D + (2/D^2) sum_{d<e} Re <psi|V_{d,e}|psi>.
+       <psi|W^dag W|psi> = sum_d w_d^2 + 2 sum_{d<e} w_d w_e Re <psi|V_{d,e}|psi>,
+
+   which for a D-regular channel reads 1/D + (2/D^2) sum_{d<e} Re <.>.
 
 Arthur accepts when the estimate exceeds alpha^2 minus a margin of three
 propagated standard errors.  Only real parts enter the identity, so the
 plain (no S-gate) Hadamard test suffices.
+
+The pair unitaries are never built.  With B_d = U_d A U_d^dag,
+
+    <psi_A|V_{d,e}|psi_A> = tr(B_d^dag B_e) = G_{de},
+
+so one batched conjugation of the stacked (D, N, N) Kraus array and one
+D x N^2 Gram product give every pair's Hadamard-test probability
+p0 = (1 + Re G_{de})/2, in O(D N^3 + D^2 N^2) time and O(D N^2) memory
+(building each N^2 x N^2 pair unitary would cost O(D^2 N^6) and N^4).
 """
 
 from __future__ import annotations
@@ -34,35 +45,20 @@ from .spectral import NonExpanderInstance, spectral_gap
 EXACT = None
 
 
-@dataclass(frozen=True, eq=False)
-class HadamardTestSpec:
-    """One pair unitary V_{d,e} on the doubled space, with d < e."""
-
-    d: int
-    e: int
-    unitary: np.ndarray
-
-
-def pair_unitary(channel: Channel, d: int, e: int) -> np.ndarray:
-    """V_{d,e} = (U_d (x) conj(U_d))^dag (U_e (x) conj(U_e))."""
-    ud, ue = channel.kraus[d], channel.kraus[e]
-    wd = np.kron(ud, ud.conj())
-    we = np.kron(ue, ue.conj())
-    return wd.conj().T @ we
-
-
-def hadamard_pair(channel: Channel, d: int, e: int) -> HadamardTestSpec:
-    if not 0 <= d < e < channel.degree:
-        raise ValueError(f"need 0 <= d < e < {channel.degree}, got ({d}, {e})")
-    return HadamardTestSpec(d, e, pair_unitary(channel, d, e))
-
-
 def _check_unit_vector(psi: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > tol:
         raise ValueError(f"state is not normalized: ||psi|| = {norm!r}")
     return psi
+
+
+def _sample_fraction(p0: float, shots: int, rng) -> float:
+    """Fraction of 0 outcomes in `shots` Bernoulli(p0) draws."""
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    rng = rng if isinstance(rng, np.random.Generator) else rng_from(rng)
+    return float(rng.binomial(shots, min(max(p0, 0.0), 1.0))) / shots
 
 
 def hadamard_test_probability(v: np.ndarray, psi: np.ndarray) -> float:
@@ -77,11 +73,24 @@ def hadamard_test_probability(v: np.ndarray, psi: np.ndarray) -> float:
 def sample_hadamard_test(v: np.ndarray, psi: np.ndarray, shots: int, seed: int = 0) -> float:
     """Fraction of 0 outcomes over `shots` Bernoulli draws; deterministic
     given the seed.  Standard error is at most sqrt(1/(4 shots))."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    p0 = hadamard_test_probability(v, psi)
-    rng = seed if isinstance(seed, np.random.Generator) else rng_from(seed)
-    return float(rng.binomial(shots, min(max(p0, 0.0), 1.0))) / shots
+    return _sample_fraction(hadamard_test_probability(v, psi), shots, seed)
+
+
+def _require_kraus(channel) -> None:
+    if not hasattr(channel, "kraus"):
+        raise ValueError(
+            "the verification protocol needs a channel with explicit Kraus operators; "
+            "composite channels expose no pair unitaries"
+        )
+
+
+def _pair_overlaps(channel: Channel, psi: np.ndarray) -> np.ndarray:
+    """The D x D Gram matrix G_{de} = <psi|V_{d,e}|psi> = tr(B_d^dag B_e)."""
+    n = channel.dim
+    kraus = np.stack(channel.kraus)
+    images = kraus @ psi.reshape(n, n) @ kraus.conj().transpose(0, 2, 1)
+    images = images.reshape(len(kraus), n * n)
+    return images.conj() @ images.T
 
 
 def estimate_contraction_sq(
@@ -90,33 +99,29 @@ def estimate_contraction_sq(
     shots_per_pair: int | None = EXACT,
     seed: int = 0,
 ) -> float:
-    """Estimate <psi|W^dag W|psi> for a D-regular channel.
+    """Estimate <psi|W^dag W|psi> for a channel with explicit Kraus operators.
 
     With ``shots_per_pair=None`` the D(D-1)/2 Hadamard tests are evaluated
     exactly, and the result equals ||Phi(unvec(psi))||_F^2 to rounding.
     Sampled mode derives one stream per (d, e) pair from (seed, d, e), so
     results are independent of evaluation order.
     """
-    if not hasattr(channel, "kraus"):
-        raise ValueError(
-            "the verification protocol needs a channel with explicit Kraus operators; "
-            "composite channels expose no pair unitaries"
-        )
-    if not channel.is_regular:
-        raise ValueError("the pair-sum identity requires a D-regular channel (uniform weights)")
+    _require_kraus(channel)
     psi = _check_unit_vector(psi)
-    deg = channel.degree
-    total = 1.0 / deg
-    for d in range(deg):
-        for e in range(d + 1, deg):
-            v = pair_unitary(channel, d, e)
-            if shots_per_pair is EXACT or shots_per_pair == math.inf:
-                frac0 = hadamard_test_probability(v, psi)
-            else:
-                frac0 = sample_hadamard_test(v, psi, shots_per_pair, seed=rng_from(seed, d, e))
-            real_part = 2.0 * frac0 - 1.0
-            total += (2.0 / deg**2) * real_part
-    return total
+    if psi.size != channel.dim**2:
+        raise ValueError(f"state length {psi.size} does not match channel dimension {channel.dim}")
+    rows, cols = np.triu_indices(channel.degree, 1)
+    pair_re = _pair_overlaps(channel, psi).real[rows, cols]
+    if not (shots_per_pair is EXACT or shots_per_pair == math.inf):
+        p0 = 0.5 * (1.0 + pair_re)
+        pair_re = np.array(
+            [
+                2.0 * _sample_fraction(p, shots_per_pair, rng_from(seed, d, e)) - 1.0
+                for p, d, e in zip(p0.tolist(), rows.tolist(), cols.tolist())
+            ]
+        )
+    w = channel.weights
+    return float(w @ w + (2.0 * w[rows] * w[cols]) @ pair_re)
 
 
 def check_orthogonality(psi: np.ndarray, tol: float = 1e-9) -> bool:
@@ -156,13 +161,16 @@ class VerifierOutcome:
     confidence: float
 
 
-def contraction_standard_error(degree: int, shots_per_pair: int) -> float:
-    """Worst-case standard error of the assembled D-regular estimate.
+def contraction_standard_error(weights: np.ndarray, shots_per_pair: int) -> float:
+    """Worst-case standard error of the assembled estimate.
 
-    Each pair contributes (2/D^2) Re_{d,e} with Var(Re) <= 1/shots, so
-    Var(estimate) <= (4/D^4) * D(D-1)/2 * 1/shots = 2(D-1)/(D^3 shots).
+    Each pair contributes 2 w_d w_e Re_{d,e} with Var(Re) <= 1/shots, so
+    Var(estimate) <= 4 sum_{d<e} w_d^2 w_e^2 / shots, which is
+    2(D-1)/(D^3 shots) for uniform weights 1/D.
     """
-    return math.sqrt(2.0 * (degree - 1) / (degree**3 * shots_per_pair))
+    sq = np.asarray(weights, dtype=float) ** 2
+    pair_sum = (sq.sum() ** 2 - sq @ sq) / 2.0
+    return math.sqrt(4.0 * max(pair_sum, 0.0) / shots_per_pair)
 
 
 def arthur_verify(
@@ -179,6 +187,7 @@ def arthur_verify(
     Hadamard-test shots per Kraus pair.
     """
     channel = instance.channel
+    _require_kraus(channel)
     psi = _check_unit_vector(psi)
     if shots is EXACT:
         orth = check_orthogonality(psi)
@@ -189,7 +198,7 @@ def arthur_verify(
     else:
         orth, post = sample_orthogonality(psi, seed=rng_from(seed))
         samples = 1 + shots * channel.degree * (channel.degree - 1) // 2
-        margin = 3.0 * contraction_standard_error(channel.degree, shots)
+        margin = 3.0 * contraction_standard_error(channel.weights, shots)
         confidence = 0.9973  # two-sided 3-sigma normal level
     if not orth:
         return VerifierOutcome(

@@ -46,6 +46,14 @@ def test_decide_exit_codes(corpus):
     assert run_cli("decide", corpus / "instances" / "identity_1q.json").returncode == 3
 
 
+def test_decide_iterative_forwards_tol_and_seed(corpus):
+    path = corpus / "instances" / "identity_z_1q.json"
+    dense = run_cli("decide", path, "--method", "dense")
+    iterative = run_cli("decide", path, "--method", "iterative", "--tol", "1e-10", "--seed", "3")
+    assert iterative.returncode == dense.returncode == 1
+    assert payload(iterative)["method"] == "iterative"
+
+
 def test_verify_accept_and_reject(corpus):
     res = run_cli("verify", corpus / "instances" / "identity_z_1q.json")
     assert res.returncode == 0

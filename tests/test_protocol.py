@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,22 +9,55 @@ from qexpander.linalg import frobenius, paulis, phi_state, random_traceless, rng
 from qexpander.protocol import (
     arthur_verify,
     check_orthogonality,
+    contraction_standard_error,
     estimate_contraction_sq,
-    hadamard_pair,
     hadamard_test_probability,
     merlin_witness,
-    pair_unitary,
     sample_hadamard_test,
     sample_orthogonality,
     suggested_shots,
 )
 from qexpander.spectral import NonExpanderInstance, spectral_gap_dense
+from qexpander.thermalization import ThermalModel
 
 I, X, Y, Z = paulis()
 
 
 def iz_channel():
     return Channel.uniform((I, Z))
+
+
+def pair_unitary(channel, d, e):
+    """V_{d,e} = (U_d (x) conj(U_d))^dag (U_e (x) conj(U_e)), built densely."""
+    ud, ue = channel.kraus[d], channel.kraus[e]
+    wd = np.kron(ud, ud.conj())
+    we = np.kron(ue, ue.conj())
+    return wd.conj().T @ we
+
+
+def pair_loop_estimate(channel, psi, shots=None, seed=0):
+    """Oracle: one Hadamard test per dense pair unitary, in d < e order."""
+    w = channel.weights
+    total = float(w @ w)
+    for d in range(channel.degree):
+        for e in range(d + 1, channel.degree):
+            v = pair_unitary(channel, d, e)
+            if shots is None:
+                frac0 = hadamard_test_probability(v, psi)
+            else:
+                frac0 = sample_hadamard_test(v, psi, shots, seed=rng_from(seed, d, e))
+            total += 2.0 * w[d] * w[e] * (2.0 * frac0 - 1.0)
+    return total
+
+
+def random_weights(degree, rng):
+    w = rng.random(degree) + 0.05
+    return w / w.sum()
+
+
+def unit_traceless(dim, rng):
+    a = random_traceless(dim, rng)
+    return vec(a / frobenius(a))
 
 
 def test_pair_unitary_identities():
@@ -35,14 +69,6 @@ def test_pair_unitary_identities():
             v_ed = pair_unitary(ch, e, d)
             assert frobenius(v_de - v_ed.conj().T) < 1e-10
         assert frobenius(pair_unitary(ch, d, d) - np.eye(4)) < 1e-10
-
-
-def test_hadamard_pair_requires_order():
-    ch = iz_channel()
-    spec = hadamard_pair(ch, 0, 1)
-    assert spec.d == 0 and spec.e == 1
-    with pytest.raises(ValueError):
-        hadamard_pair(ch, 1, 1)
 
 
 def test_hadamard_test_probability_examples():
@@ -99,10 +125,92 @@ def test_exact_estimate_examples():
     assert estimate_contraction_sq(complete_depolarizer(), sz) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_estimate_rejects_non_regular():
-    ch = Channel((I, Z), np.array([0.75, 0.25]))
-    with pytest.raises(ValueError, match="regular"):
-        estimate_contraction_sq(ch, vec(Z) / np.sqrt(2))
+def test_estimate_weighted_matches_direct_application():
+    rng = rng_from(6)
+    for i in range(10):
+        degree = 2 + i % 4
+        ch = Channel(random_unitary_channel(2, degree, rng).kraus, random_weights(degree, rng))
+        a = random_traceless(4, rng)
+        a /= frobenius(a)
+        assert estimate_contraction_sq(ch, vec(a)) == pytest.approx(frobenius(ch.apply(a)) ** 2, abs=1e-12)
+
+
+def test_estimate_rejects_mismatched_state():
+    with pytest.raises(ValueError, match="does not match"):
+        estimate_contraction_sq(iz_channel(), np.eye(16)[0])
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 3])
+@pytest.mark.parametrize("degree", [2, 3, 5, 8])
+def test_gram_estimate_matches_pair_unitary_loop(qubits, degree):
+    rng = rng_from(10, qubits, degree)
+    uniform = random_unitary_channel(qubits, degree, rng)
+    weighted = Channel(uniform.kraus, random_weights(degree, rng))
+    for ch in (uniform, weighted):
+        psi = unit_traceless(2**qubits, rng)
+        assert estimate_contraction_sq(ch, psi) == pytest.approx(pair_loop_estimate(ch, psi), abs=1e-12)
+
+
+def test_sampled_gram_estimate_matches_pair_unitary_loop():
+    rng = rng_from(11)
+    uniform = random_unitary_channel(2, 5, rng)
+    weighted = Channel(uniform.kraus, random_weights(5, rng))
+    psi = unit_traceless(4, rng)
+    for ch in (uniform, weighted):
+        for seed in range(20):
+            gram = estimate_contraction_sq(ch, psi, shots_per_pair=64, seed=seed)
+            loop = pair_loop_estimate(ch, psi, shots=64, seed=seed)
+            assert gram == pytest.approx(loop, abs=1e-12)
+
+
+def test_exact_estimate_memory_is_linear_in_degree():
+    # A single 1024 x 1024 pair unitary would take 16 MB here.
+    rng = rng_from(12)
+    ch = random_unitary_channel(5, 64, rng)
+    psi = unit_traceless(32, rng)
+    tracemalloc.start()
+    try:
+        estimate_contraction_sq(ch, psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_standard_error_uniform_and_weighted():
+    for degree in (2, 3, 8):
+        se = contraction_standard_error(np.full(degree, 1.0 / degree), 100)
+        assert se == pytest.approx(math.sqrt(2.0 * (degree - 1) / (degree**3 * 100)), rel=1e-12)
+    w = random_weights(5, rng_from(13))
+    pair_sum = sum(w[d] ** 2 * w[e] ** 2 for d in range(5) for e in range(d + 1, 5))
+    assert contraction_standard_error(w, 50) == pytest.approx(math.sqrt(4.0 * pair_sum / 50), rel=1e-12)
+    assert contraction_standard_error(np.array([1.0]), 50) == 0.0
+
+
+def test_sampled_weighted_estimate_within_standard_error():
+    rng = rng_from(14)
+    ch = Channel(random_unitary_channel(1, 4, rng).kraus, random_weights(4, rng))
+    psi = unit_traceless(2, rng)
+    exact = estimate_contraction_sq(ch, psi)
+    shots, seeds = 200, 200
+    samples = np.array([estimate_contraction_sq(ch, psi, shots, seed=s) for s in range(seeds)])
+    bound = contraction_standard_error(ch.weights, shots)
+    assert samples.std() <= 1.2 * bound
+    assert abs(samples.mean() - exact) <= 3 * bound / math.sqrt(seeds)
+
+
+def test_arthur_verifies_non_regular_thermalization_channel():
+    rng = rng_from(15)
+    model = ThermalModel(random_unitary_channel(2, 3, rng).kraus, r0=0.7, r1=0.3)
+    ch = model.channel
+    assert not ch.is_regular
+    kappa = spectral_gap_dense(ch).kappa
+    psi = merlin_witness(ch)
+    accept = arthur_verify(NonExpanderInstance(ch, kappa - 0.05, kappa - 0.2), psi)
+    assert accept.accepted
+    assert accept.estimated_contraction_sq == pytest.approx(kappa**2, abs=1e-10)
+    reject = arthur_verify(NonExpanderInstance(ch, min(kappa + 0.05, 0.999), kappa - 0.2), psi)
+    assert not reject.accepted
 
 
 def test_estimate_rejects_composite_channels():
@@ -111,6 +219,9 @@ def test_estimate_rejects_composite_channels():
     comp = CompositeChannel((identity_channel(1), identity_channel(1)))
     with pytest.raises(ValueError, match="explicit Kraus"):
         estimate_contraction_sq(comp, vec(Z) / np.sqrt(2))
+    for shots in (None, 10):
+        with pytest.raises(ValueError, match="explicit Kraus"):
+            arthur_verify(NonExpanderInstance(comp, 0.9, 0.5), vec(Z) / np.sqrt(2), shots=shots)
 
 
 def test_estimate_matches_superoperator_quadratic_form():
