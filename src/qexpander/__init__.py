@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .channels import (
     Channel,
-    CompositeChannel,
     channel_power,
     complete_depolarizer,
     compose,
@@ -40,7 +39,6 @@ from .protocol import (
     sample_hadamard_test,
 )
 from .reduction import (
-    ControlledChannel,
     ReductionSpec,
     build_base_expander,
     build_reduction,
@@ -68,8 +66,6 @@ from .thermalization import ThermalModel, Trajectory, decay_bound_check, evolve
 
 __all__ = [
     "Channel",
-    "CompositeChannel",
-    "ControlledChannel",
     "Decision",
     "Gate",
     "GateCircuit",

@@ -8,71 +8,63 @@ acting on operators over m qubits.  The D-regular case (all weights 1/D)
 is the quantum-expander form; non-uniform weights arise from weak-coupling
 thermalization models.  Every such channel is trace preserving and unital.
 
-Two representations coexist:
-
-* :class:`Channel` stores the Kraus list explicitly.
-* :class:`CompositeChannel` is a lazy composition of stages, applied
-  first-to-last.  Its Kraus set (all weighted products) is never
-  materialized; its superoperator is the product of the stage
-  superoperators.  Power compositions of expanders and the hardness
-  reduction use this form, since their flattened degree grows
-  geometrically.
-
-Both expose the same surface: ``dim``, ``qubits``, ``degree``,
-``is_regular``, ``apply``, ``adjoint`` and ``superoperator``.
+:class:`Channel` is a tuple of such mixtures (stages), applied
+first-to-last.  Each stage stores its Kraus operators as one read-only
+(D, N, N) array and its weights as a read-only (D,) array; a flat channel
+is its own single stage.  Power compositions of expanders and the hardness
+reduction are multi-stage, since their flattened degree grows
+geometrically: the Kraus products are never materialized, and the
+superoperator is the product of the stage superoperators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .linalg import ATOL, check_unitary, frobenius, haar_unitary, paulis, qubits_for_dim
+from .linalg import ATOL, frobenius, haar_unitary, paulis, qubits_for_dim
+
+_EXPLICIT_KRAUS = (
+    "a multi-stage channel exposes no explicit Kraus operators or weights; "
+    "its Kraus products are never materialized"
+)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=complex)
-    a.setflags(write=False)
-    return a
-
-
-def _freeze_float(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
-@dataclass(frozen=True, eq=False)
 class Channel:
-    """Weighted mixture of unitary conjugations on an m-qubit space.
+    """Stages of weighted unitary mixtures on an m-qubit space, applied
+    first-to-last.
 
-    Invariants checked at construction: all elements unitary
+    Invariants checked at construction of each stage: all elements unitary
     (||U^dag U - I||_F <= 1e-10 * N), weights nonnegative and summing to 1
     within 1e-12, and unitality ||Phi(I) - I||_F <= 1e-10 (automatic for
     unitary Kraus mixtures, asserted anyway).
     """
 
-    kraus: tuple[np.ndarray, ...]
-    weights: np.ndarray
+    __slots__ = ("_kraus", "_weights", "_stages")
 
-    def __post_init__(self):
-        if not self.kraus:
+    def __init__(self, kraus, weights):
+        try:
+            x = np.array(kraus, dtype=complex)
+        except ValueError as exc:
+            raise ValueError("all Kraus operators must share one dimension") from exc
+        if x.size == 0:
             raise ValueError("channel needs at least one Kraus operator")
-        elements = tuple(_freeze(check_unitary(u)) for u in self.kraus)
-        dim = elements[0].shape[0]
-        if any(u.shape[0] != dim for u in elements):
-            raise ValueError("all Kraus operators must share one dimension")
+        if x.ndim != 3 or x.shape[1] != x.shape[2]:
+            raise ValueError(f"expected a stack of square Kraus operators, got shape {x.shape}")
+        dim = x.shape[1]
         qubits_for_dim(dim)
-        w = np.array(self.weights, dtype=float).reshape(-1)
-        if w.size != len(elements):
-            raise ValueError(f"{w.size} weights for {len(elements)} Kraus operators")
+        defect = np.linalg.norm(x.conj().transpose(0, 2, 1) @ x - np.eye(dim), axis=(1, 2)).max()
+        if defect > 1e-10 * dim:
+            raise ValueError(f"matrix is not unitary: ||U^dag U - I||_F = {defect:.3e}")
+        w = np.array(weights, dtype=float).reshape(-1)
+        if w.size != len(x):
+            raise ValueError(f"{w.size} weights for {len(x)} Kraus operators")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {w.sum()!r}, expected 1")
-        object.__setattr__(self, "kraus", elements)
-        object.__setattr__(self, "weights", _freeze_float(w))
+        x.setflags(write=False)
+        w.setflags(write=False)
+        self._kraus, self._weights, self._stages = x, w, ()
         defect = frobenius(self.apply(np.eye(dim)) - np.eye(dim))
         if defect > ATOL:
             raise ValueError(f"channel is not unital: ||Phi(I) - I||_F = {defect:.3e}")
@@ -83,76 +75,45 @@ class Channel:
         kraus = tuple(kraus)
         return cls(kraus, np.full(len(kraus), 1.0 / len(kraus)))
 
-    @property
-    def dim(self) -> int:
-        return self.kraus[0].shape[0]
-
-    @property
-    def qubits(self) -> int:
-        return qubits_for_dim(self.dim)
-
-    @property
-    def degree(self) -> int:
-        return len(self.kraus)
-
-    @property
-    def is_regular(self) -> bool:
-        """True iff all weights equal 1/D."""
-        return bool(np.allclose(self.weights, 1.0 / self.degree, rtol=0, atol=1e-12))
-
-    def apply(self, a: np.ndarray) -> np.ndarray:
-        """Phi(A) = sum_d w_d U_d A U_d^dag.  Summation order is fixed."""
-        a = np.asarray(a, dtype=complex)
-        if a.shape != (self.dim, self.dim):
-            raise ValueError(f"operator shape {a.shape} does not match channel dimension {self.dim}")
-        out = np.zeros_like(a)
-        for w, u in zip(self.weights, self.kraus):
-            out += w * (u @ a @ u.conj().T)
+    @classmethod
+    def staged(cls, channels) -> "Channel":
+        """The composition of `channels`, applied first-to-last, as one
+        channel whose stages are theirs concatenated."""
+        stages = tuple(s for ch in channels for s in ch.stages)
+        if not stages:
+            raise ValueError("staged channel needs at least one stage")
+        if any(s.dim != stages[0].dim for s in stages):
+            raise ValueError("all stages must share one dimension")
+        if len(stages) == 1:
+            return stages[0]
+        out = object.__new__(cls)
+        out._kraus = out._weights = None
+        out._stages = stages
         return out
 
-    def adjoint(self) -> "Channel":
-        """The Hilbert-Schmidt adjoint: same weights, Kraus set {U_d^dag}."""
-        return Channel(tuple(u.conj().T for u in self.kraus), self.weights)
+    @property
+    def stages(self) -> tuple["Channel", ...]:
+        """The single-stage channels applied first-to-last; ``(self,)`` for
+        a flat channel."""
+        return self._stages or (self,)
 
-    def superoperator(self) -> np.ndarray:
-        """Dense N^2 x N^2 matrix W = sum_d w_d U_d (x) conj(U_d).
+    @property
+    def kraus(self) -> np.ndarray:
+        """The (D, N, N) Kraus array of a single-stage channel."""
+        if self._stages:
+            raise ValueError(_EXPLICIT_KRAUS)
+        return self._kraus
 
-        Satisfies W vec(A) = vec(Phi(A)) under row-major vectorization.
-        """
-        n2 = self.dim**2
-        w_mat = np.zeros((n2, n2), dtype=complex)
-        for w, u in zip(self.weights, self.kraus):
-            w_mat += w * np.kron(u, u.conj())
-        return w_mat
-
-    def element_sum(self) -> np.ndarray:
-        """sum_d U_d over the signed operation-element list (no weights)."""
-        return np.sum(self.kraus, axis=0)
-
-
-@dataclass(frozen=True, eq=False)
-class CompositeChannel:
-    """Composition of channels, applied first-to-last.
-
-    Equivalent to the channel whose Kraus set is all weighted products of
-    the stage Kraus sets; the products are never materialized.  ``degree``
-    is the product of stage degrees (a plain Python int, possibly huge).
-    """
-
-    stages: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        stages = tuple(self.stages)
-        if not stages:
-            raise ValueError("composite channel needs at least one stage")
-        dim = stages[0].dim
-        if any(s.dim != dim for s in stages):
-            raise ValueError("all stages must share one dimension")
-        object.__setattr__(self, "stages", stages)
+    @property
+    def weights(self) -> np.ndarray:
+        """The (D,) weights of a single-stage channel."""
+        if self._stages:
+            raise ValueError(_EXPLICIT_KRAUS)
+        return self._weights
 
     @property
     def dim(self) -> int:
-        return self.stages[0].dim
+        return self.stages[0]._kraus.shape[1]
 
     @property
     def qubits(self) -> int:
@@ -160,27 +121,52 @@ class CompositeChannel:
 
     @property
     def degree(self) -> int:
+        """Number of (flattened) Kraus terms: the product of stage degrees,
+        a plain Python int, possibly huge."""
         d = 1
         for s in self.stages:
-            d *= s.degree
+            d *= len(s._weights)
         return d
 
     @property
     def is_regular(self) -> bool:
-        return all(s.is_regular for s in self.stages)
+        """True iff every stage has all weights equal to 1/D."""
+        return all(
+            np.allclose(s._weights, 1.0 / len(s._weights), rtol=0, atol=1e-12) for s in self.stages
+        )
 
     def apply(self, a: np.ndarray) -> np.ndarray:
+        """Phi(A): per stage, sum_d w_d U_d A U_d^dag as one batched matmul."""
+        a = np.asarray(a, dtype=complex)
+        if a.shape != (self.dim, self.dim):
+            raise ValueError(f"operator shape {a.shape} does not match channel dimension {self.dim}")
         for s in self.stages:
-            a = s.apply(a)
+            x = s._kraus
+            a = np.tensordot(s._weights, x @ a @ x.conj().transpose(0, 2, 1), axes=1)
         return a
 
-    def adjoint(self) -> "CompositeChannel":
-        return CompositeChannel(tuple(s.adjoint() for s in reversed(self.stages)))
+    def adjoint(self) -> "Channel":
+        """The Hilbert-Schmidt adjoint: stages reversed, each with the same
+        weights and Kraus set {U_d^dag}."""
+        if self._stages:
+            return Channel.staged(s.adjoint() for s in reversed(self._stages))
+        return Channel(self._kraus.conj().transpose(0, 2, 1), self._weights)
 
     def superoperator(self) -> np.ndarray:
-        out = self.stages[0].superoperator()
-        for s in self.stages[1:]:
-            out = s.superoperator() @ out
+        """Dense N^2 x N^2 matrix W with W vec(A) = vec(Phi(A)) under
+        row-major vectorization: the product of the stage matrices.
+
+        A stage's W = sum_d w_d U_d (x) conj(U_d) is the realignment of
+        X^T diag(w) conj(X), X the D x N^2 matrix of rows vec(U_d):
+        W[(i,j),(k,l)] = (X^T diag(w) conj(X))[(i,k),(j,l)].
+        """
+        n = self.dim
+        out = None
+        for s in self.stages:
+            x = s._kraus.reshape(len(s._weights), n * n)
+            m = ((x.T * s._weights) @ x.conj()).reshape(n, n, n, n).transpose(0, 2, 1, 3)
+            m = m.reshape(n * n, n * n)
+            out = m if out is None else m @ out
         return out
 
 
@@ -188,11 +174,11 @@ class CompositeChannel:
 COMPOSE_TERM_CAP = 4096
 
 
-def compose(outer, inner, max_terms: int = COMPOSE_TERM_CAP) -> Channel:
+def compose(outer: Channel, inner: Channel, max_terms: int = COMPOSE_TERM_CAP) -> Channel:
     """Materialized composition: (outer . inner)(A) = outer(inner(A)).
 
     The Kraus set is the weighted products {U_o U_i}.  Beyond `max_terms`
-    products, use :class:`CompositeChannel` instead.
+    products, use :meth:`Channel.staged` instead.
     """
     if outer.dim != inner.dim:
         raise ValueError(f"dimension mismatch: {outer.dim} vs {inner.dim}")
@@ -200,33 +186,25 @@ def compose(outer, inner, max_terms: int = COMPOSE_TERM_CAP) -> Channel:
     if terms > max_terms:
         raise ValueError(
             f"composition would materialize {terms} Kraus terms (cap {max_terms}); "
-            "use CompositeChannel for the lazy form"
+            "use Channel.staged for the lazy form"
         )
-    kraus = []
-    weights = []
-    for wo, uo in zip(outer.weights, outer.kraus):
-        for wi, ui in zip(inner.weights, inner.kraus):
-            kraus.append(uo @ ui)
-            weights.append(wo * wi)
-    return Channel(tuple(kraus), np.array(weights))
+    n = outer.dim
+    kraus = (outer.kraus[:, None] @ inner.kraus[None]).reshape(-1, n, n)
+    return Channel(kraus, np.outer(outer.weights, inner.weights).reshape(-1))
 
 
 def tensor(left: Channel, right: Channel) -> Channel:
     """Tensor product channel acting on the combined space."""
-    kraus = []
-    weights = []
-    for wl, ul in zip(left.weights, left.kraus):
-        for wr, ur in zip(right.weights, right.kraus):
-            kraus.append(np.kron(ul, ur))
-            weights.append(wl * wr)
-    return Channel(tuple(kraus), np.array(weights))
+    n = left.dim * right.dim
+    kraus = np.einsum("iac,jbd->ijabcd", left.kraus, right.kraus).reshape(-1, n, n)
+    return Channel(kraus, np.outer(left.weights, right.weights).reshape(-1))
 
 
-def channel_power(channel, r: int) -> CompositeChannel:
-    """The r-fold composition Phi^r as a lazy composite."""
+def channel_power(channel: Channel, r: int) -> Channel:
+    """The r-fold composition Phi^r as a staged channel."""
     if r < 1:
         raise ValueError(f"power must be >= 1, got {r}")
-    return CompositeChannel((channel,) * r)
+    return Channel.staged((channel,) * r)
 
 
 def identity_channel(qubits: int = 1) -> Channel:
@@ -252,16 +230,14 @@ def random_unitary_channel(qubits: int, degree: int, rng: np.random.Generator) -
     return Channel.uniform(tuple(haar_unitary(dim, rng) for _ in range(degree)))
 
 
-def unitality_defect(channel) -> float:
+def unitality_defect(channel: Channel) -> float:
     eye = np.eye(channel.dim, dtype=complex)
     return frobenius(channel.apply(eye) - eye)
 
 
-def zero_sum_defect(channel) -> float:
+def zero_sum_defect(channel: Channel) -> float:
     """||sum_d U_d||_F over the operation-element list.
 
-    Zero for sign-doubled sets; finite composites report the worst stage.
+    Zero for sign-doubled sets; multi-stage channels report the worst stage.
     """
-    if isinstance(channel, CompositeChannel):
-        return max(zero_sum_defect(s) for s in channel.stages)
-    return frobenius(channel.element_sum())
+    return max(frobenius(s.kraus.sum(axis=0)) for s in channel.stages)

@@ -154,9 +154,6 @@ class GateCircuit:
     def __len__(self) -> int:
         return len(self.gates)
 
-    def extended(self, *gates: Gate) -> "GateCircuit":
-        return GateCircuit(self.num_qubits, self.gates + tuple(gates))
-
 
 def gate_matrix(gate: Gate, num_qubits: int) -> np.ndarray:
     """Full 2^m x 2^m matrix of one gate.
@@ -227,7 +224,8 @@ def _complex_pair(value, what: str) -> complex:
     return complex(float(value[0]), float(value[1]))
 
 
-def _matrix_from_json(rows, what: str) -> np.ndarray:
+def matrix_from_json(rows, what: str = "matrix") -> np.ndarray:
+    """Square matrix from a row-major list of [re, im] pairs."""
     try:
         flat = [_complex_pair(entry, what) for entry in rows]
     except TypeError as exc:
@@ -238,7 +236,8 @@ def _matrix_from_json(rows, what: str) -> np.ndarray:
     return np.array(flat, dtype=complex).reshape(n, n)
 
 
-def _matrix_to_json(mat: np.ndarray) -> list:
+def matrix_to_json(mat: np.ndarray) -> list:
+    """Row-major list of [re, im] pairs; inverse of :func:`matrix_from_json`."""
     return [[float(z.real), float(z.imag)] for z in np.asarray(mat, dtype=complex).reshape(-1)]
 
 
@@ -272,7 +271,7 @@ def parse_circuit(text: str) -> GateCircuit:
             "base": entry.get("base"),
         }
         if entry.get("matrix") is not None:
-            kwargs["matrix"] = _matrix_from_json(entry["matrix"], f"gate {i} matrix")
+            kwargs["matrix"] = matrix_from_json(entry["matrix"], f"gate {i} matrix")
         if entry.get("phase") is not None:
             kwargs["phase"] = _complex_pair(entry["phase"], f"gate {i} phase")
         try:
@@ -293,7 +292,7 @@ def serialize_circuit(circuit: GateCircuit) -> str:
         if gate.base is not None:
             entry["base"] = gate.base
         if gate.matrix is not None:
-            entry["matrix"] = _matrix_to_json(gate.matrix)
+            entry["matrix"] = matrix_to_json(gate.matrix)
         if gate.phase is not None:
             entry["phase"] = [float(gate.phase.real), float(gate.phase.imag)]
         if gate.kind == "GLOBAL_PHASE":

@@ -151,14 +151,13 @@ def cmd_synth_expander(args) -> int:
     )
     if args.out:
         save_channel(channel, args.out)
-    stages = len(channel.stages) if hasattr(channel, "stages") else 1
     _emit(
         {
             "command": "synth_expander",
             "kappa": kappa,
             "target_kappa": args.target_kappa,
             "degree": channel.degree,
-            "stages": stages,
+            "stages": len(channel.stages),
             "qubits": channel.qubits,
             "seed": args.seed,
             "out": str(args.out) if args.out else None,

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import Channel, CompositeChannel
-from .circuits import RegisterLayout, load_circuit, simulate_unitary
+from .channels import Channel
+from .circuits import RegisterLayout, load_circuit, matrix_from_json, matrix_to_json, simulate_unitary
 from .reduction import ReductionSpec, build_base_expander, make_reduction_spec
 from .spectral import NonExpanderInstance
 from .thermalization import ThermalModel
@@ -26,25 +26,21 @@ class FileFormatError(ValueError):
     pass
 
 
-def matrix_to_json(mat: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(mat, dtype=complex).reshape(-1)]
-
-
-def matrix_from_json(rows, what: str = "matrix") -> np.ndarray:
+def _field(doc: dict, key: str, kind, where):
+    """doc[key] converted by `kind` (int or float), or a FileFormatError
+    naming the missing or malformed field."""
+    if key not in doc:
+        raise FileFormatError(f"{where}: missing field {key!r}")
     try:
-        flat = [complex(float(p[0]), float(p[1])) for p in rows]
-    except (TypeError, IndexError) as exc:
-        raise FileFormatError(f"{what} must be a row-major list of [re, im] pairs") from exc
-    n = int(round(np.sqrt(len(flat))))
-    if n * n != len(flat):
-        raise FileFormatError(f"{what} has {len(flat)} entries, not a square matrix")
-    return np.array(flat, dtype=complex).reshape(n, n)
+        return kind(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"{where}: field {key!r} must be {kind.__name__}, got {doc[key]!r}") from exc
 
 
 def vector_from_json(rows, what: str = "amplitudes") -> np.ndarray:
     try:
         return np.array([complex(float(p[0]), float(p[1])) for p in rows], dtype=complex)
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, ValueError) as exc:
         raise FileFormatError(f"{what} must be a list of [re, im] pairs") from exc
 
 
@@ -75,19 +71,20 @@ def _kraus_entry(entry, base_dir: Path, qubits: int, what: str) -> np.ndarray:
     return mat
 
 
-def _channel_from_doc(doc: dict, base_dir: Path, where: str):
-    if "qubits" not in doc:
-        raise FileFormatError(f"{where}: missing field 'qubits'")
-    qubits = int(doc["qubits"])
-    if "stages" in doc:
-        stages = []
-        for i, stage in enumerate(doc["stages"]):
-            stages.append(_flat_channel(stage, base_dir, qubits, f"{where} stage {i}"))
-        return CompositeChannel(tuple(stages))
-    return _flat_channel(doc, base_dir, qubits, where)
+def _channel_from_doc(doc: dict, base_dir: Path, where: str) -> Channel:
+    qubits = _field(doc, "qubits", int, where)
+    if "stages" not in doc:
+        return _flat_channel(doc, base_dir, qubits, where)
+    if not isinstance(doc["stages"], list) or not doc["stages"]:
+        raise FileFormatError(f"{where}: field 'stages' must be a nonempty list of stage objects")
+    return Channel.staged(
+        _flat_channel(stage, base_dir, qubits, f"{where} stage {i}") for i, stage in enumerate(doc["stages"])
+    )
 
 
-def _flat_channel(doc: dict, base_dir: Path, qubits: int, where: str) -> Channel:
+def _flat_channel(doc, base_dir: Path, qubits: int, where: str) -> Channel:
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"{where}: expected a JSON object")
     if "kraus" not in doc or not isinstance(doc["kraus"], list) or not doc["kraus"]:
         raise FileFormatError(f"{where}: missing nonempty list field 'kraus'")
     kraus = [
@@ -95,16 +92,19 @@ def _flat_channel(doc: dict, base_dir: Path, qubits: int, where: str) -> Channel
         for i, entry in enumerate(doc["kraus"])
     ]
     if doc.get("weights") is not None:
-        weights = np.array([float(w) for w in doc["weights"]])
+        try:
+            weights = np.array([float(w) for w in doc["weights"]])
+        except (TypeError, ValueError) as exc:
+            raise FileFormatError(f"{where}: field 'weights' must be a list of numbers") from exc
     else:
         weights = np.full(len(kraus), 1.0 / len(kraus))
     try:
-        return Channel(tuple(kraus), weights)
+        return Channel(kraus, weights)
     except ValueError as exc:
         raise FileFormatError(f"{where}: {exc}") from exc
 
 
-def load_channel(path):
+def load_channel(path) -> Channel:
     path = Path(path)
     return _channel_from_doc(_load_json(path), path.parent, str(path))
 
@@ -113,30 +113,26 @@ def load_instance(path) -> NonExpanderInstance:
     path = Path(path)
     doc = _load_json(path)
     channel = _channel_from_doc(doc, path.parent, str(path))
-    for fieldname in ("alpha", "beta"):
-        if fieldname not in doc:
-            raise FileFormatError(f"{path}: missing field {fieldname!r}")
+    alpha, beta = _field(doc, "alpha", float, path), _field(doc, "beta", float, path)
     try:
-        return NonExpanderInstance(channel, float(doc["alpha"]), float(doc["beta"]))
+        return NonExpanderInstance(channel, alpha, beta)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
-def save_channel(channel, path, alpha: float | None = None, beta: float | None = None) -> None:
-    """Write a channel (flat or staged) with optional instance thresholds."""
+def save_channel(channel: Channel, path, alpha: float | None = None, beta: float | None = None) -> None:
+    """Write a channel (flat, or staged when it has several stages) with
+    optional instance thresholds."""
+    stages = [
+        {"weights": [float(w) for w in s.weights], "kraus": [matrix_to_json(u) for u in s.kraus]}
+        for s in channel.stages
+    ]
     doc: dict = {"qubits": channel.qubits}
-    if isinstance(channel, CompositeChannel):
-        doc["stages"] = [
-            {
-                "weights": [float(w) for w in stage.weights],
-                "kraus": [matrix_to_json(u) for u in stage.kraus],
-            }
-            for stage in channel.stages
-        ]
+    if len(stages) > 1:
+        doc["stages"] = stages
         doc["degree"] = channel.degree
     else:
-        doc["weights"] = [float(w) for w in channel.weights]
-        doc["kraus"] = [matrix_to_json(u) for u in channel.kraus]
+        doc.update(stages[0])
     if alpha is not None:
         doc["alpha"] = float(alpha)
     if beta is not None:
@@ -149,36 +145,35 @@ def load_reduction_spec(path) -> ReductionSpec:
     and either a base-expander channel file or synthesis parameters."""
     path = Path(path)
     doc = _load_json(path)
-    for fieldname in ("circuit", "n_w", "n_a", "a", "b"):
-        if fieldname not in doc:
-            raise FileFormatError(f"{path}: missing field {fieldname!r}")
-    layout = RegisterLayout(int(doc["n_w"]), int(doc["n_a"]))
-    verifier = load_circuit(path.parent / doc["circuit"])
+    if "circuit" not in doc:
+        raise FileFormatError(f"{path}: missing field 'circuit'")
+    layout = RegisterLayout(_field(doc, "n_w", int, path), _field(doc, "n_a", int, path))
+    a, b = _field(doc, "a", float, path), _field(doc, "b", float, path)
+    verifier = load_circuit(path.parent / str(doc["circuit"]))
     has_file = doc.get("base_expander") is not None
     has_synth = doc.get("synthesize") is not None
     if has_file == has_synth:
         raise FileFormatError(f"{path}: need exactly one of 'base_expander' or 'synthesize'")
     kappa_f = None
     if has_file:
-        base = _channel_from_doc(
-            _load_json(path.parent / doc["base_expander"]),
-            (path.parent / doc["base_expander"]).parent,
-            str(doc["base_expander"]),
-        )
+        base_path = path.parent / str(doc["base_expander"])
+        base = _channel_from_doc(_load_json(base_path), base_path.parent, str(doc["base_expander"]))
     else:
-        synth = doc["synthesize"]
+        if not isinstance(doc["synthesize"], dict):
+            raise FileFormatError(f"{path}: field 'synthesize' must be an object")
+        synth = {"target_kappa": 0.1, "degree_per_stage": 8, "seed": 0, **doc["synthesize"]}
         base, kappa_f = build_base_expander(
             layout.verifier_qubits,
-            target_kappa=float(synth.get("target_kappa", 0.1)),
-            degree_per_stage=int(synth.get("degree_per_stage", 8)),
-            seed=int(synth.get("seed", 0)),
+            target_kappa=_field(synth, "target_kappa", float, path),
+            degree_per_stage=_field(synth, "degree_per_stage", int, path),
+            seed=_field(synth, "seed", int, path),
         )
     try:
         return make_reduction_spec(
             verifier,
             layout,
-            a=float(doc["a"]),
-            b=float(doc["b"]),
+            a=a,
+            b=b,
             base_expander=base,
             kappa_f=kappa_f,
             strict=bool(doc.get("strict", True)),
@@ -190,16 +185,16 @@ def load_reduction_spec(path) -> ReductionSpec:
 def load_thermal_model(path) -> ThermalModel:
     path = Path(path)
     doc = _load_json(path)
-    for fieldname in ("qubits", "unitaries", "R0", "R1"):
-        if fieldname not in doc:
-            raise FileFormatError(f"{path}: missing field {fieldname!r}")
-    qubits = int(doc["qubits"])
+    qubits = _field(doc, "qubits", int, path)
+    if not isinstance(doc.get("unitaries"), list):
+        raise FileFormatError(f"{path}: missing list field 'unitaries'")
     unitaries = [
         _kraus_entry(entry, path.parent, qubits, f"{path} unitaries[{i}]")
         for i, entry in enumerate(doc["unitaries"])
     ]
+    r0, r1 = _field(doc, "R0", float, path), _field(doc, "R1", float, path)
     try:
-        return ThermalModel(tuple(unitaries), float(doc["R0"]), float(doc["R1"]))
+        return ThermalModel(tuple(unitaries), r0, r1)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 

@@ -32,23 +32,9 @@ def paulis() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).conj().T
-
-
 def frobenius(a: np.ndarray) -> float:
     """Frobenius norm sqrt(sum_ij |a_ij|^2) = sqrt(tr(A^dag A))."""
     return float(np.linalg.norm(np.asarray(a)))
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(A^dag B)."""
-    return complex(np.vdot(a, b))
-
-
-def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:
-    a = np.asarray(a)
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -106,13 +92,6 @@ def unvec(v: np.ndarray) -> np.ndarray:
 def phi_state(dim: int) -> np.ndarray:
     """The maximally entangled unit vector |phi> = vec(I)/sqrt(N)."""
     return vec(np.eye(dim, dtype=complex)) / np.sqrt(dim)
-
-
-def kron_all(*mats: np.ndarray) -> np.ndarray:
-    out = np.asarray(mats[0], dtype=complex)
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
 
 
 def embed(op: np.ndarray, qubits: tuple[int, ...] | list[int], num_qubits: int) -> np.ndarray:
@@ -193,17 +172,6 @@ def random_operator(dim: int, rng: np.random.Generator) -> np.ndarray:
 def random_traceless(dim: int, rng: np.random.Generator) -> np.ndarray:
     a = random_operator(dim, rng)
     return a - np.trace(a) / dim * np.eye(dim)
-
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    a = random_operator(dim, rng)
-    return (a + a.conj().T) / 2
-
-
-def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unit vector."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:

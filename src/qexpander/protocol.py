@@ -76,18 +76,10 @@ def sample_hadamard_test(v: np.ndarray, psi: np.ndarray, shots: int, seed: int =
     return _sample_fraction(hadamard_test_probability(v, psi), shots, seed)
 
 
-def _require_kraus(channel) -> None:
-    if not hasattr(channel, "kraus"):
-        raise ValueError(
-            "the verification protocol needs a channel with explicit Kraus operators; "
-            "composite channels expose no pair unitaries"
-        )
-
-
 def _pair_overlaps(channel: Channel, psi: np.ndarray) -> np.ndarray:
     """The D x D Gram matrix G_{de} = <psi|V_{d,e}|psi> = tr(B_d^dag B_e)."""
     n = channel.dim
-    kraus = np.stack(channel.kraus)
+    kraus = channel.kraus
     images = kraus @ psi.reshape(n, n) @ kraus.conj().transpose(0, 2, 1)
     images = images.reshape(len(kraus), n * n)
     return images.conj() @ images.T
@@ -104,9 +96,10 @@ def estimate_contraction_sq(
     With ``shots_per_pair=None`` the D(D-1)/2 Hadamard tests are evaluated
     exactly, and the result equals ||Phi(unvec(psi))||_F^2 to rounding.
     Sampled mode derives one stream per (d, e) pair from (seed, d, e), so
-    results are independent of evaluation order.
+    results are independent of evaluation order.  Multi-stage channels,
+    which expose no Kraus operators, raise ValueError.
     """
-    _require_kraus(channel)
+    w = channel.weights
     psi = _check_unit_vector(psi)
     if psi.size != channel.dim**2:
         raise ValueError(f"state length {psi.size} does not match channel dimension {channel.dim}")
@@ -120,7 +113,6 @@ def estimate_contraction_sq(
                 for p, d, e in zip(p0.tolist(), rows.tolist(), cols.tolist())
             ]
         )
-    w = channel.weights
     return float(w @ w + (2.0 * w[rows] * w[cols]) @ pair_re)
 
 
@@ -187,7 +179,9 @@ def arthur_verify(
     Hadamard-test shots per Kraus pair.
     """
     channel = instance.channel
-    _require_kraus(channel)
+    weights = channel.weights
+    if shots is not EXACT and shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
     psi = _check_unit_vector(psi)
     if shots is EXACT:
         orth = check_orthogonality(psi)
@@ -198,7 +192,7 @@ def arthur_verify(
     else:
         orth, post = sample_orthogonality(psi, seed=rng_from(seed))
         samples = 1 + shots * channel.degree * (channel.degree - 1) // 2
-        margin = 3.0 * contraction_standard_error(channel.weights, shots)
+        margin = 3.0 * contraction_standard_error(weights, shots)
         confidence = 0.9973  # two-sided 3-sigma normal level
     if not orth:
         return VerifierOutcome(

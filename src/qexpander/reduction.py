@@ -38,7 +38,6 @@ import numpy as np
 
 from .channels import (
     Channel,
-    CompositeChannel,
     channel_power,
     complete_depolarizer,
     random_unitary_channel,
@@ -55,49 +54,32 @@ def sign_double(channel: Channel) -> Channel:
     The channel action is unchanged (each term is invariant under
     U -> -U); the element sum becomes exactly zero.
     """
-    kraus = channel.kraus + tuple(-u for u in channel.kraus)
+    kraus = np.concatenate([channel.kraus, -channel.kraus])
     weights = np.concatenate([channel.weights, channel.weights]) / 2.0
     return Channel(kraus, weights)
 
 
-def ensure_zero_sum(channel, tol: float = ATOL):
-    """Sign-double any (stage of a) channel whose elements do not sum to zero."""
-    if isinstance(channel, CompositeChannel):
-        return CompositeChannel(tuple(ensure_zero_sum(s, tol) for s in channel.stages))
-    if zero_sum_defect(channel) <= tol:
-        return channel
-    return sign_double(channel)
-
-
-@dataclass(frozen=True, eq=False)
-class ControlledChannel:
-    """A channel applied on the control subspace P, identity on Q = I - P.
-
-    `realized` acts on the joint space with operation elements
-    {P lift(U_i) + Q}; when the target elements sum to zero this acts
-    blockwise as P A P (x) F(B) + Q A Q (x) B, with no cross terms.
-    """
-
-    projector: np.ndarray
-    target: object
-    target_qubits: tuple[int, ...]
-    realized: object
+def ensure_zero_sum(channel: Channel, tol: float = ATOL) -> Channel:
+    """Sign-double every stage whose elements do not sum to zero."""
+    return Channel.staged(s if zero_sum_defect(s) <= tol else sign_double(s) for s in channel.stages)
 
 
 def controlled_channel(
-    target,
+    target: Channel,
     target_qubits,
     projector: np.ndarray,
     num_qubits: int,
     require_zero_sum: bool = True,
-) -> ControlledChannel:
+) -> Channel:
     """Build the controlled version of `target` on the full qubit space.
 
     `projector` is the full-space projector P selecting where the channel
-    acts; it must act trivially on `target_qubits` (otherwise the realized
-    elements are not unitary).  Composite targets are controlled stage by
-    stage, which is exact because Lambda(AB) = Lambda(A) Lambda(B) for a
-    shared control subspace.
+    acts; it must act trivially on `target_qubits` (otherwise the controlled
+    elements are not unitary).  Each stage gets the operation elements
+    {P lift(U_i) + Q}, Q = I - P; when the target elements sum to zero this
+    acts blockwise as P A P (x) F(B) + Q A Q (x) B, with no cross terms.
+    Multi-stage targets are controlled stage by stage, which is exact
+    because Lambda(AB) = Lambda(A) Lambda(B) for a shared control subspace.
     """
     target_qubits = tuple(int(q) for q in target_qubits)
     projector = np.asarray(projector, dtype=complex)
@@ -106,35 +88,27 @@ def controlled_channel(
         raise ValueError(f"projector shape {projector.shape} does not match {num_qubits} qubits")
     if frobenius(projector @ projector - projector) > 1e-10 * n:
         raise ValueError("control subspace matrix is not a projector")
-    if isinstance(target, CompositeChannel):
-        parts = [
-            controlled_channel(s, target_qubits, projector, num_qubits, require_zero_sum)
-            for s in target.stages
-        ]
-        realized = CompositeChannel(tuple(p.realized for p in parts))
-        return ControlledChannel(projector, target, target_qubits, realized)
     if require_zero_sum:
         defect = zero_sum_defect(target)
         if defect > ATOL:
             raise ValueError(
-                f"target elements sum to {defect:.3e} in Frobenius norm; "
+                f"target elements lack the zero-sum property (sum has Frobenius norm {defect:.3e}); "
                 "sign-double the channel first (cross terms otherwise)"
             )
     q = np.eye(n, dtype=complex) - projector
-    kraus = []
-    for u in target.kraus:
-        lifted = embed(u, target_qubits, num_qubits)
-        if frobenius(projector @ lifted - lifted @ projector) > 1e-10 * n:
+    stages = []
+    for stage in target.stages:
+        lifted = np.array([embed(u, target_qubits, num_qubits) for u in stage.kraus])
+        if np.linalg.norm(projector @ lifted - lifted @ projector, axis=(1, 2)).max() > 1e-10 * n:
             raise ValueError(
                 "control projector does not commute with the lifted target elements "
                 "(control and target registers overlap?)"
             )
-        kraus.append(projector @ lifted + q)
-    realized = Channel(tuple(kraus), target.weights)
-    return ControlledChannel(projector, target, target_qubits, realized)
+        stages.append(Channel(projector @ lifted + q, stage.weights))
+    return Channel.staged(stages)
 
 
-def controlled_depolarizer(num_qubits: int, target_qubit: int, projector: np.ndarray) -> ControlledChannel:
+def controlled_depolarizer(num_qubits: int, target_qubit: int, projector: np.ndarray) -> Channel:
     """The 8-regular controlled complete depolarizer on one qubit.
 
     Elements {Lambda(+-I), Lambda(+-X), Lambda(+-Y), Lambda(+-Z)}; its
@@ -238,7 +212,7 @@ class ReductionSpec:
     layout: RegisterLayout
     a: float
     b: float
-    base_expander: object
+    base_expander: Channel
     kappa_f: float
     alpha: float
     beta: float
@@ -299,31 +273,23 @@ def witness_verifier_channel(spec: ReductionSpec) -> Channel:
     v_full = embed(v, tuple(range(layout.verifier_qubits)), m)
     top_is_zero = bit_projector(m, layout.top_qubit, 0)
     ctrl = controlled_depolarizer(m, layout.indicator_qubit, top_is_zero)
-    kraus = tuple(v_full.conj().T @ k @ v_full for k in ctrl.realized.kraus)
-    return Channel(kraus, ctrl.realized.weights)
+    return Channel(v_full.conj().T @ ctrl.kraus @ v_full, ctrl.weights)
 
 
-def build_reduction(spec: ReductionSpec) -> CompositeChannel:
+def build_reduction(spec: ReductionSpec) -> Channel:
     """The full channel of the reduction on n_w + n_a + 1 qubits.
 
     Composition order: ancilla verifier, witness verifier, controlled base
     expander.  The result is unital and 64 D_F-regular, where D_F is the
-    degree of the (zero-sum) base expander.
+    degree of the base expander, which must have the zero-sum property.
     """
     layout = spec.layout
     m = layout.total_qubits
-    base = spec.base_expander
-    if zero_sum_defect(base) > ATOL:
-        raise ValueError(
-            f"base expander lacks the zero-sum property after sign doubling "
-            f"(defect {zero_sum_defect(base):.3e})"
-        )
     anc_ver = controlled_depolarizer(m, layout.indicator_qubit, ancilla_fail_projector(layout))
     wit_ver = witness_verifier_channel(spec)
     indicator_is_one = bit_projector(m, layout.indicator_qubit, 1)
-    ctrl_f = controlled_channel(base, tuple(range(layout.verifier_qubits)), indicator_is_one, m)
-    tail = ctrl_f.realized.stages if isinstance(ctrl_f.realized, CompositeChannel) else (ctrl_f.realized,)
-    return CompositeChannel((anc_ver.realized, wit_ver) + tail)
+    ctrl_f = controlled_channel(spec.base_expander, tuple(range(layout.verifier_qubits)), indicator_is_one, m)
+    return Channel.staged((anc_ver, wit_ver, ctrl_f))
 
 
 def yes_witness(spec: ReductionSpec, psi: np.ndarray) -> np.ndarray:

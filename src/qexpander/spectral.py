@@ -112,15 +112,21 @@ def _unit_traceless(v: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def spectral_gap_dense(channel, cap: int = DENSE_CAP) -> GapReport:
-    """kappa and a maximizing traceless witness via SVD of Pi W Pi."""
+    """kappa and a maximizing traceless witness via SVD of W - |phi><phi|.
+
+    W fixes |phi> on both sides (unital: W|phi> = |phi>; trace preserving:
+    <phi|W = <phi|), so Pi W Pi = W - |phi><phi| exactly.
+    """
+    n = channel.dim
     w = build_w(channel, cap=cap)
-    phi = phi_state(channel.dim)
-    pi = np.eye(w.shape[0], dtype=complex) - np.outer(phi, phi.conj())
-    m = pi @ w @ pi
-    _, s, vh = np.linalg.svd(m)
+    # |phi><phi| has the entry 1/N at (iN + i, jN + j) and zeros elsewhere.
+    diag = np.arange(n) * (n + 1)
+    w[np.ix_(diag, diag)] -= 1.0 / n
+    _, s, vh = np.linalg.svd(w)
     kappa = float(s[0])
+    phi = phi_state(n)
     # The right singular vector can pick up a |phi> component through
-    # rounding (entirely so when Pi W Pi is numerically zero).
+    # rounding (entirely so when W - |phi><phi| is numerically zero).
     witness = _unit_traceless(vh[0].conj(), phi)
     achieved = frobenius(channel.apply(unvec(witness)))
     return GapReport(

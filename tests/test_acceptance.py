@@ -129,12 +129,12 @@ def test_criterion_5_controlled_expander_algebra():
     for _ in range(100):
         a, b = random_operator(2, rng), random_operator(2, rng)
         blocks = np.kron(p1 @ a @ p1, target.apply(b)) + np.kron(q1 @ a @ q1, b)
-        worst_block = max(worst_block, frobenius(doubled.realized.apply(np.kron(a, b)) - blocks))
+        worst_block = max(worst_block, frobenius(doubled.apply(np.kron(a, b)) - blocks))
     # constructed example: single-element {H} channel has element sum H != 0
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     raw = controlled_channel(Channel.uniform((h,)), (1,), p_full, 2, require_zero_sum=False)
     blocks = np.kron(p1 @ X @ p1, np.eye(2)) + np.kron(q1 @ X @ q1, np.eye(2))
-    cross_mass = frobenius(raw.realized.apply(np.kron(X, np.eye(2))) - blocks)
+    cross_mass = frobenius(raw.apply(np.kron(X, np.eye(2))) - blocks)
     ok = worst_block < 1e-10 and cross_mass > 1e-3
     report(
         5,

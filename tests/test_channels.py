@@ -3,7 +3,6 @@ import pytest
 
 from qexpander.channels import (
     Channel,
-    CompositeChannel,
     channel_power,
     complete_depolarizer,
     compose,
@@ -131,7 +130,7 @@ def test_composite_channel_matches_flattened():
     rng = rng_from(15)
     c1 = random_unitary_channel(1, 2, rng)
     c2 = random_unitary_channel(1, 2, rng)
-    lazy = CompositeChannel((c1, c2))
+    lazy = Channel.staged((c1, c2))
     flat = compose(c2, c1)
     a = random_operator(2, rng)
     assert frobenius(lazy.apply(a) - flat.apply(a)) < 1e-12
@@ -162,3 +161,81 @@ def test_kraus_arrays_are_frozen():
         ch.kraus[0][0, 0] = 5.0
     with pytest.raises(ValueError):
         ch.weights[0] = 0.5
+
+
+def _oracle_stages(ch):
+    return [(s.kraus, s.weights) for s in ch.stages]
+
+
+def _loop_apply(stages, a):
+    """Per-Kraus loop oracle: sum_d w_d U_d A U_d^dag, stage by stage."""
+    for kraus, weights in stages:
+        a = sum(w * (u @ a @ u.conj().T) for w, u in zip(weights, kraus))
+    return a
+
+
+def _kron_superoperator(stages):
+    """Kron-sum oracle: the product over stages of sum_d w_d U_d (x) conj(U_d)."""
+    out = None
+    for kraus, weights in stages:
+        w = sum(wd * np.kron(u, u.conj()) for wd, u in zip(weights, kraus))
+        out = w if out is None else w @ out
+    return out
+
+
+def _sample_channels():
+    rng = rng_from(17)
+    uniform = random_unitary_channel(2, 5, rng)
+    weights = rng.random(4)
+    weighted = Channel(random_unitary_channel(2, 4, rng).kraus, weights / weights.sum())
+    staged = Channel.staged((uniform, weighted, random_unitary_channel(2, 3, rng)))
+    return rng, (uniform, weighted, staged)
+
+
+def test_stacked_apply_matches_loop_oracle():
+    rng, channels = _sample_channels()
+    for ch in channels:
+        for _ in range(3):
+            a = random_operator(4, rng)
+            assert frobenius(ch.apply(a) - _loop_apply(_oracle_stages(ch), a)) < 1e-13
+
+
+def test_superoperator_matches_kron_sum_oracle():
+    _, channels = _sample_channels()
+    for ch in channels:
+        assert np.max(np.abs(ch.superoperator() - _kron_superoperator(_oracle_stages(ch)))) < 1e-14
+
+
+def test_flat_channel_is_its_own_stage():
+    _, (uniform, weighted, staged) = _sample_channels()
+    assert uniform.stages == (uniform,)
+    assert Channel.staged((weighted,)) is weighted
+    assert channel_power(uniform, 1) is uniform
+    assert len(staged.stages) == 3 and staged.degree == 5 * 4 * 3
+    assert len(Channel.staged((staged, uniform)).stages) == 4
+    assert not staged.is_regular and channel_power(uniform, 2).is_regular
+
+
+def test_multi_stage_channel_exposes_no_kraus():
+    ch = channel_power(complete_depolarizer(), 2)
+    with pytest.raises(ValueError, match="explicit Kraus"):
+        ch.kraus
+    with pytest.raises(ValueError, match="explicit Kraus"):
+        ch.weights
+
+
+def test_staged_rejects_mixed_dimensions():
+    with pytest.raises(ValueError, match="one dimension"):
+        Channel.staged((identity_channel(1), identity_channel(2)))
+    with pytest.raises(ValueError, match="at least one stage"):
+        Channel.staged(())
+
+
+def test_tensor_matches_kron_of_actions():
+    rng = rng_from(18)
+    left = random_unitary_channel(1, 3, rng)
+    right = Channel(random_unitary_channel(2, 2, rng).kraus, np.array([0.3, 0.7]))
+    both = tensor(left, right)
+    a, b = random_operator(2, rng), random_operator(4, rng)
+    assert both.degree == 6
+    assert frobenius(both.apply(np.kron(a, b)) - np.kron(left.apply(a), right.apply(b))) < 1e-12

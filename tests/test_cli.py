@@ -40,6 +40,41 @@ def test_gap_malformed_file(tmp_path):
     assert "line" in res.stderr
 
 
+MALFORMED = [
+    *[
+        (command, "instances/identity_z_1q.json", patch)
+        for command in ("gap", "decide", "verify")
+        for patch in ({"stages": 5}, {"stages": [5]}, {"weights": 5}, {"qubits": None})
+    ],
+    *[(command, "instances/identity_z_1q.json", {"alpha": [0.9]}) for command in ("decide", "verify")],
+    ("reduce", "reductions/no_2w2a.json", {"synthesize": 5}),
+    ("thermalize", "models/pauli_depolarizer_1q.json", {"unitaries": 7}),
+]
+
+
+@pytest.mark.parametrize("command,source,patch", MALFORMED)
+def test_malformed_field_types_exit_2(corpus, tmp_path, command, source, patch):
+    doc = json.loads((corpus / source).read_text())
+    if "circuit" in doc:
+        doc["circuit"] = str(corpus / "reductions" / doc["circuit"])
+    doc.update(patch)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    extra = ("--out", tmp_path / "out.json") if command == "reduce" else ()
+    res = run_cli(command, path, *extra)
+    assert res.returncode == 2
+    assert "error:" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_verify_rejects_nonpositive_shots(corpus):
+    for shots in ("-3", "0"):
+        res = run_cli("verify", corpus / "instances" / "identity_z_1q.json", f"--shots={shots}")
+        assert res.returncode == 2
+        assert "shots must be >= 1" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
 def test_decide_exit_codes(corpus):
     assert run_cli("decide", corpus / "instances" / "identity_z_1q.json").returncode == 1
     assert run_cli("decide", corpus / "instances" / "depolarizer_1q.json").returncode == 0

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qexpander.channels import CompositeChannel, complete_depolarizer, random_unitary_channel
+from qexpander.channels import Channel, complete_depolarizer, random_unitary_channel
 from qexpander.fileio import (
     FileFormatError,
     load_channel,
@@ -67,11 +67,11 @@ def test_channel_round_trip_flat(tmp_path):
 
 def test_channel_round_trip_staged(tmp_path):
     rng = rng_from(2)
-    comp = CompositeChannel((random_unitary_channel(1, 2, rng), complete_depolarizer()))
+    comp = Channel.staged((random_unitary_channel(1, 2, rng), complete_depolarizer()))
     path = tmp_path / "staged.json"
     save_channel(comp, path, alpha=0.9, beta=0.3)
     back = load_channel(path)
-    assert isinstance(back, CompositeChannel)
+    assert len(back.stages) == 2
     assert back.degree == comp.degree
     a = random_operator(2, rng)
     assert frobenius(comp.apply(a) - back.apply(a)) < 1e-12
@@ -135,3 +135,16 @@ def test_weights_default_uniform(tmp_path):
     path.write_text(json.dumps(doc))
     ch = load_channel(path)
     assert ch.is_regular
+
+
+def test_save_load_save_is_byte_identical(tmp_path):
+    rng = rng_from(3)
+    flat = random_unitary_channel(2, 3, rng)
+    staged = Channel.staged((random_unitary_channel(1, 2, rng), complete_depolarizer()))
+    for name, ch in (("flat", flat), ("staged", staged)):
+        first, second = tmp_path / f"{name}-1.json", tmp_path / f"{name}-2.json"
+        save_channel(ch, first, alpha=0.9, beta=0.3)
+        save_channel(load_channel(first), second, alpha=0.9, beta=0.3)
+        assert first.read_bytes() == second.read_bytes()
+    assert "stages" in json.loads((tmp_path / "staged-1.json").read_text())
+    assert "stages" not in json.loads((tmp_path / "flat-1.json").read_text())

@@ -214,9 +214,7 @@ def test_arthur_verifies_non_regular_thermalization_channel():
 
 
 def test_estimate_rejects_composite_channels():
-    from qexpander.channels import CompositeChannel
-
-    comp = CompositeChannel((identity_channel(1), identity_channel(1)))
+    comp = Channel.staged((identity_channel(1), identity_channel(1)))
     with pytest.raises(ValueError, match="explicit Kraus"):
         estimate_contraction_sq(comp, vec(Z) / np.sqrt(2))
     for shots in (None, 10):

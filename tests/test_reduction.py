@@ -3,7 +3,6 @@ import pytest
 
 from qexpander.channels import (
     Channel,
-    CompositeChannel,
     complete_depolarizer,
     identity_channel,
     random_unitary_channel,
@@ -91,7 +90,7 @@ def test_sign_double_preserves_arbitrary_channel_action():
 
 def test_ensure_zero_sum_composite():
     rng = rng_from(3)
-    comp = CompositeChannel((random_unitary_channel(1, 2, rng),) * 2)
+    comp = Channel.staged((random_unitary_channel(1, 2, rng),) * 2)
     fixed = ensure_zero_sum(comp)
     assert zero_sum_defect(fixed) < 1e-12
     a = random_operator(2, rng)
@@ -110,7 +109,7 @@ def test_controlled_depolarizer_block_action():
     rng = rng_from(4)
     for _ in range(10):
         a, sigma = random_operator(2, rng), random_operator(2, rng)
-        lhs = cd.realized.apply(np.kron(a, sigma))
+        lhs = cd.apply(np.kron(a, sigma))
         rhs = np.kron(p1 @ a @ p1, np.eye(2) * np.trace(sigma) / 2) + np.kron(q1 @ a @ q1, sigma)
         assert frobenius(lhs - rhs) < 1e-10
 
@@ -122,9 +121,9 @@ def test_controlled_depolarizer_paper_examples():
     s11 = np.diag([0, 1]).astype(complex)
     # |0><0| (x) |0><0| is untouched (control fails)
     state = np.kron(s00, s00)
-    assert frobenius(cd.realized.apply(state) - state) < 1e-12
+    assert frobenius(cd.apply(state) - state) < 1e-12
     # |1><1| (x) sigma_z depolarizes to zero on the target block
-    assert frobenius(cd.realized.apply(np.kron(s11, Z))) < 1e-12
+    assert frobenius(cd.apply(np.kron(s11, Z))) < 1e-12
 
 
 def test_cross_terms_without_zero_sum_vanish_with_it():
@@ -139,9 +138,9 @@ def test_cross_terms_without_zero_sum_vanish_with_it():
         a, b = random_operator(2, rng), random_operator(2, rng)
         blocks = np.kron(p1 @ a @ p1, ch.apply(b)) + np.kron(q1 @ a @ q1, b)
         raw = controlled_channel(ch, (1,), p_full, 2, require_zero_sum=False)
-        worst_cross = max(worst_cross, frobenius(raw.realized.apply(np.kron(a, b)) - blocks))
+        worst_cross = max(worst_cross, frobenius(raw.apply(np.kron(a, b)) - blocks))
         fixed = controlled_channel(sign_double(ch), (1,), p_full, 2)
-        assert frobenius(fixed.realized.apply(np.kron(a, b)) - blocks) < 1e-10
+        assert frobenius(fixed.apply(np.kron(a, b)) - blocks) < 1e-10
     assert worst_cross > 1e-3
 
 
@@ -170,9 +169,9 @@ def test_double_verifier_pinching_structure():
     nv = 2**lay.verifier_qubits
     v = simulate_unitary(noisy_verifier(lay, 2.2, 0.3))
 
-    anc_ver = controlled_depolarizer(m, lay.indicator_qubit, ancilla_fail_projector(lay)).realized
+    anc_ver = controlled_depolarizer(m, lay.indicator_qubit, ancilla_fail_projector(lay))
     top0 = bit_projector(m, lay.top_qubit, 0)
-    ctrl = controlled_depolarizer(m, lay.indicator_qubit, top0).realized
+    ctrl = controlled_depolarizer(m, lay.indicator_qubit, top0)
     v_full = np.kron(v, np.eye(2))
     wit_ver = Channel(tuple(v_full.conj().T @ k @ v_full for k in ctrl.kraus), ctrl.weights)
 

@@ -155,3 +155,19 @@ def test_decide_yes_no_promise():
     tie, rep = decide(NonExpanderInstance(identity_channel(1), 1.0, 0.5))
     assert tie is Decision.PROMISE_VIOLATED
     assert abs(rep.kappa - 1.0) < 1e-12
+
+
+def test_dense_gap_matches_projected_oracle():
+    """kappa from W - |phi><phi| equals the top singular value of Pi W Pi."""
+    rng = rng_from(21)
+    weights = rng.random(3)
+    weighted = Channel(random_unitary_channel(2, 3, rng).kraus, weights / weights.sum())
+    staged = Channel.staged((random_unitary_channel(2, 2, rng), weighted))
+    for ch in (random_unitary_channel(2, 4, rng), weighted, staged, complete_depolarizer()):
+        phi = phi_state(ch.dim)
+        pi = np.eye(ch.dim**2) - np.outer(phi, phi.conj())
+        oracle = np.linalg.svd(pi @ ch.superoperator() @ pi, compute_uv=False)[0]
+        report = spectral_gap_dense(ch)
+        assert abs(report.kappa - oracle) < 1e-12
+        assert abs(np.vdot(phi, report.witness)) < 1e-12
+        assert abs(frobenius(ch.apply(unvec(report.witness))) - oracle) < 1e-10
