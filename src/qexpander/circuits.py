@@ -218,7 +218,8 @@ def multi_controlled(base, target: int, controls, polarities=None) -> Gate:
 # ---------------------------------------------------------------------------
 
 
-def _complex_pair(value, what: str) -> complex:
+def complex_pair(value, what: str) -> complex:
+    """One [re, im] entry of the JSON matrix codec as a complex number."""
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise CircuitFormatError(f"{what} must be an [re, im] pair, got {value!r}")
     return complex(float(value[0]), float(value[1]))
@@ -227,7 +228,7 @@ def _complex_pair(value, what: str) -> complex:
 def matrix_from_json(rows, what: str = "matrix") -> np.ndarray:
     """Square matrix from a row-major list of [re, im] pairs."""
     try:
-        flat = [_complex_pair(entry, what) for entry in rows]
+        flat = [complex_pair(entry, what) for entry in rows]
     except TypeError as exc:
         raise CircuitFormatError(f"{what} must be a row-major list of [re, im] pairs") from exc
     n = int(round(np.sqrt(len(flat))))
@@ -273,7 +274,7 @@ def parse_circuit(text: str) -> GateCircuit:
         if entry.get("matrix") is not None:
             kwargs["matrix"] = matrix_from_json(entry["matrix"], f"gate {i} matrix")
         if entry.get("phase") is not None:
-            kwargs["phase"] = _complex_pair(entry["phase"], f"gate {i} phase")
+            kwargs["phase"] = complex_pair(entry["phase"], f"gate {i} phase")
         try:
             gates.append(Gate(kind, **kwargs))
         except CircuitFormatError as exc:

@@ -7,7 +7,7 @@ stderr.  Exit codes are scriptable:
     0   NO / accept / success
     1   YES / reject
     2   input or parse error
-    3   promise violated / non-convergence
+    3   promise violated / non-convergence / uncertified answer
 
 All randomness flows from the --seed value through a splittable
 counter-based generator (numpy Philox seeded via SeedSequence; parallel
@@ -54,14 +54,9 @@ def _fail(message: str, code: int = EXIT_INPUT_ERROR) -> int:
     return code
 
 
-def _solver_options(args) -> dict:
-    """--tol/--seed reach the gap solver only on the iterative route."""
-    return {"tol": args.tol, "seed": args.seed} if args.method == "iterative" else {}
-
-
 def cmd_gap(args) -> int:
     channel = load_channel(args.instance)
-    report = spectral_gap(channel, method=args.method, **_solver_options(args))
+    report = spectral_gap(channel, method=args.method, tol=args.tol, seed=args.seed)
     _emit(
         {
             "command": "gap",
@@ -70,6 +65,7 @@ def cmd_gap(args) -> int:
             "method": report.method,
             "iterations": report.iterations,
             "residual": report.residual,
+            "error_bound": report.error_bound,
             "converged": report.converged,
             "qubits": channel.qubits,
             "degree": channel.degree,
@@ -80,12 +76,13 @@ def cmd_gap(args) -> int:
 
 def cmd_decide(args) -> int:
     instance = load_instance(args.instance)
-    decision, report = decide(instance, method=args.method, **_solver_options(args))
+    decision, report = decide(instance, method=args.method, tol=args.tol, seed=args.seed)
     _emit(
         {
             "command": "decide",
             "decision": decision.value,
             "kappa": report.kappa,
+            "error_bound": report.error_bound,
             "alpha": instance.alpha,
             "beta": instance.beta,
             "method": report.method,

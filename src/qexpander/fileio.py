@@ -16,7 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from .channels import Channel
-from .circuits import RegisterLayout, load_circuit, matrix_from_json, matrix_to_json, simulate_unitary
+from .circuits import (
+    RegisterLayout,
+    complex_pair,
+    load_circuit,
+    matrix_from_json,
+    matrix_to_json,
+    simulate_unitary,
+)
 from .reduction import ReductionSpec, build_base_expander, make_reduction_spec
 from .spectral import NonExpanderInstance
 from .thermalization import ThermalModel
@@ -38,10 +45,11 @@ def _field(doc: dict, key: str, kind, where):
 
 
 def vector_from_json(rows, what: str = "amplitudes") -> np.ndarray:
+    """Vector from a list of [re, im] pairs, each checked by the matrix codec's pair rule."""
     try:
-        return np.array([complex(float(p[0]), float(p[1])) for p in rows], dtype=complex)
-    except (TypeError, IndexError, ValueError) as exc:
-        raise FileFormatError(f"{what} must be a list of [re, im] pairs") from exc
+        return np.array([complex_pair(p, f"{what}[{i}]") for i, p in enumerate(rows)], dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"{what} must be a list of [re, im] pairs: {exc}") from exc
 
 
 def _load_json(path) -> dict:
@@ -154,6 +162,9 @@ def load_reduction_spec(path) -> ReductionSpec:
     has_synth = doc.get("synthesize") is not None
     if has_file == has_synth:
         raise FileFormatError(f"{path}: need exactly one of 'base_expander' or 'synthesize'")
+    strict = doc.get("strict", True)
+    if not isinstance(strict, bool):
+        raise FileFormatError(f"{path}: field 'strict' must be true or false, got {strict!r}")
     kappa_f = None
     if has_file:
         base_path = path.parent / str(doc["base_expander"])
@@ -176,7 +187,7 @@ def load_reduction_spec(path) -> ReductionSpec:
             b=b,
             base_expander=base,
             kappa_f=kappa_f,
-            strict=bool(doc.get("strict", True)),
+            strict=strict,
         )
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc

@@ -49,6 +49,8 @@ MALFORMED = [
     *[(command, "instances/identity_z_1q.json", {"alpha": [0.9]}) for command in ("decide", "verify")],
     ("reduce", "reductions/no_2w2a.json", {"synthesize": 5}),
     ("thermalize", "models/pauli_depolarizer_1q.json", {"unitaries": 7}),
+    ("reduce", "reductions/no_2w2a.json", {"strict": "false"}),
+    ("reduce", "reductions/no_2w2a.json", {"strict": 0}),
 ]
 
 
@@ -117,14 +119,24 @@ def test_verify_with_witness_file(corpus, tmp_path):
     assert payload(res)["accepted"] is True
 
 
+@pytest.mark.parametrize("amplitudes", [[[0.6, 0.0, 99.0], [0.8, 0.0]], [[0.6], [0.8, 0.0]]])
+def test_verify_rejects_witness_pairs_not_of_length_2(corpus, tmp_path, amplitudes):
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps({"amplitudes": amplitudes}))
+    res = run_cli("verify", corpus / "instances" / "identity_z_1q.json", "--witness", witness)
+    assert res.returncode == 2
+    assert "[re, im] pair" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_output_schemas(corpus):
     gap = payload(run_cli("gap", corpus / "instances" / "identity_z_1q.json"))
     assert set(gap) == {
-        "command", "kappa", "gap", "method", "iterations", "residual", "converged",
-        "qubits", "degree",
+        "command", "kappa", "gap", "method", "iterations", "residual", "error_bound",
+        "converged", "qubits", "degree",
     }
     dec = payload(run_cli("decide", corpus / "instances" / "identity_z_1q.json"))
-    assert set(dec) == {"command", "decision", "kappa", "alpha", "beta", "method"}
+    assert set(dec) == {"command", "decision", "kappa", "error_bound", "alpha", "beta", "method"}
     ver = payload(run_cli("verify", corpus / "instances" / "identity_z_1q.json"))
     assert set(ver) == {
         "command", "accepted", "estimated_contraction_sq", "orthogonality_passed",

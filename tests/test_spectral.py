@@ -1,23 +1,41 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from qexpander import spectral
 from qexpander.channels import (
     Channel,
     channel_power,
     complete_depolarizer,
     identity_channel,
     random_unitary_channel,
+    tensor,
 )
-from qexpander.linalg import frobenius, paulis, phi_state, random_traceless, rng_from, unvec, vec
+from qexpander.fileio import load_reduction_spec
+from qexpander.linalg import (
+    frobenius,
+    haar_unitary,
+    paulis,
+    phi_state,
+    random_traceless,
+    rng_from,
+    unvec,
+    vec,
+)
+from qexpander.reduction import build_reduction
 from qexpander.spectral import (
     Decision,
     NonExpanderInstance,
     build_w,
     decide,
+    spectral_gap,
     spectral_gap_dense,
     spectral_gap_hermitian,
     spectral_gap_iterative,
 )
+from qexpander.thermalization import ThermalModel
 
 I, X, Y, Z = paulis()
 
@@ -49,9 +67,17 @@ def test_build_w_fixes_phi_for_unital_channels():
         assert np.linalg.norm(w @ phi - phi) <= 1e-10
 
 
-def test_build_w_cap():
-    with pytest.raises(ValueError, match="cap"):
-        build_w(identity_channel(2), cap=8)
+def test_build_w_cap(monkeypatch):
+    # W, U and Vh take 3 * 16 * N^4 bytes: 192 GiB at 8 qubits.
+    with pytest.raises(ValueError, match="dense budget"):
+        build_w(identity_channel(8))
+    with pytest.raises(ValueError, match="dense budget"):
+        spectral_gap_dense(identity_channel(8))
+    monkeypatch.setattr(spectral, "DENSE_BUDGET_BYTES", 3 * 16 * 4**4)
+    assert build_w(identity_channel(2)).shape == (16, 16)
+    monkeypatch.setattr(spectral, "DENSE_BUDGET_BYTES", 3 * 16 * 4**4 - 1)
+    with pytest.raises(ValueError, match="dense budget"):
+        build_w(identity_channel(2))
 
 
 def test_dense_gap_examples():
@@ -171,3 +197,121 @@ def test_dense_gap_matches_projected_oracle():
         assert abs(report.kappa - oracle) < 1e-12
         assert abs(np.vdot(phi, report.witness)) < 1e-12
         assert abs(frobenius(ch.apply(unvec(report.witness))) - oracle) < 1e-10
+
+
+def _thermal_channel(qubits, r0, r1, rng):
+    unitaries = tuple(haar_unitary(2**qubits, rng) for _ in range(3))
+    return ThermalModel(unitaries, r0, r1).channel
+
+
+_RNG = rng_from(31)
+ENGINE_CHANNELS = {
+    "thermal-1q": _thermal_channel(1, 1.0, 0.5, _RNG),
+    "thermal-2q": _thermal_channel(2, 2.0, 0.3, _RNG),
+    "thermal-4q": _thermal_channel(4, 1.0, 0.5, _RNG),
+    "staged-3": Channel.staged([random_unitary_channel(2, d, _RNG) for d in (2, 3, 2)]),
+    "N=2": random_unitary_channel(1, 3, _RNG),
+    "N=4": random_unitary_channel(2, 4, _RNG),
+    "N=16": random_unitary_channel(4, 8, _RNG),
+    "N=16-lazy": channel_power(random_unitary_channel(4, 3, _RNG), 2),
+}
+
+
+def _check_engine_against_dense(ch):
+    dense = spectral_gap_dense(ch)
+    lanczos = spectral_gap_iterative(ch, tol=1e-9, seed=5)
+    assert lanczos.converged
+    assert abs(lanczos.kappa - dense.kappa) < 1e-10
+    assert abs(lanczos.kappa - dense.kappa) <= lanczos.error_bound + dense.error_bound
+    assert 0.0 < lanczos.error_bound < 1e-7
+    assert lanczos.residual <= 1e-9 * 2.0 * lanczos.kappa
+    assert lanczos.matvecs >= 1 and lanczos.iterations >= 1
+    a = unvec(lanczos.witness)
+    assert abs(np.trace(a)) < 1e-12
+    assert abs(np.linalg.norm(lanczos.witness) - 1.0) < 1e-12
+    assert abs(frobenius(ch.apply(a)) - lanczos.kappa) < 1e-10
+
+
+@pytest.mark.parametrize("name", ENGINE_CHANNELS)
+def test_lanczos_matches_dense(name):
+    _check_engine_against_dense(ENGINE_CHANNELS[name])
+
+
+@pytest.mark.slow
+def test_lanczos_matches_dense_on_clustered_reduction_channel(corpus):
+    """The NO-case reduction channel's top singular values cluster near 1/sqrt(2)."""
+    ch = build_reduction(load_reduction_spec(corpus / "reductions" / "no_2w2a.json"))
+    assert ch.dim == 32 and len(ch.stages) == 8
+    _check_engine_against_dense(ch)
+
+
+def test_lanczos_depolarizer_and_identity():
+    two_qubit_depolarizer = tensor(complete_depolarizer(), complete_depolarizer())
+    # The same channel from rotated Kraus operators, whose action on a
+    # traceless start is zero only up to rounding.
+    v = haar_unitary(4, rng_from(36))
+    rotated = Channel.uniform([v @ u @ v.conj().T for u in two_qubit_depolarizer.kraus])
+    for ch in (complete_depolarizer(), two_qubit_depolarizer, rotated):
+        rep = spectral_gap_iterative(ch, seed=2)
+        assert rep.kappa == 0.0 and rep.converged and rep.matvecs == 1
+        assert rep.error_bound < 1e-7
+    for qubits in (1, 3):
+        rep = spectral_gap_iterative(identity_channel(qubits), seed=2)
+        assert abs(rep.kappa - 1.0) < 1e-12 and rep.converged
+        assert rep.error_bound < 1e-12
+
+
+def test_lanczos_invariant_krylov_space_converges():
+    # (I + Z)/2: M has eigenvalues {1, 0, 0} on the traceless space, so the
+    # Krylov space is invariant after two vectors whatever the tolerance.
+    rep = spectral_gap_iterative(Channel.uniform((I, Z)), tol=1e-300, seed=1)
+    assert rep.converged and rep.matvecs == 2
+    assert abs(rep.kappa - 1.0) < 1e-12
+
+
+def test_lanczos_restarts_stay_accurate(monkeypatch):
+    ch = random_unitary_channel(4, 8, rng_from(32))
+    dense = spectral_gap_dense(ch).kappa
+    monkeypatch.setattr(spectral, "LANCZOS_BASIS", 8)
+    monkeypatch.setattr(spectral, "LANCZOS_KEEP", 3)
+    rep = spectral_gap_iterative(ch, tol=1e-10, seed=4)
+    assert rep.converged and rep.iterations > 1
+    assert abs(rep.kappa - dense) < 1e-10
+
+
+def test_auto_route_crossover():
+    assert spectral_gap(random_unitary_channel(3, 3, rng_from(33))).method == "dense"
+    assert spectral_gap(random_unitary_channel(4, 3, rng_from(33))).method == "iterative"
+
+
+def test_decide_unconverged_is_uncertified():
+    ch = random_unitary_channel(2, 8, rng_from(34))
+    inst = NonExpanderInstance(ch, 0.99, 0.95)
+    decision, rep = decide(inst, method="iterative", max_iter=1)
+    assert not rep.converged and rep.matvecs == 1
+    assert decision is Decision.UNCERTIFIED
+    decision, rep = decide(inst, method="iterative")
+    assert rep.converged and decision is Decision.NO
+
+
+def test_decide_threshold_within_error_bound_is_uncertified():
+    ch = random_unitary_channel(2, 8, rng_from(35))
+    kappa = spectral_gap_dense(ch).kappa
+    decision, rep = decide(NonExpanderInstance(ch, 0.99, kappa), method="dense")
+    assert rep.error_bound == 16 * np.finfo(float).eps
+    assert decision is Decision.UNCERTIFIED
+    decision, _ = decide(NonExpanderInstance(ch, 0.99, kappa + 1e-6), method="dense")
+    assert decision is Decision.NO
+
+
+def test_iterative_solve_does_not_import_scipy_sparse():
+    code = (
+        "import sys\n"
+        "from qexpander.channels import random_unitary_channel\n"
+        "from qexpander.linalg import rng_from\n"
+        "from qexpander.spectral import spectral_gap_iterative\n"
+        "assert spectral_gap_iterative(random_unitary_channel(4, 3, rng_from(0))).converged\n"
+        "print('scipy.sparse' in sys.modules)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"
