@@ -203,6 +203,7 @@ def cmd_thermalize(args) -> int:
             "command": "thermalize",
             "points": int(len(report.times)),
             "kappa": report.kappa,
+            "error_bound": report.error_bound,
             "rate": report.rate,
             "worst_margin": report.worst_margin,
             "bound_satisfied": report.satisfied,

@@ -287,46 +287,6 @@ def spectral_gap(channel, method: str = "auto", **kwargs) -> GapReport:
     raise ValueError(f"unknown method {method!r}")
 
 
-def hermitian_basis(dim: int) -> list[np.ndarray]:
-    """Orthonormal (Frobenius) basis of the traceless Hermitian matrices."""
-    basis = []
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            sym = np.zeros((dim, dim), dtype=complex)
-            sym[j, k] = sym[k, j] = 1 / np.sqrt(2)
-            basis.append(sym)
-            antisym = np.zeros((dim, dim), dtype=complex)
-            antisym[j, k] = -1j / np.sqrt(2)
-            antisym[k, j] = 1j / np.sqrt(2)
-            basis.append(antisym)
-    for ell in range(1, dim):
-        diag = np.zeros(dim, dtype=complex)
-        diag[:ell] = 1.0
-        diag[ell] = -float(ell)
-        basis.append(np.diag(diag / np.sqrt(ell * (ell + 1))))
-    return basis
-
-
-def spectral_gap_hermitian(channel) -> float:
-    """kappa restricted to traceless *Hermitian* inputs.
-
-    Maximizes ||Phi(A)||_F over the real-linear span of an orthonormal
-    traceless Hermitian basis, via the top eigenvalue of the real Gram
-    matrix G_kl = Re tr(Phi(B_k)^dag Phi(B_l)).  For Hermiticity-preserving
-    channels this equals the unrestricted kappa.
-    """
-    basis = hermitian_basis(channel.dim)
-    images = [channel.apply(b) for b in basis]
-    k = len(basis)
-    gram = np.empty((k, k), dtype=float)
-    for i in range(k):
-        for j in range(i, k):
-            val = float(np.real(np.vdot(images[i], images[j])))
-            gram[i, j] = gram[j, i] = val
-    top = np.linalg.eigvalsh(gram)[-1]
-    return float(np.sqrt(max(top, 0.0)))
-
-
 def decide(
     instance: NonExpanderInstance,
     method: str = "auto",

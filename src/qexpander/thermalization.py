@@ -11,7 +11,9 @@ with positive rates R0, R1.  Collecting both terms into the channel
     Phi(rho) = sum_a [R0 U_a rho U_a^dag + R1 U_a^dag rho U_a] / ((R0+R1) D)
 
 this reads d/dt rho = gamma (Phi - I)(rho) with gamma = (R0 + R1) D, solved
-by rho(t) = exp(t gamma (Phi - I)) rho(0).  The maximally mixed state is
+by rho(t) = exp(t gamma (Phi - I)) rho(0).  `evolve` computes that action
+matrix-free, with a substepped Taylor series in Phi whose coefficients are
+all positive; its cost is linear in gamma t.  The maximally mixed state is
 the fixed point, and the traceless part A(t) = rho(t) - I/N decays as
 
     ||A(t)||_F <= exp(-gamma (1 - kappa) t) ||A(0)||_F,
@@ -31,14 +33,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .channels import Channel
 from .linalg import check_unitary, frobenius
 from .spectral import spectral_gap
-
-#: Dense generator exponentiation cap (Hilbert dimension N, not N^2).
-DENSE_EVOLVE_CAP = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,28 +76,18 @@ class ThermalModel:
         weights = np.array([w0] * d + [w1] * d)
         return Channel(kraus, weights)
 
-    @cached_property
-    def adjoint_closed(self) -> bool:
-        return is_adjoint_closed(self.unitaries)
-
-
-def is_adjoint_closed(unitaries, tol: float = 1e-8) -> bool:
-    """True when for every U_a some U_b equals U_a^dag up to a global phase."""
-    mats = [np.asarray(u, dtype=complex) for u in unitaries]
-    n = mats[0].shape[0]
-    for u in mats:
-        target = u.conj().T
-        # |tr(U_b^dag target)|/N = 1 iff U_b = e^{i phi} target.
-        if not any(abs(abs(np.trace(v.conj().T @ target)) / n - 1.0) <= tol for v in mats):
-            return False
-    return True
-
 
 @dataclass(frozen=True)
 class Trajectory:
+    """States rho(t) at the sampled times, with ||rho(t) - I/N||_F.
+
+    `applications` counts the Channel.apply calls the series made.
+    """
+
     times: np.ndarray
     states: tuple[np.ndarray, ...]
     residuals: np.ndarray
+    applications: int
 
     def __len__(self) -> int:
         return len(self.times)
@@ -130,40 +118,18 @@ def _check_times(times) -> np.ndarray:
     return times
 
 
-def _evolve_dense(model: ThermalModel, rho0: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
-    """Propagate through the eigendecomposition of the channel superoperator.
-
-    exp(t gamma (W - I)) = e^{-t gamma} S diag(e^{t gamma lambda}) S^{-1};
-    falls back to scaling-and-squaring expm when W is too ill-conditioned
-    to diagonalize reliably.
-    """
-    w = model.channel.superoperator()
-    gamma = model.rate
-    v0 = rho0.reshape(-1)
-    n = rho0.shape[0]
-    evals, smat = np.linalg.eig(w)
-    if np.linalg.cond(smat) < 1e8:
-        coeffs = np.linalg.solve(smat, v0)
-        out = []
-        for t in times:
-            vt = smat @ (np.exp(gamma * t * (evals - 1.0)) * coeffs)
-            out.append(vt.reshape(n, n))
-        return out
-    gen = gamma * (w - np.eye(w.shape[0]))
-    return [(scipy.linalg.expm(t * gen) @ v0).reshape(n, n) for t in times]
-
-
 def _evolve_series(
     model: ThermalModel,
     rho0: np.ndarray,
     times: np.ndarray,
     series_tol: float = 1e-12,
-) -> list[np.ndarray]:
+) -> tuple[list[np.ndarray], int]:
     """Substepped Taylor action of exp(t gamma (Phi - I)) on the state.
 
     Each substep keeps gamma*dt <= 1/2, where the expansion
     e^{-gamma dt} sum_k (gamma dt)^k/k! Phi^k(rho) has only positive,
-    rapidly decaying coefficients.
+    rapidly decaying coefficients.  Returns the states and the number of
+    channel applications.
     """
     channel = model.channel
     gamma = model.rate
@@ -171,6 +137,7 @@ def _evolve_series(
     out = []
     rho = rho0.copy()
     reached = 0.0
+    applications = 0
     for t in times:
         remaining = t - reached
         while remaining > 1e-15 * max(t, 1.0):
@@ -183,44 +150,39 @@ def _evolve_series(
                 k += 1
                 term = channel.apply(term) * (x / k)
                 acc += term
+            applications += k
             rho = np.exp(-x) * acc
             remaining -= dt
         reached = t
         out.append(rho.copy())
-    return out
+    return out, applications
 
 
-def evolve(model: ThermalModel, rho0: np.ndarray, times, method: str = "auto") -> Trajectory:
+def evolve(model: ThermalModel, rho0: np.ndarray, times) -> Trajectory:
     """Solve rho(t) = exp(t gamma (Phi - I)) rho(0) at the sampled times."""
     rho0 = _check_density(rho0)
     if rho0.shape[0] != model.dim:
         raise ValueError(f"state dimension {rho0.shape[0]} does not match model dimension {model.dim}")
     times = _check_times(times)
-    if method == "auto":
-        method = "dense" if model.dim <= DENSE_EVOLVE_CAP else "series"
-    if method == "dense":
-        if model.dim > DENSE_EVOLVE_CAP:
-            raise ValueError(
-                f"dimension {model.dim} exceeds the dense cap {DENSE_EVOLVE_CAP}; use method='series'"
-            )
-        states = _evolve_dense(model, rho0, times)
-    elif method == "series":
-        states = _evolve_series(model, rho0, times)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    states, applications = _evolve_series(model, rho0, times)
     eye = np.eye(model.dim) / model.dim
     residuals = np.array([frobenius(s - eye) for s in states])
-    return Trajectory(times=times, states=tuple(states), residuals=residuals)
+    return Trajectory(times=times, states=tuple(states), residuals=residuals, applications=applications)
 
 
 @dataclass(frozen=True)
 class DecayReport:
-    """Residuals versus the spectral-gap decay envelope."""
+    """Residuals versus the spectral-gap decay envelope.
+
+    `kappa` is the solver's estimate and `error_bound` its error bar (0.0
+    for a supplied kappa); the envelope uses min(1, kappa + error_bound).
+    """
 
     times: np.ndarray
     residuals: np.ndarray
     bounds: np.ndarray
     kappa: float
+    error_bound: float
     rate: float
     worst_margin: float
     satisfied: bool
@@ -231,23 +193,26 @@ def decay_bound_check(
     rho0: np.ndarray,
     times,
     kappa: float | None = None,
-    method: str = "auto",
     slack: float = 1e-8,
     strict: bool = True,
 ) -> DecayReport:
     """Check ||A(t)||_F <= exp(-gamma (1-kappa) t) ||A(0)||_F at each time.
 
     kappa is computed with the spectral module unless supplied, keeping the
-    bound independent of the evolution it checks.  The worst margin is
-    min_t (bound - residual); `strict` raises if any point exceeds the
-    bound by more than `slack`.
+    bound independent of the evolution it checks; the envelope takes kappa
+    at the top of its error bar, so an underestimate cannot report a false
+    violation.  The worst margin is min_t (bound - residual); `strict`
+    raises if any point exceeds the bound by more than `slack`.
     """
     rho0 = _check_density(rho0)
-    traj = evolve(model, rho0, times, method=method)
+    traj = evolve(model, rho0, times)
     if kappa is None:
-        kappa = spectral_gap(model.channel).kappa
+        gap = spectral_gap(model.channel)
+        kappa, error_bound = gap.kappa, gap.error_bound
+    else:
+        error_bound = 0.0
     a0 = frobenius(rho0 - np.eye(model.dim) / model.dim)
-    bounds = np.exp(-model.rate * (1.0 - kappa) * traj.times) * a0
+    bounds = np.exp(-model.rate * (1.0 - min(1.0, kappa + error_bound)) * traj.times) * a0
     margins = bounds - traj.residuals
     worst = float(margins.min())
     satisfied = bool(np.all(traj.residuals <= bounds + slack))
@@ -261,6 +226,7 @@ def decay_bound_check(
         residuals=traj.residuals,
         bounds=bounds,
         kappa=float(kappa),
+        error_bound=float(error_bound),
         rate=model.rate,
         worst_margin=worst,
         satisfied=satisfied,

@@ -142,6 +142,10 @@ def test_output_schemas(corpus):
         "command", "accepted", "estimated_contraction_sq", "orthogonality_passed",
         "samples_used", "confidence", "alpha", "beta", "shots", "seed",
     }
+    therm = payload(run_cli("thermalize", corpus / "models" / "pauli_depolarizer_1q.json"))
+    assert set(therm) == {
+        "command", "points", "kappa", "error_bound", "rate", "worst_margin", "bound_satisfied", "csv",
+    }
 
 
 def test_synth_expander_and_gap(tmp_path):

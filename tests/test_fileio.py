@@ -126,7 +126,6 @@ def test_load_thermal_model(corpus):
     model = load_thermal_model(corpus / "models" / "pauli_depolarizer_1q.json")
     assert model.degree == 4
     assert model.rate == pytest.approx(4.0)
-    assert model.adjoint_closed
 
 
 def test_weights_default_uniform(tmp_path):

@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qexpander.channels import Channel
-from qexpander.linalg import frobenius, haar_unitary, paulis, random_density, rng_from
-from qexpander.spectral import spectral_gap_dense
-from qexpander.thermalization import (
-    ThermalModel,
-    decay_bound_check,
-    evolve,
-    is_adjoint_closed,
-)
+from qexpander.linalg import frobenius, haar_unitary, paulis, random_density, rng_from, unvec, vec
+from qexpander.spectral import spectral_gap, spectral_gap_dense
+from qexpander.thermalization import ThermalModel, decay_bound_check, evolve
 
 I, X, Y, Z = paulis()
 
@@ -23,6 +19,19 @@ def random_closed_model(seed, qubits=2, pairs=2, r0=0.4, r1=1.1):
     us = [haar_unitary(2**qubits, rng) for _ in range(pairs)]
     us = us + [u.conj().T for u in us]
     return ThermalModel(tuple(us), r0=r0, r1=r1)
+
+
+def random_open_model(seed, qubits=2, degree=2, r0=1.3, r1=0.2):
+    """Weighted model whose unitary set is not closed under adjoints."""
+    rng = rng_from(seed)
+    return ThermalModel(tuple(haar_unitary(2**qubits, rng) for _ in range(degree)), r0=r0, r1=r1)
+
+
+def dense_propagator(model, rho0, times):
+    """Oracle: exp(t gamma (W - I)) vec(rho0) from the dense superoperator W."""
+    w = model.channel.superoperator()
+    gen = model.rate * (w - np.eye(w.shape[0]))
+    return [unvec(scipy.linalg.expm(t * gen) @ vec(rho0)) for t in times]
 
 
 def test_model_validation():
@@ -40,19 +49,8 @@ def test_channel_weights_and_rate():
     assert m.channel.weights.sum() == pytest.approx(1.0)
 
 
-def test_adjoint_closed_detection():
-    assert is_adjoint_closed((I, X, Y, Z))
-    rng = rng_from(0)
-    u = haar_unitary(4, rng)
-    assert not is_adjoint_closed((u,))
-    assert is_adjoint_closed((u, u.conj().T))
-    # closure up to a global phase counts
-    assert is_adjoint_closed((u, np.exp(0.3j) * u.conj().T))
-
-
 def test_adjoint_closed_channel_equals_uniform_form():
     model = random_closed_model(1)
-    assert model.adjoint_closed
     uniform = Channel.uniform(model.unitaries)
     rng = rng_from(2)
     rho = random_density(4, rng)
@@ -82,14 +80,31 @@ def test_depolarizer_equality_case():
     assert np.max(np.abs(traj.residuals - np.exp(-model.rate * times) * a0)) < 1e-8
 
 
-def test_series_matches_dense():
-    model = random_closed_model(3)
-    rho0 = random_density(4, rng_from(4))
-    times = np.linspace(0, 1.5, 7)
-    dense = evolve(model, rho0, times, method="dense")
-    series = evolve(model, rho0, times, method="series")
-    err = max(frobenius(a - b) for a, b in zip(dense.states, series.states))
-    assert err < 1e-10
+def test_evolve_matches_dense_propagator():
+    for qubits in range(1, 5):
+        for model in (random_open_model(40 + qubits, qubits), random_closed_model(50 + qubits, qubits)):
+            rho0 = random_density(2**qubits, rng_from(60 + qubits))
+            # a repeated time, then a step of 3/gamma, past the 1/(2 gamma) substep
+            times = np.array([0.0, 0.2, 0.2, 3.2, 4.0]) / model.rate
+            traj = evolve(model, rho0, times)
+            err = max(frobenius(a - b) for a, b in zip(traj.states, dense_propagator(model, rho0, times)))
+            assert err < 1e-10, (qubits, err)
+
+
+def test_trajectory_counts_channel_applications(monkeypatch):
+    model = random_open_model(11)
+    rho0 = random_density(4, rng_from(12))
+    assert evolve(model, rho0, [0.0]).applications == 0
+    calls = []
+    apply = Channel.apply
+
+    def counting_apply(self, a):
+        calls.append(1)
+        return apply(self, a)
+
+    monkeypatch.setattr(Channel, "apply", counting_apply)
+    traj = evolve(model, rho0, np.linspace(0, 2, 9))
+    assert traj.applications == len(calls) > 0
 
 
 def test_trajectory_invariants():
@@ -133,6 +148,24 @@ def test_decay_bound_random_models():
         report = decay_bound_check(model, rho0, times)
         assert report.satisfied
         assert report.worst_margin >= -1e-8
+
+
+def test_decay_envelope_takes_kappa_at_top_of_error_bar():
+    # N = 16 takes the Lanczos gap, whose error bound is nonzero
+    model = random_open_model(13, qubits=4)
+    rho0 = np.zeros((16, 16), dtype=complex)
+    rho0[0, 0] = 1.0
+    times = np.linspace(0, 1, 5)
+    report = decay_bound_check(model, rho0, times)
+    gap = spectral_gap(model.channel)
+    assert report.kappa == gap.kappa
+    assert report.error_bound == gap.error_bound > 0
+    kappa_top = min(1.0, gap.kappa + gap.error_bound)
+    a0 = frobenius(rho0 - np.eye(16) / 16)
+    assert np.array_equal(report.bounds, np.exp(-model.rate * (1.0 - kappa_top) * times) * a0)
+    supplied = decay_bound_check(model, rho0, times, kappa=gap.kappa)
+    assert supplied.error_bound == 0.0
+    assert np.all(supplied.bounds[1:] < report.bounds[1:])
 
 
 def test_decay_bound_identity_model_is_trivial():
