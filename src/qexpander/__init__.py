@@ -24,7 +24,6 @@ from .circuits import (
     load_circuit,
     multi_controlled,
     parse_circuit,
-    save_circuit,
     serialize_circuit,
     simulate_unitary,
 )
@@ -46,7 +45,6 @@ from .reduction import (
     controlled_depolarizer,
     make_reduction_spec,
     no_verifier,
-    noisy_verifier,
     sign_double,
     thresholds,
     yes_verifier,
@@ -98,14 +96,12 @@ __all__ = [
     "merlin_witness",
     "multi_controlled",
     "no_verifier",
-    "noisy_verifier",
     "parse_circuit",
     "paulis",
     "phi_state",
     "random_unitary_channel",
     "rng_from",
     "sample_hadamard_test",
-    "save_circuit",
     "serialize_circuit",
     "sign_double",
     "simulate_unitary",

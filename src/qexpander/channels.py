@@ -10,8 +10,12 @@ thermalization models.  Every such channel is trace preserving and unital.
 
 :class:`Channel` is a tuple of such mixtures (stages), applied
 first-to-last.  Each stage stores its Kraus operators as one read-only
-(D, N, N) array and its weights as a read-only (D,) array; a flat channel
-is its own single stage.  Power compositions of expanders and the hardness
+(D, 2^k, 2^k) array acting on k target qubits T, its weights as a
+read-only (D,) array, and optionally a 0/1 control vector c over the
+computational basis of the other m - k qubits.  Its elements on the full
+space are P (U_d (x) I) + Q with P = diag(c) (x) I_T and Q = I - P; P
+commutes with every lifted U_d by construction.  A flat stage has T = all
+qubits and no control.  Power compositions of expanders and the hardness
 reduction are multi-stage, since their flattened degree grows
 geometrically: the Kraus products are never materialized, and the
 superoperator is the product of the stage superoperators.
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import ATOL, frobenius, haar_unitary, paulis, qubits_for_dim
+from .linalg import ATOL, frobenius, haar_unitary, paulis, qubits_for_dim, split_index
 
 _EXPLICIT_KRAUS = (
     "a multi-stage channel exposes no explicit Kraus operators or weights; "
@@ -33,15 +37,21 @@ class Channel:
     """Stages of weighted unitary mixtures on an m-qubit space, applied
     first-to-last.
 
+    ``Channel(kraus, weights)`` is a flat stage on log2(N) qubits.  With
+    ``qubits=m, targets=T`` the (D, 2^k, 2^k) `kraus` act on the k qubits
+    T (tensor factors in that order) of an m-qubit space, and a 0/1
+    `control` vector over the basis of the other qubits (ascending, qubit
+    0 most significant) switches them on only where it is 1.
+
     Invariants checked at construction of each stage: all elements unitary
-    (||U^dag U - I||_F <= 1e-10 * N), weights nonnegative and summing to 1
+    (||U^dag U - I||_F <= 1e-10 * 2^k), weights nonnegative and summing to 1
     within 1e-12, and unitality ||Phi(I) - I||_F <= 1e-10 (automatic for
     unitary Kraus mixtures, asserted anyway).
     """
 
-    __slots__ = ("_kraus", "_weights", "_stages")
+    __slots__ = ("_kraus", "_weights", "_stages", "_qubits", "_targets", "_control", "_layout", "_mean")
 
-    def __init__(self, kraus, weights):
+    def __init__(self, kraus, weights, *, qubits=None, targets=None, control=None):
         try:
             x = np.array(kraus, dtype=complex)
         except ValueError as exc:
@@ -51,7 +61,7 @@ class Channel:
         if x.ndim != 3 or x.shape[1] != x.shape[2]:
             raise ValueError(f"expected a stack of square Kraus operators, got shape {x.shape}")
         dim = x.shape[1]
-        qubits_for_dim(dim)
+        k = qubits_for_dim(dim)
         defect = np.linalg.norm(x.conj().transpose(0, 2, 1) @ x - np.eye(dim), axis=(1, 2)).max()
         if defect > 1e-10 * dim:
             raise ValueError(f"matrix is not unitary: ||U^dag U - I||_F = {defect:.3e}")
@@ -62,10 +72,31 @@ class Channel:
             raise ValueError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {w.sum()!r}, expected 1")
+        m = k if qubits is None else int(qubits)
+        targets = tuple(range(m)) if targets is None else tuple(int(q) for q in targets)
+        if len(targets) != k:
+            raise ValueError(f"{k}-qubit Kraus operators on {len(targets)} target qubits")
+        if control is not None:
+            control = np.array(control, dtype=float).reshape(-1)
+            if control.size != 2 ** (m - k) or np.any((control != 0) & (control != 1)):
+                raise ValueError(f"control must be a 0/1 vector of length {2 ** (m - k)}")
+            control = control == 1
+            control.setflags(write=False)
         x.setflags(write=False)
         w.setflags(write=False)
         self._kraus, self._weights, self._stages = x, w, ()
-        defect = frobenius(self.apply(np.eye(dim)) - np.eye(dim))
+        self._qubits, self._targets, self._control = m, targets, control
+        self._layout = self._mean = None
+        if targets != tuple(range(m)) or control is not None:
+            # Basis order putting the controlled subspace first, as
+            # (rest, target) index pairs: there the elements are I (x) U_d.
+            idx = split_index(m, targets)
+            on, off = (idx, idx[:0]) if control is None else (idx[control], idx[~control])
+            order = np.concatenate([on.ravel(), off.ravel()])
+            self._layout = order, np.argsort(order), on.size
+            self._mean = np.tensordot(w, x, axes=1)
+        eye = np.eye(2**m)
+        defect = frobenius(self.apply(eye) - eye)
         if defect > ATOL:
             raise ValueError(f"channel is not unital: ||Phi(I) - I||_F = {defect:.3e}")
 
@@ -97,27 +128,53 @@ class Channel:
         a flat channel."""
         return self._stages or (self,)
 
-    @property
-    def kraus(self) -> np.ndarray:
-        """The (D, N, N) Kraus array of a single-stage channel."""
+    def _single(self) -> "Channel":
         if self._stages:
             raise ValueError(_EXPLICIT_KRAUS)
-        return self._kraus
+        return self
+
+    @property
+    def kraus(self) -> np.ndarray:
+        """The (D, N, N) Kraus array of a single-stage channel, lifted to
+        the full space P (U_d (x) I) + Q when the stage is structured."""
+        x = self._single()._kraus
+        if self._layout is None:
+            return x
+        order, _, p = self._layout
+        on = order[:p].reshape(-1, x.shape[1])
+        lifted = np.zeros((len(x), self.dim, self.dim), dtype=complex)
+        lifted[:, on[:, :, None], on[:, None, :]] = x[:, None]
+        lifted[:, order[p:], order[p:]] = 1.0
+        return lifted
+
+    @property
+    def target_kraus(self) -> np.ndarray:
+        """The (D, 2^k, 2^k) Kraus array of a single-stage channel on its
+        target qubits."""
+        return self._single()._kraus
+
+    @property
+    def targets(self) -> tuple[int, ...]:
+        """The target qubits of a single-stage channel (all, if flat)."""
+        return self._single()._targets
+
+    @property
+    def control(self) -> np.ndarray | None:
+        """The boolean control vector of a single-stage channel, or None."""
+        return self._single()._control
 
     @property
     def weights(self) -> np.ndarray:
         """The (D,) weights of a single-stage channel."""
-        if self._stages:
-            raise ValueError(_EXPLICIT_KRAUS)
-        return self._weights
-
-    @property
-    def dim(self) -> int:
-        return self.stages[0]._kraus.shape[1]
+        return self._single()._weights
 
     @property
     def qubits(self) -> int:
-        return qubits_for_dim(self.dim)
+        return self.stages[0]._qubits
+
+    @property
+    def dim(self) -> int:
+        return 2**self.qubits
 
     @property
     def degree(self) -> int:
@@ -136,38 +193,82 @@ class Channel:
         )
 
     def apply(self, a: np.ndarray) -> np.ndarray:
-        """Phi(A): per stage, sum_d w_d U_d A U_d^dag as one batched matmul."""
+        """Phi(A), stage by stage.
+
+        A flat stage is sum_d w_d U_d A U_d^dag as one batched matmul.  A
+        structured stage reorders the basis so that the controlled subspace
+        comes first as (rest, target) pairs, and computes
+
+            Phi_T(P A P) + P M A Q + Q A M^dag P + Q A Q,    M = sum_d w_d U_d,
+
+        with the Kraus operators acting on the target index only.  This is
+        exact for any weights; the cross terms vanish for zero-sum stages.
+        """
         a = np.asarray(a, dtype=complex)
         if a.shape != (self.dim, self.dim):
             raise ValueError(f"operator shape {a.shape} does not match channel dimension {self.dim}")
         for s in self.stages:
-            x = s._kraus
-            a = np.tensordot(s._weights, x @ a @ x.conj().transpose(0, 2, 1), axes=1)
+            x, w = s._kraus, s._weights
+            xh = x.conj().transpose(0, 2, 1)
+            if s._layout is None:
+                a = np.tensordot(w, x @ a @ xh, axes=1)
+                continue
+            order, inverse, p = s._layout
+            n, k = len(order), x.shape[1]
+            a = a.take(order, 0).take(order, 1)
+            out = np.empty_like(a)
+            # U_d on the row targets, then U_d^dag on the column targets (last).
+            y = (x @ _target_major(a[:p, :p], k)).reshape(len(w), -1, k) @ xh
+            out[:p, :p] = _rest_major(w @ y.reshape(len(w), -1), k, p, p)
+            if p < n:
+                out[:p, p:] = _rest_major(s._mean @ _target_major(a[:p, p:], k), k, p, n - p)
+                out[p:, :p] = (a[p:, :p].reshape(-1, k) @ s._mean.conj().T).reshape(n - p, p)
+                out[p:, p:] = a[p:, p:]
+            a = out.take(inverse, 0).take(inverse, 1)
         return a
 
     def adjoint(self) -> "Channel":
         """The Hilbert-Schmidt adjoint: stages reversed, each with the same
-        weights and Kraus set {U_d^dag}."""
+        weights, targets and control and the Kraus set {U_d^dag}."""
         if self._stages:
             return Channel.staged(s.adjoint() for s in reversed(self._stages))
-        return Channel(self._kraus.conj().transpose(0, 2, 1), self._weights)
+        return Channel(
+            self._kraus.conj().transpose(0, 2, 1),
+            self._weights,
+            qubits=self._qubits,
+            targets=self._targets,
+            control=self._control,
+        )
 
     def superoperator(self) -> np.ndarray:
         """Dense N^2 x N^2 matrix W with W vec(A) = vec(Phi(A)) under
         row-major vectorization: the product of the stage matrices.
 
-        A stage's W = sum_d w_d U_d (x) conj(U_d) is the realignment of
-        X^T diag(w) conj(X), X the D x N^2 matrix of rows vec(U_d):
+        A stage's W = sum_d w_d U_d (x) conj(U_d), with U_d its lifted Kraus
+        operators, is the realignment of X^T diag(w) conj(X), X the D x N^2
+        matrix of rows vec(U_d):
         W[(i,j),(k,l)] = (X^T diag(w) conj(X))[(i,k),(j,l)].
         """
         n = self.dim
         out = None
         for s in self.stages:
-            x = s._kraus.reshape(len(s._weights), n * n)
+            x = s.kraus.reshape(len(s._weights), n * n)
             m = ((x.T * s._weights) @ x.conj()).reshape(n, n, n, n).transpose(0, 2, 1, 3)
             m = m.reshape(n * n, n * n)
             out = m if out is None else m @ out
         return out
+
+
+def _target_major(block: np.ndarray, k: int) -> np.ndarray:
+    """A block whose rows are (rest, target) pairs, as a (k, rest * cols)
+    matrix led by the target index, so one matmul acts on the targets."""
+    rows, cols = block.shape
+    return block.reshape(rows // k, k, cols).transpose(1, 0, 2).reshape(k, -1)
+
+
+def _rest_major(t: np.ndarray, k: int, rows: int, cols: int) -> np.ndarray:
+    """Inverse of :func:`_target_major` for a rows x cols block."""
+    return t.reshape(k, rows // k, cols).transpose(1, 0, 2).reshape(rows, cols)
 
 
 #: Cap on materialized Kraus products in :func:`compose`.
@@ -228,11 +329,6 @@ def random_unitary_channel(qubits: int, degree: int, rng: np.random.Generator) -
     """D-regular channel with Haar-random elements."""
     dim = 2**qubits
     return Channel.uniform(tuple(haar_unitary(dim, rng) for _ in range(degree)))
-
-
-def unitality_defect(channel: Channel) -> float:
-    eye = np.eye(channel.dim, dtype=complex)
-    return frobenius(channel.apply(eye) - eye)
 
 
 def zero_sum_defect(channel: Channel) -> float:

@@ -22,6 +22,7 @@ round trip.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,28 +219,32 @@ def multi_controlled(base, target: int, controls, polarities=None) -> Gate:
 # ---------------------------------------------------------------------------
 
 
-def complex_pair(value, what: str) -> complex:
-    """One [re, im] entry of the JSON matrix codec as a complex number."""
-    if not (isinstance(value, (list, tuple)) and len(value) == 2):
-        raise CircuitFormatError(f"{what} must be an [re, im] pair, got {value!r}")
-    return complex(float(value[0]), float(value[1]))
+def complex_vector_from_json(rows, what: str) -> np.ndarray:
+    """Complex vector from a list of [re, im] pairs of finite numbers."""
+    try:
+        pairs = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CircuitFormatError(f"{what} must be a list of [re, im] pairs: {exc}") from exc
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise CircuitFormatError(f"{what} must be a list of [re, im] pairs, got an array of shape {pairs.shape}")
+    if not np.isfinite(pairs).all():
+        raise CircuitFormatError(f"{what} must hold finite numbers")
+    return pairs.view(complex).reshape(-1)
 
 
 def matrix_from_json(rows, what: str = "matrix") -> np.ndarray:
     """Square matrix from a row-major list of [re, im] pairs."""
-    try:
-        flat = [complex_pair(entry, what) for entry in rows]
-    except TypeError as exc:
-        raise CircuitFormatError(f"{what} must be a row-major list of [re, im] pairs") from exc
-    n = int(round(np.sqrt(len(flat))))
-    if n * n != len(flat):
-        raise CircuitFormatError(f"{what} has {len(flat)} entries, not a square matrix")
-    return np.array(flat, dtype=complex).reshape(n, n)
+    flat = complex_vector_from_json(rows, what)
+    n = math.isqrt(flat.size)
+    if n * n != flat.size:
+        raise CircuitFormatError(f"{what} has {flat.size} entries, not a square matrix")
+    return flat.reshape(n, n)
 
 
 def matrix_to_json(mat: np.ndarray) -> list:
     """Row-major list of [re, im] pairs; inverse of :func:`matrix_from_json`."""
-    return [[float(z.real), float(z.imag)] for z in np.asarray(mat, dtype=complex).reshape(-1)]
+    mat = np.asarray(mat, dtype=complex)
+    return np.stack([mat.real, mat.imag], -1).reshape(-1, 2).tolist()
 
 
 def parse_circuit(text: str) -> GateCircuit:
@@ -274,7 +279,7 @@ def parse_circuit(text: str) -> GateCircuit:
         if entry.get("matrix") is not None:
             kwargs["matrix"] = matrix_from_json(entry["matrix"], f"gate {i} matrix")
         if entry.get("phase") is not None:
-            kwargs["phase"] = complex_pair(entry["phase"], f"gate {i} phase")
+            kwargs["phase"] = complex(complex_vector_from_json([entry["phase"]], f"gate {i} phase")[0])
         try:
             gates.append(Gate(kind, **kwargs))
         except CircuitFormatError as exc:
@@ -307,11 +312,6 @@ def serialize_circuit(circuit: GateCircuit) -> str:
 def load_circuit(path) -> GateCircuit:
     with open(path, encoding="utf-8") as fh:
         return parse_circuit(fh.read())
-
-
-def save_circuit(circuit: GateCircuit, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_circuit(circuit))
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,17 @@ re-checked by the channel constructor.
 from __future__ import annotations
 
 import json
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
 from .channels import Channel
 from .circuits import (
+    SIM_CAP_QUBITS,
+    CircuitFormatError,
     RegisterLayout,
-    complex_pair,
+    complex_vector_from_json,
     load_circuit,
     matrix_from_json,
     matrix_to_json,
@@ -27,6 +30,10 @@ from .circuits import (
 from .reduction import ReductionSpec, build_base_expander, make_reduction_spec
 from .spectral import NonExpanderInstance
 from .thermalization import ThermalModel
+
+
+#: Most stages a channel file may expand to, "repeat" runs included.
+MAX_STAGES = 4096
 
 
 class FileFormatError(ValueError):
@@ -45,11 +52,11 @@ def _field(doc: dict, key: str, kind, where):
 
 
 def vector_from_json(rows, what: str = "amplitudes") -> np.ndarray:
-    """Vector from a list of [re, im] pairs, each checked by the matrix codec's pair rule."""
+    """Vector from a list of [re, im] pairs, read by the matrix codec."""
     try:
-        return np.array([complex_pair(p, f"{what}[{i}]") for i, p in enumerate(rows)], dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"{what} must be a list of [re, im] pairs: {exc}") from exc
+        return complex_vector_from_json(rows, what)
+    except CircuitFormatError as exc:
+        raise FileFormatError(str(exc)) from exc
 
 
 def _load_json(path) -> dict:
@@ -81,13 +88,30 @@ def _kraus_entry(entry, base_dir: Path, qubits: int, what: str) -> np.ndarray:
 
 def _channel_from_doc(doc: dict, base_dir: Path, where: str) -> Channel:
     qubits = _field(doc, "qubits", int, where)
+    if not 0 <= qubits <= SIM_CAP_QUBITS:
+        raise FileFormatError(f"{where}: field 'qubits' must lie in [0, {SIM_CAP_QUBITS}], got {qubits}")
     if "stages" not in doc:
         return _flat_channel(doc, base_dir, qubits, where)
     if not isinstance(doc["stages"], list) or not doc["stages"]:
         raise FileFormatError(f"{where}: field 'stages' must be a nonempty list of stage objects")
-    return Channel.staged(
-        _flat_channel(stage, base_dir, qubits, f"{where} stage {i}") for i, stage in enumerate(doc["stages"])
-    )
+    stages: list[Channel] = []
+    for i, entry in enumerate(doc["stages"]):
+        stage = _flat_channel(entry, base_dir, qubits, f"{where} stage {i}")
+        repeat = _field(entry, "repeat", int, f"{where} stage {i}") if "repeat" in entry else 1
+        if not 1 <= repeat <= MAX_STAGES - len(stages):
+            raise FileFormatError(
+                f"{where} stage {i}: field 'repeat' must be >= 1 and keep the channel within "
+                f"{MAX_STAGES} stages, got {repeat}"
+            )
+        stages += [stage] * repeat
+    return Channel.staged(stages)
+
+
+def _int_list(doc: dict, key: str, where: str) -> list[int] | None:
+    value = doc.get(key)
+    if value is not None and not (isinstance(value, list) and all(type(v) is int for v in value)):
+        raise FileFormatError(f"{where}: field {key!r} must be a list of integers")
+    return value
 
 
 def _flat_channel(doc, base_dir: Path, qubits: int, where: str) -> Channel:
@@ -95,8 +119,9 @@ def _flat_channel(doc, base_dir: Path, qubits: int, where: str) -> Channel:
         raise FileFormatError(f"{where}: expected a JSON object")
     if "kraus" not in doc or not isinstance(doc["kraus"], list) or not doc["kraus"]:
         raise FileFormatError(f"{where}: missing nonempty list field 'kraus'")
+    targets, control = _int_list(doc, "targets", where), _int_list(doc, "control", where)
     kraus = [
-        _kraus_entry(entry, base_dir, qubits, f"{where} kraus[{i}]")
+        _kraus_entry(entry, base_dir, qubits if targets is None else len(targets), f"{where} kraus[{i}]")
         for i, entry in enumerate(doc["kraus"])
     ]
     if doc.get("weights") is not None:
@@ -107,7 +132,7 @@ def _flat_channel(doc, base_dir: Path, qubits: int, where: str) -> Channel:
     else:
         weights = np.full(len(kraus), 1.0 / len(kraus))
     try:
-        return Channel(kraus, weights)
+        return Channel(kraus, weights, qubits=qubits, targets=targets, control=control)
     except ValueError as exc:
         raise FileFormatError(f"{where}: {exc}") from exc
 
@@ -128,15 +153,30 @@ def load_instance(path) -> NonExpanderInstance:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
+def _stage_doc(stage: Channel) -> dict:
+    doc = {
+        "weights": [float(w) for w in stage.weights],
+        "kraus": [matrix_to_json(u) for u in stage.target_kraus],
+    }
+    if stage.targets != tuple(range(stage.qubits)):
+        doc["targets"] = list(stage.targets)
+    if stage.control is not None:
+        doc["control"] = stage.control.astype(int).tolist()
+    return doc
+
+
 def save_channel(channel: Channel, path, alpha: float | None = None, beta: float | None = None) -> None:
     """Write a channel (flat, or staged when it has several stages) with
-    optional instance thresholds."""
-    stages = [
-        {"weights": [float(w) for w in s.weights], "kraus": [matrix_to_json(u) for u in s.kraus]}
-        for s in channel.stages
-    ]
+    optional instance thresholds.  A run of consecutive stages that are one
+    object is written once, with its length as "repeat"."""
+    stages = []
+    for _, run in groupby(channel.stages, key=id):
+        run = list(run)
+        stages.append(_stage_doc(run[0]))
+        if len(run) > 1:
+            stages[-1]["repeat"] = len(run)
     doc: dict = {"qubits": channel.qubits}
-    if len(stages) > 1:
+    if len(channel.stages) > 1:
         doc["stages"] = stages
         doc["degree"] = channel.degree
     else:

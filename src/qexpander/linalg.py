@@ -94,32 +94,43 @@ def phi_state(dim: int) -> np.ndarray:
     return vec(np.eye(dim, dtype=complex)) / np.sqrt(dim)
 
 
+def split_index(num_qubits: int, qubits) -> np.ndarray:
+    """Basis-state indices grouped by register, shape (2^(m-k), 2^k).
+
+    Entry [r, i] is the index whose bits on `qubits` (in the given order,
+    the first most significant) spell i and whose bits on the remaining
+    qubits (ascending) spell r.
+    """
+    qubits = tuple(int(q) for q in qubits)
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"duplicate qubit indices in {qubits}")
+    if any(q < 0 or q >= num_qubits for q in qubits):
+        raise ValueError(f"qubit indices {qubits} out of range for {num_qubits} qubits")
+    rest = tuple(q for q in range(num_qubits) if q not in qubits)
+
+    def spread(register):
+        values = np.arange(2 ** len(register))
+        out = np.zeros_like(values)
+        for pos, q in enumerate(register):
+            out |= ((values >> (len(register) - 1 - pos)) & 1) << (num_qubits - 1 - q)
+        return out
+
+    return spread(rest)[:, None] | spread(qubits)[None, :]
+
+
 def embed(op: np.ndarray, qubits: tuple[int, ...] | list[int], num_qubits: int) -> np.ndarray:
     """Lift an operator acting on the given qubits to the full m-qubit space.
 
     `op` is a 2^k x 2^k matrix whose tensor factors correspond, in order, to
     `qubits` (each an index in [0, num_qubits), qubit 0 = most significant bit).
     """
-    qubits = tuple(int(q) for q in qubits)
-    k = len(qubits)
-    if len(set(qubits)) != k:
-        raise ValueError(f"duplicate qubit indices in {qubits}")
-    if any(q < 0 or q >= num_qubits for q in qubits):
-        raise ValueError(f"qubit indices {qubits} out of range for {num_qubits} qubits")
+    idx = split_index(num_qubits, qubits)
     op = check_square(op)
-    if op.shape[0] != 2**k:
-        raise ValueError(f"operator shape {op.shape} does not match {k} qubits")
-    m = num_qubits
-    rest = [q for q in range(m) if q not in qubits]
-    full = np.kron(op, np.eye(2 ** len(rest), dtype=complex))
-    # `full` is ordered (qubits..., rest...); gather into natural qubit order:
-    # idx[x] is the index in `full`'s ordering of the natural basis state x.
-    order = qubits + tuple(rest)
-    idx = np.zeros(2**m, dtype=np.intp)
-    for pos, q in enumerate(order):
-        bit = (np.arange(2**m) >> (m - 1 - q)) & 1
-        idx |= bit << (m - 1 - pos)
-    return full[np.ix_(idx, idx)]
+    if op.shape[0] != idx.shape[1]:
+        raise ValueError(f"operator shape {op.shape} does not match {len(qubits)} qubits")
+    full = np.zeros((2**num_qubits, 2**num_qubits), dtype=complex)
+    full[idx[:, :, None], idx[:, None, :]] = op
+    return full
 
 
 def bit_projector(num_qubits: int, qubit: int, value: int) -> np.ndarray:

@@ -20,9 +20,16 @@ F.  The resulting channel contracts every traceless input by
 in the NO case, while in the YES case the witness operator Psi - I/N is
 contracted by no more than alpha = sqrt(1 - (8/5)(1 - a^2)).
 
-Controlled channels only act blockwise (P A P (x) F(B) + Q A Q (x) B) when
-the operation elements sum to zero; sign doubling {U} -> {U, -U} enforces
-this at a factor-two cost in degree without changing the channel.
+Every controlled map is stored in block form: its Kraus operators act on
+the target qubits only, and a 0/1 control vector over the basis of the
+other qubits selects the subspace P where they act.  One application is
+
+    Phi_T(P A P) + P M A Q + Q A M^dag P + Q A Q,    M = sum_d w_d U_d,
+
+so only the controlled blocks need matmuls on the target register.  When
+the operation elements sum to zero, M = 0 and the action is blockwise,
+P A P (x) F(B) + Q A Q (x) B; sign doubling {U} -> {U, -U} enforces this
+at a factor-two cost in degree without changing the channel.
 
 The base expander is synthesized, not imported: a seeded random unitary
 channel is composed with itself until its *measured* contraction
@@ -44,7 +51,7 @@ from .channels import (
     zero_sum_defect,
 )
 from .circuits import Gate, GateCircuit, RegisterLayout, multi_controlled, simulate_unitary
-from .linalg import ATOL, bit_projector, embed, frobenius, pattern_projector, rng_from
+from .linalg import ATOL, bit_projector, frobenius, pattern_projector, rng_from, split_index
 from .spectral import spectral_gap
 
 
@@ -54,14 +61,25 @@ def sign_double(channel: Channel) -> Channel:
     The channel action is unchanged (each term is invariant under
     U -> -U); the element sum becomes exactly zero.
     """
-    kraus = np.concatenate([channel.kraus, -channel.kraus])
+    x = channel.kraus
+    kraus = np.concatenate([x, -x])
     weights = np.concatenate([channel.weights, channel.weights]) / 2.0
     return Channel(kraus, weights)
 
 
+def _per_stage(channel: Channel, make) -> Channel:
+    """`channel` with each distinct stage object replaced by make(stage)
+    once, so stages shared by a power composition stay shared."""
+    made: dict[int, Channel] = {}
+    for s in channel.stages:
+        if id(s) not in made:
+            made[id(s)] = make(s)
+    return Channel.staged(made[id(s)] for s in channel.stages)
+
+
 def ensure_zero_sum(channel: Channel, tol: float = ATOL) -> Channel:
     """Sign-double every stage whose elements do not sum to zero."""
-    return Channel.staged(s if zero_sum_defect(s) <= tol else sign_double(s) for s in channel.stages)
+    return _per_stage(channel, lambda s: s if zero_sum_defect(s) <= tol else sign_double(s))
 
 
 def controlled_channel(
@@ -74,12 +92,17 @@ def controlled_channel(
     """Build the controlled version of `target` on the full qubit space.
 
     `projector` is the full-space projector P selecting where the channel
-    acts; it must act trivially on `target_qubits` (otherwise the controlled
-    elements are not unitary).  Each stage gets the operation elements
-    {P lift(U_i) + Q}, Q = I - P; when the target elements sum to zero this
-    acts blockwise as P A P (x) F(B) + Q A Q (x) B, with no cross terms.
-    Multi-stage targets are controlled stage by stage, which is exact
-    because Lambda(AB) = Lambda(A) Lambda(B) for a shared control subspace.
+    acts.  It must be diagonal in the computational basis and constant on
+    `target_qubits`, so that it is diag(c) (x) I_T for a 0/1 control
+    vector c over the other qubits and commutes with every lifted element.
+    Each target stage becomes one structured stage (its Kraus operators on
+    `target_qubits`, control c), whose full-space elements are
+    {P lift(U_i) + Q}, Q = I - P; see :meth:`Channel.apply` for the block
+    form it is applied in.  When the target elements sum to zero this is
+    P A P (x) F(B) + Q A Q (x) B, with no cross terms.  Multi-stage targets
+    are controlled stage by stage, which is exact because
+    Lambda(AB) = Lambda(A) Lambda(B) for a shared control subspace; each
+    distinct stage object is controlled once.
     """
     target_qubits = tuple(int(q) for q in target_qubits)
     projector = np.asarray(projector, dtype=complex)
@@ -88,6 +111,15 @@ def controlled_channel(
         raise ValueError(f"projector shape {projector.shape} does not match {num_qubits} qubits")
     if frobenius(projector @ projector - projector) > 1e-10 * n:
         raise ValueError("control subspace matrix is not a projector")
+    bits = np.round(np.diag(projector).real)
+    if frobenius(projector - np.diag(bits)) > 1e-10 * n:
+        raise ValueError("control projector must be diagonal in the computational basis")
+    control = bits[split_index(num_qubits, target_qubits)]
+    if np.any(control != control[:, :1]):
+        raise ValueError(
+            "control projector does not commute with the lifted target elements "
+            "(control and target registers overlap?)"
+        )
     if require_zero_sum:
         defect = zero_sum_defect(target)
         if defect > ATOL:
@@ -95,17 +127,12 @@ def controlled_channel(
                 f"target elements lack the zero-sum property (sum has Frobenius norm {defect:.3e}); "
                 "sign-double the channel first (cross terms otherwise)"
             )
-    q = np.eye(n, dtype=complex) - projector
-    stages = []
-    for stage in target.stages:
-        lifted = np.array([embed(u, target_qubits, num_qubits) for u in stage.kraus])
-        if np.linalg.norm(projector @ lifted - lifted @ projector, axis=(1, 2)).max() > 1e-10 * n:
-            raise ValueError(
-                "control projector does not commute with the lifted target elements "
-                "(control and target registers overlap?)"
-            )
-        stages.append(Channel(projector @ lifted + q, stage.weights))
-    return Channel.staged(stages)
+    return _per_stage(
+        target,
+        lambda s: Channel(
+            s.kraus, s.weights, qubits=num_qubits, targets=target_qubits, control=control[:, 0]
+        ),
+    )
 
 
 def controlled_depolarizer(num_qubits: int, target_qubit: int, projector: np.ndarray) -> Channel:
@@ -266,14 +293,21 @@ def make_reduction_spec(
 
 
 def witness_verifier_channel(spec: ReductionSpec) -> Channel:
-    """Conjugate-by-V controlled depolarizer: elements V^dag (Lambda W) V."""
+    """Conjugate-by-V controlled depolarizer, elements V^dag (Lambda W) V,
+    as three stages: conjugation by V on the verifier qubits, the
+    controlled depolarizer, and conjugation by V^dag."""
     layout = spec.layout
     m = layout.total_qubits
+    verifier = tuple(range(layout.verifier_qubits))
     v = simulate_unitary(spec.verifier)
-    v_full = embed(v, tuple(range(layout.verifier_qubits)), m)
     top_is_zero = bit_projector(m, layout.top_qubit, 0)
-    ctrl = controlled_depolarizer(m, layout.indicator_qubit, top_is_zero)
-    return Channel(v_full.conj().T @ ctrl.kraus @ v_full, ctrl.weights)
+    return Channel.staged(
+        (
+            Channel((v,), (1.0,), qubits=m, targets=verifier),
+            controlled_depolarizer(m, layout.indicator_qubit, top_is_zero),
+            Channel((v.conj().T,), (1.0,), qubits=m, targets=verifier),
+        )
+    )
 
 
 def build_reduction(spec: ReductionSpec) -> Channel:
@@ -344,55 +378,3 @@ def no_verifier(layout: RegisterLayout) -> GateCircuit:
         Gate("CNOT", targets=(layout.top_qubit,), controls=(first_ancilla,)),
     )
     return GateCircuit(layout.verifier_qubits, gates)
-
-
-def _ry(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def noisy_verifier(layout: RegisterLayout, theta_a: float, theta_b: float = 0.0) -> GateCircuit:
-    """Tunable-(a, b) family on n_w = 2, n_a = 2.
-
-    A rotation on the first ancilla gates the acceptance path, conditional
-    swaps push the top qubit into the second ancilla on all non-accepting
-    patterns, and a final controlled rotation reopens a small acceptance
-    amplitude for the orthogonal witness.  The acceptance singular values
-    are sin(theta_a/2) for witness |11> and cos(theta_a/2) sin(theta_b/2)
-    for witness |01> (ancilla rotation makes them incoherent, so no witness
-    can do better):
-
-        a = sin^2(theta_a/2),    b = cos^2(theta_a/2) sin^2(theta_b/2).
-    """
-    if layout.num_witness != 2 or layout.num_ancilla != 2:
-        raise ValueError("the noisy verifier family is defined for n_w = n_a = 2")
-    top = layout.top_qubit
-    q1 = 1
-    a1, a2 = layout.ancilla_qubits
-    gates: list[Gate] = [multi_controlled(_ry(theta_a), a1, ())]
-    for p, q in ((0, 0), (0, 1), (1, 0)):
-        # Conditional swap(top, a2) on the (q1, a1) = (p, q) pattern.
-        gates.append(multi_controlled("X", a2, (top, q1, a1), (1, p, q)))
-        gates.append(multi_controlled("X", top, (a2, q1, a1), (1, p, q)))
-        gates.append(multi_controlled("X", a2, (top, q1, a1), (1, p, q)))
-    if theta_b:
-        gates.append(multi_controlled(_ry(theta_b), top, (q1, a1, a2), (1, 0, 0)))
-    return GateCircuit(layout.verifier_qubits, tuple(gates))
-
-
-def acceptance_spectrum(verifier: GateCircuit, layout: RegisterLayout) -> np.ndarray:
-    """Singular values of P V (I_W (x) |0...0>_A), descending.
-
-    The squares are the extremal acceptance probabilities over witness
-    states; the largest square is the best achievable acceptance, the rest
-    bound what orthogonal witnesses can reach.
-    """
-    if verifier.num_qubits != layout.verifier_qubits:
-        raise ValueError("verifier does not match the layout")
-    v = simulate_unitary(verifier)
-    anc = np.zeros(2**layout.num_ancilla, dtype=complex)
-    anc[0] = 1.0
-    inject = np.kron(np.eye(2**layout.num_witness, dtype=complex), anc.reshape(-1, 1))
-    top_is_one = bit_projector(verifier.num_qubits, layout.top_qubit, 1)
-    m = top_is_one @ v @ inject
-    return np.linalg.svd(m, compute_uv=False)

@@ -221,8 +221,8 @@ def spectral_gap_iterative(
     raises.  The one start vector comes from rng_from(seed, 0), so the
     result is deterministic given `seed`.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     adjoint = channel.adjoint()
     n2 = channel.dim**2
     phi = phi_state(channel.dim)

@@ -111,6 +111,8 @@ def _check_times(times) -> np.ndarray:
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size == 0:
         raise ValueError("need at least one time point")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
     if np.any(times < 0):
         raise ValueError("times must be nonnegative")
     if np.any(np.diff(times) < 0):

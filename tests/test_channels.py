@@ -9,12 +9,16 @@ from qexpander.channels import (
     identity_channel,
     random_unitary_channel,
     tensor,
-    unitality_defect,
     zero_sum_defect,
 )
-from qexpander.linalg import frobenius, paulis, random_operator, rng_from
+from qexpander.linalg import embed, frobenius, paulis, pattern_projector, random_operator, rng_from
 
 I, X, Y, Z = paulis()
+
+
+def unitality_defect(channel: Channel) -> float:
+    eye = np.eye(channel.dim, dtype=complex)
+    return frobenius(channel.apply(eye) - eye)
 
 
 def test_depolarizer_annihilates_traceless():
@@ -239,3 +243,95 @@ def test_tensor_matches_kron_of_actions():
     a, b = random_operator(2, rng), random_operator(4, rng)
     assert both.degree == 6
     assert frobenius(both.apply(np.kron(a, b)) - np.kron(left.apply(a), right.apply(b))) < 1e-12
+
+
+# --- structured stages: Kraus on target qubits, optional 0/1 control --------
+
+
+def _control_vector(num_qubits, targets, control_qubits, pattern, negate):
+    """c[r] over the basis of the non-target qubits (ascending): 1 iff the
+    bits of r on `control_qubits` spell `pattern` (or do not, if `negate`)."""
+    rest = [q for q in range(num_qubits) if q not in targets]
+    out = []
+    for r in range(2 ** len(rest)):
+        bits = {q: (r >> (len(rest) - 1 - pos)) & 1 for pos, q in enumerate(rest)}
+        match = all(bits[q] == v for q, v in zip(control_qubits, pattern))
+        out.append(int(match != negate))
+    return out
+
+
+def _dense_lift(num_qubits, targets, control_qubits, pattern, negate, kraus):
+    """The oracle: P embed(U) + Q with P the full-space control projector."""
+    p = pattern_projector(num_qubits, control_qubits, pattern)
+    if negate:
+        p = np.eye(2**num_qubits) - p
+    q = np.eye(2**num_qubits) - p
+    return np.array([p @ embed(u, targets, num_qubits) + q for u in kraus])
+
+
+STRUCTURED_CASES = {
+    # name: (qubits, targets, control qubits, pattern, negate)
+    "non-contiguous, pattern": (4, (3, 1), (0, 2), (1, 0), False),
+    "non-contiguous, not-pattern": (4, (2, 0), (1, 3), (0, 0), True),
+    "one target, no control": (3, (1,), (), (), False),
+    "all qubits permuted": (2, (1, 0), (), (), False),
+}
+
+
+@pytest.mark.parametrize("weighting", ["uniform zero-sum", "random weights"])
+@pytest.mark.parametrize("case", sorted(STRUCTURED_CASES))
+def test_structured_stage_matches_dense_lift(case, weighting):
+    m, targets, ctrl, pattern, negate = STRUCTURED_CASES[case]
+    rng = rng_from(40, sorted(STRUCTURED_CASES).index(case), weighting == "random weights")
+    base = random_unitary_channel(len(targets), 3, rng)
+    if weighting == "uniform zero-sum":
+        kraus = np.concatenate([base.kraus, -base.kraus])
+        weights = np.full(6, 1 / 6)
+    else:
+        kraus, weights = base.kraus, rng.random(3)
+        weights /= weights.sum()
+    control = _control_vector(m, targets, ctrl, pattern, negate) if ctrl else None
+    stage = Channel(kraus, weights, qubits=m, targets=targets, control=control)
+    dense = Channel(_dense_lift(m, targets, ctrl, pattern, negate, kraus), weights)
+    assert stage.dim == dense.dim == 2**m and stage.degree == dense.degree
+    assert np.max(np.abs(stage.kraus - dense.kraus)) < 1e-12
+    for _ in range(3):
+        a = random_operator(2**m, rng)
+        assert frobenius(stage.apply(a) - dense.apply(a)) < 1e-12
+        assert frobenius(stage.adjoint().apply(a) - dense.adjoint().apply(a)) < 1e-12
+    assert np.max(np.abs(stage.superoperator() - dense.superoperator())) < 1e-12
+    adjoint = stage.adjoint()
+    assert adjoint.targets == stage.targets
+    assert (adjoint.control is None) == (control is None)
+    if control is not None:
+        assert np.array_equal(adjoint.control, np.array(control, dtype=bool))
+
+
+def test_structured_cross_terms_live_without_zero_sum():
+    # A single-Kraus stage has M = U != 0, so P M A Q and Q A M^dag P are live.
+    m, targets, ctrl, pattern, negate = STRUCTURED_CASES["non-contiguous, pattern"]
+    u = random_unitary_channel(2, 1, rng_from(41)).kraus
+    control = _control_vector(m, targets, ctrl, pattern, negate)
+    stage = Channel(u, [1.0], qubits=m, targets=targets, control=control)
+    lifted = _dense_lift(m, targets, ctrl, pattern, negate, u)[0]
+    a = random_operator(2**m, rng_from(42))
+    out = stage.apply(a)
+    assert frobenius(out - lifted @ a @ lifted.conj().T) < 1e-12
+    p = pattern_projector(m, ctrl, pattern)
+    assert frobenius(p @ out @ (np.eye(2**m) - p)) > 1e-3
+
+
+def test_structured_stage_validation():
+    x = complete_depolarizer().kraus
+    w = complete_depolarizer().weights
+    with pytest.raises(ValueError, match="target qubits"):
+        Channel(x, w, qubits=3, targets=(0, 1))
+    with pytest.raises(ValueError, match="out of range"):
+        Channel(x, w, qubits=3, targets=(3,))
+    with pytest.raises(ValueError, match="0/1 vector of length 4"):
+        Channel(x, w, qubits=3, targets=(0,), control=[1, 0, 1])
+    with pytest.raises(ValueError, match="0/1 vector"):
+        Channel(x, w, qubits=3, targets=(0,), control=[1, 0, 0.5, 1])
+    off = Channel(x, w, qubits=2, targets=(1,), control=[0, 0])
+    a = random_operator(4, rng_from(44))
+    assert frobenius(off.apply(a) - a) < 1e-15

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,13 @@ def test_global_phase_gate():
     assert np.allclose(simulate_unitary(c), -X)
     with pytest.raises(CircuitFormatError, match="unit-modulus"):
         Gate("GLOBAL_PHASE", phase=2.0 + 0j)
+
+
+@pytest.mark.parametrize("phase", [[float("nan"), 0.0], [1.0], [1.0, 0.0, 0.0], "1", None])
+def test_parsed_global_phase_must_be_a_finite_pair(phase):
+    gate = {"kind": "GLOBAL_PHASE", "phase": phase}
+    with pytest.raises(CircuitFormatError, match="phase"):
+        parse_circuit(json.dumps({"qubits": 1, "gates": [gate]}))
 
 
 def test_gate_validation():

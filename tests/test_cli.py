@@ -69,6 +69,28 @@ def test_malformed_field_types_exit_2(corpus, tmp_path, command, source, patch):
     assert "Traceback" not in res.stderr
 
 
+STRUCTURE_PATCHES = [
+    {"targets": [5]},
+    {"targets": [0], "control": [1, 1]},
+    {"control": [2]},
+    {"targets": "0"},
+    {"qubits": 11, "targets": [0]},
+    {"stages": [{"kraus": [[[1, 0], [0, 0], [0, 0], [1, 0]]], "repeat": 0}]},
+]
+
+
+@pytest.mark.parametrize("patch", STRUCTURE_PATCHES)
+def test_malformed_structured_fields_exit_2(corpus, tmp_path, patch):
+    doc = json.loads((corpus / "instances" / "identity_z_1q.json").read_text())
+    doc.update(patch)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("decide", path)
+    assert res.returncode == 2
+    assert "error:" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_verify_rejects_nonpositive_shots(corpus):
     for shots in ("-3", "0"):
         res = run_cli("verify", corpus / "instances" / "identity_z_1q.json", f"--shots={shots}")
@@ -183,6 +205,23 @@ def test_thermalize_csv(corpus, tmp_path):
 def test_thermalize_bad_times(corpus):
     res = run_cli("thermalize", corpus / "models" / "pauli_depolarizer_1q.json", "--times", "oops")
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("times", ["0:nan:3", "0:inf:3", "nan:1:2"])
+def test_thermalize_non_finite_times_exit_2(corpus, times):
+    res = run_cli("thermalize", corpus / "models" / "pauli_depolarizer_1q.json", f"--times={times}")
+    assert res.returncode == 2
+    assert "times must be finite" in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["gap", "decide"])
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_iterative_non_finite_tol_exit_2(corpus, command, tol):
+    res = run_cli(command, corpus / "instances" / "identity_z_1q.json", "--method", "iterative", "--tol", tol)
+    assert res.returncode == 2
+    assert "tol must be positive and finite" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_thermalize_with_rho0_file(corpus, tmp_path):

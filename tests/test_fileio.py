@@ -1,9 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from qexpander.channels import Channel, complete_depolarizer, random_unitary_channel
+from qexpander.channels import Channel, channel_power, complete_depolarizer, random_unitary_channel
+from qexpander.circuits import CircuitFormatError, matrix_from_json
 from qexpander.fileio import (
     FileFormatError,
     load_channel,
@@ -12,8 +14,10 @@ from qexpander.fileio import (
     load_thermal_model,
     matrix_to_json,
     save_channel,
+    vector_from_json,
 )
-from qexpander.linalg import frobenius, paulis, random_operator, rng_from
+from qexpander.linalg import bit_projector, frobenius, paulis, random_operator, rng_from
+from qexpander.reduction import controlled_channel, sign_double
 from qexpander.spectral import spectral_gap_dense
 
 I, X, Y, Z = paulis()
@@ -147,3 +151,133 @@ def test_save_load_save_is_byte_identical(tmp_path):
         assert first.read_bytes() == second.read_bytes()
     assert "stages" in json.loads((tmp_path / "staged-1.json").read_text())
     assert "stages" not in json.loads((tmp_path / "flat-1.json").read_text())
+
+
+def _structured_channel():
+    """Three qubits: a controlled depolarizer stage, then a power of one
+    controlled two-qubit stage (one shared object), then a flat stage."""
+    rng = rng_from(60)
+    dep = complete_depolarizer()
+    ctrl_dep = Channel(dep.kraus, dep.weights, qubits=3, targets=(1,), control=[1, 0, 1, 1])
+    inner = sign_double(random_unitary_channel(2, 2, rng))
+    power = controlled_channel(channel_power(inner, 3), (2, 0), bit_projector(3, 1, 1), 3)
+    return Channel.staged((ctrl_dep, power, random_unitary_channel(3, 2, rng)))
+
+
+def test_structured_repeated_round_trip_is_byte_identical(tmp_path):
+    ch = _structured_channel()
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_channel(ch, first, alpha=0.9, beta=0.3)
+    back = load_channel(first)
+    save_channel(back, second, alpha=0.9, beta=0.3)
+    assert first.read_bytes() == second.read_bytes()
+    doc = json.loads(first.read_text())
+    assert [s.get("repeat", 1) for s in doc["stages"]] == [1, 3, 1]
+    assert doc["stages"][0]["targets"] == [1] and doc["stages"][0]["control"] == [1, 0, 1, 1]
+    assert doc["stages"][1]["targets"] == [2, 0] and doc["stages"][1]["control"] == [0, 1]
+    assert "targets" not in doc["stages"][2] and "control" not in doc["stages"][2]
+    assert len(back.stages) == 5 and back.stages[1] is back.stages[3]
+    assert back.degree == ch.degree == doc["degree"]
+    a = random_operator(8, rng_from(61))
+    assert frobenius(back.apply(a) - ch.apply(a)) < 1e-15
+
+
+def test_structured_single_stage_round_trip(tmp_path):
+    dep = complete_depolarizer()
+    ch = Channel(dep.kraus, dep.weights, qubits=2, targets=(0,), control=[0, 1])
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_channel(ch, first)
+    save_channel(load_channel(first), second)
+    assert first.read_bytes() == second.read_bytes()
+    assert "stages" not in json.loads(first.read_text())
+
+
+def test_dense_staged_file_without_structure_still_loads(tmp_path):
+    # The layout written before stages carried targets and control: every
+    # stage's Kraus operators lifted to the full space, one object per stage.
+    ch = _structured_channel()
+    stages = [
+        {"weights": [float(w) for w in s.weights], "kraus": [matrix_to_json(u) for u in s.kraus]}
+        for s in ch.stages
+    ]
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"qubits": 3, "stages": stages, "degree": ch.degree}))
+    back = load_channel(path)
+    assert len(back.stages) == 5 and back.degree == ch.degree
+    assert abs(spectral_gap_dense(back).kappa - spectral_gap_dense(ch).kappa) < 1e-12
+    resaved = tmp_path / "resaved.json"
+    save_channel(back, resaved)
+    assert json.loads(resaved.read_text()) == json.loads(path.read_text())
+
+
+STAGE = {"kraus": [matrix_to_json(I), matrix_to_json(Z)]}
+MALFORMED_STRUCTURE = [
+    ({"qubits": 2, "stages": [{**STAGE, "targets": [2]}]}, "out of range"),
+    ({"qubits": 2, "stages": [{**STAGE, "targets": [0, 1]}]}, "matrix dimension"),
+    ({"qubits": 2, "stages": [{**STAGE, "targets": "0"}]}, "'targets' must be a list of integers"),
+    ({"qubits": 2, "stages": [{**STAGE, "targets": [0.5]}]}, "'targets' must be a list of integers"),
+    ({"qubits": 2, "stages": [{**STAGE, "targets": [0], "control": [1, 2]}]}, "0/1 vector"),
+    ({"qubits": 2, "stages": [{**STAGE, "targets": [0], "control": [1]}]}, "0/1 vector of length 2"),
+    ({"qubits": 2, "stages": [{**STAGE, "targets": [0], "control": {"a": 1}}]}, "'control' must be"),
+    ({"qubits": 1, "stages": [{**STAGE, "repeat": 0}]}, "'repeat' must be >= 1"),
+    ({"qubits": 1, "stages": [{**STAGE, "repeat": 10**9}]}, "within 4096 stages"),
+    ({"qubits": 1, "stages": [{**STAGE, "repeat": "x"}]}, "'repeat' must be int"),
+    ({"qubits": 40, "kraus": STAGE["kraus"], "targets": [0]}, "'qubits' must lie in"),
+]
+
+
+@pytest.mark.parametrize("doc,message", MALFORMED_STRUCTURE)
+def test_malformed_structured_stage_rejected(tmp_path, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FileFormatError, match=re.escape(message)):
+        load_channel(path)
+
+
+def _old_matrix_to_json(mat):
+    return [[float(z.real), float(z.imag)] for z in np.asarray(mat, dtype=complex).reshape(-1)]
+
+
+def test_matrix_codec_writes_the_same_bytes():
+    rng = rng_from(62)
+    mats = [
+        random_operator(8, rng),
+        np.array([[-0.0, 0.0], [1e-300, -1e300]]) + 1j * np.array([[0.0, -0.0], [5e-324, 1 / 3]]),
+        random_unitary_channel(2, 1, rng).kraus[0],
+    ]
+    for mat in mats:
+        assert json.dumps(matrix_to_json(mat)) == json.dumps(_old_matrix_to_json(mat))
+        back = matrix_from_json(json.loads(json.dumps(matrix_to_json(mat))))
+        assert back.tobytes() == np.asarray(mat, dtype=complex).tobytes()
+
+
+MALFORMED_PAIRS = [
+    [[1.0]],
+    [[1.0, 0.0, 0.0]],
+    [[1.0, 0.0], [0.0]],
+    [[1.0, 0.0], [0.0, 0.0, 0.0]],
+    [["a", 0.0]],
+    [[None, 0.0]],
+    [{"re": 1.0, "im": 0.0}],
+    {"re": 1.0},
+    "1, 0",
+    5,
+    [],
+    [[[1.0, 0.0]]],
+    [[float("nan"), 0.0]],
+    [[1e400, 0.0]],
+    [[10**400, 0.0]],
+]
+
+
+@pytest.mark.parametrize("rows", MALFORMED_PAIRS)
+def test_pair_codec_rejects_malformed_rows(rows):
+    with pytest.raises(CircuitFormatError):
+        matrix_from_json(rows)
+    with pytest.raises(FileFormatError, match=r"\[re, im\] pairs|finite"):
+        vector_from_json(rows)
+
+
+def test_matrix_codec_rejects_non_square():
+    with pytest.raises(CircuitFormatError, match="not a square matrix"):
+        matrix_from_json([[1.0, 0.0], [0.0, 0.0]])

@@ -1,17 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
 from qexpander.channels import (
     Channel,
+    channel_power,
     complete_depolarizer,
     identity_channel,
     random_unitary_channel,
     zero_sum_defect,
 )
-from qexpander.circuits import RegisterLayout, simulate_unitary
+from qexpander.circuits import Gate, GateCircuit, RegisterLayout, multi_controlled, simulate_unitary
 from qexpander.linalg import (
     bit_projector,
+    embed,
     frobenius,
+    pattern_projector,
     paulis,
     random_operator,
     random_traceless,
@@ -19,7 +24,6 @@ from qexpander.linalg import (
 )
 from qexpander.reduction import (
     CertificationError,
-    acceptance_spectrum,
     ancilla_fail_projector,
     build_base_expander,
     build_reduction,
@@ -29,9 +33,9 @@ from qexpander.reduction import (
     ensure_zero_sum,
     make_reduction_spec,
     no_verifier,
-    noisy_verifier,
     sign_double,
     thresholds,
+    witness_verifier_channel,
     yes_verifier,
     yes_witness,
 )
@@ -39,6 +43,58 @@ from qexpander.spectral import spectral_gap_dense
 
 I, X, Y, Z = paulis()
 LAYOUT = RegisterLayout(2, 2)
+
+
+def _ry(theta: float) -> np.ndarray:
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def noisy_verifier(layout: RegisterLayout, theta_a: float, theta_b: float = 0.0) -> GateCircuit:
+    """Tunable-(a, b) family on n_w = 2, n_a = 2.
+
+    A rotation on the first ancilla gates the acceptance path, conditional
+    swaps push the top qubit into the second ancilla on all non-accepting
+    patterns, and a final controlled rotation reopens a small acceptance
+    amplitude for the orthogonal witness.  The acceptance singular values
+    are sin(theta_a/2) for witness |11> and cos(theta_a/2) sin(theta_b/2)
+    for witness |01> (ancilla rotation makes them incoherent, so no witness
+    can do better):
+
+        a = sin^2(theta_a/2),    b = cos^2(theta_a/2) sin^2(theta_b/2).
+    """
+    if layout.num_witness != 2 or layout.num_ancilla != 2:
+        raise ValueError("the noisy verifier family is defined for n_w = n_a = 2")
+    top = layout.top_qubit
+    q1 = 1
+    a1, a2 = layout.ancilla_qubits
+    gates: list[Gate] = [multi_controlled(_ry(theta_a), a1, ())]
+    for p, q in ((0, 0), (0, 1), (1, 0)):
+        # Conditional swap(top, a2) on the (q1, a1) = (p, q) pattern.
+        gates.append(multi_controlled("X", a2, (top, q1, a1), (1, p, q)))
+        gates.append(multi_controlled("X", top, (a2, q1, a1), (1, p, q)))
+        gates.append(multi_controlled("X", a2, (top, q1, a1), (1, p, q)))
+    if theta_b:
+        gates.append(multi_controlled(_ry(theta_b), top, (q1, a1, a2), (1, 0, 0)))
+    return GateCircuit(layout.verifier_qubits, tuple(gates))
+
+
+def acceptance_spectrum(verifier: GateCircuit, layout: RegisterLayout) -> np.ndarray:
+    """Singular values of P V (I_W (x) |0...0>_A), descending.
+
+    The squares are the extremal acceptance probabilities over witness
+    states; the largest square is the best achievable acceptance, the rest
+    bound what orthogonal witnesses can reach.
+    """
+    if verifier.num_qubits != layout.verifier_qubits:
+        raise ValueError("verifier does not match the layout")
+    v = simulate_unitary(verifier)
+    anc = np.zeros(2**layout.num_ancilla, dtype=complex)
+    anc[0] = 1.0
+    inject = np.kron(np.eye(2**layout.num_witness, dtype=complex), anc.reshape(-1, 1))
+    top_is_one = bit_projector(verifier.num_qubits, layout.top_qubit, 1)
+    m = top_is_one @ v @ inject
+    return np.linalg.svd(m, compute_uv=False)
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +214,68 @@ def test_controlled_channel_rejects_overlap():
 def test_controlled_channel_rejects_non_projector():
     with pytest.raises(ValueError, match="projector"):
         controlled_channel(complete_depolarizer(), (1,), np.eye(4) * 0.5, 2)
+
+
+def _lifted_controlled(target, target_qubits, projector, num_qubits):
+    """The dense oracle: every stage's elements P lift(U) + Q as N x N matrices."""
+    q = np.eye(2**num_qubits) - projector
+    return Channel.staged(
+        Channel(np.array([projector @ embed(u, target_qubits, num_qubits) + q for u in s.kraus]), s.weights)
+        for s in target.stages
+    )
+
+
+@pytest.mark.parametrize("zero_sum", [True, False])
+def test_controlled_channel_matches_dense_lift(zero_sum):
+    rng = rng_from(50)
+    inner = random_unitary_channel(2, 3, rng)
+    weights = rng.random(3)
+    target = Channel(inner.kraus, weights / weights.sum())
+    target = Channel.staged((sign_double(target) if zero_sum else target, random_unitary_channel(2, 2, rng)))
+    projector = np.eye(16) - pattern_projector(4, (0, 2), (1, 1))
+    ctrl = controlled_channel(target, (3, 1), projector, 4, require_zero_sum=False)
+    oracle = _lifted_controlled(target, (3, 1), projector, 4)
+    for _ in range(3):
+        a = random_operator(16, rng)
+        assert frobenius(ctrl.apply(a) - oracle.apply(a)) < 1e-12
+        assert frobenius(ctrl.adjoint().apply(a) - oracle.adjoint().apply(a)) < 1e-12
+    assert np.max(np.abs(ctrl.superoperator() - oracle.superoperator())) < 1e-12
+    assert [s.targets for s in ctrl.stages] == [(3, 1), (3, 1)]
+
+
+def test_controlled_power_shares_one_stage():
+    base = sign_double(random_unitary_channel(2, 2, rng_from(51)))
+    ctrl = controlled_channel(channel_power(base, 3), (0, 1), bit_projector(3, 2, 1), 3)
+    first = ctrl.stages[0]
+    assert all(s is first for s in ctrl.stages) and len(ctrl.stages) == 3
+    assert first.target_kraus.shape == (4, 4, 4)
+    assert np.array_equal(first.control, [False, True])
+    doubled = ensure_zero_sum(channel_power(random_unitary_channel(1, 2, rng_from(52)), 4))
+    assert all(s is doubled.stages[0] for s in doubled.stages)
+
+
+def test_controlled_channel_rejects_non_diagonal_projector():
+    # A valid projector that commutes with the lifted elements, but is not
+    # diagonal in the computational basis.
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    p = np.kron(h @ np.diag([0, 1]) @ h, np.eye(2))
+    with pytest.raises(ValueError, match="diagonal"):
+        controlled_channel(complete_depolarizer(), (1,), p, 2)
+
+
+def test_witness_verifier_matches_conjugated_dense_stage(no_reduction):
+    spec, _ = no_reduction
+    layout = spec.layout
+    m = layout.total_qubits
+    wit = witness_verifier_channel(spec)
+    assert len(wit.stages) == 3 and wit.degree == 8
+    v_full = embed(simulate_unitary(spec.verifier), tuple(range(layout.verifier_qubits)), m)
+    ctrl = controlled_depolarizer(m, layout.indicator_qubit, bit_projector(m, layout.top_qubit, 0))
+    dense = Channel(v_full.conj().T @ ctrl.kraus @ v_full, ctrl.weights)
+    rng = rng_from(53)
+    for _ in range(3):
+        a = random_operator(2**m, rng)
+        assert frobenius(wit.apply(a) - dense.apply(a)) < 1e-12
 
 
 def test_double_verifier_pinching_structure():

@@ -146,6 +146,13 @@ def test_iterative_tol_validation():
         spectral_gap_iterative(identity_channel(1), tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_iterative_rejects_non_finite_tol(tol):
+    ch = random_unitary_channel(3, 4, rng_from(8))
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        spectral_gap(ch, method="iterative", tol=tol)
+
+
 def test_power_composition_contraction():
     rng = rng_from(7)
     ch = random_unitary_channel(2, 3, rng)
@@ -275,7 +282,8 @@ def test_lanczos_matches_dense(name):
 def test_lanczos_matches_dense_on_clustered_reduction_channel(corpus):
     """The NO-case reduction channel's top singular values cluster near 1/sqrt(2)."""
     ch = build_reduction(load_reduction_spec(corpus / "reductions" / "no_2w2a.json"))
-    assert ch.dim == 32 and len(ch.stages) == 8
+    # ancilla verifier, V / controlled depolarizer / V^dag, six base-expander stages
+    assert ch.dim == 32 and len(ch.stages) == 10
     _check_engine_against_dense(ch)
 
 

@@ -197,3 +197,11 @@ def test_evolve_input_validation():
         evolve(model, np.diag([1.0, 0.0]).astype(complex), [-1.0])
     with pytest.raises(ValueError, match="nondecreasing"):
         evolve(model, np.diag([1.0, 0.0]).astype(complex), [1.0, 0.5])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_times_rejected(bad):
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    for run in (evolve, decay_bound_check):
+        with pytest.raises(ValueError, match="times must be finite"):
+            run(pauli_model(), rho0, [0.0, bad, 3.0])
