@@ -33,9 +33,7 @@ from .protocol import (
     arthur_verify,
     check_orthogonality,
     estimate_contraction_sq,
-    hadamard_test_probability,
     merlin_witness,
-    sample_hadamard_test,
 )
 from .reduction import (
     ReductionSpec,
@@ -89,7 +87,6 @@ __all__ = [
     "estimate_contraction_sq",
     "evolve",
     "frobenius",
-    "hadamard_test_probability",
     "identity_channel",
     "load_circuit",
     "make_reduction_spec",
@@ -101,7 +98,6 @@ __all__ = [
     "phi_state",
     "random_unitary_channel",
     "rng_from",
-    "sample_hadamard_test",
     "serialize_circuit",
     "sign_double",
     "simulate_unitary",

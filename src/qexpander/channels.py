@@ -63,14 +63,14 @@ class Channel:
         dim = x.shape[1]
         k = qubits_for_dim(dim)
         defect = np.linalg.norm(x.conj().transpose(0, 2, 1) @ x - np.eye(dim), axis=(1, 2)).max()
-        if defect > 1e-10 * dim:
+        if not defect <= 1e-10 * dim:
             raise ValueError(f"matrix is not unitary: ||U^dag U - I||_F = {defect:.3e}")
         w = np.array(weights, dtype=float).reshape(-1)
         if w.size != len(x):
             raise ValueError(f"{w.size} weights for {len(x)} Kraus operators")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if not np.all((w >= 0) & np.isfinite(w)):
+            raise ValueError("weights must be finite and nonnegative")
+        if not abs(w.sum() - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {w.sum()!r}, expected 1")
         m = k if qubits is None else int(qubits)
         targets = tuple(range(m)) if targets is None else tuple(int(q) for q in targets)
@@ -97,7 +97,7 @@ class Channel:
             self._mean = np.tensordot(w, x, axes=1)
         eye = np.eye(2**m)
         defect = frobenius(self.apply(eye) - eye)
-        if defect > ATOL:
+        if not defect <= ATOL:
             raise ValueError(f"channel is not unital: ||Phi(I) - I||_F = {defect:.3e}")
 
     @classmethod

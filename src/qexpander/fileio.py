@@ -42,13 +42,18 @@ class FileFormatError(ValueError):
 
 def _field(doc: dict, key: str, kind, where):
     """doc[key] converted by `kind` (int or float), or a FileFormatError
-    naming the missing or malformed field."""
+    naming the missing or malformed field; an int field rejects
+    non-integral numbers instead of truncating them."""
     if key not in doc:
         raise FileFormatError(f"{where}: missing field {key!r}")
+    value = doc[key]
     try:
-        return kind(doc[key])
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"{where}: field {key!r} must be {kind.__name__}, got {doc[key]!r}") from exc
+        out = kind(value)
+        if kind is int and isinstance(value, float) and out != value:
+            raise ValueError(f"{value!r} is not integral")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FileFormatError(f"{where}: field {key!r} must be {kind.__name__}, got {value!r}") from exc
+    return out
 
 
 def vector_from_json(rows, what: str = "amplitudes") -> np.ndarray:

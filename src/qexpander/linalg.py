@@ -55,7 +55,7 @@ def check_unitary(u: np.ndarray, tol: float | None = None) -> np.ndarray:
     if tol is None:
         tol = 1e-10 * n
     defect = unitarity_defect(u)
-    if defect > tol:
+    if not defect <= tol:
         raise ValueError(f"matrix is not unitary: ||U^dag U - I||_F = {defect:.3e}")
     return u
 
@@ -184,9 +184,3 @@ def random_traceless(dim: int, rng: np.random.Generator) -> np.ndarray:
     a = random_operator(dim, rng)
     return a - np.trace(a) / dim * np.eye(dim)
 
-
-def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random full-rank density matrix (normalized Wishart)."""
-    g = random_operator(dim, rng)
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real

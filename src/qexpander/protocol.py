@@ -61,21 +61,6 @@ def _sample_fraction(p0: float, shots: int, rng) -> float:
     return float(rng.binomial(shots, min(max(p0, 0.0), 1.0))) / shots
 
 
-def hadamard_test_probability(v: np.ndarray, psi: np.ndarray) -> float:
-    """Exact Pr(ancilla = 0) = (1 + Re<psi|V|psi>)/2 of the Hadamard test."""
-    psi = _check_unit_vector(psi)
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (psi.size, psi.size):
-        raise ValueError(f"unitary shape {v.shape} does not match state length {psi.size}")
-    return 0.5 * (1.0 + float(np.real(np.vdot(psi, v @ psi))))
-
-
-def sample_hadamard_test(v: np.ndarray, psi: np.ndarray, shots: int, seed: int = 0) -> float:
-    """Fraction of 0 outcomes over `shots` Bernoulli draws; deterministic
-    given the seed.  Standard error is at most sqrt(1/(4 shots))."""
-    return _sample_fraction(hadamard_test_probability(v, psi), shots, seed)
-
-
 def _pair_overlaps(channel: Channel, psi: np.ndarray) -> np.ndarray:
     """The D x D Gram matrix G_{de} = <psi|V_{d,e}|psi> = tr(B_d^dag B_e)."""
     n = channel.dim

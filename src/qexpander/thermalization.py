@@ -10,17 +10,39 @@ with positive rates R0, R1.  Collecting both terms into the channel
 
     Phi(rho) = sum_a [R0 U_a rho U_a^dag + R1 U_a^dag rho U_a] / ((R0+R1) D)
 
-this reads d/dt rho = gamma (Phi - I)(rho) with gamma = (R0 + R1) D, solved
-by rho(t) = exp(t gamma (Phi - I)) rho(0).  `evolve` computes that action
-matrix-free, with a substepped Taylor series in Phi whose coefficients are
-all positive; its cost is linear in gamma t.  The maximally mixed state is
-the fixed point, and the traceless part A(t) = rho(t) - I/N decays as
+this reads d/dt rho = gamma (Phi - I)(rho) with gamma = (R0 + R1) D.  The
+maximally mixed state is the fixed point, and the traceless part
+A(t) = rho(t) - I/N decays as
 
     ||A(t)||_F <= exp(-gamma (1 - kappa) t) ||A(0)||_F,
 
 with kappa the contraction coefficient of Phi.  When the unitary set is
 closed under adjoints the channel reduces to the uniform D-regular mixture,
 independent of R0/R1.
+
+`evolve` solves the equation by uniformization (Jensen 1953; Fox and Glynn,
+CACM 31, 1988): with T_k = Phi^k(rho(0)) and the Poisson weights
+pi_k(x) = e^{-x} x^k / k!,
+
+    rho(t) = sum_k pi_k(gamma t) T_k.
+
+The weights are positive and are evaluated in log space, so they do not
+underflow at large gamma t, and every sample time shares the same powers
+T_k, so each power costs one Channel.apply whatever the number of times.
+The sum stops after the first K terms at the first of two rules:
+
+(a) tail rule: the Chernoff bound P(Pois(x) >= K) <= e^{-x} (e x / K)^K
+    (valid for K > x) at the largest x = gamma t_max falls to series_tol;
+(b) mixing rule: ||T_{K-1} - I/N||_F <= series_tol.  Phi contracts the
+    Frobenius norm, so every later T_k lies as close to I/N, and the
+    remaining Poisson mass 1 - sum_{k<K} pi_k is put on I/N.
+
+Since ||T_k||_F <= ||rho(0)||_F <= 1, the truncation error of every state
+is at most the Poisson tail mass, at most series_tol under rule (a), and
+the mixing tail of rule (b) adds at most series_tol; rounding comes on
+top.  The cost is min(K_tail(gamma t_max), mixing index) applications of
+Phi: it stays bounded as t grows when Phi mixes (kappa < 1), but a
+non-mixing model (kappa = 1) still costs time linear in gamma t_max.
 
 The bath-side derivation (correlation integrals, Lamb-shift cancellation)
 is analytic input: R0 and R1 here are user-supplied rates, corresponding
@@ -29,6 +51,7 @@ to Q0 + Q0* and Q1 + Q1* of that derivation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,8 +74,8 @@ class ThermalModel:
         object.__setattr__(self, "unitaries", tuple(check_unitary(u) for u in self.unitaries))
         if not self.unitaries:
             raise ValueError("model needs at least one coupling unitary")
-        if self.r0 <= 0 or self.r1 <= 0:
-            raise ValueError(f"rates must be positive, got R0={self.r0}, R1={self.r1}")
+        if not (0 < self.r0 < math.inf and 0 < self.r1 < math.inf and self.rate < math.inf):
+            raise ValueError(f"rates must be positive and finite, got R0={self.r0}, R1={self.r1}")
 
     @property
     def degree(self) -> int:
@@ -97,6 +120,8 @@ def _check_density(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has non-finite entries")
     if abs(np.trace(rho) - 1.0) > tol:
         raise ValueError(f"density matrix has trace {np.trace(rho)!r}, expected 1")
     if np.max(np.abs(rho - rho.conj().T)) > tol:
@@ -125,39 +150,50 @@ def _evolve_series(
     rho0: np.ndarray,
     times: np.ndarray,
     series_tol: float = 1e-12,
-) -> tuple[list[np.ndarray], int]:
-    """Substepped Taylor action of exp(t gamma (Phi - I)) on the state.
+) -> tuple[np.ndarray, int]:
+    """Uniformization sum_k pi_k(gamma t_j) Phi^k(rho0) at every time t_j.
 
-    Each substep keeps gamma*dt <= 1/2, where the expansion
-    e^{-gamma dt} sum_k (gamma dt)^k/k! Phi^k(rho) has only positive,
-    rapidly decaying coefficients.  Returns the states and the number of
-    channel applications.
+    Stops at the tail or the mixing rule of the module docstring.  Returns
+    the (J, N, N) states and the number of channel applications.  Powers
+    are summed in blocks of up to min(J, 32), one real GEMM on their
+    [re, im] views per block, so the buffer never outgrows the output.
     """
     channel = model.channel
-    gamma = model.rate
-    max_step = 0.5 / gamma
-    out = []
-    rho = rho0.copy()
-    reached = 0.0
-    applications = 0
-    for t in times:
-        remaining = t - reached
-        while remaining > 1e-15 * max(t, 1.0):
-            dt = min(remaining, max_step)
-            x = gamma * dt
-            term = rho.copy()
-            acc = rho.copy()
-            k = 0
-            while frobenius(term) > series_tol * max(frobenius(acc), 1e-300):
-                k += 1
-                term = channel.apply(term) * (x / k)
-                acc += term
-            applications += k
-            rho = np.exp(-x) * acc
-            remaining -= dt
-        reached = t
-        out.append(rho.copy())
-    return out, applications
+    n = model.dim
+    x = model.rate * times
+    x_max = float(x[-1])
+    log_x = np.log(np.where(x > 0, x, 1.0))
+    mixed = np.eye(n) / n
+    states = np.zeros((len(times), 2 * n * n))
+    mass = np.zeros(len(times))
+    block = min(len(times), 32)
+    pending_w, pending_t = [], []
+    term = rho0
+    k = 0
+    while True:
+        weights = np.exp(k * log_x - x - math.lgamma(k + 1))
+        weights[x == 0] = float(k == 0)
+        mass += weights
+        pending_w.append(weights)
+        pending_t.append(term)
+        mixing = frobenius(term - mixed) <= series_tol
+        tail = k + 1
+        done = mixing or x_max == 0 or (
+            tail > x_max and tail * (1 + math.log(x_max / tail)) - x_max <= math.log(series_tol)
+        )
+        if done or len(pending_t) == block:
+            terms = np.ascontiguousarray(pending_t).reshape(len(pending_t), n * n).view(float)
+            states += np.stack(pending_w, axis=1) @ terms
+            pending_w, pending_t = [], []
+        if done:
+            break
+        term = channel.apply(term)
+        k += 1
+    states = states.view(complex).reshape(len(times), n, n)
+    if mixing:
+        diag = np.arange(n)
+        states[:, diag, diag] += np.maximum(1.0 - mass, 0.0)[:, None] / n
+    return states, k
 
 
 def evolve(model: ThermalModel, rho0: np.ndarray, times) -> Trajectory:
@@ -166,9 +202,10 @@ def evolve(model: ThermalModel, rho0: np.ndarray, times) -> Trajectory:
     if rho0.shape[0] != model.dim:
         raise ValueError(f"state dimension {rho0.shape[0]} does not match model dimension {model.dim}")
     times = _check_times(times)
+    if not math.isfinite(model.rate * float(times[-1])):
+        raise ValueError(f"gamma * t overflows: gamma = {model.rate!r}, t = {times[-1]!r}")
     states, applications = _evolve_series(model, rho0, times)
-    eye = np.eye(model.dim) / model.dim
-    residuals = np.array([frobenius(s - eye) for s in states])
+    residuals = np.linalg.norm(states - np.eye(model.dim) / model.dim, axis=(1, 2))
     return Trajectory(times=times, states=tuple(states), residuals=residuals, applications=applications)
 
 

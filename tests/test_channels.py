@@ -57,6 +57,12 @@ def test_weights_validation():
         Channel((I, Z), np.array([1.5, -0.5]))
     with pytest.raises(ValueError, match="not unitary"):
         Channel.uniform((np.array([[1, 0], [0, 0.5]]),))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="not unitary"):
+            Channel([[[bad, 0], [0, 1]]], [1.0])
+        for weights in ([bad, bad], [bad, 0.5]):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                Channel((I, Z), weights)
 
 
 def test_regularity_predicate():

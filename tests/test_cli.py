@@ -51,6 +51,10 @@ MALFORMED = [
     ("thermalize", "models/pauli_depolarizer_1q.json", {"unitaries": 7}),
     ("reduce", "reductions/no_2w2a.json", {"strict": "false"}),
     ("reduce", "reductions/no_2w2a.json", {"strict": 0}),
+    ("decide", "instances/identity_z_1q.json", {"qubits": 1.9}),
+    ("thermalize", "models/pauli_depolarizer_1q.json", {"qubits": 1.9}),
+    ("thermalize", "models/pauli_depolarizer_1q.json", {"R0": float("inf")}),
+    ("thermalize", "models/pauli_depolarizer_1q.json", {"R1": float("nan")}),
 ]
 
 
@@ -222,6 +226,19 @@ def test_iterative_non_finite_tol_exit_2(corpus, command, tol):
     assert res.returncode == 2
     assert "tol must be positive and finite" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_thermalize_huge_horizon_finishes(corpus):
+    res = subprocess.run(
+        CLI + ["thermalize", str(corpus / "models" / "pauli_depolarizer_1q.json"), "--times", "0:1e9:2"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert res.returncode == 0
+    last = res.stdout.splitlines()[2]
+    assert float(last.split(",")[0]) == 1e9
+    assert float(last.split(",")[1]) <= 1e-12
 
 
 def test_thermalize_with_rho0_file(corpus, tmp_path):

@@ -223,6 +223,9 @@ MALFORMED_STRUCTURE = [
     ({"qubits": 1, "stages": [{**STAGE, "repeat": 10**9}]}, "within 4096 stages"),
     ({"qubits": 1, "stages": [{**STAGE, "repeat": "x"}]}, "'repeat' must be int"),
     ({"qubits": 40, "kraus": STAGE["kraus"], "targets": [0]}, "'qubits' must lie in"),
+    ({"qubits": 1, "stages": [{**STAGE, "repeat": 2.5}]}, "'repeat' must be int, got 2.5"),
+    ({"qubits": 1.9, "kraus": STAGE["kraus"]}, "'qubits' must be int, got 1.9"),
+    ({"qubits": float("inf"), "kraus": STAGE["kraus"]}, "'qubits' must be int, got inf"),
 ]
 
 
@@ -232,6 +235,25 @@ def test_malformed_structured_stage_rejected(tmp_path, doc, message):
     path.write_text(json.dumps(doc))
     with pytest.raises(FileFormatError, match=re.escape(message)):
         load_channel(path)
+
+
+def test_integral_float_fields_load(tmp_path):
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"qubits": 1.0, "stages": [{**STAGE, "repeat": 2.0}]}))
+    assert len(load_channel(path).stages) == 2
+
+
+def test_thermal_model_rejects_fractional_qubits_and_bad_rates(corpus, tmp_path):
+    doc = json.loads((corpus / "models" / "pauli_depolarizer_1q.json").read_text())
+    for patch, message in (
+        ({"qubits": 1.9}, "'qubits' must be int, got 1.9"),
+        ({"R0": float("inf")}, "rates must be positive and finite"),
+        ({"R1": float("nan")}, "rates must be positive and finite"),
+    ):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**doc, **patch}))
+        with pytest.raises(FileFormatError, match=re.escape(message)):
+            load_thermal_model(path)
 
 
 def _old_matrix_to_json(mat):

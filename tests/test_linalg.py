@@ -77,6 +77,9 @@ def test_haar_unitary_is_unitary():
 def test_check_unitary_rejects():
     with pytest.raises(ValueError, match="not unitary"):
         check_unitary(np.array([[1, 0], [0, 2]]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="not unitary"):
+            check_unitary(np.array([[bad, 0], [0, 1]]))
 
 
 def test_embed_single_qubit_positions():

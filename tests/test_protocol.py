@@ -7,13 +7,13 @@ import pytest
 from qexpander.channels import Channel, complete_depolarizer, identity_channel, random_unitary_channel
 from qexpander.linalg import frobenius, paulis, phi_state, random_traceless, rng_from, unvec, vec
 from qexpander.protocol import (
+    _check_unit_vector,
+    _sample_fraction,
     arthur_verify,
     check_orthogonality,
     contraction_standard_error,
     estimate_contraction_sq,
-    hadamard_test_probability,
     merlin_witness,
-    sample_hadamard_test,
     sample_orthogonality,
     suggested_shots,
 )
@@ -25,6 +25,21 @@ I, X, Y, Z = paulis()
 
 def iz_channel():
     return Channel.uniform((I, Z))
+
+
+def hadamard_test_probability(v, psi):
+    """Exact Pr(ancilla = 0) = (1 + Re<psi|V|psi>)/2 of the Hadamard test."""
+    psi = _check_unit_vector(psi)
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (psi.size, psi.size):
+        raise ValueError(f"unitary shape {v.shape} does not match state length {psi.size}")
+    return 0.5 * (1.0 + float(np.real(np.vdot(psi, v @ psi))))
+
+
+def sample_hadamard_test(v, psi, shots, seed=0):
+    """Fraction of 0 outcomes over `shots` Bernoulli draws, as the sampled
+    Gram estimator draws them for one pair."""
+    return _sample_fraction(hadamard_test_probability(v, psi), shots, seed)
 
 
 def pair_unitary(channel, d, e):

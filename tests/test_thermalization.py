@@ -3,11 +3,18 @@ import pytest
 import scipy.linalg
 
 from qexpander.channels import Channel
-from qexpander.linalg import frobenius, haar_unitary, paulis, random_density, rng_from, unvec, vec
+from qexpander.linalg import frobenius, haar_unitary, paulis, random_operator, rng_from, unvec, vec
 from qexpander.spectral import spectral_gap, spectral_gap_dense
 from qexpander.thermalization import ThermalModel, decay_bound_check, evolve
 
 I, X, Y, Z = paulis()
+
+
+def random_density(dim, rng):
+    """Random full-rank density matrix (normalized Wishart)."""
+    g = random_operator(dim, rng)
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
 
 
 def pauli_model(r0=0.7, r1=0.3):
@@ -39,6 +46,9 @@ def test_model_validation():
         ThermalModel((I,), r0=0.0, r1=1.0)
     with pytest.raises(ValueError, match="unitary"):
         ThermalModel((np.diag([1.0, 0.5]),), r0=1.0, r1=1.0)
+    for r0, r1 in ((np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf), (1e308, 1e308)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ThermalModel((I, X), r0=r0, r1=r1)
 
 
 def test_channel_weights_and_rate():
@@ -84,8 +94,8 @@ def test_evolve_matches_dense_propagator():
     for qubits in range(1, 5):
         for model in (random_open_model(40 + qubits, qubits), random_closed_model(50 + qubits, qubits)):
             rho0 = random_density(2**qubits, rng_from(60 + qubits))
-            # a repeated time, then a step of 3/gamma, past the 1/(2 gamma) substep
-            times = np.array([0.0, 0.2, 0.2, 3.2, 4.0]) / model.rate
+            # a repeated time, then gamma t up to 50, past the mixing index
+            times = np.array([0.0, 0.2, 0.2, 3.2, 4.0, 12.0, 50.0]) / model.rate
             traj = evolve(model, rho0, times)
             err = max(frobenius(a - b) for a, b in zip(traj.states, dense_propagator(model, rho0, times)))
             assert err < 1e-10, (qubits, err)
@@ -105,6 +115,40 @@ def test_trajectory_counts_channel_applications(monkeypatch):
     monkeypatch.setattr(Channel, "apply", counting_apply)
     traj = evolve(model, rho0, np.linspace(0, 2, 9))
     assert traj.applications == len(calls) > 0
+
+
+def test_applications_do_not_depend_on_sample_count():
+    model = random_open_model(14)
+    rho0 = random_density(4, rng_from(15))
+    few = evolve(model, rho0, np.linspace(0, 5.0, 2))
+    many = evolve(model, rho0, np.linspace(0, 5.0, 400))
+    assert few.applications == many.applications > 0
+    assert frobenius(few.states[-1] - many.states[-1]) < 1e-14
+
+
+def test_mixing_model_cost_is_bounded_at_huge_horizons():
+    model = random_closed_model(16)
+    rho0 = random_density(4, rng_from(17))
+    mixed = np.eye(4) / 4
+    runs = [evolve(model, rho0, [0.0, scale / model.rate]) for scale in (1e3, 1e9)]
+    # the tail rule needs more than gamma t_max terms: the mixing rule stopped both
+    assert runs[0].applications == runs[1].applications < 1e3
+    for traj in runs:
+        assert frobenius(traj.states[-1] - mixed) <= 1e-12
+        assert frobenius(traj.states[0] - rho0) < 1e-15
+
+
+def test_non_mixing_model_matches_dense_propagator():
+    # commuting diagonal unitaries fix every diagonal state: kappa = 1
+    phases = rng_from(18).uniform(0, 2 * np.pi, (2, 4))
+    model = ThermalModel(tuple(np.diag(np.exp(1j * p)) for p in phases), r0=0.4, r1=1.1)
+    assert spectral_gap_dense(model.channel).kappa == pytest.approx(1.0, abs=1e-12)
+    rho0 = random_density(4, rng_from(19))
+    times = np.array([0.0, 1.0, 100.0]) / model.rate
+    traj = evolve(model, rho0, times)
+    assert traj.applications > 100
+    err = max(frobenius(a - b) for a, b in zip(traj.states, dense_propagator(model, rho0, times)))
+    assert err < 1e-10
 
 
 def test_trajectory_invariants():
@@ -193,6 +237,10 @@ def test_evolve_input_validation():
         evolve(model, np.array([[1, 1], [0, 0]], dtype=complex), [0.0])
     with pytest.raises(ValueError, match="positive semidefinite"):
         evolve(model, np.diag([1.5, -0.5]).astype(complex), [0.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        evolve(model, np.diag([np.nan, 1.0]).astype(complex), [0.0])
+    with pytest.raises(ValueError, match="overflows"):
+        evolve(ThermalModel((I,), r0=1e300, r1=1e300), np.eye(2) / 2, [0.0, 1e10])
     with pytest.raises(ValueError, match="nonnegative"):
         evolve(model, np.diag([1.0, 0.0]).astype(complex), [-1.0])
     with pytest.raises(ValueError, match="nondecreasing"):
