@@ -12,10 +12,7 @@ from .channels import (
     Channel,
     channel_power,
     complete_depolarizer,
-    compose,
-    identity_channel,
     random_unitary_channel,
-    tensor,
 )
 from .circuits import (
     Gate,
@@ -46,16 +43,13 @@ from .reduction import (
     sign_double,
     thresholds,
     yes_verifier,
-    yes_witness,
 )
 from .spectral import (
     Decision,
     GapReport,
     NonExpanderInstance,
-    build_w,
     decide,
     spectral_gap,
-    spectral_gap_dense,
     spectral_gap_iterative,
 )
 from .thermalization import ThermalModel, Trajectory, decay_bound_check, evolve
@@ -75,11 +69,9 @@ __all__ = [
     "arthur_verify",
     "build_base_expander",
     "build_reduction",
-    "build_w",
     "channel_power",
     "check_orthogonality",
     "complete_depolarizer",
-    "compose",
     "controlled_channel",
     "controlled_depolarizer",
     "decay_bound_check",
@@ -87,7 +79,6 @@ __all__ = [
     "estimate_contraction_sq",
     "evolve",
     "frobenius",
-    "identity_channel",
     "load_circuit",
     "make_reduction_spec",
     "merlin_witness",
@@ -102,12 +93,9 @@ __all__ = [
     "sign_double",
     "simulate_unitary",
     "spectral_gap",
-    "spectral_gap_dense",
     "spectral_gap_iterative",
-    "tensor",
     "thresholds",
     "unvec",
     "vec",
     "yes_verifier",
-    "yes_witness",
 ]

@@ -17,8 +17,7 @@ space are P (U_d (x) I) + Q with P = diag(c) (x) I_T and Q = I - P; P
 commutes with every lifted U_d by construction.  A flat stage has T = all
 qubits and no control.  Power compositions of expanders and the hardness
 reduction are multi-stage, since their flattened degree grows
-geometrically: the Kraus products are never materialized, and the
-superoperator is the product of the stage superoperators.
+geometrically: the Kraus products are never materialized.
 """
 
 from __future__ import annotations
@@ -185,13 +184,6 @@ class Channel:
             d *= len(s._weights)
         return d
 
-    @property
-    def is_regular(self) -> bool:
-        """True iff every stage has all weights equal to 1/D."""
-        return all(
-            np.allclose(s._weights, 1.0 / len(s._weights), rtol=0, atol=1e-12) for s in self.stages
-        )
-
     def apply(self, a: np.ndarray) -> np.ndarray:
         """Phi(A), stage by stage.
 
@@ -240,24 +232,6 @@ class Channel:
             control=self._control,
         )
 
-    def superoperator(self) -> np.ndarray:
-        """Dense N^2 x N^2 matrix W with W vec(A) = vec(Phi(A)) under
-        row-major vectorization: the product of the stage matrices.
-
-        A stage's W = sum_d w_d U_d (x) conj(U_d), with U_d its lifted Kraus
-        operators, is the realignment of X^T diag(w) conj(X), X the D x N^2
-        matrix of rows vec(U_d):
-        W[(i,j),(k,l)] = (X^T diag(w) conj(X))[(i,k),(j,l)].
-        """
-        n = self.dim
-        out = None
-        for s in self.stages:
-            x = s.kraus.reshape(len(s._weights), n * n)
-            m = ((x.T * s._weights) @ x.conj()).reshape(n, n, n, n).transpose(0, 2, 1, 3)
-            m = m.reshape(n * n, n * n)
-            out = m if out is None else m @ out
-        return out
-
 
 def _target_major(block: np.ndarray, k: int) -> np.ndarray:
     """A block whose rows are (rest, target) pairs, as a (k, rest * cols)
@@ -271,45 +245,11 @@ def _rest_major(t: np.ndarray, k: int, rows: int, cols: int) -> np.ndarray:
     return t.reshape(k, rows // k, cols).transpose(1, 0, 2).reshape(rows, cols)
 
 
-#: Cap on materialized Kraus products in :func:`compose`.
-COMPOSE_TERM_CAP = 4096
-
-
-def compose(outer: Channel, inner: Channel, max_terms: int = COMPOSE_TERM_CAP) -> Channel:
-    """Materialized composition: (outer . inner)(A) = outer(inner(A)).
-
-    The Kraus set is the weighted products {U_o U_i}.  Beyond `max_terms`
-    products, use :meth:`Channel.staged` instead.
-    """
-    if outer.dim != inner.dim:
-        raise ValueError(f"dimension mismatch: {outer.dim} vs {inner.dim}")
-    terms = outer.degree * inner.degree
-    if terms > max_terms:
-        raise ValueError(
-            f"composition would materialize {terms} Kraus terms (cap {max_terms}); "
-            "use Channel.staged for the lazy form"
-        )
-    n = outer.dim
-    kraus = (outer.kraus[:, None] @ inner.kraus[None]).reshape(-1, n, n)
-    return Channel(kraus, np.outer(outer.weights, inner.weights).reshape(-1))
-
-
-def tensor(left: Channel, right: Channel) -> Channel:
-    """Tensor product channel acting on the combined space."""
-    n = left.dim * right.dim
-    kraus = np.einsum("iac,jbd->ijabcd", left.kraus, right.kraus).reshape(-1, n, n)
-    return Channel(kraus, np.outer(left.weights, right.weights).reshape(-1))
-
-
 def channel_power(channel: Channel, r: int) -> Channel:
     """The r-fold composition Phi^r as a staged channel."""
     if r < 1:
         raise ValueError(f"power must be >= 1, got {r}")
     return Channel.staged((channel,) * r)
-
-
-def identity_channel(qubits: int = 1) -> Channel:
-    return Channel.uniform((np.eye(2**qubits, dtype=complex),))
 
 
 def complete_depolarizer(signed: bool = True) -> Channel:

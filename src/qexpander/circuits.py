@@ -339,10 +339,6 @@ class RegisterLayout:
             )
 
     @property
-    def witness_qubits(self) -> tuple[int, ...]:
-        return tuple(range(self.num_witness))
-
-    @property
     def ancilla_qubits(self) -> tuple[int, ...]:
         return tuple(range(self.num_witness, self.num_witness + self.num_ancilla))
 
@@ -362,9 +358,3 @@ class RegisterLayout:
     @property
     def total_qubits(self) -> int:
         return self.num_witness + self.num_ancilla + 1
-
-    def mcu_gate_count(self, num_controls: int | None = None) -> int:
-        """Symbolic gate count of the ancilla-free multi-controlled
-        decomposition (n^2 with n controls); never actually expanded."""
-        n = self.num_ancilla if num_controls is None else num_controls
-        return n * n

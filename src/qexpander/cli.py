@@ -44,6 +44,10 @@ EXIT_YES_OR_REJECT = 1
 EXIT_INPUT_ERROR = 2
 EXIT_PROMISE_OR_NONCONV = 3
 
+#: Most sample times `thermalize --times` accepts; every time keeps an
+#: N x N state, and the array of times alone would otherwise be unbounded.
+MAX_TIME_POINTS = 10**6
+
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
@@ -56,7 +60,7 @@ def _fail(message: str, code: int = EXIT_INPUT_ERROR) -> int:
 
 def cmd_gap(args) -> int:
     channel = load_channel(args.instance)
-    report = spectral_gap(channel, method=args.method, tol=args.tol, seed=args.seed)
+    report = spectral_gap(channel, tol=args.tol, seed=args.seed)
     _emit(
         {
             "command": "gap",
@@ -76,7 +80,7 @@ def cmd_gap(args) -> int:
 
 def cmd_decide(args) -> int:
     instance = load_instance(args.instance)
-    decision, report = decide(instance, method=args.method, tol=args.tol, seed=args.seed)
+    decision, report = decide(instance, tol=args.tol, seed=args.seed)
     _emit(
         {
             "command": "decide",
@@ -169,8 +173,8 @@ def _parse_times(spec: str) -> np.ndarray:
         raise ValueError(f"times spec must be START:STOP:NUM[:lin|log], got {spec!r}")
     start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
     scale = parts[3] if len(parts) == 4 else "lin"
-    if num < 1:
-        raise ValueError("times spec needs at least one point")
+    if not 1 <= num <= MAX_TIME_POINTS:
+        raise ValueError(f"times spec needs between 1 and {MAX_TIME_POINTS} points, got {num}")
     if scale == "lin":
         return np.linspace(start, stop, num)
     if scale == "log":
@@ -223,14 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap", help="compute the contraction coefficient of an instance channel")
     p.add_argument("instance", help="instance/channel file")
-    p.add_argument("--method", choices=["auto", "dense", "iterative"], default="auto")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gap)
 
     p = sub.add_parser("decide", help="decide a non-expander instance")
     p.add_argument("instance")
-    p.add_argument("--method", choices=["auto", "dense", "iterative"], default="auto")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_decide)

@@ -91,10 +91,15 @@ def _kraus_entry(entry, base_dir: Path, qubits: int, what: str) -> np.ndarray:
     return mat
 
 
-def _channel_from_doc(doc: dict, base_dir: Path, where: str) -> Channel:
+def _qubits(doc: dict, where) -> int:
     qubits = _field(doc, "qubits", int, where)
-    if not 0 <= qubits <= SIM_CAP_QUBITS:
-        raise FileFormatError(f"{where}: field 'qubits' must lie in [0, {SIM_CAP_QUBITS}], got {qubits}")
+    if not 1 <= qubits <= SIM_CAP_QUBITS:
+        raise FileFormatError(f"{where}: field 'qubits' must lie in [1, {SIM_CAP_QUBITS}], got {qubits}")
+    return qubits
+
+
+def _channel_from_doc(doc: dict, base_dir: Path, where: str) -> Channel:
+    qubits = _qubits(doc, where)
     if "stages" not in doc:
         return _flat_channel(doc, base_dir, qubits, where)
     if not isinstance(doc["stages"], list) or not doc["stages"]:
@@ -241,7 +246,7 @@ def load_reduction_spec(path) -> ReductionSpec:
 def load_thermal_model(path) -> ThermalModel:
     path = Path(path)
     doc = _load_json(path)
-    qubits = _field(doc, "qubits", int, path)
+    qubits = _qubits(doc, path)
     if not isinstance(doc.get("unitaries"), list):
         raise FileFormatError(f"{path}: missing list field 'unitaries'")
     unitaries = [

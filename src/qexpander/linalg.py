@@ -174,13 +174,3 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
-
-
-def random_operator(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-
-
-def random_traceless(dim: int, rng: np.random.Generator) -> np.ndarray:
-    a = random_operator(dim, rng)
-    return a - np.trace(a) / dim * np.eye(dim)
-

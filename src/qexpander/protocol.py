@@ -198,13 +198,6 @@ def arthur_verify(
     )
 
 
-def merlin_witness(channel, method: str = "auto", **kwargs) -> np.ndarray:
+def merlin_witness(channel, **kwargs) -> np.ndarray:
     """The optimal honest Merlin: the spectral module's gap witness."""
-    return spectral_gap(channel, method=method, **kwargs).witness
-
-
-def suggested_shots(instance: NonExpanderInstance) -> int:
-    """Shot budget 100/s^2 from the squared-threshold separation
-    s = alpha^2 - beta^2."""
-    s = instance.alpha**2 - instance.beta**2
-    return max(1, math.ceil(100.0 / s**2))
+    return spectral_gap(channel, **kwargs).witness

@@ -50,7 +50,7 @@ from .channels import (
     random_unitary_channel,
     zero_sum_defect,
 )
-from .circuits import Gate, GateCircuit, RegisterLayout, multi_controlled, simulate_unitary
+from .circuits import SIM_CAP_QUBITS, Gate, GateCircuit, RegisterLayout, multi_controlled, simulate_unitary
 from .linalg import ATOL, bit_projector, frobenius, pattern_projector, rng_from, split_index
 from .spectral import spectral_gap
 
@@ -176,7 +176,7 @@ class CertificationError(RuntimeError):
     pass
 
 
-def certify_power_expander(stage, target_kappa: float, method: str = "auto"):
+def certify_power_expander(stage, target_kappa: float):
     """Compose `stage` with itself until the measured kappa certifies the
     target; returns (channel, certified_kappa, r).
 
@@ -185,14 +185,14 @@ def certify_power_expander(stage, target_kappa: float, method: str = "auto"):
     """
     if not 0.0 < target_kappa < 1.0:
         raise ValueError(f"target_kappa must lie in (0, 1), got {target_kappa}")
-    kappa0 = spectral_gap(stage, method=method).kappa
+    kappa0 = spectral_gap(stage).kappa
     if kappa0 >= 1.0 - 1e-9:
         raise CertificationError(f"stage kappa = {kappa0} does not contract; composition is useless")
     if kappa0 <= target_kappa:
         return stage, kappa0, 1
     r = max(1, math.ceil(math.log(target_kappa) / math.log(kappa0)))
     composed = channel_power(stage, r)
-    certified = spectral_gap(composed, method=method).kappa
+    certified = spectral_gap(composed).kappa
     if certified > target_kappa:
         # The proposition guarantees kappa^r; measured can only be smaller,
         # so reaching here means the stage measurement was unlucky.
@@ -216,6 +216,10 @@ def build_base_expander(
     (r the smallest integer with measured_kappa^r <= target), and
     re-measures.  Returns (channel, certified_kappa).
     """
+    if not 1 <= num_qubits <= SIM_CAP_QUBITS:
+        raise ValueError(f"qubits must lie in [1, {SIM_CAP_QUBITS}], got {num_qubits}")
+    if degree_per_stage < 1:
+        raise ValueError(f"degree per stage must be >= 1, got {degree_per_stage}")
     last_error = None
     for attempt in range(max_attempts):
         stage = random_unitary_channel(num_qubits, degree_per_stage, rng_from(seed, attempt))
@@ -324,24 +328,6 @@ def build_reduction(spec: ReductionSpec) -> Channel:
     indicator_is_one = bit_projector(m, layout.indicator_qubit, 1)
     ctrl_f = controlled_channel(spec.base_expander, tuple(range(layout.verifier_qubits)), indicator_is_one, m)
     return Channel.staged((anc_ver, wit_ver, ctrl_f))
-
-
-def yes_witness(spec: ReductionSpec, psi: np.ndarray) -> np.ndarray:
-    """The traceless YES-case operator A = Psi - I/N, where Psi is the pure
-    state |psi><psi| (x) |0..0><0..0| (x) |0><0| built from an accepted
-    witness vector.  ||A||_F^2 = 1 - 1/N with N = 2^(n_w+n_a+1)."""
-    layout = spec.layout
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.size != 2**layout.num_witness:
-        raise ValueError(f"witness vector length {psi.size} != 2^n_w = {2**layout.num_witness}")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"witness vector is not normalized: ||psi|| = {norm!r}")
-    n = 2**layout.total_qubits
-    rest = np.zeros(2 ** (layout.num_ancilla + 1), dtype=complex)
-    rest[0] = 1.0
-    state = np.kron(psi, rest)
-    return np.outer(state, state.conj()) - np.eye(n, dtype=complex) / n
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,17 @@
 
 A channel is kappa-contractive when ||Phi(A)||_F <= kappa ||A||_F for every
 traceless A; the spectral gap is 1 - kappa.  In vectorized form, kappa is
-the largest singular value of Pi W Pi, where W is the channel superoperator
+the largest singular value of Pi W Pi, where W vec(A) = vec(Phi(A))
 and Pi = I - |phi><phi| projects onto the orthogonal complement of
 |phi> = vec(I)/sqrt(N) (the traceless subspace).  Singular values, not
 eigenvalues: W need not be normal.
 
-Two routes are provided: a dense SVD of W (exact to rounding, limited by a
-byte budget) and a matrix-free thick-restart Lanczos solver for the top
-eigenvalue kappa^2 of the Hermitian map M = Pi W^dag W Pi, realized as two
-channel applications per application of M.  `spectral_gap(method="auto")`
-takes the dense route up to N = 8, where one SVD is faster, and Lanczos
-above.  Every report carries an error bar on kappa, and `decide` answers
-YES or NO only when convergence and that error bar back the answer.
+kappa is computed matrix-free, at every N, by a thick-restart Lanczos
+solver for the top eigenvalue kappa^2 of the Hermitian map
+M = Pi W^dag W Pi, realized as two channel applications per application
+of M; W is never formed.  Every report carries an error bar on kappa, and
+`decide` answers YES or NO only when convergence and that error bar back
+the answer.
 """
 
 from __future__ import annotations
@@ -23,15 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import frobenius, phi_state, rng_from, unvec, vec
+from .linalg import phi_state, rng_from, unvec, vec
 
-#: Largest N for which method="auto" takes the dense route.  Measured per
-#: gap (D = 8, 2-core x86_64, 1 BLAS thread): dense 1.8 ms vs Lanczos 8.7 ms
-#: at N = 8, 42 ms vs 18 ms at N = 16.
-AUTO_DENSE_MAX_DIM = 8
-#: Bytes the explicit dense route may spend on W and the SVD's U and Vh
-#: (3 * 16 * N^4); 6 qubits (768 MiB) fit, 7 qubits (12 GiB) do not.
-DENSE_BUDGET_BYTES = 2**30
 #: Thick-restart Lanczos: vectors in the basis, Ritz pairs kept on restart.
 LANCZOS_BASIS = 24
 LANCZOS_KEEP = 6
@@ -53,11 +45,10 @@ class GapReport:
 
     `witness` is a unit vector in the traceless subspace achieving (within
     tolerance) ||Phi(unvec(witness))||_F = kappa.  `error_bound` bounds
-    |kappa - true kappa| (see the two solvers).  `residual` is the gap
-    between ||Phi(unvec(witness))||_F and kappa on the dense route, and the
-    final eigen-residual ||M y - kappa^2 y|| of the top Ritz pair on the
-    iterative one.  `matvecs` counts applications of M = Pi W^dag W Pi and
-    `iterations` the Lanczos restart cycles; both are 0 on the dense route.
+    |kappa - true kappa| (see spectral_gap_iterative).  `residual` is the
+    final eigen-residual ||M y - kappa^2 y|| of the top Ritz pair.
+    `matvecs` counts applications of M = Pi W^dag W Pi and `iterations` the
+    Lanczos restart cycles.  `method` is always "iterative".
     """
 
     kappa: float
@@ -94,21 +85,6 @@ class NonExpanderInstance:
         object.__setattr__(self, "separation", float(self.alpha - self.beta))
 
 
-def build_w(channel) -> np.ndarray:
-    """Dense superoperator W with W vec(A) = vec(Phi(A)).
-
-    Raises when W plus the SVD's U and Vh (3 * 16 * N^4 bytes) would exceed
-    DENSE_BUDGET_BYTES; use spectral_gap_iterative in that regime.
-    """
-    needed = 3 * 16 * channel.dim**4
-    if needed > DENSE_BUDGET_BYTES:
-        raise ValueError(
-            f"dense route needs {needed} bytes for W, U and Vh, over the dense budget of "
-            f"{DENSE_BUDGET_BYTES} bytes; use spectral_gap_iterative"
-        )
-    return channel.superoperator()
-
-
 def _deflate(v: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return v - np.vdot(phi, v) * phi
 
@@ -130,41 +106,6 @@ def _unit_traceless(v: np.ndarray, phi: np.ndarray) -> np.ndarray:
             return _canonical_traceless(int(round(np.sqrt(phi.size))))
         v = v / norm
     return v
-
-
-def spectral_gap_dense(channel) -> GapReport:
-    """kappa and a maximizing traceless witness via SVD of W - |phi><phi|.
-
-    W fixes |phi> on both sides (unital: W|phi> = |phi>; trace preserving:
-    <phi|W = <phi|), so Pi W Pi = W - |phi><phi| exactly.
-
-    `error_bound` is N^2 eps.  The SVD is backward stable: the computed
-    singular values are exact for a matrix within p eps ||Pi W Pi||_2 of the
-    input in 2-norm, and by Weyl's inequality each moves by at most that.
-    ||Pi W Pi||_2 <= 1 for a mixed-unitary channel, and p = N^2, the order
-    of the matrix, is the customary growth factor.
-    """
-    n = channel.dim
-    w = build_w(channel)
-    # |phi><phi| has the entry 1/N at (iN + i, jN + j) and zeros elsewhere.
-    diag = np.arange(n) * (n + 1)
-    w[np.ix_(diag, diag)] -= 1.0 / n
-    _, s, vh = np.linalg.svd(w)
-    kappa = float(s[0])
-    phi = phi_state(n)
-    # The right singular vector can pick up a |phi> component through
-    # rounding (entirely so when W - |phi><phi| is numerically zero).
-    witness = _unit_traceless(vh[0].conj(), phi)
-    achieved = frobenius(channel.apply(unvec(witness)))
-    return GapReport(
-        kappa=kappa,
-        witness=witness,
-        method="dense",
-        iterations=0,
-        residual=abs(achieved - kappa),
-        converged=True,
-        error_bound=n * n * float(np.finfo(float).eps),
-    )
 
 
 def _wdag_w_apply(channel, adjoint, v: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -271,25 +212,17 @@ def spectral_gap_iterative(
         matvecs += 1
 
 
-def spectral_gap(channel, method: str = "auto", **kwargs) -> GapReport:
-    """Dispatch between the dense and iterative routes.
-
-    "auto" takes the dense route for N <= AUTO_DENSE_MAX_DIM and the
-    iterative one above.  Solver options in `kwargs` (`tol`, `max_iter`,
-    `seed`) reach only the iterative route.
-    """
-    if method == "auto":
-        method = "dense" if channel.dim <= AUTO_DENSE_MAX_DIM else "iterative"
-    if method == "dense":
-        return spectral_gap_dense(channel)
-    if method == "iterative":
-        return spectral_gap_iterative(channel, **kwargs)
-    raise ValueError(f"unknown method {method!r}")
+def spectral_gap(channel, method: str = "iterative", **kwargs) -> GapReport:
+    """kappa of `channel` by spectral_gap_iterative, the one gap route;
+    solver options in `kwargs` (`tol`, `max_iter`, `seed`) pass through.
+    `method` accepts only "iterative"."""
+    if method != "iterative":
+        raise ValueError(f"unknown method {method!r}; the only gap route is 'iterative'")
+    return spectral_gap_iterative(channel, **kwargs)
 
 
 def decide(
     instance: NonExpanderInstance,
-    method: str = "auto",
     tie_tol: float = 1e-9,
     **kwargs,
 ) -> tuple[Decision, GapReport]:
@@ -301,7 +234,7 @@ def decide(
     A YES or NO becomes UNCERTIFIED when the solver did not converge or the
     threshold crossed lies within the report's `error_bound` of kappa.
     """
-    report = spectral_gap(instance.channel, method=method, **kwargs)
+    report = spectral_gap(instance.channel, **kwargs)
     if report.kappa > instance.alpha + tie_tol:
         decision, threshold = Decision.YES, instance.alpha
     elif report.kappa <= instance.beta + tie_tol:

@@ -1,0 +1,101 @@
+"""Test-only fixtures and dense oracles.
+
+The library computes kappa only matrix-free; the dense superoperator W and
+the SVD of Pi W Pi live here, as the oracle the engine is checked against.
+The channel helpers (identity, materialized composition, tensor product)
+and the random operators build test inputs.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from qexpander.channels import Channel
+from qexpander.linalg import phi_state
+
+
+def random_operator(dim: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def random_traceless(dim: int, rng: np.random.Generator) -> np.ndarray:
+    a = random_operator(dim, rng)
+    return a - np.trace(a) / dim * np.eye(dim)
+
+
+def identity_channel(qubits: int = 1) -> Channel:
+    return Channel.uniform((np.eye(2**qubits, dtype=complex),))
+
+
+def compose(outer: Channel, inner: Channel) -> Channel:
+    """Materialized composition (outer . inner)(A) = outer(inner(A)): the
+    weighted Kraus products {U_o U_i}."""
+    n = outer.dim
+    kraus = (outer.kraus[:, None] @ inner.kraus[None]).reshape(-1, n, n)
+    return Channel(kraus, np.outer(outer.weights, inner.weights).reshape(-1))
+
+
+def tensor(left: Channel, right: Channel) -> Channel:
+    """Tensor product channel acting on the combined space."""
+    n = left.dim * right.dim
+    kraus = np.einsum("iac,jbd->ijabcd", left.kraus, right.kraus).reshape(-1, n, n)
+    return Channel(kraus, np.outer(left.weights, right.weights).reshape(-1))
+
+
+def is_regular(channel: Channel) -> bool:
+    """True iff every stage has all weights equal to 1/D."""
+    return all(np.allclose(s.weights, 1.0 / len(s.weights), rtol=0, atol=1e-12) for s in channel.stages)
+
+
+def superoperator(channel: Channel) -> np.ndarray:
+    """Kron-sum oracle W with W vec(A) = vec(Phi(A)): the product over the
+    stages of sum_d w_d U_d (x) conj(U_d), with U_d the lifted Kraus operators."""
+    out = None
+    for s in channel.stages:
+        w = sum(wd * np.kron(u, u.conj()) for wd, u in zip(s.weights, s.kraus))
+        out = w if out is None else w @ out
+    return out
+
+
+def dense_kappa(channel: Channel) -> float:
+    """Oracle kappa: the top singular value of Pi W Pi, Pi the projector onto
+    the traceless subspace; exact to dense_rounding(channel)."""
+    phi = phi_state(channel.dim)
+    pi = np.eye(channel.dim**2) - np.outer(phi, phi.conj())
+    return float(np.linalg.svd(pi @ superoperator(channel) @ pi, compute_uv=False)[0])
+
+
+def dense_rounding(channel: Channel) -> float:
+    """N^2 eps.  The SVD is backward stable: its singular values are exact
+    for a matrix within p eps ||Pi W Pi||_2 of the input, so by Weyl's
+    inequality each moves by at most that; ||Pi W Pi||_2 <= 1 for a
+    mixed-unitary channel, and p = N^2, the order of the matrix, is the
+    customary growth factor."""
+    return channel.dim**2 * float(np.finfo(float).eps)
+
+
+def suggested_shots(instance) -> int:
+    """Shot budget 100/s^2 from the squared-threshold separation
+    s = alpha^2 - beta^2."""
+    s = instance.alpha**2 - instance.beta**2
+    return max(1, math.ceil(100.0 / s**2))
+
+
+def yes_witness(spec, psi: np.ndarray) -> np.ndarray:
+    """The traceless YES-case operator A = Psi - I/N, where Psi is the pure
+    state |psi><psi| (x) |0..0><0..0| (x) |0><0| built from an accepted
+    witness vector.  ||A||_F^2 = 1 - 1/N with N = 2^(n_w+n_a+1)."""
+    layout = spec.layout
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    if psi.size != 2**layout.num_witness:
+        raise ValueError(f"witness vector length {psi.size} != 2^n_w = {2**layout.num_witness}")
+    norm = np.linalg.norm(psi)
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"witness vector is not normalized: ||psi|| = {norm!r}")
+    n = 2**layout.total_qubits
+    rest = np.zeros(2 ** (layout.num_ancilla + 1), dtype=complex)
+    rest[0] = 1.0
+    state = np.kron(psi, rest)
+    return np.outer(state, state.conj()) - np.eye(n, dtype=complex) / n

@@ -17,8 +17,6 @@ from qexpander.linalg import (
     frobenius,
     haar_unitary,
     paulis,
-    random_operator,
-    random_traceless,
     rng_from,
     vec,
 )
@@ -26,7 +24,6 @@ from qexpander.protocol import (
     arthur_verify,
     estimate_contraction_sq,
     merlin_witness,
-    suggested_shots,
 )
 from qexpander.reduction import (
     build_base_expander,
@@ -37,10 +34,11 @@ from qexpander.reduction import (
     sign_double,
     thresholds,
     yes_verifier,
-    yes_witness,
 )
-from qexpander.spectral import NonExpanderInstance, spectral_gap_dense, spectral_gap_iterative
+from qexpander.spectral import NonExpanderInstance, spectral_gap_iterative
 from qexpander.thermalization import ThermalModel, decay_bound_check, evolve
+
+from oracles import dense_kappa, random_operator, random_traceless, suggested_shots, yes_witness
 
 I, X, Y, Z = paulis()
 LAYOUT = RegisterLayout(2, 2)
@@ -71,7 +69,7 @@ def test_criterion_2_no_case_separation(certified_base):
         no_verifier(LAYOUT), LAYOUT, a=1.0, b=0.0, base_expander=base, kappa_f=kappa_f
     )
     phi = build_reduction(spec)
-    kappa = spectral_gap_dense(phi).kappa
+    kappa = dense_kappa(phi)
     bound = (1 + kappa_f) / np.sqrt(2)
     ok = kappa <= bound + 1e-8 and bound <= 0.778 and kappa < spec.beta
     report(2, ok, f"kappa(Phi) = {kappa:.6f} <= (1+kappa_F)/sqrt(2) = {bound:.6f} <= 0.778")
@@ -98,7 +96,7 @@ def test_criterion_4_oracle_equivalence():
     for i in range(50):
         rng = rng_from(100, i)
         ch = random_unitary_channel(2 + i % 2, 2 + i % 3, rng)
-        dense = spectral_gap_dense(ch).kappa
+        dense = dense_kappa(ch)
         iterative = spectral_gap_iterative(ch, tol=1e-9, seed=i).kappa
         worst_gap = max(worst_gap, abs(dense - iterative))
     worst_est = 0.0
@@ -264,9 +262,9 @@ def test_criterion_9_power_composition():
     for i in range(20):
         rng = rng_from(600, i)
         ch = random_unitary_channel(2 + i % 2, 2 + i % 3, rng)
-        kappa = spectral_gap_dense(ch).kappa
+        kappa = dense_kappa(ch)
         for r in (2, 3, 4):
-            kappa_r = spectral_gap_dense(channel_power(ch, r)).kappa
+            kappa_r = dense_kappa(channel_power(ch, r))
             worst = max(worst, kappa_r - kappa**r)
     ok = worst <= 1e-8
     report(9, ok, f"max kappa(Phi^r) - kappa(Phi)^r = {worst:.2e} <= 1e-8 over 20 channels, r in 2..4")

@@ -5,13 +5,12 @@ from qexpander.channels import (
     Channel,
     channel_power,
     complete_depolarizer,
-    compose,
-    identity_channel,
     random_unitary_channel,
-    tensor,
     zero_sum_defect,
 )
-from qexpander.linalg import embed, frobenius, paulis, pattern_projector, random_operator, rng_from
+from qexpander.linalg import embed, frobenius, paulis, pattern_projector, rng_from
+
+from oracles import compose, identity_channel, is_regular, random_operator, superoperator, tensor
 
 I, X, Y, Z = paulis()
 
@@ -66,8 +65,8 @@ def test_weights_validation():
 
 
 def test_regularity_predicate():
-    assert Channel.uniform((I, X, Y)).is_regular
-    assert not Channel((I, X), np.array([0.75, 0.25])).is_regular
+    assert is_regular(Channel.uniform((I, X, Y)))
+    assert not is_regular(Channel((I, X), np.array([0.75, 0.25])))
 
 
 def test_trace_preservation_and_unitality():
@@ -105,12 +104,6 @@ def test_compose_identity_is_noop():
     assert frobenius(both.apply(a) - ch.apply(a)) < 1e-12
 
 
-def test_compose_term_cap():
-    ch = complete_depolarizer()
-    with pytest.raises(ValueError, match="cap"):
-        compose(ch, ch, max_terms=10)
-
-
 def test_tensor_of_depolarizers():
     dep = complete_depolarizer()
     dd = tensor(dep, dep)
@@ -144,7 +137,7 @@ def test_composite_channel_matches_flattened():
     flat = compose(c2, c1)
     a = random_operator(2, rng)
     assert frobenius(lazy.apply(a) - flat.apply(a)) < 1e-12
-    assert frobenius(lazy.superoperator() - flat.superoperator()) < 1e-12
+    assert frobenius(superoperator(lazy) - superoperator(flat)) < 1e-12
     assert lazy.degree == flat.degree == 4
     adj = lazy.adjoint()
     b = random_operator(2, rng)
@@ -184,15 +177,6 @@ def _loop_apply(stages, a):
     return a
 
 
-def _kron_superoperator(stages):
-    """Kron-sum oracle: the product over stages of sum_d w_d U_d (x) conj(U_d)."""
-    out = None
-    for kraus, weights in stages:
-        w = sum(wd * np.kron(u, u.conj()) for wd, u in zip(weights, kraus))
-        out = w if out is None else w @ out
-    return out
-
-
 def _sample_channels():
     rng = rng_from(17)
     uniform = random_unitary_channel(2, 5, rng)
@@ -210,12 +194,6 @@ def test_stacked_apply_matches_loop_oracle():
             assert frobenius(ch.apply(a) - _loop_apply(_oracle_stages(ch), a)) < 1e-13
 
 
-def test_superoperator_matches_kron_sum_oracle():
-    _, channels = _sample_channels()
-    for ch in channels:
-        assert np.max(np.abs(ch.superoperator() - _kron_superoperator(_oracle_stages(ch)))) < 1e-14
-
-
 def test_flat_channel_is_its_own_stage():
     _, (uniform, weighted, staged) = _sample_channels()
     assert uniform.stages == (uniform,)
@@ -223,7 +201,7 @@ def test_flat_channel_is_its_own_stage():
     assert channel_power(uniform, 1) is uniform
     assert len(staged.stages) == 3 and staged.degree == 5 * 4 * 3
     assert len(Channel.staged((staged, uniform)).stages) == 4
-    assert not staged.is_regular and channel_power(uniform, 2).is_regular
+    assert not is_regular(staged) and is_regular(channel_power(uniform, 2))
 
 
 def test_multi_stage_channel_exposes_no_kraus():
@@ -305,7 +283,7 @@ def test_structured_stage_matches_dense_lift(case, weighting):
         a = random_operator(2**m, rng)
         assert frobenius(stage.apply(a) - dense.apply(a)) < 1e-12
         assert frobenius(stage.adjoint().apply(a) - dense.adjoint().apply(a)) < 1e-12
-    assert np.max(np.abs(stage.superoperator() - dense.superoperator())) < 1e-12
+    assert np.max(np.abs(superoperator(stage) - superoperator(dense))) < 1e-12
     adjoint = stage.adjoint()
     assert adjoint.targets == stage.targets
     assert (adjoint.control is None) == (control is None)

@@ -181,12 +181,11 @@ def test_simulation_cap():
 
 def test_register_layout():
     lay = RegisterLayout(2, 3)
-    assert lay.witness_qubits == (0, 1)
     assert lay.ancilla_qubits == (2, 3, 4)
     assert lay.indicator_qubit == 5
     assert lay.top_qubit == 0
     assert lay.total_qubits == 6
-    assert lay.mcu_gate_count() == 9
+    assert lay.verifier_qubits == 5
     with pytest.raises(ValueError):
         RegisterLayout(0, 2)
 

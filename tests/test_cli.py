@@ -25,11 +25,19 @@ def test_gap_depolarizer(corpus):
 
 
 def test_gap_iz_iterative(corpus):
-    res = run_cli(
-        "gap", corpus / "instances" / "identity_z_1q.json", "--method", "iterative", "--seed", "3"
-    )
+    res = run_cli("gap", corpus / "instances" / "identity_z_1q.json", "--seed", "3")
     assert res.returncode == 0
     assert payload(res)["kappa"] == pytest.approx(1.0, abs=1e-8)
+    assert payload(res)["method"] == "iterative"
+
+
+@pytest.mark.parametrize("command", ["gap", "decide"])
+@pytest.mark.parametrize("method", ["dense", "iterative"])
+def test_method_flag_is_gone(corpus, command, method):
+    res = run_cli(command, corpus / "instances" / "identity_z_1q.json", "--method", method)
+    assert res.returncode == 2
+    assert "error:" in res.stderr and "--method" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_gap_malformed_file(tmp_path):
@@ -55,6 +63,12 @@ MALFORMED = [
     ("thermalize", "models/pauli_depolarizer_1q.json", {"qubits": 1.9}),
     ("thermalize", "models/pauli_depolarizer_1q.json", {"R0": float("inf")}),
     ("thermalize", "models/pauli_depolarizer_1q.json", {"R1": float("nan")}),
+    *[
+        (command, "instances/identity_z_1q.json", {"qubits": 0, "kraus": [[[1.0, 0.0]]]})
+        for command in ("gap", "decide", "verify")
+    ],
+    ("thermalize", "models/pauli_depolarizer_1q.json", {"qubits": 0, "unitaries": [[[1.0, 0.0]]]}),
+    ("reduce", "reductions/no_2w2a.json", {"synthesize": {"degree_per_stage": 0}}),
 ]
 
 
@@ -107,14 +121,17 @@ def test_decide_exit_codes(corpus):
     assert run_cli("decide", corpus / "instances" / "identity_z_1q.json").returncode == 1
     assert run_cli("decide", corpus / "instances" / "depolarizer_1q.json").returncode == 0
     assert run_cli("decide", corpus / "instances" / "identity_1q.json").returncode == 3
+    res = run_cli("decide", corpus / "instances" / "hadamard_pair_1q.json")
+    assert res.returncode == 1 and payload(res)["decision"] == "YES"
 
 
 def test_decide_iterative_forwards_tol_and_seed(corpus):
     path = corpus / "instances" / "identity_z_1q.json"
-    dense = run_cli("decide", path, "--method", "dense")
-    iterative = run_cli("decide", path, "--method", "iterative", "--tol", "1e-10", "--seed", "3")
-    assert iterative.returncode == dense.returncode == 1
-    assert payload(iterative)["method"] == "iterative"
+    default = run_cli("decide", path)
+    tuned = run_cli("decide", path, "--tol", "1e-10", "--seed", "3")
+    assert tuned.returncode == default.returncode == 1
+    assert payload(tuned)["method"] == "iterative"
+    assert run_cli("decide", path, "--tol", "0").returncode == 2
 
 
 def test_verify_accept_and_reject(corpus):
@@ -222,9 +239,34 @@ def test_thermalize_non_finite_times_exit_2(corpus, times):
 @pytest.mark.parametrize("command", ["gap", "decide"])
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_iterative_non_finite_tol_exit_2(corpus, command, tol):
-    res = run_cli(command, corpus / "instances" / "identity_z_1q.json", "--method", "iterative", "--tol", tol)
+    res = run_cli(command, corpus / "instances" / "identity_z_1q.json", "--tol", tol)
     assert res.returncode == 2
     assert "tol must be positive and finite" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("num", ["1000001", "1000000000000"])
+def test_thermalize_too_many_times_exit_2(corpus, num):
+    res = run_cli("thermalize", corpus / "models" / "pauli_depolarizer_1q.json", "--times", f"0:1:{num}")
+    assert res.returncode == 2
+    assert "between 1 and 1000000 points" in res.stderr
+    assert "Traceback" not in res.stderr and res.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("--qubits", "0"), "qubits must lie in [1, 10], got 0"),
+        (("--qubits", "-1"), "qubits must lie in [1, 10], got -1"),
+        (("--qubits", "11"), "qubits must lie in [1, 10], got 11"),
+        (("--qubits", "1", "--degree", "0"), "degree per stage must be >= 1, got 0"),
+        (("--qubits", "1", "--degree", "-3"), "degree per stage must be >= 1, got -3"),
+    ],
+)
+def test_synth_expander_bad_arguments_exit_2(args, message):
+    res = run_cli("synth-expander", *args)
+    assert res.returncode == 2
+    assert f"error: {message}" in res.stderr
     assert "Traceback" not in res.stderr
 
 

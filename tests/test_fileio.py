@@ -16,9 +16,10 @@ from qexpander.fileio import (
     save_channel,
     vector_from_json,
 )
-from qexpander.linalg import bit_projector, frobenius, paulis, random_operator, rng_from
+from qexpander.linalg import bit_projector, frobenius, paulis, rng_from
 from qexpander.reduction import controlled_channel, sign_double
-from qexpander.spectral import spectral_gap_dense
+
+from oracles import dense_kappa, is_regular, random_operator
 
 I, X, Y, Z = paulis()
 
@@ -27,7 +28,7 @@ def test_load_instance_from_corpus(corpus):
     inst = load_instance(corpus / "instances" / "identity_z_1q.json")
     assert inst.alpha == 0.9 and inst.beta == 0.5
     assert inst.channel.degree == 2
-    assert inst.channel.is_regular
+    assert is_regular(inst.channel)
 
 
 def test_load_instance_with_circuit_path_kraus(corpus):
@@ -79,7 +80,7 @@ def test_channel_round_trip_staged(tmp_path):
     assert back.degree == comp.degree
     a = random_operator(2, rng)
     assert frobenius(comp.apply(a) - back.apply(a)) < 1e-12
-    assert abs(spectral_gap_dense(back).kappa - spectral_gap_dense(comp).kappa) < 1e-12
+    assert abs(dense_kappa(back) - dense_kappa(comp)) < 1e-12
 
 
 def test_load_reduction_spec_from_corpus(corpus):
@@ -137,7 +138,7 @@ def test_weights_default_uniform(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))
     ch = load_channel(path)
-    assert ch.is_regular
+    assert is_regular(ch)
 
 
 def test_save_load_save_is_byte_identical(tmp_path):
@@ -204,7 +205,7 @@ def test_dense_staged_file_without_structure_still_loads(tmp_path):
     path.write_text(json.dumps({"qubits": 3, "stages": stages, "degree": ch.degree}))
     back = load_channel(path)
     assert len(back.stages) == 5 and back.degree == ch.degree
-    assert abs(spectral_gap_dense(back).kappa - spectral_gap_dense(ch).kappa) < 1e-12
+    assert abs(dense_kappa(back) - dense_kappa(ch)) < 1e-12
     resaved = tmp_path / "resaved.json"
     save_channel(back, resaved)
     assert json.loads(resaved.read_text()) == json.loads(path.read_text())
@@ -226,6 +227,8 @@ MALFORMED_STRUCTURE = [
     ({"qubits": 1, "stages": [{**STAGE, "repeat": 2.5}]}, "'repeat' must be int, got 2.5"),
     ({"qubits": 1.9, "kraus": STAGE["kraus"]}, "'qubits' must be int, got 1.9"),
     ({"qubits": float("inf"), "kraus": STAGE["kraus"]}, "'qubits' must be int, got inf"),
+    ({"qubits": 0, "kraus": [[[1, 0]]]}, "'qubits' must lie in [1, 10], got 0"),
+    ({"qubits": -1, "kraus": STAGE["kraus"]}, "'qubits' must lie in [1, 10], got -1"),
 ]
 
 
@@ -247,6 +250,8 @@ def test_thermal_model_rejects_fractional_qubits_and_bad_rates(corpus, tmp_path)
     doc = json.loads((corpus / "models" / "pauli_depolarizer_1q.json").read_text())
     for patch, message in (
         ({"qubits": 1.9}, "'qubits' must be int, got 1.9"),
+        ({"qubits": 0, "unitaries": [[[1, 0]]]}, "'qubits' must lie in [1, 10], got 0"),
+        ({"qubits": 11}, "'qubits' must lie in [1, 10], got 11"),
         ({"R0": float("inf")}, "rates must be positive and finite"),
         ({"R1": float("nan")}, "rates must be positive and finite"),
     ):

@@ -13,12 +13,12 @@ from qexpander.linalg import (
     paulis,
     phi_state,
     qubits_for_dim,
-    random_operator,
-    random_traceless,
     rng_from,
     unvec,
     vec,
 )
+
+from oracles import random_operator, random_traceless
 
 I, X, Y, Z = paulis()
 

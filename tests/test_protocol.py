@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qexpander.channels import Channel, complete_depolarizer, identity_channel, random_unitary_channel
-from qexpander.linalg import frobenius, paulis, phi_state, random_traceless, rng_from, unvec, vec
+from qexpander.channels import Channel, complete_depolarizer, random_unitary_channel
+from qexpander.linalg import frobenius, paulis, phi_state, rng_from, unvec, vec
 from qexpander.protocol import (
     _check_unit_vector,
     _sample_fraction,
@@ -15,10 +15,11 @@ from qexpander.protocol import (
     estimate_contraction_sq,
     merlin_witness,
     sample_orthogonality,
-    suggested_shots,
 )
-from qexpander.spectral import NonExpanderInstance, spectral_gap_dense
+from qexpander.spectral import NonExpanderInstance
 from qexpander.thermalization import ThermalModel
+
+from oracles import dense_kappa, identity_channel, is_regular, random_traceless, suggested_shots, superoperator
 
 I, X, Y, Z = paulis()
 
@@ -218,8 +219,8 @@ def test_arthur_verifies_non_regular_thermalization_channel():
     rng = rng_from(15)
     model = ThermalModel(random_unitary_channel(2, 3, rng).kraus, r0=0.7, r1=0.3)
     ch = model.channel
-    assert not ch.is_regular
-    kappa = spectral_gap_dense(ch).kappa
+    assert not is_regular(ch)
+    kappa = dense_kappa(ch)
     psi = merlin_witness(ch)
     accept = arthur_verify(NonExpanderInstance(ch, kappa - 0.05, kappa - 0.2), psi)
     assert accept.accepted
@@ -241,7 +242,7 @@ def test_estimate_matches_superoperator_quadratic_form():
     rng = rng_from(3)
     for degree in (2, 3, 4, 5):
         ch = random_unitary_channel(1, degree, rng)
-        w = ch.superoperator()
+        w = superoperator(ch)
         for _ in range(25):
             psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             psi /= np.linalg.norm(psi)
@@ -329,7 +330,7 @@ def test_arthur_sampled_is_deterministic_given_seed():
 def test_merlin_witness_achieves_kappa():
     rng = rng_from(5)
     ch = random_unitary_channel(2, 3, rng)
-    kappa = spectral_gap_dense(ch).kappa
+    kappa = dense_kappa(ch)
     w = merlin_witness(ch)
     assert frobenius(ch.apply(unvec(w))) == pytest.approx(kappa, abs=1e-8)
 

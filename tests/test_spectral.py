@@ -5,54 +5,45 @@ import numpy as np
 import pytest
 
 from qexpander import spectral
-from qexpander.channels import (
-    Channel,
-    channel_power,
-    complete_depolarizer,
-    identity_channel,
-    random_unitary_channel,
-    tensor,
+from qexpander.channels import Channel, channel_power, complete_depolarizer, random_unitary_channel
+from qexpander.circuits import RegisterLayout
+from qexpander.fileio import load_instance, load_reduction_spec
+from qexpander.linalg import frobenius, haar_unitary, paulis, phi_state, rng_from, unvec, vec
+from qexpander.reduction import (
+    build_base_expander,
+    build_reduction,
+    make_reduction_spec,
+    no_verifier,
+    yes_verifier,
 )
-from qexpander.fileio import load_reduction_spec
-from qexpander.linalg import (
-    frobenius,
-    haar_unitary,
-    paulis,
-    phi_state,
-    random_traceless,
-    rng_from,
-    unvec,
-    vec,
-)
-from qexpander.reduction import build_reduction
 from qexpander.spectral import (
     Decision,
     NonExpanderInstance,
-    build_w,
     decide,
     spectral_gap,
-    spectral_gap_dense,
     spectral_gap_iterative,
 )
 from qexpander.thermalization import ThermalModel
+
+from oracles import dense_kappa, dense_rounding, identity_channel, random_traceless, superoperator, tensor
 
 I, X, Y, Z = paulis()
 
 
 def test_build_w_identity():
-    assert np.allclose(build_w(identity_channel(1)), np.eye(4))
+    assert np.allclose(superoperator(identity_channel(1)), np.eye(4))
 
 
 def test_build_w_iz_diagonal():
     # (I(x)I + Z(x)Z)/2 in the |i>|j> basis
-    w = build_w(Channel.uniform((I, Z)))
+    w = superoperator(Channel.uniform((I, Z)))
     assert np.allclose(w, np.diag([1, 0, 0, 1]))
 
 
 def test_build_w_vectorizes_the_channel():
     rng = rng_from(0)
     ch = random_unitary_channel(2, 3, rng)
-    w = build_w(ch)
+    w = superoperator(ch)
     for _ in range(5):
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         assert np.linalg.norm(w @ vec(a) - vec(ch.apply(a))) < 1e-10
@@ -61,43 +52,30 @@ def test_build_w_vectorizes_the_channel():
 def test_build_w_fixes_phi_for_unital_channels():
     rng = rng_from(1)
     for ch in (random_unitary_channel(1, 3, rng), complete_depolarizer()):
-        w = build_w(ch)
+        w = superoperator(ch)
         phi = phi_state(ch.dim)
         assert np.linalg.norm(w @ phi - phi) <= 1e-10
 
 
-def test_build_w_cap(monkeypatch):
-    # W, U and Vh take 3 * 16 * N^4 bytes: 192 GiB at 8 qubits.
-    with pytest.raises(ValueError, match="dense budget"):
-        build_w(identity_channel(8))
-    with pytest.raises(ValueError, match="dense budget"):
-        spectral_gap_dense(identity_channel(8))
-    monkeypatch.setattr(spectral, "DENSE_BUDGET_BYTES", 3 * 16 * 4**4)
-    assert build_w(identity_channel(2)).shape == (16, 16)
-    monkeypatch.setattr(spectral, "DENSE_BUDGET_BYTES", 3 * 16 * 4**4 - 1)
-    with pytest.raises(ValueError, match="dense budget"):
-        build_w(identity_channel(2))
-
-
 def test_dense_gap_examples():
-    assert spectral_gap_dense(complete_depolarizer()).kappa < 1e-12
-    assert abs(spectral_gap_dense(identity_channel(2)).kappa - 1.0) < 1e-12
-    assert abs(spectral_gap_dense(Channel.uniform((I, Z))).kappa - 1.0) < 1e-12
+    assert dense_kappa(complete_depolarizer()) < 1e-12
+    assert abs(dense_kappa(identity_channel(2)) - 1.0) < 1e-12
+    assert abs(dense_kappa(Channel.uniform((I, Z))) - 1.0) < 1e-12
 
 
 def test_dense_witness_is_valid():
     rng = rng_from(2)
     ch = random_unitary_channel(2, 3, rng)
-    rep = spectral_gap_dense(ch)
+    rep = spectral_gap(ch)
     a = unvec(rep.witness)
     assert abs(np.trace(a)) <= 1e-9
     assert abs(np.linalg.norm(rep.witness) - 1) < 1e-12
-    assert abs(frobenius(ch.apply(a)) - rep.kappa) <= 1e-9
+    assert abs(frobenius(ch.apply(a)) - dense_kappa(ch)) <= 1e-9
     assert abs(np.vdot(phi_state(ch.dim), rep.witness)) <= 1e-9
 
 
 def test_depolarizer_witness_degenerate_but_traceless():
-    rep = spectral_gap_dense(complete_depolarizer())
+    rep = spectral_gap(complete_depolarizer())
     assert abs(np.trace(unvec(rep.witness))) <= 1e-9
     assert abs(np.linalg.norm(rep.witness) - 1.0) < 1e-12
 
@@ -105,7 +83,7 @@ def test_depolarizer_witness_degenerate_but_traceless():
 def test_kappa_bounds_contraction_on_random_traceless():
     rng = rng_from(3)
     ch = random_unitary_channel(2, 4, rng)
-    kappa = spectral_gap_dense(ch).kappa
+    kappa = spectral_gap(ch).kappa
     for _ in range(1000):
         a = random_traceless(4, rng)
         assert frobenius(ch.apply(a)) <= (kappa + 1e-8) * frobenius(a)
@@ -115,10 +93,9 @@ def test_iterative_matches_dense():
     rng = rng_from(4)
     for i in range(8):
         ch = random_unitary_channel(2, 2 + i % 3, rng)
-        rd = spectral_gap_dense(ch)
         ri = spectral_gap_iterative(ch, tol=1e-9, seed=i)
         assert ri.converged
-        assert abs(rd.kappa - ri.kappa) < 1e-8
+        assert abs(dense_kappa(ch) - ri.kappa) < 1e-8
 
 
 def test_iterative_depolarizer():
@@ -156,7 +133,7 @@ def test_iterative_rejects_non_finite_tol(tol):
 def test_power_composition_contraction():
     rng = rng_from(7)
     ch = random_unitary_channel(2, 3, rng)
-    kappa = spectral_gap_dense(ch).kappa
+    kappa = dense_kappa(ch)
     kappa_r = spectral_gap_iterative(channel_power(ch, 2), tol=1e-9, seed=1).kappa
     assert kappa_r <= kappa**2 + 1e-8
 
@@ -200,7 +177,7 @@ def test_hermitian_restriction_matches_unrestricted():
     rng = rng_from(8)
     for i in range(5):
         ch = random_unitary_channel(2, 2 + i % 3, rng)
-        full = spectral_gap_dense(ch).kappa
+        full = dense_kappa(ch)
         herm = spectral_gap_hermitian(ch)
         assert abs(full - herm) < 1e-8
 
@@ -224,22 +201,6 @@ def test_decide_yes_no_promise():
     assert abs(rep.kappa - 1.0) < 1e-12
 
 
-def test_dense_gap_matches_projected_oracle():
-    """kappa from W - |phi><phi| equals the top singular value of Pi W Pi."""
-    rng = rng_from(21)
-    weights = rng.random(3)
-    weighted = Channel(random_unitary_channel(2, 3, rng).kraus, weights / weights.sum())
-    staged = Channel.staged((random_unitary_channel(2, 2, rng), weighted))
-    for ch in (random_unitary_channel(2, 4, rng), weighted, staged, complete_depolarizer()):
-        phi = phi_state(ch.dim)
-        pi = np.eye(ch.dim**2) - np.outer(phi, phi.conj())
-        oracle = np.linalg.svd(pi @ ch.superoperator() @ pi, compute_uv=False)[0]
-        report = spectral_gap_dense(ch)
-        assert abs(report.kappa - oracle) < 1e-12
-        assert abs(np.vdot(phi, report.witness)) < 1e-12
-        assert abs(frobenius(ch.apply(unvec(report.witness))) - oracle) < 1e-10
-
-
 def _thermal_channel(qubits, r0, r1, rng):
     unitaries = tuple(haar_unitary(2**qubits, rng) for _ in range(3))
     return ThermalModel(unitaries, r0, r1).channel
@@ -259,11 +220,11 @@ ENGINE_CHANNELS = {
 
 
 def _check_engine_against_dense(ch):
-    dense = spectral_gap_dense(ch)
+    dense = dense_kappa(ch)
     lanczos = spectral_gap_iterative(ch, tol=1e-9, seed=5)
     assert lanczos.converged
-    assert abs(lanczos.kappa - dense.kappa) < 1e-10
-    assert abs(lanczos.kappa - dense.kappa) <= lanczos.error_bound + dense.error_bound
+    assert abs(lanczos.kappa - dense) < 1e-10
+    assert abs(lanczos.kappa - dense) <= lanczos.error_bound + dense_rounding(ch)
     assert 0.0 < lanczos.error_bound < 1e-7
     assert lanczos.residual <= 1e-9 * 2.0 * lanczos.kappa
     assert lanczos.matvecs >= 1 and lanczos.iterations >= 1
@@ -276,6 +237,56 @@ def _check_engine_against_dense(ch):
 @pytest.mark.parametrize("name", ENGINE_CHANNELS)
 def test_lanczos_matches_dense(name):
     _check_engine_against_dense(ENGINE_CHANNELS[name])
+
+
+def _small_reduction(verifier):
+    layout = RegisterLayout(1, 1)
+    base, kappa_f = build_base_expander(layout.verifier_qubits, seed=3)
+    spec = make_reduction_spec(verifier(layout), layout, 1.0, 0.0, base, kappa_f)
+    return build_reduction(spec)
+
+
+ORACLE_CASES = {
+    **{
+        f"corpus-{name}": lambda corpus, name=name: load_instance(corpus / "instances" / f"{name}.json").channel
+        for name in ("depolarizer_1q", "hadamard_pair_1q", "identity_1q", "identity_z_1q")
+    },
+    "depolarizer-signed": lambda _: complete_depolarizer(signed=True),
+    "depolarizer-unsigned": lambda _: complete_depolarizer(signed=False),
+    "identity-1q": lambda _: identity_channel(1),
+    "identity-3q": lambda _: identity_channel(3),
+    "IZ": lambda _: Channel.uniform((I, Z)),
+    **{f"D=8-{q}q": lambda _, q=q: random_unitary_channel(q, 8, rng_from(37, q)) for q in (1, 2, 3)},
+    "thermal-1q-weighted": lambda _: _thermal_channel(1, 0.8, 0.2, rng_from(38)),
+    "reduction-1w1a-no": lambda _: _small_reduction(no_verifier),
+    "reduction-1w1a-yes": lambda _: _small_reduction(yes_verifier),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_engine_matches_dense_oracle_where_dense_used_to_run(corpus, name):
+    """The sizes the dense route served (N <= 8): the one engine agrees with
+    the SVD oracle within 1e-10 and within its own error bar."""
+    ch = ORACLE_CASES[name](corpus)
+    assert ch.dim <= 8
+    dense = dense_kappa(ch)
+    rep = spectral_gap(ch)
+    assert rep.converged and rep.method == "iterative"
+    assert abs(rep.kappa - dense) < 1e-10
+    assert abs(rep.kappa - dense) <= rep.error_bound + dense_rounding(ch)
+    a = unvec(rep.witness)
+    assert abs(np.trace(a)) < 1e-12
+    assert abs(frobenius(ch.apply(a)) - dense) < 1e-10
+
+
+@pytest.mark.parametrize("method", ["dense", "auto"])
+def test_spectral_gap_has_one_route(method):
+    ch = Channel.uniform((I, Z))
+    with pytest.raises(ValueError, match="only gap route"):
+        spectral_gap(ch, method=method)
+    with pytest.raises(ValueError, match="only gap route"):
+        decide(NonExpanderInstance(ch, 0.9, 0.5), method=method)
+    assert spectral_gap(ch, method="iterative").method == "iterative"
 
 
 @pytest.mark.slow
@@ -313,7 +324,7 @@ def test_lanczos_invariant_krylov_space_converges():
 
 def test_lanczos_restarts_stay_accurate(monkeypatch):
     ch = random_unitary_channel(4, 8, rng_from(32))
-    dense = spectral_gap_dense(ch).kappa
+    dense = dense_kappa(ch)
     monkeypatch.setattr(spectral, "LANCZOS_BASIS", 8)
     monkeypatch.setattr(spectral, "LANCZOS_KEEP", 3)
     rep = spectral_gap_iterative(ch, tol=1e-10, seed=4)
@@ -321,28 +332,23 @@ def test_lanczos_restarts_stay_accurate(monkeypatch):
     assert abs(rep.kappa - dense) < 1e-10
 
 
-def test_auto_route_crossover():
-    assert spectral_gap(random_unitary_channel(3, 3, rng_from(33))).method == "dense"
-    assert spectral_gap(random_unitary_channel(4, 3, rng_from(33))).method == "iterative"
-
-
 def test_decide_unconverged_is_uncertified():
     ch = random_unitary_channel(2, 8, rng_from(34))
     inst = NonExpanderInstance(ch, 0.99, 0.95)
-    decision, rep = decide(inst, method="iterative", max_iter=1)
+    decision, rep = decide(inst, max_iter=1)
     assert not rep.converged and rep.matvecs == 1
     assert decision is Decision.UNCERTIFIED
-    decision, rep = decide(inst, method="iterative")
+    decision, rep = decide(inst)
     assert rep.converged and decision is Decision.NO
 
 
 def test_decide_threshold_within_error_bound_is_uncertified():
     ch = random_unitary_channel(2, 8, rng_from(35))
-    kappa = spectral_gap_dense(ch).kappa
-    decision, rep = decide(NonExpanderInstance(ch, 0.99, kappa), method="dense")
-    assert rep.error_bound == 16 * np.finfo(float).eps
+    kappa = dense_kappa(ch)
+    decision, rep = decide(NonExpanderInstance(ch, 0.99, kappa))
+    assert rep.converged and abs(rep.kappa - kappa) <= rep.error_bound
     assert decision is Decision.UNCERTIFIED
-    decision, _ = decide(NonExpanderInstance(ch, 0.99, kappa + 1e-6), method="dense")
+    decision, _ = decide(NonExpanderInstance(ch, 0.99, kappa + 1e-6))
     assert decision is Decision.NO
 
 

@@ -3,9 +3,11 @@ import pytest
 import scipy.linalg
 
 from qexpander.channels import Channel
-from qexpander.linalg import frobenius, haar_unitary, paulis, random_operator, rng_from, unvec, vec
-from qexpander.spectral import spectral_gap, spectral_gap_dense
+from qexpander.linalg import frobenius, haar_unitary, paulis, rng_from, unvec, vec
+from qexpander.spectral import spectral_gap
 from qexpander.thermalization import ThermalModel, decay_bound_check, evolve
+
+from oracles import dense_kappa, random_operator, superoperator
 
 I, X, Y, Z = paulis()
 
@@ -36,7 +38,7 @@ def random_open_model(seed, qubits=2, degree=2, r0=1.3, r1=0.2):
 
 def dense_propagator(model, rho0, times):
     """Oracle: exp(t gamma (W - I)) vec(rho0) from the dense superoperator W."""
-    w = model.channel.superoperator()
+    w = superoperator(model.channel)
     gen = model.rate * (w - np.eye(w.shape[0]))
     return [unvec(scipy.linalg.expm(t * gen) @ vec(rho0)) for t in times]
 
@@ -142,7 +144,7 @@ def test_non_mixing_model_matches_dense_propagator():
     # commuting diagonal unitaries fix every diagonal state: kappa = 1
     phases = rng_from(18).uniform(0, 2 * np.pi, (2, 4))
     model = ThermalModel(tuple(np.diag(np.exp(1j * p)) for p in phases), r0=0.4, r1=1.1)
-    assert spectral_gap_dense(model.channel).kappa == pytest.approx(1.0, abs=1e-12)
+    assert dense_kappa(model.channel) == pytest.approx(1.0, abs=1e-12)
     rho0 = random_density(4, rng_from(19))
     times = np.array([0.0, 1.0, 100.0]) / model.rate
     traj = evolve(model, rho0, times)
@@ -163,7 +165,7 @@ def test_trajectory_invariants():
 
 def test_convergence_to_maximally_mixed():
     model = random_closed_model(7)
-    kappa = spectral_gap_dense(model.channel).kappa
+    kappa = dense_kappa(model.channel)
     assert kappa < 1
     horizon = 20.0 / (model.rate * (1 - kappa))
     rho0 = random_density(4, rng_from(8))
@@ -187,7 +189,7 @@ def test_decay_bound_random_models():
     for seed in range(3):
         model = random_closed_model(20 + seed)
         rho0 = random_density(4, rng_from(30 + seed))
-        gamma_eff = model.rate * (1 - spectral_gap_dense(model.channel).kappa)
+        gamma_eff = model.rate * (1 - dense_kappa(model.channel))
         times = np.geomspace(1e-3, 10.0 / gamma_eff, 20)
         report = decay_bound_check(model, rho0, times)
         assert report.satisfied
