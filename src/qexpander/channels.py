@@ -15,9 +15,11 @@ read-only (D,) array, and optionally a 0/1 control vector c over the
 computational basis of the other m - k qubits.  Its elements on the full
 space are P (U_d (x) I) + Q with P = diag(c) (x) I_T and Q = I - P; P
 commutes with every lifted U_d by construction.  A flat stage has T = all
-qubits and no control.  Power compositions of expanders and the hardness
-reduction are multi-stage, since their flattened degree grows
-geometrically: the Kraus products are never materialized.
+qubits and no control.  The read-only operands that `apply` multiplies by
+are built once, with the stage; its adjoint shares both Kraus stacks.
+Power compositions of expanders and the hardness reduction are
+multi-stage, since their flattened degree grows geometrically: the Kraus
+products are never materialized.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ class Channel:
     unitary Kraus mixtures, asserted anyway).
     """
 
-    __slots__ = ("_kraus", "_weights", "_stages", "_qubits", "_targets", "_control", "_layout", "_mean")
+    __slots__ = ("_kraus", "_kraus_h", "_right", "_weights", "_stages",
+                 "_qubits", "_targets", "_control", "_layout", "_mean", "_mean_h")
 
     def __init__(self, kraus, weights, *, qubits=None, targets=None, control=None):
         try:
@@ -61,7 +64,8 @@ class Channel:
             raise ValueError(f"expected a stack of square Kraus operators, got shape {x.shape}")
         dim = x.shape[1]
         k = qubits_for_dim(dim)
-        defect = np.linalg.norm(x.conj().transpose(0, 2, 1) @ x - np.eye(dim), axis=(1, 2)).max()
+        xh = x.conj().transpose(0, 2, 1)
+        defect = np.linalg.norm(xh @ x - np.eye(dim), axis=(1, 2)).max()
         if not defect <= 1e-10 * dim:
             raise ValueError(f"matrix is not unitary: ||U^dag U - I||_F = {defect:.3e}")
         w = np.array(weights, dtype=float).reshape(-1)
@@ -81,28 +85,44 @@ class Channel:
                 raise ValueError(f"control must be a 0/1 vector of length {2 ** (m - k)}")
             control = control == 1
             control.setflags(write=False)
-        x.setflags(write=False)
-        w.setflags(write=False)
-        self._kraus, self._weights, self._stages = x, w, ()
-        self._qubits, self._targets, self._control = m, targets, control
-        self._layout = self._mean = None
+        layout = None
         if targets != tuple(range(m)) or control is not None:
             # Basis order putting the controlled subspace first, as
             # (rest, target) index pairs: there the elements are I (x) U_d.
             idx = split_index(m, targets)
             on, off = (idx, idx[:0]) if control is None else (idx[control], idx[~control])
             order = np.concatenate([on.ravel(), off.ravel()])
-            self._layout = order, np.argsort(order), on.size
-            self._mean = np.tensordot(w, x, axes=1)
+            layout = order, np.argsort(order), on.size
+        self._set_stage(x, np.ascontiguousarray(xh), w, m, targets, control, layout)
         eye = np.eye(2**m)
         defect = frobenius(self.apply(eye) - eye)
         if not defect <= ATOL:
             raise ValueError(f"channel is not unital: ||Phi(I) - I||_F = {defect:.3e}")
 
+    def _set_stage(self, x, xh, w, qubits, targets, control, layout) -> None:
+        """Store a validated stage and build its apply operands once, all
+        read-only: the stacks U_d and U_d^dag, the stacked
+        [w_1 U_1^dag; ...; w_D U_D^dag] as a (D k, k) GEMM operand, and for a
+        structured stage M = sum_d w_d U_d and M^dag."""
+        d, k = x.shape[:2]
+        right = (w[:, None, None] * xh).reshape(d * k, k)
+        mean = mean_h = None
+        if layout is not None:
+            mean = np.tensordot(w, x, axes=1)
+            mean_h = mean.conj().T.copy()
+        for arr in (x, xh, w, right, mean, mean_h):
+            if arr is not None:
+                arr.setflags(write=False)
+        self._kraus, self._kraus_h, self._right, self._weights, self._stages = x, xh, right, w, ()
+        self._qubits, self._targets, self._control = qubits, targets, control
+        self._layout, self._mean, self._mean_h = layout, mean, mean_h
+
     @classmethod
     def uniform(cls, kraus) -> "Channel":
         """D-regular channel: uniform weights 1/D."""
         kraus = tuple(kraus)
+        if not kraus:
+            raise ValueError("channel needs at least one Kraus operator")
         return cls(kraus, np.full(len(kraus), 1.0 / len(kraus)))
 
     @classmethod
@@ -187,50 +207,55 @@ class Channel:
     def apply(self, a: np.ndarray) -> np.ndarray:
         """Phi(A), stage by stage.
 
-        A flat stage is sum_d w_d U_d A U_d^dag as one batched matmul.  A
-        structured stage reorders the basis so that the controlled subspace
-        comes first as (rest, target) pairs, and computes
+        A flat stage is sum_d w_d U_d A U_d^dag as two GEMMs: the stacked
+        [U_1; ...; U_D] times A, laid side by side as [U_1 A, ..., U_D A],
+        times the stacked [w_1 U_1^dag; ...; w_D U_D^dag], which also sums
+        over d.  A structured stage reorders the basis so that the
+        controlled subspace comes first as (rest, target) pairs, and computes
 
             Phi_T(P A P) + P M A Q + Q A M^dag P + Q A Q,    M = sum_d w_d U_d,
 
-        with the Kraus operators acting on the target index only.  This is
+        with the same two GEMMs acting on the target index only.  This is
         exact for any weights; the cross terms vanish for zero-sum stages.
         """
         a = np.asarray(a, dtype=complex)
         if a.shape != (self.dim, self.dim):
             raise ValueError(f"operator shape {a.shape} does not match channel dimension {self.dim}")
         for s in self.stages:
-            x, w = s._kraus, s._weights
-            xh = x.conj().transpose(0, 2, 1)
             if s._layout is None:
-                a = np.tensordot(w, x @ a @ xh, axes=1)
+                a = _mix(s, a)
                 continue
             order, inverse, p = s._layout
-            n, k = len(order), x.shape[1]
+            n, k = len(order), s._kraus.shape[1]
             a = a.take(order, 0).take(order, 1)
             out = np.empty_like(a)
-            # U_d on the row targets, then U_d^dag on the column targets (last).
-            y = (x @ _target_major(a[:p, :p], k)).reshape(len(w), -1, k) @ xh
-            out[:p, :p] = _rest_major(w @ y.reshape(len(w), -1), k, p, p)
+            out[:p, :p] = _rest_major(_mix(s, _target_major(a[:p, :p], k)), k, p, p)
             if p < n:
                 out[:p, p:] = _rest_major(s._mean @ _target_major(a[:p, p:], k), k, p, n - p)
-                out[p:, :p] = (a[p:, :p].reshape(-1, k) @ s._mean.conj().T).reshape(n - p, p)
+                out[p:, :p] = (a[p:, :p].reshape(-1, k) @ s._mean_h).reshape(n - p, p)
                 out[p:, p:] = a[p:, p:]
             a = out.take(inverse, 0).take(inverse, 1)
         return a
 
     def adjoint(self) -> "Channel":
         """The Hilbert-Schmidt adjoint: stages reversed, each with the same
-        weights, targets and control and the Kraus set {U_d^dag}."""
+        weights, targets and control and the Kraus set {U_d^dag}.  The
+        stages are already validated, so they are not checked again."""
         if self._stages:
             return Channel.staged(s.adjoint() for s in reversed(self._stages))
-        return Channel(
-            self._kraus.conj().transpose(0, 2, 1),
-            self._weights,
-            qubits=self._qubits,
-            targets=self._targets,
-            control=self._control,
+        out = object.__new__(Channel)
+        out._set_stage(
+            self._kraus_h, self._kraus, self._weights, self._qubits, self._targets, self._control, self._layout
         )
+        return out
+
+
+def _mix(stage: Channel, b: np.ndarray) -> np.ndarray:
+    """sum_d w_d U_d B U_d^dag for a (k, cols) matrix B whose row index and
+    last column index are the k-dimensional target index."""
+    d, k = stage._kraus.shape[:2]
+    side_by_side = (stage._kraus.reshape(d * k, k) @ b).reshape(d, -1, k).transpose(1, 0, 2).reshape(-1, d * k)
+    return (side_by_side @ stage._right).reshape(b.shape)
 
 
 def _target_major(block: np.ndarray, k: int) -> np.ndarray:

@@ -10,9 +10,16 @@ eigenvalues: W need not be normal.
 kappa is computed matrix-free, at every N, by a thick-restart Lanczos
 solver for the top eigenvalue kappa^2 of the Hermitian map
 M = Pi W^dag W Pi, realized as two channel applications per application
-of M; W is never formed.  Every report carries an error bar on kappa, and
-`decide` answers YES or NO only when convergence and that error bar back
-the answer.
+of M; W is never formed.  The solve runs in real coordinates on the
+traceless Hermitian matrices, a real space of dimension N^2 - 1: a
+Hermitian A has coordinates x = vec(Re A + Im A), an isometry, and
+A = (X + X^T)/2 + i (X - X^T)/2.  This loses nothing.  Phi and Phi^dag
+preserve Hermiticity, and M commutes with A -> A^dag and with
+multiplication by i, so M on all operators is two copies of M on the
+Hermitian ones (A = H + iK with H, K Hermitian); the spectrum, hence
+kappa, is unchanged, and the witness comes out Hermitian.  Every report
+carries an error bar on kappa, and `decide` answers YES or NO only when
+convergence and that error bar back the answer.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import phi_state, rng_from, unvec, vec
+from .linalg import rng_from, vec
 
 #: Thick-restart Lanczos: vectors in the basis, Ritz pairs kept on restart.
 LANCZOS_BASIS = 24
@@ -43,8 +50,9 @@ class Decision(str, enum.Enum):
 class GapReport:
     """Result of a contraction-coefficient computation.
 
-    `witness` is a unit vector in the traceless subspace achieving (within
-    tolerance) ||Phi(unvec(witness))||_F = kappa.  `error_bound` bounds
+    `witness` is a Hermitian traceless unit vector, vec(A) for a Hermitian
+    A with tr A = 0 and ||A||_F = 1, achieving (within tolerance)
+    ||Phi(unvec(witness))||_F = kappa.  `error_bound` bounds
     |kappa - true kappa| (see spectral_gap_iterative).  `residual` is the
     final eigen-residual ||M y - kappa^2 y|| of the top Ritz pair.
     `matvecs` counts applications of M = Pi W^dag W Pi and `iterations` the
@@ -85,40 +93,51 @@ class NonExpanderInstance:
         object.__setattr__(self, "separation", float(self.alpha - self.beta))
 
 
-def _deflate(v: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    return v - np.vdot(phi, v) * phi
+def _deflate(x: np.ndarray, dim: int) -> np.ndarray:
+    """Remove, in place, the component of real coordinates x along vec(I)/sqrt(N):
+    subtract tr(X)/N from the diagonal of X = unvec(x)."""
+    diag = x[:: dim + 1]
+    diag -= diag.sum() / dim
+    return x
 
 
-def _canonical_traceless(dim: int) -> np.ndarray:
-    """A fixed traceless unit direction, used when the maximizer is degenerate."""
-    a = np.zeros((dim, dim), dtype=complex)
-    a[0, 0], a[1, 1] = 1.0, -1.0
-    return vec(a) / np.sqrt(2.0)
+def _hermitian(x: np.ndarray, dim: int) -> np.ndarray:
+    """The Hermitian matrix A = (X + X^T)/2 + i (X - X^T)/2 with real
+    coordinates x = vec(X); the inverse map is X = Re A + Im A."""
+    m = x.reshape(dim, dim)
+    a = np.empty((dim, dim), dtype=complex)
+    np.add(m, m.T, out=a.real)
+    np.subtract(m, m.T, out=a.imag)
+    a *= 0.5
+    return a
 
 
-def _unit_traceless(v: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Project onto the traceless subspace and normalize, reorthogonalizing
-    to avoid catastrophic cancellation when v is nearly parallel to phi."""
+def _unit_traceless(x: np.ndarray, dim: int) -> np.ndarray:
+    """Project onto the traceless subspace and normalize, twice, to avoid
+    catastrophic cancellation when x is nearly parallel to vec(I); a fixed
+    traceless direction stands in when x is numerically zero there."""
+    x = x.copy()
     for _ in range(2):
-        v = _deflate(v, phi)
-        norm = np.linalg.norm(v)
+        norm = np.linalg.norm(_deflate(x, dim))
         if norm < 1e-8:
-            return _canonical_traceless(int(round(np.sqrt(phi.size))))
-        v = v / norm
-    return v
+            x = np.zeros(dim * dim)
+            x[0], x[dim + 1] = 1.0, -1.0
+            return x / np.sqrt(2.0)
+        x /= norm
+    return x
 
 
-def _wdag_w_apply(channel, adjoint, v: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """One application of Pi W^dag W Pi, via Phi then its adjoint channel."""
-    v = _deflate(v, phi)
-    mid = vec(channel.apply(unvec(v)))
-    mid = _deflate(mid, phi)
-    out = vec(adjoint.apply(unvec(mid)))
-    return _deflate(out, phi)
+def _m_apply(channel, adjoint, x: np.ndarray, dim: int) -> np.ndarray:
+    """M x in real coordinates: Phi, then its adjoint channel, on the
+    Hermitian matrix with coordinates x.  Both channels are unital and
+    trace preserving, so a traceless x stays traceless and one deflation of
+    the output removes the rounding along vec(I)."""
+    b = adjoint.apply(channel.apply(_hermitian(x, dim)))
+    return _deflate((b.real + b.imag).ravel(), dim)
 
 
-def _iterative_report(theta, y, phi, cycles, resid, converged, matvecs) -> GapReport:
-    # For Hermitian M the Ritz value lies within resid of an eigenvalue, so
+def _iterative_report(theta, y, dim, cycles, resid, converged, matvecs) -> GapReport:
+    # For symmetric M the Ritz value lies within resid of an eigenvalue, so
     # |kappa_est^2 - kappa^2| <= resid and |kappa_est - kappa| <= min(resid/kappa, sqrt(resid)).
     kappa = float(np.sqrt(max(theta, 0.0)))
     bound = float(np.sqrt(resid))
@@ -126,7 +145,7 @@ def _iterative_report(theta, y, phi, cycles, resid, converged, matvecs) -> GapRe
         bound = min(resid / kappa, bound)
     return GapReport(
         kappa=kappa,
-        witness=_unit_traceless(y, phi),
+        witness=vec(_hermitian(_unit_traceless(y, dim), dim)),
         method="iterative",
         iterations=cycles,
         residual=float(resid),
@@ -142,73 +161,82 @@ def spectral_gap_iterative(
     max_iter: int = 10000,
     seed: int = 0,
 ) -> GapReport:
-    """Matrix-free kappa by thick-restart Lanczos on M = Pi W^dag W Pi.
+    """Matrix-free kappa by thick-restart Lanczos on M = Pi W^dag W Pi,
+    restricted to the traceless Hermitian matrices in the real coordinates
+    x = vec(Re A + Im A) (see the module docstring: kappa is unchanged).
 
     The basis V holds at most LANCZOS_BASIS orthonormal traceless vectors
-    (and at most N^2); each new one is M times the last, reorthogonalized
-    against V twice.  M V is stored next to V, so the Rayleigh-Ritz matrix
-    V^H (M V) needs no extra application of M, and neither does a restart,
-    which keeps the top LANCZOS_KEEP Ritz pairs (Wu & Simon, SIAM J. Matrix
-    Anal. Appl. 22, 2000).  Each application of M costs two channel
-    applications (Phi, then the adjoint channel with Kraus {U_d^dag} and
-    the same weights).
+    (and at most N^2 - 1); each new one is M times the last,
+    reorthogonalized against V twice.  M V is stored next to V, so the
+    Rayleigh-Ritz matrix V^T (M V) needs no extra application of M, and
+    neither does a restart, which keeps the top LANCZOS_KEEP Ritz pairs (Wu &
+    Simon, SIAM J. Matrix Anal. Appl. 22, 2000).  Each application of M
+    costs two channel applications (Phi, then the adjoint channel with Kraus
+    {U_d^dag} and the same weights).
 
     The solve is converged when the top Ritz pair (theta, y) satisfies
     ||M y - theta y|| <= tol max(2 sqrt(theta), tol), which certifies
     |kappa_est - kappa| below about tol, or when the Krylov space becomes
-    invariant (then the Ritz values are eigenvalues).  If M annihilates the
-    start vector, kappa = 0 and the solve is converged.  `max_iter` caps the
-    applications of M; reaching it returns converged=False and never
-    raises.  The one start vector comes from rng_from(seed, 0), so the
-    result is deterministic given `seed`.
+    invariant (then the Ritz values are eigenvalues).  The residual is
+    estimated each step as |s_last| ||q||, with s the top Ritz vector of the
+    Rayleigh-Ritz matrix and q the next Lanczos direction; y and its true
+    residual are formed only when that estimate passes, and the true
+    residual decides.  If M annihilates the start vector, kappa = 0 and the
+    solve is converged.  `max_iter` caps the applications of M; reaching it
+    returns converged=False and never raises.  The one start vector comes
+    from rng_from(seed, 0), so the result is deterministic given `seed`.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    dim = channel.dim
+    if dim < 2:
+        raise ValueError("a 1 x 1 channel has no traceless direction, so kappa is undefined")
     adjoint = channel.adjoint()
-    n2 = channel.dim**2
-    phi = phi_state(channel.dim)
+    n = dim * dim
     rng = rng_from(seed, 0)
-    v = _unit_traceless(rng.standard_normal(n2) + 1j * rng.standard_normal(n2), phi)
-    mv = _wdag_w_apply(channel, adjoint, v, phi)
+    v = _unit_traceless(rng.standard_normal(n), dim)
+    mv = _m_apply(channel, adjoint, v, dim)
     action = float(np.linalg.norm(mv))
     if action <= 1e-14:
         # The action on a generic start is numerically zero: kappa ~ 0.
-        return _iterative_report(0.0, v, phi, 1, action, True, 1)
+        return _iterative_report(0.0, v, dim, 1, action, True, 1)
 
-    size = min(LANCZOS_BASIS, n2)
+    size = min(LANCZOS_BASIS, n - 1)
     keep = min(LANCZOS_KEEP, size - 1)
-    basis = np.empty((size, n2), dtype=complex)  # rows: orthonormal vectors v_i
-    images = np.empty((size, n2), dtype=complex)  # rows: M v_i
-    ritz = np.zeros((size, size), dtype=complex)  # lower triangle of V^H M V
+    basis = np.empty((size, n))  # rows: orthonormal vectors v_i
+    images = np.empty((size, n))  # rows: M v_i
+    ritz = np.zeros((size, size))  # lower triangle of V^T M V
     basis[0], images[0] = v, mv
     k, cycles, matvecs = 0, 1, 1
     while True:
-        ritz[k, : k + 1] = basis[: k + 1] @ images[k].conj()
+        ritz[k, : k + 1] = basis[: k + 1] @ images[k]
         k += 1
         thetas, vecs = np.linalg.eigh(ritz[:k, :k])  # eigh reads the lower triangle
         theta, s = float(thetas[-1]), vecs[:, -1]
-        y = s @ basis[:k]
-        resid = float(np.linalg.norm(s @ images[:k] - theta * y))
-        if resid <= tol * max(2.0 * np.sqrt(max(theta, 0.0)), tol):
-            return _iterative_report(theta, y, phi, cycles, resid, True, matvecs)
-        # The next Lanczos direction: M v_last, orthogonal to V and phi.
-        q = images[k - 1].copy()
-        for _ in range(2):
-            q = _deflate(q - (basis[:k].conj() @ q) @ basis[:k], phi)
+        target = tol * max(2.0 * float(np.sqrt(max(theta, 0.0))), tol)
+        # The next Lanczos direction: M v_last, orthogonal to V.  The first
+        # pass reuses the Ritz row V^T M v_last; the deflation keeps the
+        # rounding along vec(I) from growing when beta is small.
+        q = images[k - 1] - ritz[k - 1, :k] @ basis[:k]
+        q = _deflate(q - (basis[:k] @ q) @ basis[:k], dim)
         beta = float(np.linalg.norm(q))
         invariant = beta <= 1e-12  # then the Ritz values are eigenvalues
-        if invariant or matvecs >= max_iter:
-            return _iterative_report(theta, y, phi, cycles, resid, invariant, matvecs)
+        stop = invariant or matvecs >= max_iter
+        if stop or abs(s[-1]) * beta <= target:
+            y = s @ basis[:k]
+            resid = float(np.linalg.norm(s @ images[:k] - theta * y))
+            if stop or resid <= target:
+                return _iterative_report(theta, y, dim, cycles, resid, invariant or resid <= target, matvecs)
         if k == size:
             # Thick restart on the top `keep` Ritz vectors: q is orthogonal
-            # to them already, and V^H M V becomes diagonal.
+            # to them already, and V^T M V becomes diagonal.
             top = vecs[:, ::-1][:, :keep]
             basis[:keep], images[:keep] = top.T @ basis[:k], top.T @ images[:k]
             ritz[:keep, :keep] = np.diag(thetas[::-1][:keep])
             k = keep
             cycles += 1
         basis[k] = q / beta
-        images[k] = _wdag_w_apply(channel, adjoint, basis[k], phi)
+        images[k] = _m_apply(channel, adjoint, basis[k], dim)
         matvecs += 1
 
 

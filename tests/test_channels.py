@@ -319,3 +319,63 @@ def test_structured_stage_validation():
     off = Channel(x, w, qubits=2, targets=(1,), control=[0, 0])
     a = random_operator(4, rng_from(44))
     assert frobenius(off.apply(a) - a) < 1e-15
+
+
+def test_uniform_rejects_empty_kraus_list():
+    with pytest.raises(ValueError, match="at least one Kraus operator"):
+        Channel.uniform(())
+
+
+def _apply_cases():
+    """(name, channel) pairs: flat and structured stages, each with uniform
+    and with non-uniform weights."""
+    m, targets, ctrl, pattern, negate = STRUCTURED_CASES["non-contiguous, pattern"]
+    control = _control_vector(m, targets, ctrl, pattern, negate)
+    rng = rng_from(45)
+    out = []
+    for weighting in ("uniform", "weighted"):
+        weights = np.full(3, 1 / 3) if weighting == "uniform" else rng.random(3)
+        weights = weights / weights.sum()
+        flat = random_unitary_channel(3, 3, rng).kraus
+        small = random_unitary_channel(len(targets), 3, rng).kraus
+        out.append((f"flat, {weighting}", Channel(flat, weights)))
+        out.append((f"structured, {weighting}", Channel(small, weights, qubits=m, targets=targets, control=control)))
+    return out
+
+
+APPLY_CASES = dict(_apply_cases())
+
+
+@pytest.mark.parametrize("name", APPLY_CASES)
+def test_apply_matches_lifted_kraus_sum(name):
+    ch = APPLY_CASES[name]
+    a = random_operator(ch.dim, rng_from(46))
+    assert frobenius(a - a.conj().T) > 1.0  # not Hermitian
+    oracle = sum(w * (k @ a @ k.conj().T) for w, k in zip(ch.weights, ch.kraus))
+    assert frobenius(ch.apply(a) - oracle) < 1e-12
+    adjoint = sum(w * (k.conj().T @ a @ k) for w, k in zip(ch.weights, ch.kraus))
+    assert frobenius(ch.adjoint().apply(a) - adjoint) < 1e-12
+
+
+@pytest.mark.parametrize("name", APPLY_CASES)
+def test_apply_adjoint_pairing(name):
+    ch = APPLY_CASES[name]
+    rng = rng_from(47)
+    for channel in (ch, Channel.staged((ch, ch.adjoint(), ch))):
+        adjoint = channel.adjoint()
+        for _ in range(3):
+            a, b = random_operator(ch.dim, rng), random_operator(ch.dim, rng)
+            assert abs(np.vdot(b, channel.apply(a)) - np.vdot(adjoint.apply(b), a)) < 1e-11
+
+
+@pytest.mark.parametrize("name", APPLY_CASES)
+def test_stage_operands_are_read_only(name):
+    ch = APPLY_CASES[name]
+    for stage in (ch, ch.adjoint()):
+        operands = [stage._kraus, stage._kraus_h, stage._right, stage._weights]
+        if stage._layout is not None:
+            operands += [stage._mean, stage._mean_h]
+        for arr in operands:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0.0

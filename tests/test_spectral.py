@@ -371,3 +371,73 @@ def test_iterative_solve_does_not_import_scipy_sparse():
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "[]"
+
+
+def test_spectral_gap_rejects_1x1_channel():
+    with pytest.raises(ValueError, match="no traceless direction"):
+        spectral_gap(Channel.uniform((np.eye(1),)))
+
+
+def test_engine_keeps_the_imaginary_part():
+    # (A + YAY)/2 fixes Y and kills X and Z.  Y is purely imaginary, so an
+    # engine that dropped the antisymmetric coordinates would see kappa = 0.
+    rep = spectral_gap_iterative(Channel.uniform((I, Y)), seed=3)
+    assert rep.converged and abs(rep.kappa - 1.0) < 1e-12
+    assert abs(abs(np.vdot(vec(Y), rep.witness)) - np.sqrt(2.0)) < 1e-12
+
+
+def _weighted_flat(rng):
+    weights = rng.random(5)
+    return Channel(random_unitary_channel(3, 5, rng).kraus, weights / weights.sum())
+
+
+def _controlled(rng):
+    weights = rng.random(4)
+    kraus = random_unitary_channel(1, 4, rng).kraus
+    return Channel(kraus, weights / weights.sum(), qubits=3, targets=(1,), control=[1, 0, 1, 1])
+
+
+REAL_ENGINE_CASES = {
+    "flat, non-uniform weights": _weighted_flat,
+    "two stages, non-normal": lambda rng: Channel.staged([random_unitary_channel(3, 2, rng), _weighted_flat(rng)]),
+    "structured, controlled": _controlled,
+}
+
+
+@pytest.mark.parametrize("name", REAL_ENGINE_CASES)
+def test_real_engine_matches_dense_oracle(name):
+    ch = REAL_ENGINE_CASES[name](rng_from(48, sorted(REAL_ENGINE_CASES).index(name)))
+    if name.startswith("two stages"):
+        w = superoperator(ch)
+        assert np.linalg.norm(w @ w.conj().T - w.conj().T @ w) > 1e-3
+    rep = spectral_gap_iterative(ch, seed=6)
+    assert rep.converged
+    assert abs(rep.kappa - dense_kappa(ch)) < 1e-9
+    a = unvec(rep.witness)
+    assert np.max(np.abs(a - a.conj().T)) < 1e-12
+    assert abs(np.trace(a)) < 1e-12
+    assert abs(np.linalg.norm(rep.witness) - 1.0) < 1e-12
+    assert abs(frobenius(ch.apply(a)) - rep.kappa) <= rep.error_bound
+
+
+def test_engine_applies_the_channel_twice_per_matvec(monkeypatch):
+    calls = []
+    apply = Channel.apply
+
+    def counting_apply(self, a):
+        calls.append(1)
+        return apply(self, a)
+
+    monkeypatch.setattr(Channel, "apply", counting_apply)
+    rng = rng_from(49)
+    channels = [
+        random_unitary_channel(3, 4, rng),
+        channel_power(random_unitary_channel(2, 3, rng), 2),
+        _controlled(rng),
+        complete_depolarizer(),
+    ]
+    for ch in channels:
+        calls.clear()
+        rep = spectral_gap_iterative(ch, seed=7)
+        assert rep.converged and rep.matvecs >= 1
+        assert len(calls) == 2 * rep.matvecs
