@@ -173,14 +173,14 @@ def gate_matrix(gate: Gate, num_qubits: int) -> np.ndarray:
     return proj @ lifted + (np.eye(n, dtype=complex) - proj)
 
 
-def simulate_unitary(circuit: GateCircuit, cap_qubits: int = SIM_CAP_QUBITS) -> np.ndarray:
+def simulate_unitary(circuit: GateCircuit) -> np.ndarray:
     """Product of the gate matrices in circuit order.
 
     For small circuits (m <= 6) the unitarity of the result is asserted.
     """
-    if circuit.num_qubits > cap_qubits:
+    if circuit.num_qubits > SIM_CAP_QUBITS:
         raise ValueError(
-            f"{circuit.num_qubits}-qubit circuit exceeds the dense simulation cap ({cap_qubits})"
+            f"{circuit.num_qubits}-qubit circuit exceeds the dense simulation cap ({SIM_CAP_QUBITS})"
         )
     u = np.eye(2**circuit.num_qubits, dtype=complex)
     for gate in circuit.gates:
@@ -194,12 +194,8 @@ def multi_controlled(base, target: int, controls, polarities=None) -> Gate:
     """Native multi-controlled gate applying `base` on `target` iff every
     control matches its polarity bit (polarity 0 = control on |0>).
 
-    `base` may be a gate name, a 2x2 unitary, or a single-qubit circuit.
+    `base` may be a gate name or a 2x2 unitary.
     """
-    if isinstance(base, GateCircuit):
-        if base.num_qubits != 1:
-            raise ValueError(f"circuit base must act on one qubit, got {base.num_qubits}")
-        base = simulate_unitary(base)
     controls = tuple(int(c) for c in controls)
     if polarities is None:
         polarities = (1,) * len(controls)

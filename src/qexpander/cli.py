@@ -9,9 +9,10 @@ stderr.  Exit codes are scriptable:
     2   input or parse error
     3   promise violated / non-convergence / uncertified answer
 
-All randomness flows from the --seed value through a splittable
-counter-based generator (numpy Philox seeded via SeedSequence; parallel
-streams derive from (seed, context...) tuples).
+All randomness flows from the --seed value through a counter-based
+generator (numpy Philox seeded via SeedSequence).  Each purpose draws
+from one stream: `verify` measures orthogonality from rng_from(seed) and
+draws every Hadamard-test shot from rng_from(seed, 1).
 """
 
 from __future__ import annotations

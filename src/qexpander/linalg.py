@@ -157,9 +157,9 @@ def pattern_projector(num_qubits: int, qubits: tuple[int, ...], values: tuple[in
 # ---------------------------------------------------------------------------
 # Seeded randomness.  All randomness in the toolkit flows from a single
 # 64-bit seed through numpy's SeedSequence into the counter-based Philox
-# generator; derived streams append integer context (e.g. Kraus pair
-# indices) to the entropy, which makes parallel sampling reproducible and
-# schedule-independent.
+# generator.  Each purpose draws from one stream, named by integer context
+# appended to the entropy: Arthur's orthogonality measurement uses
+# rng_from(seed) and all of his Hadamard-test shots rng_from(seed, 1).
 # ---------------------------------------------------------------------------
 
 

@@ -18,7 +18,9 @@ Merlin encodes a traceless matrix A (with ||A||_F = 1) as the state
 
 Arthur accepts when the estimate exceeds alpha^2 minus a margin of three
 propagated standard errors.  Only real parts enter the identity, so the
-plain (no S-gate) Hadamard test suffices.
+plain (no S-gate) Hadamard test suffices.  Sampled checks draw from one
+stream per purpose: rng_from(seed) for the orthogonality measurement and
+rng_from(seed, 1) for every Hadamard-test shot, drawn in one call.
 
 The pair unitaries are never built.  With B_d = U_d A U_d^dag,
 
@@ -53,12 +55,16 @@ def _check_unit_vector(psi: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return psi
 
 
-def _sample_fraction(p0: float, shots: int, rng) -> float:
-    """Fraction of 0 outcomes in `shots` Bernoulli(p0) draws."""
-    if shots < 1:
+def _check_witness(channel: Channel, psi: np.ndarray) -> np.ndarray:
+    psi = _check_unit_vector(psi)
+    if psi.size != channel.dim**2:
+        raise ValueError(f"state length {psi.size} does not match channel dimension {channel.dim}")
+    return psi
+
+
+def _check_shots(shots: int | None) -> None:
+    if shots is not EXACT and shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    rng = rng if isinstance(rng, np.random.Generator) else rng_from(rng)
-    return float(rng.binomial(shots, min(max(p0, 0.0), 1.0))) / shots
 
 
 def _pair_overlaps(channel: Channel, psi: np.ndarray) -> np.ndarray:
@@ -80,24 +86,18 @@ def estimate_contraction_sq(
 
     With ``shots_per_pair=None`` the D(D-1)/2 Hadamard tests are evaluated
     exactly, and the result equals ||Phi(unvec(psi))||_F^2 to rounding.
-    Sampled mode derives one stream per (d, e) pair from (seed, d, e), so
-    results are independent of evaluation order.  Multi-stage channels,
-    which expose no Kraus operators, raise ValueError.
+    Sampled mode draws every pair's 0-outcome count in one binomial call
+    on the stream rng_from(seed, 1), pairs in np.triu_indices order.
+    Multi-stage channels, which expose no Kraus operators, raise ValueError.
     """
+    _check_shots(shots_per_pair)
     w = channel.weights
-    psi = _check_unit_vector(psi)
-    if psi.size != channel.dim**2:
-        raise ValueError(f"state length {psi.size} does not match channel dimension {channel.dim}")
+    psi = _check_witness(channel, psi)
     rows, cols = np.triu_indices(channel.degree, 1)
     pair_re = _pair_overlaps(channel, psi).real[rows, cols]
-    if not (shots_per_pair is EXACT or shots_per_pair == math.inf):
-        p0 = 0.5 * (1.0 + pair_re)
-        pair_re = np.array(
-            [
-                2.0 * _sample_fraction(p, shots_per_pair, rng_from(seed, d, e)) - 1.0
-                for p, d, e in zip(p0.tolist(), rows.tolist(), cols.tolist())
-            ]
-        )
+    if shots_per_pair is not EXACT:
+        p0 = np.clip(0.5 * (1.0 + pair_re), 0.0, 1.0)
+        pair_re = 2.0 * (rng_from(seed, 1).binomial(shots_per_pair, p0) / shots_per_pair) - 1.0
     return float(w @ w + (2.0 * w[rows] * w[cols]) @ pair_re)
 
 
@@ -109,7 +109,8 @@ def check_orthogonality(psi: np.ndarray, tol: float = 1e-9) -> bool:
 
 
 def sample_orthogonality(psi: np.ndarray, seed: int = 0) -> tuple[bool, np.ndarray]:
-    """Projective measurement of |phi><phi| versus its complement.
+    """Projective measurement of |phi><phi| versus its complement, drawn
+    from the stream rng_from(seed).
 
     Accepts (returns True) on the complement outcome, with probability
     1 - |<phi|psi>|^2, and returns the renormalized post-measurement state.
@@ -119,8 +120,7 @@ def sample_orthogonality(psi: np.ndarray, seed: int = 0) -> tuple[bool, np.ndarr
     phi = phi_state(int(round(np.sqrt(psi.size))))
     overlap = np.vdot(phi, psi)
     p_reject = min(max(abs(overlap) ** 2, 0.0), 1.0)
-    rng = seed if isinstance(seed, np.random.Generator) else rng_from(seed)
-    if rng.random() < p_reject:
+    if rng_from(seed).random() < p_reject:
         return False, phi.copy()
     post = psi - overlap * phi
     norm = np.linalg.norm(post)
@@ -161,38 +161,28 @@ def arthur_verify(
     Accepts iff the (sampled) orthogonality projection succeeds and the
     contraction estimate exceeds alpha^2 - margin, where margin is three
     propagated standard errors (zero in exact mode).  `shots` counts
-    Hadamard-test shots per Kraus pair.
+    Hadamard-test shots per Kraus pair; `samples_used` counts the
+    measurements actually made (the orthogonality draw, then the shots).
     """
     channel = instance.channel
-    weights = channel.weights
-    if shots is not EXACT and shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    psi = _check_unit_vector(psi)
+    _check_shots(shots)
+    psi = _check_witness(channel, psi)
     if shots is EXACT:
-        orth = check_orthogonality(psi)
-        post = psi
-        samples = 0
-        margin = 0.0
-        confidence = 1.0
+        orth, post, samples, margin, confidence = check_orthogonality(psi), psi, 0, 0.0, 1.0
     else:
-        orth, post = sample_orthogonality(psi, seed=rng_from(seed))
-        samples = 1 + shots * channel.degree * (channel.degree - 1) // 2
-        margin = 3.0 * contraction_standard_error(weights, shots)
+        orth, post = sample_orthogonality(psi, seed=seed)
+        samples = 1
+        margin = 3.0 * contraction_standard_error(channel.weights, shots)
         confidence = 0.9973  # two-sided 3-sigma normal level
-    if not orth:
-        return VerifierOutcome(
-            accepted=False,
-            estimated_contraction_sq=0.0,
-            orthogonality_passed=False,
-            samples_used=samples,
-            confidence=confidence,
-        )
-    estimate = estimate_contraction_sq(channel, post, shots_per_pair=shots, seed=seed)
-    accepted = estimate > instance.alpha**2 - margin
+    estimate = 0.0
+    if orth:
+        estimate = estimate_contraction_sq(channel, post, shots_per_pair=shots, seed=seed)
+        if shots is not EXACT:
+            samples += shots * channel.degree * (channel.degree - 1) // 2
     return VerifierOutcome(
-        accepted=accepted,
+        accepted=orth and estimate > instance.alpha**2 - margin,
         estimated_contraction_sq=estimate,
-        orthogonality_passed=True,
+        orthogonality_passed=orth,
         samples_used=samples,
         confidence=confidence,
     )

@@ -54,6 +54,9 @@ from .circuits import SIM_CAP_QUBITS, Gate, GateCircuit, RegisterLayout, multi_c
 from .linalg import ATOL, bit_projector, frobenius, pattern_projector, rng_from, split_index
 from .spectral import spectral_gap
 
+#: Seeded draws `build_base_expander` tries before giving up.
+MAX_SYNTH_ATTEMPTS = 5
+
 
 def sign_double(channel: Channel) -> Channel:
     """Extend the operation elements to {U_i} u {-U_i}, halving weights.
@@ -77,9 +80,9 @@ def _per_stage(channel: Channel, make) -> Channel:
     return Channel.staged(made[id(s)] for s in channel.stages)
 
 
-def ensure_zero_sum(channel: Channel, tol: float = ATOL) -> Channel:
-    """Sign-double every stage whose elements do not sum to zero."""
-    return _per_stage(channel, lambda s: s if zero_sum_defect(s) <= tol else sign_double(s))
+def ensure_zero_sum(channel: Channel) -> Channel:
+    """Sign-double every stage whose elements do not sum to zero (beyond ATOL)."""
+    return _per_stage(channel, lambda s: s if zero_sum_defect(s) <= ATOL else sign_double(s))
 
 
 def controlled_channel(
@@ -207,7 +210,6 @@ def build_base_expander(
     target_kappa: float = 0.1,
     degree_per_stage: int = 8,
     seed: int = 0,
-    max_attempts: int = 5,
 ):
     """Synthesize a certified kappa <= target expander by power composition.
 
@@ -221,7 +223,7 @@ def build_base_expander(
     if degree_per_stage < 1:
         raise ValueError(f"degree per stage must be >= 1, got {degree_per_stage}")
     last_error = None
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_SYNTH_ATTEMPTS):
         stage = random_unitary_channel(num_qubits, degree_per_stage, rng_from(seed, attempt))
         try:
             channel, certified, _ = certify_power_expander(stage, target_kappa)
@@ -229,7 +231,7 @@ def build_base_expander(
         except CertificationError as exc:
             last_error = exc
     raise CertificationError(
-        f"no certified expander after {max_attempts} attempts from seed {seed}: {last_error}"
+        f"no certified expander after {MAX_SYNTH_ATTEMPTS} attempts from seed {seed}: {last_error}"
     )
 
 

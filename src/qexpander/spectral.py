@@ -35,6 +35,9 @@ from .linalg import rng_from, vec
 LANCZOS_BASIS = 24
 LANCZOS_KEEP = 6
 
+#: Rounding slack in `decide`: kappa up to TIE_TOL above a threshold counts as on it.
+TIE_TOL = 1e-9
+
 
 class Decision(str, enum.Enum):
     YES = "YES"  # not alpha-contractive
@@ -249,23 +252,19 @@ def spectral_gap(channel, method: str = "iterative", **kwargs) -> GapReport:
     return spectral_gap_iterative(channel, **kwargs)
 
 
-def decide(
-    instance: NonExpanderInstance,
-    tie_tol: float = 1e-9,
-    **kwargs,
-) -> tuple[Decision, GapReport]:
+def decide(instance: NonExpanderInstance, **kwargs) -> tuple[Decision, GapReport]:
     """Decide a non-expander instance from the computed kappa.
 
-    YES requires kappa > alpha strictly (beyond `tie_tol`); kappa at or
-    below beta (plus `tie_tol`) gives NO; anything between breaks the
+    YES requires kappa > alpha strictly (beyond `TIE_TOL`); kappa at or
+    below beta (plus `TIE_TOL`) gives NO; anything between breaks the
     promise and is reported as PROMISE_VIOLATED rather than arbitrated.
     A YES or NO becomes UNCERTIFIED when the solver did not converge or the
     threshold crossed lies within the report's `error_bound` of kappa.
     """
     report = spectral_gap(instance.channel, **kwargs)
-    if report.kappa > instance.alpha + tie_tol:
+    if report.kappa > instance.alpha + TIE_TOL:
         decision, threshold = Decision.YES, instance.alpha
-    elif report.kappa <= instance.beta + tie_tol:
+    elif report.kappa <= instance.beta + TIE_TOL:
         decision, threshold = Decision.NO, instance.beta
     else:
         return Decision.PROMISE_VIOLATED, report

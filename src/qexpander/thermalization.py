@@ -32,17 +32,19 @@ T_k, so each power costs one Channel.apply whatever the number of times.
 The sum stops after the first K terms at the first of two rules:
 
 (a) tail rule: the Chernoff bound P(Pois(x) >= K) <= e^{-x} (e x / K)^K
-    (valid for K > x) at the largest x = gamma t_max falls to series_tol;
-(b) mixing rule: ||T_{K-1} - I/N||_F <= series_tol.  Phi contracts the
+    (valid for K > x) at the largest x = gamma t_max falls to SERIES_TOL;
+(b) mixing rule: ||T_{K-1} - I/N||_F <= SERIES_TOL.  Phi contracts the
     Frobenius norm, so every later T_k lies as close to I/N, and the
     remaining Poisson mass 1 - sum_{k<K} pi_k is put on I/N.
 
 Since ||T_k||_F <= ||rho(0)||_F <= 1, the truncation error of every state
-is at most the Poisson tail mass, at most series_tol under rule (a), and
-the mixing tail of rule (b) adds at most series_tol; rounding comes on
+is at most the Poisson tail mass, at most SERIES_TOL under rule (a), and
+the mixing tail of rule (b) adds at most SERIES_TOL; rounding comes on
 top.  The cost is min(K_tail(gamma t_max), mixing index) applications of
-Phi: it stays bounded as t grows when Phi mixes (kappa < 1), but a
-non-mixing model (kappa = 1) still costs time linear in gamma t_max.
+Phi: it stays bounded as t grows when Phi mixes (kappa < 1).  A model
+that mixes slowly or not at all (kappa = 1) would need about
+gamma t_max applications; past MAX_SERIES_TERMS of them `evolve` raises
+ValueError instead.
 
 The bath-side derivation (correlation integrals, Lamb-shift cancellation)
 is analytic input: R0 and R1 here are user-supplied rates, corresponding
@@ -60,6 +62,15 @@ import numpy as np
 from .channels import Channel
 from .linalg import check_unitary, frobenius
 from .spectral import spectral_gap
+
+#: Truncation tolerance of the uniformization series (rules (a) and (b)).
+SERIES_TOL = 1e-12
+
+#: Most channel applications one `evolve` call may make.
+MAX_SERIES_TERMS = 100_000
+
+#: Rounding slack `decay_bound_check` allows above the envelope.
+DECAY_SLACK = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,12 +156,7 @@ def _check_times(times) -> np.ndarray:
     return times
 
 
-def _evolve_series(
-    model: ThermalModel,
-    rho0: np.ndarray,
-    times: np.ndarray,
-    series_tol: float = 1e-12,
-) -> tuple[np.ndarray, int]:
+def _evolve_series(model: ThermalModel, rho0: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, int]:
     """Uniformization sum_k pi_k(gamma t_j) Phi^k(rho0) at every time t_j.
 
     Stops at the tail or the mixing rule of the module docstring.  Returns
@@ -176,10 +182,10 @@ def _evolve_series(
         mass += weights
         pending_w.append(weights)
         pending_t.append(term)
-        mixing = frobenius(term - mixed) <= series_tol
+        mixing = frobenius(term - mixed) <= SERIES_TOL
         tail = k + 1
         done = mixing or x_max == 0 or (
-            tail > x_max and tail * (1 + math.log(x_max / tail)) - x_max <= math.log(series_tol)
+            tail > x_max and tail * (1 + math.log(x_max / tail)) - x_max <= math.log(SERIES_TOL)
         )
         if done or len(pending_t) == block:
             terms = np.ascontiguousarray(pending_t).reshape(len(pending_t), n * n).view(float)
@@ -187,6 +193,11 @@ def _evolve_series(
             pending_w, pending_t = [], []
         if done:
             break
+        if k == MAX_SERIES_TERMS:
+            raise ValueError(
+                f"gamma * t_max = {x_max:.6g} needs more than {MAX_SERIES_TERMS} channel "
+                "applications: the model does not mix within that horizon"
+            )
         term = channel.apply(term)
         k += 1
     states = states.view(complex).reshape(len(times), n, n)
@@ -232,7 +243,6 @@ def decay_bound_check(
     rho0: np.ndarray,
     times,
     kappa: float | None = None,
-    slack: float = 1e-8,
     strict: bool = True,
 ) -> DecayReport:
     """Check ||A(t)||_F <= exp(-gamma (1-kappa) t) ||A(0)||_F at each time.
@@ -241,7 +251,7 @@ def decay_bound_check(
     bound independent of the evolution it checks; the envelope takes kappa
     at the top of its error bar, so an underestimate cannot report a false
     violation.  The worst margin is min_t (bound - residual); `strict`
-    raises if any point exceeds the bound by more than `slack`.
+    raises if any point exceeds the bound by more than DECAY_SLACK.
     """
     rho0 = _check_density(rho0)
     traj = evolve(model, rho0, times)
@@ -254,7 +264,7 @@ def decay_bound_check(
     bounds = np.exp(-model.rate * (1.0 - min(1.0, kappa + error_bound)) * traj.times) * a0
     margins = bounds - traj.residuals
     worst = float(margins.min())
-    satisfied = bool(np.all(traj.residuals <= bounds + slack))
+    satisfied = bool(np.all(traj.residuals <= bounds + DECAY_SLACK))
     if strict and not satisfied:
         raise ValueError(
             f"decay bound violated: worst margin {worst:.3e} at "

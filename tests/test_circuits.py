@@ -81,9 +81,9 @@ def test_mcu_control_pattern_semantics():
             assert abs(out[idx] - 1) < 1e-12
 
 
-def test_mcu_inline_matrix_and_circuit_base():
+def test_mcu_inline_matrix_base():
     g1 = multi_controlled(np.array([[0, 1], [1, 0]], dtype=complex), 1, (0,))
-    g2 = multi_controlled(GateCircuit(1, (Gate("X", (0,)),)), 1, (0,))
+    g2 = multi_controlled("X", 1, (0,))
     u1 = simulate_unitary(GateCircuit(2, (g1,)))
     u2 = simulate_unitary(GateCircuit(2, (g2,)))
     assert np.allclose(u1, u2)
@@ -176,7 +176,7 @@ def test_yes_verifier_file_fixes_accept_state(corpus):
 
 def test_simulation_cap():
     with pytest.raises(ValueError, match="cap"):
-        simulate_unitary(GateCircuit(11), cap_qubits=10)
+        simulate_unitary(GateCircuit(11))
 
 
 def test_register_layout():

@@ -162,6 +162,41 @@ def test_verify_with_witness_file(corpus, tmp_path):
     assert payload(res)["accepted"] is True
 
 
+@pytest.mark.parametrize(
+    "amplitudes",
+    [
+        [[0.5, 0.0] if i in (0, 5, 10, 15) else [0.0, 0.0] for i in range(16)],
+        [[0.6, 0.0], [0.8, 0.0], [0.0, 0.0]],
+    ],
+    ids=["vec-identity-4", "length-3"],
+)
+@pytest.mark.parametrize("shots", ["exact", "100"])
+def test_verify_rejects_witness_of_wrong_dimension(corpus, tmp_path, amplitudes, shots):
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps({"amplitudes": amplitudes}))
+    res = run_cli(
+        "verify", corpus / "instances" / "identity_z_1q.json", "--witness", witness, "--shots", shots
+    )
+    assert res.returncode == 2
+    assert f"error: state length {len(amplitudes)} does not match channel dimension 2" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_verify_counts_only_draws_made(corpus, tmp_path):
+    # a witness at |phi> fails the sampled orthogonality measurement, and
+    # no Hadamard test runs after it
+    witness = tmp_path / "witness.json"
+    amp = 1 / 2**0.5
+    witness.write_text(json.dumps({"amplitudes": [[amp, 0.0], [0.0, 0.0], [0.0, 0.0], [amp, 0.0]]}))
+    res = run_cli(
+        "verify", corpus / "instances" / "depolarizer_1q.json", "--witness", witness, "--shots", "100"
+    )
+    assert res.returncode == 1
+    doc = payload(res)
+    assert doc["orthogonality_passed"] is False
+    assert doc["samples_used"] == 1
+
+
 @pytest.mark.parametrize("amplitudes", [[[0.6, 0.0, 99.0], [0.8, 0.0]], [[0.6], [0.8, 0.0]]])
 def test_verify_rejects_witness_pairs_not_of_length_2(corpus, tmp_path, amplitudes):
     witness = tmp_path / "witness.json"
@@ -281,6 +316,18 @@ def test_thermalize_huge_horizon_finishes(corpus):
     last = res.stdout.splitlines()[2]
     assert float(last.split(",")[0]) == 1e9
     assert float(last.split(",")[1]) <= 1e-12
+
+
+def test_thermalize_non_mixing_huge_horizon_exit_2(tmp_path):
+    # {Z} never mixes, so the series would need ~gamma t_max = 2e9 terms
+    model = tmp_path / "z.json"
+    model.write_text(json.dumps({"qubits": 1, "unitaries": [[[1, 0], [0, 0], [0, 0], [-1, 0]]], "R0": 1, "R1": 1}))
+    res = subprocess.run(
+        CLI + ["thermalize", str(model), "--times", "0:1e9:2"], capture_output=True, text=True, timeout=60
+    )
+    assert res.returncode == 2
+    assert "error: gamma * t_max = 2e+09 needs more than" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_thermalize_with_rho0_file(corpus, tmp_path):

@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qexpander import protocol
 from qexpander.channels import Channel, complete_depolarizer, random_unitary_channel
 from qexpander.linalg import frobenius, paulis, phi_state, rng_from, unvec, vec
 from qexpander.protocol import (
     _check_unit_vector,
-    _sample_fraction,
     arthur_verify,
     check_orthogonality,
     contraction_standard_error,
@@ -37,10 +37,10 @@ def hadamard_test_probability(v, psi):
     return 0.5 * (1.0 + float(np.real(np.vdot(psi, v @ psi))))
 
 
-def sample_hadamard_test(v, psi, shots, seed=0):
-    """Fraction of 0 outcomes over `shots` Bernoulli draws, as the sampled
-    Gram estimator draws them for one pair."""
-    return _sample_fraction(hadamard_test_probability(v, psi), shots, seed)
+def sample_hadamard_test(v, psi, shots, rng):
+    """Fraction of 0 outcomes over `shots` Bernoulli draws from `rng`, as
+    the sampled Gram estimator draws them for one pair."""
+    return rng.binomial(shots, min(max(hadamard_test_probability(v, psi), 0.0), 1.0)) / shots
 
 
 def pair_unitary(channel, d, e):
@@ -52,16 +52,18 @@ def pair_unitary(channel, d, e):
 
 
 def pair_loop_estimate(channel, psi, shots=None, seed=0):
-    """Oracle: one Hadamard test per dense pair unitary, in d < e order."""
+    """Oracle: one Hadamard test per dense pair unitary, in d < e order,
+    all drawn in turn from the single shot stream rng_from(seed, 1)."""
     w = channel.weights
     total = float(w @ w)
+    rng = rng_from(seed, 1)
     for d in range(channel.degree):
         for e in range(d + 1, channel.degree):
             v = pair_unitary(channel, d, e)
             if shots is None:
                 frac0 = hadamard_test_probability(v, psi)
             else:
-                frac0 = sample_hadamard_test(v, psi, shots, seed=rng_from(seed, d, e))
+                frac0 = sample_hadamard_test(v, psi, shots, rng)
             total += 2.0 * w[d] * w[e] * (2.0 * frac0 - 1.0)
     return total
 
@@ -101,13 +103,13 @@ def test_hadamard_test_rejects_unnormalized():
 
 def test_sampling_identity_gate_always_zero_outcome():
     psi0 = np.array([1, 0], dtype=complex)
-    assert sample_hadamard_test(np.eye(2), psi0, shots=500, seed=1) == 1.0
+    assert sample_hadamard_test(np.eye(2), psi0, shots=500, rng=rng_from(1)) == 1.0
 
 
 def test_sampling_concentration():
     psi0 = np.array([1, 0], dtype=complex)
     hits = sum(
-        abs(sample_hadamard_test(X, psi0, shots=10**6, seed=s) - 0.5) <= 0.002
+        abs(sample_hadamard_test(X, psi0, shots=10**6, rng=rng_from(s)) - 0.5) <= 0.002
         for s in range(100)
     )
     assert hits >= 99
@@ -120,7 +122,7 @@ def test_sampling_mean_converges_to_probability():
     psi /= np.linalg.norm(psi)
     p = hadamard_test_probability(v, psi)
     shots, seeds = 2000, 60
-    mean = np.mean([sample_hadamard_test(v, psi, shots, seed=s) for s in range(seeds)])
+    mean = np.mean([sample_hadamard_test(v, psi, shots, rng_from(s)) for s in range(seeds)])
     sigma = math.sqrt(p * (1 - p) / (shots * seeds))
     assert abs(mean - p) <= 3 * max(sigma, 1e-12)
 
@@ -154,6 +156,33 @@ def test_estimate_weighted_matches_direct_application():
 def test_estimate_rejects_mismatched_state():
     with pytest.raises(ValueError, match="does not match"):
         estimate_contraction_sq(iz_channel(), np.eye(16)[0])
+    inst = NonExpanderInstance(iz_channel(), 0.9, 0.5)
+    for psi in (vec(np.eye(4)) / 2, np.ones(3) / np.sqrt(3)):
+        for shots in (None, 10):
+            with pytest.raises(ValueError, match="does not match"):
+                arthur_verify(inst, psi, shots=shots)
+
+
+def test_estimate_rejects_nonpositive_shots():
+    for shots in (0, -3):
+        with pytest.raises(ValueError, match="shots must be >= 1"):
+            estimate_contraction_sq(iz_channel(), vec(Z) / np.sqrt(2), shots_per_pair=shots)
+
+
+def test_sampled_verify_draws_from_two_streams(monkeypatch):
+    calls = []
+
+    def counting_rng_from(*args):
+        calls.append(args)
+        return rng_from(*args)
+
+    monkeypatch.setattr(protocol, "rng_from", counting_rng_from)
+    rng = rng_from(16)
+    ch = random_unitary_channel(2, 32, rng)
+    out = arthur_verify(NonExpanderInstance(ch, 0.5, 0.2), unit_traceless(4, rng), shots=20, seed=3)
+    assert out.orthogonality_passed
+    assert out.samples_used == 1 + 20 * 32 * 31 // 2
+    assert len(calls) <= 2
 
 
 @pytest.mark.parametrize("qubits", [1, 2, 3])
@@ -292,6 +321,19 @@ def test_arthur_rejects_phi_at_orthogonality():
     inst = NonExpanderInstance(iz_channel(), 0.9, 0.5)
     out = arthur_verify(inst, phi_state(2))
     assert not out.accepted and not out.orthogonality_passed
+    # the sampled rejection stops before any Hadamard test runs
+    out = arthur_verify(NonExpanderInstance(complete_depolarizer(), 0.9, 0.5), phi_state(2), shots=100)
+    assert not out.accepted and not out.orthogonality_passed
+    assert out.samples_used == 1
+
+
+def test_sampled_orthogonality_draws_from_root_stream():
+    inst = NonExpanderInstance(iz_channel(), 0.9, 0.5)
+    psi = vec(np.array([[1, 0], [0, 0]], dtype=complex))
+    p_reject = abs(np.vdot(phi_state(2), psi)) ** 2
+    for s in range(40):
+        out = arthur_verify(inst, psi, shots=10, seed=s)
+        assert out.orthogonality_passed == (rng_from(s).random() >= p_reject)
 
 
 def test_soundness_surviving_states_bounded_by_beta_sq():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from qexpander import thermalization
 from qexpander.channels import Channel
 from qexpander.linalg import frobenius, haar_unitary, paulis, rng_from, unvec, vec
 from qexpander.spectral import spectral_gap
@@ -151,6 +152,25 @@ def test_non_mixing_model_matches_dense_propagator():
     assert traj.applications > 100
     err = max(frobenius(a - b) for a, b in zip(traj.states, dense_propagator(model, rho0, times)))
     assert err < 1e-10
+
+
+def test_series_raises_at_the_term_cap(monkeypatch):
+    # Z fixes |+><+| up to the sign of its coherences: kappa = 1, no mixing
+    model = ThermalModel((Z,), r0=1.0, r1=1.0)
+    rho0 = np.full((2, 2), 0.5, dtype=complex)
+    monkeypatch.setattr(thermalization, "MAX_SERIES_TERMS", 50)
+    assert evolve(model, rho0, [0.0, 10.0 / model.rate]).applications <= 50
+    calls = []
+    apply = Channel.apply
+
+    def counting_apply(self, a):
+        calls.append(1)
+        return apply(self, a)
+
+    monkeypatch.setattr(Channel, "apply", counting_apply)
+    with pytest.raises(ValueError, match=r"gamma \* t_max = 1000 needs more than 50 channel applications"):
+        evolve(model, rho0, [0.0, 1e3 / model.rate])
+    assert len(calls) == 50
 
 
 def test_trajectory_invariants():
