@@ -15,8 +15,12 @@ read-only (D,) array, and optionally a 0/1 control vector c over the
 computational basis of the other m - k qubits.  Its elements on the full
 space are P (U_d (x) I) + Q with P = diag(c) (x) I_T and Q = I - P; P
 commutes with every lifted U_d by construction.  A flat stage has T = all
-qubits and no control.  The read-only operands that `apply` multiplies by
-are built once, with the stage; its adjoint shares both Kraus stacks.
+qubits and no control.  A *signed* stage stores only a half set {U_d}
+with weights w_d and stands for the 2D elements {+U_d, -U_d}, each of
+weight w_d / 2: the action is that of the half set, and the element sum
+M = sum w_d U_d over the 2D elements is zero by construction.  The
+read-only operands that `apply` multiplies by are built once, with the
+stage; its adjoint shares both Kraus stacks.
 Power compositions of expanders and the hardness reduction are
 multi-stage, since their flattened degree grows geometrically: the Kraus
 products are never materialized.
@@ -42,18 +46,20 @@ class Channel:
     ``qubits=m, targets=T`` the (D, 2^k, 2^k) `kraus` act on the k qubits
     T (tensor factors in that order) of an m-qubit space, and a 0/1
     `control` vector over the basis of the other qubits (ascending, qubit
-    0 most significant) switches them on only where it is 1.
+    0 most significant) switches them on only where it is 1.  With
+    ``signed=True`` the `kraus` and `weights` given are a half set: the
+    stage's elements are {+U_d, -U_d}, each of weight w_d / 2.
 
-    Invariants checked at construction of each stage: all elements unitary
-    (||U^dag U - I||_F <= 1e-10 * 2^k), weights nonnegative and summing to 1
-    within 1e-12, and unitality ||Phi(I) - I||_F <= 1e-10 (automatic for
-    unitary Kraus mixtures, asserted anyway).
+    Invariants checked at construction of each stage: all elements finite
+    and unitary (||U^dag U - I||_F <= 1e-10 * 2^k), weights nonnegative and
+    summing to 1 within 1e-12, and unitality ||Phi(I) - I||_F <= 1e-10
+    (automatic for unitary Kraus mixtures, asserted anyway).
     """
 
-    __slots__ = ("_kraus", "_kraus_h", "_right", "_weights", "_stages",
+    __slots__ = ("_kraus", "_kraus_h", "_right", "_weights", "_signed", "_stages", "_runs",
                  "_qubits", "_targets", "_control", "_layout", "_mean", "_mean_h")
 
-    def __init__(self, kraus, weights, *, qubits=None, targets=None, control=None):
+    def __init__(self, kraus, weights, *, qubits=None, targets=None, control=None, signed=False):
         try:
             x = np.array(kraus, dtype=complex)
         except ValueError as exc:
@@ -62,6 +68,8 @@ class Channel:
             raise ValueError("channel needs at least one Kraus operator")
         if x.ndim != 3 or x.shape[1] != x.shape[2]:
             raise ValueError(f"expected a stack of square Kraus operators, got shape {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("Kraus operators must be finite")
         dim = x.shape[1]
         k = qubits_for_dim(dim)
         xh = x.conj().transpose(0, 2, 1)
@@ -93,29 +101,38 @@ class Channel:
             on, off = (idx, idx[:0]) if control is None else (idx[control], idx[~control])
             order = np.concatenate([on.ravel(), off.ravel()])
             layout = order, np.argsort(order), on.size
-        self._set_stage(x, np.ascontiguousarray(xh), w, m, targets, control, layout)
+        self._set_stage(x, np.ascontiguousarray(xh), w, bool(signed), m, targets, control, layout)
         eye = np.eye(2**m)
         defect = frobenius(self.apply(eye) - eye)
         if not defect <= ATOL:
             raise ValueError(f"channel is not unital: ||Phi(I) - I||_F = {defect:.3e}")
 
-    def _set_stage(self, x, xh, w, qubits, targets, control, layout) -> None:
+    def _set_stage(self, x, xh, w, signed, qubits, targets, control, layout) -> None:
         """Store a validated stage and build its apply operands once, all
         read-only: the stacks U_d and U_d^dag, the stacked
-        [w_1 U_1^dag; ...; w_D U_D^dag] as a (D k, k) GEMM operand, and for a
-        structured stage M = sum_d w_d U_d and M^dag."""
+        [w_1 U_1^dag; ...; w_D U_D^dag] as a (D k, k) GEMM operand, and
+        M = sum_d w_d U_d and M^dag for an unsigned stage whose control
+        leaves both P and Q nonzero, the only kind with cross terms."""
         d, k = x.shape[:2]
         right = (w[:, None, None] * xh).reshape(d * k, k)
         mean = mean_h = None
-        if layout is not None:
+        if layout is not None and 0 < layout[2] < len(layout[0]) and not signed:
             mean = np.tensordot(w, x, axes=1)
             mean_h = mean.conj().T.copy()
         for arr in (x, xh, w, right, mean, mean_h):
             if arr is not None:
                 arr.setflags(write=False)
-        self._kraus, self._kraus_h, self._right, self._weights, self._stages = x, xh, right, w, ()
+        self._kraus, self._kraus_h, self._right, self._weights = x, xh, right, w
+        self._signed, self._stages, self._runs = signed, (), None
         self._qubits, self._targets, self._control = qubits, targets, control
         self._layout, self._mean, self._mean_h = layout, mean, mean_h
+
+    def _with(self, x, xh, signed) -> "Channel":
+        """This stage with Kraus stacks (x, xh) and the `signed` flag, the
+        weights, targets and control kept; not validated again."""
+        out = object.__new__(Channel)
+        out._set_stage(x, xh, self._weights, signed, self._qubits, self._targets, self._control, self._layout)
+        return out
 
     @classmethod
     def uniform(cls, kraus) -> "Channel":
@@ -128,7 +145,8 @@ class Channel:
     @classmethod
     def staged(cls, channels) -> "Channel":
         """The composition of `channels`, applied first-to-last, as one
-        channel whose stages are theirs concatenated."""
+        channel whose stages are theirs concatenated, grouped once into the
+        runs that :meth:`apply` fuses."""
         stages = tuple(s for ch in channels for s in ch.stages)
         if not stages:
             raise ValueError("staged channel needs at least one stage")
@@ -136,9 +154,15 @@ class Channel:
             raise ValueError("all stages must share one dimension")
         if len(stages) == 1:
             return stages[0]
+        runs = []
+        for s in stages:
+            if runs and _shares_layout(runs[-1][0], s):
+                runs[-1].append(s)
+            else:
+                runs.append([s])
         out = object.__new__(cls)
         out._kraus = out._weights = None
-        out._stages = stages
+        out._stages, out._runs = stages, tuple(map(tuple, runs))
         return out
 
     @property
@@ -155,8 +179,11 @@ class Channel:
     @property
     def kraus(self) -> np.ndarray:
         """The (D, N, N) Kraus array of a single-stage channel, lifted to
-        the full space P (U_d (x) I) + Q when the stage is structured."""
+        the full space P (U_d (x) I) + Q when the stage is structured; a
+        signed stage gives its 2D elements [U_1..U_D, -U_1..-U_D]."""
         x = self._single()._kraus
+        if self._signed:
+            x = np.concatenate([x, -x])
         if self._layout is None:
             return x
         order, _, p = self._layout
@@ -169,8 +196,18 @@ class Channel:
     @property
     def target_kraus(self) -> np.ndarray:
         """The (D, 2^k, 2^k) Kraus array of a single-stage channel on its
-        target qubits."""
+        target qubits, as stored: the half set of a signed stage."""
         return self._single()._kraus
+
+    @property
+    def target_weights(self) -> np.ndarray:
+        """The (D,) weights of :attr:`target_kraus`."""
+        return self._single()._weights
+
+    @property
+    def signed(self) -> bool:
+        """True for a single stage that stands for {+U_d, -U_d}."""
+        return self._single()._signed
 
     @property
     def targets(self) -> tuple[int, ...]:
@@ -184,8 +221,10 @@ class Channel:
 
     @property
     def weights(self) -> np.ndarray:
-        """The (D,) weights of a single-stage channel."""
-        return self._single()._weights
+        """The (D,) weights of :attr:`kraus`: w_d / 2 twice over for a
+        signed stage."""
+        w = self._single()._weights
+        return np.concatenate([w, w]) / 2.0 if self._signed else w
 
     @property
     def qubits(self) -> int:
@@ -201,7 +240,7 @@ class Channel:
         a plain Python int, possibly huge."""
         d = 1
         for s in self.stages:
-            d *= len(s._weights)
+            d *= len(s._weights) << s._signed
         return d
 
     def apply(self, a: np.ndarray) -> np.ndarray:
@@ -216,25 +255,21 @@ class Channel:
             Phi_T(P A P) + P M A Q + Q A M^dag P + Q A Q,    M = sum_d w_d U_d,
 
         with the same two GEMMs acting on the target index only.  This is
-        exact for any weights; the cross terms vanish for zero-sum stages.
+        exact for any weights; a signed stage has M = 0, so its cross
+        terms are zero and it only mixes P A P.
+
+        Consecutive structured stages that share a layout (equal targets
+        and control) form a run, applied in one pass: the basis is
+        reordered once into the run and once out of it, and P A P stays
+        target-major from the run's first stage to its last.  The first
+        signed stage of a run zeroes the cross blocks, after which the
+        later stages touch P A P alone; Q A Q is never touched.
         """
         a = np.asarray(a, dtype=complex)
         if a.shape != (self.dim, self.dim):
             raise ValueError(f"operator shape {a.shape} does not match channel dimension {self.dim}")
-        for s in self.stages:
-            if s._layout is None:
-                a = _mix(s, a)
-                continue
-            order, inverse, p = s._layout
-            n, k = len(order), s._kraus.shape[1]
-            a = a.take(order, 0).take(order, 1)
-            out = np.empty_like(a)
-            out[:p, :p] = _rest_major(_mix(s, _target_major(a[:p, :p], k)), k, p, p)
-            if p < n:
-                out[:p, p:] = _rest_major(s._mean @ _target_major(a[:p, p:], k), k, p, n - p)
-                out[p:, :p] = (a[p:, :p].reshape(-1, k) @ s._mean_h).reshape(n - p, p)
-                out[p:, p:] = a[p:, p:]
-            a = out.take(inverse, 0).take(inverse, 1)
+        for run in self._runs or ((self,),):
+            a = _mix(run[0], a) if run[0]._layout is None else _apply_run(run, a)
         return a
 
     def adjoint(self) -> "Channel":
@@ -243,11 +278,40 @@ class Channel:
         stages are already validated, so they are not checked again."""
         if self._stages:
             return Channel.staged(s.adjoint() for s in reversed(self._stages))
-        out = object.__new__(Channel)
-        out._set_stage(
-            self._kraus_h, self._kraus, self._weights, self._qubits, self._targets, self._control, self._layout
-        )
-        return out
+        return self._with(self._kraus_h, self._kraus, self._signed)
+
+
+def _shares_layout(s: Channel, t: Channel) -> bool:
+    """True when s and t are structured stages with equal targets and
+    control, so they reorder the basis alike."""
+    return (
+        s._layout is not None
+        and t._layout is not None
+        and (s._qubits, s._targets) == (t._qubits, t._targets)
+        and np.array_equal(s._control, t._control)
+    )
+
+
+def _apply_run(run: tuple[Channel, ...], a: np.ndarray) -> np.ndarray:
+    """A run of structured stages sharing one layout, in that layout's basis
+    (see :meth:`Channel.apply`)."""
+    order, inverse, p = run[0]._layout
+    n, k = len(order), run[0]._kraus.shape[1]
+    a = a.take(order, 0).take(order, 1)
+    pap = _target_major(a[:p, :p], k)
+    crossed = True  # the cross blocks P A Q and Q A P may be nonzero
+    for s in run:
+        if s._signed:
+            crossed = False
+        elif crossed and s._mean is not None:
+            a[:p, p:] = _rest_major(s._mean @ _target_major(a[:p, p:], k), k, p, n - p)
+            a[p:, :p] = (a[p:, :p].reshape(-1, k) @ s._mean_h).reshape(n - p, p)
+        pap = _mix(s, pap)
+    a[:p, :p] = _rest_major(pap, k, p, p)
+    if not crossed:
+        a[:p, p:] = 0.0
+        a[p:, :p] = 0.0
+    return a.take(inverse, 0).take(inverse, 1)
 
 
 def _mix(stage: Channel, b: np.ndarray) -> np.ndarray:
@@ -280,14 +344,12 @@ def channel_power(channel: Channel, r: int) -> Channel:
 def complete_depolarizer(signed: bool = True) -> Channel:
     """The single-qubit complete depolarizer, D(sigma) = I tr(sigma)/2.
 
-    With ``signed=True`` (default) the operation elements are
-    {I, X, Y, Z, -I, -X, -Y, -Z}/8, which additionally satisfy the
-    zero-sum condition sum_d U_d = 0 needed for controlled use.
+    With ``signed=True`` (default) it is the signed stage over {I, X, Y, Z}:
+    the operation elements are {I, X, Y, Z, -I, -X, -Y, -Z}/8, which
+    additionally satisfy the zero-sum condition sum_d U_d = 0 needed for
+    controlled use.
     """
-    base = list(paulis())
-    if signed:
-        base = base + [-p for p in base]
-    return Channel.uniform(tuple(base))
+    return Channel(paulis(), np.full(4, 0.25), signed=signed)
 
 
 def random_unitary_channel(qubits: int, degree: int, rng: np.random.Generator) -> Channel:
@@ -297,8 +359,44 @@ def random_unitary_channel(qubits: int, degree: int, rng: np.random.Generator) -
 
 
 def zero_sum_defect(channel: Channel) -> float:
-    """||sum_d U_d||_F over the operation-element list.
+    """||M||_F for M = sum_d w_d U_d over a stage's target elements: the
+    operator behind the cross terms P M A Q of a controlled stage.
 
-    Zero for sign-doubled sets; multi-stage channels report the worst stage.
+    Zero for signed stages; multi-stage channels report the worst stage.
     """
-    return max(frobenius(s.kraus.sum(axis=0)) for s in channel.stages)
+    return max(0.0 if s._signed else frobenius(np.tensordot(s._weights, s._kraus, axes=1)) for s in channel.stages)
+
+
+def per_stage(channel: Channel, make) -> Channel:
+    """`channel` with each distinct stage object replaced by make(stage)
+    once, so stages shared by a power composition stay shared."""
+    made: dict[int, Channel] = {}
+    for s in channel.stages:
+        if id(s) not in made:
+            made[id(s)] = make(s)
+    return Channel.staged(made[id(s)] for s in channel.stages)
+
+
+def _sign_stage(stage: Channel) -> Channel:
+    if stage._signed:
+        return stage
+    if stage._mean is not None and zero_sum_defect(stage) > ATOL:
+        raise ValueError(
+            "sign-doubling the target elements of a controlled stage would drop its cross terms; "
+            "sign-double the target channel before controlling it"
+        )
+    return stage._with(stage._kraus, stage._kraus_h, True)
+
+
+def sign_double(channel: Channel) -> Channel:
+    """Extend each stage's target elements {U_d} to {U_d} u {-U_d}, halving
+    the weights: the signed stage over the same set, with the same targets
+    and control, sharing its Kraus stacks.
+
+    Each term is invariant under U -> -U, so the action of a flat or
+    uncontrolled stage is unchanged, and the element sum becomes exactly
+    zero.  Signed stages are kept as they are.  A controlled stage whose
+    cross terms are live (M != 0) is refused: doubling its target elements
+    would drop them.
+    """
+    return per_stage(channel, _sign_stage)

@@ -141,8 +141,11 @@ def _flat_channel(doc, base_dir: Path, qubits: int, where: str) -> Channel:
             raise FileFormatError(f"{where}: field 'weights' must be a list of numbers") from exc
     else:
         weights = np.full(len(kraus), 1.0 / len(kraus))
+    signed = doc.get("signed", False)
+    if not isinstance(signed, bool):
+        raise FileFormatError(f"{where}: field 'signed' must be true or false, got {signed!r}")
     try:
-        return Channel(kraus, weights, qubits=qubits, targets=targets, control=control)
+        return Channel(kraus, weights, qubits=qubits, targets=targets, control=control, signed=signed)
     except ValueError as exc:
         raise FileFormatError(f"{where}: {exc}") from exc
 
@@ -165,9 +168,11 @@ def load_instance(path) -> NonExpanderInstance:
 
 def _stage_doc(stage: Channel) -> dict:
     doc = {
-        "weights": [float(w) for w in stage.weights],
+        "weights": [float(w) for w in stage.target_weights],
         "kraus": [matrix_to_json(u) for u in stage.target_kraus],
     }
+    if stage.signed:
+        doc["signed"] = True
     if stage.targets != tuple(range(stage.qubits)):
         doc["targets"] = list(stage.targets)
     if stage.control is not None:
@@ -178,7 +183,8 @@ def _stage_doc(stage: Channel) -> dict:
 def save_channel(channel: Channel, path, alpha: float | None = None, beta: float | None = None) -> None:
     """Write a channel (flat, or staged when it has several stages) with
     optional instance thresholds.  A run of consecutive stages that are one
-    object is written once, with its length as "repeat"."""
+    object is written once, with its length as "repeat".  A signed stage is
+    written as its half set with "signed": true."""
     stages = []
     for _, run in groupby(channel.stages, key=id):
         run = list(run)

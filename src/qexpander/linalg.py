@@ -38,8 +38,10 @@ def frobenius(a: np.ndarray) -> float:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """||U^dag U - I||_F, zero iff U is unitary."""
+    """||U^dag U - I||_F, zero iff U is unitary; non-finite entries raise."""
     u = np.asarray(u)
+    if not np.all(np.isfinite(u)):
+        raise ValueError("matrix entries must be finite")
     return frobenius(u.conj().T @ u - np.eye(u.shape[0]))
 
 

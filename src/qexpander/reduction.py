@@ -28,8 +28,9 @@ other qubits selects the subspace P where they act.  One application is
 
 so only the controlled blocks need matmuls on the target register.  When
 the operation elements sum to zero, M = 0 and the action is blockwise,
-P A P (x) F(B) + Q A Q (x) B; sign doubling {U} -> {U, -U} enforces this
-at a factor-two cost in degree without changing the channel.
+P A P (x) F(B) + Q A Q (x) B.  Sign doubling {U} -> {U, -U} enforces this
+without changing the channel: it marks a stage *signed*, which doubles its
+degree in the 64 D_F accounting but stores and applies only the half set.
 
 The base expander is synthesized, not imported: a seeded random unitary
 channel is composed with itself until its *measured* contraction
@@ -47,7 +48,9 @@ from .channels import (
     Channel,
     channel_power,
     complete_depolarizer,
+    per_stage,
     random_unitary_channel,
+    sign_double,
     zero_sum_defect,
 )
 from .circuits import SIM_CAP_QUBITS, Gate, GateCircuit, RegisterLayout, multi_controlled, simulate_unitary
@@ -58,31 +61,10 @@ from .spectral import spectral_gap
 MAX_SYNTH_ATTEMPTS = 5
 
 
-def sign_double(channel: Channel) -> Channel:
-    """Extend the operation elements to {U_i} u {-U_i}, halving weights.
-
-    The channel action is unchanged (each term is invariant under
-    U -> -U); the element sum becomes exactly zero.
-    """
-    x = channel.kraus
-    kraus = np.concatenate([x, -x])
-    weights = np.concatenate([channel.weights, channel.weights]) / 2.0
-    return Channel(kraus, weights)
-
-
-def _per_stage(channel: Channel, make) -> Channel:
-    """`channel` with each distinct stage object replaced by make(stage)
-    once, so stages shared by a power composition stay shared."""
-    made: dict[int, Channel] = {}
-    for s in channel.stages:
-        if id(s) not in made:
-            made[id(s)] = make(s)
-    return Channel.staged(made[id(s)] for s in channel.stages)
-
-
 def ensure_zero_sum(channel: Channel) -> Channel:
-    """Sign-double every stage whose elements do not sum to zero (beyond ATOL)."""
-    return _per_stage(channel, lambda s: s if zero_sum_defect(s) <= ATOL else sign_double(s))
+    """Sign-double every stage whose weighted target elements do not sum to
+    zero (beyond ATOL); targets and control are kept."""
+    return per_stage(channel, lambda s: s if zero_sum_defect(s) <= ATOL else sign_double(s))
 
 
 def controlled_channel(
@@ -101,7 +83,8 @@ def controlled_channel(
     Each target stage becomes one structured stage (its Kraus operators on
     `target_qubits`, control c), whose full-space elements are
     {P lift(U_i) + Q}, Q = I - P; see :meth:`Channel.apply` for the block
-    form it is applied in.  When the target elements sum to zero this is
+    form it is applied in; a signed target stage gives a signed stage.  When
+    the weighted target elements sum to zero, M = sum_d w_d U_d = 0, this is
     P A P (x) F(B) + Q A Q (x) B, with no cross terms.  Multi-stage targets
     are controlled stage by stage, which is exact because
     Lambda(AB) = Lambda(A) Lambda(B) for a shared control subspace; each
@@ -123,19 +106,28 @@ def controlled_channel(
             "control projector does not commute with the lifted target elements "
             "(control and target registers overlap?)"
         )
+
+    def control_stage(s: Channel) -> Channel:
+        if s.targets != tuple(range(s.qubits)) or s.control is not None:
+            s = Channel(s.kraus, s.weights)  # lifted to the target register
+        return Channel(
+            s.target_kraus,
+            s.target_weights,
+            qubits=num_qubits,
+            targets=target_qubits,
+            control=control[:, 0],
+            signed=s.signed,
+        )
+
+    out = per_stage(target, control_stage)
     if require_zero_sum:
-        defect = zero_sum_defect(target)
+        defect = zero_sum_defect(out)
         if defect > ATOL:
             raise ValueError(
-                f"target elements lack the zero-sum property (sum has Frobenius norm {defect:.3e}); "
+                f"target elements lack the zero-sum property (weighted sum has Frobenius norm {defect:.3e}); "
                 "sign-double the channel first (cross terms otherwise)"
             )
-    return _per_stage(
-        target,
-        lambda s: Channel(
-            s.kraus, s.weights, qubits=num_qubits, targets=target_qubits, control=control[:, 0]
-        ),
-    )
+    return out
 
 
 def controlled_depolarizer(num_qubits: int, target_qubit: int, projector: np.ndarray) -> Channel:

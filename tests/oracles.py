@@ -3,7 +3,8 @@
 The library computes kappa only matrix-free; the dense superoperator W and
 the SVD of Pi W Pi live here, as the oracle the engine is checked against.
 The channel helpers (identity, materialized composition, tensor product)
-and the random operators build test inputs.
+and the random operators build test inputs; the doubled lift rebuilds a
+stage's full-space elements from its stored parts.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 from qexpander.channels import Channel
-from qexpander.linalg import phi_state
+from qexpander.linalg import embed, phi_state, split_index
 
 
 def random_operator(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -42,6 +43,30 @@ def tensor(left: Channel, right: Channel) -> Channel:
     n = left.dim * right.dim
     kraus = np.einsum("iac,jbd->ijabcd", left.kraus, right.kraus).reshape(-1, n, n)
     return Channel(kraus, np.outer(left.weights, right.weights).reshape(-1))
+
+
+def doubled_lift(stage: Channel) -> tuple[np.ndarray, np.ndarray]:
+    """The full-space elements and weights of one stage, built from its
+    stored parts alone: P embed(U) + Q for each target element U, with a
+    signed stage's half set doubled to {+U, -U} at weights w / 2."""
+    x, w = stage.target_kraus, stage.target_weights
+    if stage.signed:
+        x, w = np.concatenate([x, -x]), np.concatenate([w, w]) / 2.0
+    m, n = stage.qubits, stage.dim
+    on = np.ones(n)
+    if stage.control is not None:
+        on[split_index(m, stage.targets)] = stage.control[:, None]
+    p, q = np.diag(on), np.diag(1.0 - on)
+    return np.array([p @ embed(u, stage.targets, m) + q for u in x]), w
+
+
+def lifted_kraus_sum(channel: Channel, a: np.ndarray) -> np.ndarray:
+    """Phi(A) stage by stage as sum_d w_d U_d A U_d^dag over the
+    :func:`doubled_lift` elements."""
+    for s in channel.stages:
+        x, w = doubled_lift(s)
+        a = sum(wd * (u @ a @ u.conj().T) for wd, u in zip(w, x))
+    return a
 
 
 def is_regular(channel: Channel) -> bool:

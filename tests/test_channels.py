@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,16 @@ from qexpander.channels import (
 )
 from qexpander.linalg import embed, frobenius, paulis, pattern_projector, rng_from
 
-from oracles import compose, identity_channel, is_regular, random_operator, superoperator, tensor
+from oracles import (
+    compose,
+    doubled_lift,
+    identity_channel,
+    is_regular,
+    lifted_kraus_sum,
+    random_operator,
+    superoperator,
+    tensor,
+)
 
 I, X, Y, Z = paulis()
 
@@ -57,8 +68,12 @@ def test_weights_validation():
     with pytest.raises(ValueError, match="not unitary"):
         Channel.uniform((np.array([[1, 0], [0, 0.5]]),))
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="not unitary"):
+        with pytest.raises(ValueError, match="must be finite"):
             Channel([[[bad, 0], [0, 1]]], [1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any matmul warns
+            with pytest.raises(ValueError, match="must be finite"):
+                Channel([[[1, 0], [0, bad]]], [1.0], signed=True)
         for weights in ([bad, bad], [bad, 0.5]):
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 Channel((I, Z), weights)
@@ -154,8 +169,9 @@ def test_channel_power_degree_and_action():
 
 
 def test_zero_sum_defect():
-    assert zero_sum_defect(complete_depolarizer(signed=True)) < 1e-14
-    assert zero_sum_defect(complete_depolarizer(signed=False)) > 1
+    assert zero_sum_defect(complete_depolarizer(signed=True)) == 0.0
+    # ||(I + X + Y + Z) / 4||_F = sqrt(8) / 4: the weighted sum M.
+    assert zero_sum_defect(complete_depolarizer(signed=False)) == pytest.approx(np.sqrt(0.5), abs=1e-15)
 
 
 def test_kraus_arrays_are_frozen():
@@ -373,9 +389,104 @@ def test_stage_operands_are_read_only(name):
     ch = APPLY_CASES[name]
     for stage in (ch, ch.adjoint()):
         operands = [stage._kraus, stage._kraus_h, stage._right, stage._weights]
-        if stage._layout is not None:
+        if stage._mean is not None:
             operands += [stage._mean, stage._mean_h]
         for arr in operands:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.0
+
+
+# --- signed stages and fused runs -------------------------------------------
+
+
+SIGNED_KINDS = {
+    # name: (qubits, targets, control qubits, pattern, negate)
+    "flat": (3, (0, 1, 2), (), (), False),
+    "targeted": (4, (3, 1), (), (), False),
+    "controlled": STRUCTURED_CASES["non-contiguous, pattern"],
+}
+
+
+def _signed_stage(kind, weighting, seed):
+    m, targets, ctrl, pattern, negate = SIGNED_KINDS[kind]
+    rng = rng_from(70, seed)
+    x = random_unitary_channel(len(targets), 3, rng).kraus
+    w = np.full(3, 1 / 3) if weighting == "uniform" else rng.random(3)
+    control = _control_vector(m, targets, ctrl, pattern, negate) if ctrl else None
+    return Channel(x, w / w.sum(), qubits=m, targets=targets, control=control, signed=True)
+
+
+@pytest.mark.parametrize("weighting", ["uniform", "weighted"])
+@pytest.mark.parametrize("kind", sorted(SIGNED_KINDS))
+def test_signed_stage_matches_doubled_lift(kind, weighting):
+    stage = _signed_stage(kind, weighting, sorted(SIGNED_KINDS).index(kind))
+    lifted, weights = doubled_lift(stage)
+    assert stage.signed and stage.degree == 6 and stage.target_kraus.shape[0] == 3
+    assert np.max(np.abs(stage.kraus - lifted)) < 1e-12
+    assert np.max(np.abs(stage.weights - weights)) == 0.0
+    assert stage._mean is None and stage._mean_h is None  # M = 0 is never built
+    assert zero_sum_defect(stage) == 0.0
+    rng = rng_from(71)
+    for _ in range(3):
+        a = random_operator(stage.dim, rng)
+        assert frobenius(stage.apply(a) - lifted_kraus_sum(stage, a)) < 1e-12
+        adjoint = sum(wd * (u.conj().T @ a @ u) for wd, u in zip(weights, lifted))
+        assert frobenius(stage.adjoint().apply(a) - adjoint) < 1e-12
+
+
+def _run_channel():
+    """Four-qubit stages whose runs are [s1, s1, u, s1], [t], [v], [flat],
+    [s1]: u is unsigned with s1's targets and control (a distinct layout
+    object), t has s1's targets and another control, v has them and none."""
+    m, targets, ctrl, pattern, negate = STRUCTURED_CASES["non-contiguous, pattern"]
+    control = _control_vector(m, targets, ctrl, pattern, negate)
+    rng = rng_from(72)
+    s1 = _signed_stage("controlled", "weighted", 9)
+    w = rng.random(3)
+    u = Channel(random_unitary_channel(2, 3, rng).kraus, w / w.sum(), qubits=m, targets=targets, control=control)
+    other = [1 - c for c in control]
+    t = Channel(random_unitary_channel(2, 2, rng).kraus, [0.25, 0.75], qubits=m, targets=targets, control=other)
+    v = Channel(random_unitary_channel(2, 2, rng).kraus, [0.5, 0.5], qubits=m, targets=targets, signed=True)
+    flat = random_unitary_channel(4, 2, rng)
+    return Channel.staged((s1, s1, u, s1, t, v, flat, s1))
+
+
+def test_fused_run_matches_stage_by_stage():
+    ch = _run_channel()
+    assert [len(run) for run in ch._runs] == [4, 1, 1, 1, 1]
+    rng = rng_from(73)
+    for channel in (ch, ch.adjoint()):
+        for _ in range(3):
+            a = random_operator(16, rng)
+            one_by_one = a
+            for s in channel.stages:
+                one_by_one = s.apply(one_by_one)
+            assert frobenius(channel.apply(a) - one_by_one) < 1e-13
+            assert frobenius(channel.apply(a) - lifted_kraus_sum(channel, a)) < 1e-12
+
+
+def test_unsigned_run_keeps_cross_terms():
+    # A run of unsigned controlled stages must carry P A Q through every
+    # stage: M_2 M_1 on the cross block, not zero.
+    m, targets, ctrl, pattern, negate = STRUCTURED_CASES["non-contiguous, pattern"]
+    control = _control_vector(m, targets, ctrl, pattern, negate)
+    rng = rng_from(74)
+    stages = [
+        Channel(random_unitary_channel(2, 2, rng).kraus, [0.3, 0.7], qubits=m, targets=targets, control=control)
+        for _ in range(3)
+    ]
+    ch = Channel.staged(stages)
+    assert [len(run) for run in ch._runs] == [3]
+    a = random_operator(16, rng)
+    assert frobenius(ch.apply(a) - lifted_kraus_sum(ch, a)) < 1e-12
+
+
+def test_signed_run_adjoint_pairing():
+    ch = _run_channel()
+    adjoint = ch.adjoint()
+    assert [len(run) for run in adjoint._runs] == [1, 1, 1, 1, 4]
+    rng = rng_from(75)
+    for _ in range(3):
+        a, b = random_operator(16, rng), random_operator(16, rng)
+        assert abs(np.vdot(b, ch.apply(a)) - np.vdot(adjoint.apply(b), a)) < 1e-11

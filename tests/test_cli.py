@@ -347,6 +347,17 @@ def test_thermalize_with_rho0_file(corpus, tmp_path):
         assert float(line.split(",")[1]) < 1e-12
 
 
+def check_reduce_fields(corpus, key, doc):
+    """The reduce output fields against corpus/reductions/reduce_expected.json:
+    floats within 1e-9, integers exactly."""
+    expected = json.loads((corpus / "reductions" / "reduce_expected.json").read_text())[key]
+    for field, value in expected.items():
+        if isinstance(value, int):
+            assert doc[field] == value, field
+        else:
+            assert doc[field] == pytest.approx(value, abs=1e-9), field
+
+
 @pytest.mark.slow
 def test_reduce_roundtrip_no_case(corpus, tmp_path):
     out = tmp_path / "channel.json"
@@ -354,6 +365,8 @@ def test_reduce_roundtrip_no_case(corpus, tmp_path):
     assert res.returncode == 0
     doc = payload(res)
     assert doc["degree"] == 64 * doc["base_degree"]
+    check_reduce_fields(corpus, "no_2w2a", doc)
+    assert out.stat().st_size <= 120_000
     gap = payload(run_cli("gap", out))
     assert gap["kappa"] <= doc["beta"]
     assert run_cli("decide", out).returncode == 0
@@ -365,6 +378,7 @@ def test_reduce_roundtrip_yes_case(corpus, tmp_path):
     res = run_cli("reduce", corpus / "reductions" / "yes_2w2a.json", "--out", out)
     assert res.returncode == 0
     doc = payload(res)
+    check_reduce_fields(corpus, "yes_2w2a", doc)
     gap = payload(run_cli("gap", out))
     # the YES witness is an exact fixed point, so kappa reaches alpha = 1
     assert gap["kappa"] >= doc["alpha"] - 1e-9

@@ -17,7 +17,7 @@ from qexpander.fileio import (
     vector_from_json,
 )
 from qexpander.linalg import bit_projector, frobenius, paulis, rng_from
-from qexpander.reduction import controlled_channel, sign_double
+from qexpander.reduction import build_reduction, controlled_channel, sign_double
 
 from oracles import dense_kappa, is_regular, random_operator
 
@@ -211,6 +211,54 @@ def test_dense_staged_file_without_structure_still_loads(tmp_path):
     assert json.loads(resaved.read_text()) == json.loads(path.read_text())
 
 
+@pytest.fixture(scope="module")
+def no_reduction_file(tmp_path_factory, corpus):
+    """The corpus NO reduction and the channel file `save_channel` writes."""
+    spec = load_reduction_spec(corpus / "reductions" / "no_2w2a.json")
+    channel = build_reduction(spec)
+    path = tmp_path_factory.mktemp("reduction") / "no.json"
+    save_channel(channel, path, alpha=spec.alpha, beta=spec.beta)
+    return channel, path
+
+
+def test_signed_stages_round_trip_byte_identical(no_reduction_file, tmp_path):
+    channel, first = no_reduction_file
+    doc = json.loads(first.read_text())
+    assert [s.get("signed", False) for s in doc["stages"]] == [True, False, True, False, True]
+    assert [len(s["kraus"]) for s in doc["stages"]] == [4, 1, 4, 1, 8]
+    assert doc["stages"][-1]["repeat"] == 6 and doc["degree"] == 2**30 == channel.degree
+    assert first.stat().st_size <= 110_000
+    back = load_instance(first).channel
+    assert [s.signed for s in back.stages] == [s.signed for s in channel.stages]
+    second = tmp_path / "second.json"
+    save_channel(back, second, alpha=doc["alpha"], beta=doc["beta"])
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_doubled_set_file_loads_as_unsigned_stages(no_reduction_file, tmp_path):
+    # The layout written before stages carried "signed": each signed stage
+    # as its explicit doubled set [U, -U] with weights w / 2.
+    channel, signed_path = no_reduction_file
+    doc = json.loads(signed_path.read_text())
+    for stage in doc["stages"]:
+        if stage.pop("signed", False):
+            stage["kraus"] += [[[-re, -im] for re, im in u] for u in stage["kraus"]]
+            stage["weights"] = [w / 2 for w in stage["weights"] * 2]
+    old = tmp_path / "doubled.json"
+    old.write_text(json.dumps(doc, sort_keys=True) + "\n")
+    back = load_channel(old)
+    assert not any(s.signed for s in back.stages) and back.degree == channel.degree
+    assert [len(s.target_kraus) for s in back.stages] == [8, 1, 8, 1] + [16] * 6
+    rng = rng_from(62)
+    for _ in range(3):
+        a = random_operator(32, rng)
+        assert frobenius(back.apply(a) - channel.apply(a)) < 1e-13
+    resaved = tmp_path / "resaved.json"
+    save_channel(back, resaved, alpha=doc["alpha"], beta=doc["beta"])
+    assert resaved.read_bytes() == old.read_bytes()
+    assert old.stat().st_size > 1.8 * signed_path.stat().st_size
+
+
 STAGE = {"kraus": [matrix_to_json(I), matrix_to_json(Z)]}
 MALFORMED_STRUCTURE = [
     ({"qubits": 2, "stages": [{**STAGE, "targets": [2]}]}, "out of range"),
@@ -229,6 +277,8 @@ MALFORMED_STRUCTURE = [
     ({"qubits": float("inf"), "kraus": STAGE["kraus"]}, "'qubits' must be int, got inf"),
     ({"qubits": 0, "kraus": [[[1, 0]]]}, "'qubits' must lie in [1, 10], got 0"),
     ({"qubits": -1, "kraus": STAGE["kraus"]}, "'qubits' must lie in [1, 10], got -1"),
+    ({"qubits": 1, "stages": [{**STAGE, "signed": "yes"}]}, "'signed' must be true or false"),
+    ({"qubits": 1, "stages": [{**STAGE, "signed": 1}]}, "'signed' must be true or false"),
 ]
 
 

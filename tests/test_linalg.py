@@ -78,7 +78,7 @@ def test_check_unitary_rejects():
     with pytest.raises(ValueError, match="not unitary"):
         check_unitary(np.array([[1, 0], [0, 2]]))
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="not unitary"):
+        with pytest.raises(ValueError, match="must be finite"):
             check_unitary(np.array([[bad, 0], [0, 1]]))
 
 

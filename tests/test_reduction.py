@@ -36,7 +36,15 @@ from qexpander.reduction import (
     yes_verifier,
 )
 
-from oracles import dense_kappa, identity_channel, random_operator, random_traceless, superoperator, yes_witness
+from oracles import (
+    dense_kappa,
+    identity_channel,
+    lifted_kraus_sum,
+    random_operator,
+    random_traceless,
+    superoperator,
+    yes_witness,
+)
 
 I, X, Y, Z = paulis()
 LAYOUT = RegisterLayout(2, 2)
@@ -150,6 +158,44 @@ def test_ensure_zero_sum_composite():
     assert frobenius(fixed.apply(a) - comp.apply(a)) < 1e-12
 
 
+def test_sign_double_sets_the_flag_and_keeps_structure():
+    rng = rng_from(6)
+    flat = random_unitary_channel(2, 3, rng)
+    signed = sign_double(flat)
+    assert signed.signed and signed.degree == 6
+    assert signed.target_kraus is flat.target_kraus and signed.target_weights is flat.target_weights
+    assert sign_double(signed) is signed
+    v = Channel(flat.target_kraus[:1], [1.0], qubits=3, targets=(2, 0))
+    doubled_v = sign_double(v)
+    assert doubled_v.signed and doubled_v.targets == (2, 0) and doubled_v.control is None
+    a = random_operator(8, rng)
+    assert frobenius(doubled_v.apply(a) - v.apply(a)) < 1e-13
+
+
+def test_sign_double_refuses_live_cross_terms():
+    raw = controlled_channel(Channel.uniform((I, X)), (1,), bit_projector(2, 0, 1), 2, require_zero_sum=False)
+    with pytest.raises(ValueError, match="cross terms"):
+        sign_double(raw)
+    with pytest.raises(ValueError, match="cross terms"):
+        ensure_zero_sum(raw)
+
+
+def test_zero_sum_defect_is_weighted():
+    # sum_d U_d = I - I = 0, but M = 0.7 I - 0.3 I = 0.4 I.
+    ch = Channel([I, -I], [0.7, 0.3])
+    assert zero_sum_defect(ch) == pytest.approx(0.4 * math.sqrt(2), abs=1e-15)
+    with pytest.raises(ValueError, match="zero-sum"):
+        controlled_channel(ch, (1,), bit_projector(2, 0, 1), 2)
+    # The cross terms the guard keeps out: the off-diagonal blocks of the
+    # control qubit map to M A_pq = 0.4 A_pq, not to 0.
+    raw = controlled_channel(ch, (1,), bit_projector(2, 0, 1), 2, require_zero_sum=False)
+    a = random_operator(4, rng_from(7))
+    out = raw.apply(a)
+    assert frobenius(out[2:, :2] - 0.4 * a[2:, :2]) < 1e-13
+    assert frobenius(out[:2, 2:] - 0.4 * a[:2, 2:]) < 1e-13
+    assert zero_sum_defect(sign_double(ch)) == 0.0
+
+
 # --- controlled channels -----------------------------------------------------
 
 
@@ -245,7 +291,7 @@ def test_controlled_power_shares_one_stage():
     ctrl = controlled_channel(channel_power(base, 3), (0, 1), bit_projector(3, 2, 1), 3)
     first = ctrl.stages[0]
     assert all(s is first for s in ctrl.stages) and len(ctrl.stages) == 3
-    assert first.target_kraus.shape == (4, 4, 4)
+    assert first.signed and first.target_kraus.shape == (2, 4, 4) and first.degree == 4
     assert np.array_equal(first.control, [False, True])
     doubled = ensure_zero_sum(channel_power(random_unitary_channel(1, 2, rng_from(52)), 4))
     assert all(s is doubled.stages[0] for s in doubled.stages)
@@ -390,6 +436,34 @@ def test_spec_register_mismatch(base_expander):
 def test_spec_normalizes_base_to_zero_sum(no_reduction):
     spec, _ = no_reduction
     assert zero_sum_defect(spec.base_expander) < 1e-10
+    assert all(s.signed and s.degree == 16 for s in spec.base_expander.stages)
+
+
+def test_reduction_stages_are_signed_and_structured(no_reduction):
+    _, phi = no_reduction
+    # anc-ver, V, wit-ver, V^dag, then six controlled F stages: one run.
+    defects = [zero_sum_defect(s) for s in phi.stages]
+    assert defects[::2] == [0.0] * 5 and defects[4:] == [0.0] * 6
+    assert defects[1] == defects[3] == pytest.approx(4.0, abs=1e-12)  # ||V||_F = sqrt(16)
+    assert [s.signed for s in phi.stages] == [True, False, True, False] + [True] * 6
+    assert [len(run) for run in phi._runs] == [1, 1, 1, 1, 6]
+
+
+def test_ensure_zero_sum_keeps_reduction_structure(no_reduction):
+    _, phi = no_reduction
+    fixed = ensure_zero_sum(phi)
+    assert len(fixed.stages) == len(phi.stages) and fixed.degree == 4 * phi.degree
+    for old, new in zip(phi.stages, fixed.stages):
+        assert new.signed and new.targets == old.targets and new.targets != tuple(range(5))
+        assert (new.control is None) == (old.control is None)
+        if old.control is not None:
+            assert np.array_equal(new.control, old.control)
+    assert fixed.stages[4] is fixed.stages[9]  # the controlled F power stays one object
+    rng = rng_from(8)
+    for _ in range(3):
+        a = random_operator(32, rng)
+        assert frobenius(fixed.apply(a) - phi.apply(a)) < 1e-12
+        assert frobenius(fixed.apply(a) - lifted_kraus_sum(phi, a)) < 1e-12
 
 
 def test_build_reduction_rejects_non_zero_sum_base():
