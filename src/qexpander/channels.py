@@ -274,10 +274,11 @@ class Channel:
 
     def adjoint(self) -> "Channel":
         """The Hilbert-Schmidt adjoint: stages reversed, each with the same
-        weights, targets and control and the Kraus set {U_d^dag}.  The
+        weights, targets and control and the Kraus set {U_d^dag}, one
+        adjoint per distinct stage object (see :func:`per_stage`).  The
         stages are already validated, so they are not checked again."""
         if self._stages:
-            return Channel.staged(s.adjoint() for s in reversed(self._stages))
+            return per_stage(Channel.staged(reversed(self._stages)), Channel.adjoint)
         return self._with(self._kraus_h, self._kraus, self._signed)
 
 

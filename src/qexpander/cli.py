@@ -12,7 +12,10 @@ stderr.  Exit codes are scriptable:
 All randomness flows from the --seed value through a counter-based
 generator (numpy Philox seeded via SeedSequence).  Each purpose draws
 from one stream: `verify` measures orthogonality from rng_from(seed) and
-draws every Hadamard-test shot from rng_from(seed, 1).
+draws its --shots random-pair Hadamard tests, in total, from
+rng_from(seed, 1).  `verify` works on every channel file, staged
+reductions included; exact mode (the default) cannot accept when
+alpha = 1, since ||Phi(A)||_F^2 <= 1.
 """
 
 from __future__ import annotations
@@ -241,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the Merlin-Arthur verification protocol")
     p.add_argument("instance")
     p.add_argument("--witness", default="auto", help="'auto' (honest Merlin) or a state-vector file")
-    p.add_argument("--shots", default="exact", help="'exact' or Hadamard-test shots per Kraus pair")
+    p.add_argument("--shots", default="exact", help="'exact' or the total number of Hadamard tests")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 

@@ -5,31 +5,26 @@ Merlin encodes a traceless matrix A (with ||A||_F = 1) as the state
 
 1. Orthogonality to |phi> = vec(I)/sqrt(N), which certifies tr A = 0
    (tr A = sqrt(N) <phi|psi_A>).
-2. An estimate of <psi_A| W^dag W |psi_A> = ||Phi(A)||_F^2, assembled from
+2. An estimate of c = <psi_A| W^dag W |psi_A> = ||Phi(A)||_F^2 from
    Hadamard tests of the pair unitaries
 
-       V_{d,e} = (U_d (x) conj(U_d))^dag (U_e (x) conj(U_e))
+       V_{d,e} = (U_d (x) conj(U_d))^dag (U_e (x) conj(U_e)),
 
-   through the identity, for weights w_d,
+   with (d, e) drawn from w (x) w over the channel's flattened Kraus
+   terms.  Since <psi_A|V_{d,e}|psi_A> = tr(B_d^dag B_e) for
+   B_d = U_d A U_d^dag, the w (x) w average of Re <psi_A|V_{d,e}|psi_A>
+   is ||sum_d w_d B_d||_F^2 = c, so one such random-pair test returns 0
+   with probability exactly (1 + c)/2.  Only real parts enter, so the
+   plain (no S-gate) Hadamard test suffices.
 
-       <psi|W^dag W|psi> = sum_d w_d^2 + 2 sum_{d<e} w_d w_e Re <psi|V_{d,e}|psi>,
-
-   which for a D-regular channel reads 1/D + (2/D^2) sum_{d<e} Re <.>.
-
-Arthur accepts when the estimate exceeds alpha^2 minus a margin of three
-propagated standard errors.  Only real parts enter the identity, so the
-plain (no S-gate) Hadamard test suffices.  Sampled checks draw from one
-stream per purpose: rng_from(seed) for the orthogonality measurement and
-rng_from(seed, 1) for every Hadamard-test shot, drawn in one call.
-
-The pair unitaries are never built.  With B_d = U_d A U_d^dag,
-
-    <psi_A|V_{d,e}|psi_A> = tr(B_d^dag B_e) = G_{de},
-
-so one batched conjugation of the stacked (D, N, N) Kraus array and one
-D x N^2 Gram product give every pair's Hadamard-test probability
-p0 = (1 + Re G_{de})/2, in O(D N^3 + D^2 N^2) time and O(D N^2) memory
-(building each N^2 x N^2 pair unitary would cost O(D^2 N^6) and N^4).
+S independent random-pair tests are therefore one Binomial(S, (1 + c)/2)
+draw, and 2k/S - 1 estimates c with standard deviation at most 1/sqrt(S).
+Arthur accepts when the estimate exceeds alpha^2 minus a margin of
+3/sqrt(S) (zero in exact mode).  c itself comes from one application of
+the channel, so every channel the toolkit builds, staged ones included,
+can be verified; no Kraus product or pair unitary is ever formed.
+Sampled checks draw from one stream per purpose: rng_from(seed) for the
+orthogonality measurement and rng_from(seed, 1) for the Hadamard tests.
 """
 
 from __future__ import annotations
@@ -40,11 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel
-from .linalg import phi_state, rng_from
+from .linalg import frobenius, phi_state, rng_from
 from .spectral import NonExpanderInstance, spectral_gap
 
 #: Sentinel shot counts meaning "exact expectation values".
 EXACT = None
+
+#: Most shots one binomial draw takes (numpy's int64 count).
+_MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 
 def _check_unit_vector(psi: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -65,40 +63,30 @@ def _check_witness(channel: Channel, psi: np.ndarray) -> np.ndarray:
 def _check_shots(shots: int | None) -> None:
     if shots is not EXACT and shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-
-
-def _pair_overlaps(channel: Channel, psi: np.ndarray) -> np.ndarray:
-    """The D x D Gram matrix G_{de} = <psi|V_{d,e}|psi> = tr(B_d^dag B_e)."""
-    n = channel.dim
-    kraus = channel.kraus
-    images = kraus @ psi.reshape(n, n) @ kraus.conj().transpose(0, 2, 1)
-    images = images.reshape(len(kraus), n * n)
-    return images.conj() @ images.T
+    if shots is not EXACT and shots > _MAX_SHOTS:
+        raise ValueError(f"shots must be <= {_MAX_SHOTS}, got {shots}")
 
 
 def estimate_contraction_sq(
     channel: Channel,
     psi: np.ndarray,
-    shots_per_pair: int | None = EXACT,
+    shots: int | None = EXACT,
     seed: int = 0,
 ) -> float:
-    """Estimate <psi|W^dag W|psi> for a channel with explicit Kraus operators.
+    """Estimate c = <psi|W^dag W|psi> = ||Phi(unvec(psi))||_F^2.
 
-    With ``shots_per_pair=None`` the D(D-1)/2 Hadamard tests are evaluated
-    exactly, and the result equals ||Phi(unvec(psi))||_F^2 to rounding.
-    Sampled mode draws every pair's 0-outcome count in one binomial call
-    on the stream rng_from(seed, 1), pairs in np.triu_indices order.
-    Multi-stage channels, which expose no Kraus operators, raise ValueError.
+    With ``shots=None`` this is c itself, from one application of the
+    channel.  Otherwise it is 2k/shots - 1 for k ~ Binomial(shots,
+    (1 + c)/2), the 0-outcome count of that many random-pair Hadamard
+    tests, drawn on the stream rng_from(seed, 1).
     """
-    _check_shots(shots_per_pair)
-    w = channel.weights
+    _check_shots(shots)
     psi = _check_witness(channel, psi)
-    rows, cols = np.triu_indices(channel.degree, 1)
-    pair_re = _pair_overlaps(channel, psi).real[rows, cols]
-    if shots_per_pair is not EXACT:
-        p0 = np.clip(0.5 * (1.0 + pair_re), 0.0, 1.0)
-        pair_re = 2.0 * (rng_from(seed, 1).binomial(shots_per_pair, p0) / shots_per_pair) - 1.0
-    return float(w @ w + (2.0 * w[rows] * w[cols]) @ pair_re)
+    c = frobenius(channel.apply(psi.reshape(channel.dim, channel.dim))) ** 2
+    if shots is EXACT:
+        return c
+    p0 = min(max(0.5 * (1.0 + c), 0.0), 1.0)
+    return 2.0 * (rng_from(seed, 1).binomial(shots, p0) / shots) - 1.0
 
 
 def check_orthogonality(psi: np.ndarray, tol: float = 1e-9) -> bool:
@@ -138,18 +126,6 @@ class VerifierOutcome:
     confidence: float
 
 
-def contraction_standard_error(weights: np.ndarray, shots_per_pair: int) -> float:
-    """Worst-case standard error of the assembled estimate.
-
-    Each pair contributes 2 w_d w_e Re_{d,e} with Var(Re) <= 1/shots, so
-    Var(estimate) <= 4 sum_{d<e} w_d^2 w_e^2 / shots, which is
-    2(D-1)/(D^3 shots) for uniform weights 1/D.
-    """
-    sq = np.asarray(weights, dtype=float) ** 2
-    pair_sum = (sq.sum() ** 2 - sq @ sq) / 2.0
-    return math.sqrt(4.0 * max(pair_sum, 0.0) / shots_per_pair)
-
-
 def arthur_verify(
     instance: NonExpanderInstance,
     psi: np.ndarray,
@@ -159,10 +135,11 @@ def arthur_verify(
     """Run Arthur's full check on a claimed witness state.
 
     Accepts iff the (sampled) orthogonality projection succeeds and the
-    contraction estimate exceeds alpha^2 - margin, where margin is three
-    propagated standard errors (zero in exact mode).  `shots` counts
-    Hadamard-test shots per Kraus pair; `samples_used` counts the
+    contraction estimate exceeds alpha^2 - margin, where margin is
+    3/sqrt(shots), three standard deviations at most (zero in exact mode).
+    `shots` counts Hadamard tests in total; `samples_used` counts the
     measurements actually made (the orthogonality draw, then the shots).
+    With alpha = 1 exact mode never accepts, since c <= 1.
     """
     channel = instance.channel
     _check_shots(shots)
@@ -172,13 +149,13 @@ def arthur_verify(
     else:
         orth, post = sample_orthogonality(psi, seed=seed)
         samples = 1
-        margin = 3.0 * contraction_standard_error(channel.weights, shots)
+        margin = 3.0 / math.sqrt(shots)
         confidence = 0.9973  # two-sided 3-sigma normal level
     estimate = 0.0
     if orth:
-        estimate = estimate_contraction_sq(channel, post, shots_per_pair=shots, seed=seed)
+        estimate = estimate_contraction_sq(channel, post, shots=shots, seed=seed)
         if shots is not EXACT:
-            samples += shots * channel.degree * (channel.degree - 1) // 2
+            samples += shots
     return VerifierOutcome(
         accepted=orth and estimate > instance.alpha**2 - margin,
         estimated_contraction_sq=estimate,

@@ -4,7 +4,9 @@ The library computes kappa only matrix-free; the dense superoperator W and
 the SVD of Pi W Pi live here, as the oracle the engine is checked against.
 The channel helpers (identity, materialized composition, tensor product)
 and the random operators build test inputs; the doubled lift rebuilds a
-stage's full-space elements from its stored parts.
+stage's full-space elements from its stored parts.  The Kraus-pair Gram
+matrix and a per-shot random-pair Hadamard-test sampler are the oracle
+for Arthur's contraction estimate.
 """
 
 from __future__ import annotations
@@ -36,6 +38,15 @@ def compose(outer: Channel, inner: Channel) -> Channel:
     n = outer.dim
     kraus = (outer.kraus[:, None] @ inner.kraus[None]).reshape(-1, n, n)
     return Channel(kraus, np.outer(outer.weights, inner.weights).reshape(-1))
+
+
+def flatten(channel: Channel) -> Channel:
+    """A staged channel as one flat stage holding every weighted Kraus
+    product, materialized by :func:`compose`."""
+    out = channel.stages[0]
+    for s in channel.stages[1:]:
+        out = compose(s, out)
+    return out
 
 
 def tensor(left: Channel, right: Channel) -> Channel:
@@ -99,6 +110,44 @@ def dense_rounding(channel: Channel) -> float:
     mixed-unitary channel, and p = N^2, the order of the matrix, is the
     customary growth factor."""
     return channel.dim**2 * float(np.finfo(float).eps)
+
+
+def pair_overlaps(channel: Channel, psi: np.ndarray) -> np.ndarray:
+    """The D x D Gram matrix G_{de} = <psi|V_{d,e}|psi> = tr(B_d^dag B_e),
+    B_d = U_d A U_d^dag with A = unvec(psi), over a single-stage channel's
+    lifted Kraus operators; V_{d,e} is the pair unitary
+    (U_d (x) conj(U_d))^dag (U_e (x) conj(U_e))."""
+    n = channel.dim
+    kraus = channel.kraus
+    images = kraus @ np.asarray(psi).reshape(n, n) @ kraus.conj().transpose(0, 2, 1)
+    images = images.reshape(len(kraus), n * n)
+    return images.conj() @ images.T
+
+
+def gram_contraction_sq(channel: Channel, psi: np.ndarray) -> float:
+    """||Phi(unvec psi)||_F^2 = sum_{d,e} w_d w_e Re G_{de}."""
+    w = channel.weights
+    return float(w @ pair_overlaps(channel, psi).real @ w)
+
+
+def random_pair_p0(channel: Channel, psi: np.ndarray) -> float:
+    """Pr(0) of one Hadamard test of V_{d,e} with (d, e) drawn from w (x) w:
+    the w (x) w average of the pair probabilities (1 + Re G_{de})/2, the
+    d = e pairs (V_{d,d} = I, probability 1) included."""
+    w = channel.weights
+    return float(w @ (0.5 * (1.0 + pair_overlaps(channel, psi).real)) @ w)
+
+
+def sample_random_pair_tests(channel: Channel, psi: np.ndarray, shots: int, rng: np.random.Generator) -> float:
+    """Per-shot oracle for sampled Arthur: each of `shots` Hadamard tests
+    draws its own pair (d, e) from w (x) w and its own outcome from that
+    pair's probability; returns 2k/shots - 1 for k zero outcomes."""
+    w = channel.weights
+    p0 = 0.5 * (1.0 + pair_overlaps(channel, psi).real)
+    d = rng.choice(len(w), size=shots, p=w)
+    e = rng.choice(len(w), size=shots, p=w)
+    k = np.count_nonzero(rng.random(shots) < p0[d, e])
+    return 2.0 * k / shots - 1.0
 
 
 def suggested_shots(instance) -> int:

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from qexpander.channels import (
     random_unitary_channel,
     zero_sum_defect,
 )
+from qexpander.fileio import save_channel
 from qexpander.linalg import embed, frobenius, paulis, pattern_projector, rng_from
 
 from oracles import (
@@ -490,3 +492,19 @@ def test_signed_run_adjoint_pairing():
     for _ in range(3):
         a, b = random_operator(16, rng), random_operator(16, rng)
         assert abs(np.vdot(b, ch.apply(a)) - np.vdot(adjoint.apply(b), a)) < 1e-11
+
+
+def test_adjoint_shares_stages(tmp_path):
+    # One adjoint per distinct stage object: the four copies of s1 in the
+    # run channel, and the r copies of a power, share one adjoint stage.
+    rng = rng_from(76)
+    for ch in (_run_channel(), channel_power(random_unitary_channel(2, 3, rng), 4)):
+        adjoint = ch.adjoint()
+        assert len({id(s) for s in adjoint.stages}) == len({id(s) for s in ch.stages})
+        stagewise = Channel.staged(s.adjoint() for s in reversed(ch.stages))
+        for _ in range(2):
+            a = random_operator(ch.dim, rng)
+            assert np.array_equal(adjoint.apply(a), stagewise.apply(a))
+    path = tmp_path / "adjoint.json"
+    save_channel(adjoint, path)
+    assert [entry.get("repeat") for entry in json.loads(path.read_text())["stages"]] == [4]

@@ -110,10 +110,11 @@ def test_malformed_structured_fields_exit_2(corpus, tmp_path, patch):
 
 
 def test_verify_rejects_nonpositive_shots(corpus):
-    for shots in ("-3", "0"):
+    too_many = "shots must be <= 9223372036854775807"
+    for shots, message in (("-3", "shots must be >= 1"), ("0", "shots must be >= 1"), ("10000000000000000000", too_many)):
         res = run_cli("verify", corpus / "instances" / "identity_z_1q.json", f"--shots={shots}")
         assert res.returncode == 2
-        assert "shots must be >= 1" in res.stderr
+        assert f"error: {message}" in res.stderr
         assert "Traceback" not in res.stderr
 
 

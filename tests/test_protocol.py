@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from qexpander import protocol
-from qexpander.channels import Channel, complete_depolarizer, random_unitary_channel
+from qexpander.channels import Channel, channel_power, complete_depolarizer, random_unitary_channel
 from qexpander.linalg import frobenius, paulis, phi_state, rng_from, unvec, vec
 from qexpander.protocol import (
     _check_unit_vector,
     arthur_verify,
     check_orthogonality,
-    contraction_standard_error,
     estimate_contraction_sq,
     merlin_witness,
     sample_orthogonality,
@@ -19,7 +18,18 @@ from qexpander.protocol import (
 from qexpander.spectral import NonExpanderInstance
 from qexpander.thermalization import ThermalModel
 
-from oracles import dense_kappa, identity_channel, is_regular, random_traceless, suggested_shots, superoperator
+from oracles import (
+    dense_kappa,
+    flatten,
+    gram_contraction_sq,
+    identity_channel,
+    is_regular,
+    random_pair_p0,
+    random_traceless,
+    sample_random_pair_tests,
+    suggested_shots,
+    superoperator,
+)
 
 I, X, Y, Z = paulis()
 
@@ -38,8 +48,8 @@ def hadamard_test_probability(v, psi):
 
 
 def sample_hadamard_test(v, psi, shots, rng):
-    """Fraction of 0 outcomes over `shots` Bernoulli draws from `rng`, as
-    the sampled Gram estimator draws them for one pair."""
+    """Fraction of 0 outcomes over `shots` Hadamard tests of V, drawn from
+    `rng` in one binomial call."""
     return rng.binomial(shots, min(max(hadamard_test_probability(v, psi), 0.0), 1.0)) / shots
 
 
@@ -51,19 +61,14 @@ def pair_unitary(channel, d, e):
     return wd.conj().T @ we
 
 
-def pair_loop_estimate(channel, psi, shots=None, seed=0):
-    """Oracle: one Hadamard test per dense pair unitary, in d < e order,
-    all drawn in turn from the single shot stream rng_from(seed, 1)."""
+def pair_loop_estimate(channel, psi):
+    """Oracle: sum_d w_d^2 + 2 sum_{d<e} w_d w_e Re<psi|V_{d,e}|psi>, one
+    exact Hadamard-test probability per dense pair unitary."""
     w = channel.weights
     total = float(w @ w)
-    rng = rng_from(seed, 1)
     for d in range(channel.degree):
         for e in range(d + 1, channel.degree):
-            v = pair_unitary(channel, d, e)
-            if shots is None:
-                frac0 = hadamard_test_probability(v, psi)
-            else:
-                frac0 = sample_hadamard_test(v, psi, shots, rng)
+            frac0 = hadamard_test_probability(pair_unitary(channel, d, e), psi)
             total += 2.0 * w[d] * w[e] * (2.0 * frac0 - 1.0)
     return total
 
@@ -164,9 +169,9 @@ def test_estimate_rejects_mismatched_state():
 
 
 def test_estimate_rejects_nonpositive_shots():
-    for shots in (0, -3):
-        with pytest.raises(ValueError, match="shots must be >= 1"):
-            estimate_contraction_sq(iz_channel(), vec(Z) / np.sqrt(2), shots_per_pair=shots)
+    for shots, message in ((0, "shots must be >= 1"), (-3, "shots must be >= 1"), (2**63, "shots must be <=")):
+        with pytest.raises(ValueError, match=message):
+            estimate_contraction_sq(iz_channel(), vec(Z) / np.sqrt(2), shots=shots)
 
 
 def test_sampled_verify_draws_from_two_streams(monkeypatch):
@@ -181,7 +186,7 @@ def test_sampled_verify_draws_from_two_streams(monkeypatch):
     ch = random_unitary_channel(2, 32, rng)
     out = arthur_verify(NonExpanderInstance(ch, 0.5, 0.2), unit_traceless(4, rng), shots=20, seed=3)
     assert out.orthogonality_passed
-    assert out.samples_used == 1 + 20 * 32 * 31 // 2
+    assert out.samples_used == 1 + 20
     assert len(calls) <= 2
 
 
@@ -196,16 +201,43 @@ def test_gram_estimate_matches_pair_unitary_loop(qubits, degree):
         assert estimate_contraction_sq(ch, psi) == pytest.approx(pair_loop_estimate(ch, psi), abs=1e-12)
 
 
-def test_sampled_gram_estimate_matches_pair_unitary_loop():
-    rng = rng_from(11)
+def oracle_channels(rng):
+    """Uniform, weighted, signed and two-stage (controlled second stage)
+    2-qubit channels."""
     uniform = random_unitary_channel(2, 5, rng)
     weighted = Channel(uniform.kraus, random_weights(5, rng))
-    psi = unit_traceless(4, rng)
-    for ch in (uniform, weighted):
-        for seed in range(20):
-            gram = estimate_contraction_sq(ch, psi, shots_per_pair=64, seed=seed)
-            loop = pair_loop_estimate(ch, psi, shots=64, seed=seed)
-            assert gram == pytest.approx(loop, abs=1e-12)
+    signed = Channel(random_unitary_channel(2, 3, rng).kraus, random_weights(3, rng), signed=True)
+    controlled = Channel(
+        random_unitary_channel(1, 2, rng).kraus, [0.3, 0.7], qubits=2, targets=(1,), control=[0, 1]
+    )
+    return {"uniform": uniform, "weighted": weighted, "signed": signed,
+            "two-stage": Channel.staged((weighted, controlled))}
+
+
+def test_random_pair_gram_average_is_hadamard_probability():
+    # A Hadamard test of V_{d,e} with (d, e) drawn from w (x) w returns 0
+    # with probability exactly (1 + c)/2, c = ||Phi(A)||_F^2.
+    rng = rng_from(13)
+    for name, ch in oracle_channels(rng).items():
+        for _ in range(3):
+            psi = unit_traceless(4, rng)
+            c = estimate_contraction_sq(ch, psi)
+            assert 0.5 * (1.0 + c) == pytest.approx(random_pair_p0(flatten(ch), psi), abs=1e-12), name
+
+
+def test_sampled_estimate_matches_per_shot_oracle():
+    # The one-binomial draw and the per-shot random-pair sampler have the
+    # same mean: the difference of their seed averages is within 4 sigma.
+    rng = rng_from(11)
+    shots, seeds = 64, 200
+    for name, ch in oracle_channels(rng).items():
+        psi = unit_traceless(4, rng)
+        flat = flatten(ch)
+        collapsed = np.mean([estimate_contraction_sq(ch, psi, shots=shots, seed=s) for s in range(seeds)])
+        per_shot = np.mean([sample_random_pair_tests(flat, psi, shots, rng_from(s, 2)) for s in range(seeds)])
+        p0 = random_pair_p0(flat, psi)
+        sigma = 2.0 * math.sqrt(2.0 * p0 * (1.0 - p0) / (shots * seeds))
+        assert abs(collapsed - per_shot) <= 4.0 * sigma, name
 
 
 def test_exact_estimate_memory_is_linear_in_degree():
@@ -222,16 +254,6 @@ def test_exact_estimate_memory_is_linear_in_degree():
     assert peak < 8 * 2**20
 
 
-def test_standard_error_uniform_and_weighted():
-    for degree in (2, 3, 8):
-        se = contraction_standard_error(np.full(degree, 1.0 / degree), 100)
-        assert se == pytest.approx(math.sqrt(2.0 * (degree - 1) / (degree**3 * 100)), rel=1e-12)
-    w = random_weights(5, rng_from(13))
-    pair_sum = sum(w[d] ** 2 * w[e] ** 2 for d in range(5) for e in range(d + 1, 5))
-    assert contraction_standard_error(w, 50) == pytest.approx(math.sqrt(4.0 * pair_sum / 50), rel=1e-12)
-    assert contraction_standard_error(np.array([1.0]), 50) == 0.0
-
-
 def test_sampled_weighted_estimate_within_standard_error():
     rng = rng_from(14)
     ch = Channel(random_unitary_channel(1, 4, rng).kraus, random_weights(4, rng))
@@ -239,7 +261,7 @@ def test_sampled_weighted_estimate_within_standard_error():
     exact = estimate_contraction_sq(ch, psi)
     shots, seeds = 200, 200
     samples = np.array([estimate_contraction_sq(ch, psi, shots, seed=s) for s in range(seeds)])
-    bound = contraction_standard_error(ch.weights, shots)
+    bound = 1.0 / math.sqrt(shots)
     assert samples.std() <= 1.2 * bound
     assert abs(samples.mean() - exact) <= 3 * bound / math.sqrt(seeds)
 
@@ -258,13 +280,23 @@ def test_arthur_verifies_non_regular_thermalization_channel():
     assert not reject.accepted
 
 
-def test_estimate_rejects_composite_channels():
-    comp = Channel.staged((identity_channel(1), identity_channel(1)))
-    with pytest.raises(ValueError, match="explicit Kraus"):
-        estimate_contraction_sq(comp, vec(Z) / np.sqrt(2))
-    for shots in (None, 10):
-        with pytest.raises(ValueError, match="explicit Kraus"):
-            arthur_verify(NonExpanderInstance(comp, 0.9, 0.5), vec(Z) / np.sqrt(2), shots=shots)
+def test_exact_estimate_on_staged_channels_matches_flattened_gram():
+    rng = rng_from(17)
+    identity_pair = Channel.staged((identity_channel(1), identity_channel(1)))
+    cases = [
+        identity_pair,
+        channel_power(random_unitary_channel(1, 3, rng), 3),
+        Channel.staged((complete_depolarizer(), iz_channel())),
+        oracle_channels(rng)["two-stage"],
+    ]
+    for ch in cases:
+        psi = unit_traceless(ch.dim, rng)
+        inst = NonExpanderInstance(ch, 0.9, 0.5)
+        exact = arthur_verify(inst, psi).estimated_contraction_sq
+        assert exact == pytest.approx(gram_contraction_sq(flatten(ch), psi), abs=1e-12)
+        assert exact == estimate_contraction_sq(ch, psi)
+        assert arthur_verify(inst, psi, shots=10).samples_used == 1 + 10
+    assert estimate_contraction_sq(identity_pair, vec(Z) / np.sqrt(2)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_estimate_matches_superoperator_quadratic_form():
