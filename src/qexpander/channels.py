@@ -342,15 +342,13 @@ def channel_power(channel: Channel, r: int) -> Channel:
     return Channel.staged((channel,) * r)
 
 
-def complete_depolarizer(signed: bool = True) -> Channel:
-    """The single-qubit complete depolarizer, D(sigma) = I tr(sigma)/2.
-
-    With ``signed=True`` (default) it is the signed stage over {I, X, Y, Z}:
-    the operation elements are {I, X, Y, Z, -I, -X, -Y, -Z}/8, which
-    additionally satisfy the zero-sum condition sum_d U_d = 0 needed for
-    controlled use.
+def complete_depolarizer() -> Channel:
+    """The single-qubit complete depolarizer, D(sigma) = I tr(sigma)/2, as
+    the signed stage over {I, X, Y, Z}: the operation elements are
+    {I, X, Y, Z, -I, -X, -Y, -Z}/8, which additionally satisfy the
+    zero-sum condition sum_d U_d = 0 needed for controlled use.
     """
-    return Channel(paulis(), np.full(4, 0.25), signed=signed)
+    return Channel(paulis(), np.full(4, 0.25), signed=True)
 
 
 def random_unitary_channel(qubits: int, degree: int, rng: np.random.Generator) -> Channel:

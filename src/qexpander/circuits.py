@@ -1,4 +1,4 @@
-"""Gate-level circuits: representation, file format, and dense simulation.
+"""Gate-level circuits: representation, file format, and simulation.
 
 Circuits describe verifier unitaries and explicit Kraus operators.  The
 gate set is deliberately small: single-qubit X/Y/Z/H/S/T, CNOT/CZ/TOFFOLI,
@@ -7,7 +7,8 @@ polarity, base either a named single-qubit gate or an inline 2x2 unitary),
 and GLOBAL_PHASE.  GLOBAL_PHASE is first-class because sign doubling needs
 -U as a circuit.  Multi-controlled gates are simulator primitives; the
 ancilla-free n_a^2-gate decomposition is never performed (its gate count is
-only ever reported symbolically).
+only ever reported symbolically).  Simulation applies each gate to the
+rows of the unitary it touches; no gate is lifted to the full space.
 
 Qubit 0 is the most significant bit of a basis-state index, consistently
 with the register layout below.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z, check_unitary, embed, pattern_projector
+from .linalg import PAULI_X, PAULI_Y, PAULI_Z, check_unitary, split_index
 
 NAMED_BASES = {
     "X": PAULI_X,
@@ -38,9 +39,11 @@ NAMED_BASES = {
     "T": np.diag([1, np.exp(1j * np.pi / 4)]).astype(complex),
 }
 
+#: The fixed-arity controlled kinds: (named base, number of controls).
+CONTROLLED_KINDS = {"CNOT": ("X", 1), "CZ": ("Z", 1), "TOFFOLI": ("X", 2)}
+
 SINGLE_QUBIT_KINDS = frozenset(NAMED_BASES)
-CONTROLLED_KINDS = frozenset({"CNOT", "CZ", "TOFFOLI"})
-GATE_KINDS = SINGLE_QUBIT_KINDS | CONTROLLED_KINDS | {"MCU", "GLOBAL_PHASE"}
+GATE_KINDS = SINGLE_QUBIT_KINDS | set(CONTROLLED_KINDS) | {"MCU", "GLOBAL_PHASE"}
 
 #: Dense simulation cap (qubits).
 SIM_CAP_QUBITS = 10
@@ -81,12 +84,10 @@ class Gate:
             return
         if len(self.targets) != 1:
             raise CircuitFormatError(f"{self.kind} needs exactly one target, got {self.targets}")
-        expected_controls = {"CNOT": 1, "CZ": 1, "TOFFOLI": 2}
-        if self.kind in expected_controls:
-            if len(self.controls) != expected_controls[self.kind]:
-                raise CircuitFormatError(
-                    f"{self.kind} needs {expected_controls[self.kind]} control(s), got {self.controls}"
-                )
+        if self.kind in CONTROLLED_KINDS:
+            count = CONTROLLED_KINDS[self.kind][1]
+            if len(self.controls) != count:
+                raise CircuitFormatError(f"{self.kind} needs {count} control(s), got {self.controls}")
             if not self.polarities:
                 object.__setattr__(self, "polarities", (1,) * len(self.controls))
         elif self.kind in SINGLE_QUBIT_KINDS:
@@ -124,12 +125,8 @@ class Gate:
     def base_matrix(self) -> np.ndarray:
         if self.kind in SINGLE_QUBIT_KINDS:
             return NAMED_BASES[self.kind]
-        if self.kind == "CNOT":
-            return NAMED_BASES["X"]
-        if self.kind == "CZ":
-            return NAMED_BASES["Z"]
-        if self.kind == "TOFFOLI":
-            return NAMED_BASES["X"]
+        if self.kind in CONTROLLED_KINDS:
+            return NAMED_BASES[CONTROLLED_KINDS[self.kind][0]]
         if self.kind == "MCU":
             return NAMED_BASES[self.base] if self.base is not None else self.matrix
         raise ValueError(f"{self.kind} has no base matrix")
@@ -156,36 +153,28 @@ class GateCircuit:
         return len(self.gates)
 
 
-def gate_matrix(gate: Gate, num_qubits: int) -> np.ndarray:
-    """Full 2^m x 2^m matrix of one gate.
-
-    Controlled gates use the projector form P * lift(base) + (I - P), where
-    P selects basis states whose control bits match the polarities; on
-    non-matching states the gate is the identity.
-    """
-    n = 2**num_qubits
-    if gate.kind == "GLOBAL_PHASE":
-        return complex(gate.phase) * np.eye(n, dtype=complex)
-    lifted = embed(gate.base_matrix(), gate.targets, num_qubits)
-    if not gate.controls:
-        return lifted
-    proj = pattern_projector(num_qubits, gate.controls, gate.polarities)
-    return proj @ lifted + (np.eye(n, dtype=complex) - proj)
-
-
 def simulate_unitary(circuit: GateCircuit) -> np.ndarray:
-    """Product of the gate matrices in circuit order.
+    """Product of the gates in circuit order, each applied to the rows it touches.
 
-    For small circuits (m <= 6) the unitarity of the result is asserted.
+    With p the polarity pattern read as a binary number (first control most
+    significant), each row of split_index(m, controls + targets)[:, 2p : 2p + 2]
+    indexes the pair of rows of U with target bit 0 and 1 and the controls
+    matching p; the base matrix mixes each such pair, and other rows are
+    left alone.  GLOBAL_PHASE scales U.  For small circuits (m <= 6) the
+    unitarity is asserted.
     """
-    if circuit.num_qubits > SIM_CAP_QUBITS:
-        raise ValueError(
-            f"{circuit.num_qubits}-qubit circuit exceeds the dense simulation cap ({SIM_CAP_QUBITS})"
-        )
-    u = np.eye(2**circuit.num_qubits, dtype=complex)
+    m = circuit.num_qubits
+    if m > SIM_CAP_QUBITS:
+        raise ValueError(f"{m}-qubit circuit exceeds the dense simulation cap ({SIM_CAP_QUBITS})")
+    u = np.eye(2**m, dtype=complex)
     for gate in circuit.gates:
-        u = gate_matrix(gate, circuit.num_qubits) @ u
-    if circuit.num_qubits <= 6:
+        if gate.kind == "GLOBAL_PHASE":
+            u *= complex(gate.phase)
+            continue
+        c = int("".join(map(str, gate.polarities)) or "0", 2)
+        rows = split_index(m, gate.controls + gate.targets)[:, 2 * c : 2 * c + 2]
+        u[rows] = gate.base_matrix() @ u[rows]
+    if m <= 6:
         check_unitary(u)
     return u
 

@@ -120,42 +120,6 @@ def split_index(num_qubits: int, qubits) -> np.ndarray:
     return spread(rest)[:, None] | spread(qubits)[None, :]
 
 
-def embed(op: np.ndarray, qubits: tuple[int, ...] | list[int], num_qubits: int) -> np.ndarray:
-    """Lift an operator acting on the given qubits to the full m-qubit space.
-
-    `op` is a 2^k x 2^k matrix whose tensor factors correspond, in order, to
-    `qubits` (each an index in [0, num_qubits), qubit 0 = most significant bit).
-    """
-    idx = split_index(num_qubits, qubits)
-    op = check_square(op)
-    if op.shape[0] != idx.shape[1]:
-        raise ValueError(f"operator shape {op.shape} does not match {len(qubits)} qubits")
-    full = np.zeros((2**num_qubits, 2**num_qubits), dtype=complex)
-    full[idx[:, :, None], idx[:, None, :]] = op
-    return full
-
-
-def bit_projector(num_qubits: int, qubit: int, value: int) -> np.ndarray:
-    """Projector onto basis states whose bit at `qubit` equals `value`."""
-    if value not in (0, 1):
-        raise ValueError(f"bit value must be 0 or 1, got {value}")
-    n = 2**num_qubits
-    bits = (np.arange(n) >> (num_qubits - 1 - qubit)) & 1
-    return np.diag((bits == value).astype(complex))
-
-
-def pattern_projector(num_qubits: int, qubits: tuple[int, ...], values: tuple[int, ...]) -> np.ndarray:
-    """Projector onto basis states matching the given bit pattern."""
-    if len(qubits) != len(values):
-        raise ValueError("qubits and values must have equal length")
-    n = 2**num_qubits
-    mask = np.ones(n, dtype=bool)
-    for q, v in zip(qubits, values):
-        bits = (np.arange(n) >> (num_qubits - 1 - q)) & 1
-        mask &= bits == v
-    return np.diag(mask.astype(complex))
-
-
 # ---------------------------------------------------------------------------
 # Seeded randomness.  All randomness in the toolkit flows from a single
 # 64-bit seed through numpy's SeedSequence into the counter-based Philox

@@ -20,9 +20,13 @@ F.  The resulting channel contracts every traceless input by
 in the NO case, while in the YES case the witness operator Psi - I/N is
 contracted by no more than alpha = sqrt(1 - (8/5)(1 - a^2)).
 
-Every controlled map is stored in block form: its Kraus operators act on
-the target qubits only, and a 0/1 control vector over the basis of the
-other qubits selects the subspace P where they act.  One application is
+Every control is a 0/1 vector c over the basis states of the qubits
+outside the controlled map's target register (ascending, qubit 0 most
+significant): the vector :class:`Channel` stores.  The three controls
+above are bit tests on those states, read off :func:`rest_bits`: the
+ancillas are not all 0, the top qubit is 0, and the indicator is 1.
+With P = diag(c) (x) I_T and Q = I - P, the Kraus operators act on the
+target qubits only, and one application is
 
     Phi_T(P A P) + P M A Q + Q A M^dag P + Q A Q,    M = sum_d w_d U_d,
 
@@ -54,7 +58,7 @@ from .channels import (
     zero_sum_defect,
 )
 from .circuits import SIM_CAP_QUBITS, Gate, GateCircuit, RegisterLayout, multi_controlled, simulate_unitary
-from .linalg import ATOL, bit_projector, frobenius, pattern_projector, rng_from, split_index
+from .linalg import ATOL, rng_from, split_index
 from .spectral import spectral_gap
 
 #: Seeded draws `build_base_expander` tries before giving up.
@@ -67,92 +71,65 @@ def ensure_zero_sum(channel: Channel) -> Channel:
     return per_stage(channel, lambda s: s if zero_sum_defect(s) <= ATOL else sign_double(s))
 
 
-def controlled_channel(
-    target: Channel,
-    target_qubits,
-    projector: np.ndarray,
-    num_qubits: int,
-    require_zero_sum: bool = True,
-) -> Channel:
+def rest_bits(num_qubits: int, targets) -> np.ndarray:
+    """The bits of the basis states a control vector ranges over: entry
+    [r, q] is the bit of qubit q in the r-th basis state of the qubits
+    outside `targets` (ascending, qubit 0 most significant), 0 on `targets`."""
+    index = split_index(num_qubits, targets)[:, 0]
+    return (index[:, None] >> np.arange(num_qubits - 1, -1, -1)) & 1
+
+
+def controlled_channel(target: Channel, target_qubits, control, num_qubits: int) -> Channel:
     """Build the controlled version of `target` on the full qubit space.
 
-    `projector` is the full-space projector P selecting where the channel
-    acts.  It must be diagonal in the computational basis and constant on
-    `target_qubits`, so that it is diag(c) (x) I_T for a 0/1 control
-    vector c over the other qubits and commutes with every lifted element.
-    Each target stage becomes one structured stage (its Kraus operators on
-    `target_qubits`, control c), whose full-space elements are
-    {P lift(U_i) + Q}, Q = I - P; see :meth:`Channel.apply` for the block
-    form it is applied in; a signed target stage gives a signed stage.  When
-    the weighted target elements sum to zero, M = sum_d w_d U_d = 0, this is
-    P A P (x) F(B) + Q A Q (x) B, with no cross terms.  Multi-stage targets
+    `control` is the 0/1 vector over the basis states of the qubits outside
+    `target_qubits` (ascending, qubit 0 most significant) that
+    :class:`Channel` takes: the target acts where it is 1.  With
+    P = diag(control) (x) I_T and Q = I - P, each target stage becomes one
+    structured stage whose full-space elements are {P lift(U_d) + Q}; P is
+    diagonal and commutes with every lifted U_d by construction.  See
+    :meth:`Channel.apply` for the block form it is applied in; a signed
+    target stage gives a signed stage.  The weighted target elements must
+    sum to zero, M = sum_d w_d U_d = 0, so the action is
+    P A P (x) F(B) + Q A Q (x) B with no cross terms.  Multi-stage targets
     are controlled stage by stage, which is exact because
     Lambda(AB) = Lambda(A) Lambda(B) for a shared control subspace; each
     distinct stage object is controlled once.
     """
-    target_qubits = tuple(int(q) for q in target_qubits)
-    projector = np.asarray(projector, dtype=complex)
-    n = 2**num_qubits
-    if projector.shape != (n, n):
-        raise ValueError(f"projector shape {projector.shape} does not match {num_qubits} qubits")
-    if frobenius(projector @ projector - projector) > 1e-10 * n:
-        raise ValueError("control subspace matrix is not a projector")
-    bits = np.round(np.diag(projector).real)
-    if frobenius(projector - np.diag(bits)) > 1e-10 * n:
-        raise ValueError("control projector must be diagonal in the computational basis")
-    control = bits[split_index(num_qubits, target_qubits)]
-    if np.any(control != control[:, :1]):
-        raise ValueError(
-            "control projector does not commute with the lifted target elements "
-            "(control and target registers overlap?)"
-        )
 
     def control_stage(s: Channel) -> Channel:
         if s.targets != tuple(range(s.qubits)) or s.control is not None:
             s = Channel(s.kraus, s.weights)  # lifted to the target register
-        return Channel(
-            s.target_kraus,
-            s.target_weights,
-            qubits=num_qubits,
-            targets=target_qubits,
-            control=control[:, 0],
-            signed=s.signed,
-        )
+        return Channel(s.target_kraus, s.target_weights, qubits=num_qubits, targets=target_qubits,
+                       control=control, signed=s.signed)
 
     out = per_stage(target, control_stage)
-    if require_zero_sum:
-        defect = zero_sum_defect(out)
-        if defect > ATOL:
-            raise ValueError(
-                f"target elements lack the zero-sum property (weighted sum has Frobenius norm {defect:.3e}); "
-                "sign-double the channel first (cross terms otherwise)"
-            )
+    defect = zero_sum_defect(out)
+    if defect > ATOL:
+        raise ValueError(
+            f"target elements lack the zero-sum property (weighted sum has Frobenius norm {defect:.3e}); "
+            "sign-double the channel first (cross terms otherwise)"
+        )
     return out
 
 
-def controlled_depolarizer(num_qubits: int, target_qubit: int, projector: np.ndarray) -> Channel:
-    """The 8-regular controlled complete depolarizer on one qubit.
+def controlled_depolarizer(num_qubits: int, target_qubit: int, control) -> Channel:
+    """The 8-regular controlled complete depolarizer on one qubit, switched
+    on by the 0/1 `control` vector over the other qubits.
 
     Elements {Lambda(+-I), Lambda(+-X), Lambda(+-Y), Lambda(+-Z)}; its
     action is P A P (x) I tr(sigma)/2 + Q A Q (x) sigma.
     """
-    return controlled_channel(complete_depolarizer(signed=True), (target_qubit,), projector, num_qubits)
+    return controlled_channel(complete_depolarizer(), (target_qubit,), control, num_qubits)
 
 
-def ancilla_fail_projector(layout: RegisterLayout) -> np.ndarray:
-    """Projector onto "ancilla register not all |0>" on the full space."""
-    m = layout.total_qubits
-    all_zero = pattern_projector(m, layout.ancilla_qubits, (0,) * layout.num_ancilla)
-    return np.eye(2**m, dtype=complex) - all_zero
-
-
-def thresholds(a: float, b: float, kappa_f: float, n_w: int, strict: bool = True) -> tuple[float, float]:
+def thresholds(a: float, b: float, kappa_f: float, n_w: int) -> tuple[float, float]:
     """The instance thresholds produced by the reduction:
 
         beta  = (1 + kappa_f + 2^(n_w+1) b) / sqrt(2)
         alpha = sqrt(1 - (8/5)(1 - a^2))
 
-    In strict mode, refuses parameter combinations with alpha <= beta.
+    Refuses parameter combinations with alpha <= beta.
     """
     for name, value in (("a", a), ("b", b), ("kappa_f", kappa_f)):
         if not 0.0 <= value <= 1.0:
@@ -162,7 +139,7 @@ def thresholds(a: float, b: float, kappa_f: float, n_w: int, strict: bool = True
     if alpha_sq < 0:
         raise ValueError(f"a = {a} gives a negative alpha^2 = {alpha_sq}")
     alpha = math.sqrt(alpha_sq)
-    if strict and alpha <= beta:
+    if alpha <= beta:
         raise ValueError(f"thresholds do not separate: alpha = {alpha} <= beta = {beta}")
     return alpha, beta
 
@@ -277,7 +254,7 @@ def make_reduction_spec(
             raise ValueError(f"strict mode needs b < 0.1 * 2^-(n_w+1), got {b}")
         if not kappa_f < 0.1:
             raise ValueError(f"strict mode needs kappa_f < 0.1, got {kappa_f}")
-    alpha, beta = thresholds(a, b, kappa_f, layout.num_witness, strict=True)
+    alpha, beta = thresholds(a, b, kappa_f, layout.num_witness)
     return ReductionSpec(
         verifier=verifier,
         layout=layout,
@@ -298,7 +275,7 @@ def witness_verifier_channel(spec: ReductionSpec) -> Channel:
     m = layout.total_qubits
     verifier = tuple(range(layout.verifier_qubits))
     v = simulate_unitary(spec.verifier)
-    top_is_zero = bit_projector(m, layout.top_qubit, 0)
+    top_is_zero = rest_bits(m, (layout.indicator_qubit,))[:, layout.top_qubit] == 0
     return Channel.staged(
         (
             Channel((v,), (1.0,), qubits=m, targets=verifier),
@@ -316,11 +293,13 @@ def build_reduction(spec: ReductionSpec) -> Channel:
     degree of the base expander, which must have the zero-sum property.
     """
     layout = spec.layout
-    m = layout.total_qubits
-    anc_ver = controlled_depolarizer(m, layout.indicator_qubit, ancilla_fail_projector(layout))
+    m, indicator = layout.total_qubits, layout.indicator_qubit
+    verifier = tuple(range(layout.verifier_qubits))
+    ancilla_fails = rest_bits(m, (indicator,))[:, layout.ancilla_qubits].any(axis=1)
+    anc_ver = controlled_depolarizer(m, indicator, ancilla_fails)
     wit_ver = witness_verifier_channel(spec)
-    indicator_is_one = bit_projector(m, layout.indicator_qubit, 1)
-    ctrl_f = controlled_channel(spec.base_expander, tuple(range(layout.verifier_qubits)), indicator_is_one, m)
+    indicator_is_one = rest_bits(m, verifier)[:, indicator] == 1
+    ctrl_f = controlled_channel(spec.base_expander, verifier, indicator_is_one, m)
     return Channel.staged((anc_ver, wit_ver, ctrl_f))
 
 

@@ -43,8 +43,12 @@ the mixing tail of rule (b) adds at most SERIES_TOL; rounding comes on
 top.  The cost is min(K_tail(gamma t_max), mixing index) applications of
 Phi: it stays bounded as t grows when Phi mixes (kappa < 1).  A model
 that mixes slowly or not at all (kappa = 1) would need about
-gamma t_max applications; past MAX_SERIES_TERMS of them `evolve` raises
-ValueError instead.
+gamma t_max applications; `evolve` raises ValueError rather than make more
+than MAX_SERIES_TERMS of them.  When rule (a) cannot stop the series by
+that cap, it raises as soon as rule (b) cannot either: Phi contracts the
+Frobenius norm, so the steps s_k = ||T_k - T_{k-1}||_F do not grow and
+every ||T_j - I/N||_F up to the cap is at least
+||T_k - I/N||_F - (MAX_SERIES_TERMS - k) s_k.
 
 The bath-side derivation (correlation integrals, Lamb-shift cancellation)
 is analytic input: R0 and R1 here are user-supplied rates, corresponding
@@ -159,7 +163,8 @@ def _check_times(times) -> np.ndarray:
 def _evolve_series(model: ThermalModel, rho0: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, int]:
     """Uniformization sum_k pi_k(gamma t_j) Phi^k(rho0) at every time t_j.
 
-    Stops at the tail or the mixing rule of the module docstring.  Returns
+    Stops at the tail or the mixing rule of the module docstring, and raises
+    once neither can stop it within MAX_SERIES_TERMS applications.  Returns
     the (J, N, N) states and the number of channel applications.  Powers
     are summed in blocks of up to min(J, 32), one real GEMM on their
     [re, im] views per block, so the buffer never outgrows the output.
@@ -174,6 +179,13 @@ def _evolve_series(model: ThermalModel, rho0: np.ndarray, times: np.ndarray) -> 
     mass = np.zeros(len(times))
     block = min(len(times), 32)
     pending_w, pending_t = [], []
+    log_tol = math.log(SERIES_TOL)
+
+    def tail_ends(tail: int) -> bool:  # rule (a) with K = tail terms
+        return x_max == 0 or (tail > x_max and tail * (1 + math.log(x_max / tail)) - x_max <= log_tol)
+
+    capped = not tail_ends(MAX_SERIES_TERMS + 1)
+    step = math.inf  # s_k, unbounded before the first application
     term = rho0
     k = 0
     while True:
@@ -182,23 +194,25 @@ def _evolve_series(model: ThermalModel, rho0: np.ndarray, times: np.ndarray) -> 
         mass += weights
         pending_w.append(weights)
         pending_t.append(term)
-        mixing = frobenius(term - mixed) <= SERIES_TOL
-        tail = k + 1
-        done = mixing or x_max == 0 or (
-            tail > x_max and tail * (1 + math.log(x_max / tail)) - x_max <= math.log(SERIES_TOL)
-        )
+        residual = frobenius(term - mixed)
+        mixing = residual <= SERIES_TOL
+        done = mixing or tail_ends(k + 1)
         if done or len(pending_t) == block:
             terms = np.ascontiguousarray(pending_t).reshape(len(pending_t), n * n).view(float)
             states += np.stack(pending_w, axis=1) @ terms
             pending_w, pending_t = [], []
         if done:
             break
-        if k == MAX_SERIES_TERMS:
+        # At k = MAX_SERIES_TERMS this reads residual > SERIES_TOL: the cap.
+        if capped and residual - (MAX_SERIES_TERMS - k) * step > SERIES_TOL:
             raise ValueError(
                 f"gamma * t_max = {x_max:.6g} needs more than {MAX_SERIES_TERMS} channel "
                 "applications: the model does not mix within that horizon"
             )
-        term = channel.apply(term)
+        nxt = channel.apply(term)
+        if capped:
+            step = frobenius(nxt - term)
+        term = nxt
         k += 1
     states = states.view(complex).reshape(len(times), n, n)
     if mixing:

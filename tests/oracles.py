@@ -6,7 +6,9 @@ The channel helpers (identity, materialized composition, tensor product)
 and the random operators build test inputs; the doubled lift rebuilds a
 stage's full-space elements from its stored parts.  The Kraus-pair Gram
 matrix and a per-shot random-pair Hadamard-test sampler are the oracle
-for Arthur's contraction estimate.
+for Arthur's contraction estimate.  The dense qubit embedding, pattern
+projector and gate product are the oracle for the row-wise circuit
+simulator and the reduction's control vectors.
 """
 
 from __future__ import annotations
@@ -16,7 +18,50 @@ import math
 import numpy as np
 
 from qexpander.channels import Channel
-from qexpander.linalg import embed, phi_state, split_index
+from qexpander.circuits import GateCircuit
+from qexpander.linalg import check_square, phi_state, split_index
+
+
+def embed(op: np.ndarray, qubits, num_qubits: int) -> np.ndarray:
+    """Lift an operator acting on the given qubits to the full m-qubit space.
+
+    `op` is a 2^k x 2^k matrix whose tensor factors correspond, in order, to
+    `qubits` (each an index in [0, num_qubits), qubit 0 = most significant bit).
+    """
+    idx = split_index(num_qubits, qubits)
+    op = check_square(op)
+    if op.shape[0] != idx.shape[1]:
+        raise ValueError(f"operator shape {op.shape} does not match {len(qubits)} qubits")
+    full = np.zeros((2**num_qubits, 2**num_qubits), dtype=complex)
+    full[idx[:, :, None], idx[:, None, :]] = op
+    return full
+
+
+def pattern_projector(num_qubits: int, qubits, values) -> np.ndarray:
+    """Projector onto basis states whose bits on `qubits` spell `values`."""
+    if len(qubits) != len(values):
+        raise ValueError("qubits and values must have equal length")
+    n = 2**num_qubits
+    mask = np.ones(n, dtype=bool)
+    for q, v in zip(qubits, values):
+        bits = (np.arange(n) >> (num_qubits - 1 - q)) & 1
+        mask &= bits == v
+    return np.diag(mask.astype(complex))
+
+
+def dense_unitary(circuit: GateCircuit) -> np.ndarray:
+    """Product of the full 2^m x 2^m gate matrices in circuit order, each
+    P embed(base) + (I - P) with P the projector onto its control pattern."""
+    n = 2**circuit.num_qubits
+    u = np.eye(n, dtype=complex)
+    for gate in circuit.gates:
+        if gate.kind == "GLOBAL_PHASE":
+            g = complex(gate.phase) * np.eye(n, dtype=complex)
+        else:
+            p = pattern_projector(circuit.num_qubits, gate.controls, gate.polarities)
+            g = p @ embed(gate.base_matrix(), gate.targets, circuit.num_qubits) + (np.eye(n) - p)
+        u = g @ u
+    return u
 
 
 def random_operator(dim: int, rng: np.random.Generator) -> np.ndarray:

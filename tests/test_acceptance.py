@@ -13,7 +13,6 @@ from qexpander.channels import (
 )
 from qexpander.circuits import RegisterLayout
 from qexpander.linalg import (
-    bit_projector,
     frobenius,
     haar_unitary,
     paulis,
@@ -117,12 +116,11 @@ def test_criterion_4_oracle_equivalence():
 
 
 def test_criterion_5_controlled_expander_algebra():
-    p_full = bit_projector(2, 0, 1)
     p1 = np.diag([0, 1]).astype(complex)
     q1 = np.eye(2) - p1
     rng = rng_from(300)
     target = random_unitary_channel(1, 3, rng)
-    doubled = controlled_channel(sign_double(target), (1,), p_full, 2)
+    doubled = controlled_channel(sign_double(target), (1,), [0, 1], 2)
     worst_block = 0.0
     for _ in range(100):
         a, b = random_operator(2, rng), random_operator(2, rng)
@@ -130,7 +128,7 @@ def test_criterion_5_controlled_expander_algebra():
         worst_block = max(worst_block, frobenius(doubled.apply(np.kron(a, b)) - blocks))
     # constructed example: single-element {H} channel has element sum H != 0
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    raw = controlled_channel(Channel.uniform((h,)), (1,), p_full, 2, require_zero_sum=False)
+    raw = Channel((h,), (1.0,), qubits=2, targets=(1,), control=[0, 1])
     blocks = np.kron(p1 @ X @ p1, np.eye(2)) + np.kron(q1 @ X @ q1, np.eye(2))
     cross_mass = frobenius(raw.apply(np.kron(X, np.eye(2))) - blocks)
     ok = worst_block < 1e-10 and cross_mass > 1e-3

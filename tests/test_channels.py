@@ -12,14 +12,16 @@ from qexpander.channels import (
     zero_sum_defect,
 )
 from qexpander.fileio import save_channel
-from qexpander.linalg import embed, frobenius, paulis, pattern_projector, rng_from
+from qexpander.linalg import frobenius, paulis, rng_from
 
 from oracles import (
     compose,
     doubled_lift,
+    embed,
     identity_channel,
     is_regular,
     lifted_kraus_sum,
+    pattern_projector,
     random_operator,
     superoperator,
     tensor,
@@ -171,9 +173,9 @@ def test_channel_power_degree_and_action():
 
 
 def test_zero_sum_defect():
-    assert zero_sum_defect(complete_depolarizer(signed=True)) == 0.0
+    assert zero_sum_defect(complete_depolarizer()) == 0.0
     # ||(I + X + Y + Z) / 4||_F = sqrt(8) / 4: the weighted sum M.
-    assert zero_sum_defect(complete_depolarizer(signed=False)) == pytest.approx(np.sqrt(0.5), abs=1e-15)
+    assert zero_sum_defect(Channel(paulis(), np.full(4, 0.25))) == pytest.approx(np.sqrt(0.5), abs=1e-15)
 
 
 def test_kraus_arrays_are_frozen():

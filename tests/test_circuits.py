@@ -4,19 +4,21 @@ import numpy as np
 import pytest
 
 from qexpander.circuits import (
+    CONTROLLED_KINDS,
     CircuitFormatError,
     Gate,
     GateCircuit,
     NAMED_BASES,
     RegisterLayout,
-    gate_matrix,
     load_circuit,
     multi_controlled,
     parse_circuit,
     serialize_circuit,
     simulate_unitary,
 )
-from qexpander.linalg import paulis
+from qexpander.linalg import paulis, rng_from
+
+from oracles import dense_unitary
 
 I, X, Y, Z = paulis()
 
@@ -190,11 +192,58 @@ def test_register_layout():
         RegisterLayout(0, 2)
 
 
-def test_gate_matrix_is_unitary():
+def test_simulated_gates_are_unitary():
     for gate in (
         Gate("S", (0,)),
         Gate("CZ", (1,), (0,)),
         multi_controlled("T", 1, (0, 2), (0, 1)),
     ):
-        u = gate_matrix(gate, 3)
+        u = simulate_unitary(GateCircuit(3, (gate,)))
         assert np.allclose(u.conj().T @ u, np.eye(8), atol=1e-12)
+
+
+ALL_KINDS = (*sorted(NAMED_BASES), "CNOT", "CZ", "TOFFOLI", "MCU", "MCU-inline", "GLOBAL_PHASE")
+
+
+def _random_circuit(m: int, rng: np.random.Generator, kinds=ALL_KINDS, bases=tuple(sorted(NAMED_BASES))) -> GateCircuit:
+    """Twelve gates drawn from `kinds` on shuffled qubits: controls and
+    target in any order, random polarities, MCU bases drawn from `bases`
+    ("MCU-inline" is an MCU with a random inline unitary)."""
+    gates = []
+    while len(gates) < 12:
+        kind = kinds[rng.integers(len(kinds))]
+        if kind == "GLOBAL_PHASE":
+            gates.append(Gate(kind, phase=complex(np.exp(2j * np.pi * rng.random()))))
+            continue
+        if kind in CONTROLLED_KINDS:
+            controls = CONTROLLED_KINDS[kind][1]
+        else:
+            controls = 0 if kind in NAMED_BASES else int(rng.integers(0, m))
+        if controls >= m:
+            continue
+        target, *ctrl = (int(q) for q in rng.permutation(m)[: controls + 1])
+        pol = tuple(int(b) for b in rng.integers(0, 2, controls))
+        if kind == "MCU":
+            gates.append(multi_controlled(bases[rng.integers(len(bases))], target, ctrl, pol))
+        elif kind == "MCU-inline":
+            z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            gates.append(multi_controlled(np.linalg.qr(z)[0], target, ctrl, pol))
+        else:
+            gates.append(Gate(kind, (target,), ctrl, pol))
+    return GateCircuit(m, tuple(gates))
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_simulation_matches_dense_gate_product(m):
+    rng = rng_from(70, m)
+    for _ in range(4):
+        circuit = _random_circuit(m, rng)
+        assert np.max(np.abs(simulate_unitary(circuit) - dense_unitary(circuit))) < 1e-12
+
+
+def test_permutation_circuits_match_dense_product_exactly(corpus):
+    rng = rng_from(71)
+    circuits = [load_circuit(corpus / "circuits" / f"{key}_verifier_2w2a.json") for key in ("yes", "no")]
+    circuits += [_random_circuit(m, rng, ("X", "CNOT", "TOFFOLI", "MCU"), ("X",)) for m in range(1, 7)]
+    for circuit in circuits:
+        assert np.array_equal(simulate_unitary(circuit), dense_unitary(circuit))

@@ -16,7 +16,7 @@ from qexpander.fileio import (
     save_channel,
     vector_from_json,
 )
-from qexpander.linalg import bit_projector, frobenius, paulis, rng_from
+from qexpander.linalg import frobenius, paulis, rng_from
 from qexpander.reduction import build_reduction, controlled_channel, sign_double
 
 from oracles import dense_kappa, is_regular, random_operator
@@ -161,7 +161,7 @@ def _structured_channel():
     dep = complete_depolarizer()
     ctrl_dep = Channel(dep.kraus, dep.weights, qubits=3, targets=(1,), control=[1, 0, 1, 1])
     inner = sign_double(random_unitary_channel(2, 2, rng))
-    power = controlled_channel(channel_power(inner, 3), (2, 0), bit_projector(3, 1, 1), 3)
+    power = controlled_channel(channel_power(inner, 3), (2, 0), [0, 1], 3)
     return Channel.staged((ctrl_dep, power, random_unitary_channel(3, 2, rng)))
 
 

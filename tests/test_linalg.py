@@ -4,12 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qexpander.linalg import (
-    bit_projector,
     check_unitary,
-    embed,
     frobenius,
     haar_unitary,
-    pattern_projector,
     paulis,
     phi_state,
     qubits_for_dim,
@@ -18,7 +15,7 @@ from qexpander.linalg import (
     vec,
 )
 
-from oracles import random_operator, random_traceless
+from oracles import embed, pattern_projector, random_operator, random_traceless
 
 I, X, Y, Z = paulis()
 
@@ -108,7 +105,7 @@ def test_embed_rejects_bad_indices():
 
 def test_projectors():
     # qubit 0 is the most significant bit
-    p = bit_projector(2, 0, 1)
+    p = pattern_projector(2, (0,), (1,))
     assert np.allclose(np.diag(p), [0, 0, 1, 1])
     p = pattern_projector(3, (0, 2), (1, 0))
     expect = [(i >> 2) & 1 == 1 and i & 1 == 0 for i in range(8)]

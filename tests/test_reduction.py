@@ -11,17 +11,9 @@ from qexpander.channels import (
     zero_sum_defect,
 )
 from qexpander.circuits import Gate, GateCircuit, RegisterLayout, multi_controlled, simulate_unitary
-from qexpander.linalg import (
-    bit_projector,
-    embed,
-    frobenius,
-    pattern_projector,
-    paulis,
-    rng_from,
-)
+from qexpander.linalg import frobenius, paulis, rng_from, split_index
 from qexpander.reduction import (
     CertificationError,
-    ancilla_fail_projector,
     build_base_expander,
     build_reduction,
     certify_power_expander,
@@ -30,6 +22,7 @@ from qexpander.reduction import (
     ensure_zero_sum,
     make_reduction_spec,
     no_verifier,
+    rest_bits,
     sign_double,
     thresholds,
     witness_verifier_channel,
@@ -38,8 +31,10 @@ from qexpander.reduction import (
 
 from oracles import (
     dense_kappa,
+    embed,
     identity_channel,
     lifted_kraus_sum,
+    pattern_projector,
     random_operator,
     random_traceless,
     superoperator,
@@ -48,6 +43,14 @@ from oracles import (
 
 I, X, Y, Z = paulis()
 LAYOUT = RegisterLayout(2, 2)
+UNSIGNED_DEPOLARIZER = Channel(paulis(), np.full(4, 0.25))
+
+
+def control_of(projector: np.ndarray, target_qubits) -> np.ndarray:
+    """The 0/1 control vector of a dense full-space control projector: its
+    diagonal on the rest-basis states, the target qubits at 0."""
+    m = int(np.log2(len(projector)))
+    return np.diag(projector).real[split_index(m, target_qubits)[:, 0]]
 
 
 def _ry(theta: float) -> np.ndarray:
@@ -97,7 +100,7 @@ def acceptance_spectrum(verifier: GateCircuit, layout: RegisterLayout) -> np.nda
     anc = np.zeros(2**layout.num_ancilla, dtype=complex)
     anc[0] = 1.0
     inject = np.kron(np.eye(2**layout.num_witness, dtype=complex), anc.reshape(-1, 1))
-    top_is_one = bit_projector(verifier.num_qubits, layout.top_qubit, 1)
+    top_is_one = pattern_projector(verifier.num_qubits, (layout.top_qubit,), (1,))
     m = top_is_one @ v @ inject
     return np.linalg.svd(m, compute_uv=False)
 
@@ -125,12 +128,12 @@ def yes_reduction(base_expander):
 
 
 def test_sign_double_pauli_set():
-    doubled = sign_double(complete_depolarizer(signed=False))
+    doubled = sign_double(UNSIGNED_DEPOLARIZER)
     assert doubled.degree == 8
     assert zero_sum_defect(doubled) < 1e-12
     rng = rng_from(0)
     a = random_operator(2, rng)
-    assert frobenius(doubled.apply(a) - complete_depolarizer(signed=False).apply(a)) < 1e-12
+    assert frobenius(doubled.apply(a) - UNSIGNED_DEPOLARIZER.apply(a)) < 1e-12
 
 
 def test_sign_double_idempotent_in_action():
@@ -173,7 +176,7 @@ def test_sign_double_sets_the_flag_and_keeps_structure():
 
 
 def test_sign_double_refuses_live_cross_terms():
-    raw = controlled_channel(Channel.uniform((I, X)), (1,), bit_projector(2, 0, 1), 2, require_zero_sum=False)
+    raw = Channel((I, X), (0.5, 0.5), qubits=2, targets=(1,), control=[0, 1])
     with pytest.raises(ValueError, match="cross terms"):
         sign_double(raw)
     with pytest.raises(ValueError, match="cross terms"):
@@ -185,10 +188,10 @@ def test_zero_sum_defect_is_weighted():
     ch = Channel([I, -I], [0.7, 0.3])
     assert zero_sum_defect(ch) == pytest.approx(0.4 * math.sqrt(2), abs=1e-15)
     with pytest.raises(ValueError, match="zero-sum"):
-        controlled_channel(ch, (1,), bit_projector(2, 0, 1), 2)
+        controlled_channel(ch, (1,), [0, 1], 2)
     # The cross terms the guard keeps out: the off-diagonal blocks of the
     # control qubit map to M A_pq = 0.4 A_pq, not to 0.
-    raw = controlled_channel(ch, (1,), bit_projector(2, 0, 1), 2, require_zero_sum=False)
+    raw = Channel([I, -I], [0.7, 0.3], qubits=2, targets=(1,), control=[0, 1])
     a = random_operator(4, rng_from(7))
     out = raw.apply(a)
     assert frobenius(out[2:, :2] - 0.4 * a[2:, :2]) < 1e-13
@@ -201,8 +204,7 @@ def test_zero_sum_defect_is_weighted():
 
 def test_controlled_depolarizer_block_action():
     # control on qubit 0 (P = |1><1|), target qubit 1
-    p_full = bit_projector(2, 0, 1)
-    cd = controlled_depolarizer(2, 1, p_full)
+    cd = controlled_depolarizer(2, 1, [0, 1])
     p1 = np.diag([0, 1]).astype(complex)
     q1 = np.eye(2) - p1
     rng = rng_from(4)
@@ -214,8 +216,7 @@ def test_controlled_depolarizer_block_action():
 
 
 def test_controlled_depolarizer_paper_examples():
-    p_full = bit_projector(2, 0, 1)
-    cd = controlled_depolarizer(2, 1, p_full)
+    cd = controlled_depolarizer(2, 1, [0, 1])
     s00 = np.diag([1, 0]).astype(complex)
     s11 = np.diag([0, 1]).astype(complex)
     # |0><0| (x) |0><0| is untouched (control fails)
@@ -228,7 +229,6 @@ def test_controlled_depolarizer_paper_examples():
 def test_cross_terms_without_zero_sum_vanish_with_it():
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     ch = Channel.uniform((h,))
-    p_full = bit_projector(2, 0, 1)
     p1 = np.diag([0, 1]).astype(complex)
     q1 = np.eye(2) - p1
     rng = rng_from(5)
@@ -236,27 +236,28 @@ def test_cross_terms_without_zero_sum_vanish_with_it():
     for _ in range(10):
         a, b = random_operator(2, rng), random_operator(2, rng)
         blocks = np.kron(p1 @ a @ p1, ch.apply(b)) + np.kron(q1 @ a @ q1, b)
-        raw = controlled_channel(ch, (1,), p_full, 2, require_zero_sum=False)
+        raw = Channel((h,), (1.0,), qubits=2, targets=(1,), control=[0, 1])
         worst_cross = max(worst_cross, frobenius(raw.apply(np.kron(a, b)) - blocks))
-        fixed = controlled_channel(sign_double(ch), (1,), p_full, 2)
+        fixed = controlled_channel(sign_double(ch), (1,), [0, 1], 2)
         assert frobenius(fixed.apply(np.kron(a, b)) - blocks) < 1e-10
     assert worst_cross > 1e-3
 
 
 def test_controlled_channel_rejects_non_zero_sum():
     with pytest.raises(ValueError, match="zero-sum|sign-double"):
-        controlled_channel(identity_channel(1), (1,), bit_projector(2, 0, 1), 2)
+        controlled_channel(identity_channel(1), (1,), [0, 1], 2)
 
 
 def test_controlled_channel_rejects_overlap():
-    # control projector acting on the target qubit cannot commute
-    with pytest.raises(ValueError, match="overlap|commute"):
-        controlled_channel(complete_depolarizer(), (0,), bit_projector(1, 0, 1), 1)
+    # A control that reads the target qubit itself, like the projector
+    # |1><1| on the only qubit, has the wrong length for the rest register.
+    with pytest.raises(ValueError, match="0/1 vector of length 1"):
+        controlled_channel(complete_depolarizer(), (0,), [0, 1], 1)
 
 
 def test_controlled_channel_rejects_non_projector():
-    with pytest.raises(ValueError, match="projector"):
-        controlled_channel(complete_depolarizer(), (1,), np.eye(4) * 0.5, 2)
+    with pytest.raises(ValueError, match="0/1 vector"):
+        controlled_channel(complete_depolarizer(), (1,), [0.5, 0.5], 2)
 
 
 def _lifted_controlled(target, target_qubits, projector, num_qubits):
@@ -270,13 +271,21 @@ def _lifted_controlled(target, target_qubits, projector, num_qubits):
 
 @pytest.mark.parametrize("zero_sum", [True, False])
 def test_controlled_channel_matches_dense_lift(zero_sum):
+    # Zero-sum targets go through controlled_channel; the others, which it
+    # refuses, are built stage by stage as raw controlled stages.
     rng = rng_from(50)
     inner = random_unitary_channel(2, 3, rng)
     weights = rng.random(3)
-    target = Channel(inner.kraus, weights / weights.sum())
-    target = Channel.staged((sign_double(target) if zero_sum else target, random_unitary_channel(2, 2, rng)))
+    target = Channel.staged((Channel(inner.kraus, weights / weights.sum()), random_unitary_channel(2, 2, rng)))
     projector = np.eye(16) - pattern_projector(4, (0, 2), (1, 1))
-    ctrl = controlled_channel(target, (3, 1), projector, 4, require_zero_sum=False)
+    control = control_of(projector, (3, 1))
+    if zero_sum:
+        target = sign_double(target)
+        ctrl = controlled_channel(target, (3, 1), control, 4)
+    else:
+        ctrl = Channel.staged(
+            Channel(s.kraus, s.weights, qubits=4, targets=(3, 1), control=control) for s in target.stages
+        )
     oracle = _lifted_controlled(target, (3, 1), projector, 4)
     for _ in range(3):
         a = random_operator(16, rng)
@@ -288,22 +297,13 @@ def test_controlled_channel_matches_dense_lift(zero_sum):
 
 def test_controlled_power_shares_one_stage():
     base = sign_double(random_unitary_channel(2, 2, rng_from(51)))
-    ctrl = controlled_channel(channel_power(base, 3), (0, 1), bit_projector(3, 2, 1), 3)
+    ctrl = controlled_channel(channel_power(base, 3), (0, 1), [0, 1], 3)
     first = ctrl.stages[0]
     assert all(s is first for s in ctrl.stages) and len(ctrl.stages) == 3
     assert first.signed and first.target_kraus.shape == (2, 4, 4) and first.degree == 4
     assert np.array_equal(first.control, [False, True])
     doubled = ensure_zero_sum(channel_power(random_unitary_channel(1, 2, rng_from(52)), 4))
     assert all(s is doubled.stages[0] for s in doubled.stages)
-
-
-def test_controlled_channel_rejects_non_diagonal_projector():
-    # A valid projector that commutes with the lifted elements, but is not
-    # diagonal in the computational basis.
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    p = np.kron(h @ np.diag([0, 1]) @ h, np.eye(2))
-    with pytest.raises(ValueError, match="diagonal"):
-        controlled_channel(complete_depolarizer(), (1,), p, 2)
 
 
 def test_witness_verifier_matches_conjugated_dense_stage(no_reduction):
@@ -313,7 +313,8 @@ def test_witness_verifier_matches_conjugated_dense_stage(no_reduction):
     wit = witness_verifier_channel(spec)
     assert len(wit.stages) == 3 and wit.degree == 8
     v_full = embed(simulate_unitary(spec.verifier), tuple(range(layout.verifier_qubits)), m)
-    ctrl = controlled_depolarizer(m, layout.indicator_qubit, bit_projector(m, layout.top_qubit, 0))
+    top_is_zero = control_of(pattern_projector(m, (layout.top_qubit,), (0,)), (layout.indicator_qubit,))
+    ctrl = controlled_depolarizer(m, layout.indicator_qubit, top_is_zero)
     dense = Channel(v_full.conj().T @ ctrl.kraus @ v_full, ctrl.weights)
     rng = rng_from(53)
     for _ in range(3):
@@ -330,9 +331,10 @@ def test_double_verifier_pinching_structure():
     nv = 2**lay.verifier_qubits
     v = simulate_unitary(noisy_verifier(lay, 2.2, 0.3))
 
-    anc_ver = controlled_depolarizer(m, lay.indicator_qubit, ancilla_fail_projector(lay))
-    top0 = bit_projector(m, lay.top_qubit, 0)
-    ctrl = controlled_depolarizer(m, lay.indicator_qubit, top0)
+    ancilla_fails = np.eye(2**m) - pattern_projector(m, lay.ancilla_qubits, (0,) * lay.num_ancilla)
+    anc_ver = controlled_depolarizer(m, lay.indicator_qubit, control_of(ancilla_fails, (lay.indicator_qubit,)))
+    top0 = pattern_projector(m, (lay.top_qubit,), (0,))
+    ctrl = controlled_depolarizer(m, lay.indicator_qubit, control_of(top0, (lay.indicator_qubit,)))
     v_full = np.kron(v, np.eye(2))
     wit_ver = Channel(tuple(v_full.conj().T @ k @ v_full for k in ctrl.kraus), ctrl.weights)
 
@@ -381,9 +383,6 @@ def test_thresholds_formula_limits():
 def test_thresholds_refuse_non_separating():
     with pytest.raises(ValueError, match="separate"):
         thresholds(0.92, 0.01, 0.4, 2)
-    # relaxed mode returns them anyway
-    alpha, beta = thresholds(0.92, 0.01, 0.4, 2, strict=False)
-    assert alpha <= beta
 
 
 def test_thresholds_domain():
@@ -447,6 +446,30 @@ def test_reduction_stages_are_signed_and_structured(no_reduction):
     assert defects[1] == defects[3] == pytest.approx(4.0, abs=1e-12)  # ||V||_F = sqrt(16)
     assert [s.signed for s in phi.stages] == [True, False, True, False] + [True] * 6
     assert [len(run) for run in phi._runs] == [1, 1, 1, 1, 6]
+
+
+@pytest.mark.parametrize("n_w, n_a", [(1, 1), (2, 2), (3, 3)])
+def test_reduction_controls_are_the_dense_projector_diagonals(n_w, n_a):
+    # The three controls of build_reduction against the dense projectors
+    # they replace: ancillas not all 0, top qubit 0, indicator 1.
+    lay = RegisterLayout(n_w, n_a)
+    m, ind = lay.total_qubits, lay.indicator_qubit
+    base = random_unitary_channel(lay.verifier_qubits, 2, rng_from(54, n_w))
+    spec = make_reduction_spec(no_verifier(lay), lay, a=1.0, b=0.0, base_expander=base, kappa_f=0.05)
+    stages = build_reduction(spec).stages
+    ancilla_fails = np.eye(2**m) - pattern_projector(m, lay.ancilla_qubits, (0,) * n_a)
+    top_is_zero = pattern_projector(m, (lay.top_qubit,), (0,))
+    indicator_is_one = pattern_projector(m, (ind,), (1,))
+    verifier = tuple(range(lay.verifier_qubits))
+    for stage, projector, targets in (
+        (stages[0], ancilla_fails, (ind,)),
+        (stages[2], top_is_zero, (ind,)),
+        (stages[4], indicator_is_one, verifier),
+    ):
+        assert stage.targets == targets
+        assert np.array_equal(stage.control, control_of(projector, targets) == 1)
+    bits = rest_bits(m, (ind,))
+    assert bits.shape == (2 ** (m - 1), m) and not bits[:, ind].any()
 
 
 def test_ensure_zero_sum_keeps_reduction_structure(no_reduction):

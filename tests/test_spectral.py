@@ -251,8 +251,8 @@ ORACLE_CASES = {
         f"corpus-{name}": lambda corpus, name=name: load_instance(corpus / "instances" / f"{name}.json").channel
         for name in ("depolarizer_1q", "hadamard_pair_1q", "identity_1q", "identity_z_1q")
     },
-    "depolarizer-signed": lambda _: complete_depolarizer(signed=True),
-    "depolarizer-unsigned": lambda _: complete_depolarizer(signed=False),
+    "depolarizer-signed": lambda _: complete_depolarizer(),
+    "depolarizer-unsigned": lambda _: Channel(paulis(), np.full(4, 0.25)),
     "identity-1q": lambda _: identity_channel(1),
     "identity-3q": lambda _: identity_channel(3),
     "IZ": lambda _: Channel.uniform((I, Z)),

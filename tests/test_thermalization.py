@@ -173,6 +173,24 @@ def test_series_raises_at_the_term_cap(monkeypatch):
     assert len(calls) == 50
 
 
+def test_non_mixing_model_stops_long_before_the_term_cap(monkeypatch):
+    # diag(1, e^{0.7i}) fixes |0><0|: the first step is 0, so no later term
+    # can come within SERIES_TOL of I/2, and the series stops at once.
+    model = ThermalModel((np.diag([1.0, np.exp(0.7j)]),), r0=1.0, r1=1.0)
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    calls = []
+    apply = Channel.apply
+
+    def counting_apply(self, a):
+        calls.append(1)
+        return apply(self, a)
+
+    monkeypatch.setattr(Channel, "apply", counting_apply)
+    with pytest.raises(ValueError, match="does not mix within that horizon"):
+        evolve(model, rho0, [0.0, 1e9])
+    assert 1 <= len(calls) <= 2
+
+
 def test_trajectory_invariants():
     model = random_closed_model(5)
     rho0 = random_density(4, rng_from(6))
