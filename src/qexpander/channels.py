@@ -57,7 +57,7 @@ class Channel:
     """
 
     __slots__ = ("_kraus", "_kraus_h", "_right", "_weights", "_signed", "_stages", "_runs",
-                 "_qubits", "_targets", "_control", "_layout", "_mean", "_mean_h")
+                 "_qubits", "_dim", "_targets", "_control", "_layout", "_mean", "_mean_h")
 
     def __init__(self, kraus, weights, *, qubits=None, targets=None, control=None, signed=False):
         try:
@@ -124,7 +124,7 @@ class Channel:
                 arr.setflags(write=False)
         self._kraus, self._kraus_h, self._right, self._weights = x, xh, right, w
         self._signed, self._stages, self._runs = signed, (), None
-        self._qubits, self._targets, self._control = qubits, targets, control
+        self._qubits, self._dim, self._targets, self._control = qubits, 2**qubits, targets, control
         self._layout, self._mean, self._mean_h = layout, mean, mean_h
 
     def _with(self, x, xh, signed) -> "Channel":
@@ -162,6 +162,7 @@ class Channel:
                 runs.append([s])
         out = object.__new__(cls)
         out._kraus = out._weights = None
+        out._dim = stages[0]._dim
         out._stages, out._runs = stages, tuple(map(tuple, runs))
         return out
 
@@ -232,7 +233,7 @@ class Channel:
 
     @property
     def dim(self) -> int:
-        return 2**self.qubits
+        return self._dim
 
     @property
     def degree(self) -> int:
@@ -266,8 +267,8 @@ class Channel:
         later stages touch P A P alone; Q A Q is never touched.
         """
         a = np.asarray(a, dtype=complex)
-        if a.shape != (self.dim, self.dim):
-            raise ValueError(f"operator shape {a.shape} does not match channel dimension {self.dim}")
+        if a.shape != (self._dim, self._dim):
+            raise ValueError(f"operator shape {a.shape} does not match channel dimension {self._dim}")
         for run in self._runs or ((self,),):
             a = _mix(run[0], a) if run[0]._layout is None else _apply_run(run, a)
         return a

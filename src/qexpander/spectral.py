@@ -25,6 +25,7 @@ convergence and that error bar back the answer.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,12 +108,17 @@ def _deflate(x: np.ndarray, dim: int) -> np.ndarray:
 def _hermitian(x: np.ndarray, dim: int) -> np.ndarray:
     """The Hermitian matrix A = (X + X^T)/2 + i (X - X^T)/2 with real
     coordinates x = vec(X); the inverse map is X = Re A + Im A."""
-    m = x.reshape(dim, dim)
-    a = np.empty((dim, dim), dtype=complex)
-    np.add(m, m.T, out=a.real)
-    np.subtract(m, m.T, out=a.imag)
+    a = _doubled_hermitian(x, dim, np.empty((dim, dim), dtype=complex))
     a *= 0.5
     return a
+
+
+def _doubled_hermitian(x: np.ndarray, dim: int, out: np.ndarray) -> np.ndarray:
+    """2A = (X + X^T) + i (X - X^T), written into the complex (dim, dim) `out`."""
+    m = x.reshape(dim, dim)
+    np.add(m, m.T, out=out.real)
+    np.subtract(m, m.T, out=out.imag)
+    return out
 
 
 def _unit_traceless(x: np.ndarray, dim: int) -> np.ndarray:
@@ -130,13 +136,43 @@ def _unit_traceless(x: np.ndarray, dim: int) -> np.ndarray:
     return x
 
 
-def _m_apply(channel, adjoint, x: np.ndarray, dim: int) -> np.ndarray:
-    """M x in real coordinates: Phi, then its adjoint channel, on the
-    Hermitian matrix with coordinates x.  Both channels are unital and
-    trace preserving, so a traceless x stays traceless and one deflation of
-    the output removes the rounding along vec(I)."""
-    b = adjoint.apply(channel.apply(_hermitian(x, dim)))
-    return _deflate((b.real + b.imag).ravel(), dim)
+def _m_apply(channel, adjoint, x: np.ndarray, dim: int, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """M x in real coordinates, written into `out`: Phi, then its adjoint
+    channel, on the doubled Hermitian matrix 2A built in the complex
+    buffer `buf`, and the output halved.  M is linear and a power of two
+    scales every product and sum exactly, so the values equal those of M
+    applied to A bit for bit.  Both channels are unital and trace preserving, so a
+    traceless x stays traceless and one deflation of the output removes
+    the rounding along vec(I)."""
+    b = adjoint.apply(channel.apply(_doubled_hermitian(x, dim, buf)))
+    np.add(b.real, b.imag, out=out.reshape(dim, dim))
+    out *= 0.5
+    return _deflate(out, dim)
+
+
+def _last_entry_floor(ritz: np.ndarray, k: int, mu: float, lead: np.ndarray) -> tuple[float, float]:
+    """(f, u) with f <= s_last^2 and u >= theta_1 for the top eigenpair
+    (theta_1, s) of T_k = ritz[:k, :k] (lower triangle), given the top pair
+    (mu, lead) of T_{k-1}.
+
+    With b = ritz[k-1, :k-1], alpha = ritz[k-1, k-1], z = b . lead and
+    a = (mu - alpha)/2, the Rayleigh-Ritz step on {(lead, 0), e_k} gives
+    theta_1 - mu >= delta = hypot(a, z) - a, computed without cancellation
+    as z^2 / (hypot(a, z) + a) when a > 0.  Weyl's inequality gives
+    theta_1 <= u = max(mu, alpha, 0) + ||b||, and interlacing (Parlett,
+    The Symmetric Eigenvalue Problem, 1998) gives
+    s_last^2 >= (theta_1 - mu) / (theta_1 - theta_k) >= delta / u for a
+    positive semidefinite T_k.  f is 0 unless delta clears rounding in mu
+    (delta > 1e-13 u).
+    """
+    b = ritz[k - 1, : k - 1]
+    alpha = float(ritz[k - 1, k - 1])
+    z = float(b @ lead)
+    a = 0.5 * (mu - alpha)
+    h = math.hypot(a, z)
+    delta = z * z / (h + a) if a > 0 else h - a
+    u = max(mu, alpha, 0.0) + math.sqrt(b @ b)
+    return (delta / u if delta > 1e-13 * u > 0 else 0.0), u
 
 
 def _iterative_report(theta, y, dim, cycles, resid, converged, matvecs) -> GapReport:
@@ -181,13 +217,19 @@ def spectral_gap_iterative(
     ||M y - theta y|| <= tol max(2 sqrt(theta), tol), which certifies
     |kappa_est - kappa| below about tol, or when the Krylov space becomes
     invariant (then the Ritz values are eigenvalues).  The residual is
-    estimated each step as |s_last| ||q||, with s the top Ritz vector of the
-    Rayleigh-Ritz matrix and q the next Lanczos direction; y and its true
-    residual are formed only when that estimate passes, and the true
-    residual decides.  If M annihilates the start vector, kappa = 0 and the
-    solve is converged.  `max_iter` caps the applications of M; reaching it
-    returns converged=False and never raises.  The one start vector comes
-    from rng_from(seed, 0), so the result is deterministic given `seed`.
+    estimated as |s_last| ||q||, with s the top Ritz vector of the
+    Rayleigh-Ritz matrix T_k and q the next Lanczos direction; y and its
+    true residual are formed only when that estimate passes, and the true
+    residual decides.  The eigendecomposition of T_k is skipped on a step
+    that neither stops nor restarts when interlacing against the previous
+    step's top pair already proves |s_last| ||q|| above the target (see
+    :func:`_last_entry_floor`).  A skipped step leaves no pair to bound the
+    next one with, so T is solved at least every other step, and the
+    result is bit for bit that of solving T every step.  If M annihilates
+    the start vector, kappa = 0 and the solve is converged.  `max_iter`
+    caps the applications of M; reaching it returns converged=False and
+    never raises.  The one start vector comes from rng_from(seed, 0), so
+    the result is deterministic given `seed`.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -196,50 +238,63 @@ def spectral_gap_iterative(
         raise ValueError("a 1 x 1 channel has no traceless direction, so kappa is undefined")
     adjoint = channel.adjoint()
     n = dim * dim
-    rng = rng_from(seed, 0)
-    v = _unit_traceless(rng.standard_normal(n), dim)
-    mv = _m_apply(channel, adjoint, v, dim)
-    action = float(np.linalg.norm(mv))
-    if action <= 1e-14:
-        # The action on a generic start is numerically zero: kappa ~ 0.
-        return _iterative_report(0.0, v, dim, 1, action, True, 1)
-
     size = min(LANCZOS_BASIS, n - 1)
     keep = min(LANCZOS_KEEP, size - 1)
     basis = np.empty((size, n))  # rows: orthonormal vectors v_i
     images = np.empty((size, n))  # rows: M v_i
     ritz = np.zeros((size, size))  # lower triangle of V^T M V
-    basis[0], images[0] = v, mv
+    buf = np.empty((dim, dim), dtype=complex)
+    rng = rng_from(seed, 0)
+    basis[0] = _unit_traceless(rng.standard_normal(n), dim)
+    action = math.sqrt(_m_apply(channel, adjoint, basis[0], dim, buf, images[0]) @ images[0])
+    if action <= 1e-14:
+        # The action on a generic start is numerically zero: kappa ~ 0.
+        return _iterative_report(0.0, basis[0], dim, 1, action, True, 1)
+
     k, cycles, matvecs = 0, 1, 1
+    mu = lead = None  # top Ritz pair of the previous step's T, when solved
     while True:
         ritz[k, : k + 1] = basis[: k + 1] @ images[k]
         k += 1
-        thetas, vecs = np.linalg.eigh(ritz[:k, :k])  # eigh reads the lower triangle
-        theta, s = float(thetas[-1]), vecs[:, -1]
-        target = tol * max(2.0 * float(np.sqrt(max(theta, 0.0))), tol)
         # The next Lanczos direction: M v_last, orthogonal to V.  The first
         # pass reuses the Ritz row V^T M v_last; the deflation keeps the
         # rounding along vec(I) from growing when beta is small.
         q = images[k - 1] - ritz[k - 1, :k] @ basis[:k]
         q = _deflate(q - (basis[:k] @ q) @ basis[:k], dim)
-        beta = float(np.linalg.norm(q))
+        beta = math.sqrt(q @ q)
         invariant = beta <= 1e-12  # then the Ritz values are eigenvalues
         stop = invariant or matvecs >= max_iter
-        if stop or abs(s[-1]) * beta <= target:
-            y = s @ basis[:k]
-            resid = float(np.linalg.norm(s @ images[:k] - theta * y))
-            if stop or resid <= target:
-                return _iterative_report(theta, y, dim, cycles, resid, invariant or resid <= target, matvecs)
-        if k == size:
-            # Thick restart on the top `keep` Ritz vectors: q is orthogonal
-            # to them already, and V^T M V becomes diagonal.
-            top = vecs[:, ::-1][:, :keep]
-            basis[:keep], images[:keep] = top.T @ basis[:k], top.T @ images[:k]
-            ritz[:keep, :keep] = np.diag(thetas[::-1][:keep])
-            k = keep
-            cycles += 1
+        solve = mu is None or stop or k == size
+        if not solve:
+            # Solve T_k only if |s_last| beta <= target can hold: target is
+            # at most tol max(2 sqrt(u), tol), and the 1.1 covers rounding
+            # in s_last and the tiny negative Ritz values of a PSD T_k.
+            floor, ceiling = _last_entry_floor(ritz, k, mu, lead)
+            solve = beta * beta * floor <= 1.1 * (tol * max(2.0 * math.sqrt(ceiling), tol)) ** 2
+        if not solve:
+            mu = None  # no pair to bound the next step with, so it solves
+        else:
+            thetas, vecs = np.linalg.eigh(ritz[:k, :k])  # eigh reads the lower triangle
+            mu, lead = float(thetas[-1]), vecs[:, -1]
+            target = tol * max(2.0 * math.sqrt(max(mu, 0.0)), tol)
+            if stop or abs(lead[-1]) * beta <= target:
+                y = lead @ basis[:k]
+                r = lead @ images[:k] - mu * y
+                resid = math.sqrt(r @ r)
+                if stop or resid <= target:
+                    return _iterative_report(mu, y, dim, cycles, resid, invariant or resid <= target, matvecs)
+            if k == size:
+                # Thick restart on the top `keep` Ritz vectors: q is orthogonal
+                # to them already, and V^T M V becomes diagonal, with top
+                # pair (mu, e_1).
+                top = vecs[:, ::-1][:, :keep]
+                basis[:keep], images[:keep] = top.T @ basis[:k], top.T @ images[:k]
+                ritz[:keep, :keep] = np.diag(thetas[::-1][:keep])
+                lead = np.eye(keep)[0]
+                k = keep
+                cycles += 1
         basis[k] = q / beta
-        images[k] = _m_apply(channel, adjoint, basis[k], dim)
+        _m_apply(channel, adjoint, basis[k], dim, buf, images[k])
         matvecs += 1
 
 

@@ -48,7 +48,13 @@ than MAX_SERIES_TERMS of them.  When rule (a) cannot stop the series by
 that cap, it raises as soon as rule (b) cannot either: Phi contracts the
 Frobenius norm, so the steps s_k = ||T_k - T_{k-1}||_F do not grow and
 every ||T_j - I/N||_F up to the cap is at least
-||T_k - I/N||_F - (MAX_SERIES_TERMS - k) s_k.
+||T_k - I/N||_F - (MAX_SERIES_TERMS - k) s_k.  Two steps apart likewise:
+T_k - T_{k-2} = Phi(T_{k-1} - T_{k-3}), so s2_k = ||T_k - T_{k-2}||_F does
+not grow, and every ||T_j - I/N||_F up to the cap is at least
+min(||T_k - I/N||_F, ||T_{k-1} - I/N||_F)
+- ceil((MAX_SERIES_TERMS - k + 1) / 2) s2_k.  A model whose powers
+alternate stops after two applications; orbits of period 3 or more still
+reach the cap.
 
 The bath-side derivation (correlation integrals, Lamb-shift cancellation)
 is analytic input: R0 and R1 here are user-supplied rates, corresponding
@@ -160,58 +166,82 @@ def _check_times(times) -> np.ndarray:
     return times
 
 
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm of a complex array, sqrt(re . re + im . im) over its
+    raveled entries: the sums np.linalg.norm forms, without its overhead."""
+    d = a.ravel()
+    re, im = d.real, d.imag
+    return math.sqrt(re @ re + im @ im)
+
+
 def _evolve_series(model: ThermalModel, rho0: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, int]:
     """Uniformization sum_k pi_k(gamma t_j) Phi^k(rho0) at every time t_j.
 
-    Stops at the tail or the mixing rule of the module docstring, and raises
-    once neither can stop it within MAX_SERIES_TERMS applications.  Returns
-    the (J, N, N) states and the number of channel applications.  Powers
-    are summed in blocks of up to min(J, 32), one real GEMM on their
-    [re, im] views per block, so the buffer never outgrows the output.
+    Stops at the tail or the mixing rule of the module docstring.  When the
+    tail rule cannot stop it within MAX_SERIES_TERMS applications, it
+    raises as soon as the one-step or the two-step bound of the module
+    docstring shows that the mixing rule cannot either; otherwise neither
+    bound is computed.  Returns the (J, N, N) states and the number of
+    channel applications.  Powers are taken in blocks of up to min(J, 32):
+    the block's Poisson weights come from one exp, its powers are stored in
+    one preallocated buffer, and one real GEMM on their [re, im] views adds
+    them to the states, so the buffer never outgrows the output.  The
+    weights' mass is summed power by power.
     """
     channel = model.channel
     n = model.dim
     x = model.rate * times
     x_max = float(x[-1])
-    log_x = np.log(np.where(x > 0, x, 1.0))
+    log_x = np.log(np.where(x > 0, x, 1.0))[:, None]
+    at_zero = x == 0
     mixed = np.eye(n) / n
     states = np.zeros((len(times), 2 * n * n))
     mass = np.zeros(len(times))
     block = min(len(times), 32)
-    pending_w, pending_t = [], []
+    terms = np.empty((block, n, n), dtype=complex)
+    flat_terms = terms.reshape(block, n * n).view(float)
     log_tol = math.log(SERIES_TOL)
 
     def tail_ends(tail: int) -> bool:  # rule (a) with K = tail terms
         return x_max == 0 or (tail > x_max and tail * (1 + math.log(x_max / tail)) - x_max <= log_tol)
 
     capped = not tail_ends(MAX_SERIES_TERMS + 1)
-    step = math.inf  # s_k, unbounded before the first application
+    # s_k = ||T_k - T_{k-1}||_F and s2 = ||T_k - T_{k-2}||_F, unbounded
+    # before there are powers to compare; r_{k-1} likewise.
+    step = step2 = last_residual = math.inf
+    older = None
     term = rho0
     k = 0
     while True:
-        weights = np.exp(k * log_x - x - math.lgamma(k + 1))
-        weights[x == 0] = float(k == 0)
-        mass += weights
-        pending_w.append(weights)
-        pending_t.append(term)
-        residual = frobenius(term - mixed)
+        j = k % block
+        if j == 0:
+            ks = np.arange(k, k + block)
+            weights = np.exp(log_x * ks - x[:, None] - np.array([math.lgamma(i + 1) for i in ks]))
+            weights[at_zero] = ks == 0
+        mass += weights[:, j]
+        terms[j] = term
+        residual = _norm(term - mixed)
         mixing = residual <= SERIES_TOL
         done = mixing or tail_ends(k + 1)
-        if done or len(pending_t) == block:
-            terms = np.ascontiguousarray(pending_t).reshape(len(pending_t), n * n).view(float)
-            states += np.stack(pending_w, axis=1) @ terms
-            pending_w, pending_t = [], []
+        if done or j == block - 1:
+            states += weights[:, : j + 1] @ flat_terms[: j + 1]
         if done:
             break
-        # At k = MAX_SERIES_TERMS this reads residual > SERIES_TOL: the cap.
-        if capped and residual - (MAX_SERIES_TERMS - k) * step > SERIES_TOL:
+        # At k = MAX_SERIES_TERMS the first test reads residual > SERIES_TOL: the cap.
+        if capped and (
+            residual - (MAX_SERIES_TERMS - k) * step > SERIES_TOL
+            or min(residual, last_residual) - (MAX_SERIES_TERMS - k + 2) // 2 * step2 > SERIES_TOL
+        ):
             raise ValueError(
                 f"gamma * t_max = {x_max:.6g} needs more than {MAX_SERIES_TERMS} channel "
                 "applications: the model does not mix within that horizon"
             )
         nxt = channel.apply(term)
         if capped:
-            step = frobenius(nxt - term)
+            step = _norm(nxt - term)
+            if older is not None:
+                step2 = _norm(nxt - older)
+            older, last_residual = term, residual
         term = nxt
         k += 1
     states = states.view(complex).reshape(len(times), n, n)
@@ -267,8 +297,8 @@ def decay_bound_check(
     violation.  The worst margin is min_t (bound - residual); `strict`
     raises if any point exceeds the bound by more than DECAY_SLACK.
     """
-    rho0 = _check_density(rho0)
-    traj = evolve(model, rho0, times)
+    traj = evolve(model, rho0, times)  # validates rho0
+    rho0 = np.asarray(rho0, dtype=complex)
     if kappa is None:
         gap = spectral_gap(model.channel)
         kappa, error_bound = gap.kappa, gap.error_bound

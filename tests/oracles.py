@@ -8,7 +8,9 @@ stage's full-space elements from its stored parts.  The Kraus-pair Gram
 matrix and a per-shot random-pair Hadamard-test sampler are the oracle
 for Arthur's contraction estimate.  The dense qubit embedding, pattern
 projector and gate product are the oracle for the row-wise circuit
-simulator and the reduction's control vectors.
+simulator and the reduction's control vectors.  The per-step
+Rayleigh-Ritz Lanczos solver and the per-term uniformization series are
+the bit-for-bit oracles for the engine's lean loops.
 """
 
 from __future__ import annotations
@@ -17,9 +19,12 @@ import math
 
 import numpy as np
 
+from qexpander import spectral
 from qexpander.channels import Channel
 from qexpander.circuits import GateCircuit
-from qexpander.linalg import check_square, phi_state, split_index
+from qexpander.linalg import check_square, frobenius, phi_state, rng_from, split_index
+from qexpander.spectral import GapReport, _deflate, _iterative_report, _unit_traceless
+from qexpander.thermalization import MAX_SERIES_TERMS, SERIES_TOL
 
 
 def embed(op: np.ndarray, qubits, num_qubits: int) -> np.ndarray:
@@ -218,3 +223,110 @@ def yes_witness(spec, psi: np.ndarray) -> np.ndarray:
     rest[0] = 1.0
     state = np.kron(psi, rest)
     return np.outer(state, state.conj()) - np.eye(n, dtype=complex) / n
+
+
+def _m_apply_oracle(channel, adjoint, x: np.ndarray, dim: int) -> np.ndarray:
+    """M x in real coordinates on A = (X + X^T)/2 + i (X - X^T)/2, then one
+    deflation of the output."""
+    m = x.reshape(dim, dim)
+    a = np.empty((dim, dim), dtype=complex)
+    np.add(m, m.T, out=a.real)
+    np.subtract(m, m.T, out=a.imag)
+    a *= 0.5
+    b = adjoint.apply(channel.apply(a))
+    return _deflate((b.real + b.imag).ravel(), dim)
+
+
+def lanczos_oracle(channel, tol: float = 1e-9, max_iter: int = 10000, seed: int = 0) -> GapReport:
+    """Thick-restart Lanczos with a full eigendecomposition of the Ritz
+    matrix on every step, the stop test |s_last| ||q|| <= target read off
+    it; otherwise the engine's algorithm, start vector, stop rule and
+    restart (see spectral_gap_iterative)."""
+    dim = channel.dim
+    adjoint = channel.adjoint()
+    n = dim * dim
+    rng = rng_from(seed, 0)
+    v = _unit_traceless(rng.standard_normal(n), dim)
+    mv = _m_apply_oracle(channel, adjoint, v, dim)
+    action = float(np.linalg.norm(mv))
+    if action <= 1e-14:
+        return _iterative_report(0.0, v, dim, 1, action, True, 1)
+    size = min(spectral.LANCZOS_BASIS, n - 1)
+    keep = min(spectral.LANCZOS_KEEP, size - 1)
+    basis = np.empty((size, n))
+    images = np.empty((size, n))
+    ritz = np.zeros((size, size))
+    basis[0], images[0] = v, mv
+    k, cycles, matvecs = 0, 1, 1
+    while True:
+        ritz[k, : k + 1] = basis[: k + 1] @ images[k]
+        k += 1
+        thetas, vecs = np.linalg.eigh(ritz[:k, :k])
+        theta, s = float(thetas[-1]), vecs[:, -1]
+        target = tol * max(2.0 * float(np.sqrt(max(theta, 0.0))), tol)
+        q = images[k - 1] - ritz[k - 1, :k] @ basis[:k]
+        q = _deflate(q - (basis[:k] @ q) @ basis[:k], dim)
+        beta = float(np.linalg.norm(q))
+        invariant = beta <= 1e-12
+        stop = invariant or matvecs >= max_iter
+        if stop or abs(s[-1]) * beta <= target:
+            y = s @ basis[:k]
+            resid = float(np.linalg.norm(s @ images[:k] - theta * y))
+            if stop or resid <= target:
+                return _iterative_report(theta, y, dim, cycles, resid, invariant or resid <= target, matvecs)
+        if k == size:
+            top = vecs[:, ::-1][:, :keep]
+            basis[:keep], images[:keep] = top.T @ basis[:k], top.T @ images[:k]
+            ritz[:keep, :keep] = np.diag(thetas[::-1][:keep])
+            k = keep
+            cycles += 1
+        basis[k] = q / beta
+        images[k] = _m_apply_oracle(channel, adjoint, basis[k], dim)
+        matvecs += 1
+
+
+def series_oracle(model, rho0: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, int]:
+    """Uniformization term by term: each power's Poisson weights from their
+    own exp, powers collected in lists and summed by one GEMM per block of
+    min(J, 32); the tail and mixing rules and the cap of
+    thermalization._evolve_series, without its early exits."""
+    channel = model.channel
+    n = model.dim
+    x = model.rate * times
+    x_max = float(x[-1])
+    log_x = np.log(np.where(x > 0, x, 1.0))
+    mixed = np.eye(n) / n
+    states = np.zeros((len(times), 2 * n * n))
+    mass = np.zeros(len(times))
+    block = min(len(times), 32)
+    pending_w, pending_t = [], []
+    log_tol = math.log(SERIES_TOL)
+
+    def tail_ends(tail: int) -> bool:
+        return x_max == 0 or (tail > x_max and tail * (1 + math.log(x_max / tail)) - x_max <= log_tol)
+
+    term = rho0
+    k = 0
+    while True:
+        weights = np.exp(k * log_x - x - math.lgamma(k + 1))
+        weights[x == 0] = float(k == 0)
+        mass += weights
+        pending_w.append(weights)
+        pending_t.append(term)
+        mixing = frobenius(term - mixed) <= SERIES_TOL
+        done = mixing or tail_ends(k + 1)
+        if done or len(pending_t) == block:
+            terms = np.ascontiguousarray(pending_t).reshape(len(pending_t), n * n).view(float)
+            states += np.stack(pending_w, axis=1) @ terms
+            pending_w, pending_t = [], []
+        if done:
+            break
+        if k == MAX_SERIES_TERMS:
+            raise ValueError("the series reached its term cap")
+        term = channel.apply(term)
+        k += 1
+    states = states.view(complex).reshape(len(times), n, n)
+    if mixing:
+        diag = np.arange(n)
+        states[:, diag, diag] += np.maximum(1.0 - mass, 0.0)[:, None] / n
+    return states, k

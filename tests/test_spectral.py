@@ -1,8 +1,11 @@
+import dataclasses
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qexpander import spectral
 from qexpander.channels import Channel, channel_power, complete_depolarizer, random_unitary_channel
@@ -18,6 +21,7 @@ from qexpander.reduction import (
 )
 from qexpander.spectral import (
     Decision,
+    GapReport,
     NonExpanderInstance,
     decide,
     spectral_gap,
@@ -25,7 +29,15 @@ from qexpander.spectral import (
 )
 from qexpander.thermalization import ThermalModel
 
-from oracles import dense_kappa, dense_rounding, identity_channel, random_traceless, superoperator, tensor
+from oracles import (
+    dense_kappa,
+    dense_rounding,
+    identity_channel,
+    lanczos_oracle,
+    random_traceless,
+    superoperator,
+    tensor,
+)
 
 I, X, Y, Z = paulis()
 
@@ -441,3 +453,107 @@ def test_engine_applies_the_channel_twice_per_matvec(monkeypatch):
         rep = spectral_gap_iterative(ch, seed=7)
         assert rep.converged and rep.matvecs >= 1
         assert len(calls) == 2 * rep.matvecs
+
+
+def _diagonal_phase_channel(rng):
+    # commuting diagonal unitaries: kappa = 1 on the diagonal, < 1 elsewhere
+    return ThermalModel(tuple(np.diag(np.exp(1j * p)) for p in rng.uniform(0, 2 * np.pi, (3, 8))), 0.4, 1.1).channel
+
+
+# name -> (channel from an rng, solver options, Lanczos basis size or None)
+RITZ_ORACLE_CASES = {
+    "restarts": (lambda rng: random_unitary_channel(4, 8, rng), {"tol": 1e-10, "seed": 4}, 8),
+    "tol 1e-12": (lambda rng: random_unitary_channel(3, 4, rng), {"tol": 1e-12}, None),
+    "tiny kappa": (lambda rng: channel_power(random_unitary_channel(4, 8, rng), 12), {"seed": 2}, None),
+    "kappa 1": (_diagonal_phase_channel, {"seed": 3}, None),
+    "invariant Krylov space": (lambda rng: Channel.uniform((I, Z)), {"tol": 1e-300, "seed": 1}, None),
+    "max_iter stop": (lambda rng: random_unitary_channel(3, 8, rng), {"tol": 1e-12, "max_iter": 5}, None),
+    "weighted, two stages": (lambda rng: Channel.staged([_weighted_flat(rng), _controlled(rng)]), {"seed": 5}, None),
+}
+
+
+@pytest.mark.parametrize("name", RITZ_ORACLE_CASES)
+def test_engine_equals_per_step_ritz_oracle_bit_for_bit(monkeypatch, name):
+    make, options, basis = RITZ_ORACLE_CASES[name]
+    if basis is not None:
+        monkeypatch.setattr(spectral, "LANCZOS_BASIS", basis)
+        monkeypatch.setattr(spectral, "LANCZOS_KEEP", 3)
+    ch = make(rng_from(50, sorted(RITZ_ORACLE_CASES).index(name)))
+    got, want = spectral_gap_iterative(ch, **options), lanczos_oracle(ch, **options)
+    for f in dataclasses.fields(GapReport):
+        if f.name != "witness":
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert got.witness.tobytes() == want.witness.tobytes()
+    if name == "restarts":
+        assert got.iterations > 1
+    if name == "max_iter stop":
+        assert not got.converged and got.matvecs == 5
+
+
+def test_engine_equals_per_step_ritz_oracle_on_corpus_instances(corpus):
+    for path in sorted((corpus / "instances").glob("*.json")):
+        ch = load_instance(path).channel
+        for tol in (1e-6, 1e-9, 1e-12):
+            got, want = spectral_gap_iterative(ch, tol=tol), lanczos_oracle(ch, tol=tol)
+            assert (got.kappa, got.residual, got.error_bound, got.matvecs, got.converged) == (
+                want.kappa, want.residual, want.error_bound, want.matvecs, want.converged
+            ), path.name
+            assert got.witness.tobytes() == want.witness.tobytes()
+
+
+def test_ritz_solves_skip_steps_that_cannot_stop(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a):
+        calls.append(1)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    rep = spectral_gap_iterative(random_unitary_channel(4, 8, rng_from(32)))
+    assert rep.converged and rep.matvecs > 20
+    assert len(calls) <= 0.65 * rep.matvecs
+
+
+def _bordered(seed: int, k: int, shape: str, scale: float) -> np.ndarray:
+    """A k x k symmetric test matrix T_k, lower triangle only.  "generic"
+    and "dominant last" are Gram matrices of random rank (the latter with
+    a large last diagonal entry, a < 0); "tie" borders a Gram matrix T_{k-1}
+    with alpha = its computed top eigenvalue and a last row of size
+    `scale`; "orthogonal" with a last row orthogonal to the top
+    eigenvector of T_{k-1}."""
+    rng = np.random.default_rng(seed)
+    if shape in ("generic", "dominant last"):
+        g = rng.standard_normal((k, int(rng.integers(1, k + 1))))
+        if shape == "dominant last":
+            g[-1] *= 1 + 10 * scale
+        return np.tril(g @ g.T)
+    g = rng.standard_normal((k - 1, k - 1))
+    t = np.zeros((k, k))
+    t[: k - 1, : k - 1] = g @ g.T
+    mus, vecs = np.linalg.eigh(t[: k - 1, : k - 1])
+    b = rng.standard_normal(k - 1)
+    if shape == "tie":
+        t[k - 1, k - 1] = mus[-1]
+    else:
+        b -= (b @ vecs[:, -1]) * vecs[:, -1]
+        t[k - 1, k - 1] = mus[0] + 1.0
+    t[k - 1, : k - 1] = scale * b
+    return t
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 24),
+    st.sampled_from(["generic", "dominant last", "tie", "orthogonal"]),
+    st.sampled_from([0.0, 1e-14, 1e-10, 1e-6, 1e-3, 1.0]),
+)
+def test_last_entry_floor_never_exceeds_the_ritz_vector(seed, k, shape, scale):
+    t = _bordered(seed, k, shape, scale)
+    thetas, vecs = np.linalg.eigh(t)
+    assume(thetas[0] >= -1e-12 * thetas[-1])  # positive semidefinite up to rounding
+    mus, heads = np.linalg.eigh(t[: k - 1, : k - 1])
+    floor, top = spectral._last_entry_floor(t, k, float(mus[-1]), heads[:, -1])
+    assert floor <= vecs[-1, -1] ** 2
+    assert top >= thetas[-1] * (1 - 1e-12)

@@ -4,11 +4,12 @@ import scipy.linalg
 
 from qexpander import thermalization
 from qexpander.channels import Channel
+from qexpander.fileio import load_thermal_model
 from qexpander.linalg import frobenius, haar_unitary, paulis, rng_from, unvec, vec
 from qexpander.spectral import spectral_gap
 from qexpander.thermalization import ThermalModel, decay_bound_check, evolve
 
-from oracles import dense_kappa, random_operator, superoperator
+from oracles import dense_kappa, random_operator, series_oracle, superoperator
 
 I, X, Y, Z = paulis()
 
@@ -155,8 +156,10 @@ def test_non_mixing_model_matches_dense_propagator():
 
 
 def test_series_raises_at_the_term_cap(monkeypatch):
-    # Z fixes |+><+| up to the sign of its coherences: kappa = 1, no mixing
-    model = ThermalModel((Z,), r0=1.0, r1=1.0)
+    # diag(1, e^{i theta}) with cos(theta) = -0.7 scales the coherence of
+    # |+><+| by -0.7 per step: still 1e-8 away from I/2 at the 50th power,
+    # and the steps shrink too slowly for an early exit to see it.
+    model = ThermalModel((np.diag([1.0, np.exp(1j * np.arccos(-0.7))]),), r0=1.0, r1=1.0)
     rho0 = np.full((2, 2), 0.5, dtype=complex)
     monkeypatch.setattr(thermalization, "MAX_SERIES_TERMS", 50)
     assert evolve(model, rho0, [0.0, 10.0 / model.rate]).applications <= 50
@@ -171,6 +174,55 @@ def test_series_raises_at_the_term_cap(monkeypatch):
     with pytest.raises(ValueError, match=r"gamma \* t_max = 1000 needs more than 50 channel applications"):
         evolve(model, rho0, [0.0, 1e3 / model.rate])
     assert len(calls) == 50
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        # Z swaps |+><+| and |-><-|; X on qubit 0 of 4 swaps |0><0| and |8><8|
+        ("Z from |+><+|", Z, np.full((2, 2), 0.5, dtype=complex)),
+        ("X (x) I_8 from |0><0|", np.kron(X, np.eye(8)), np.diag([1.0] + [0.0] * 15).astype(complex)),
+    ],
+    ids=lambda case: case[0],
+)
+def test_oscillating_model_stops_after_two_applications(monkeypatch, case):
+    # T_2 = T_0: the two-step difference is 0, so no later term can come
+    # within SERIES_TOL of I/N although each single step stays at sqrt(2).
+    _, u, rho0 = case
+    model = ThermalModel((u,), r0=1.0, r1=1.0)
+    model.channel  # built, and checked unital, before counting
+    calls = []
+    apply = Channel.apply
+
+    def counting_apply(self, a):
+        calls.append(1)
+        return apply(self, a)
+
+    monkeypatch.setattr(Channel, "apply", counting_apply)
+    with pytest.raises(ValueError, match="does not mix within that horizon"):
+        evolve(model, rho0, [0.0, 1e9])
+    assert len(calls) == 2
+
+
+def _series_models(corpus):
+    models = [load_thermal_model(path) for path in sorted((corpus / "models").glob("*.json"))]
+    for seed in range(3):
+        rng = rng_from(60, seed)
+        models.append(ThermalModel(tuple(haar_unitary(16, rng) for _ in range(4)), r0=1.0, r1=0.5))
+    return models
+
+
+@pytest.mark.parametrize("gamma_t", [0.0, 18.0, 300.0])
+def test_evolve_equals_per_term_series_oracle_bit_for_bit(corpus, gamma_t):
+    for model in _series_models(corpus):
+        rho0 = np.zeros((model.dim, model.dim), dtype=complex)
+        rho0[0, 0] = 1.0
+        for count in (1, 40, 70):  # one block, a full and a partial block, two blocks
+            times = np.linspace(0.0, gamma_t / model.rate, count)
+            traj = evolve(model, rho0, times)
+            states, applications = series_oracle(model, rho0, times)
+            assert traj.applications == applications
+            assert np.array(traj.states).tobytes() == states.tobytes()
 
 
 def test_non_mixing_model_stops_long_before_the_term_cap(monkeypatch):
