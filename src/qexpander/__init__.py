@@ -14,16 +14,8 @@ from .channels import (
     complete_depolarizer,
     random_unitary_channel,
 )
-from .circuits import (
-    Gate,
-    GateCircuit,
-    RegisterLayout,
-    load_circuit,
-    multi_controlled,
-    parse_circuit,
-    serialize_circuit,
-    simulate_unitary,
-)
+from .circuits import Gate, GateCircuit, RegisterLayout, multi_controlled, simulate_unitary
+from .fileio import load_circuit, parse_circuit, serialize_circuit
 from .linalg import frobenius, paulis, phi_state, rng_from, unvec, vec
 from .protocol import (
     VerifierOutcome,

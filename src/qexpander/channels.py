@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import ATOL, frobenius, haar_unitary, paulis, qubits_for_dim, split_index
+from .linalg import ATOL, check_unitary, frobenius, haar_unitary, paulis, qubits_for_dim, split_index
 
 _EXPLICIT_KRAUS = (
     "a multi-stage channel exposes no explicit Kraus operators or weights; "
@@ -68,14 +68,10 @@ class Channel:
             raise ValueError("channel needs at least one Kraus operator")
         if x.ndim != 3 or x.shape[1] != x.shape[2]:
             raise ValueError(f"expected a stack of square Kraus operators, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("Kraus operators must be finite")
         dim = x.shape[1]
         k = qubits_for_dim(dim)
+        check_unitary(x)
         xh = x.conj().transpose(0, 2, 1)
-        defect = np.linalg.norm(xh @ x - np.eye(dim), axis=(1, 2)).max()
-        if not defect <= 1e-10 * dim:
-            raise ValueError(f"matrix is not unitary: ||U^dag U - I||_F = {defect:.3e}")
         w = np.array(weights, dtype=float).reshape(-1)
         if w.size != len(x):
             raise ValueError(f"{w.size} weights for {len(x)} Kraus operators")

@@ -1,4 +1,4 @@
-"""Gate-level circuits: representation, file format, and simulation.
+"""Gate-level circuits: representation and simulation.
 
 Circuits describe verifier unitaries and explicit Kraus operators.  The
 gate set is deliberately small: single-qubit X/Y/Z/H/S/T, CNOT/CZ/TOFFOLI,
@@ -9,21 +9,15 @@ and GLOBAL_PHASE.  GLOBAL_PHASE is first-class because sign doubling needs
 ancilla-free n_a^2-gate decomposition is never performed (its gate count is
 only ever reported symbolically).  Simulation applies each gate to the
 rows of the unitary it touches; no gate is lifted to the full space.
+`Gate` and `GateCircuit` validate their arguments and raise ValueError.
 
 Qubit 0 is the most significant bit of a basis-state index, consistently
-with the register layout below.
-
-File format: a UTF-8 JSON object {"qubits": m, "gates": [...]} where each
-gate is {"kind", "targets", "controls"?, "polarities"?, "base"?,
-"matrix"?, "phase"?}; matrices are row-major arrays of [re, im] pairs and
-phases single [re, im] pairs.  The canonical serializer is bit-exact under
-round trip.
+with the register layout below.  The circuit file format is read and
+written by :mod:`qexpander.fileio`.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,17 +43,6 @@ GATE_KINDS = SINGLE_QUBIT_KINDS | set(CONTROLLED_KINDS) | {"MCU", "GLOBAL_PHASE"
 SIM_CAP_QUBITS = 10
 
 
-class CircuitFormatError(ValueError):
-    """Parse/validation failure, carrying a location when one is known."""
-
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        if line is not None:
-            message = f"{message} (line {line}, column {column})"
-        super().__init__(message)
-        self.line = line
-        self.column = column
-
-
 @dataclass(frozen=True, eq=False)
 class Gate:
     kind: str
@@ -75,52 +58,49 @@ class Gate:
         object.__setattr__(self, "controls", tuple(int(c) for c in self.controls))
         object.__setattr__(self, "polarities", tuple(int(p) for p in self.polarities))
         if self.kind not in GATE_KINDS:
-            raise CircuitFormatError(f"unknown gate kind {self.kind!r}")
+            raise ValueError(f"unknown gate kind {self.kind!r}")
         if self.kind == "GLOBAL_PHASE":
             if self.targets or self.controls:
-                raise CircuitFormatError("GLOBAL_PHASE takes no qubits")
+                raise ValueError("GLOBAL_PHASE takes no qubits")
             if self.phase is None or abs(abs(complex(self.phase)) - 1.0) > 1e-12:
-                raise CircuitFormatError(f"GLOBAL_PHASE needs a unit-modulus phase, got {self.phase!r}")
+                raise ValueError(f"GLOBAL_PHASE needs a unit-modulus phase, got {self.phase!r}")
             return
         if len(self.targets) != 1:
-            raise CircuitFormatError(f"{self.kind} needs exactly one target, got {self.targets}")
+            raise ValueError(f"{self.kind} needs exactly one target, got {self.targets}")
         if self.kind in CONTROLLED_KINDS:
             count = CONTROLLED_KINDS[self.kind][1]
             if len(self.controls) != count:
-                raise CircuitFormatError(f"{self.kind} needs {count} control(s), got {self.controls}")
+                raise ValueError(f"{self.kind} needs {count} control(s), got {self.controls}")
             if not self.polarities:
                 object.__setattr__(self, "polarities", (1,) * len(self.controls))
         elif self.kind in SINGLE_QUBIT_KINDS:
             if self.controls:
-                raise CircuitFormatError(f"{self.kind} takes no controls (use MCU)")
+                raise ValueError(f"{self.kind} takes no controls (use MCU)")
         elif self.kind == "MCU":
             if (self.base is None) == (self.matrix is None):
-                raise CircuitFormatError("MCU needs exactly one of a named base or an inline matrix")
+                raise ValueError("MCU needs exactly one of a named base or an inline matrix")
             if self.base is not None and self.base not in NAMED_BASES:
-                raise CircuitFormatError(f"unknown MCU base {self.base!r}")
+                raise ValueError(f"unknown MCU base {self.base!r}")
             if self.matrix is not None:
                 mat = np.asarray(self.matrix, dtype=complex)
                 if mat.shape != (2, 2):
-                    raise CircuitFormatError(f"inline MCU matrix must be 2x2, got {mat.shape}")
-                try:
-                    mat = check_unitary(mat, tol=1e-10)
-                except ValueError as exc:
-                    raise CircuitFormatError(str(exc)) from exc
+                    raise ValueError(f"inline MCU matrix must be 2x2, got {mat.shape}")
+                mat = check_unitary(mat, tol=1e-10)
                 mat.setflags(write=False)
                 object.__setattr__(self, "matrix", mat)
             if not self.polarities:
                 object.__setattr__(self, "polarities", (1,) * len(self.controls))
         if len(self.polarities) != len(self.controls):
-            raise CircuitFormatError(
+            raise ValueError(
                 f"{len(self.polarities)} polarities for {len(self.controls)} controls"
             )
         if any(p not in (0, 1) for p in self.polarities):
-            raise CircuitFormatError(f"polarities must be bits, got {self.polarities}")
+            raise ValueError(f"polarities must be bits, got {self.polarities}")
         overlap = set(self.targets) & set(self.controls)
         if overlap:
-            raise CircuitFormatError(f"control and target sets overlap on qubits {sorted(overlap)}")
+            raise ValueError(f"control and target sets overlap on qubits {sorted(overlap)}")
         if len(set(self.controls)) != len(self.controls):
-            raise CircuitFormatError(f"duplicate control qubits in {self.controls}")
+            raise ValueError(f"duplicate control qubits in {self.controls}")
 
     def base_matrix(self) -> np.ndarray:
         if self.kind in SINGLE_QUBIT_KINDS:
@@ -139,12 +119,12 @@ class GateCircuit:
 
     def __post_init__(self):
         if self.num_qubits < 1:
-            raise CircuitFormatError(f"num_qubits must be >= 1, got {self.num_qubits}")
+            raise ValueError(f"num_qubits must be >= 1, got {self.num_qubits}")
         object.__setattr__(self, "gates", tuple(self.gates))
         for i, gate in enumerate(self.gates):
             for q in gate.targets + gate.controls:
                 if q < 0 or q >= self.num_qubits:
-                    raise CircuitFormatError(
+                    raise ValueError(
                         f"gate {i} ({gate.kind}) references qubit {q}, "
                         f"outside [0, {self.num_qubits})"
                     )
@@ -197,106 +177,6 @@ def multi_controlled(base, target: int, controls, polarities=None) -> Gate:
         polarities=tuple(polarities),
         matrix=np.asarray(base, dtype=complex),
     )
-
-
-# ---------------------------------------------------------------------------
-# File format
-# ---------------------------------------------------------------------------
-
-
-def complex_vector_from_json(rows, what: str) -> np.ndarray:
-    """Complex vector from a list of [re, im] pairs of finite numbers."""
-    try:
-        pairs = np.array(rows, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CircuitFormatError(f"{what} must be a list of [re, im] pairs: {exc}") from exc
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise CircuitFormatError(f"{what} must be a list of [re, im] pairs, got an array of shape {pairs.shape}")
-    if not np.isfinite(pairs).all():
-        raise CircuitFormatError(f"{what} must hold finite numbers")
-    return pairs.view(complex).reshape(-1)
-
-
-def matrix_from_json(rows, what: str = "matrix") -> np.ndarray:
-    """Square matrix from a row-major list of [re, im] pairs."""
-    flat = complex_vector_from_json(rows, what)
-    n = math.isqrt(flat.size)
-    if n * n != flat.size:
-        raise CircuitFormatError(f"{what} has {flat.size} entries, not a square matrix")
-    return flat.reshape(n, n)
-
-
-def matrix_to_json(mat: np.ndarray) -> list:
-    """Row-major list of [re, im] pairs; inverse of :func:`matrix_from_json`."""
-    mat = np.asarray(mat, dtype=complex)
-    return np.stack([mat.real, mat.imag], -1).reshape(-1, 2).tolist()
-
-
-def parse_circuit(text: str) -> GateCircuit:
-    """Parse the JSON circuit format, with located diagnostics."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CircuitFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
-    if not isinstance(doc, dict):
-        raise CircuitFormatError("circuit file must be a JSON object")
-    if "qubits" not in doc:
-        raise CircuitFormatError("missing required field 'qubits'")
-    if "gates" not in doc or not isinstance(doc["gates"], list):
-        raise CircuitFormatError("missing required list field 'gates'")
-    gates = []
-    for i, entry in enumerate(doc["gates"]):
-        if not isinstance(entry, dict) or "kind" not in entry:
-            raise CircuitFormatError(f"gate {i} must be an object with a 'kind' field")
-        known = {"kind", "targets", "controls", "polarities", "base", "matrix", "phase"}
-        extra = set(entry) - known
-        if extra:
-            raise CircuitFormatError(f"gate {i} has unknown fields {sorted(extra)}")
-        kind = entry["kind"]
-        if kind not in GATE_KINDS:
-            raise CircuitFormatError(f"gate {i} has unknown kind {kind!r}")
-        kwargs = {
-            "targets": tuple(entry.get("targets", ())),
-            "controls": tuple(entry.get("controls", ())),
-            "polarities": tuple(entry.get("polarities", ())),
-            "base": entry.get("base"),
-        }
-        if entry.get("matrix") is not None:
-            kwargs["matrix"] = matrix_from_json(entry["matrix"], f"gate {i} matrix")
-        if entry.get("phase") is not None:
-            kwargs["phase"] = complex(complex_vector_from_json([entry["phase"]], f"gate {i} phase")[0])
-        try:
-            gates.append(Gate(kind, **kwargs))
-        except CircuitFormatError as exc:
-            raise CircuitFormatError(f"gate {i}: {exc.args[0]}") from exc
-    return GateCircuit(int(doc["qubits"]), tuple(gates))
-
-
-def serialize_circuit(circuit: GateCircuit) -> str:
-    """Canonical serialization; parse(serialize(c)) reproduces c bit-exactly."""
-    gates = []
-    for gate in circuit.gates:
-        entry: dict = {"kind": gate.kind, "targets": list(gate.targets)}
-        if gate.controls:
-            entry["controls"] = list(gate.controls)
-            entry["polarities"] = list(gate.polarities)
-        if gate.base is not None:
-            entry["base"] = gate.base
-        if gate.matrix is not None:
-            entry["matrix"] = matrix_to_json(gate.matrix)
-        if gate.phase is not None:
-            entry["phase"] = [float(gate.phase.real), float(gate.phase.imag)]
-        if gate.kind == "GLOBAL_PHASE":
-            entry.pop("targets")
-        gates.append(json.dumps(entry, separators=(", ", ": ")))
-    body = ",\n    ".join(gates)
-    gate_block = f"[\n    {body}\n  ]" if gates else "[]"
-    return f'{{\n  "qubits": {circuit.num_qubits},\n  "gates": {gate_block}\n}}\n'
-
-
-def load_circuit(path) -> GateCircuit:
-    with open(path, encoding="utf-8") as fh:
-        return parse_circuit(fh.read())
 
 
 # ---------------------------------------------------------------------------

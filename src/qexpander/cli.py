@@ -27,7 +27,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .circuits import CircuitFormatError
 from .fileio import (
     FileFormatError,
     load_channel,
@@ -276,7 +275,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileFormatError, CircuitFormatError, CertificationError, ValueError, OSError) as exc:
+    except (FileFormatError, CertificationError, ValueError, OSError) as exc:
         return _fail(str(exc))
 
 

@@ -1,32 +1,37 @@
-"""Structured-text (JSON) container formats for instances, channels,
-reduction specs, thermal models, and states.
+"""Every file qexpander reads or writes: circuits, channels and decision
+instances, reduction specs, thermal models and states, all UTF-8 JSON
+objects.
 
-All matrices are stored row-major as [re, im] pairs.  Kraus operators and
+One reader serves every format.  `_json_object` decodes a document and
+the typed field readers decide what a well-formed field is: an int is a
+JSON number with an integral value, a float any JSON number, never a bool
+for either; a list of ints (qubits, polarities, control bits) or of
+floats (weights) holds only such numbers; a flag is true or false; a name
+is a string.  An optional field set to null counts as absent.  Every
+malformed file raises FileFormatError naming the file and the field.
+
+Matrices are stored row-major as [re, im] pairs and phases as one pair;
+each matrix is one vectorized numpy conversion.  Kraus operators and
 coupling unitaries may be given inline as such matrices or as paths to
 circuit files (resolved relative to the referencing file), which are
 simulated to their unitaries on load; unitarity of every element is
-re-checked by the channel constructor.
+re-checked by the channel constructor.  A circuit file is
+{"qubits": m, "gates": [...]} where each gate is {"kind", "targets",
+"controls"?, "polarities"?, "base"?, "matrix"?, "phase"?}; its canonical
+serializer is bit-exact under round trip.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
 from .channels import Channel
-from .circuits import (
-    SIM_CAP_QUBITS,
-    CircuitFormatError,
-    RegisterLayout,
-    complex_vector_from_json,
-    load_circuit,
-    matrix_from_json,
-    matrix_to_json,
-    simulate_unitary,
-)
+from .circuits import GATE_KINDS, SIM_CAP_QUBITS, Gate, GateCircuit, RegisterLayout, simulate_unitary
 from .reduction import ReductionSpec, build_base_expander, make_reduction_spec
 from .spectral import NonExpanderInstance
 from .thermalization import ThermalModel
@@ -35,46 +40,175 @@ from .thermalization import ThermalModel
 #: Most stages a channel file may expand to, "repeat" runs included.
 MAX_STAGES = 4096
 
+#: The fields a gate object may carry.
+GATE_FIELDS = frozenset({"kind", "targets", "controls", "polarities", "base", "matrix", "phase"})
+
+_NAMES = {int: "int", float: "float", bool: "true or false", str: "a string", list: "a list", dict: "an object"}
+_LIST_NAMES = {int: "integers", float: "numbers"}
+_REQUIRED = object()
+
 
 class FileFormatError(ValueError):
-    pass
+    """A malformed input file, with the line and column of a JSON syntax
+    error when there is one."""
+
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        if line is not None:
+            message = f"{message} (line {line}, column {column})"
+        super().__init__(message)
+        self.line = line
+        self.column = column
 
 
-def _field(doc: dict, key: str, kind, where):
-    """doc[key] converted by `kind` (int or float), or a FileFormatError
-    naming the missing or malformed field; an int field rejects
-    non-integral numbers instead of truncating them."""
-    if key not in doc:
-        raise FileFormatError(f"{where}: missing field {key!r}")
-    value = doc[key]
+def _json_object(text: str, where) -> dict:
     try:
-        out = kind(value)
-        if kind is int and isinstance(value, float) and out != value:
-            raise ValueError(f"{value!r} is not integral")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FileFormatError(f"{where}: field {key!r} must be {kind.__name__}, got {value!r}") from exc
-    return out
-
-
-def vector_from_json(rows, what: str = "amplitudes") -> np.ndarray:
-    """Vector from a list of [re, im] pairs, read by the matrix codec."""
-    try:
-        return complex_vector_from_json(rows, what)
-    except CircuitFormatError as exc:
-        raise FileFormatError(str(exc)) from exc
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(f"{where}: invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"{where}: expected a JSON object")
+    return doc
 
 
 def _load_json(path) -> dict:
-    path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError as exc:
         raise FileFormatError(f"{path}: file not found") from exc
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})") from exc
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"{path}: expected a JSON object")
-    return doc
+    return _json_object(text, path)
+
+
+def _typed(value, kind):
+    """`value` as `kind`, or None if it is not one: int and float take JSON
+    numbers but not bools, and int only integral ones; bool, str, list and
+    dict take only their own kind."""
+    if kind is not int and kind is not float:
+        return value if isinstance(value, kind) else None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        out = kind(value)
+    except (ValueError, OverflowError):
+        return None
+    return out if kind is float or out == value else None
+
+
+def _field(doc: dict, key: str, kind, where, default=_REQUIRED):
+    """doc[key] read as `kind`; an absent or null field is `default`, and
+    an error when no default is given."""
+    if default is not _REQUIRED and doc.get(key) is None:
+        return default
+    if key not in doc:
+        raise FileFormatError(f"{where}: missing field {key!r}")
+    out = _typed(doc[key], kind)
+    if out is None:
+        raise FileFormatError(f"{where}: field {key!r} must be {_NAMES[kind]}, got {doc[key]!r}")
+    return out
+
+
+def _list(doc: dict, key: str, kind, where) -> list | None:
+    """doc[key] as a list of `kind` (int or float) entries; None when the
+    field is absent or null."""
+    value = doc.get(key)
+    if value is None:
+        return None
+    items = [_typed(v, kind) for v in value] if isinstance(value, list) else [None]
+    if any(v is None for v in items):
+        raise FileFormatError(f"{where}: field {key!r} must be a list of {_LIST_NAMES[kind]}")
+    return items
+
+
+def complex_vector_from_json(rows, what: str) -> np.ndarray:
+    """Complex vector from a list of [re, im] pairs of finite numbers."""
+    try:
+        pairs = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FileFormatError(f"{what} must be a list of [re, im] pairs: {exc}") from exc
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise FileFormatError(f"{what} must be a list of [re, im] pairs, got an array of shape {pairs.shape}")
+    if not np.isfinite(pairs).all():
+        raise FileFormatError(f"{what} must hold finite numbers")
+    return pairs.view(complex).reshape(-1)
+
+
+def matrix_from_json(rows, what: str = "matrix") -> np.ndarray:
+    """Square matrix from a row-major list of [re, im] pairs."""
+    flat = complex_vector_from_json(rows, what)
+    n = math.isqrt(flat.size)
+    if n * n != flat.size:
+        raise FileFormatError(f"{what} has {flat.size} entries, not a square matrix")
+    return flat.reshape(n, n)
+
+
+def matrix_to_json(mat: np.ndarray) -> list:
+    """Row-major list of [re, im] pairs; inverse of :func:`matrix_from_json`."""
+    mat = np.asarray(mat, dtype=complex)
+    return np.stack([mat.real, mat.imag], -1).reshape(-1, 2).tolist()
+
+
+def _gate(entry, where: str) -> Gate:
+    if not isinstance(entry, dict):
+        raise FileFormatError(f"{where}: expected a JSON object")
+    extra = set(entry) - GATE_FIELDS
+    if extra:
+        raise FileFormatError(f"{where} has unknown fields {sorted(extra)}")
+    kind = _field(entry, "kind", str, where)
+    if kind not in GATE_KINDS:
+        raise FileFormatError(f"{where} has unknown kind {kind!r}")
+    matrix, phase = entry.get("matrix"), entry.get("phase")
+    kwargs = {
+        "targets": _list(entry, "targets", int, where) or (),
+        "controls": _list(entry, "controls", int, where) or (),
+        "polarities": _list(entry, "polarities", int, where) or (),
+        "base": _field(entry, "base", str, where, None),
+        "matrix": None if matrix is None else matrix_from_json(matrix, f"{where} matrix"),
+        "phase": None if phase is None else complex(complex_vector_from_json([phase], f"{where} phase")[0]),
+    }
+    try:
+        return Gate(kind, **kwargs)
+    except ValueError as exc:
+        raise FileFormatError(f"{where}: {exc}") from exc
+
+
+def _circuit_from_doc(doc: dict, where) -> GateCircuit:
+    qubits = _field(doc, "qubits", int, where)
+    gates = [_gate(entry, f"{where} gate {i}") for i, entry in enumerate(_field(doc, "gates", list, where))]
+    try:
+        return GateCircuit(qubits, tuple(gates))
+    except ValueError as exc:
+        raise FileFormatError(f"{where}: {exc}") from exc
+
+
+def parse_circuit(text: str) -> GateCircuit:
+    """Parse the JSON circuit format; a JSON syntax error names its line
+    and column."""
+    return _circuit_from_doc(_json_object(text, "circuit"), "circuit")
+
+
+def load_circuit(path) -> GateCircuit:
+    return _circuit_from_doc(_load_json(path), path)
+
+
+def serialize_circuit(circuit: GateCircuit) -> str:
+    """Canonical serialization; parse(serialize(c)) reproduces c bit-exactly."""
+    gates = []
+    for gate in circuit.gates:
+        entry: dict = {"kind": gate.kind, "targets": list(gate.targets)}
+        if gate.controls:
+            entry["controls"] = list(gate.controls)
+            entry["polarities"] = list(gate.polarities)
+        if gate.base is not None:
+            entry["base"] = gate.base
+        if gate.matrix is not None:
+            entry["matrix"] = matrix_to_json(gate.matrix)
+        if gate.phase is not None:
+            entry["phase"] = [float(gate.phase.real), float(gate.phase.imag)]
+        if gate.kind == "GLOBAL_PHASE":
+            entry.pop("targets")
+        gates.append(json.dumps(entry, separators=(", ", ": ")))
+    body = ",\n    ".join(gates)
+    gate_block = f"[\n    {body}\n  ]" if gates else "[]"
+    return f'{{\n  "qubits": {circuit.num_qubits},\n  "gates": {gate_block}\n}}\n'
 
 
 def _kraus_entry(entry, base_dir: Path, qubits: int, what: str) -> np.ndarray:
@@ -100,14 +234,15 @@ def _qubits(doc: dict, where) -> int:
 
 def _channel_from_doc(doc: dict, base_dir: Path, where: str) -> Channel:
     qubits = _qubits(doc, where)
-    if "stages" not in doc:
+    entries = _field(doc, "stages", list, where, None)
+    if entries is None:
         return _flat_channel(doc, base_dir, qubits, where)
-    if not isinstance(doc["stages"], list) or not doc["stages"]:
+    if not entries:
         raise FileFormatError(f"{where}: field 'stages' must be a nonempty list of stage objects")
     stages: list[Channel] = []
-    for i, entry in enumerate(doc["stages"]):
+    for i, entry in enumerate(entries):
         stage = _flat_channel(entry, base_dir, qubits, f"{where} stage {i}")
-        repeat = _field(entry, "repeat", int, f"{where} stage {i}") if "repeat" in entry else 1
+        repeat = _field(entry, "repeat", int, f"{where} stage {i}", 1)
         if not 1 <= repeat <= MAX_STAGES - len(stages):
             raise FileFormatError(
                 f"{where} stage {i}: field 'repeat' must be >= 1 and keep the channel within "
@@ -117,33 +252,20 @@ def _channel_from_doc(doc: dict, base_dir: Path, where: str) -> Channel:
     return Channel.staged(stages)
 
 
-def _int_list(doc: dict, key: str, where: str) -> list[int] | None:
-    value = doc.get(key)
-    if value is not None and not (isinstance(value, list) and all(type(v) is int for v in value)):
-        raise FileFormatError(f"{where}: field {key!r} must be a list of integers")
-    return value
-
-
 def _flat_channel(doc, base_dir: Path, qubits: int, where: str) -> Channel:
     if not isinstance(doc, dict):
         raise FileFormatError(f"{where}: expected a JSON object")
-    if "kraus" not in doc or not isinstance(doc["kraus"], list) or not doc["kraus"]:
-        raise FileFormatError(f"{where}: missing nonempty list field 'kraus'")
-    targets, control = _int_list(doc, "targets", where), _int_list(doc, "control", where)
+    entries = _field(doc, "kraus", list, where)
+    if not entries:
+        raise FileFormatError(f"{where}: field 'kraus' must be a nonempty list")
+    targets, control = _list(doc, "targets", int, where), _list(doc, "control", int, where)
     kraus = [
         _kraus_entry(entry, base_dir, qubits if targets is None else len(targets), f"{where} kraus[{i}]")
-        for i, entry in enumerate(doc["kraus"])
+        for i, entry in enumerate(entries)
     ]
-    if doc.get("weights") is not None:
-        try:
-            weights = np.array([float(w) for w in doc["weights"]])
-        except (TypeError, ValueError) as exc:
-            raise FileFormatError(f"{where}: field 'weights' must be a list of numbers") from exc
-    else:
-        weights = np.full(len(kraus), 1.0 / len(kraus))
-    signed = doc.get("signed", False)
-    if not isinstance(signed, bool):
-        raise FileFormatError(f"{where}: field 'signed' must be true or false, got {signed!r}")
+    weights = _list(doc, "weights", float, where)
+    weights = np.full(len(kraus), 1.0 / len(kraus)) if weights is None else np.array(weights)
+    signed = _field(doc, "signed", bool, where, False)
     try:
         return Channel(kraus, weights, qubits=qubits, targets=targets, control=control, signed=signed)
     except ValueError as exc:
@@ -209,31 +331,24 @@ def load_reduction_spec(path) -> ReductionSpec:
     and either a base-expander channel file or synthesis parameters."""
     path = Path(path)
     doc = _load_json(path)
-    if "circuit" not in doc:
-        raise FileFormatError(f"{path}: missing field 'circuit'")
+    circuit = _field(doc, "circuit", str, path)
     layout = RegisterLayout(_field(doc, "n_w", int, path), _field(doc, "n_a", int, path))
     a, b = _field(doc, "a", float, path), _field(doc, "b", float, path)
-    verifier = load_circuit(path.parent / str(doc["circuit"]))
-    has_file = doc.get("base_expander") is not None
-    has_synth = doc.get("synthesize") is not None
-    if has_file == has_synth:
+    verifier = load_circuit(path.parent / circuit)
+    base_file = _field(doc, "base_expander", str, path, None)
+    synth = _field(doc, "synthesize", dict, path, None)
+    if (base_file is None) == (synth is None):
         raise FileFormatError(f"{path}: need exactly one of 'base_expander' or 'synthesize'")
-    strict = doc.get("strict", True)
-    if not isinstance(strict, bool):
-        raise FileFormatError(f"{path}: field 'strict' must be true or false, got {strict!r}")
+    strict = _field(doc, "strict", bool, path, True)
     kappa_f = None
-    if has_file:
-        base_path = path.parent / str(doc["base_expander"])
-        base = _channel_from_doc(_load_json(base_path), base_path.parent, str(doc["base_expander"]))
+    if base_file is not None:
+        base_path = path.parent / base_file
+        base = _channel_from_doc(_load_json(base_path), base_path.parent, base_file)
     else:
-        if not isinstance(doc["synthesize"], dict):
-            raise FileFormatError(f"{path}: field 'synthesize' must be an object")
-        synth = {"target_kappa": 0.1, "degree_per_stage": 8, "seed": 0, **doc["synthesize"]}
+        kinds = {"target_kappa": float, "degree_per_stage": int, "seed": int}
         base, kappa_f = build_base_expander(
             layout.verifier_qubits,
-            target_kappa=_field(synth, "target_kappa", float, path),
-            degree_per_stage=_field(synth, "degree_per_stage", int, path),
-            seed=_field(synth, "seed", int, path),
+            **{key: _field(synth, key, kind, path) for key, kind in kinds.items() if key in synth},
         )
     try:
         return make_reduction_spec(
@@ -253,11 +368,9 @@ def load_thermal_model(path) -> ThermalModel:
     path = Path(path)
     doc = _load_json(path)
     qubits = _qubits(doc, path)
-    if not isinstance(doc.get("unitaries"), list):
-        raise FileFormatError(f"{path}: missing list field 'unitaries'")
     unitaries = [
         _kraus_entry(entry, path.parent, qubits, f"{path} unitaries[{i}]")
-        for i, entry in enumerate(doc["unitaries"])
+        for i, entry in enumerate(_field(doc, "unitaries", list, path))
     ]
     r0, r1 = _field(doc, "R0", float, path), _field(doc, "R1", float, path)
     try:
@@ -267,14 +380,8 @@ def load_thermal_model(path) -> ThermalModel:
 
 
 def load_state_vector(path) -> np.ndarray:
-    doc = _load_json(path)
-    if "amplitudes" not in doc:
-        raise FileFormatError(f"{path}: missing field 'amplitudes'")
-    return vector_from_json(doc["amplitudes"])
+    return complex_vector_from_json(_field(_load_json(path), "amplitudes", list, path), "amplitudes")
 
 
 def load_density_matrix(path) -> np.ndarray:
-    doc = _load_json(path)
-    if "matrix" not in doc:
-        raise FileFormatError(f"{path}: missing field 'matrix'")
-    return matrix_from_json(doc["matrix"])
+    return matrix_from_json(_field(_load_json(path), "matrix", list, path))

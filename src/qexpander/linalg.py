@@ -37,26 +37,23 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
-def unitarity_defect(u: np.ndarray) -> float:
-    """||U^dag U - I||_F, zero iff U is unitary; non-finite entries raise."""
-    u = np.asarray(u)
-    if not np.all(np.isfinite(u)):
-        raise ValueError("matrix entries must be finite")
-    return frobenius(u.conj().T @ u - np.eye(u.shape[0]))
-
-
 def check_unitary(u: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Validate that a square matrix is unitary; returns it as complex128.
+    """Validate that a square matrix, or each of a (..., N, N) stack, is
+    finite and unitary; returns it as complex128.
 
-    The default tolerance scales with the dimension, ||U^dag U - I||_F <= 1e-10 * N.
+    The largest ||U^dag U - I||_F must be at most `tol`, by default
+    1e-10 * N.
     """
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
-    n = u.shape[0]
+    if not np.all(np.isfinite(u)):
+        raise ValueError("matrix entries must be finite")
+    n = u.shape[-1]
     if tol is None:
         tol = 1e-10 * n
-    defect = unitarity_defect(u)
+    gram = u.conj().swapaxes(-1, -2) @ u - np.eye(n)
+    defect = np.linalg.norm(gram, axis=(-2, -1)).max(initial=0.0)
     if not defect <= tol:
         raise ValueError(f"matrix is not unitary: ||U^dag U - I||_F = {defect:.3e}")
     return u

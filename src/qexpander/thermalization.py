@@ -64,13 +64,12 @@ to Q0 + Q0* and Q1 + Q1* of that derivation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import Channel
-from .linalg import check_unitary, frobenius
+from .linalg import frobenius
 from .spectral import spectral_gap
 
 #: Truncation tolerance of the uniformization series (rules (a) and (b)).
@@ -85,18 +84,29 @@ DECAY_SLACK = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class ThermalModel:
-    """Unitary coupling set plus the two weak-coupling rates."""
+    """Unitary coupling set plus the two weak-coupling rates.
+
+    `channel` is built once, at construction, and its constructor is the
+    one unitarity check of the couplings.
+    """
 
     unitaries: tuple[np.ndarray, ...]
     r0: float
     r1: float
+    channel: Channel = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "unitaries", tuple(check_unitary(u) for u in self.unitaries))
-        if not self.unitaries:
+        d = len(self.unitaries)
+        if not d:
             raise ValueError("model needs at least one coupling unitary")
         if not (0 < self.r0 < math.inf and 0 < self.r1 < math.inf and self.rate < math.inf):
             raise ValueError(f"rates must be positive and finite, got R0={self.r0}, R1={self.r1}")
+        w0 = self.r0 / ((self.r0 + self.r1) * d)
+        w1 = self.r1 / ((self.r0 + self.r1) * d)
+        kraus = [*self.unitaries, *(np.conj(u).T for u in self.unitaries)]
+        channel = Channel(kraus, np.array([w0] * d + [w1] * d))
+        object.__setattr__(self, "unitaries", tuple(channel.kraus[:d]))
+        object.__setattr__(self, "channel", channel)
 
     @property
     def degree(self) -> int:
@@ -110,15 +120,6 @@ class ThermalModel:
     def rate(self) -> float:
         """The generator rate constant gamma = (R0 + R1) D."""
         return (self.r0 + self.r1) * self.degree
-
-    @cached_property
-    def channel(self) -> Channel:
-        d = self.degree
-        w0 = self.r0 / ((self.r0 + self.r1) * d)
-        w1 = self.r1 / ((self.r0 + self.r1) * d)
-        kraus = self.unitaries + tuple(u.conj().T for u in self.unitaries)
-        weights = np.array([w0] * d + [w1] * d)
-        return Channel(kraus, weights)
 
 
 @dataclass(frozen=True)
@@ -268,8 +269,8 @@ def evolve(model: ThermalModel, rho0: np.ndarray, times) -> Trajectory:
 class DecayReport:
     """Residuals versus the spectral-gap decay envelope.
 
-    `kappa` is the solver's estimate and `error_bound` its error bar (0.0
-    for a supplied kappa); the envelope uses min(1, kappa + error_bound).
+    `kappa` is the solver's estimate and `error_bound` its error bar; the
+    envelope uses min(1, kappa + error_bound).
     """
 
     times: np.ndarray
@@ -286,26 +287,21 @@ def decay_bound_check(
     model: ThermalModel,
     rho0: np.ndarray,
     times,
-    kappa: float | None = None,
     strict: bool = True,
 ) -> DecayReport:
     """Check ||A(t)||_F <= exp(-gamma (1-kappa) t) ||A(0)||_F at each time.
 
-    kappa is computed with the spectral module unless supplied, keeping the
-    bound independent of the evolution it checks; the envelope takes kappa
-    at the top of its error bar, so an underestimate cannot report a false
+    kappa is computed with the spectral module, keeping the bound
+    independent of the evolution it checks; the envelope takes kappa at
+    the top of its error bar, so an underestimate cannot report a false
     violation.  The worst margin is min_t (bound - residual); `strict`
     raises if any point exceeds the bound by more than DECAY_SLACK.
     """
     traj = evolve(model, rho0, times)  # validates rho0
     rho0 = np.asarray(rho0, dtype=complex)
-    if kappa is None:
-        gap = spectral_gap(model.channel)
-        kappa, error_bound = gap.kappa, gap.error_bound
-    else:
-        error_bound = 0.0
+    gap = spectral_gap(model.channel)
     a0 = frobenius(rho0 - np.eye(model.dim) / model.dim)
-    bounds = np.exp(-model.rate * (1.0 - min(1.0, kappa + error_bound)) * traj.times) * a0
+    bounds = np.exp(-model.rate * (1.0 - min(1.0, gap.kappa + gap.error_bound)) * traj.times) * a0
     margins = bounds - traj.residuals
     worst = float(margins.min())
     satisfied = bool(np.all(traj.residuals <= bounds + DECAY_SLACK))
@@ -318,8 +314,8 @@ def decay_bound_check(
         times=traj.times,
         residuals=traj.residuals,
         bounds=bounds,
-        kappa=float(kappa),
-        error_bound=float(error_bound),
+        kappa=float(gap.kappa),
+        error_bound=float(gap.error_bound),
         rate=model.rate,
         worst_margin=worst,
         satisfied=satisfied,

@@ -5,17 +5,14 @@ import pytest
 
 from qexpander.circuits import (
     CONTROLLED_KINDS,
-    CircuitFormatError,
     Gate,
     GateCircuit,
     NAMED_BASES,
     RegisterLayout,
-    load_circuit,
     multi_controlled,
-    parse_circuit,
-    serialize_circuit,
     simulate_unitary,
 )
+from qexpander.fileio import FileFormatError, load_circuit, parse_circuit, serialize_circuit
 from qexpander.linalg import paulis, rng_from
 
 from oracles import dense_unitary
@@ -94,32 +91,32 @@ def test_mcu_inline_matrix_base():
 def test_global_phase_gate():
     c = GateCircuit(1, (Gate("X", (0,)), Gate("GLOBAL_PHASE", phase=-1 + 0j)))
     assert np.allclose(simulate_unitary(c), -X)
-    with pytest.raises(CircuitFormatError, match="unit-modulus"):
+    with pytest.raises(ValueError, match="unit-modulus"):
         Gate("GLOBAL_PHASE", phase=2.0 + 0j)
 
 
 @pytest.mark.parametrize("phase", [[float("nan"), 0.0], [1.0], [1.0, 0.0, 0.0], "1", None])
 def test_parsed_global_phase_must_be_a_finite_pair(phase):
     gate = {"kind": "GLOBAL_PHASE", "phase": phase}
-    with pytest.raises(CircuitFormatError, match="phase"):
+    with pytest.raises(FileFormatError, match="phase"):
         parse_circuit(json.dumps({"qubits": 1, "gates": [gate]}))
 
 
 def test_gate_validation():
-    with pytest.raises(CircuitFormatError, match="unknown gate kind"):
+    with pytest.raises(ValueError, match="unknown gate kind"):
         Gate("ROTATE", targets=(0,))
-    with pytest.raises(CircuitFormatError, match="overlap"):
+    with pytest.raises(ValueError, match="overlap"):
         Gate("CNOT", targets=(0,), controls=(0,))
-    with pytest.raises(CircuitFormatError, match="polarities"):
+    with pytest.raises(ValueError, match="polarities"):
         Gate("MCU", targets=(0,), controls=(1, 2), polarities=(1,), base="X")
-    with pytest.raises(CircuitFormatError, match="exactly one of"):
+    with pytest.raises(ValueError, match="exactly one of"):
         Gate("MCU", targets=(0,), controls=(1,))
-    with pytest.raises(CircuitFormatError, match="not unitary"):
+    with pytest.raises(ValueError, match="not unitary"):
         Gate("MCU", targets=(0,), controls=(1,), matrix=np.array([[1, 0], [0, 2]]))
 
 
 def test_circuit_rejects_out_of_range_qubit():
-    with pytest.raises(CircuitFormatError, match="references qubit 2"):
+    with pytest.raises(ValueError, match="references qubit 2"):
         GateCircuit(2, (Gate("X", targets=(2,)),))
 
 
@@ -149,21 +146,21 @@ def test_corpus_files_round_trip(corpus):
 
 
 def test_parse_rejects_unknown_kind_and_fields():
-    with pytest.raises(CircuitFormatError, match="unknown kind"):
+    with pytest.raises(FileFormatError, match="unknown kind"):
         parse_circuit('{"qubits": 1, "gates": [{"kind": "FOO", "targets": [0]}]}')
-    with pytest.raises(CircuitFormatError, match="unknown fields"):
+    with pytest.raises(FileFormatError, match="unknown fields"):
         parse_circuit('{"qubits": 1, "gates": [{"kind": "X", "targets": [0], "speed": 3}]}')
 
 
 def test_parse_syntax_error_has_location():
-    with pytest.raises(CircuitFormatError) as err:
+    with pytest.raises(FileFormatError) as err:
         parse_circuit('{"qubits": 2,\n  "gates": [ {"kind": } ]}')
     assert err.value.line == 2
     assert "column" in str(err.value)
 
 
 def test_parse_semantic_error_names_index():
-    with pytest.raises(CircuitFormatError, match="qubit 5"):
+    with pytest.raises(FileFormatError, match="qubit 5"):
         parse_circuit('{"qubits": 2, "gates": [{"kind": "H", "targets": [5]}]}')
 
 

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from qexpander import cli
+
 CLI = [sys.executable, "-m", "qexpander.cli"]
 
 
@@ -106,6 +108,101 @@ def test_malformed_structured_fields_exit_2(corpus, tmp_path, patch):
     res = run_cli("decide", path)
     assert res.returncode == 2
     assert "error:" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+#: A two-qubit circuit, read through a channel file whose Kraus operator
+#: names it.
+CIRCUIT = {
+    "qubits": 2,
+    "gates": [
+        {"kind": "H", "targets": [0]},
+        {"kind": "CNOT", "targets": [1], "controls": [0], "polarities": [1]},
+    ],
+}
+
+#: File kind -> (command, corpus file patched; None for CIRCUIT).
+MALFORMED_SOURCES = {
+    "circuit": ("gap", None),
+    "channel": ("gap", "instances/identity_1q.json"),
+    "instance": ("decide", "instances/identity_1q.json"),
+    "spec": ("reduce", "reductions/no_2w2a.json"),
+    "model": ("thermalize", "models/pauli_depolarizer_1q.json"),
+}
+
+
+def _first_gate(**fields):
+    return lambda doc: doc["gates"][0].update(fields)
+
+
+# Each patch replaces top-level fields (a dict) or edits the document (a
+# callable); float("inf") is written as 1e400.
+MALFORMED_TYPES = [
+    ("circuit", {"qubits": [1]}),
+    ("circuit", {"qubits": None}),
+    ("circuit", {"qubits": float("inf")}),
+    ("circuit", {"qubits": 2.7}),
+    ("circuit", {"qubits": True}),
+    ("circuit", _first_gate(targets=0)),
+    ("circuit", _first_gate(targets=[None])),
+    ("circuit", _first_gate(targets="0")),
+    ("circuit", _first_gate(targets=[True])),
+    ("circuit", _first_gate(polarities=3)),
+    ("circuit", _first_gate(kind=["X"])),
+    ("circuit", {"gates": [{"kind": "MCU", "targets": [0], "controls": [1], "base": ["X"]}]}),
+    ("channel", {"qubits": True}),
+    ("channel", {"weights": [True]}),
+    ("instance", {"qubits": True}),
+    ("instance", {"weights": [True]}),
+    ("instance", {"alpha": True}),
+    ("instance", {"beta": "0.5"}),
+    ("spec", {"n_w": True}),
+    ("spec", {"a": True}),
+    ("spec", {"circuit": 5}),
+    ("spec", {"synthesize": {"seed": True}}),
+    ("spec", {"synthesize": {"degree_per_stage": 8.5}}),
+    ("model", {"qubits": True}),
+    ("model", {"R0": True}),
+]
+
+
+def _write_malformed(corpus, tmp_path, kind, patch):
+    """CLI arguments that read a `kind` file with `patch` applied."""
+    command, source = MALFORMED_SOURCES[kind]
+    doc = json.loads(json.dumps(CIRCUIT) if source is None else (corpus / source).read_text())
+    if "circuit" in doc:
+        doc["circuit"] = str(corpus / "reductions" / doc["circuit"])
+    patch(doc) if callable(patch) else doc.update(patch)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc).replace("Infinity", "1e400"))
+    if source is None:
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps({"qubits": 2, "kraus": [f"{kind}.json"]}))
+    extra = ["--out", str(tmp_path / "out.json")] if command == "reduce" else []
+    return [command, str(path), *extra]
+
+
+@pytest.mark.parametrize(
+    "kind,patch", [pytest.param(kind, patch, id=f"{kind}-{i}") for i, (kind, patch) in enumerate(MALFORMED_TYPES)]
+)
+def test_malformed_input_exits_2_with_one_error_line(corpus, tmp_path, capsys, kind, patch):
+    code = cli.main(_write_malformed(corpus, tmp_path, kind, patch))
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_malformed_circuit_in_spec_exits_2_in_a_subprocess(corpus, tmp_path):
+    spec = json.loads((corpus / "reductions" / "no_2w2a.json").read_text())
+    circuit = json.loads((corpus / "reductions" / spec["circuit"]).read_text())
+    (tmp_path / "circuit.json").write_text(json.dumps({**circuit, "qubits": [1]}))
+    (tmp_path / "spec.json").write_text(json.dumps({**spec, "circuit": "circuit.json"}))
+    res = run_cli("reduce", tmp_path / "spec.json", "--out", tmp_path / "out.json")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and "'qubits' must be int" in res.stderr
     assert "Traceback" not in res.stderr
 
 

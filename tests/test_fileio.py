@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 
 from qexpander.channels import Channel, channel_power, complete_depolarizer, random_unitary_channel
-from qexpander.circuits import CircuitFormatError, matrix_from_json
 from qexpander.fileio import (
     FileFormatError,
+    complex_vector_from_json,
     load_channel,
     load_instance,
     load_reduction_spec,
     load_thermal_model,
+    matrix_from_json,
     matrix_to_json,
     save_channel,
-    vector_from_json,
 )
 from qexpander.linalg import frobenius, paulis, rng_from
 from qexpander.reduction import build_reduction, controlled_channel, sign_double
@@ -304,6 +304,7 @@ def test_thermal_model_rejects_fractional_qubits_and_bad_rates(corpus, tmp_path)
         ({"qubits": 11}, "'qubits' must lie in [1, 10], got 11"),
         ({"R0": float("inf")}, "rates must be positive and finite"),
         ({"R1": float("nan")}, "rates must be positive and finite"),
+        ({"unitaries": [matrix_to_json(np.diag([1.0, 0.5]))]}, "not unitary"),
     ):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({**doc, **patch}))
@@ -349,12 +350,12 @@ MALFORMED_PAIRS = [
 
 @pytest.mark.parametrize("rows", MALFORMED_PAIRS)
 def test_pair_codec_rejects_malformed_rows(rows):
-    with pytest.raises(CircuitFormatError):
+    with pytest.raises(FileFormatError):
         matrix_from_json(rows)
     with pytest.raises(FileFormatError, match=r"\[re, im\] pairs|finite"):
-        vector_from_json(rows)
+        complex_vector_from_json(rows, "amplitudes")
 
 
 def test_matrix_codec_rejects_non_square():
-    with pytest.raises(CircuitFormatError, match="not a square matrix"):
+    with pytest.raises(FileFormatError, match="not a square matrix"):
         matrix_from_json([[1.0, 0.0], [0.0, 0.0]])

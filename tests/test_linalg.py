@@ -79,6 +79,16 @@ def test_check_unitary_rejects():
             check_unitary(np.array([[bad, 0], [0, 1]]))
 
 
+def test_check_unitary_checks_every_matrix_of_a_stack():
+    rng = rng_from(5)
+    stack = np.array([haar_unitary(4, rng) for _ in range(3)])
+    assert check_unitary(stack).shape == (3, 4, 4)
+    stack[1, 0, 0] += 1e-6
+    with pytest.raises(ValueError, match="not unitary"):
+        check_unitary(stack)
+    check_unitary(stack, tol=1e-5)
+
+
 def test_embed_single_qubit_positions():
     assert np.allclose(embed(X, (0,), 2), np.kron(X, I))
     assert np.allclose(embed(X, (1,), 2), np.kron(I, X))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -286,7 +288,16 @@ def test_decay_bound_random_models():
         assert report.worst_margin >= -1e-8
 
 
-def test_decay_envelope_takes_kappa_at_top_of_error_bar():
+def _fake_gap(monkeypatch, kappa, error_bound=0.0):
+    """Make decay_bound_check see a gap report with the given kappa."""
+
+    def fake(channel, *args, **kwargs):
+        return dataclasses.replace(spectral_gap(channel), kappa=kappa, error_bound=error_bound)
+
+    monkeypatch.setattr(thermalization, "spectral_gap", fake)
+
+
+def test_decay_envelope_takes_kappa_at_top_of_error_bar(monkeypatch):
     # N = 16 takes the Lanczos gap, whose error bound is nonzero
     model = random_open_model(13, qubits=4)
     rho0 = np.zeros((16, 16), dtype=complex)
@@ -299,9 +310,10 @@ def test_decay_envelope_takes_kappa_at_top_of_error_bar():
     kappa_top = min(1.0, gap.kappa + gap.error_bound)
     a0 = frobenius(rho0 - np.eye(16) / 16)
     assert np.array_equal(report.bounds, np.exp(-model.rate * (1.0 - kappa_top) * times) * a0)
-    supplied = decay_bound_check(model, rho0, times, kappa=gap.kappa)
-    assert supplied.error_bound == 0.0
-    assert np.all(supplied.bounds[1:] < report.bounds[1:])
+    _fake_gap(monkeypatch, gap.kappa)
+    bare = decay_bound_check(model, rho0, times)
+    assert bare.error_bound == 0.0
+    assert np.all(bare.bounds[1:] < report.bounds[1:])
 
 
 def test_decay_bound_identity_model_is_trivial():
@@ -312,12 +324,13 @@ def test_decay_bound_identity_model_is_trivial():
     assert np.max(np.abs(report.residuals - report.residuals[0])) < 1e-10
 
 
-def test_decay_bound_strict_raises_on_fake_kappa():
+def test_decay_bound_strict_raises_on_fake_kappa(monkeypatch):
     model = pauli_model()
     rho0 = np.diag([1.0, 0.0]).astype(complex)
+    _fake_gap(monkeypatch, -1.0)
     with pytest.raises(ValueError, match="violated"):
-        decay_bound_check(model, rho0, [0.5, 1.0], kappa=-1.0)
-    report = decay_bound_check(model, rho0, [0.5, 1.0], kappa=-1.0, strict=False)
+        decay_bound_check(model, rho0, [0.5, 1.0])
+    report = decay_bound_check(model, rho0, [0.5, 1.0], strict=False)
     assert not report.satisfied
 
 
