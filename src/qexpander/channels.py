@@ -18,9 +18,21 @@ commutes with every lifted U_d by construction.  A flat stage has T = all
 qubits and no control.  A *signed* stage stores only a half set {U_d}
 with weights w_d and stands for the 2D elements {+U_d, -U_d}, each of
 weight w_d / 2: the action is that of the half set, and the element sum
-M = sum w_d U_d over the 2D elements is zero by construction.  The
-read-only operands that `apply` multiplies by are built once, with the
-stage; its adjoint shares both Kraus stacks.
+M = sum w_d U_d over the 2D elements is zero by construction.
+
+Every stage maps Hermitian operators to Hermitian operators and is
+C-linear, so it acts on real coordinates: a Hermitian A has coordinates
+X = Re A + Im A (an isometry; A = (X + X^T)/2 + i (X - X^T)/2), and
+Phi(A) has X' = Re Phi(X) - (Im Phi(X))^T, with X taken as a real matrix.
+For Kraus operators U_d = R_d + i J_d that is
+
+    X' = sum_d w_d (R_d X R_d^T + J_d X J_d^T + J_d X^T R_d^T - R_d X^T J_d^T),
+
+two real GEMMs at 6 D k^3 multiply-adds for D operators on k dimensions,
+where the complex form sum_d w_d U_d A U_d^dag takes two complex GEMMs at
+8 D k^3.  :meth:`Channel.apply_real` is that kernel and the one stage
+kernel there is; :meth:`Channel.apply` runs on it.  Its real operands are
+built once, read-only, with the stage.
 Power compositions of expanders and the hardness reduction are
 multi-stage, since their flattened degree grows geometrically: the Kraus
 products are never materialized.
@@ -28,9 +40,21 @@ products are never materialized.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .linalg import ATOL, check_unitary, frobenius, haar_unitary, paulis, qubits_for_dim, split_index
+from .linalg import (
+    ATOL,
+    check_unitary,
+    frobenius,
+    haar_unitary,
+    hermitian_from_real,
+    paulis,
+    qubits_for_dim,
+    real_coordinates,
+    split_index,
+)
 
 _EXPLICIT_KRAUS = (
     "a multi-stage channel exposes no explicit Kraus operators or weights; "
@@ -56,8 +80,8 @@ class Channel:
     (automatic for unitary Kraus mixtures, asserted anyway).
     """
 
-    __slots__ = ("_kraus", "_kraus_h", "_right", "_weights", "_signed", "_stages", "_runs",
-                 "_qubits", "_dim", "_targets", "_control", "_layout", "_mean", "_mean_h")
+    __slots__ = ("_kraus", "_left", "_right", "_weights", "_signed", "_stages", "_runs",
+                 "_qubits", "_dim", "_targets", "_control", "_layout", "_mean")
 
     def __init__(self, kraus, weights, *, qubits=None, targets=None, control=None, signed=False):
         try:
@@ -71,7 +95,6 @@ class Channel:
         dim = x.shape[1]
         k = qubits_for_dim(dim)
         check_unitary(x)
-        xh = x.conj().transpose(0, 2, 1)
         w = np.array(weights, dtype=float).reshape(-1)
         if w.size != len(x):
             raise ValueError(f"{w.size} weights for {len(x)} Kraus operators")
@@ -97,37 +120,40 @@ class Channel:
             on, off = (idx, idx[:0]) if control is None else (idx[control], idx[~control])
             order = np.concatenate([on.ravel(), off.ravel()])
             layout = order, np.argsort(order), on.size
-        self._set_stage(x, np.ascontiguousarray(xh), w, bool(signed), m, targets, control, layout)
+        self._set_stage(x, w, bool(signed), m, targets, control, layout)
         eye = np.eye(2**m)
-        defect = frobenius(self.apply(eye) - eye)
+        defect = frobenius(self.apply_real(eye) - eye)
         if not defect <= ATOL:
             raise ValueError(f"channel is not unital: ||Phi(I) - I||_F = {defect:.3e}")
 
-    def _set_stage(self, x, xh, w, signed, qubits, targets, control, layout) -> None:
-        """Store a validated stage and build its apply operands once, all
-        read-only: the stacks U_d and U_d^dag, the stacked
-        [w_1 U_1^dag; ...; w_D U_D^dag] as a (D k, k) GEMM operand, and
-        M = sum_d w_d U_d and M^dag for an unsigned stage whose control
-        leaves both P and Q nonzero, the only kind with cross terms."""
+    def _set_stage(self, x, w, signed, qubits, targets, control, layout) -> None:
+        """Store a validated stage and build its real apply operands once,
+        all read-only, from U_d = R_d + i J_d: the (2 D k, 2 k) stack of
+        [[R_d, J_d], [J_d, -R_d]], the (2 D k, k) stack of
+        [w_d R_d^T; w_d J_d^T], and, for an unsigned stage whose control
+        leaves both P and Q nonzero (the only kind with cross terms),
+        [[Re M, Im M], [-Im M, Re M]] for M = sum_d w_d U_d."""
         d, k = x.shape[:2]
-        right = (w[:, None, None] * xh).reshape(d * k, k)
-        mean = mean_h = None
+        re, im = x.real, x.imag
+        left = _real_blocks(re, im, im, -re).reshape(2 * d * k, 2 * k)
+        right = (w[:, None, None] * np.concatenate((re, im), axis=2)).transpose(0, 2, 1).reshape(2 * d * k, k)
+        mean = None
         if layout is not None and 0 < layout[2] < len(layout[0]) and not signed:
-            mean = np.tensordot(w, x, axes=1)
-            mean_h = mean.conj().T.copy()
-        for arr in (x, xh, w, right, mean, mean_h):
+            m = np.tensordot(w, x, axes=1)
+            mean = _real_blocks(m.real, m.imag, -m.imag, m.real)
+        for arr in (x, w, left, right, mean):
             if arr is not None:
                 arr.setflags(write=False)
-        self._kraus, self._kraus_h, self._right, self._weights = x, xh, right, w
+        self._kraus, self._left, self._right, self._weights = x, left, right, w
         self._signed, self._stages, self._runs = signed, (), None
         self._qubits, self._dim, self._targets, self._control = qubits, 2**qubits, targets, control
-        self._layout, self._mean, self._mean_h = layout, mean, mean_h
+        self._layout, self._mean = layout, mean
 
-    def _with(self, x, xh, signed) -> "Channel":
-        """This stage with Kraus stacks (x, xh) and the `signed` flag, the
-        weights, targets and control kept; not validated again."""
+    def _with(self, x, signed) -> "Channel":
+        """This stage with Kraus stack x and the `signed` flag, the weights,
+        targets and control kept; not validated again."""
         out = object.__new__(Channel)
-        out._set_stage(x, xh, self._weights, signed, self._qubits, self._targets, self._control, self._layout)
+        out._set_stage(x, self._weights, signed, self._qubits, self._targets, self._control, self._layout)
         return out
 
     @classmethod
@@ -240,34 +266,54 @@ class Channel:
             d *= len(s._weights) << s._signed
         return d
 
-    def apply(self, a: np.ndarray) -> np.ndarray:
-        """Phi(A), stage by stage.
+    def apply_real(self, x: np.ndarray) -> np.ndarray:
+        """Phi in real coordinates, stage by stage: the real (N, N) matrix
+        X' = Re Phi(A) + Im Phi(A) for the Hermitian A with X = Re A + Im A
+        (see the module docstring).
 
-        A flat stage is sum_d w_d U_d A U_d^dag as two GEMMs: the stacked
-        [U_1; ...; U_D] times A, laid side by side as [U_1 A, ..., U_D A],
-        times the stacked [w_1 U_1^dag; ...; w_D U_D^dag], which also sums
-        over d.  A structured stage reorders the basis so that the
-        controlled subspace comes first as (rest, target) pairs, and computes
+        A flat stage is two real GEMMs: the stacked
+        [[R_d, J_d], [J_d, -R_d]] times [X; X^T] gives R_d X + J_d X^T and
+        J_d X - R_d X^T for every d, which laid side by side times the
+        stacked [w_d R_d^T; w_d J_d^T] give X', the sum over d included.
+        A structured stage reorders the basis so that the controlled
+        subspace comes first as (rest, target) pairs, and computes
 
             Phi_T(P A P) + P M A Q + Q A M^dag P + Q A Q,    M = sum_d w_d U_d,
 
-        with the same two GEMMs acting on the target index only.  This is
-        exact for any weights; a signed stage has M = 0, so its cross
-        terms are zero and it only mixes P A P.
+        block by block, each block a Hermiticity-preserving map of its own:
+        the same two GEMMs act on the target index of P X P, whose
+        transpose is that of the whole P block, and the cross blocks go
+        as one GEMM, [[Re M, Im M], [-Im M, Re M]] times [X_PQ; X_QP^T]
+        on the target index giving [X'_PQ; X'_QP^T].  This is exact for
+        any weights; a signed stage has M = 0, so its cross terms are zero
+        and it only mixes P X P.
 
         Consecutive structured stages that share a layout (equal targets
         and control) form a run, applied in one pass: the basis is
-        reordered once into the run and once out of it, and P A P stays
-        target-major from the run's first stage to its last.  The first
-        signed stage of a run zeroes the cross blocks, after which the
-        later stages touch P A P alone; Q A Q is never touched.
+        reordered once into the run and once out of it, and P X P and the
+        stacked cross blocks stay target-major from the run's first stage
+        to its last.  The first signed stage of a run zeroes the cross
+        blocks, after which the later stages touch P X P alone; Q X Q is
+        never touched.
         """
+        x = np.asarray(x)
+        if x.shape != (self._dim, self._dim) or np.iscomplexobj(x):
+            raise ValueError(f"expected real coordinates of shape {(self._dim, self._dim)}, got {x.dtype} {x.shape}")
+        for run in self._runs or ((self,),):
+            x = _mix_real(run[0], x) if run[0]._layout is None else _apply_run(run, x)
+        return x
+
+    def apply(self, a: np.ndarray) -> np.ndarray:
+        """Phi(A) for any complex (N, N) operator A = H + i K, with H and K
+        Hermitian: Phi(H) by one :meth:`apply_real` pass, plus i Phi(K) by a
+        second pass only when A is not exactly Hermitian."""
         a = np.asarray(a, dtype=complex)
         if a.shape != (self._dim, self._dim):
             raise ValueError(f"operator shape {a.shape} does not match channel dimension {self._dim}")
-        for run in self._runs or ((self,),):
-            a = _mix(run[0], a) if run[0]._layout is None else _apply_run(run, a)
-        return a
+        out = hermitian_from_real(self.apply_real(real_coordinates(a)))
+        if not np.array_equal(a, a.conj().T):
+            out += 1j * hermitian_from_real(self.apply_real(real_coordinates(-1j * a)))
+        return out
 
     def adjoint(self) -> "Channel":
         """The Hilbert-Schmidt adjoint: stages reversed, each with the same
@@ -276,7 +322,7 @@ class Channel:
         stages are already validated, so they are not checked again."""
         if self._stages:
             return per_stage(Channel.staged(reversed(self._stages)), Channel.adjoint)
-        return self._with(self._kraus_h, self._kraus, self._signed)
+        return self._with(np.ascontiguousarray(self._kraus.conj().transpose(0, 2, 1)), self._signed)
 
 
 def _shares_layout(s: Channel, t: Channel) -> bool:
@@ -290,34 +336,56 @@ def _shares_layout(s: Channel, t: Channel) -> bool:
     )
 
 
-def _apply_run(run: tuple[Channel, ...], a: np.ndarray) -> np.ndarray:
+def _apply_run(run: tuple[Channel, ...], x: np.ndarray) -> np.ndarray:
     """A run of structured stages sharing one layout, in that layout's basis
-    (see :meth:`Channel.apply`)."""
+    and in real coordinates (see :meth:`Channel.apply_real`)."""
     order, inverse, p = run[0]._layout
-    n, k = len(order), run[0]._kraus.shape[1]
-    a = a.take(order, 0).take(order, 1)
-    pap = _target_major(a[:p, :p], k)
-    crossed = True  # the cross blocks P A Q and Q A P may be nonzero
+    n, k = len(order), run[0]._right.shape[1]
+    x = x.take(order, 0).take(order, 1)
+    pxp = _target_major(x[:p, :p], k)
+    cross = None  # [X_PQ; X_QP^T], target-major, once an unsigned stage moves it
+    crossed = True  # the cross blocks X_PQ and X_QP may be nonzero
     for s in run:
         if s._signed:
             crossed = False
         elif crossed and s._mean is not None:
-            a[:p, p:] = _rest_major(s._mean @ _target_major(a[:p, p:], k), k, p, n - p)
-            a[p:, :p] = (a[p:, :p].reshape(-1, k) @ s._mean_h).reshape(n - p, p)
-        pap = _mix(s, pap)
-    a[:p, :p] = _rest_major(pap, k, p, p)
+            if cross is None:
+                cross = np.concatenate((_target_major(x[:p, p:], k), _target_major(x[p:, :p].T, k)))
+            cross = s._mean @ cross
+        pxp = _mix_real(s, pxp)
+    x[:p, :p] = _rest_major(pxp, k, p, p)
     if not crossed:
-        a[:p, p:] = 0.0
-        a[p:, :p] = 0.0
-    return a.take(inverse, 0).take(inverse, 1)
+        x[:p, p:] = 0.0
+        x[p:, :p] = 0.0
+    elif cross is not None:
+        x[:p, p:] = _rest_major(cross[:k], k, p, n - p)
+        x[p:, :p] = _rest_major(cross[k:], k, p, n - p).T
+    return x.take(inverse, 0).take(inverse, 1)
 
 
-def _mix(stage: Channel, b: np.ndarray) -> np.ndarray:
-    """sum_d w_d U_d B U_d^dag for a (k, cols) matrix B whose row index and
-    last column index are the k-dimensional target index."""
-    d, k = stage._kraus.shape[:2]
-    side_by_side = (stage._kraus.reshape(d * k, k) @ b).reshape(d, -1, k).transpose(1, 0, 2).reshape(-1, d * k)
-    return (side_by_side @ stage._right).reshape(b.shape)
+def _real_blocks(a, b, c, d) -> np.ndarray:
+    """The (..., 2 k, 2 k) block matrices [[a, b], [c, d]] of (..., k, k) blocks."""
+    k = a.shape[-1]
+    out = np.empty((*a.shape[:-2], 2, k, 2, k))
+    for i, j, block in ((0, 0, a), (0, 1, b), (1, 0, c), (1, 1, d)):
+        out[..., i, :, j, :] = block
+    return out.reshape(*a.shape[:-2], 2 * k, 2 * k)
+
+
+def _mix_real(stage: Channel, t: np.ndarray) -> np.ndarray:
+    """The stage kernel: real coordinates X' of sum_d w_d U_d A U_d^dag for
+    the real coordinates X of a square block A of r k rows, given
+    target-major as the (k, r r k) matrix t, t[i, (a, b, j)] = X[(a, i), (b, j)];
+    a flat stage has r = 1 and t = X."""
+    k = stage._right.shape[1]
+    cols = t.shape[1]
+    r = math.isqrt(cols // k)
+    stacked = np.empty((2 * k, cols))  # [X; X^T], both target-major
+    stacked[:k] = t
+    stacked[k:].reshape(k, r, r, k)[...] = t.reshape(k, r, r, k).transpose(3, 2, 1, 0)
+    halves = len(stage._left) // k  # 2 D blocks of k rows
+    side_by_side = (stage._left @ stacked).reshape(halves, cols, k).transpose(1, 0, 2).reshape(cols, halves * k)
+    return (side_by_side @ stage._right).reshape(k, cols)
 
 
 def _target_major(block: np.ndarray, k: int) -> np.ndarray:
@@ -381,7 +449,7 @@ def _sign_stage(stage: Channel) -> Channel:
             "sign-doubling the target elements of a controlled stage would drop its cross terms; "
             "sign-double the target channel before controlling it"
         )
-    return stage._with(stage._kraus, stage._kraus_h, True)
+    return stage._with(stage._kraus, True)
 
 
 def sign_double(channel: Channel) -> Channel:

@@ -7,11 +7,14 @@ the typed field readers decide what a well-formed field is: an int is a
 JSON number with an integral value, a float any JSON number, never a bool
 for either; a list of ints (qubits, polarities, control bits) or of
 floats (weights) holds only such numbers; a flag is true or false; a name
-is a string.  An optional field set to null counts as absent.  Every
+is a string.  An optional field set to null counts as absent.  Each kind
+of JSON object (circuit, gate, channel, stage, instance, spec and its
+"synthesize" object, model, state) has a fixed set of fields, and an
+unknown one is an error rather than a silently ignored typo.  Every
 malformed file raises FileFormatError naming the file and the field.
 
-Matrices are stored row-major as [re, im] pairs and phases as one pair;
-each matrix is one vectorized numpy conversion.  Kraus operators and
+Matrices are stored row-major as [re, im] pairs of JSON numbers and
+phases as one pair; each matrix is one vectorized numpy conversion.  Kraus operators and
 coupling unitaries may be given inline as such matrices or as paths to
 circuit files (resolved relative to the referencing file), which are
 simulated to their unitaries on load; unitarity of every element is
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import groupby
+from itertools import chain, groupby
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +43,19 @@ from .thermalization import ThermalModel
 #: Most stages a channel file may expand to, "repeat" runs included.
 MAX_STAGES = 4096
 
-#: The fields a gate object may carry.
+#: The fields each kind of JSON object may carry.
+CIRCUIT_FIELDS = frozenset({"qubits", "gates"})
 GATE_FIELDS = frozenset({"kind", "targets", "controls", "polarities", "base", "matrix", "phase"})
+_STAGE_BODY = frozenset({"kraus", "weights", "targets", "control", "signed"})
+#: A flat channel or instance file; `save_channel` writes the thresholds
+#: into channel files too.
+CHANNEL_FIELDS = _STAGE_BODY | {"qubits", "alpha", "beta"}
+#: A staged channel or instance file; "degree" is informational.
+STAGED_FIELDS = frozenset({"qubits", "stages", "degree", "alpha", "beta"})
+STAGE_FIELDS = _STAGE_BODY | {"repeat"}
+SPEC_FIELDS = frozenset({"circuit", "n_w", "n_a", "a", "b", "base_expander", "synthesize", "strict"})
+SYNTHESIZE_FIELDS = frozenset({"target_kappa", "degree_per_stage", "seed"})
+MODEL_FIELDS = frozenset({"qubits", "unitaries", "R0", "R1"})
 
 _NAMES = {int: "int", float: "float", bool: "true or false", str: "a string", list: "a list", dict: "an object"}
 _LIST_NAMES = {int: "integers", float: "numbers"}
@@ -76,6 +90,13 @@ def _load_json(path) -> dict:
     except FileNotFoundError as exc:
         raise FileFormatError(f"{path}: file not found") from exc
     return _json_object(text, path)
+
+
+def _known(doc: dict, fields: frozenset, where) -> None:
+    """Reject the fields of `doc` outside `fields`."""
+    extra = doc.keys() - fields
+    if extra:
+        raise FileFormatError(f"{where} has unknown fields {sorted(extra)}")
 
 
 def _typed(value, kind):
@@ -119,16 +140,31 @@ def _list(doc: dict, key: str, kind, where) -> list | None:
 
 
 def complex_vector_from_json(rows, what: str) -> np.ndarray:
-    """Complex vector from a list of [re, im] pairs of finite numbers."""
+    """Complex vector from a list of [re, im] pairs of finite JSON numbers;
+    a string or a bool is not a number, even where numpy would convert it.
+    The pairs are flattened once, the entry types checked over that flat
+    list, and the flat list converted: together no slower than numpy's
+    conversion of the nested list alone."""
     try:
-        pairs = np.array(rows, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FileFormatError(f"{what} must be a list of [re, im] pairs: {exc}") from exc
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise FileFormatError(f"{what} must be a list of [re, im] pairs, got an array of shape {pairs.shape}")
+        pairs_only = isinstance(rows, list) and set(map(len, rows)) == {2}
+    except TypeError:  # an entry with no length
+        pairs_only = False
+    if not pairs_only:
+        raise FileFormatError(f"{what} must be a nonempty list of [re, im] pairs")
+    # A length-2 entry that is not a list yields non-numbers here: a string
+    # its characters, an object its keys.
+    flat = list(chain.from_iterable(rows))
+    kinds = set(map(type, flat))
+    if not kinds <= {float, int}:
+        names = sorted(t.__name__ for t in kinds)
+        raise FileFormatError(f"{what} must be a list of [re, im] pairs of JSON numbers, got entries of type {names}")
+    try:
+        pairs = np.array(flat, dtype=float)
+    except OverflowError as exc:
+        raise FileFormatError(f"{what} must hold finite numbers: {exc}") from exc
     if not np.isfinite(pairs).all():
         raise FileFormatError(f"{what} must hold finite numbers")
-    return pairs.view(complex).reshape(-1)
+    return pairs.view(complex)
 
 
 def matrix_from_json(rows, what: str = "matrix") -> np.ndarray:
@@ -149,9 +185,7 @@ def matrix_to_json(mat: np.ndarray) -> list:
 def _gate(entry, where: str) -> Gate:
     if not isinstance(entry, dict):
         raise FileFormatError(f"{where}: expected a JSON object")
-    extra = set(entry) - GATE_FIELDS
-    if extra:
-        raise FileFormatError(f"{where} has unknown fields {sorted(extra)}")
+    _known(entry, GATE_FIELDS, where)
     kind = _field(entry, "kind", str, where)
     if kind not in GATE_KINDS:
         raise FileFormatError(f"{where} has unknown kind {kind!r}")
@@ -171,6 +205,7 @@ def _gate(entry, where: str) -> Gate:
 
 
 def _circuit_from_doc(doc: dict, where) -> GateCircuit:
+    _known(doc, CIRCUIT_FIELDS, where)
     qubits = _field(doc, "qubits", int, where)
     gates = [_gate(entry, f"{where} gate {i}") for i, entry in enumerate(_field(doc, "gates", list, where))]
     try:
@@ -236,12 +271,13 @@ def _channel_from_doc(doc: dict, base_dir: Path, where: str) -> Channel:
     qubits = _qubits(doc, where)
     entries = _field(doc, "stages", list, where, None)
     if entries is None:
-        return _flat_channel(doc, base_dir, qubits, where)
+        return _flat_channel(doc, base_dir, qubits, where, CHANNEL_FIELDS)
+    _known(doc, STAGED_FIELDS, where)
     if not entries:
         raise FileFormatError(f"{where}: field 'stages' must be a nonempty list of stage objects")
     stages: list[Channel] = []
     for i, entry in enumerate(entries):
-        stage = _flat_channel(entry, base_dir, qubits, f"{where} stage {i}")
+        stage = _flat_channel(entry, base_dir, qubits, f"{where} stage {i}", STAGE_FIELDS)
         repeat = _field(entry, "repeat", int, f"{where} stage {i}", 1)
         if not 1 <= repeat <= MAX_STAGES - len(stages):
             raise FileFormatError(
@@ -252,9 +288,10 @@ def _channel_from_doc(doc: dict, base_dir: Path, where: str) -> Channel:
     return Channel.staged(stages)
 
 
-def _flat_channel(doc, base_dir: Path, qubits: int, where: str) -> Channel:
+def _flat_channel(doc, base_dir: Path, qubits: int, where: str, fields: frozenset) -> Channel:
     if not isinstance(doc, dict):
         raise FileFormatError(f"{where}: expected a JSON object")
+    _known(doc, fields, where)
     entries = _field(doc, "kraus", list, where)
     if not entries:
         raise FileFormatError(f"{where}: field 'kraus' must be a nonempty list")
@@ -331,8 +368,13 @@ def load_reduction_spec(path) -> ReductionSpec:
     and either a base-expander channel file or synthesis parameters."""
     path = Path(path)
     doc = _load_json(path)
+    _known(doc, SPEC_FIELDS, path)
     circuit = _field(doc, "circuit", str, path)
-    layout = RegisterLayout(_field(doc, "n_w", int, path), _field(doc, "n_a", int, path))
+    n_w, n_a = _field(doc, "n_w", int, path), _field(doc, "n_a", int, path)
+    try:
+        layout = RegisterLayout(n_w, n_a)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
     a, b = _field(doc, "a", float, path), _field(doc, "b", float, path)
     verifier = load_circuit(path.parent / circuit)
     base_file = _field(doc, "base_expander", str, path, None)
@@ -345,6 +387,7 @@ def load_reduction_spec(path) -> ReductionSpec:
         base_path = path.parent / base_file
         base = _channel_from_doc(_load_json(base_path), base_path.parent, base_file)
     else:
+        _known(synth, SYNTHESIZE_FIELDS, f"{path} synthesize")
         kinds = {"target_kappa": float, "degree_per_stage": int, "seed": int}
         base, kappa_f = build_base_expander(
             layout.verifier_qubits,
@@ -367,6 +410,7 @@ def load_reduction_spec(path) -> ReductionSpec:
 def load_thermal_model(path) -> ThermalModel:
     path = Path(path)
     doc = _load_json(path)
+    _known(doc, MODEL_FIELDS, path)
     qubits = _qubits(doc, path)
     unitaries = [
         _kraus_entry(entry, path.parent, qubits, f"{path} unitaries[{i}]")
@@ -380,8 +424,12 @@ def load_thermal_model(path) -> ThermalModel:
 
 
 def load_state_vector(path) -> np.ndarray:
-    return complex_vector_from_json(_field(_load_json(path), "amplitudes", list, path), "amplitudes")
+    doc = _load_json(path)
+    _known(doc, frozenset({"amplitudes"}), path)
+    return complex_vector_from_json(_field(doc, "amplitudes", list, path), "amplitudes")
 
 
 def load_density_matrix(path) -> np.ndarray:
-    return matrix_from_json(_field(_load_json(path), "matrix", list, path))
+    doc = _load_json(path)
+    _known(doc, frozenset({"matrix"}), path)
+    return matrix_from_json(_field(doc, "matrix", list, path))

@@ -88,6 +88,31 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape(n, n).copy()
 
 
+def real_coordinates(a: np.ndarray) -> np.ndarray:
+    """Real coordinates X = Re H + Im H of the Hermitian part H = (A + A^dag)/2
+    of a square A (or of each matrix of a (..., N, N) stack), computed as
+    (S + D^T)/2 with S = Re A + Im A and D = Re A - Im A.  For a Hermitian
+    A this is Re A + Im A exactly.  The map is an isometry from the
+    Hermitian matrices onto the real ones: ||X||_F = ||H||_F."""
+    a = np.asarray(a, dtype=complex)
+    s, d = a.real + a.imag, a.real - a.imag
+    s += d.swapaxes(-1, -2)
+    s *= 0.5
+    return s
+
+
+def hermitian_from_real(x: np.ndarray) -> np.ndarray:
+    """The Hermitian A = (X + X^T)/2 + i (X - X^T)/2 with real coordinates
+    X (or each of a (..., N, N) stack); inverse of :func:`real_coordinates`."""
+    x = np.asarray(x, dtype=float)
+    xt = x.swapaxes(-1, -2)
+    a = np.empty(x.shape, dtype=complex)
+    np.add(x, xt, out=a.real)
+    np.subtract(x, xt, out=a.imag)
+    a *= 0.5
+    return a
+
+
 def phi_state(dim: int) -> np.ndarray:
     """The maximally entangled unit vector |phi> = vec(I)/sqrt(N)."""
     return vec(np.eye(dim, dtype=complex)) / np.sqrt(dim)

@@ -28,7 +28,11 @@ pi_k(x) = e^{-x} x^k / k!,
 
 The weights are positive and are evaluated in log space, so they do not
 underflow at large gamma t, and every sample time shares the same powers
-T_k, so each power costs one Channel.apply whatever the number of times.
+T_k, so each power costs one channel application whatever the number of
+times.  The powers are kept in the real coordinates X = Re T + Im T of
+:meth:`Channel.apply_real`, an isometry of the Hermitian matrices, so
+every norm below is the same in either form; the states become complex
+once, at the end.
 The sum stops after the first K terms at the first of two rules:
 
 (a) tail rule: the Chernoff bound P(Pois(x) >= K) <= e^{-x} (e x / K)^K
@@ -69,7 +73,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import Channel
-from .linalg import frobenius
+from .linalg import frobenius, hermitian_from_real, real_coordinates
 from .spectral import spectral_gap
 
 #: Truncation tolerance of the uniformization series (rules (a) and (b)).
@@ -126,7 +130,7 @@ class ThermalModel:
 class Trajectory:
     """States rho(t) at the sampled times, with ||rho(t) - I/N||_F.
 
-    `applications` counts the Channel.apply calls the series made.
+    `applications` counts the channel applications the series made.
     """
 
     times: np.ndarray
@@ -168,11 +172,10 @@ def _check_times(times) -> np.ndarray:
 
 
 def _norm(a: np.ndarray) -> float:
-    """Frobenius norm of a complex array, sqrt(re . re + im . im) over its
-    raveled entries: the sums np.linalg.norm forms, without its overhead."""
+    """Frobenius norm of a real array, sqrt(d . d) over its raveled entries,
+    without the overhead of np.linalg.norm."""
     d = a.ravel()
-    re, im = d.real, d.imag
-    return math.sqrt(re @ re + im @ im)
+    return math.sqrt(d @ d)
 
 
 def _evolve_series(model: ThermalModel, rho0: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, int]:
@@ -183,11 +186,13 @@ def _evolve_series(model: ThermalModel, rho0: np.ndarray, times: np.ndarray) -> 
     raises as soon as the one-step or the two-step bound of the module
     docstring shows that the mixing rule cannot either; otherwise neither
     bound is computed.  Returns the (J, N, N) states and the number of
-    channel applications.  Powers are taken in blocks of up to min(J, 32):
-    the block's Poisson weights come from one exp, its powers are stored in
-    one preallocated buffer, and one real GEMM on their [re, im] views adds
-    them to the states, so the buffer never outgrows the output.  The
-    weights' mass is summed power by power.
+    channel applications.  The series runs on the real coordinates of the
+    Hermitian part of rho0 (which `evolve` has checked to lie within 1e-9
+    of rho0) by Channel.apply_real.  Powers are taken in blocks of up to
+    min(J, 32): the block's Poisson weights come from one exp, its powers
+    are stored in one preallocated buffer, and one real GEMM adds them to
+    the states, so the buffer never outgrows the output.  The weights'
+    mass is summed power by power.
     """
     channel = model.channel
     n = model.dim
@@ -196,11 +201,11 @@ def _evolve_series(model: ThermalModel, rho0: np.ndarray, times: np.ndarray) -> 
     log_x = np.log(np.where(x > 0, x, 1.0))[:, None]
     at_zero = x == 0
     mixed = np.eye(n) / n
-    states = np.zeros((len(times), 2 * n * n))
+    states = np.zeros((len(times), n * n))
     mass = np.zeros(len(times))
     block = min(len(times), 32)
-    terms = np.empty((block, n, n), dtype=complex)
-    flat_terms = terms.reshape(block, n * n).view(float)
+    terms = np.empty((block, n, n))
+    flat_terms = terms.reshape(block, n * n)
     log_tol = math.log(SERIES_TOL)
 
     def tail_ends(tail: int) -> bool:  # rule (a) with K = tail terms
@@ -211,7 +216,7 @@ def _evolve_series(model: ThermalModel, rho0: np.ndarray, times: np.ndarray) -> 
     # before there are powers to compare; r_{k-1} likewise.
     step = step2 = last_residual = math.inf
     older = None
-    term = rho0
+    term = real_coordinates(rho0)
     k = 0
     while True:
         j = k % block
@@ -237,7 +242,7 @@ def _evolve_series(model: ThermalModel, rho0: np.ndarray, times: np.ndarray) -> 
                 f"gamma * t_max = {x_max:.6g} needs more than {MAX_SERIES_TERMS} channel "
                 "applications: the model does not mix within that horizon"
             )
-        nxt = channel.apply(term)
+        nxt = channel.apply_real(term)
         if capped:
             step = _norm(nxt - term)
             if older is not None:
@@ -245,11 +250,11 @@ def _evolve_series(model: ThermalModel, rho0: np.ndarray, times: np.ndarray) -> 
             older, last_residual = term, residual
         term = nxt
         k += 1
-    states = states.view(complex).reshape(len(times), n, n)
+    states = states.reshape(len(times), n, n)
     if mixing:
         diag = np.arange(n)
         states[:, diag, diag] += np.maximum(1.0 - mass, 0.0)[:, None] / n
-    return states, k
+    return hermitian_from_real(states), k
 
 
 def evolve(model: ThermalModel, rho0: np.ndarray, times) -> Trajectory:

@@ -10,7 +10,9 @@ for Arthur's contraction estimate.  The dense qubit embedding, pattern
 projector and gate product are the oracle for the row-wise circuit
 simulator and the reduction's control vectors.  The per-step
 Rayleigh-Ritz Lanczos solver and the per-term uniformization series are
-the bit-for-bit oracles for the engine's lean loops.
+the bit-for-bit oracles for the engine's lean loops; the lifted Kraus
+sum, also in real coordinates, is the complex oracle for the engine's
+real-arithmetic stage kernel.
 """
 
 from __future__ import annotations
@@ -22,7 +24,15 @@ import numpy as np
 from qexpander import spectral
 from qexpander.channels import Channel
 from qexpander.circuits import GateCircuit
-from qexpander.linalg import check_square, frobenius, phi_state, rng_from, split_index
+from qexpander.linalg import (
+    check_square,
+    frobenius,
+    hermitian_from_real,
+    phi_state,
+    real_coordinates,
+    rng_from,
+    split_index,
+)
 from qexpander.spectral import GapReport, _deflate, _iterative_report, _unit_traceless
 from qexpander.thermalization import MAX_SERIES_TERMS, SERIES_TOL
 
@@ -121,13 +131,22 @@ def doubled_lift(stage: Channel) -> tuple[np.ndarray, np.ndarray]:
     return np.array([p @ embed(u, stage.targets, m) + q for u in x]), w
 
 
-def lifted_kraus_sum(channel: Channel, a: np.ndarray) -> np.ndarray:
+def lifted_kraus_sum(channel: Channel, a: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """Phi(A) stage by stage as sum_d w_d U_d A U_d^dag over the
-    :func:`doubled_lift` elements."""
-    for s in channel.stages:
+    :func:`doubled_lift` elements; with `adjoint`, Phi^dag(A), the stages
+    in reverse as sum_d w_d U_d^dag A U_d over the same elements."""
+    for s in reversed(channel.stages) if adjoint else channel.stages:
         x, w = doubled_lift(s)
+        if adjoint:
+            x = x.conj().transpose(0, 2, 1)
         a = sum(wd * (u @ a @ u.conj().T) for wd, u in zip(w, x))
     return a
+
+
+def kraus_sum_real(channel: Channel, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """The complex oracle in real coordinates: Re B + Im B for
+    B = :func:`lifted_kraus_sum` of the Hermitian A with real coordinates x."""
+    return real_coordinates(lifted_kraus_sum(channel, hermitian_from_real(x), adjoint))
 
 
 def is_regular(channel: Channel) -> bool:
@@ -225,29 +244,30 @@ def yes_witness(spec, psi: np.ndarray) -> np.ndarray:
     return np.outer(state, state.conj()) - np.eye(n, dtype=complex) / n
 
 
-def _m_apply_oracle(channel, adjoint, x: np.ndarray, dim: int) -> np.ndarray:
-    """M x in real coordinates on A = (X + X^T)/2 + i (X - X^T)/2, then one
-    deflation of the output."""
-    m = x.reshape(dim, dim)
-    a = np.empty((dim, dim), dtype=complex)
-    np.add(m, m.T, out=a.real)
-    np.subtract(m, m.T, out=a.imag)
-    a *= 0.5
-    b = adjoint.apply(channel.apply(a))
-    return _deflate((b.real + b.imag).ravel(), dim)
-
-
-def lanczos_oracle(channel, tol: float = 1e-9, max_iter: int = 10000, seed: int = 0) -> GapReport:
+def lanczos_oracle(
+    channel, tol: float = 1e-9, max_iter: int = 10000, seed: int = 0, kraus_sum: bool = False
+) -> GapReport:
     """Thick-restart Lanczos with a full eigendecomposition of the Ritz
     matrix on every step, the stop test |s_last| ||q|| <= target read off
     it; otherwise the engine's algorithm, start vector, stop rule and
-    restart (see spectral_gap_iterative)."""
+    restart (see spectral_gap_iterative).  M is applied by the engine's
+    Channel.apply_real, or with `kraus_sum` by the complex oracle
+    :func:`kraus_sum_real`, then deflated once."""
     dim = channel.dim
     adjoint = channel.adjoint()
     n = dim * dim
     rng = rng_from(seed, 0)
+
+    def m_apply(x):
+        x = x.reshape(dim, dim)
+        if kraus_sum:
+            y = kraus_sum_real(channel, kraus_sum_real(channel, x), adjoint=True)
+        else:
+            y = adjoint.apply_real(channel.apply_real(x))
+        return _deflate(y.ravel(), dim)
+
     v = _unit_traceless(rng.standard_normal(n), dim)
-    mv = _m_apply_oracle(channel, adjoint, v, dim)
+    mv = m_apply(v)
     action = float(np.linalg.norm(mv))
     if action <= 1e-14:
         return _iterative_report(0.0, v, dim, 1, action, True, 1)
@@ -281,13 +301,14 @@ def lanczos_oracle(channel, tol: float = 1e-9, max_iter: int = 10000, seed: int 
             k = keep
             cycles += 1
         basis[k] = q / beta
-        images[k] = _m_apply_oracle(channel, adjoint, basis[k], dim)
+        images[k] = m_apply(basis[k])
         matvecs += 1
 
 
 def series_oracle(model, rho0: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, int]:
-    """Uniformization term by term: each power's Poisson weights from their
-    own exp, powers collected in lists and summed by one GEMM per block of
+    """Uniformization term by term, in the real coordinates of
+    Channel.apply_real: each power's Poisson weights from their own exp,
+    powers collected in lists and summed by one GEMM per block of
     min(J, 32); the tail and mixing rules and the cap of
     thermalization._evolve_series, without its early exits."""
     channel = model.channel
@@ -296,7 +317,7 @@ def series_oracle(model, rho0: np.ndarray, times: np.ndarray) -> tuple[np.ndarra
     x_max = float(x[-1])
     log_x = np.log(np.where(x > 0, x, 1.0))
     mixed = np.eye(n) / n
-    states = np.zeros((len(times), 2 * n * n))
+    states = np.zeros((len(times), n * n))
     mass = np.zeros(len(times))
     block = min(len(times), 32)
     pending_w, pending_t = [], []
@@ -305,7 +326,7 @@ def series_oracle(model, rho0: np.ndarray, times: np.ndarray) -> tuple[np.ndarra
     def tail_ends(tail: int) -> bool:
         return x_max == 0 or (tail > x_max and tail * (1 + math.log(x_max / tail)) - x_max <= log_tol)
 
-    term = rho0
+    term = real_coordinates(rho0)
     k = 0
     while True:
         weights = np.exp(k * log_x - x - math.lgamma(k + 1))
@@ -316,17 +337,17 @@ def series_oracle(model, rho0: np.ndarray, times: np.ndarray) -> tuple[np.ndarra
         mixing = frobenius(term - mixed) <= SERIES_TOL
         done = mixing or tail_ends(k + 1)
         if done or len(pending_t) == block:
-            terms = np.ascontiguousarray(pending_t).reshape(len(pending_t), n * n).view(float)
+            terms = np.reshape(pending_t, (len(pending_t), n * n))
             states += np.stack(pending_w, axis=1) @ terms
             pending_w, pending_t = [], []
         if done:
             break
         if k == MAX_SERIES_TERMS:
             raise ValueError("the series reached its term cap")
-        term = channel.apply(term)
+        term = channel.apply_real(term)
         k += 1
-    states = states.view(complex).reshape(len(times), n, n)
+    states = states.reshape(len(times), n, n)
     if mixing:
         diag = np.arange(n)
         states[:, diag, diag] += np.maximum(1.0 - mass, 0.0)[:, None] / n
-    return states, k
+    return hermitian_from_real(states), k

@@ -12,7 +12,7 @@ from qexpander.channels import (
     zero_sum_defect,
 )
 from qexpander.fileio import save_channel
-from qexpander.linalg import frobenius, paulis, rng_from
+from qexpander.linalg import frobenius, hermitian_from_real, paulis, real_coordinates, rng_from
 
 from oracles import (
     compose,
@@ -20,6 +20,7 @@ from oracles import (
     embed,
     identity_channel,
     is_regular,
+    kraus_sum_real,
     lifted_kraus_sum,
     pattern_projector,
     random_operator,
@@ -392,9 +393,9 @@ def test_apply_adjoint_pairing(name):
 def test_stage_operands_are_read_only(name):
     ch = APPLY_CASES[name]
     for stage in (ch, ch.adjoint()):
-        operands = [stage._kraus, stage._kraus_h, stage._right, stage._weights]
+        operands = [stage._kraus, stage._left, stage._right, stage._weights]
         if stage._mean is not None:
-            operands += [stage._mean, stage._mean_h]
+            operands.append(stage._mean)
         for arr in operands:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -429,7 +430,7 @@ def test_signed_stage_matches_doubled_lift(kind, weighting):
     assert stage.signed and stage.degree == 6 and stage.target_kraus.shape[0] == 3
     assert np.max(np.abs(stage.kraus - lifted)) < 1e-12
     assert np.max(np.abs(stage.weights - weights)) == 0.0
-    assert stage._mean is None and stage._mean_h is None  # M = 0 is never built
+    assert stage._mean is None  # M = 0 is never built
     assert zero_sum_defect(stage) == 0.0
     rng = rng_from(71)
     for _ in range(3):
@@ -510,3 +511,87 @@ def test_adjoint_shares_stages(tmp_path):
     path = tmp_path / "adjoint.json"
     save_channel(adjoint, path)
     assert [entry.get("repeat") for entry in json.loads(path.read_text())["stages"]] == [4]
+
+
+# --- the real-arithmetic stage kernel against the complex oracle -------------
+
+
+def _structured_stage(case, weighting):
+    m, targets, ctrl, pattern, negate = STRUCTURED_CASES[case]
+    rng = rng_from(80, sorted(STRUCTURED_CASES).index(case))
+    weights = np.full(3, 1 / 3) if weighting == "uniform" else rng.random(3)
+    control = _control_vector(m, targets, ctrl, pattern, negate) if ctrl else None
+    kraus = random_unitary_channel(len(targets), 3, rng).kraus
+    return Channel(kraus, weights / weights.sum(), qubits=m, targets=targets, control=control)
+
+
+def _live_cross_stage():
+    m, targets, ctrl, pattern, negate = STRUCTURED_CASES["non-contiguous, pattern"]
+    u = random_unitary_channel(2, 1, rng_from(81)).kraus
+    return Channel(u, [1.0], qubits=m, targets=targets, control=_control_vector(m, targets, ctrl, pattern, negate))
+
+
+def _corpus_reduction(key):
+    from pathlib import Path
+
+    from qexpander.fileio import load_reduction_spec
+    from qexpander.reduction import build_reduction
+
+    corpus = Path(__file__).resolve().parents[1] / "corpus"
+    return build_reduction(load_reduction_spec(corpus / "reductions" / f"{key}.json"))
+
+
+KERNEL_CASES = {
+    **{
+        f"{case}, {weighting}": lambda case=case, weighting=weighting: _structured_stage(case, weighting)
+        for case in STRUCTURED_CASES
+        for weighting in ("uniform", "weighted")
+    },
+    **{f"signed {kind}": lambda kind=kind: _signed_stage(kind, "weighted", 3) for kind in SIGNED_KINDS},
+    "unsigned, live cross terms": _live_cross_stage,
+    "flat, weighted": lambda: APPLY_CASES["flat, weighted"],
+    "staged run channel": _run_channel,
+    "staged power": lambda: channel_power(random_unitary_channel(3, 3, rng_from(82)), 3),
+    "corpus NO reduction": lambda: _corpus_reduction("no_2w2a"),
+    "corpus YES reduction": lambda: _corpus_reduction("yes_2w2a"),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_real_kernel_matches_complex_oracle(name):
+    ch = KERNEL_CASES[name]()
+    if name == "unsigned, live cross terms":
+        assert zero_sum_defect(ch) > 0.5 and ch._mean is not None
+    n = ch.dim
+    rng = rng_from(83, sorted(KERNEL_CASES).index(name))
+    for adjoint in (False, True):
+        channel = ch.adjoint() if adjoint else ch
+        x = rng.standard_normal((n, n))
+        want = kraus_sum_real(ch, x, adjoint)
+        assert frobenius(channel.apply_real(x) - want) <= 1e-13 * frobenius(x)
+        assert frobenius(channel.apply(hermitian_from_real(x)) - lifted_kraus_sum(ch, hermitian_from_real(x), adjoint)) <= (
+            1e-13 * frobenius(x)
+        )
+        a = random_operator(n, rng)  # not Hermitian: a second kernel pass for its anti-Hermitian part
+        assert frobenius(channel.apply(a) - lifted_kraus_sum(ch, a, adjoint)) <= 1e-13 * frobenius(a)
+
+
+def test_apply_real_rejects_complex_and_misshapen_input():
+    ch = APPLY_CASES["flat, uniform"]
+    with pytest.raises(ValueError, match="real coordinates"):
+        ch.apply_real(np.eye(ch.dim, dtype=complex))
+    with pytest.raises(ValueError, match="real coordinates"):
+        ch.apply_real(np.eye(ch.dim + 1))
+
+
+def test_real_coordinates_are_an_isometry_and_round_trip():
+    rng = rng_from(84)
+    a = random_operator(8, rng)
+    h = (a + a.conj().T) / 2
+    x = real_coordinates(h)
+    assert np.array_equal(x, h.real + h.imag)
+    assert abs(frobenius(x) - frobenius(h)) < 1e-14
+    assert frobenius(real_coordinates(a) - x) < 1e-14  # the Hermitian part only
+    assert frobenius(hermitian_from_real(x) - h) < 1e-14
+    stack = rng.standard_normal((3, 4, 4))
+    assert np.array_equal(hermitian_from_real(stack)[1], hermitian_from_real(stack[1]))

@@ -95,7 +95,7 @@ def test_global_phase_gate():
         Gate("GLOBAL_PHASE", phase=2.0 + 0j)
 
 
-@pytest.mark.parametrize("phase", [[float("nan"), 0.0], [1.0], [1.0, 0.0, 0.0], "1", None])
+@pytest.mark.parametrize("phase", [[float("nan"), 0.0], [1.0], [1.0, 0.0, 0.0], "1", None, ["1", "0"], [True, 0]])
 def test_parsed_global_phase_must_be_a_finite_pair(phase):
     gate = {"kind": "GLOBAL_PHASE", "phase": phase}
     with pytest.raises(FileFormatError, match="phase"):

@@ -194,6 +194,58 @@ def test_malformed_input_exits_2_with_one_error_line(corpus, tmp_path, capsys, k
     assert "Traceback" not in err
 
 
+def _staged(stage_patch, top_patch=None):
+    """Edit a flat instance into a staged one, its one stage repeated twice."""
+
+    def patch(doc):
+        stage = {"kraus": doc.pop("kraus"), "repeat": 2, **stage_patch}
+        doc.update({"stages": [stage], "degree": 1, **(top_patch or {})})
+
+    return patch
+
+
+# (file kind, patch, the unknown field the error must name)
+UNKNOWN_FIELDS = [
+    ("circuit", {"qbits": 2}, "qbits"),
+    ("channel", {"wieghts": [1.0]}, "wieghts"),
+    ("instance", {"wieghts": [1.0]}, "wieghts"),
+    ("instance", {"stages": [{"kraus": [[[1, 0], [0, 0], [0, 0], [1, 0]]]}], "kraus": None}, "kraus"),
+    ("instance", _staged({"wieghts": [1.0]}), "wieghts"),
+    ("instance", _staged({}, {"signed": True}), "signed"),
+    ("spec", {"n_witness": 2}, "n_witness"),
+    ("spec", {"synthesize": {"seed": 1, "target_kapa": 0.1}}, "target_kapa"),
+    ("model", {"r0": 1.0}, "r0"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,patch,key",
+    [pytest.param(kind, patch, key, id=f"{kind}-{key}") for kind, patch, key in UNKNOWN_FIELDS],
+)
+def test_unknown_field_exits_2_naming_it(corpus, tmp_path, capsys, kind, patch, key):
+    code = cli.main(_write_malformed(corpus, tmp_path, kind, patch))
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"unknown fields ['{key}']" in err
+
+
+def test_unknown_field_in_state_files_exits_2(corpus, tmp_path, capsys):
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps({"amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "norm": 1}))
+    rho0 = tmp_path / "rho0.json"
+    rho0.write_text(json.dumps({"matrix": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], "trace": 1}))
+    runs = [
+        (["verify", str(corpus / "instances" / "identity_z_1q.json"), "--witness", str(witness)], "norm"),
+        (["thermalize", str(corpus / "models" / "phase_1q.json"), "--rho0", str(rho0)], "trace"),
+    ]
+    for args, key in runs:
+        code = cli.main(args)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert f"unknown fields ['{key}']" in err, err
+
+
 def test_malformed_circuit_in_spec_exits_2_in_a_subprocess(corpus, tmp_path):
     spec = json.loads((corpus / "reductions" / "no_2w2a.json").read_text())
     circuit = json.loads((corpus / "reductions" / spec["circuit"]).read_text())

@@ -345,6 +345,10 @@ MALFORMED_PAIRS = [
     [[float("nan"), 0.0]],
     [[1e400, 0.0]],
     [[10**400, 0.0]],
+    [["1", "0"]],
+    [[True, 0]],
+    [[1.0, 0.0], [True, 0.0]],
+    [[0.5, False], [0.0, 0.0]],
 ]
 
 
@@ -354,6 +358,15 @@ def test_pair_codec_rejects_malformed_rows(rows):
         matrix_from_json(rows)
     with pytest.raises(FileFormatError, match=r"\[re, im\] pairs|finite"):
         complex_vector_from_json(rows, "amplitudes")
+
+
+def test_spec_layout_error_names_the_file(corpus, tmp_path):
+    doc = json.loads((corpus / "reductions" / "no_2w2a.json").read_text())
+    doc.update(n_w=0, circuit=str(corpus / "reductions" / doc["circuit"]))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FileFormatError, match=re.escape(f"{path}: need at least one witness")):
+        load_reduction_spec(path)
 
 
 def test_matrix_codec_rejects_non_square():

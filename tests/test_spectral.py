@@ -434,13 +434,13 @@ def test_real_engine_matches_dense_oracle(name):
 
 def test_engine_applies_the_channel_twice_per_matvec(monkeypatch):
     calls = []
-    apply = Channel.apply
+    apply_real = Channel.apply_real
 
-    def counting_apply(self, a):
+    def counting_apply_real(self, x):
         calls.append(1)
-        return apply(self, a)
+        return apply_real(self, x)
 
-    monkeypatch.setattr(Channel, "apply", counting_apply)
+    monkeypatch.setattr(Channel, "apply_real", counting_apply_real)
     rng = rng_from(49)
     channels = [
         random_unitary_channel(3, 4, rng),
@@ -557,3 +557,13 @@ def test_last_entry_floor_never_exceeds_the_ritz_vector(seed, k, shape, scale):
     floor, top = spectral._last_entry_floor(t, k, float(mus[-1]), heads[:, -1])
     assert floor <= vecs[-1, -1] ** 2
     assert top >= thetas[-1] * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_kappa_matches_complex_oracle_lanczos(corpus, name):
+    """The engine's real-coordinate kernel against the same Lanczos run on
+    the complex lifted-Kraus oracle: kappa agrees within 1e-12."""
+    ch = ORACLE_CASES[name](corpus)
+    got, want = spectral_gap_iterative(ch), lanczos_oracle(ch, kraus_sum=True)
+    assert got.converged and want.converged
+    assert abs(got.kappa - want.kappa) <= 1e-12

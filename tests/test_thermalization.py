@@ -112,13 +112,13 @@ def test_trajectory_counts_channel_applications(monkeypatch):
     rho0 = random_density(4, rng_from(12))
     assert evolve(model, rho0, [0.0]).applications == 0
     calls = []
-    apply = Channel.apply
+    apply_real = Channel.apply_real
 
-    def counting_apply(self, a):
+    def counting_apply_real(self, x):
         calls.append(1)
-        return apply(self, a)
+        return apply_real(self, x)
 
-    monkeypatch.setattr(Channel, "apply", counting_apply)
+    monkeypatch.setattr(Channel, "apply_real", counting_apply_real)
     traj = evolve(model, rho0, np.linspace(0, 2, 9))
     assert traj.applications == len(calls) > 0
 
@@ -166,13 +166,13 @@ def test_series_raises_at_the_term_cap(monkeypatch):
     monkeypatch.setattr(thermalization, "MAX_SERIES_TERMS", 50)
     assert evolve(model, rho0, [0.0, 10.0 / model.rate]).applications <= 50
     calls = []
-    apply = Channel.apply
+    apply_real = Channel.apply_real
 
-    def counting_apply(self, a):
+    def counting_apply_real(self, x):
         calls.append(1)
-        return apply(self, a)
+        return apply_real(self, x)
 
-    monkeypatch.setattr(Channel, "apply", counting_apply)
+    monkeypatch.setattr(Channel, "apply_real", counting_apply_real)
     with pytest.raises(ValueError, match=r"gamma \* t_max = 1000 needs more than 50 channel applications"):
         evolve(model, rho0, [0.0, 1e3 / model.rate])
     assert len(calls) == 50
@@ -194,13 +194,13 @@ def test_oscillating_model_stops_after_two_applications(monkeypatch, case):
     model = ThermalModel((u,), r0=1.0, r1=1.0)
     model.channel  # built, and checked unital, before counting
     calls = []
-    apply = Channel.apply
+    apply_real = Channel.apply_real
 
-    def counting_apply(self, a):
+    def counting_apply_real(self, x):
         calls.append(1)
-        return apply(self, a)
+        return apply_real(self, x)
 
-    monkeypatch.setattr(Channel, "apply", counting_apply)
+    monkeypatch.setattr(Channel, "apply_real", counting_apply_real)
     with pytest.raises(ValueError, match="does not mix within that horizon"):
         evolve(model, rho0, [0.0, 1e9])
     assert len(calls) == 2
@@ -233,13 +233,13 @@ def test_non_mixing_model_stops_long_before_the_term_cap(monkeypatch):
     model = ThermalModel((np.diag([1.0, np.exp(0.7j)]),), r0=1.0, r1=1.0)
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     calls = []
-    apply = Channel.apply
+    apply_real = Channel.apply_real
 
-    def counting_apply(self, a):
+    def counting_apply_real(self, x):
         calls.append(1)
-        return apply(self, a)
+        return apply_real(self, x)
 
-    monkeypatch.setattr(Channel, "apply", counting_apply)
+    monkeypatch.setattr(Channel, "apply_real", counting_apply_real)
     with pytest.raises(ValueError, match="does not mix within that horizon"):
         evolve(model, rho0, [0.0, 1e9])
     assert 1 <= len(calls) <= 2
@@ -358,3 +358,20 @@ def test_non_finite_times_rejected(bad):
     for run in (evolve, decay_bound_check):
         with pytest.raises(ValueError, match="times must be finite"):
             run(pauli_model(), rho0, [0.0, bad, 3.0])
+
+
+def test_states_are_exactly_hermitian_with_unit_trace():
+    # The series runs in real coordinates and makes the states complex once,
+    # so every state is Hermitian bit for bit, also from a start state that
+    # is Hermitian only within the 1e-9 evolve accepts.
+    model = random_open_model(20, qubits=3)
+    rho0 = random_density(8, rng_from(21))
+    skew = random_operator(8, rng_from(22))
+    for start in (rho0, rho0 + 1e-11 * (skew - skew.conj().T)):
+        traj = evolve(model, start, np.linspace(0, 4.0, 9) / model.rate)
+        for state in traj.states:
+            assert np.array_equal(state, state.conj().T)
+            assert abs(np.trace(state) - 1.0) < 1e-12
+        hermitian = (start + start.conj().T) / 2
+        err = max(frobenius(a - b) for a, b in zip(traj.states, dense_propagator(model, hermitian, traj.times)))
+        assert err < 1e-10
