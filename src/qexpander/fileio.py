@@ -14,11 +14,11 @@ unknown one is an error rather than a silently ignored typo.  Every
 malformed file raises FileFormatError naming the file and the field.
 
 Matrices are stored row-major as [re, im] pairs of JSON numbers and
-phases as one pair; each matrix is one vectorized numpy conversion.  Kraus operators and
-coupling unitaries may be given inline as such matrices or as paths to
-circuit files (resolved relative to the referencing file), which are
-simulated to their unitaries on load; unitarity of every element is
-re-checked by the channel constructor.  A circuit file is
+phases as one pair; each matrix is one numpy conversion of its flattened
+pairs.  Kraus operators and coupling unitaries may be given inline as
+such matrices or as paths to circuit files (resolved relative to the
+referencing file), which are simulated to their unitaries on load;
+unitarity of every element is re-checked by the channel constructor.  A circuit file is
 {"qubits": m, "gates": [...]} where each gate is {"kind", "targets",
 "controls"?, "polarities"?, "base"?, "matrix"?, "phase"?}; its canonical
 serializer is bit-exact under round trip.
