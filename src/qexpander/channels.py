@@ -296,9 +296,10 @@ class Channel:
         blocks, after which the later stages touch P X P alone; Q X Q is
         never touched.
         """
-        x = np.asarray(x)
-        if x.shape != (self._dim, self._dim) or np.iscomplexobj(x):
-            raise ValueError(f"expected real coordinates of shape {(self._dim, self._dim)}, got {x.dtype} {x.shape}")
+        if np.iscomplexobj(x) or np.shape(x) != (self._dim, self._dim):
+            got = f"{np.asarray(x).dtype} {np.shape(x)}"
+            raise ValueError(f"expected real coordinates of shape {(self._dim, self._dim)}, got {got}")
+        x = np.asarray(x, dtype=float)
         for run in self._runs or ((self,),):
             x = _mix_real(run[0], x) if run[0]._layout is None else _apply_run(run, x)
         return x

@@ -569,19 +569,22 @@ def test_real_kernel_matches_complex_oracle(name):
         x = rng.standard_normal((n, n))
         want = kraus_sum_real(ch, x, adjoint)
         assert frobenius(channel.apply_real(x) - want) <= 1e-13 * frobenius(x)
-        assert frobenius(channel.apply(hermitian_from_real(x)) - lifted_kraus_sum(ch, hermitian_from_real(x), adjoint)) <= (
-            1e-13 * frobenius(x)
-        )
+        h = hermitian_from_real(x)
+        assert frobenius(channel.apply(h) - lifted_kraus_sum(ch, h, adjoint)) <= 1e-13 * frobenius(x)
         a = random_operator(n, rng)  # not Hermitian: a second kernel pass for its anti-Hermitian part
         assert frobenius(channel.apply(a) - lifted_kraus_sum(ch, a, adjoint)) <= 1e-13 * frobenius(a)
 
 
-def test_apply_real_rejects_complex_and_misshapen_input():
+def test_apply_real_input_checks():
     ch = APPLY_CASES["flat, uniform"]
     with pytest.raises(ValueError, match="real coordinates"):
         ch.apply_real(np.eye(ch.dim, dtype=complex))
     with pytest.raises(ValueError, match="real coordinates"):
         ch.apply_real(np.eye(ch.dim + 1))
+    # integer input is read as real coordinates, not written back as integers
+    for channel in (ch, APPLY_CASES["structured, weighted"]):
+        ints = np.arange(channel.dim**2).reshape(channel.dim, channel.dim) % 3
+        assert np.array_equal(channel.apply_real(ints), channel.apply_real(ints.astype(float)))
 
 
 def test_real_coordinates_are_an_isometry_and_round_trip():
