@@ -9,12 +9,12 @@ is the quantum-expander form; non-uniform weights arise from weak-coupling
 thermalization models.  Every such channel is trace preserving and unital.
 
 :class:`Channel` is a tuple of such mixtures (stages), applied
-first-to-last.  Each stage stores its Kraus operators as one read-only
-(D, 2^k, 2^k) array acting on k target qubits T, its weights as a
-read-only (D,) array, and optionally a 0/1 control vector c over the
-computational basis of the other m - k qubits.  Its elements on the full
-space are P (U_d (x) I) + Q with P = diag(c) (x) I_T and Q = I - P; P
-commutes with every lifted U_d by construction.  A flat stage has T = all
+first-to-last.  Each stage has D Kraus operators on k target qubits T,
+stored once, inside the read-only real operands of its kernel (below),
+its weights as a read-only (D,) array, and optionally a 0/1 control
+vector c over the computational basis of the other m - k qubits.  Its
+elements on the full space are P (U_d (x) I) + Q with P = diag(c) (x) I_T
+and Q = I - P; P commutes with every lifted U_d by construction.  A flat stage has T = all
 qubits and no control.  A *signed* stage stores only a half set {U_d}
 with weights w_d and stands for the 2D elements {+U_d, -U_d}, each of
 weight w_d / 2: the action is that of the half set, and the element sum
@@ -80,7 +80,7 @@ class Channel:
     (automatic for unitary Kraus mixtures, asserted anyway).
     """
 
-    __slots__ = ("_kraus", "_left", "_right", "_weights", "_signed", "_stages", "_runs",
+    __slots__ = ("_left", "_right", "_weights", "_signed", "_stages", "_runs",
                  "_qubits", "_dim", "_targets", "_control", "_layout", "_mean")
 
     def __init__(self, kraus, weights, *, qubits=None, targets=None, control=None, signed=False):
@@ -120,40 +120,37 @@ class Channel:
             on, off = (idx, idx[:0]) if control is None else (idx[control], idx[~control])
             order = np.concatenate([on.ravel(), off.ravel()])
             layout = order, np.argsort(order), on.size
-        self._set_stage(x, w, bool(signed), m, targets, control, layout)
+        mean = None
+        if layout is not None and 0 < layout[2] < len(layout[0]) and not signed:
+            # Only an unsigned stage whose control leaves both P and Q
+            # nonzero has cross terms: [[Re M, Im M], [-Im M, Re M]] for
+            # M = sum_d w_d U_d.
+            mw = np.tensordot(w, x, axes=1)
+            mean = _real_blocks(mw.real, mw.imag, -mw.imag, mw.real)
+        self._set_stage(*_operands(x.real, x.imag, w), w, bool(signed), m, targets, control, layout, mean)
         eye = np.eye(2**m)
         defect = frobenius(self.apply_real(eye) - eye)
         if not defect <= ATOL:
             raise ValueError(f"channel is not unital: ||Phi(I) - I||_F = {defect:.3e}")
 
-    def _set_stage(self, x, w, signed, qubits, targets, control, layout) -> None:
-        """Store a validated stage and build its real apply operands once,
-        all read-only, from U_d = R_d + i J_d: the (2 D k, 2 k) stack of
-        [[R_d, J_d], [J_d, -R_d]], the (2 D k, k) stack of
-        [w_d R_d^T; w_d J_d^T], and, for an unsigned stage whose control
-        leaves both P and Q nonzero (the only kind with cross terms),
-        [[Re M, Im M], [-Im M, Re M]] for M = sum_d w_d U_d."""
-        d, k = x.shape[:2]
-        re, im = x.real, x.imag
-        left = _real_blocks(re, im, im, -re).reshape(2 * d * k, 2 * k)
-        right = (w[:, None, None] * np.concatenate((re, im), axis=2)).transpose(0, 2, 1).reshape(2 * d * k, k)
-        mean = None
-        if layout is not None and 0 < layout[2] < len(layout[0]) and not signed:
-            m = np.tensordot(w, x, axes=1)
-            mean = _real_blocks(m.real, m.imag, -m.imag, m.real)
-        for arr in (x, w, left, right, mean):
+    def _set_stage(self, left, right, w, signed, qubits, targets, control, layout, mean) -> None:
+        """Store a validated stage by its real apply operands, all read-only:
+        `left` and `right` of :func:`_operands`, which hold its Kraus
+        operators, and the cross-term operand `mean` or None."""
+        for arr in (left, right, w, mean):
             if arr is not None:
                 arr.setflags(write=False)
-        self._kraus, self._left, self._right, self._weights = x, left, right, w
+        self._left, self._right, self._weights = left, right, w
         self._signed, self._stages, self._runs = signed, (), None
         self._qubits, self._dim, self._targets, self._control = qubits, 2**qubits, targets, control
         self._layout, self._mean = layout, mean
 
-    def _with(self, x, signed) -> "Channel":
-        """This stage with Kraus stack x and the `signed` flag, the weights,
+    def _with(self, left, right, signed, mean) -> "Channel":
+        """This stage with other operands and `signed` flag, the weights,
         targets and control kept; not validated again."""
         out = object.__new__(Channel)
-        out._set_stage(x, self._weights, signed, self._qubits, self._targets, self._control, self._layout)
+        out._set_stage(left, right, self._weights, signed, self._qubits, self._targets, self._control,
+                       self._layout, mean)
         return out
 
     @classmethod
@@ -183,7 +180,7 @@ class Channel:
             else:
                 runs.append([s])
         out = object.__new__(cls)
-        out._kraus = out._weights = None
+        out._weights = None
         out._dim = stages[0]._dim
         out._stages, out._runs = stages, tuple(map(tuple, runs))
         return out
@@ -204,7 +201,7 @@ class Channel:
         """The (D, N, N) Kraus array of a single-stage channel, lifted to
         the full space P (U_d (x) I) + Q when the stage is structured; a
         signed stage gives its 2D elements [U_1..U_D, -U_1..-U_D]."""
-        x = self._single()._kraus
+        x = self.target_kraus
         if self._signed:
             x = np.concatenate([x, -x])
         if self._layout is None:
@@ -219,8 +216,14 @@ class Channel:
     @property
     def target_kraus(self) -> np.ndarray:
         """The (D, 2^k, 2^k) Kraus array of a single-stage channel on its
-        target qubits, as stored: the half set of a signed stage."""
-        return self._single()._kraus
+        target qubits, the half set of a signed stage: a new read-only
+        array R_d + i J_d, bit for bit the operators the stage was built
+        from, read back from the stored [[R_d, J_d], [J_d, -R_d]] blocks."""
+        blocks = _left_blocks(self._single())
+        x = np.empty(blocks.shape[:1] + blocks.shape[2:3] * 2, dtype=complex)
+        x.real, x.imag = blocks[:, 0, :, 0], blocks[:, 0, :, 1]
+        x.setflags(write=False)
+        return x
 
     @property
     def target_weights(self) -> np.ndarray:
@@ -320,10 +323,16 @@ class Channel:
         """The Hilbert-Schmidt adjoint: stages reversed, each with the same
         weights, targets and control and the Kraus set {U_d^dag}, one
         adjoint per distinct stage object (see :func:`per_stage`).  The
-        stages are already validated, so they are not checked again."""
+        stages are already validated, so they are not checked again.
+        U_d^dag = R_d^T - i J_d^T, so a stage's operands come from its
+        own by transposing each R_d and J_d block and negating J_d, and
+        its cross-term operand M^dag from the transpose of M's."""
         if self._stages:
             return per_stage(Channel.staged(reversed(self._stages)), Channel.adjoint)
-        return self._with(np.ascontiguousarray(self._kraus.conj().transpose(0, 2, 1)), self._signed)
+        blocks = _left_blocks(self)
+        re, im = blocks[:, 0, :, 0].transpose(0, 2, 1), -blocks[:, 0, :, 1].transpose(0, 2, 1)
+        mean = None if self._mean is None else np.ascontiguousarray(self._mean.T)
+        return self._with(*_operands(re, im, self._weights), self._signed, mean)
 
 
 def _shares_layout(s: Channel, t: Channel) -> bool:
@@ -362,6 +371,24 @@ def _apply_run(run: tuple[Channel, ...], x: np.ndarray) -> np.ndarray:
         x[:p, p:] = _rest_major(cross[:k], k, p, n - p)
         x[p:, :p] = _rest_major(cross[k:], k, p, n - p).T
     return x.take(inverse, 0).take(inverse, 1)
+
+
+def _operands(re: np.ndarray, im: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The real apply operands of a stage with Kraus operators
+    U_d = R_d + i J_d (`re`, `im`) and weights w: the (2 D k, 2 k) stack of
+    [[R_d, J_d], [J_d, -R_d]] and the (2 D k, k) stack of
+    [w_d R_d^T; w_d J_d^T], 48 D k^2 bytes together."""
+    d, k = re.shape[:2]
+    left = _real_blocks(re, im, im, -re).reshape(2 * d * k, 2 * k)
+    right = (w[:, None, None] * np.concatenate((re, im), axis=2)).transpose(0, 2, 1).reshape(2 * d * k, k)
+    return left, right
+
+
+def _left_blocks(stage: Channel) -> np.ndarray:
+    """A stage's left operand as (D, 2, k, 2, k) blocks: [:, 0, :, 0] is R_d
+    and [:, 0, :, 1] is J_d."""
+    k = stage._right.shape[1]
+    return stage._left.reshape(-1, 2, k, 2, k)
 
 
 def _real_blocks(a, b, c, d) -> np.ndarray:
@@ -429,7 +456,9 @@ def zero_sum_defect(channel: Channel) -> float:
 
     Zero for signed stages; multi-stage channels report the worst stage.
     """
-    return max(0.0 if s._signed else frobenius(np.tensordot(s._weights, s._kraus, axes=1)) for s in channel.stages)
+    return max(
+        0.0 if s._signed else frobenius(np.tensordot(s._weights, s.target_kraus, axes=1)) for s in channel.stages
+    )
 
 
 def per_stage(channel: Channel, make) -> Channel:
@@ -450,7 +479,7 @@ def _sign_stage(stage: Channel) -> Channel:
             "sign-doubling the target elements of a controlled stage would drop its cross terms; "
             "sign-double the target channel before controlling it"
         )
-    return stage._with(stage._kraus, True)
+    return stage._with(stage._left, stage._right, True, None)
 
 
 def sign_double(channel: Channel) -> Channel:

@@ -40,6 +40,9 @@ from .linalg import hermitian_from_real, rng_from, vec
 LANCZOS_BASIS = 24
 LANCZOS_KEEP = 6
 
+#: Most Lanczos steps from one Ritz solve to the next scheduled one.
+RITZ_LOOKAHEAD = 4
+
 #: Rounding slack in `decide`: kappa up to TIE_TOL above a threshold counts as on it.
 TIE_TOL = 1e-9
 
@@ -69,8 +72,9 @@ class GapReport:
     |kappa - true kappa| (see spectral_gap_iterative); it is never below
     KAPPA_ROUNDING.  `residual` is the
     final eigen-residual ||M y - kappa^2 y|| of the top Ritz pair.
-    `matvecs` counts applications of M = Pi W^dag W Pi and `iterations` the
-    Lanczos restart cycles.  `method` is always "iterative".
+    `matvecs` counts applications of M = Pi W^dag W Pi, `iterations` the
+    Lanczos restart cycles and `ritz_solves` the eigendecompositions of the
+    Rayleigh-Ritz matrix.  `method` is always "iterative".
     """
 
     kappa: float
@@ -81,6 +85,7 @@ class GapReport:
     converged: bool = True
     error_bound: float = 0.0
     matvecs: int = 0
+    ritz_solves: int = 0
 
     @property
     def gap(self) -> float:
@@ -139,32 +144,7 @@ def _m_apply(channel, adjoint, x: np.ndarray, dim: int, out: np.ndarray) -> np.n
     return _deflate(out, dim)
 
 
-def _last_entry_floor(ritz: np.ndarray, k: int, mu: float, lead: np.ndarray) -> tuple[float, float]:
-    """(f, u) with f <= s_last^2 and u >= theta_1 for the top eigenpair
-    (theta_1, s) of T_k = ritz[:k, :k] (lower triangle), given the top pair
-    (mu, lead) of T_{k-1}.
-
-    With b = ritz[k-1, :k-1], alpha = ritz[k-1, k-1], z = b . lead and
-    a = (mu - alpha)/2, the Rayleigh-Ritz step on {(lead, 0), e_k} gives
-    theta_1 - mu >= delta = hypot(a, z) - a, computed without cancellation
-    as z^2 / (hypot(a, z) + a) when a > 0.  Weyl's inequality gives
-    theta_1 <= u = max(mu, alpha, 0) + ||b||, and interlacing (Parlett,
-    The Symmetric Eigenvalue Problem, 1998) gives
-    s_last^2 >= (theta_1 - mu) / (theta_1 - theta_k) >= delta / u for a
-    positive semidefinite T_k.  f is 0 unless delta clears rounding in mu
-    (delta > 1e-13 u).
-    """
-    b = ritz[k - 1, : k - 1]
-    alpha = float(ritz[k - 1, k - 1])
-    z = float(b @ lead)
-    a = 0.5 * (mu - alpha)
-    h = math.hypot(a, z)
-    delta = z * z / (h + a) if a > 0 else h - a
-    u = max(mu, alpha, 0.0) + math.sqrt(b @ b)
-    return (delta / u if delta > 1e-13 * u > 0 else 0.0), u
-
-
-def _iterative_report(theta, y, dim, cycles, resid, converged, matvecs) -> GapReport:
+def _iterative_report(theta, y, dim, cycles, resid, converged, matvecs, solves) -> GapReport:
     # For symmetric M the Ritz value lies within resid of an eigenvalue, so
     # |kappa_est^2 - kappa^2| <= resid and |kappa_est - kappa| <= min(resid/kappa, sqrt(resid)),
     # up to rounding, which KAPPA_ROUNDING covers.
@@ -182,6 +162,7 @@ def _iterative_report(theta, y, dim, cycles, resid, converged, matvecs) -> GapRe
         converged=converged,
         error_bound=bound,
         matvecs=matvecs,
+        ritz_solves=solves,
     )
 
 
@@ -208,19 +189,28 @@ def spectral_gap_iterative(
     ||M y - theta y|| <= tol max(2 sqrt(theta), tol), which certifies
     |kappa_est - kappa| below about tol, or when the Krylov space becomes
     invariant (then the Ritz values are eigenvalues).  The residual is
-    estimated as |s_last| ||q||, with s the top Ritz vector of the
+    estimated as e = |s_last| ||q||, with s the top Ritz vector of the
     Rayleigh-Ritz matrix T_k and q the next Lanczos direction; y and its
     true residual are formed only when that estimate passes, and the true
-    residual decides.  The eigendecomposition of T_k is skipped on a step
-    that neither stops nor restarts when interlacing against the previous
-    step's top pair already proves |s_last| ||q|| above the target (see
-    :func:`_last_entry_floor`).  A skipped step leaves no pair to bound the
-    next one with, so T is solved at least every other step, and the
-    result is bit for bit that of solving T every step.  If M annihilates
-    the start vector, kappa = 0 and the solve is converged.  `max_iter`
-    caps the applications of M; reaching it returns converged=False and
-    never raises.  The one start vector comes from rng_from(seed, 0), so
-    the result is deterministic given `seed`.
+    residual decides.
+
+    T_k is solved (`ritz_solves` counts these eigendecompositions) only at
+    a restart, at the `max_iter` or invariant stop, and at scheduled
+    checks.  After a solve whose estimate e misses the target t, the next
+    check comes h = clamp(floor(ln(e/t) / (2 rho)), 1, RITZ_LOOKAHEAD)
+    steps later, with rho the mean drop of ln(e/t) per step since the
+    previous solve; h = 1 when there is no previous miss or no drop.  The
+    Lanczos vectors do not depend on the solves skipped in between, so
+    whenever the first step whose top pair passes the stop test is a
+    checked step, the report is bit for bit that of solving T_k on every
+    step, `ritz_solves` aside.  Otherwise it stops at a later check (the
+    next one comes at most RITZ_LOOKAHEAD - 1 matvecs after that step),
+    still certified by the true residual.
+
+    If M annihilates the start vector, kappa = 0 and the solve is
+    converged.  `max_iter` caps the applications of M; reaching it returns
+    converged=False and never raises.  The one start vector comes from
+    rng_from(seed, 0), so the result is deterministic given `seed`.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -239,10 +229,11 @@ def spectral_gap_iterative(
     action = math.sqrt(_m_apply(channel, adjoint, basis[0], dim, images[0]) @ images[0])
     if action <= 1e-14:
         # The action on a generic start is numerically zero: kappa ~ 0.
-        return _iterative_report(0.0, basis[0], dim, 1, action, True, 1)
+        return _iterative_report(0.0, basis[0], dim, 1, action, True, 1, 0)
 
-    k, cycles, matvecs = 0, 1, 1
-    mu = lead = None  # top Ritz pair of the previous step's T, when solved
+    k, cycles, matvecs, solves = 0, 1, 1, 0
+    check = 1  # matvecs at the next scheduled Ritz solve
+    last = None  # (matvecs, ln(estimate / target)) at the last solve whose estimate missed
     while True:
         ritz[k, : k + 1] = basis[: k + 1] @ images[k]
         k += 1
@@ -254,33 +245,35 @@ def spectral_gap_iterative(
         beta = math.sqrt(q @ q)
         invariant = beta <= 1e-12  # then the Ritz values are eigenvalues
         stop = invariant or matvecs >= max_iter
-        solve = mu is None or stop or k == size
-        if not solve:
-            # Solve T_k only if |s_last| beta <= target can hold: target is
-            # at most tol max(2 sqrt(u), tol), and the 1.1 covers rounding
-            # in s_last and the tiny negative Ritz values of a PSD T_k.
-            floor, ceiling = _last_entry_floor(ritz, k, mu, lead)
-            solve = beta * beta * floor <= 1.1 * (tol * max(2.0 * math.sqrt(ceiling), tol)) ** 2
-        if not solve:
-            mu = None  # no pair to bound the next step with, so it solves
-        else:
+        if stop or k == size or matvecs >= check:
             thetas, vecs = np.linalg.eigh(ritz[:k, :k])  # eigh reads the lower triangle
-            mu, lead = float(thetas[-1]), vecs[:, -1]
-            target = tol * max(2.0 * math.sqrt(max(mu, 0.0)), tol)
-            if stop or abs(lead[-1]) * beta <= target:
-                y = lead @ basis[:k]
-                r = lead @ images[:k] - mu * y
+            solves += 1
+            theta, s = float(thetas[-1]), vecs[:, -1]
+            target = tol * max(2.0 * math.sqrt(max(theta, 0.0)), tol)
+            estimate = abs(s[-1]) * beta
+            if stop or estimate <= target:
+                y = s @ basis[:k]
+                r = s @ images[:k] - theta * y
                 resid = math.sqrt(r @ r)
                 if stop or resid <= target:
-                    return _iterative_report(mu, y, dim, cycles, resid, invariant or resid <= target, matvecs)
+                    return _iterative_report(
+                        theta, y, dim, cycles, resid, invariant or resid <= target, matvecs, solves
+                    )
+            # Schedule the next solve halfway to where ln(estimate / target)
+            # reaches 0 at its mean drop per step since the last miss.
+            ahead, miss = 1, None
+            if estimate > target:
+                miss = (matvecs, math.log(estimate / target))
+                if last is not None and last[1] > miss[1]:
+                    drop = (last[1] - miss[1]) / (matvecs - last[0])
+                    ahead = min(max(int(0.5 * miss[1] / drop), 1), RITZ_LOOKAHEAD)
+            last, check = miss, matvecs + ahead
             if k == size:
                 # Thick restart on the top `keep` Ritz vectors: q is orthogonal
-                # to them already, and V^T M V becomes diagonal, with top
-                # pair (mu, e_1).
+                # to them already, and V^T M V becomes diagonal.
                 top = vecs[:, ::-1][:, :keep]
                 basis[:keep], images[:keep] = top.T @ basis[:k], top.T @ images[:k]
                 ritz[:keep, :keep] = np.diag(thetas[::-1][:keep])
-                lead = np.eye(keep)[0]
                 k = keep
                 cycles += 1
         basis[k] = q / beta

@@ -33,32 +33,35 @@ times.  The powers are kept in the real coordinates X = Re T + Im T of
 :meth:`Channel.apply_real`, an isometry of the Hermitian matrices, so
 every norm below is the same in either form; the states become complex
 once, at the end.
-The sum stops after the first K terms at the first of two rules:
+The sum stops after the first K terms at the first K with
 
-(a) tail rule: the Chernoff bound P(Pois(x) >= K) <= e^{-x} (e x / K)^K
-    (valid for K > x) at the largest x = gamma t_max falls to SERIES_TOL;
-(b) mixing rule: ||T_{K-1} - I/N||_F <= SERIES_TOL.  Phi contracts the
-    Frobenius norm, so every later T_k lies as close to I/N, and the
-    remaining Poisson mass 1 - sum_{k<K} pi_k is put on I/N.
+    tau(K) r_{K-1} <= SERIES_TOL,    r_k = ||T_k - I/N||_F,
 
-Since ||T_k||_F <= ||rho(0)||_F <= 1, the truncation error of every state
-is at most the Poisson tail mass, at most SERIES_TOL under rule (a), and
-the mixing tail of rule (b) adds at most SERIES_TOL; rounding comes on
-top.  The cost is min(K_tail(gamma t_max), mixing index) applications of
-Phi: it stays bounded as t grows when Phi mixes (kappa < 1).  A model
-that mixes slowly or not at all (kappa = 1) would need about
-gamma t_max applications; `evolve` raises ValueError rather than make more
-than MAX_SERIES_TERMS of them.  When rule (a) cannot stop the series by
-that cap, it raises as soon as rule (b) cannot either: Phi contracts the
-Frobenius norm, so the steps s_k = ||T_k - T_{k-1}||_F do not grow and
-every ||T_j - I/N||_F up to the cap is at least
-||T_k - I/N||_F - (MAX_SERIES_TERMS - k) s_k.  Two steps apart likewise:
-T_k - T_{k-2} = Phi(T_{k-1} - T_{k-3}), so s2_k = ||T_k - T_{k-2}||_F does
-not grow, and every ||T_j - I/N||_F up to the cap is at least
-min(||T_k - I/N||_F, ||T_{k-1} - I/N||_F)
-- ceil((MAX_SERIES_TERMS - k + 1) / 2) s2_k.  A model whose powers
-alternate stops after two applications; orbits of period 3 or more still
-reach the cap.
+where tau(K) = e^{-x} (e x / K)^K is the Chernoff bound on the Poisson
+tail P(Pois(x) >= K) at the largest x = gamma t_max (it holds for K > x;
+tau = 1 for K <= x and tau = 0 at x = 0), and the remaining Poisson mass
+1 - sum_{k<K} pi_k is put on I/N.  Phi is a unital contraction of the
+Frobenius norm, so r_k does not grow, and the error of every state,
+sum_{k>=K} pi_k (T_k - I/N), is at most tau(K) r_{K-1}: the
+`Trajectory.truncation_bound`, with rounding on top.  Since r_k <= 1 and
+tau <= 1, this stops no later than either the tail rule tau(K) <=
+SERIES_TOL or the mixing rule r_{K-1} <= SERIES_TOL alone.  The cost
+stays bounded as t grows when Phi mixes (kappa < 1).  A model that mixes
+slowly or not at all (kappa = 1) would need about gamma t_max
+applications; `evolve` raises ValueError rather than make more than
+MAX_SERIES_TERMS of them.  When tau(MAX_SERIES_TERMS + 1) > SERIES_TOL,
+so that the residuals must fall for the series to end by that cap, it
+raises as soon as they cannot: Phi contracts the Frobenius norm, so the
+steps s_k = ||T_k - T_{k-1}||_F do not grow and every r_j up to the cap
+is at least r_k - (MAX_SERIES_TERMS - k) s_k.  Two steps apart likewise:
+T_k - T_{k-2} = Phi(T_{k-1} - T_{k-3}), so s2_k = ||T_k - T_{k-2}||_F
+does not grow, and every r_j up to the cap is at least
+min(r_k, r_{k-1}) - ceil((MAX_SERIES_TERMS - k + 1) / 2) s2_k.  tau is
+at least tau(MAX_SERIES_TERMS + 1) up to the cap, so it raises once that
+factor times either lower bound exceeds SERIES_TOL, and a series that
+the rule ends within the cap is never refused.  A model whose powers
+alternate stops after two applications; orbits of period 3 or more
+still reach the cap.
 
 The bath-side derivation (correlation integrals, Lamb-shift cancellation)
 is analytic input: R0 and R1 here are user-supplied rates, corresponding
@@ -76,7 +79,7 @@ from .channels import Channel
 from .linalg import frobenius, hermitian_from_real, real_coordinates
 from .spectral import spectral_gap
 
-#: Truncation tolerance of the uniformization series (rules (a) and (b)).
+#: Truncation tolerance of the uniformization series: the bound tau(K) r_{K-1} it stops at.
 SERIES_TOL = 1e-12
 
 #: Most channel applications one `evolve` call may make.
@@ -130,13 +133,17 @@ class ThermalModel:
 class Trajectory:
     """States rho(t) at the sampled times, with ||rho(t) - I/N||_F.
 
-    `applications` counts the channel applications the series made.
+    `applications` counts the channel applications the series made, and
+    `truncation_bound` = tau(K) ||T_{K-1} - I/N||_F bounds the Frobenius
+    distance of every state from the exact one, rounding aside (see the
+    module docstring).
     """
 
     times: np.ndarray
     states: tuple[np.ndarray, ...]
     residuals: np.ndarray
     applications: int
+    truncation_bound: float
 
     def __len__(self) -> int:
         return len(self.times)
@@ -178,21 +185,33 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(d @ d)
 
 
-def _evolve_series(model: ThermalModel, rho0: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, int]:
+def _tail(terms: int, x: float) -> float:
+    """tau(K) for K = `terms`: the Chernoff bound e^{-x} (e x / K)^K on
+    P(Pois(x) >= K), which holds for K > x; 1 for K <= x and 0 at x = 0."""
+    if x == 0:
+        return 0.0
+    if terms <= x:
+        return 1.0
+    return math.exp(terms * (1 + math.log(x / terms)) - x)
+
+
+def _evolve_series(model: ThermalModel, rho0: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, int, float]:
     """Uniformization sum_k pi_k(gamma t_j) Phi^k(rho0) at every time t_j.
 
-    Stops at the tail or the mixing rule of the module docstring.  When the
-    tail rule cannot stop it within MAX_SERIES_TERMS applications, it
-    raises as soon as the one-step or the two-step bound of the module
-    docstring shows that the mixing rule cannot either; otherwise neither
-    bound is computed.  Returns the (J, N, N) states and the number of
-    channel applications.  The series runs on the real coordinates of the
-    Hermitian part of rho0 (which `evolve` has checked to lie within 1e-9
-    of rho0) by Channel.apply_real.  Powers are taken in blocks of up to
-    min(J, 32): the block's Poisson weights come from one exp, its powers
-    are stored in one preallocated buffer, and one real GEMM adds them to
-    the states, so the buffer never outgrows the output.  The weights'
-    mass is summed power by power.
+    Stops after K terms at the first K with tau(K) r_{K-1} <= SERIES_TOL
+    and puts the remaining Poisson mass on I/N (see the module docstring).
+    When that cannot happen within MAX_SERIES_TERMS applications whatever
+    the residuals (tau(MAX_SERIES_TERMS + 1) > SERIES_TOL), it raises as
+    soon as the one-step or the two-step bound of the module docstring
+    shows that it cannot happen at all; otherwise neither bound is
+    computed.  Returns the (J, N, N) states, the number of channel
+    applications and the truncation bound tau(K) r_{K-1}.  The series runs
+    on the real coordinates of the Hermitian part of rho0 (which `evolve`
+    has checked to lie within 1e-9 of rho0) by Channel.apply_real.  Powers
+    are taken in blocks of up to min(J, 32): the block's Poisson weights
+    come from one exp, its powers are stored in one preallocated buffer,
+    and one real GEMM adds them to the states, so the buffer never
+    outgrows the output.  The weights' mass is summed power by power.
     """
     channel = model.channel
     n = model.dim
@@ -206,12 +225,8 @@ def _evolve_series(model: ThermalModel, rho0: np.ndarray, times: np.ndarray) -> 
     block = min(len(times), 32)
     terms = np.empty((block, n, n))
     flat_terms = terms.reshape(block, n * n)
-    log_tol = math.log(SERIES_TOL)
-
-    def tail_ends(tail: int) -> bool:  # rule (a) with K = tail terms
-        return x_max == 0 or (tail > x_max and tail * (1 + math.log(x_max / tail)) - x_max <= log_tol)
-
-    capped = not tail_ends(MAX_SERIES_TERMS + 1)
+    tail_cap = _tail(MAX_SERIES_TERMS + 1, x_max)
+    capped = tail_cap > SERIES_TOL
     # s_k = ||T_k - T_{k-1}||_F and s2 = ||T_k - T_{k-2}||_F, unbounded
     # before there are powers to compare; r_{k-1} likewise.
     step = step2 = last_residual = math.inf
@@ -227,17 +242,17 @@ def _evolve_series(model: ThermalModel, rho0: np.ndarray, times: np.ndarray) -> 
         mass += weights[:, j]
         terms[j] = term
         residual = _norm(term - mixed)
-        mixing = residual <= SERIES_TOL
-        done = mixing or tail_ends(k + 1)
+        bound = _tail(k + 1, x_max) * residual
+        done = bound <= SERIES_TOL
         if done or j == block - 1:
             states += weights[:, : j + 1] @ flat_terms[: j + 1]
         if done:
             break
-        # At k = MAX_SERIES_TERMS the first test reads residual > SERIES_TOL: the cap.
-        if capped and (
-            residual - (MAX_SERIES_TERMS - k) * step > SERIES_TOL
-            or min(residual, last_residual) - (MAX_SERIES_TERMS - k + 2) // 2 * step2 > SERIES_TOL
-        ):
+        # At k = MAX_SERIES_TERMS the first bound is the product just refused: the cap.
+        if capped and tail_cap * max(
+            residual - (MAX_SERIES_TERMS - k) * step,
+            min(residual, last_residual) - (MAX_SERIES_TERMS - k + 2) // 2 * step2,
+        ) > SERIES_TOL:
             raise ValueError(
                 f"gamma * t_max = {x_max:.6g} needs more than {MAX_SERIES_TERMS} channel "
                 "applications: the model does not mix within that horizon"
@@ -251,10 +266,9 @@ def _evolve_series(model: ThermalModel, rho0: np.ndarray, times: np.ndarray) -> 
         term = nxt
         k += 1
     states = states.reshape(len(times), n, n)
-    if mixing:
-        diag = np.arange(n)
-        states[:, diag, diag] += np.maximum(1.0 - mass, 0.0)[:, None] / n
-    return hermitian_from_real(states), k
+    diag = np.arange(n)
+    states[:, diag, diag] += (1.0 - mass)[:, None] / n
+    return hermitian_from_real(states), k, bound
 
 
 def evolve(model: ThermalModel, rho0: np.ndarray, times) -> Trajectory:
@@ -265,9 +279,11 @@ def evolve(model: ThermalModel, rho0: np.ndarray, times) -> Trajectory:
     times = _check_times(times)
     if not math.isfinite(model.rate * float(times[-1])):
         raise ValueError(f"gamma * t overflows: gamma = {model.rate!r}, t = {times[-1]!r}")
-    states, applications = _evolve_series(model, rho0, times)
+    states, applications, bound = _evolve_series(model, rho0, times)
     residuals = np.linalg.norm(states - np.eye(model.dim) / model.dim, axis=(1, 2))
-    return Trajectory(times=times, states=tuple(states), residuals=residuals, applications=applications)
+    return Trajectory(
+        times=times, states=tuple(states), residuals=residuals, applications=applications, truncation_bound=bound
+    )
 
 
 @dataclass(frozen=True)

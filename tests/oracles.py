@@ -248,9 +248,10 @@ def lanczos_oracle(
     channel, tol: float = 1e-9, max_iter: int = 10000, seed: int = 0, kraus_sum: bool = False
 ) -> GapReport:
     """Thick-restart Lanczos with a full eigendecomposition of the Ritz
-    matrix on every step, the stop test |s_last| ||q|| <= target read off
-    it; otherwise the engine's algorithm, start vector, stop rule and
-    restart (see spectral_gap_iterative).  M is applied by the engine's
+    matrix on every step (so `ritz_solves` = `matvecs`), the stop test
+    |s_last| ||q|| <= target read off it; otherwise the engine's
+    algorithm, start vector, stop rule and restart (see
+    spectral_gap_iterative).  M is applied by the engine's
     Channel.apply_real, or with `kraus_sum` by the complex oracle
     :func:`kraus_sum_real`, then deflated once."""
     dim = channel.dim
@@ -270,7 +271,7 @@ def lanczos_oracle(
     mv = m_apply(v)
     action = float(np.linalg.norm(mv))
     if action <= 1e-14:
-        return _iterative_report(0.0, v, dim, 1, action, True, 1)
+        return _iterative_report(0.0, v, dim, 1, action, True, 1, 0)
     size = min(spectral.LANCZOS_BASIS, n - 1)
     keep = min(spectral.LANCZOS_KEEP, size - 1)
     basis = np.empty((size, n))
@@ -293,7 +294,8 @@ def lanczos_oracle(
             y = s @ basis[:k]
             resid = float(np.linalg.norm(s @ images[:k] - theta * y))
             if stop or resid <= target:
-                return _iterative_report(theta, y, dim, cycles, resid, invariant or resid <= target, matvecs)
+                converged = invariant or resid <= target
+                return _iterative_report(theta, y, dim, cycles, resid, converged, matvecs, matvecs)
         if k == size:
             top = vecs[:, ::-1][:, :keep]
             basis[:keep], images[:keep] = top.T @ basis[:k], top.T @ images[:k]
@@ -305,12 +307,13 @@ def lanczos_oracle(
         matvecs += 1
 
 
-def series_oracle(model, rho0: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, int]:
+def series_oracle(model, rho0: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, int, float]:
     """Uniformization term by term, in the real coordinates of
     Channel.apply_real: each power's Poisson weights from their own exp,
     powers collected in lists and summed by one GEMM per block of
-    min(J, 32); the tail and mixing rules and the cap of
-    thermalization._evolve_series, without its early exits."""
+    min(J, 32); the stop rule tau(K) r_{K-1} <= SERIES_TOL, the I/N tail
+    and the cap of thermalization._evolve_series, without its early exits.
+    Returns the states, the applications and tau(K) r_{K-1}."""
     channel = model.channel
     n = model.dim
     x = model.rate * times
@@ -321,10 +324,11 @@ def series_oracle(model, rho0: np.ndarray, times: np.ndarray) -> tuple[np.ndarra
     mass = np.zeros(len(times))
     block = min(len(times), 32)
     pending_w, pending_t = [], []
-    log_tol = math.log(SERIES_TOL)
 
-    def tail_ends(tail: int) -> bool:
-        return x_max == 0 or (tail > x_max and tail * (1 + math.log(x_max / tail)) - x_max <= log_tol)
+    def tail(count: int) -> float:  # the Chernoff bound on P(Pois(x_max) >= count)
+        if x_max == 0:
+            return 0.0
+        return 1.0 if count <= x_max else math.exp(count * (1 + math.log(x_max / count)) - x_max)
 
     term = real_coordinates(rho0)
     k = 0
@@ -334,8 +338,8 @@ def series_oracle(model, rho0: np.ndarray, times: np.ndarray) -> tuple[np.ndarra
         mass += weights
         pending_w.append(weights)
         pending_t.append(term)
-        mixing = frobenius(term - mixed) <= SERIES_TOL
-        done = mixing or tail_ends(k + 1)
+        bound = tail(k + 1) * frobenius(term - mixed)
+        done = bound <= SERIES_TOL
         if done or len(pending_t) == block:
             terms = np.reshape(pending_t, (len(pending_t), n * n))
             states += np.stack(pending_w, axis=1) @ terms
@@ -347,7 +351,6 @@ def series_oracle(model, rho0: np.ndarray, times: np.ndarray) -> tuple[np.ndarra
         term = channel.apply_real(term)
         k += 1
     states = states.reshape(len(times), n, n)
-    if mixing:
-        diag = np.arange(n)
-        states[:, diag, diag] += np.maximum(1.0 - mass, 0.0)[:, None] / n
-    return hermitian_from_real(states), k
+    diag = np.arange(n)
+    states[:, diag, diag] += (1.0 - mass)[:, None] / n
+    return hermitian_from_real(states), k, bound

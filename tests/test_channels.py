@@ -393,7 +393,7 @@ def test_apply_adjoint_pairing(name):
 def test_stage_operands_are_read_only(name):
     ch = APPLY_CASES[name]
     for stage in (ch, ch.adjoint()):
-        operands = [stage._kraus, stage._left, stage._right, stage._weights]
+        operands = [stage._left, stage._right, stage._weights]
         if stage._mean is not None:
             operands.append(stage._mean)
         for arr in operands:

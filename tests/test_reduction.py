@@ -166,7 +166,8 @@ def test_sign_double_sets_the_flag_and_keeps_structure():
     flat = random_unitary_channel(2, 3, rng)
     signed = sign_double(flat)
     assert signed.signed and signed.degree == 6
-    assert signed.target_kraus is flat.target_kraus and signed.target_weights is flat.target_weights
+    assert signed._left is flat._left and signed._right is flat._right
+    assert signed.target_weights is flat.target_weights
     assert sign_double(signed) is signed
     v = Channel(flat.target_kraus[:1], [1.0], qubits=3, targets=(2, 0))
     doubled_v = sign_double(v)

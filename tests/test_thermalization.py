@@ -222,9 +222,71 @@ def test_evolve_equals_per_term_series_oracle_bit_for_bit(corpus, gamma_t):
         for count in (1, 40, 70):  # one block, a full and a partial block, two blocks
             times = np.linspace(0.0, gamma_t / model.rate, count)
             traj = evolve(model, rho0, times)
-            states, applications = series_oracle(model, rho0, times)
-            assert traj.applications == applications
+            states, applications, bound = series_oracle(model, rho0, times)
+            assert (traj.applications, traj.truncation_bound) == (applications, bound)
             assert np.array(traj.states).tobytes() == states.tobytes()
+
+
+def _truncation_models():
+    models = []
+    for qubits in range(1, 5):
+        models += [random_open_model(70 + qubits, qubits), random_closed_model(80 + qubits, qubits)]
+    return models
+
+
+@pytest.mark.parametrize("gamma_t", [0.0, 0.5, 18.0, 300.0])
+def test_states_lie_within_the_truncation_bound(gamma_t):
+    # Every state is within tau(K) r_{K-1} of the exact one; 1e-12 covers
+    # rounding, which alone reaches about 2e-13 at gamma t = 300.
+    for model in _truncation_models():
+        rho0 = random_density(model.dim, rng_from(90, model.dim))
+        times = np.array([0.0, 0.1, 0.5, 1.0]) * gamma_t / model.rate
+        traj = evolve(model, rho0, times)
+        assert 0.0 <= traj.truncation_bound <= thermalization.SERIES_TOL
+        assert (traj.truncation_bound == 0.0) == (gamma_t == 0.0)
+        for got, want in zip(traj.states, dense_propagator(model, rho0, times)):
+            assert frobenius(got - want) <= traj.truncation_bound + 1e-12
+
+
+@pytest.mark.parametrize("gamma_t", [0.5, 18.0])
+def test_traces_keep_the_poisson_tail_mass(corpus, gamma_t):
+    # The Poisson mass past the last term goes to I/N, so each state's
+    # trace is 1 up to rounding in the summed weights.
+    for model in _series_models(corpus) + _truncation_models():
+        rho0 = np.zeros((model.dim, model.dim), dtype=complex)
+        rho0[0, 0] = 1.0
+        traj = evolve(model, rho0, np.linspace(0.0, gamma_t / model.rate, 40))
+        assert max(abs(np.trace(state) - 1.0) for state in traj.states) <= 1e-14
+
+
+def test_product_rule_ends_the_series_before_the_tail_or_the_mixing_rule(corpus):
+    # 4-qubit D = 4 Haar models at gamma t = 18: the tail and the mixing
+    # rule alone would need 57 applications, their product 37-38.
+    for model in _series_models(corpus)[-3:]:
+        assert (model.dim, model.degree, model.r0, model.r1) == (16, 4, 1.0, 0.5)
+        rho0 = np.zeros((16, 16), dtype=complex)
+        rho0[0, 0] = 1.0
+        traj = evolve(model, rho0, np.linspace(0.0, 18.0 / model.rate, 40))
+        assert traj.applications <= 38
+        assert traj.truncation_bound <= thermalization.SERIES_TOL
+
+
+def test_series_that_ends_within_the_cap_is_never_refused(monkeypatch):
+    # diag(1, e^{0.7i}) fixes the diagonal state diag(1/2 + e, 1/2 - e), so
+    # r_k stays at sqrt(2) e = 1.15e-12 and every step is 0 up to rounding.
+    # At gamma t_max = 46 and a cap of 50, tau(50) = 0.844 brings
+    # tau r below SERIES_TOL after 49 applications.  The early exits'
+    # lower bound r_k is above SERIES_TOL, but times tau(51) = 0.769 it is
+    # not, so the series is not refused.
+    monkeypatch.setattr(thermalization, "MAX_SERIES_TERMS", 50)
+    model = ThermalModel((np.diag([1.0, np.exp(0.7j)]),), r0=1.0, r1=1.0)
+    e = 1.15e-12 / np.sqrt(2.0)
+    rho0 = np.diag([0.5 + e, 0.5 - e]).astype(complex)
+    traj = evolve(model, rho0, [0.0, 46.0 / model.rate])
+    assert traj.applications == 49
+    assert traj.truncation_bound <= thermalization.SERIES_TOL
+    for state in traj.states:
+        assert frobenius(state - rho0) <= traj.truncation_bound + 1e-15
 
 
 def test_non_mixing_model_stops_long_before_the_term_cap(monkeypatch):
