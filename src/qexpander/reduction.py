@@ -7,7 +7,10 @@ the construction adjoins one indicator qubit and composes three maps:
    indicator, applied when the ancillas are not all |0>;
 2. the *witness verifier*: conjugation by V, a controlled complete
    depolarizer on the indicator applied when the top (output) qubit is
-   |0>, then conjugation by V^dag;
+   |0>, then conjugation by V^dag.  For a monomial V, V|i> = phase_i
+   |pi(i)> (a permutation, for instance), V^dag diag(c) V = diag(c o pi),
+   so the three fold into one controlled depolarizer applied where the
+   top qubit of pi(i) is |0>;
 3. a controlled base expander F on witness+ancilla, applied when the
    indicator is |1>.
 
@@ -37,8 +40,10 @@ without changing the channel: it marks a stage *signed*, which doubles its
 degree in the 64 D_F accounting but stores and applies only the half set.
 
 The base expander is synthesized, not imported: a seeded random unitary
-channel is composed with itself until its *measured* contraction
-coefficient certifies kappa_F <= 0.1.
+channel G is composed with itself until its *measured* contraction
+coefficient certifies kappa_F <= 0.1.  A COARSE_TOL solve of kappa(G)
+picks the power r when it can; the full-tolerance solve of kappa(G^r),
+converged and with its error bar below the target, is the certificate.
 """
 
 from __future__ import annotations
@@ -63,6 +68,10 @@ from .spectral import spectral_gap
 
 #: Seeded draws `build_base_expander` tries before giving up.
 MAX_SYNTH_ATTEMPTS = 5
+
+#: Solver tolerance of the kappa(stage) solve that picks the power in
+#: `certify_power_expander`; the composed channel is certified at full tolerance.
+COARSE_TOL = 1e-3
 
 
 def ensure_zero_sum(channel: Channel) -> Channel:
@@ -148,30 +157,56 @@ class CertificationError(RuntimeError):
     pass
 
 
+def _power(kappa: float, target_kappa: float) -> int:
+    """The least r >= 1 with kappa^r <= target_kappa, for 0 < kappa < 1."""
+    return max(1, math.ceil(math.log(target_kappa) / math.log(kappa)))
+
+
+def _coarse_power(stage, target_kappa: float) -> int | None:
+    """The power r >= 2 read off a COARSE_TOL solve of kappa(stage), or None
+    when that solve cannot fix it: unconverged, an error bar whose two ends
+    give different r, a lower end at or below the target (r = 1 is
+    possible) or an upper end at or above 1 - 1e-9 (no contraction)."""
+    report = spectral_gap(stage, tol=COARSE_TOL)
+    low, high = report.kappa - report.error_bound, report.kappa + report.error_bound
+    if not (report.converged and target_kappa < low and high < 1.0 - 1e-9):
+        return None
+    r = _power(high, target_kappa)
+    return r if r == _power(low, target_kappa) else None
+
+
 def certify_power_expander(stage, target_kappa: float):
     """Compose `stage` with itself until the measured kappa certifies the
     target; returns (channel, certified_kappa, r).
 
-    Fails immediately on stages that do not contract (kappa ~ 1), which
-    power composition cannot repair.
+    r is the least power with kappa(stage)^r <= target.  A COARSE_TOL solve
+    of kappa(stage) fixes r when its whole error bar gives one r (see
+    :func:`_coarse_power`); otherwise a full-tolerance solve picks it, and
+    fails immediately on stages that do not contract (kappa ~ 1), which
+    power composition cannot repair.  The full-tolerance solve of the
+    returned channel is the certificate: it must converge with
+    kappa + error_bound <= target.
     """
     if not 0.0 < target_kappa < 1.0:
         raise ValueError(f"target_kappa must lie in (0, 1), got {target_kappa}")
-    kappa0 = spectral_gap(stage).kappa
-    if kappa0 >= 1.0 - 1e-9:
-        raise CertificationError(f"stage kappa = {kappa0} does not contract; composition is useless")
-    if kappa0 <= target_kappa:
-        return stage, kappa0, 1
-    r = max(1, math.ceil(math.log(target_kappa) / math.log(kappa0)))
-    composed = channel_power(stage, r)
-    certified = spectral_gap(composed).kappa
-    if certified > target_kappa:
-        # The proposition guarantees kappa^r; measured can only be smaller,
-        # so reaching here means the stage measurement was unlucky.
+    r, composed = _coarse_power(stage, target_kappa), stage
+    if r is None:
+        report = spectral_gap(stage)
+        if report.kappa >= 1.0 - 1e-9:
+            raise CertificationError(f"stage kappa = {report.kappa} does not contract; composition is useless")
+        r = 1 if report.kappa <= target_kappa else _power(report.kappa, target_kappa)
+    if r > 1:
+        composed = channel_power(stage, r)
+        report = spectral_gap(composed)
+    if not report.converged or report.kappa + report.error_bound > target_kappa:
+        # The proposition guarantees kappa^r <= target; the measured kappa
+        # can only be smaller, so an unconverged solve or a wide error bar
+        # lands here.
         raise CertificationError(
-            f"re-measured kappa {certified} exceeds target {target_kappa} after {r} compositions"
+            f"kappa {report.kappa} +- {report.error_bound} (converged: {report.converged}) "
+            f"does not certify target {target_kappa} after {r} compositions"
         )
-    return composed, certified, r
+    return composed, report.kappa, r
 
 
 def build_base_expander(
@@ -246,7 +281,10 @@ def make_reduction_spec(
             f"layout expects {layout.verifier_qubits}"
         )
     if kappa_f is None:
-        kappa_f = spectral_gap(base_expander).kappa
+        report = spectral_gap(base_expander)
+        if not report.converged:
+            raise ValueError(f"the kappa_f solve of the base expander did not converge (kappa {report.kappa})")
+        kappa_f = report.kappa
     if strict:
         if not a > 0.99:
             raise ValueError(f"strict mode needs a > 0.99, got {a}")
@@ -267,15 +305,34 @@ def make_reduction_spec(
     )
 
 
+def monomial_permutation(v: np.ndarray) -> np.ndarray | None:
+    """pi with V|i> = phase_i |pi(i)> when every column of the unitary V has
+    one entry of modulus 1 and zeros elsewhere (both within ATOL); else None."""
+    modulus = np.abs(v)
+    pi = np.argmax(modulus, axis=0)
+    cols = np.arange(len(v))
+    peaks = modulus[pi, cols]
+    modulus[pi, cols] = 0.0
+    return pi if np.all(np.abs(peaks - 1.0) <= ATOL) and np.all(modulus <= ATOL) else None
+
+
 def witness_verifier_channel(spec: ReductionSpec) -> Channel:
-    """Conjugate-by-V controlled depolarizer, elements V^dag (Lambda W) V,
-    as three stages: conjugation by V on the verifier qubits, the
-    controlled depolarizer, and conjugation by V^dag."""
+    """Conjugate-by-V controlled depolarizer, elements V^dag (Lambda W) V.
+
+    A monomial V (V|i> = phase_i |pi(i)>) gives V^dag diag(c) V = diag(c o pi),
+    so the elements are those of one controlled depolarizer whose control
+    is the top-is-zero vector permuted by pi.  Any other V takes three
+    stages: conjugation by V on the verifier qubits, the controlled
+    depolarizer, and conjugation by V^dag."""
     layout = spec.layout
     m = layout.total_qubits
     verifier = tuple(range(layout.verifier_qubits))
     v = simulate_unitary(spec.verifier)
+    # The indicator is the last qubit, so rest state i is verifier basis state i.
     top_is_zero = rest_bits(m, (layout.indicator_qubit,))[:, layout.top_qubit] == 0
+    pi = monomial_permutation(v)
+    if pi is not None:
+        return controlled_depolarizer(m, layout.indicator_qubit, top_is_zero[pi])
     return Channel.staged(
         (
             Channel((v,), (1.0,), qubits=m, targets=verifier),

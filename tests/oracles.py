@@ -8,7 +8,8 @@ stage's full-space elements from its stored parts.  The Kraus-pair Gram
 matrix and a per-shot random-pair Hadamard-test sampler are the oracle
 for Arthur's contraction estimate.  The dense qubit embedding, pattern
 projector and gate product are the oracle for the row-wise circuit
-simulator and the reduction's control vectors.  The per-step
+simulator and the reduction's control vectors; the three-stage witness
+verifier is the oracle for its folded one-stage form.  The per-step
 Rayleigh-Ritz Lanczos solver and the per-term uniformization series are
 the bit-for-bit oracles for the engine's lean loops; the lifted Kraus
 sum, also in real coordinates, is the complex oracle for the engine's
@@ -23,7 +24,7 @@ import numpy as np
 
 from qexpander import spectral
 from qexpander.channels import Channel
-from qexpander.circuits import GateCircuit
+from qexpander.circuits import GateCircuit, simulate_unitary
 from qexpander.linalg import (
     check_square,
     frobenius,
@@ -33,6 +34,7 @@ from qexpander.linalg import (
     rng_from,
     split_index,
 )
+from qexpander.reduction import controlled_depolarizer, rest_bits
 from qexpander.spectral import GapReport, _deflate, _iterative_report, _unit_traceless
 from qexpander.thermalization import MAX_SERIES_TERMS, SERIES_TOL
 
@@ -242,6 +244,24 @@ def yes_witness(spec, psi: np.ndarray) -> np.ndarray:
     rest[0] = 1.0
     state = np.kron(psi, rest)
     return np.outer(state, state.conj()) - np.eye(n, dtype=complex) / n
+
+
+def three_stage_witness_verifier(spec) -> Channel:
+    """The witness verifier of `spec` for any V, as three stages:
+    conjugation by V on the verifier qubits, the controlled depolarizer on
+    the indicator where the top qubit is 0, and conjugation by V^dag."""
+    layout = spec.layout
+    m = layout.total_qubits
+    verifier = tuple(range(layout.verifier_qubits))
+    v = simulate_unitary(spec.verifier)
+    top_is_zero = rest_bits(m, (layout.indicator_qubit,))[:, layout.top_qubit] == 0
+    return Channel.staged(
+        (
+            Channel((v,), (1.0,), qubits=m, targets=verifier),
+            controlled_depolarizer(m, layout.indicator_qubit, top_is_zero),
+            Channel((v.conj().T,), (1.0,), qubits=m, targets=verifier),
+        )
+    )
 
 
 def lanczos_oracle(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -5,7 +6,8 @@ import sys
 
 import pytest
 
-from qexpander import cli
+from qexpander import cli, reduction
+from qexpander.fileio import save_channel
 
 CLI = [sys.executable, "-m", "qexpander.cli"]
 
@@ -508,6 +510,30 @@ def check_reduce_fields(corpus, key, doc):
             assert doc[field] == pytest.approx(value, abs=1e-9), field
 
 
+def test_unconverged_solves_exit_2(corpus, tmp_path, capsys, monkeypatch):
+    # A spec with a base-expander file has kappa_f solved by the reduction,
+    # and synth-expander certifies its power: neither takes an unconverged solve.
+    base, _ = reduction.build_base_expander(4, target_kappa=0.35, degree_per_stage=8, seed=1)
+    save_channel(base, tmp_path / "base.json")
+    spec = json.loads((corpus / "reductions" / "no_2w2a.json").read_text())
+    del spec["synthesize"]
+    spec.update(circuit=str(corpus / "circuits" / "no_verifier_2w2a.json"), base_expander="base.json", strict=False)
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    solve = reduction.spectral_gap
+    monkeypatch.setattr(
+        reduction, "spectral_gap", lambda channel, **kw: dataclasses.replace(solve(channel, **kw), converged=False)
+    )
+    out = tmp_path / "out.json"
+    for args, message in (
+        (["reduce", tmp_path / "spec.json", "--out", out], "did not converge"),
+        (["synth-expander", "--qubits", "2"], "no certified expander"),
+    ):
+        code = cli.main([str(a) for a in args])
+        stdout, stderr = capsys.readouterr()
+        assert code == 2 and stdout == "" and message in stderr, stderr
+    assert not out.exists()
+
+
 @pytest.mark.slow
 def test_reduce_roundtrip_no_case(corpus, tmp_path):
     out = tmp_path / "channel.json"
@@ -516,7 +542,8 @@ def test_reduce_roundtrip_no_case(corpus, tmp_path):
     doc = payload(res)
     assert doc["degree"] == 64 * doc["base_degree"]
     check_reduce_fields(corpus, "no_2w2a", doc)
-    assert out.stat().st_size <= 120_000
+    # The NO verifier is a permutation, so its witness verifier folds into one stage.
+    assert out.stat().st_size <= 100_000
     gap = payload(run_cli("gap", out))
     assert gap["kappa"] <= doc["beta"]
     assert run_cli("decide", out).returncode == 0

@@ -224,10 +224,11 @@ def no_reduction_file(tmp_path_factory, corpus):
 def test_signed_stages_round_trip_byte_identical(no_reduction_file, tmp_path):
     channel, first = no_reduction_file
     doc = json.loads(first.read_text())
-    assert [s.get("signed", False) for s in doc["stages"]] == [True, False, True, False, True]
-    assert [len(s["kraus"]) for s in doc["stages"]] == [4, 1, 4, 1, 8]
+    # ancilla verifier, the folded witness verifier, six controlled F stages
+    assert [s.get("signed", False) for s in doc["stages"]] == [True, True, True]
+    assert [len(s["kraus"]) for s in doc["stages"]] == [4, 4, 8]
     assert doc["stages"][-1]["repeat"] == 6 and doc["degree"] == 2**30 == channel.degree
-    assert first.stat().st_size <= 110_000
+    assert first.stat().st_size <= 100_000
     back = load_instance(first).channel
     assert [s.signed for s in back.stages] == [s.signed for s in channel.stages]
     second = tmp_path / "second.json"
@@ -248,7 +249,7 @@ def test_doubled_set_file_loads_as_unsigned_stages(no_reduction_file, tmp_path):
     old.write_text(json.dumps(doc, sort_keys=True) + "\n")
     back = load_channel(old)
     assert not any(s.signed for s in back.stages) and back.degree == channel.degree
-    assert [len(s.target_kraus) for s in back.stages] == [8, 1, 8, 1] + [16] * 6
+    assert [len(s.target_kraus) for s in back.stages] == [8, 8] + [16] * 6
     rng = rng_from(62)
     for _ in range(3):
         a = random_operator(32, rng)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,9 +11,11 @@ from qexpander.channels import (
     random_unitary_channel,
     zero_sum_defect,
 )
-from qexpander.circuits import Gate, GateCircuit, RegisterLayout, multi_controlled, simulate_unitary
+from qexpander.circuits import NAMED_BASES, Gate, GateCircuit, RegisterLayout, multi_controlled, simulate_unitary
 from qexpander.linalg import frobenius, paulis, rng_from, split_index
+from qexpander import reduction
 from qexpander.reduction import (
+    COARSE_TOL,
     CertificationError,
     build_base_expander,
     build_reduction,
@@ -21,6 +24,7 @@ from qexpander.reduction import (
     controlled_depolarizer,
     ensure_zero_sum,
     make_reduction_spec,
+    monomial_permutation,
     no_verifier,
     rest_bits,
     sign_double,
@@ -28,6 +32,7 @@ from qexpander.reduction import (
     witness_verifier_channel,
     yes_verifier,
 )
+from qexpander.spectral import spectral_gap
 
 from oracles import (
     dense_kappa,
@@ -38,6 +43,7 @@ from oracles import (
     random_operator,
     random_traceless,
     superoperator,
+    three_stage_witness_verifier,
     yes_witness,
 )
 
@@ -312,7 +318,8 @@ def test_witness_verifier_matches_conjugated_dense_stage(no_reduction):
     layout = spec.layout
     m = layout.total_qubits
     wit = witness_verifier_channel(spec)
-    assert len(wit.stages) == 3 and wit.degree == 8
+    # no_verifier is a permutation, so V, Lambda, V^dag fold into one stage.
+    assert len(wit.stages) == 1 and wit.degree == 8
     v_full = embed(simulate_unitary(spec.verifier), tuple(range(layout.verifier_qubits)), m)
     top_is_zero = control_of(pattern_projector(m, (layout.top_qubit,), (0,)), (layout.indicator_qubit,))
     ctrl = controlled_depolarizer(m, layout.indicator_qubit, top_is_zero)
@@ -321,6 +328,86 @@ def test_witness_verifier_matches_conjugated_dense_stage(no_reduction):
     for _ in range(3):
         a = random_operator(2**m, rng)
         assert frobenius(wit.apply(a) - dense.apply(a)) < 1e-12
+
+
+def phased_monomial_verifier(layout: RegisterLayout) -> GateCircuit:
+    """A monomial V with phases: X, CNOTs that move the top qubit, S, T, Z."""
+    first, last = layout.ancilla_qubits[0], layout.ancilla_qubits[-1]
+    gates = (
+        Gate("X", targets=(1,)),
+        Gate("CNOT", targets=(first,), controls=(layout.top_qubit,)),
+        Gate("CNOT", targets=(layout.top_qubit,), controls=(last,)),
+        Gate("S", targets=(layout.top_qubit,)),
+        Gate("T", targets=(first,)),
+        Gate("Z", targets=(1,)),
+    )
+    return GateCircuit(layout.verifier_qubits, gates)
+
+
+MONOMIAL_VERIFIERS = {"no": no_verifier, "yes": yes_verifier, "phased": phased_monomial_verifier}
+
+
+def spec_for(verifier: GateCircuit, base_expander) -> reduction.ReductionSpec:
+    base, kappa_f = base_expander
+    return make_reduction_spec(verifier, LAYOUT, 1.0, 0.0, base, kappa_f, strict=False)
+
+
+def test_monomial_permutation():
+    assert np.array_equal(monomial_permutation(np.eye(4, dtype=complex)), np.arange(4))
+    perm = np.array([2, 0, 3, 1])
+    v = np.zeros((4, 4), dtype=complex)
+    v[perm, np.arange(4)] = np.exp(1j * np.arange(4))
+    assert np.array_equal(monomial_permutation(v), perm)
+    assert monomial_permutation(np.kron(NAMED_BASES["H"], np.eye(2))) is None
+    for angle, folds in ((1e-12, True), (1e-6, False)):
+        tilted = v @ np.kron(np.eye(2), _ry(angle))
+        assert (monomial_permutation(tilted) is not None) == folds
+
+
+@pytest.mark.parametrize("name", sorted(MONOMIAL_VERIFIERS))
+def test_folded_witness_verifier_matches_three_stage_oracle(base_expander, name):
+    spec = spec_for(MONOMIAL_VERIFIERS[name](LAYOUT), base_expander)
+    folded, oracle = witness_verifier_channel(spec), three_stage_witness_verifier(spec)
+    assert len(folded.stages) == 1 and folded.degree == oracle.degree == 8
+    assert folded.signed and folded.targets == (LAYOUT.indicator_qubit,)
+    rng = rng_from(55)
+    for _ in range(4):
+        a = random_operator(2**LAYOUT.total_qubits, rng)
+        assert frobenius(folded.apply(a) - oracle.apply(a)) < 1e-12
+        assert frobenius(folded.adjoint().apply(a) - oracle.adjoint().apply(a)) < 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(MONOMIAL_VERIFIERS))
+def test_folded_reduction_keeps_kappa(base_expander, name):
+    spec = spec_for(MONOMIAL_VERIFIERS[name](LAYOUT), base_expander)
+    folded = build_reduction(spec)
+    unfolded = Channel.staged((folded.stages[0], three_stage_witness_verifier(spec), *folded.stages[2:]))
+    assert len(unfolded.stages) == len(folded.stages) + 2 and unfolded.degree == folded.degree
+    assert abs(spectral_gap(folded).kappa - spectral_gap(unfolded).kappa) <= 1e-12
+
+
+def test_control_permuted_by_the_inverse_is_wrong(base_expander):
+    # no_verifier's permutation is a 3-cycle, not an involution, so a fold
+    # that permuted the control by pi^-1 instead of pi would be caught.
+    spec = spec_for(no_verifier(LAYOUT), base_expander)
+    m, ind = LAYOUT.total_qubits, LAYOUT.indicator_qubit
+    pi = monomial_permutation(simulate_unitary(spec.verifier))
+    assert not np.array_equal(pi[pi], np.arange(len(pi)))
+    top_is_zero = rest_bits(m, (ind,))[:, LAYOUT.top_qubit] == 0
+    inverse = controlled_depolarizer(m, ind, top_is_zero[np.argsort(pi)])
+    a = random_operator(2**m, rng_from(56))
+    assert frobenius(inverse.apply(a) - three_stage_witness_verifier(spec).apply(a)) > 0.1
+
+
+def test_non_monomial_verifier_keeps_three_stages(base_expander):
+    spec = spec_for(noisy_verifier(LAYOUT, 2.2, 0.3), base_expander)
+    assert monomial_permutation(simulate_unitary(spec.verifier)) is None
+    wit = witness_verifier_channel(spec)
+    assert len(wit.stages) == 3 and wit.degree == 8
+    assert [s.targets for s in wit.stages] == [(0, 1, 2, 3), (LAYOUT.indicator_qubit,), (0, 1, 2, 3)]
+    oracle = three_stage_witness_verifier(spec)
+    a = random_operator(2**LAYOUT.total_qubits, rng_from(57))
+    assert frobenius(wit.apply(a) - oracle.apply(a)) < 1e-12
 
 
 def test_double_verifier_pinching_structure():
@@ -408,6 +495,103 @@ def test_certified_composition_obeys_power_bound():
     assert certified <= 0.3
 
 
+def counted_gaps(monkeypatch, change=None):
+    """Route the reduction module's spectral_gap through a recorder: the
+    list it returns collects (kwargs, report) per call, and `change`, when
+    given, rewrites each full-tolerance report before it is returned."""
+    calls = []
+
+    def recorded(channel, **kwargs):
+        report = spectral_gap(channel, **kwargs)
+        if change is not None and "tol" not in kwargs:
+            report = change(report)
+        calls.append((kwargs, report))
+        return report
+
+    monkeypatch.setattr(reduction, "spectral_gap", recorded)
+    return calls
+
+
+def full_tolerance_power(kappa0: float, target: float) -> int:
+    return 1 if kappa0 <= target else math.ceil(math.log(target) / math.log(kappa0))
+
+
+def test_power_pick_equals_the_full_tolerance_power(monkeypatch):
+    calls = counted_gaps(monkeypatch)
+    coarse = 0
+    for seed in range(3):
+        for qubits in (2, 3, 4):
+            for degree in (3, 8):
+                stage = random_unitary_channel(qubits, degree, rng_from(60 + seed, qubits, degree))
+                kappa0 = spectral_gap(stage).kappa
+                for target in (0.5, 0.1, 0.01):
+                    del calls[:]
+                    _, certified, r = certify_power_expander(stage, target)
+                    assert r == full_tolerance_power(kappa0, target)
+                    assert certified <= target
+                    coarse += len(calls) == 2 and calls[0][0] == {"tol": COARSE_TOL} and r > 1
+    assert coarse >= 27  # 31 of the 54 picks skip the full-tolerance kappa(stage) solve
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_power_pick_falls_back_when_the_target_is_a_power(monkeypatch, r):
+    # At target kappa0^r the coarse error bar straddles the step from r to
+    # r + 1 in ceil(ln target / ln kappa), so the full-tolerance solve decides.
+    stage = random_unitary_channel(3, 8, rng_from(70))
+    kappa0 = spectral_gap(stage).kappa
+    target = kappa0**r
+    calls = counted_gaps(monkeypatch)
+    _, certified, got = certify_power_expander(stage, target)
+    assert [kwargs for kwargs, _ in calls] == [{"tol": COARSE_TOL}, {}, {}]
+    assert calls[1][1].kappa == kappa0
+    assert got == full_tolerance_power(kappa0, target) and certified <= target
+
+
+def test_power_pick_at_r_1_returns_the_full_tolerance_kappa(monkeypatch):
+    stage = random_unitary_channel(3, 8, rng_from(71))
+    full = spectral_gap(stage)
+    calls = counted_gaps(monkeypatch)
+    channel, certified, r = certify_power_expander(stage, full.kappa + 0.01)
+    assert channel is stage and r == 1
+    assert certified == full.kappa  # bit for bit
+    assert [kwargs for kwargs, _ in calls] == [{"tol": COARSE_TOL}, {}]
+
+
+def test_base_expander_power_comes_from_the_coarse_solve(monkeypatch):
+    # The corpus base expander: the coarse kappa(G) picks r = 6, and the
+    # only full-tolerance solve is the kappa(G^6) certificate.
+    calls = counted_gaps(monkeypatch)
+    channel, kappa_f = build_base_expander(4, target_kappa=0.1, degree_per_stage=8, seed=7)
+    assert [kwargs for kwargs, _ in calls] == [{"tol": COARSE_TOL}, {}]
+    assert len(channel.stages) == 6 and kappa_f == calls[1][1].kappa
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda rep: dataclasses.replace(rep, converged=False), "converged: False"),
+        (lambda rep: dataclasses.replace(rep, error_bound=1.0), "does not certify"),
+    ],
+    ids=["unconverged", "error bar above the target"],
+)
+@pytest.mark.parametrize("target", [0.3, 0.99], ids=["r > 1", "r = 1"])
+def test_certification_reads_the_certificate(monkeypatch, change, message, target):
+    stage = random_unitary_channel(2, 3, rng_from(7))
+    assert (certify_power_expander(stage, target)[2] == 1) == (target == 0.99)
+    counted_gaps(monkeypatch, change)
+    with pytest.raises(CertificationError, match=message):
+        certify_power_expander(stage, target)
+
+
+def test_spec_refuses_an_unconverged_kappa_f_solve(monkeypatch, base_expander):
+    base, kappa_f = base_expander
+    counted_gaps(monkeypatch, lambda rep: dataclasses.replace(rep, converged=False))
+    with pytest.raises(ValueError, match="did not converge"):
+        make_reduction_spec(no_verifier(LAYOUT), LAYOUT, a=1.0, b=0.0, base_expander=base)
+    # A kappa_f given by the caller needs no solve.
+    assert make_reduction_spec(no_verifier(LAYOUT), LAYOUT, 1.0, 0.0, base, kappa_f).kappa_f == kappa_f
+
+
 def test_build_base_expander_certifies_target(base_expander):
     base, kappa_f = base_expander
     assert kappa_f <= 0.1
@@ -441,31 +625,31 @@ def test_spec_normalizes_base_to_zero_sum(no_reduction):
 
 def test_reduction_stages_are_signed_and_structured(no_reduction):
     _, phi = no_reduction
-    # anc-ver, V, wit-ver, V^dag, then six controlled F stages: one run.
-    defects = [zero_sum_defect(s) for s in phi.stages]
-    assert defects[::2] == [0.0] * 5 and defects[4:] == [0.0] * 6
-    assert defects[1] == defects[3] == pytest.approx(4.0, abs=1e-12)  # ||V||_F = sqrt(16)
-    assert [s.signed for s in phi.stages] == [True, False, True, False] + [True] * 6
-    assert [len(run) for run in phi._runs] == [1, 1, 1, 1, 6]
+    # anc-ver, the folded wit-ver, then six controlled F stages: one run.
+    assert [zero_sum_defect(s) for s in phi.stages] == [0.0] * 8
+    assert [s.signed for s in phi.stages] == [True] * 8
+    assert [len(run) for run in phi._runs] == [1, 1, 6]
 
 
 @pytest.mark.parametrize("n_w, n_a", [(1, 1), (2, 2), (3, 3)])
 def test_reduction_controls_are_the_dense_projector_diagonals(n_w, n_a):
     # The three controls of build_reduction against the dense projectors
-    # they replace: ancillas not all 0, top qubit 0, indicator 1.
+    # they replace: ancillas not all 0, top qubit 0 after V (the folded
+    # witness verifier's control is the diagonal of V^dag P V), indicator 1.
     lay = RegisterLayout(n_w, n_a)
     m, ind = lay.total_qubits, lay.indicator_qubit
     base = random_unitary_channel(lay.verifier_qubits, 2, rng_from(54, n_w))
     spec = make_reduction_spec(no_verifier(lay), lay, a=1.0, b=0.0, base_expander=base, kappa_f=0.05)
     stages = build_reduction(spec).stages
-    ancilla_fails = np.eye(2**m) - pattern_projector(m, lay.ancilla_qubits, (0,) * n_a)
-    top_is_zero = pattern_projector(m, (lay.top_qubit,), (0,))
-    indicator_is_one = pattern_projector(m, (ind,), (1,))
     verifier = tuple(range(lay.verifier_qubits))
+    v_full = embed(simulate_unitary(spec.verifier), verifier, m)
+    ancilla_fails = np.eye(2**m) - pattern_projector(m, lay.ancilla_qubits, (0,) * n_a)
+    top_is_zero_after_v = v_full.conj().T @ pattern_projector(m, (lay.top_qubit,), (0,)) @ v_full
+    indicator_is_one = pattern_projector(m, (ind,), (1,))
     for stage, projector, targets in (
         (stages[0], ancilla_fails, (ind,)),
-        (stages[2], top_is_zero, (ind,)),
-        (stages[4], indicator_is_one, verifier),
+        (stages[1], top_is_zero_after_v, (ind,)),
+        (stages[2], indicator_is_one, verifier),
     ):
         assert stage.targets == targets
         assert np.array_equal(stage.control, control_of(projector, targets) == 1)
@@ -474,7 +658,11 @@ def test_reduction_controls_are_the_dense_projector_diagonals(n_w, n_a):
 
 
 def test_ensure_zero_sum_keeps_reduction_structure(no_reduction):
-    _, phi = no_reduction
+    spec, folded = no_reduction
+    # Every stage of the folded reduction is signed already.
+    assert all(new is old for new, old in zip(ensure_zero_sum(folded).stages, folded.stages))
+    # The unfolded one has the unsigned V and V^dag stages to double.
+    phi = Channel.staged((folded.stages[0], three_stage_witness_verifier(spec), *folded.stages[2:]))
     fixed = ensure_zero_sum(phi)
     assert len(fixed.stages) == len(phi.stages) and fixed.degree == 4 * phi.degree
     for old, new in zip(phi.stages, fixed.stages):

@@ -303,8 +303,9 @@ def test_spectral_gap_has_one_route(method):
 def test_lanczos_matches_dense_on_clustered_reduction_channel(corpus):
     """The NO-case reduction channel's top singular values cluster near 1/sqrt(2)."""
     ch = build_reduction(load_reduction_spec(corpus / "reductions" / "no_2w2a.json"))
-    # ancilla verifier, V / controlled depolarizer / V^dag, six base-expander stages
-    assert ch.dim == 32 and len(ch.stages) == 10
+    # ancilla verifier, the witness verifier folded into one controlled
+    # depolarizer (no_verifier is a permutation), six base-expander stages
+    assert ch.dim == 32 and len(ch.stages) == 8
     _check_engine_against_dense(ch)
 
 
