@@ -1,10 +1,10 @@
 """Gate-level circuits: representation and simulation.
 
 Circuits describe verifier unitaries and explicit Kraus operators.  The
-gate set is deliberately small: single-qubit X/Y/Z/H/S/T, CNOT/CZ/TOFFOLI,
-a native multi-controlled gate MCU (arbitrary controls with per-control
-polarity, base either a named single-qubit gate or an inline 2x2 unitary),
-and GLOBAL_PHASE.  GLOBAL_PHASE is first-class because sign doubling needs
+gate set is deliberately small: the fixed-arity kinds of `FIXED_KINDS`
+(single-qubit X/Y/Z/H/S/T, CNOT/CZ/TOFFOLI), a native multi-controlled
+gate MCU (arbitrary controls with per-control polarity, base either a
+named single-qubit gate or an inline 2x2 unitary), and GLOBAL_PHASE.  GLOBAL_PHASE is first-class because sign doubling needs
 -U as a circuit.  Multi-controlled gates are simulator primitives; the
 ancilla-free n_a^2-gate decomposition is never performed (its gate count is
 only ever reported symbolically).  Simulation applies each gate to the
@@ -33,11 +33,10 @@ NAMED_BASES = {
     "T": np.diag([1, np.exp(1j * np.pi / 4)]).astype(complex),
 }
 
-#: The fixed-arity controlled kinds: (named base, number of controls).
-CONTROLLED_KINDS = {"CNOT": ("X", 1), "CZ": ("Z", 1), "TOFFOLI": ("X", 2)}
-
-SINGLE_QUBIT_KINDS = frozenset(NAMED_BASES)
-GATE_KINDS = SINGLE_QUBIT_KINDS | set(CONTROLLED_KINDS) | {"MCU", "GLOBAL_PHASE"}
+#: The fixed-arity kinds: (named base, number of controls).
+FIXED_KINDS = {**{name: (name, 0) for name in NAMED_BASES}, "CNOT": ("X", 1), "CZ": ("Z", 1), "TOFFOLI": ("X", 2)}
+CONTROLLED_KINDS = {kind: spec for kind, spec in FIXED_KINDS.items() if spec[1]}
+GATE_KINDS = {*FIXED_KINDS, "MCU", "GLOBAL_PHASE"}
 
 #: Dense simulation cap (qubits).
 SIM_CAP_QUBITS = 10
@@ -67,15 +66,10 @@ class Gate:
             return
         if len(self.targets) != 1:
             raise ValueError(f"{self.kind} needs exactly one target, got {self.targets}")
-        if self.kind in CONTROLLED_KINDS:
-            count = CONTROLLED_KINDS[self.kind][1]
+        if self.kind in FIXED_KINDS:
+            count = FIXED_KINDS[self.kind][1]
             if len(self.controls) != count:
-                raise ValueError(f"{self.kind} needs {count} control(s), got {self.controls}")
-            if not self.polarities:
-                object.__setattr__(self, "polarities", (1,) * len(self.controls))
-        elif self.kind in SINGLE_QUBIT_KINDS:
-            if self.controls:
-                raise ValueError(f"{self.kind} takes no controls (use MCU)")
+                raise ValueError(f"{self.kind} needs {count} control(s), got {self.controls}; MCU takes any")
         elif self.kind == "MCU":
             if (self.base is None) == (self.matrix is None):
                 raise ValueError("MCU needs exactly one of a named base or an inline matrix")
@@ -88,8 +82,8 @@ class Gate:
                 mat = check_unitary(mat, tol=1e-10)
                 mat.setflags(write=False)
                 object.__setattr__(self, "matrix", mat)
-            if not self.polarities:
-                object.__setattr__(self, "polarities", (1,) * len(self.controls))
+        if not self.polarities:
+            object.__setattr__(self, "polarities", (1,) * len(self.controls))
         if len(self.polarities) != len(self.controls):
             raise ValueError(
                 f"{len(self.polarities)} polarities for {len(self.controls)} controls"
@@ -103,10 +97,8 @@ class Gate:
             raise ValueError(f"duplicate control qubits in {self.controls}")
 
     def base_matrix(self) -> np.ndarray:
-        if self.kind in SINGLE_QUBIT_KINDS:
-            return NAMED_BASES[self.kind]
-        if self.kind in CONTROLLED_KINDS:
-            return NAMED_BASES[CONTROLLED_KINDS[self.kind][0]]
+        if self.kind in FIXED_KINDS:
+            return NAMED_BASES[FIXED_KINDS[self.kind][0]]
         if self.kind == "MCU":
             return NAMED_BASES[self.base] if self.base is not None else self.matrix
         raise ValueError(f"{self.kind} has no base matrix")
@@ -165,18 +157,9 @@ def multi_controlled(base, target: int, controls, polarities=None) -> Gate:
 
     `base` may be a gate name or a 2x2 unitary.
     """
-    controls = tuple(int(c) for c in controls)
-    if polarities is None:
-        polarities = (1,) * len(controls)
-    if isinstance(base, str):
-        return Gate("MCU", targets=(target,), controls=controls, polarities=tuple(polarities), base=base)
-    return Gate(
-        "MCU",
-        targets=(target,),
-        controls=controls,
-        polarities=tuple(polarities),
-        matrix=np.asarray(base, dtype=complex),
-    )
+    named = {"base": base} if isinstance(base, str) else {"matrix": np.asarray(base, dtype=complex)}
+    polarities = () if polarities is None else polarities
+    return Gate("MCU", targets=(target,), controls=controls, polarities=polarities, **named)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ alpha = 1, since ||Phi(A)||_F^2 <= 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -220,7 +221,9 @@ def cmd_thermalize(args) -> int:
     return EXIT_OK if report.satisfied else EXIT_PROMISE_OR_NONCONV
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qexpander",
         description="Quantum expander toolkit: spectral gaps, verification, reductions, thermalization.",

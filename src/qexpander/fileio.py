@@ -2,26 +2,22 @@
 instances, reduction specs, thermal models and states, all UTF-8 JSON
 objects.
 
-One reader serves every format.  `_json_object` decodes a document and
-the typed field readers decide what a well-formed field is: an int is a
-JSON number with an integral value, a float any JSON number, never a bool
-for either; a list of ints (qubits, polarities, control bits) or of
-floats (weights) holds only such numbers; a flag is true or false; a name
-is a string.  An optional field set to null counts as absent.  Each kind
-of JSON object (circuit, gate, channel, stage, instance, spec and its
-"synthesize" object, model, state) has a fixed set of fields, and an
-unknown one is an error rather than a silently ignored typo.  Every
-malformed file raises FileFormatError naming the file and the field.
+Each kind of JSON object is declared once, as a table in `FIELDS` from
+field name to type and default, and `_read` reads every object through
+its table: an unknown field is an error rather than a silently ignored
+typo, a field set to null counts as absent, and a missing required field
+is an error.  An int is a JSON number with an integral value, a float any
+JSON number, never a bool for either; [int] and [float] are lists of
+such numbers; bool is true or false.  Every malformed file raises
+FileFormatError naming the file and the field.
 
 Matrices are stored row-major as [re, im] pairs of JSON numbers and
 phases as one pair; each matrix is one numpy conversion of its flattened
 pairs.  Kraus operators and coupling unitaries may be given inline as
 such matrices or as paths to circuit files (resolved relative to the
 referencing file), which are simulated to their unitaries on load;
-unitarity of every element is re-checked by the channel constructor.  A circuit file is
-{"qubits": m, "gates": [...]} where each gate is {"kind", "targets",
-"controls"?, "polarities"?, "base"?, "matrix"?, "phase"?}; its canonical
-serializer is bit-exact under round trip.
+unitarity of every element is re-checked by the channel constructor.
+The canonical circuit serializer is bit-exact under round trip.
 """
 
 from __future__ import annotations
@@ -43,23 +39,42 @@ from .thermalization import ThermalModel
 #: Most stages a channel file may expand to, "repeat" runs included.
 MAX_STAGES = 4096
 
-#: The fields each kind of JSON object may carry.
-CIRCUIT_FIELDS = frozenset({"qubits", "gates"})
-GATE_FIELDS = frozenset({"kind", "targets", "controls", "polarities", "base", "matrix", "phase"})
-_STAGE_BODY = frozenset({"kraus", "weights", "targets", "control", "signed"})
-#: A flat channel or instance file; `save_channel` writes the thresholds
-#: into channel files too.
-CHANNEL_FIELDS = _STAGE_BODY | {"qubits", "alpha", "beta"}
-#: A staged channel or instance file; "degree" is informational.
-STAGED_FIELDS = frozenset({"qubits", "stages", "degree", "alpha", "beta"})
-STAGE_FIELDS = _STAGE_BODY | {"repeat"}
-SPEC_FIELDS = frozenset({"circuit", "n_w", "n_a", "a", "b", "base_expander", "synthesize", "strict"})
-SYNTHESIZE_FIELDS = frozenset({"target_kappa", "degree_per_stage", "seed"})
-MODEL_FIELDS = frozenset({"qubits", "unitaries", "R0", "R1"})
+#: The default of a field that must be present.
+REQUIRED = object()
+_STAGE_BODY = {
+    "kraus": (list, REQUIRED), "weights": ([float], None), "targets": ([int], None), "control": ([int], None),
+    "signed": (bool, False),
+}
+_INSTANCE = {"qubits": (int, REQUIRED), "alpha": (float, None), "beta": (float, None)}
+
+#: Each kind of JSON object's fields: name -> (type, default).  [int] and
+#: [float] are lists of such numbers, and `object` takes any value.  A
+#: flat or staged channel file is an instance when it holds "alpha" and
+#: "beta", and "degree" is informational.
+FIELDS = {
+    "circuit": {"qubits": (int, REQUIRED), "gates": (list, REQUIRED)},
+    "gate": {
+        "kind": (str, REQUIRED), "targets": ([int], ()), "controls": ([int], ()), "polarities": ([int], ()),
+        "base": (str, None), "matrix": (object, None), "phase": (object, None),
+    },
+    "channel": {**_INSTANCE, **_STAGE_BODY},
+    "staged": {**_INSTANCE, "stages": (list, REQUIRED), "degree": (object, None)},
+    "stage": {**_STAGE_BODY, "repeat": (int, 1)},
+    "spec": {
+        "circuit": (str, REQUIRED), "n_w": (int, REQUIRED), "n_a": (int, REQUIRED), "a": (float, REQUIRED),
+        "b": (float, REQUIRED), "base_expander": (str, None), "synthesize": (dict, None), "strict": (bool, True),
+    },
+    # Absent fields take build_base_expander's defaults.
+    "synthesize": {"target_kappa": (float, None), "degree_per_stage": (int, None), "seed": (int, None)},
+    "model": {
+        "qubits": (int, REQUIRED), "unitaries": (list, REQUIRED), "R0": (float, REQUIRED), "R1": (float, REQUIRED),
+    },
+    "state vector": {"amplitudes": (list, REQUIRED)},
+    "density matrix": {"matrix": (list, REQUIRED)},
+}
 
 _NAMES = {int: "int", float: "float", bool: "true or false", str: "a string", list: "a list", dict: "an object"}
 _LIST_NAMES = {int: "integers", float: "numbers"}
-_REQUIRED = object()
 
 
 class FileFormatError(ValueError):
@@ -74,17 +89,15 @@ class FileFormatError(ValueError):
         self.column = column
 
 
-def _json_object(text: str, where) -> dict:
+def _json_object(text: str, where):
+    """The decoded JSON document; `_read` checks that it is an object."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{where}: invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"{where}: expected a JSON object")
-    return doc
 
 
-def _load_json(path) -> dict:
+def _load_json(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError as exc:
@@ -92,17 +105,10 @@ def _load_json(path) -> dict:
     return _json_object(text, path)
 
 
-def _known(doc: dict, fields: frozenset, where) -> None:
-    """Reject the fields of `doc` outside `fields`."""
-    extra = doc.keys() - fields
-    if extra:
-        raise FileFormatError(f"{where} has unknown fields {sorted(extra)}")
-
-
 def _typed(value, kind):
     """`value` as `kind`, or None if it is not one: int and float take JSON
     numbers but not bools, and int only integral ones; bool, str, list and
-    dict take only their own kind."""
+    dict take only their own kind, and object any value."""
     if kind is not int and kind is not float:
         return value if isinstance(value, kind) else None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -114,29 +120,31 @@ def _typed(value, kind):
     return out if kind is float or out == value else None
 
 
-def _field(doc: dict, key: str, kind, where, default=_REQUIRED):
-    """doc[key] read as `kind`; an absent or null field is `default`, and
-    an error when no default is given."""
-    if default is not _REQUIRED and doc.get(key) is None:
-        return default
-    if key not in doc:
-        raise FileFormatError(f"{where}: missing field {key!r}")
-    out = _typed(doc[key], kind)
-    if out is None:
-        raise FileFormatError(f"{where}: field {key!r} must be {_NAMES[kind]}, got {doc[key]!r}")
+def _read(doc, table: dict, where) -> dict:
+    """Every field of the JSON object `doc` by `table` (one of `FIELDS`),
+    typed, with absent or null fields at their defaults; an error for a
+    non-object, an unknown or mistyped field, or a missing required one."""
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"{where}: expected a JSON object")
+    extra = doc.keys() - table.keys()
+    if extra:
+        raise FileFormatError(f"{where} has unknown fields {sorted(extra)}")
+    out = {}
+    for key, (kind, default) in table.items():
+        value = doc.get(key)
+        if value is None:
+            if default is REQUIRED:
+                raise FileFormatError(f"{where}: missing field {key!r}")
+            out[key] = default
+        elif isinstance(kind, list):
+            out[key] = [_typed(v, kind[0]) for v in value] if isinstance(value, list) else [None]
+            if None in out[key]:
+                raise FileFormatError(f"{where}: field {key!r} must be a list of {_LIST_NAMES[kind[0]]}")
+        else:
+            out[key] = _typed(value, kind)
+            if out[key] is None:
+                raise FileFormatError(f"{where}: field {key!r} must be {_NAMES[kind]}, got {value!r}")
     return out
-
-
-def _list(doc: dict, key: str, kind, where) -> list | None:
-    """doc[key] as a list of `kind` (int or float) entries; None when the
-    field is absent or null."""
-    value = doc.get(key)
-    if value is None:
-        return None
-    items = [_typed(v, kind) for v in value] if isinstance(value, list) else [None]
-    if any(v is None for v in items):
-        raise FileFormatError(f"{where}: field {key!r} must be a list of {_LIST_NAMES[kind]}")
-    return items
 
 
 def complex_vector_from_json(rows, what: str) -> np.ndarray:
@@ -183,33 +191,24 @@ def matrix_to_json(mat: np.ndarray) -> list:
 
 
 def _gate(entry, where: str) -> Gate:
-    if not isinstance(entry, dict):
-        raise FileFormatError(f"{where}: expected a JSON object")
-    _known(entry, GATE_FIELDS, where)
-    kind = _field(entry, "kind", str, where)
-    if kind not in GATE_KINDS:
-        raise FileFormatError(f"{where} has unknown kind {kind!r}")
-    matrix, phase = entry.get("matrix"), entry.get("phase")
-    kwargs = {
-        "targets": _list(entry, "targets", int, where) or (),
-        "controls": _list(entry, "controls", int, where) or (),
-        "polarities": _list(entry, "polarities", int, where) or (),
-        "base": _field(entry, "base", str, where, None),
-        "matrix": None if matrix is None else matrix_from_json(matrix, f"{where} matrix"),
-        "phase": None if phase is None else complex(complex_vector_from_json([phase], f"{where} phase")[0]),
-    }
+    fields = _read(entry, FIELDS["gate"], where)
+    if fields["kind"] not in GATE_KINDS:
+        raise FileFormatError(f"{where} has unknown kind {fields['kind']!r}")
+    if fields["matrix"] is not None:
+        fields["matrix"] = matrix_from_json(fields["matrix"], f"{where} matrix")
+    if fields["phase"] is not None:
+        fields["phase"] = complex(complex_vector_from_json([fields["phase"]], f"{where} phase")[0])
     try:
-        return Gate(kind, **kwargs)
+        return Gate(**fields)
     except ValueError as exc:
         raise FileFormatError(f"{where}: {exc}") from exc
 
 
-def _circuit_from_doc(doc: dict, where) -> GateCircuit:
-    _known(doc, CIRCUIT_FIELDS, where)
-    qubits = _field(doc, "qubits", int, where)
-    gates = [_gate(entry, f"{where} gate {i}") for i, entry in enumerate(_field(doc, "gates", list, where))]
+def _circuit_from_doc(doc, where) -> GateCircuit:
+    fields = _read(doc, FIELDS["circuit"], where)
+    gates = [_gate(entry, f"{where} gate {i}") for i, entry in enumerate(fields["gates"])]
     try:
-        return GateCircuit(qubits, tuple(gates))
+        return GateCircuit(fields["qubits"], tuple(gates))
     except ValueError as exc:
         raise FileFormatError(f"{where}: {exc}") from exc
 
@@ -260,67 +259,66 @@ def _kraus_entry(entry, base_dir: Path, qubits: int, what: str) -> np.ndarray:
     return mat
 
 
-def _qubits(doc: dict, where) -> int:
-    qubits = _field(doc, "qubits", int, where)
+def _qubits(fields: dict, where) -> int:
+    qubits = fields["qubits"]
     if not 1 <= qubits <= SIM_CAP_QUBITS:
         raise FileFormatError(f"{where}: field 'qubits' must lie in [1, {SIM_CAP_QUBITS}], got {qubits}")
     return qubits
 
 
-def _channel_from_doc(doc: dict, base_dir: Path, where: str) -> Channel:
-    qubits = _qubits(doc, where)
-    entries = _field(doc, "stages", list, where, None)
-    if entries is None:
-        return _flat_channel(doc, base_dir, qubits, where, CHANNEL_FIELDS)
-    _known(doc, STAGED_FIELDS, where)
-    if not entries:
+def _channel_from_doc(doc, base_dir: Path, where: str) -> tuple[Channel, dict]:
+    """The channel of a flat or staged channel document, and the document's
+    top-level fields."""
+    staged = isinstance(doc, dict) and doc.get("stages") is not None
+    fields = _read(doc, FIELDS["staged" if staged else "channel"], where)
+    qubits = _qubits(fields, where)
+    if not staged:
+        return _stage(fields, base_dir, qubits, where), fields
+    if not fields["stages"]:
         raise FileFormatError(f"{where}: field 'stages' must be a nonempty list of stage objects")
     stages: list[Channel] = []
-    for i, entry in enumerate(entries):
-        stage = _flat_channel(entry, base_dir, qubits, f"{where} stage {i}", STAGE_FIELDS)
-        repeat = _field(entry, "repeat", int, f"{where} stage {i}", 1)
+    for i, entry in enumerate(fields["stages"]):
+        at = f"{where} stage {i}"
+        stage = _read(entry, FIELDS["stage"], at)
+        repeat = stage["repeat"]
         if not 1 <= repeat <= MAX_STAGES - len(stages):
             raise FileFormatError(
-                f"{where} stage {i}: field 'repeat' must be >= 1 and keep the channel within "
-                f"{MAX_STAGES} stages, got {repeat}"
+                f"{at}: field 'repeat' must be >= 1 and keep the channel within {MAX_STAGES} stages, got {repeat}"
             )
-        stages += [stage] * repeat
-    return Channel.staged(stages)
+        stages += [_stage(stage, base_dir, qubits, at)] * repeat
+    return Channel.staged(stages), fields
 
 
-def _flat_channel(doc, base_dir: Path, qubits: int, where: str, fields: frozenset) -> Channel:
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"{where}: expected a JSON object")
-    _known(doc, fields, where)
-    entries = _field(doc, "kraus", list, where)
-    if not entries:
+def _stage(fields: dict, base_dir: Path, qubits: int, where: str) -> Channel:
+    if not fields["kraus"]:
         raise FileFormatError(f"{where}: field 'kraus' must be a nonempty list")
-    targets, control = _list(doc, "targets", int, where), _list(doc, "control", int, where)
+    targets, weights = fields["targets"], fields["weights"]
     kraus = [
         _kraus_entry(entry, base_dir, qubits if targets is None else len(targets), f"{where} kraus[{i}]")
-        for i, entry in enumerate(entries)
+        for i, entry in enumerate(fields["kraus"])
     ]
-    weights = _list(doc, "weights", float, where)
     weights = np.full(len(kraus), 1.0 / len(kraus)) if weights is None else np.array(weights)
-    signed = _field(doc, "signed", bool, where, False)
     try:
-        return Channel(kraus, weights, qubits=qubits, targets=targets, control=control, signed=signed)
+        return Channel(
+            kraus, weights, qubits=qubits, targets=targets, control=fields["control"], signed=fields["signed"]
+        )
     except ValueError as exc:
         raise FileFormatError(f"{where}: {exc}") from exc
 
 
 def load_channel(path) -> Channel:
     path = Path(path)
-    return _channel_from_doc(_load_json(path), path.parent, str(path))
+    return _channel_from_doc(_load_json(path), path.parent, str(path))[0]
 
 
 def load_instance(path) -> NonExpanderInstance:
     path = Path(path)
-    doc = _load_json(path)
-    channel = _channel_from_doc(doc, path.parent, str(path))
-    alpha, beta = _field(doc, "alpha", float, path), _field(doc, "beta", float, path)
+    channel, fields = _channel_from_doc(_load_json(path), path.parent, str(path))
+    for key in ("alpha", "beta"):
+        if fields[key] is None:
+            raise FileFormatError(f"{path}: missing field {key!r}")
     try:
-        return NonExpanderInstance(channel, alpha, beta)
+        return NonExpanderInstance(channel, fields["alpha"], fields["beta"])
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
@@ -367,41 +365,27 @@ def load_reduction_spec(path) -> ReductionSpec:
     """Load a reduction spec: verifier circuit path, layout integers, (a, b),
     and either a base-expander channel file or synthesis parameters."""
     path = Path(path)
-    doc = _load_json(path)
-    _known(doc, SPEC_FIELDS, path)
-    circuit = _field(doc, "circuit", str, path)
-    n_w, n_a = _field(doc, "n_w", int, path), _field(doc, "n_a", int, path)
+    fields = _read(_load_json(path), FIELDS["spec"], path)
     try:
-        layout = RegisterLayout(n_w, n_a)
+        layout = RegisterLayout(fields["n_w"], fields["n_a"])
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
-    a, b = _field(doc, "a", float, path), _field(doc, "b", float, path)
-    verifier = load_circuit(path.parent / circuit)
-    base_file = _field(doc, "base_expander", str, path, None)
-    synth = _field(doc, "synthesize", dict, path, None)
+    verifier = load_circuit(path.parent / fields["circuit"])
+    base_file, synth = fields["base_expander"], fields["synthesize"]
     if (base_file is None) == (synth is None):
         raise FileFormatError(f"{path}: need exactly one of 'base_expander' or 'synthesize'")
-    strict = _field(doc, "strict", bool, path, True)
     kappa_f = None
     if base_file is not None:
         base_path = path.parent / base_file
-        base = _channel_from_doc(_load_json(base_path), base_path.parent, base_file)
+        base = _channel_from_doc(_load_json(base_path), base_path.parent, base_file)[0]
     else:
-        _known(synth, SYNTHESIZE_FIELDS, f"{path} synthesize")
-        kinds = {"target_kappa": float, "degree_per_stage": int, "seed": int}
+        synth = _read(synth, FIELDS["synthesize"], f"{path} synthesize")
         base, kappa_f = build_base_expander(
-            layout.verifier_qubits,
-            **{key: _field(synth, key, kind, path) for key, kind in kinds.items() if key in synth},
+            layout.verifier_qubits, **{key: value for key, value in synth.items() if value is not None}
         )
     try:
         return make_reduction_spec(
-            verifier,
-            layout,
-            a=a,
-            b=b,
-            base_expander=base,
-            kappa_f=kappa_f,
-            strict=strict,
+            verifier, layout, a=fields["a"], b=fields["b"], base_expander=base, kappa_f=kappa_f, strict=fields["strict"]
         )
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
@@ -409,27 +393,22 @@ def load_reduction_spec(path) -> ReductionSpec:
 
 def load_thermal_model(path) -> ThermalModel:
     path = Path(path)
-    doc = _load_json(path)
-    _known(doc, MODEL_FIELDS, path)
-    qubits = _qubits(doc, path)
+    fields = _read(_load_json(path), FIELDS["model"], path)
+    qubits = _qubits(fields, path)
     unitaries = [
         _kraus_entry(entry, path.parent, qubits, f"{path} unitaries[{i}]")
-        for i, entry in enumerate(_field(doc, "unitaries", list, path))
+        for i, entry in enumerate(fields["unitaries"])
     ]
-    r0, r1 = _field(doc, "R0", float, path), _field(doc, "R1", float, path)
     try:
-        return ThermalModel(tuple(unitaries), r0, r1)
+        return ThermalModel(tuple(unitaries), fields["R0"], fields["R1"])
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def load_state_vector(path) -> np.ndarray:
-    doc = _load_json(path)
-    _known(doc, frozenset({"amplitudes"}), path)
-    return complex_vector_from_json(_field(doc, "amplitudes", list, path), "amplitudes")
+    amplitudes = _read(_load_json(path), FIELDS["state vector"], path)["amplitudes"]
+    return complex_vector_from_json(amplitudes, "amplitudes")
 
 
 def load_density_matrix(path) -> np.ndarray:
-    doc = _load_json(path)
-    _known(doc, frozenset({"matrix"}), path)
-    return matrix_from_json(_field(doc, "matrix", list, path))
+    return matrix_from_json(_read(_load_json(path), FIELDS["density matrix"], path)["matrix"])

@@ -56,7 +56,7 @@ class Decision(str, enum.Enum):
     YES = "YES"  # not alpha-contractive
     NO = "NO"  # beta-contractive
     PROMISE_VIOLATED = "PROMISE_VIOLATED"
-    UNCERTIFIED = "UNCERTIFIED"  # unconverged, or the threshold is within the error bar
+    UNCERTIFIED = "UNCERTIFIED"  # unconverged, or the error bar reaches a threshold
 
     def __str__(self) -> str:  # plain value in CLI output
         return self.value
@@ -296,8 +296,11 @@ def decide(instance: NonExpanderInstance, **kwargs) -> tuple[Decision, GapReport
     YES requires kappa > alpha strictly (beyond `TIE_TOL`); kappa at or
     below beta (plus `TIE_TOL`) gives NO; anything between breaks the
     promise and is reported as PROMISE_VIOLATED rather than arbitrated.
-    A YES or NO becomes UNCERTIFIED when the solver did not converge or the
-    threshold crossed lies within the report's `error_bound` of kappa.
+    Every answer needs a converged solve, else it is UNCERTIFIED.  So is a
+    YES or NO whose threshold lies within the report's `error_bound` e of
+    kappa, and a PROMISE_VIOLATED unless the whole bar
+    [kappa - e, min(1, kappa + e)] lies between the thresholds (kappa <= 1
+    for every unital channel).
     """
     report = spectral_gap(instance.channel, **kwargs)
     if report.kappa > instance.alpha + TIE_TOL:
@@ -305,7 +308,9 @@ def decide(instance: NonExpanderInstance, **kwargs) -> tuple[Decision, GapReport
     elif report.kappa <= instance.beta + TIE_TOL:
         decision, threshold = Decision.NO, instance.beta
     else:
-        return Decision.PROMISE_VIOLATED, report
+        low, high = report.kappa - report.error_bound, min(1.0, report.kappa + report.error_bound)
+        inside = instance.beta + TIE_TOL < low and high <= instance.alpha + TIE_TOL
+        return (Decision.PROMISE_VIOLATED if report.converged and inside else Decision.UNCERTIFIED), report
     if not report.converged or abs(report.kappa - threshold) <= report.error_bound:
         return Decision.UNCERTIFIED, report
     return decision, report

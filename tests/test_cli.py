@@ -277,6 +277,14 @@ def test_decide_exit_codes(corpus):
     assert res.returncode == 1 and payload(res)["decision"] == "YES"
 
 
+def test_main_builds_the_parser_once(corpus, capsys):
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert cli.main(["decide", str(corpus / "instances" / "depolarizer_1q.json")]) == 0
+    capsys.readouterr()
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_decide_iterative_forwards_tol_and_seed(corpus):
     path = corpus / "instances" / "identity_z_1q.json"
     default = run_cli("decide", path)

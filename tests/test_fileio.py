@@ -6,11 +6,16 @@ import pytest
 
 from qexpander.channels import Channel, channel_power, complete_depolarizer, random_unitary_channel
 from qexpander.fileio import (
+    FIELDS,
+    REQUIRED,
     FileFormatError,
     complex_vector_from_json,
     load_channel,
+    load_circuit,
+    load_density_matrix,
     load_instance,
     load_reduction_spec,
+    load_state_vector,
     load_thermal_model,
     matrix_from_json,
     matrix_to_json,
@@ -373,3 +378,59 @@ def test_spec_layout_error_names_the_file(corpus, tmp_path):
 def test_matrix_codec_rejects_non_square():
     with pytest.raises(FileFormatError, match="not a square matrix"):
         matrix_from_json([[1.0, 0.0], [0.0, 0.0]])
+
+
+def _table_cases(corpus):
+    """For each object kind in FIELDS: a valid file holding one such object,
+    where that object sits in it, and the public loader that reads it."""
+    spec = json.loads((corpus / "reductions" / "no_2w2a.json").read_text())
+    spec["circuit"] = str(corpus / "reductions" / spec["circuit"])
+    circuit = {"qubits": 1, "gates": [{"kind": "X", "targets": [0]}]}
+    flat = {"qubits": 1, "kraus": [matrix_to_json(I)]}
+    staged = {"qubits": 1, "stages": [{"kraus": [matrix_to_json(I)]}]}
+    top = lambda doc: doc  # noqa: E731
+    return {
+        "circuit": (circuit, top, load_circuit),
+        "gate": (circuit, lambda doc: doc["gates"][0], load_circuit),
+        "channel": (flat, top, load_channel),
+        "staged": (staged, top, load_channel),
+        "stage": (staged, lambda doc: doc["stages"][0], load_channel),
+        "spec": (spec, top, load_reduction_spec),
+        "synthesize": (spec, lambda doc: doc["synthesize"], load_reduction_spec),
+        "model": ({"qubits": 1, "unitaries": [matrix_to_json(X)], "R0": 1.0, "R1": 2.0}, top, load_thermal_model),
+        "state vector": ({"amplitudes": [[1.0, 0.0], [0.0, 0.0]]}, top, load_state_vector),
+        "density matrix": ({"matrix": matrix_to_json(np.diag([1.0, 0.0]))}, top, load_density_matrix),
+    }
+
+
+def _wrong_values(kind):
+    """JSON values that are not of a FIELDS type."""
+    if isinstance(kind, list):
+        return ["x", 1, [None], [True], [1.5] if kind == [int] else ["1"]]
+    return {int: [2.5, True, "1"], float: [True, "1.0"], bool: [1, "true"], str: [5, ["x"]], list: ["x", {}],
+            dict: ["x", []]}[kind]
+
+
+def test_every_table_field_is_typed_and_required_through_the_loaders(corpus, tmp_path):
+    cases = _table_cases(corpus)
+    assert cases.keys() == FIELDS.keys()
+    # The fields that take any value; every other one is checked below.
+    untyped = {(kind, key) for kind, table in FIELDS.items() for key, (t, _) in table.items() if t is object}
+    assert untyped == {("gate", "matrix"), ("gate", "phase"), ("staged", "degree")}
+    path = tmp_path / "doc.json"
+    checked = 0
+    for kind, table in FIELDS.items():
+        doc, locate, load = cases[kind]
+        for key, (field_kind, default) in table.items():
+            patches = [] if field_kind is object else [(v, f"field {key!r} must be") for v in _wrong_values(field_kind)]
+            # A null "stages" makes a flat channel file, which has no such field.
+            if default is REQUIRED and (kind, key) != ("staged", "stages"):
+                patches.append((None, f"missing field {key!r}"))
+            for value, message in patches:
+                patched = json.loads(json.dumps(doc))
+                locate(patched)[key] = value
+                path.write_text(json.dumps(patched))
+                with pytest.raises(FileFormatError, match=re.escape(message)):
+                    load(path)
+                checked += 1
+    assert checked > 100

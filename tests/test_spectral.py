@@ -353,6 +353,26 @@ def test_decide_unconverged_is_uncertified():
     assert rep.converged and decision is Decision.NO
 
 
+def test_decide_promise_violated_needs_a_converged_bar_between_the_thresholds():
+    # kappa = 0.63212 > alpha: early unconverged estimates fall between the
+    # thresholds, but they certify nothing.
+    ch = random_unitary_channel(3, 8, rng_from(34))
+    inst = NonExpanderInstance(ch, 0.62212, 0.2)
+    for max_iter in (1, 2, 3):
+        decision, rep = decide(inst, max_iter=max_iter)
+        assert not rep.converged and inst.beta < rep.kappa < inst.alpha
+        assert decision is Decision.UNCERTIFIED, (max_iter, rep.kappa)
+    assert decide(inst)[0] is Decision.YES
+    # A converged solve at a loose tolerance: kappa - e and kappa + e lie
+    # between 0.2 and 0.99, but alpha = 0.64 and beta = 0.62 each cut the bar.
+    decision, rep = decide(NonExpanderInstance(ch, 0.99, 0.2), tol=1e-2)
+    assert rep.converged and rep.error_bound > 0.01 and decision is Decision.PROMISE_VIOLATED
+    for alpha, beta in ((0.64, 0.2), (0.99, 0.62)):
+        decision, rep = decide(NonExpanderInstance(ch, alpha, beta), tol=1e-2)
+        assert rep.converged and beta < rep.kappa < alpha
+        assert decision is Decision.UNCERTIFIED, (alpha, beta)
+
+
 def test_decide_threshold_within_error_bound_is_uncertified():
     ch = random_unitary_channel(2, 8, rng_from(35))
     kappa = dense_kappa(ch)
