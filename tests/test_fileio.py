@@ -407,8 +407,9 @@ def _wrong_values(kind):
     """JSON values that are not of a FIELDS type."""
     if isinstance(kind, list):
         return ["x", 1, [None], [True], [1.5] if kind == [int] else ["1"]]
-    return {int: [2.5, True, "1"], float: [True, "1.0"], bool: [1, "true"], str: [5, ["x"]], list: ["x", {}],
-            dict: ["x", []]}[kind]
+    return {
+        int: [2.5, True, "1"], float: [True, "1.0"], bool: [1, "true"], str: [5, ["x"]], list: ["x", {}], dict: ["x", []]
+    }[kind]
 
 
 def test_every_table_field_is_typed_and_required_through_the_loaders(corpus, tmp_path):
