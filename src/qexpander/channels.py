@@ -32,7 +32,11 @@ two real GEMMs at 6 D k^3 multiply-adds for D operators on k dimensions,
 where the complex form sum_d w_d U_d A U_d^dag takes two complex GEMMs at
 8 D k^3.  :meth:`Channel.apply_real` is that kernel and the one stage
 kernel there is; :meth:`Channel.apply` runs on it.  Its real operands are
-built once, read-only, with the stage.
+built once, read-only, with the stage.  The left one stacks the rows of
+[[R_d, J_d], [J_d, -R_d]] ordered by target row first, so the first
+GEMM's product is already the second GEMM's left operand whenever the
+stage acts on one k x k block (every flat stage, and every controlled run
+with one active rest state): no copy between them.
 Power compositions of expanders and the hardness reduction are
 multi-stage, since their flattened degree grows geometrically: the Kraus
 products are never materialized.
@@ -274,10 +278,12 @@ class Channel:
         X' = Re Phi(A) + Im Phi(A) for the Hermitian A with X = Re A + Im A
         (see the module docstring).
 
-        A flat stage is two real GEMMs: the stacked
-        [[R_d, J_d], [J_d, -R_d]] times [X; X^T] gives R_d X + J_d X^T and
-        J_d X - R_d X^T for every d, which laid side by side times the
-        stacked [w_d R_d^T; w_d J_d^T] give X', the sum over d included.
+        A flat stage is two real GEMMs.  The stacked
+        [[R_d, J_d], [J_d, -R_d]], its rows ordered (target row i, d, half),
+        times [X; X^T] gives row i of R_d X + J_d X^T and of J_d X - R_d X^T
+        for every d.  Read as a (k, 2 D k) matrix, by a reshape that copies
+        nothing, that product times the stacked [w_d R_d^T; w_d J_d^T]
+        gives X', the sum over d included.
         A structured stage reorders the basis so that the controlled
         subspace comes first as (rest, target) pairs, and computes
 
@@ -375,20 +381,25 @@ def _apply_run(run: tuple[Channel, ...], x: np.ndarray) -> np.ndarray:
 
 def _operands(re: np.ndarray, im: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The real apply operands of a stage with Kraus operators
-    U_d = R_d + i J_d (`re`, `im`) and weights w: the (2 D k, 2 k) stack of
-    [[R_d, J_d], [J_d, -R_d]] and the (2 D k, k) stack of
-    [w_d R_d^T; w_d J_d^T], 48 D k^2 bytes together."""
+    U_d = R_d + i J_d (`re`, `im`) and weights w, 48 D k^2 bytes together:
+    the (2 D k, 2 k) rows of the blocks [[R_d, J_d], [J_d, -R_d]], ordered
+    by target row i, then d, then half h (row (i, d, h) is row i of
+    [R_d, J_d] for h = 0 and of [J_d, -R_d] for h = 1), and the
+    (2 D k, k) stack of [w_d R_d^T; w_d J_d^T], rows ordered (d, h, j)."""
     d, k = re.shape[:2]
-    left = _real_blocks(re, im, im, -re).reshape(2 * d * k, 2 * k)
+    left = np.empty((k, d, 2, 2, k))  # filled in place: no second 32 D k^2-byte copy while building
+    for h, g, block in ((0, 0, re), (0, 1, im), (1, 0, im), (1, 1, -re)):
+        left[:, :, h, g] = block.transpose(1, 0, 2)
     right = (w[:, None, None] * np.concatenate((re, im), axis=2)).transpose(0, 2, 1).reshape(2 * d * k, k)
-    return left, right
+    return left.reshape(2 * d * k, 2 * k), right
 
 
 def _left_blocks(stage: Channel) -> np.ndarray:
-    """A stage's left operand as (D, 2, k, 2, k) blocks: [:, 0, :, 0] is R_d
-    and [:, 0, :, 1] is J_d."""
+    """A stage's left operand as a (D, 2, k, 2, k) view of its blocks, read
+    from the target-row order of :func:`_operands`: [:, 0, :, 0] is R_d and
+    [:, 0, :, 1] is J_d."""
     k = stage._right.shape[1]
-    return stage._left.reshape(-1, 2, k, 2, k)
+    return stage._left.reshape(k, -1, 2, 2, k).transpose(1, 2, 0, 3, 4)
 
 
 def _real_blocks(a, b, c, d) -> np.ndarray:
@@ -404,16 +415,24 @@ def _mix_real(stage: Channel, t: np.ndarray) -> np.ndarray:
     """The stage kernel: real coordinates X' of sum_d w_d U_d A U_d^dag for
     the real coordinates X of a square block A of r k rows, given
     target-major as the (k, r r k) matrix t, t[i, (a, b, j)] = X[(a, i), (b, j)];
-    a flat stage has r = 1 and t = X."""
+    a flat stage has r = 1 and t = X.
+
+    The left operand's rows are ordered (i, d, h), so its product with
+    [X; X^T] has rows (i, d, h) and columns (a, b, j).  At r = 1 that is
+    already the (k, 2 D k) left operand of the second GEMM, read by a
+    reshape that copies nothing; at r > 1 one transposition brings it to
+    ((i, a, b), (d, h, j))."""
     k = stage._right.shape[1]
     cols = t.shape[1]
+    if cols == k:
+        return (stage._left @ np.concatenate((t, t.T))).reshape(k, -1) @ stage._right
     r = math.isqrt(cols // k)
     stacked = np.empty((2 * k, cols))  # [X; X^T], both target-major
     stacked[:k] = t
     stacked[k:].reshape(k, r, r, k)[...] = t.reshape(k, r, r, k).transpose(3, 2, 1, 0)
-    halves = len(stage._left) // k  # 2 D blocks of k rows
-    side_by_side = (stage._left @ stacked).reshape(halves, cols, k).transpose(1, 0, 2).reshape(cols, halves * k)
-    return (side_by_side @ stage._right).reshape(k, cols)
+    halves = len(stage._left) // k  # 2 D rows per target row
+    product = (stage._left @ stacked).reshape(k, halves, r * r, k).transpose(0, 2, 1, 3).reshape(cols, halves * k)
+    return (product @ stage._right).reshape(k, cols)
 
 
 def _target_major(block: np.ndarray, k: int) -> np.ndarray:

@@ -5,7 +5,9 @@ gate set is deliberately small: the fixed-arity kinds of `FIXED_KINDS`
 (single-qubit X/Y/Z/H/S/T, CNOT/CZ/TOFFOLI), a native multi-controlled
 gate MCU (arbitrary controls with per-control polarity, base either a
 named single-qubit gate or an inline 2x2 unitary), and GLOBAL_PHASE.  GLOBAL_PHASE is first-class because sign doubling needs
--U as a circuit.  Multi-controlled gates are simulator primitives; the
+-U as a circuit.  A field that a gate's kind does not use (`base` or
+`matrix` outside MCU, `phase` outside GLOBAL_PHASE, polarities on
+GLOBAL_PHASE) is an error, not ignored.  Multi-controlled gates are simulator primitives; the
 ancilla-free n_a^2-gate decomposition is never performed (its gate count is
 only ever reported symbolically).  Simulation applies each gate to the
 rows of the unitary it touches; no gate is lifted to the full space.
@@ -58,6 +60,13 @@ class Gate:
         object.__setattr__(self, "polarities", tuple(int(p) for p in self.polarities))
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        # Fields that one kind alone uses are errors on any other kind.
+        owners = (("base", "MCU"), ("matrix", "MCU"), ("phase", "GLOBAL_PHASE"))
+        unused = [name for name, kind in owners if getattr(self, name) is not None and self.kind != kind]
+        if self.kind == "GLOBAL_PHASE" and self.polarities:
+            unused.append("polarities")
+        if unused:
+            raise ValueError(f"{self.kind} gate takes no {' or '.join(unused)}")
         if self.kind == "GLOBAL_PHASE":
             if self.targets or self.controls:
                 raise ValueError("GLOBAL_PHASE takes no qubits")

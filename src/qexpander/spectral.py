@@ -224,6 +224,10 @@ def spectral_gap_iterative(
     basis = np.empty((size, n))  # rows: orthonormal vectors v_i
     images = np.empty((size, n))  # rows: M v_i
     ritz = np.zeros((size, size))  # lower triangle of V^T M V
+    q = np.empty(n)  # the next Lanczos direction
+    q_diag = q[:: dim + 1]
+    row = np.empty(n)  # a combination of basis rows, subtracted from q
+    coef = np.empty(size)  # V^T q
     rng = rng_from(seed, 0)
     basis[0] = _unit_traceless(rng.standard_normal(n), dim)
     action = math.sqrt(_m_apply(channel, adjoint, basis[0], dim, images[0]) @ images[0])
@@ -235,13 +239,15 @@ def spectral_gap_iterative(
     check = 1  # matvecs at the next scheduled Ritz solve
     last = None  # (matvecs, ln(estimate / target)) at the last solve whose estimate missed
     while True:
-        ritz[k, : k + 1] = basis[: k + 1] @ images[k]
+        np.matmul(basis[: k + 1], images[k], out=ritz[k, : k + 1])
         k += 1
         # The next Lanczos direction: M v_last, orthogonal to V.  The first
         # pass reuses the Ritz row V^T M v_last; the deflation keeps the
         # rounding along vec(I) from growing when beta is small.
-        q = images[k - 1] - ritz[k - 1, :k] @ basis[:k]
-        q = _deflate(q - (basis[:k] @ q) @ basis[:k], dim)
+        np.subtract(images[k - 1], np.matmul(ritz[k - 1, :k], basis[:k], out=row), out=q)
+        np.matmul(basis[:k], q, out=coef[:k])
+        np.subtract(q, np.matmul(coef[:k], basis[:k], out=row), out=q)
+        q_diag -= q_diag.sum() / dim
         beta = math.sqrt(q @ q)
         invariant = beta <= 1e-12  # then the Ritz values are eigenvalues
         stop = invariant or matvecs >= max_iter
@@ -276,7 +282,7 @@ def spectral_gap_iterative(
                 ritz[:keep, :keep] = np.diag(thetas[::-1][:keep])
                 k = keep
                 cycles += 1
-        basis[k] = q / beta
+        np.divide(q, beta, out=basis[k])
         _m_apply(channel, adjoint, basis[k], dim, images[k])
         matvecs += 1
 

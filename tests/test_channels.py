@@ -24,6 +24,7 @@ from oracles import (
     lifted_kraus_sum,
     pattern_projector,
     random_operator,
+    row_major_apply_real,
     superoperator,
     tensor,
 )
@@ -598,3 +599,63 @@ def test_real_coordinates_are_an_isometry_and_round_trip():
     assert frobenius(hermitian_from_real(x) - h) < 1e-14
     stack = rng.standard_normal((3, 4, 4))
     assert np.array_equal(hermitian_from_real(stack)[1], hermitian_from_real(stack[1]))
+
+
+# --- the target-row-ordered kernel against the row-major oracle --------------
+
+
+def _assert_kernel_matches_row_major(channel, seed):
+    """apply_real of `channel` and of its adjoint equals the row-major
+    kernel's bit for bit."""
+    rng = rng_from(90, seed)
+    for ch in (channel, channel.adjoint()):
+        x = rng.standard_normal((ch.dim, ch.dim))
+        assert np.array_equal(ch.apply_real(x), row_major_apply_real(ch, x))
+
+
+@pytest.mark.parametrize("weighting", ["uniform", "weighted"])
+@pytest.mark.parametrize("qubits", [1, 2, 3, 4, 5])
+def test_flat_kernel_is_bit_identical_to_row_major(qubits, weighting):
+    rng = rng_from(91, qubits, weighting == "weighted")
+    for degree in (1, 2, 3, 8, 32):
+        kraus = random_unitary_channel(qubits, degree, rng).kraus
+        w = np.full(degree, 1 / degree) if weighting == "uniform" else rng.random(degree)
+        ch = Channel(kraus, w / w.sum())
+        assert np.array_equal(ch.target_kraus, kraus)
+        assert np.array_equal(ch.adjoint().target_kraus, kraus.conj().transpose(0, 2, 1))
+        _assert_kernel_matches_row_major(ch, degree)
+
+
+def _controlled_stages(active):
+    """A signed and an unsigned stage on targets (3, 1) of 5 qubits whose
+    control has `active` rest states on (r = active), the unsigned one with
+    live cross terms, and their kraus and weights."""
+    rng = rng_from(92, active)
+    control = np.zeros(8)
+    control[rng.permutation(8)[:active]] = 1.0
+    out = []
+    for signed in (True, False):
+        kraus = random_unitary_channel(2, 3, rng).kraus
+        w = rng.random(3)
+        w /= w.sum()
+        stage = Channel(kraus, w, qubits=5, targets=(3, 1), control=control, signed=signed)
+        out.append((stage, kraus))
+    return out
+
+
+@pytest.mark.parametrize("active", [1, 3, 6])
+def test_controlled_kernel_is_bit_identical_to_row_major(active):
+    (signed, signed_kraus), (unsigned, unsigned_kraus) = _controlled_stages(active)
+    assert unsigned._mean is not None and zero_sum_defect(unsigned) > 0.1  # live cross terms
+    for stage, kraus in ((signed, signed_kraus), (unsigned, unsigned_kraus)):
+        assert np.array_equal(stage.target_kraus, kraus)
+        assert np.array_equal(stage.adjoint().target_kraus, kraus.conj().transpose(0, 2, 1))
+        _assert_kernel_matches_row_major(stage, active)
+    # one fused run: the cross blocks go through the unsigned stage, then the signed one zeroes them
+    _assert_kernel_matches_row_major(Channel.staged((unsigned, unsigned, signed, unsigned)), active + 10)
+
+
+@pytest.mark.parametrize("key", ["no_2w2a", "yes_2w2a"])
+def test_corpus_reduction_kernel_is_bit_identical_to_row_major(key):
+    ch = _corpus_reduction(key)
+    _assert_kernel_matches_row_major(ch, len(key))

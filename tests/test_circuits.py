@@ -115,6 +115,47 @@ def test_gate_validation():
         Gate("MCU", targets=(0,), controls=(1,), matrix=np.array([[1, 0], [0, 2]]))
 
 
+# One gate of each kind family, and the fields that family does not use.
+STRAY_FIELD_GATES = {
+    "single-qubit": {"kind": "X", "targets": [0]},
+    "controlled": {"kind": "CNOT", "targets": [0], "controls": [1]},
+    "MCU": {"kind": "MCU", "targets": [0], "controls": [1], "base": "H"},
+    "GLOBAL_PHASE": {"kind": "GLOBAL_PHASE", "phase": [0.0, 1.0]},
+}
+STRAY_VALUES = {"base": "Z", "matrix": [[1, 0], [0, 0], [0, 0], [1, 0]], "phase": [0.0, 1.0], "polarities": [1]}
+STRAY_FIELDS = [
+    (family, field)
+    for family, fields in (
+        ("single-qubit", ("base", "matrix", "phase")),
+        ("controlled", ("base", "matrix", "phase")),
+        ("MCU", ("phase",)),
+        ("GLOBAL_PHASE", ("base", "matrix", "polarities")),
+    )
+    for field in fields
+]
+
+
+@pytest.mark.parametrize("family,field", STRAY_FIELDS)
+def test_gate_rejects_a_field_its_kind_does_not_use(family, field):
+    entry = {**STRAY_FIELD_GATES[family], field: STRAY_VALUES[field]}
+    kind = entry["kind"]
+    with pytest.raises(FileFormatError, match=rf"circuit gate 1: {kind} gate takes no {field}"):
+        parse_circuit(json.dumps({"qubits": 2, "gates": [{"kind": "H", "targets": [1]}, entry]}))
+    python_values = {"matrix": np.eye(2), "phase": 1j}  # the parsed forms of the JSON values
+    fields = {name: python_values.get(name, value) for name, value in entry.items()}
+    with pytest.raises(ValueError, match=f"{kind} gate takes no {field}"):
+        Gate(**fields)
+    # without the stray field the gate loads
+    del entry[field]
+    parse_circuit(json.dumps({"qubits": 2, "gates": [entry]}))
+
+
+def test_stray_base_and_phase_on_x_are_rejected_not_written_back():
+    text = '{"qubits": 1, "gates": [{"kind": "X", "targets": [0], "base": "Z", "phase": [0, 1]}]}'
+    with pytest.raises(FileFormatError, match="circuit gate 0: X gate takes no base or phase"):
+        parse_circuit(text)
+
+
 def test_circuit_rejects_out_of_range_qubit():
     with pytest.raises(ValueError, match="references qubit 2"):
         GateCircuit(2, (Gate("X", targets=(2,)),))

@@ -260,6 +260,20 @@ def test_malformed_circuit_in_spec_exits_2_in_a_subprocess(corpus, tmp_path):
     assert "Traceback" not in res.stderr
 
 
+def test_reduce_on_a_circuit_with_a_stray_gate_field_exits_2(corpus, tmp_path, capsys):
+    spec = json.loads((corpus / "reductions" / "no_2w2a.json").read_text())
+    circuit = json.loads((corpus / "reductions" / spec["circuit"]).read_text())
+    circuit["gates"][1]["phase"] = [0.0, 1.0]  # a CNOT takes no phase
+    (tmp_path / "circuit.json").write_text(json.dumps(circuit))
+    (tmp_path / "spec.json").write_text(json.dumps({**spec, "circuit": "circuit.json"}))
+    code = cli.main(["reduce", str(tmp_path / "spec.json"), "--out", str(tmp_path / "out.json")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "gate 1: CNOT gate takes no phase" in err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_verify_rejects_nonpositive_shots(corpus):
     too_many = "shots must be <= 9223372036854775807"
     for shots, message in (("-3", "shots must be >= 1"), ("0", "shots must be >= 1"), ("10000000000000000000", too_many)):
