@@ -7,7 +7,8 @@ gate MCU (arbitrary controls with per-control polarity, base either a
 named single-qubit gate or an inline 2x2 unitary), and GLOBAL_PHASE.  GLOBAL_PHASE is first-class because sign doubling needs
 -U as a circuit.  A field that a gate's kind does not use (`base` or
 `matrix` outside MCU, `phase` outside GLOBAL_PHASE, polarities on
-GLOBAL_PHASE) is an error, not ignored.  Multi-controlled gates are simulator primitives; the
+GLOBAL_PHASE) is an error, not ignored.
+Multi-controlled gates are simulator primitives; the
 ancilla-free n_a^2-gate decomposition is never performed (its gate count is
 only ever reported symbolically).  Simulation applies each gate to the
 rows of the unitary it touches; no gate is lifted to the full space.
