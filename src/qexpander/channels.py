@@ -33,10 +33,12 @@ where the complex form sum_d w_d U_d A U_d^dag takes two complex GEMMs at
 8 D k^3.  :meth:`Channel.apply_real` is that kernel and the one stage
 kernel there is; :meth:`Channel.apply` runs on it.  Its real operands are
 built once, read-only, with the stage.  The left one stacks the rows of
-[[R_d, J_d], [J_d, -R_d]] ordered by target row first, so the first
-GEMM's product is already the second GEMM's left operand whenever the
-stage acts on one k x k block (every flat stage, and every controlled run
-with one active rest state): no copy between them.
+[[R_d, J_d], [J_d, -R_d]] ordered by target row first.  The kernel has
+one path, whose product of the first GEMM is reordered once for the
+second; with this row order, when the stage acts on one k x k block
+(every flat stage, and every controlled run with one active rest state)
+that reordering moves only a size-1 axis and is a view: no copy between
+the two GEMMs.
 Power compositions of expanders and the hardness reduction are
 multi-stage, since their flattened degree grows geometrically: the Kraus
 products are never materialized.
@@ -281,8 +283,8 @@ class Channel:
         A flat stage is two real GEMMs.  The stacked
         [[R_d, J_d], [J_d, -R_d]], its rows ordered (target row i, d, half),
         times [X; X^T] gives row i of R_d X + J_d X^T and of J_d X - R_d X^T
-        for every d.  Read as a (k, 2 D k) matrix, by a reshape that copies
-        nothing, that product times the stacked [w_d R_d^T; w_d J_d^T]
+        for every d.  Read as a (k, 2 D k) matrix, which by this row order
+        is a view, that product times the stacked [w_d R_d^T; w_d J_d^T]
         gives X', the sum over d included.
         A structured stage reorders the basis so that the controlled
         subspace comes first as (rest, target) pairs, and computes
@@ -418,14 +420,13 @@ def _mix_real(stage: Channel, t: np.ndarray) -> np.ndarray:
     a flat stage has r = 1 and t = X.
 
     The left operand's rows are ordered (i, d, h), so its product with
-    [X; X^T] has rows (i, d, h) and columns (a, b, j).  At r = 1 that is
-    already the (k, 2 D k) left operand of the second GEMM, read by a
-    reshape that copies nothing; at r > 1 one transposition brings it to
-    ((i, a, b), (d, h, j))."""
+    [X; X^T] has rows (i, d, h) and columns (a, b, j), and one
+    transposition brings it to the second GEMM's ((i, a, b), (d, h, j)).
+    At r = 1 that transposition only moves the size-1 (a, b) axis, so the
+    reshape returns a view: the row order alone makes a one-block
+    application copy nothing between its two GEMMs."""
     k = stage._right.shape[1]
     cols = t.shape[1]
-    if cols == k:
-        return (stage._left @ np.concatenate((t, t.T))).reshape(k, -1) @ stage._right
     r = math.isqrt(cols // k)
     stacked = np.empty((2 * k, cols))  # [X; X^T], both target-major
     stacked[:k] = t

@@ -225,7 +225,6 @@ def spectral_gap_iterative(
     images = np.empty((size, n))  # rows: M v_i
     ritz = np.zeros((size, size))  # lower triangle of V^T M V
     q = np.empty(n)  # the next Lanczos direction
-    q_diag = q[:: dim + 1]
     row = np.empty(n)  # a combination of basis rows, subtracted from q
     coef = np.empty(size)  # V^T q
     rng = rng_from(seed, 0)
@@ -247,7 +246,7 @@ def spectral_gap_iterative(
         np.subtract(images[k - 1], np.matmul(ritz[k - 1, :k], basis[:k], out=row), out=q)
         np.matmul(basis[:k], q, out=coef[:k])
         np.subtract(q, np.matmul(coef[:k], basis[:k], out=row), out=q)
-        q_diag -= q_diag.sum() / dim
+        _deflate(q, dim)
         beta = math.sqrt(q @ q)
         invariant = beta <= 1e-12  # then the Ritz values are eigenvalues
         stop = invariant or matvecs >= max_iter
