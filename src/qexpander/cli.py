@@ -6,7 +6,7 @@ stderr.  Exit codes are scriptable:
 
     0   NO / accept / success
     1   YES / reject
-    2   input or parse error
+    2   input or parse error, or an input too large for the memory
     3   promise violated / non-convergence / uncertified answer
 
 All randomness flows from the --seed value through a counter-based
@@ -280,6 +280,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (FileFormatError, CertificationError, ValueError, OSError) as exc:
         return _fail(str(exc))
+    except MemoryError as exc:
+        return _fail(f"out of memory: {exc}" if str(exc) else "out of memory")
 
 
 if __name__ == "__main__":

@@ -116,7 +116,7 @@ def _deflate(x: np.ndarray, dim: int) -> np.ndarray:
     """Remove, in place, the component of real coordinates x along vec(I)/sqrt(N):
     subtract tr(X)/N from the diagonal of X = unvec(x)."""
     diag = x[:: dim + 1]
-    diag -= diag.sum() / dim
+    diag -= np.add.reduce(diag) / dim
     return x
 
 
@@ -238,14 +238,15 @@ def spectral_gap_iterative(
     check = 1  # matvecs at the next scheduled Ritz solve
     last = None  # (matvecs, ln(estimate / target)) at the last solve whose estimate missed
     while True:
-        np.matmul(basis[: k + 1], images[k], out=ritz[k, : k + 1])
         k += 1
+        v, image, ritz_row, c = basis[:k], images[k - 1], ritz[k - 1, :k], coef[:k]
+        np.matmul(v, image, out=ritz_row)
         # The next Lanczos direction: M v_last, orthogonal to V.  The first
         # pass reuses the Ritz row V^T M v_last; the deflation keeps the
         # rounding along vec(I) from growing when beta is small.
-        np.subtract(images[k - 1], np.matmul(ritz[k - 1, :k], basis[:k], out=row), out=q)
-        np.matmul(basis[:k], q, out=coef[:k])
-        np.subtract(q, np.matmul(coef[:k], basis[:k], out=row), out=q)
+        np.subtract(image, np.matmul(ritz_row, v, out=row), out=q)
+        np.matmul(v, q, out=c)
+        np.subtract(q, np.matmul(c, v, out=row), out=q)
         _deflate(q, dim)
         beta = math.sqrt(q @ q)
         invariant = beta <= 1e-12  # then the Ritz values are eigenvalues
@@ -257,7 +258,7 @@ def spectral_gap_iterative(
             target = tol * max(2.0 * math.sqrt(max(theta, 0.0)), tol)
             estimate = abs(s[-1]) * beta
             if stop or estimate <= target:
-                y = s @ basis[:k]
+                y = s @ v
                 r = s @ images[:k] - theta * y
                 resid = math.sqrt(r @ r)
                 if stop or resid <= target:
@@ -277,12 +278,11 @@ def spectral_gap_iterative(
                 # Thick restart on the top `keep` Ritz vectors: q is orthogonal
                 # to them already, and V^T M V becomes diagonal.
                 top = vecs[:, ::-1][:, :keep]
-                basis[:keep], images[:keep] = top.T @ basis[:k], top.T @ images[:k]
+                basis[:keep], images[:keep] = top.T @ v, top.T @ images[:k]
                 ritz[:keep, :keep] = np.diag(thetas[::-1][:keep])
                 k = keep
                 cycles += 1
-        np.divide(q, beta, out=basis[k])
-        _m_apply(channel, adjoint, basis[k], dim, images[k])
+        _m_apply(channel, adjoint, np.divide(q, beta, out=basis[k]), dim, images[k])
         matvecs += 1
 
 

@@ -1,9 +1,13 @@
+import functools
 import json
+import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from qexpander import channels
 from qexpander.channels import (
     Channel,
     channel_power,
@@ -348,9 +352,15 @@ def test_uniform_rejects_empty_kraus_list():
         Channel.uniform(())
 
 
-def _apply_cases():
-    """(name, channel) pairs: flat and structured stages, each with uniform
-    and with non-uniform weights."""
+# Built on first use, not at import: a defect in the stage kernel then
+# fails the tests that use these channels, not the collection of the file.
+APPLY_NAMES = ("flat, uniform", "structured, uniform", "flat, weighted", "structured, weighted")
+
+
+@functools.cache
+def _apply_cases() -> dict:
+    """name -> channel for APPLY_NAMES: flat and structured stages, each with
+    uniform and with non-uniform weights."""
     m, targets, ctrl, pattern, negate = STRUCTURED_CASES["non-contiguous, pattern"]
     control = _control_vector(m, targets, ctrl, pattern, negate)
     rng = rng_from(45)
@@ -362,15 +372,13 @@ def _apply_cases():
         small = random_unitary_channel(len(targets), 3, rng).kraus
         out.append((f"flat, {weighting}", Channel(flat, weights)))
         out.append((f"structured, {weighting}", Channel(small, weights, qubits=m, targets=targets, control=control)))
-    return out
+    assert tuple(name for name, _ in out) == APPLY_NAMES
+    return dict(out)
 
 
-APPLY_CASES = dict(_apply_cases())
-
-
-@pytest.mark.parametrize("name", APPLY_CASES)
+@pytest.mark.parametrize("name", APPLY_NAMES)
 def test_apply_matches_lifted_kraus_sum(name):
-    ch = APPLY_CASES[name]
+    ch = _apply_cases()[name]
     a = random_operator(ch.dim, rng_from(46))
     assert frobenius(a - a.conj().T) > 1.0  # not Hermitian
     oracle = sum(w * (k @ a @ k.conj().T) for w, k in zip(ch.weights, ch.kraus))
@@ -379,9 +387,9 @@ def test_apply_matches_lifted_kraus_sum(name):
     assert frobenius(ch.adjoint().apply(a) - adjoint) < 1e-12
 
 
-@pytest.mark.parametrize("name", APPLY_CASES)
+@pytest.mark.parametrize("name", APPLY_NAMES)
 def test_apply_adjoint_pairing(name):
-    ch = APPLY_CASES[name]
+    ch = _apply_cases()[name]
     rng = rng_from(47)
     for channel in (ch, Channel.staged((ch, ch.adjoint(), ch))):
         adjoint = channel.adjoint()
@@ -390,9 +398,9 @@ def test_apply_adjoint_pairing(name):
             assert abs(np.vdot(b, channel.apply(a)) - np.vdot(adjoint.apply(b), a)) < 1e-11
 
 
-@pytest.mark.parametrize("name", APPLY_CASES)
+@pytest.mark.parametrize("name", APPLY_NAMES)
 def test_stage_operands_are_read_only(name):
-    ch = APPLY_CASES[name]
+    ch = _apply_cases()[name]
     for stage in (ch, ch.adjoint()):
         operands = [stage._left, stage._right, stage._weights]
         if stage._mean is not None:
@@ -550,7 +558,7 @@ KERNEL_CASES = {
     },
     **{f"signed {kind}": lambda kind=kind: _signed_stage(kind, "weighted", 3) for kind in SIGNED_KINDS},
     "unsigned, live cross terms": _live_cross_stage,
-    "flat, weighted": lambda: APPLY_CASES["flat, weighted"],
+    "flat, weighted": lambda: _apply_cases()["flat, weighted"],
     "staged run channel": _run_channel,
     "staged power": lambda: channel_power(random_unitary_channel(3, 3, rng_from(82)), 3),
     "corpus NO reduction": lambda: _corpus_reduction("no_2w2a"),
@@ -577,15 +585,58 @@ def test_real_kernel_matches_complex_oracle(name):
 
 
 def test_apply_real_input_checks():
-    ch = APPLY_CASES["flat, uniform"]
-    with pytest.raises(ValueError, match="real coordinates"):
-        ch.apply_real(np.eye(ch.dim, dtype=complex))
-    with pytest.raises(ValueError, match="real coordinates"):
-        ch.apply_real(np.eye(ch.dim + 1))
+    ch = _apply_cases()["flat, uniform"]
+    for bad, got in (
+        (np.eye(ch.dim, dtype=complex), "complex128 (8, 8)"),
+        (np.eye(ch.dim + 1), "float64 (9, 9)"),
+        (np.zeros(ch.dim**2), "float64 (64,)"),
+        (np.eye(ch.dim + 1, dtype=complex), "complex128 (9, 9)"),
+        (np.eye(ch.dim).tolist(), "float64 (8, 8)"),
+    ):
+        if isinstance(bad, list):
+            bad[0][1] = 1j  # a nested list holding a complex number
+            got = "complex128 (8, 8)"
+        with pytest.raises(ValueError, match=re.escape(f"expected real coordinates of shape (8, 8), got {got}")):
+            ch.apply_real(bad)
     # integer input is read as real coordinates, not written back as integers
-    for channel in (ch, APPLY_CASES["structured, weighted"]):
+    for channel in (ch, _apply_cases()["structured, weighted"]):
         ints = np.arange(channel.dim**2).reshape(channel.dim, channel.dim) % 3
         assert np.array_equal(channel.apply_real(ints), channel.apply_real(ints.astype(float)))
+
+
+class _Marked(np.ndarray):
+    """An ndarray subclass: apply_real must treat it as a plain array."""
+
+
+@pytest.mark.parametrize("name", ["flat, weighted", "structured, weighted", "staged"])
+def test_apply_real_reads_every_real_input_alike(name):
+    # An exact float64 ndarray of shape (N, N) passes one comparison, whatever
+    # its strides; every other real input is checked in full and converted.
+    # Either way the result is bit for bit that of a C-contiguous float64 copy,
+    # a new plain ndarray, and the input is left as it was.
+    ch = _apply_cases()[name] if name != "staged" else _run_channel()
+    x = rng_from(85, len(name)).standard_normal((ch.dim, ch.dim))
+    frozen = x.copy()
+    frozen.setflags(write=False)
+    for given, value in (
+        (x, x),
+        (x.T, x.T),  # a strided view
+        (np.asfortranarray(x), x),
+        (x[::-1, ::-1], x[::-1, ::-1]),
+        (frozen, x),
+        (x.view(_Marked), x),
+        (x.astype(">f8"), x),
+        (x.astype(np.float32), x.astype(np.float32)),
+        (x.tolist(), x),
+        ((x > 0).astype(np.int64), (x > 0)),
+    ):
+        before = np.array(given, dtype=float)
+        out = ch.apply_real(given)
+        assert type(out) is np.ndarray and out.dtype == np.float64 and out.flags.c_contiguous
+        assert np.array_equal(out, ch.apply_real(np.array(value, dtype=float)))
+        assert np.array_equal(np.array(given, dtype=float), before)
+        if isinstance(given, np.ndarray):
+            assert not np.shares_memory(out, given)
 
 
 def test_real_coordinates_are_an_isometry_and_round_trip():
@@ -604,13 +655,31 @@ def test_real_coordinates_are_an_isometry_and_round_trip():
 # --- the target-row-ordered kernel against the row-major oracle --------------
 
 
-def _assert_kernel_matches_row_major(channel, seed):
+def _block_counts(channel, x):
+    """(one-block, general) numbers of stage kernel calls in
+    channel.apply_real(x): calls on one k x k block (r = 1) and on r > 1."""
+    counts = [0, 0]
+    mix = channels._mix_real
+
+    def counting(stage, t):
+        counts[t.shape[1] != stage._right.shape[1]] += 1
+        return mix(stage, t)
+
+    with mock.patch.object(channels, "_mix_real", counting):
+        channel.apply_real(x)
+    return tuple(counts)
+
+
+def _assert_kernel_matches_row_major(channel, seed, blocks=None):
     """apply_real of `channel` and of its adjoint equals the row-major
-    kernel's bit for bit."""
+    kernel's bit for bit; `blocks`, if given, is the (one-block, general)
+    count of kernel calls each of them must make."""
     rng = rng_from(90, seed)
     for ch in (channel, channel.adjoint()):
         x = rng.standard_normal((ch.dim, ch.dim))
         assert np.array_equal(ch.apply_real(x), row_major_apply_real(ch, x))
+        if blocks is not None:
+            assert _block_counts(ch, x) == blocks
 
 
 @pytest.mark.parametrize("weighting", ["uniform", "weighted"])
@@ -623,7 +692,7 @@ def test_flat_kernel_is_bit_identical_to_row_major(qubits, weighting):
         ch = Channel(kraus, w / w.sum())
         assert np.array_equal(ch.target_kraus, kraus)
         assert np.array_equal(ch.adjoint().target_kraus, kraus.conj().transpose(0, 2, 1))
-        _assert_kernel_matches_row_major(ch, degree)
+        _assert_kernel_matches_row_major(ch, degree, blocks=(1, 0))
 
 
 def _controlled_stages(active):
@@ -650,12 +719,14 @@ def test_controlled_kernel_is_bit_identical_to_row_major(active):
     for stage, kraus in ((signed, signed_kraus), (unsigned, unsigned_kraus)):
         assert np.array_equal(stage.target_kraus, kraus)
         assert np.array_equal(stage.adjoint().target_kraus, kraus.conj().transpose(0, 2, 1))
-        _assert_kernel_matches_row_major(stage, active)
+        _assert_kernel_matches_row_major(stage, active, blocks=(1, 0) if active == 1 else (0, 1))
     # one fused run: the cross blocks go through the unsigned stage, then the signed one zeroes them
-    _assert_kernel_matches_row_major(Channel.staged((unsigned, unsigned, signed, unsigned)), active + 10)
+    run = Channel.staged((unsigned, unsigned, signed, unsigned))
+    _assert_kernel_matches_row_major(run, active + 10, blocks=(4, 0) if active == 1 else (0, 4))
 
 
 @pytest.mark.parametrize("key", ["no_2w2a", "yes_2w2a"])
 def test_corpus_reduction_kernel_is_bit_identical_to_row_major(key):
     ch = _corpus_reduction(key)
-    _assert_kernel_matches_row_major(ch, len(key))
+    # the controlled depolarizers (r = 12 and 8) and the six-stage controlled-F run (r = 1)
+    _assert_kernel_matches_row_major(ch, len(key), blocks=(6, 2))

@@ -590,3 +590,24 @@ def test_console_script_installed():
     res = subprocess.run([exe, "--version"], capture_output=True, text=True)
     assert res.returncode == 0
     assert "qexpander" in res.stdout
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 2.00 TiB for an array with shape (2**20, 2**20)", ""])
+@pytest.mark.parametrize(
+    "command, target",
+    [("gap", "spectral_gap"), ("decide", "decide"), ("verify", "merlin_witness"), ("reduce", "build_reduction")],
+)
+def test_memory_error_exits_2_with_one_error_line(corpus, tmp_path, capsys, monkeypatch, command, target, message):
+    # An input too large for the machine is an input error (exit 2), not a
+    # traceback and exit 1, which `decide` uses for YES.  Nothing is allocated:
+    # the command's first heavy call raises.
+    def too_large(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, target, too_large)
+    given = corpus / ("reductions/no_2w2a.json" if command == "reduce" else "instances/depolarizer_1q.json")
+    args = [command, str(given)] + (["--out", str(tmp_path / "out.json")] if command == "reduce" else [])
+    code = cli.main(args)
+    stdout, stderr = capsys.readouterr()
+    assert code == 2 and stdout == ""
+    assert stderr == (f"error: out of memory: {message}\n" if message else "error: out of memory\n")

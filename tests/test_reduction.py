@@ -49,7 +49,6 @@ from oracles import (
 
 I, X, Y, Z = paulis()
 LAYOUT = RegisterLayout(2, 2)
-UNSIGNED_DEPOLARIZER = Channel(paulis(), np.full(4, 0.25))
 
 
 def control_of(projector: np.ndarray, target_qubits) -> np.ndarray:
@@ -134,12 +133,13 @@ def yes_reduction(base_expander):
 
 
 def test_sign_double_pauli_set():
-    doubled = sign_double(UNSIGNED_DEPOLARIZER)
+    unsigned = Channel(paulis(), np.full(4, 0.25))
+    doubled = sign_double(unsigned)
     assert doubled.degree == 8
     assert zero_sum_defect(doubled) < 1e-12
     rng = rng_from(0)
     a = random_operator(2, rng)
-    assert frobenius(doubled.apply(a) - UNSIGNED_DEPOLARIZER.apply(a)) < 1e-12
+    assert frobenius(doubled.apply(a) - unsigned.apply(a)) < 1e-12
 
 
 def test_sign_double_idempotent_in_action():

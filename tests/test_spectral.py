@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import subprocess
 import sys
 
@@ -216,17 +217,26 @@ def _thermal_channel(qubits, r0, r1, rng):
     return ThermalModel(unitaries, r0, r1).channel
 
 
-_RNG = rng_from(31)
-ENGINE_CHANNELS = {
-    "thermal-1q": _thermal_channel(1, 1.0, 0.5, _RNG),
-    "thermal-2q": _thermal_channel(2, 2.0, 0.3, _RNG),
-    "thermal-4q": _thermal_channel(4, 1.0, 0.5, _RNG),
-    "staged-3": Channel.staged([random_unitary_channel(2, d, _RNG) for d in (2, 3, 2)]),
-    "N=2": random_unitary_channel(1, 3, _RNG),
-    "N=4": random_unitary_channel(2, 4, _RNG),
-    "N=16": random_unitary_channel(4, 8, _RNG),
-    "N=16-lazy": channel_power(random_unitary_channel(4, 3, _RNG), 2),
-}
+ENGINE_NAMES = ("thermal-1q", "thermal-2q", "thermal-4q", "staged-3", "N=2", "N=4", "N=16", "N=16-lazy")
+
+
+@functools.cache
+def _engine_channels() -> dict:
+    """name -> channel for ENGINE_NAMES, all drawn in this order from one
+    stream; built on first use, so a kernel defect fails the tests that use
+    them instead of the collection of this file."""
+    rng = rng_from(31)
+    built = [
+        _thermal_channel(1, 1.0, 0.5, rng),
+        _thermal_channel(2, 2.0, 0.3, rng),
+        _thermal_channel(4, 1.0, 0.5, rng),
+        Channel.staged([random_unitary_channel(2, d, rng) for d in (2, 3, 2)]),
+        random_unitary_channel(1, 3, rng),
+        random_unitary_channel(2, 4, rng),
+        random_unitary_channel(4, 8, rng),
+        channel_power(random_unitary_channel(4, 3, rng), 2),
+    ]
+    return dict(zip(ENGINE_NAMES, built, strict=True))
 
 
 def _check_engine_against_dense(ch):
@@ -244,9 +254,9 @@ def _check_engine_against_dense(ch):
     assert abs(frobenius(ch.apply(a)) - lanczos.kappa) < 1e-10
 
 
-@pytest.mark.parametrize("name", ENGINE_CHANNELS)
+@pytest.mark.parametrize("name", ENGINE_NAMES)
 def test_lanczos_matches_dense(name):
-    _check_engine_against_dense(ENGINE_CHANNELS[name])
+    _check_engine_against_dense(_engine_channels()[name])
 
 
 def _small_reduction(verifier):
