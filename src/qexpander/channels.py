@@ -67,6 +67,8 @@ from .linalg import (
     split_index,
 )
 
+#: NumPy's float64 descriptor; builtin descriptors are singletons, so `is`
+#: tests it, and an array with any other descriptor gets the full check.
 _REAL = np.dtype(float)
 
 _EXPLICIT_KRAUS = (

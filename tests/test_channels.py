@@ -586,16 +586,15 @@ def test_real_kernel_matches_complex_oracle(name):
 
 def test_apply_real_input_checks():
     ch = _apply_cases()["flat, uniform"]
+    complex_list = np.eye(ch.dim).tolist()
+    complex_list[0][1] = 1j
     for bad, got in (
         (np.eye(ch.dim, dtype=complex), "complex128 (8, 8)"),
         (np.eye(ch.dim + 1), "float64 (9, 9)"),
         (np.zeros(ch.dim**2), "float64 (64,)"),
         (np.eye(ch.dim + 1, dtype=complex), "complex128 (9, 9)"),
-        (np.eye(ch.dim).tolist(), "float64 (8, 8)"),
+        (complex_list, "complex128 (8, 8)"),
     ):
-        if isinstance(bad, list):
-            bad[0][1] = 1j  # a nested list holding a complex number
-            got = "complex128 (8, 8)"
         with pytest.raises(ValueError, match=re.escape(f"expected real coordinates of shape (8, 8), got {got}")):
             ch.apply_real(bad)
     # integer input is read as real coordinates, not written back as integers
