@@ -12,6 +12,9 @@ Conventions used everywhere:
 
 from __future__ import annotations
 
+import functools
+import os
+
 import numpy as np
 
 #: Default absolute tolerance on Frobenius-norm checks.  Chosen for
@@ -140,6 +143,46 @@ def split_index(num_qubits: int, qubits) -> np.ndarray:
         return out
 
     return spread(rest)[:, None] | spread(qubits)[None, :]
+
+
+# ---------------------------------------------------------------------------
+# Memory budget.  An allocation that grows with the input is compared with
+# the memory this process may use before it is made: the least of
+# MemAvailable in /proc/meminfo and the memory.max of the process's cgroup
+# (v2), each where it can be read.  The budget is read, never set, once per
+# process; when neither can be read there is no limit.
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def memory_budget(meminfo="/proc/meminfo", cgroup="/proc/self/cgroup", cgroup_root="/sys/fs/cgroup") -> float:
+    """Bytes an allocation may take: min(MemAvailable, memory.max), or inf."""
+    limits = [float("inf")]
+    try:
+        with open(meminfo, encoding="ascii") as fh:
+            limits += [1024 * int(line.split()[1]) for line in fh if line.startswith("MemAvailable:")]
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        with open(cgroup, encoding="ascii") as fh:
+            path = next(line[3:].strip() for line in fh if line.startswith("0::"))
+        with open(os.path.join(cgroup_root, path.lstrip("/"), "memory.max"), encoding="ascii") as fh:
+            value = fh.read().strip()
+        if value != "max":
+            limits.append(int(value))
+    except (OSError, ValueError, StopIteration):
+        pass
+    return float(min(limits))
+
+
+def check_memory(need: int, what: str) -> None:
+    """Raise ValueError, naming both figures, when `need` bytes for `what`
+    exceed :func:`memory_budget`."""
+    budget = memory_budget()
+    if need > budget:
+        raise ValueError(
+            f"{what} needs {need / 2**30:.3g} GiB, over the memory budget of {budget / 2**30:.3g} GiB"
+        )
 
 
 # ---------------------------------------------------------------------------

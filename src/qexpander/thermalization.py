@@ -29,10 +29,17 @@ pi_k(x) = e^{-x} x^k / k!,
 The weights are positive and are evaluated in log space, so they do not
 underflow at large gamma t, and every sample time shares the same powers
 T_k, so each power costs one channel application whatever the number of
-times.  The powers are kept in the real coordinates X = Re T + Im T of
-:meth:`Channel.apply_real`, an isometry of the Hermitian matrices, so
-every norm below is the same in either form; the states become complex
-once, at the end.
+times.  The powers, and the sums X_j of the series at each time, are kept
+in the real coordinates X = Re T + Im T of :meth:`Channel.apply_real`,
+an isometry of the Hermitian matrices, so every norm below is the same in
+either form.  The residuals ||rho(t_j) - I/N||_F are the row norms
+||X_j - vec(I/N)|| of the real sums, for `evolve` and `decay_bound_check`
+alike; only `evolve` makes the states complex, once, at the end.  So the
+check holds 8 J N^2 bytes of sums for J times on N x N states, plus one
+temporary of their size, where `evolve` adds 16 J N^2 bytes of complex
+states.  Before it allocates, the series compares its byte estimate with
+the memory budget of :func:`qexpander.linalg.memory_budget` and raises
+ValueError, naming both, when the estimate exceeds it.
 The sum stops after the first K terms at the first K with
 
     tau(K) r_{K-1} <= SERIES_TOL,    r_k = ||T_k - I/N||_F,
@@ -48,7 +55,7 @@ tau <= 1, this stops no later than either the tail rule tau(K) <=
 SERIES_TOL or the mixing rule r_{K-1} <= SERIES_TOL alone.  The cost
 stays bounded as t grows when Phi mixes (kappa < 1).  A model that mixes
 slowly or not at all (kappa = 1) would need about gamma t_max
-applications; `evolve` raises ValueError rather than make more than
+applications; the series raises ValueError rather than make more than
 MAX_SERIES_TERMS of them.  When tau(MAX_SERIES_TERMS + 1) > SERIES_TOL,
 so that the residuals must fall for the series to end by that cap, it
 raises as soon as they cannot: Phi contracts the Frobenius norm, so the
@@ -76,7 +83,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import Channel
-from .linalg import frobenius, hermitian_from_real, real_coordinates
+from .linalg import check_memory, frobenius, hermitian_from_real, real_coordinates
 from .spectral import spectral_gap
 
 #: Truncation tolerance of the uniformization series: the bound tau(K) r_{K-1} it stops at.
@@ -195,8 +202,11 @@ def _tail(terms: int, x: float) -> float:
     return math.exp(terms * (1 + math.log(x / terms)) - x)
 
 
-def _evolve_series(model: ThermalModel, rho0: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """Uniformization sum_k pi_k(gamma t_j) Phi^k(rho0) at every time t_j.
+def _evolve_series(
+    model: ThermalModel, rho0: np.ndarray, times: np.ndarray, extra_bytes: int = 0
+) -> tuple[np.ndarray, int, float]:
+    """Uniformization sum_k pi_k(gamma t_j) Phi^k(rho0) at every time t_j,
+    in real coordinates.
 
     Stops after K terms at the first K with tau(K) r_{K-1} <= SERIES_TOL
     and puts the remaining Poisson mass on I/N (see the module docstring).
@@ -204,25 +214,35 @@ def _evolve_series(model: ThermalModel, rho0: np.ndarray, times: np.ndarray) -> 
     the residuals (tau(MAX_SERIES_TERMS + 1) > SERIES_TOL), it raises as
     soon as the one-step or the two-step bound of the module docstring
     shows that it cannot happen at all; otherwise neither bound is
-    computed.  Returns the (J, N, N) states, the number of channel
-    applications and the truncation bound tau(K) r_{K-1}.  The series runs
-    on the real coordinates of the Hermitian part of rho0 (which `evolve`
-    has checked to lie within 1e-9 of rho0) by Channel.apply_real.  Powers
-    are taken in blocks of up to min(J, 32): the block's Poisson weights
-    come from one exp, its powers are stored in one preallocated buffer,
-    and one real GEMM adds them to the states, so the buffer never
-    outgrows the output.  The weights' mass is summed power by power.
+    computed.  Returns the (J, N^2) real sums X_j, row j the raveled real
+    coordinates of rho(t_j), the number of channel applications and the
+    truncation bound tau(K) r_{K-1}.  The series runs on the real
+    coordinates of the Hermitian part of rho0 (which the caller has
+    checked to lie within 1e-9 of rho0) by Channel.apply_real.  Powers are
+    taken in blocks of up to min(J, 32): the block's Poisson weights come
+    from one exp, its powers are stored in one preallocated buffer, and
+    one real GEMM adds them to the sums, so the buffer never outgrows the
+    output.  The weights' mass is summed power by power.
+
+    Before it allocates, it checks 8 (2 J N^2 + block N^2 + J block)
+    bytes (the sums, the GEMM's temporary, the block of powers and its
+    weights) plus the caller's `extra_bytes` against the memory budget.
     """
     channel = model.channel
     n = model.dim
+    count = len(times)
+    block = min(count, 32)
+    check_memory(
+        8 * (2 * count * n * n + block * n * n + count * block) + extra_bytes,
+        f"the uniformization series over {count} times on {n} x {n} states",
+    )
     x = model.rate * times
     x_max = float(x[-1])
     log_x = np.log(np.where(x > 0, x, 1.0))[:, None]
     at_zero = x == 0
     mixed = np.eye(n) / n
-    states = np.zeros((len(times), n * n))
-    mass = np.zeros(len(times))
-    block = min(len(times), 32)
+    sums = np.zeros((count, n * n))
+    mass = np.zeros(count)
     terms = np.empty((block, n, n))
     flat_terms = terms.reshape(block, n * n)
     tail_cap = _tail(MAX_SERIES_TERMS + 1, x_max)
@@ -245,7 +265,7 @@ def _evolve_series(model: ThermalModel, rho0: np.ndarray, times: np.ndarray) -> 
         bound = _tail(k + 1, x_max) * residual
         done = bound <= SERIES_TOL
         if done or j == block - 1:
-            states += weights[:, : j + 1] @ flat_terms[: j + 1]
+            sums += weights[:, : j + 1] @ flat_terms[: j + 1]
         if done:
             break
         # At k = MAX_SERIES_TERMS the first bound is the product just refused: the cap.
@@ -265,22 +285,43 @@ def _evolve_series(model: ThermalModel, rho0: np.ndarray, times: np.ndarray) -> 
             older, last_residual = term, residual
         term = nxt
         k += 1
-    states = states.reshape(len(times), n, n)
-    diag = np.arange(n)
-    states[:, diag, diag] += (1.0 - mass)[:, None] / n
-    return hermitian_from_real(states), k, bound
+    sums[:, :: n + 1] += (1.0 - mass)[:, None] / n
+    return sums, k, bound
 
 
-def evolve(model: ThermalModel, rho0: np.ndarray, times) -> Trajectory:
-    """Solve rho(t) = exp(t gamma (Phi - I)) rho(0) at the sampled times."""
+def _residuals(sums: np.ndarray, n: int) -> np.ndarray:
+    """||rho(t_j) - I/N||_F for the (J, N^2) real sums of `_evolve_series`:
+    the row norms ||X_j - vec(I/N)||, each the root of a sum of squares.
+    The real coordinates are an isometry, and those of I/N are I/N.  Takes
+    one temporary of the sums' size."""
+    d = sums - np.eye(n).reshape(-1) / n
+    d *= d
+    return np.sqrt(d.sum(axis=1))
+
+
+def _check_inputs(model: ThermalModel, rho0, times) -> tuple[np.ndarray, np.ndarray]:
+    """rho0 as a complex density matrix of the model's dimension and times
+    as a finite, nonnegative, nondecreasing array with gamma t_max finite."""
     rho0 = _check_density(rho0)
     if rho0.shape[0] != model.dim:
         raise ValueError(f"state dimension {rho0.shape[0]} does not match model dimension {model.dim}")
     times = _check_times(times)
     if not math.isfinite(model.rate * float(times[-1])):
         raise ValueError(f"gamma * t overflows: gamma = {model.rate!r}, t = {times[-1]!r}")
-    states, applications, bound = _evolve_series(model, rho0, times)
-    residuals = np.linalg.norm(states - np.eye(model.dim) / model.dim, axis=(1, 2))
+    return rho0, times
+
+
+def evolve(model: ThermalModel, rho0: np.ndarray, times) -> Trajectory:
+    """Solve rho(t) = exp(t gamma (Phi - I)) rho(0) at the sampled times.
+
+    The states are the series' real sums made complex once, by
+    hermitian_from_real; the series' memory check also counts their
+    16 J N^2 bytes."""
+    rho0, times = _check_inputs(model, rho0, times)
+    count, n = len(times), model.dim
+    sums, applications, bound = _evolve_series(model, rho0, times, 16 * count * n * n)
+    residuals = _residuals(sums, n)
+    states = hermitian_from_real(sums.reshape(count, n, n))
     return Trajectory(
         times=times, states=tuple(states), residuals=residuals, applications=applications, truncation_bound=bound
     )
@@ -317,23 +358,28 @@ def decay_bound_check(
     the top of its error bar, so an underestimate cannot report a false
     violation.  The worst margin is min_t (bound - residual); `strict`
     raises if any point exceeds the bound by more than DECAY_SLACK.
+
+    The residuals come from the series' real sums, as in `evolve`, and no
+    state is made complex: beyond the gap solve the check holds the
+    8 J N^2 bytes of the sums plus one temporary of their size, and
+    during the series the block's powers, weights and GEMM temporary.
     """
-    traj = evolve(model, rho0, times)  # validates rho0
-    rho0 = np.asarray(rho0, dtype=complex)
+    rho0, times = _check_inputs(model, rho0, times)
+    residuals = _residuals(_evolve_series(model, rho0, times)[0], model.dim)
     gap = spectral_gap(model.channel)
     a0 = frobenius(rho0 - np.eye(model.dim) / model.dim)
-    bounds = np.exp(-model.rate * (1.0 - min(1.0, gap.kappa + gap.error_bound)) * traj.times) * a0
-    margins = bounds - traj.residuals
+    bounds = np.exp(-model.rate * (1.0 - min(1.0, gap.kappa + gap.error_bound)) * times) * a0
+    margins = bounds - residuals
     worst = float(margins.min())
-    satisfied = bool(np.all(traj.residuals <= bounds + DECAY_SLACK))
+    satisfied = bool(np.all(residuals <= bounds + DECAY_SLACK))
     if strict and not satisfied:
         raise ValueError(
             f"decay bound violated: worst margin {worst:.3e} at "
-            f"t = {traj.times[int(margins.argmin())]}"
+            f"t = {times[int(margins.argmin())]}"
         )
     return DecayReport(
-        times=traj.times,
-        residuals=traj.residuals,
+        times=times,
+        residuals=residuals,
         bounds=bounds,
         kappa=float(gap.kappa),
         error_bound=float(gap.error_bound),

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from qexpander import cli, reduction
+from qexpander import cli, linalg, reduction
 from qexpander.fileio import save_channel
 
 CLI = [sys.executable, "-m", "qexpander.cli"]
@@ -611,3 +611,30 @@ def test_memory_error_exits_2_with_one_error_line(corpus, tmp_path, capsys, monk
     stdout, stderr = capsys.readouterr()
     assert code == 2 and stdout == ""
     assert stderr == (f"error: out of memory: {message}\n" if message else "error: out of memory\n")
+
+
+def _seven_qubit_model(tmp_path):
+    """A 7-qubit thermal model whose two couplings are circuits."""
+    circuits = {
+        "u1.json": [{"kind": "H", "targets": [0]}, {"kind": "CNOT", "targets": [6], "controls": [0], "polarities": [1]}],
+        "u2.json": [{"kind": "T", "targets": [3]}, {"kind": "H", "targets": [5]}],
+    }
+    for name, gates in circuits.items():
+        (tmp_path / name).write_text(json.dumps({"qubits": 7, "gates": gates}))
+    model = tmp_path / "model7.json"
+    model.write_text(json.dumps({"qubits": 7, "unitaries": list(circuits), "R0": 1.0, "R1": 0.5}))
+    return model
+
+
+@pytest.mark.parametrize("given, times, budget", [("7q", "0:1:1000000", 2**30), ("1q", "0:1:40", 2**10)])
+def test_thermalize_over_the_memory_budget_exits_2(corpus, tmp_path, capsys, monkeypatch, given, times, budget):
+    # The budget is lowered instead of the input grown, so nothing large is
+    # allocated whatever the machine: the series refuses before it starts.
+    # At 7 qubits and 10^6 times it would need about 244 GiB.
+    monkeypatch.setattr(linalg, "memory_budget", lambda: float(budget))
+    model = _seven_qubit_model(tmp_path) if given == "7q" else corpus / "models" / "pauli_depolarizer_1q.json"
+    code = cli.main(["thermalize", str(model), "--times", times])
+    stdout, stderr = capsys.readouterr()
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: the uniformization series over ") and stderr.count("\n") == 1
+    assert f"over the memory budget of {budget / 2**30:.3g} GiB\n" in stderr

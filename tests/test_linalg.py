@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qexpander.linalg import (
+    check_memory,
     check_unitary,
     frobenius,
     haar_unitary,
+    memory_budget,
     paulis,
     phi_state,
     qubits_for_dim,
@@ -133,3 +135,48 @@ def test_rng_streams_are_stable_and_distinct():
     c = rng_from(1, 2, 4).standard_normal(4)
     assert np.allclose(a, b)
     assert not np.allclose(a, c)
+
+
+def _budget_files(tmp_path, meminfo=None, cgroup=None, limit=None):
+    """Fake /proc/meminfo, /proc/self/cgroup and cgroup root under tmp_path;
+    a file left as None does not exist."""
+    paths = {"meminfo": tmp_path / "meminfo", "cgroup": tmp_path / "cgroup", "cgroup_root": tmp_path / "fs"}
+    if meminfo is not None:
+        paths["meminfo"].write_text(meminfo)
+    if cgroup is not None:
+        paths["cgroup"].write_text(cgroup)
+    if limit is not None:
+        (paths["cgroup_root"] / "app").mkdir(parents=True)
+        (paths["cgroup_root"] / "app" / "memory.max").write_text(limit)
+    return {key: str(path) for key, path in paths.items()}
+
+
+MEMINFO = "MemTotal:        8000000 kB\nMemFree:         1000000 kB\nMemAvailable:    6000000 kB\n"
+
+
+@pytest.mark.parametrize(
+    "meminfo, cgroup, limit, want",
+    [
+        (MEMINFO, "0::/app\n", "4096000000\n", 4096000000.0),
+        (MEMINFO, "0::/app\n", "9000000000\n", 6000000 * 1024.0),
+        (MEMINFO, "0::/app\n", "max\n", 6000000 * 1024.0),
+        (None, "0::/app\n", "4096000000\n", 4096000000.0),
+        (MEMINFO, None, None, 6000000 * 1024.0),
+        ("MemTotal: 8000000 kB\n", "0::/app\n", "max\n", float("inf")),
+        (None, None, None, float("inf")),
+        ("MemAvailable: lots\n", "1:name=systemd:/app\n", None, float("inf")),
+    ],
+)
+def test_memory_budget_reads_meminfo_and_cgroup_limit(tmp_path, meminfo, cgroup, limit, want):
+    assert memory_budget(**_budget_files(tmp_path, meminfo, cgroup, limit)) == want
+
+
+def test_memory_budget_is_read_once_and_checked_against(monkeypatch):
+    budget = memory_budget()
+    hits = memory_budget.cache_info().hits
+    assert memory_budget() == budget > 0
+    assert memory_budget.cache_info().hits == hits + 1
+    monkeypatch.setattr("qexpander.linalg.memory_budget", lambda: 2.0**30)
+    check_memory(2**30, "a block")
+    with pytest.raises(ValueError, match=r"^a block needs 1\.5 GiB, over the memory budget of 1 GiB$"):
+        check_memory(3 * 2**29, "a block")

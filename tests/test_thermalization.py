@@ -1,10 +1,11 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from qexpander import thermalization
+from qexpander import linalg, thermalization
 from qexpander.channels import Channel
 from qexpander.fileio import load_thermal_model
 from qexpander.linalg import frobenius, haar_unitary, paulis, rng_from, unvec, vec
@@ -437,3 +438,94 @@ def test_states_are_exactly_hermitian_with_unit_trace():
         hermitian = (start + start.conj().T) / 2
         err = max(frobenius(a - b) for a, b in zip(traj.states, dense_propagator(model, hermitian, traj.times)))
         assert err < 1e-10
+
+
+def _benchmark_model(seed=0):
+    """A 4-qubit D = 4 Haar model at R0 = 1, R1 = 0.5, the benchmark's shape."""
+    rng = rng_from(61, seed)
+    return ThermalModel(tuple(haar_unitary(16, rng) for _ in range(4)), r0=1.0, r1=0.5)
+
+
+def _pure_zero(dim):
+    rho0 = np.zeros((dim, dim), dtype=complex)
+    rho0[0, 0] = 1.0
+    return rho0
+
+
+def test_decay_check_builds_no_complex_state(monkeypatch):
+    model = _benchmark_model()
+    rho0 = _pure_zero(16)
+    times = np.linspace(0.0, 18.0 / model.rate, 40)
+    want = evolve(model, rho0, times).residuals
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("decay_bound_check made the states complex")
+
+    monkeypatch.setattr(thermalization, "evolve", forbidden)
+    monkeypatch.setattr(thermalization, "hermitian_from_real", forbidden)
+    report = decay_bound_check(model, rho0, times)
+    assert report.residuals.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("gamma_t", [0.0, 18.0, 300.0])
+def test_residuals_match_the_complex_norm(corpus, gamma_t):
+    # The row sums of squares in real coordinates against ||rho(t) - I/N||_F
+    # of the complex states: equal up to the order of the additions.
+    for model in _series_models(corpus):
+        rho0 = _pure_zero(model.dim)
+        times = np.linspace(0.0, gamma_t / model.rate, 70)
+        states = series_oracle(model, rho0, times)[0]
+        exact = np.linalg.norm(states - np.eye(model.dim) / model.dim, axis=(1, 2))
+        residuals = evolve(model, rho0, times).residuals
+        assert np.all(np.abs(residuals - exact) <= 2e-15 * exact)
+        assert decay_bound_check(model, rho0, times, strict=False).residuals.tobytes() == residuals.tobytes()
+
+
+def test_decay_check_peak_memory_is_the_sums_and_one_temporary():
+    # J = 4000 times on a 4-qubit model: the real sums take 8 J N^2 bytes,
+    # and the check holds them plus one temporary of their size.  Making
+    # the states complex took 6 times the sums.
+    model = _benchmark_model()
+    rho0 = _pure_zero(16)
+    times = np.linspace(0.0, 3.0, 4000)
+    decay_bound_check(model, rho0, times[:40])  # caches and imports outside the trace
+    tracemalloc.start()
+    try:
+        decay_bound_check(model, rho0, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 8 * len(times) * 16 * 16
+
+
+def _series_bytes(count, n, block=32):
+    return 8 * (2 * count * n * n + block * n * n + count * block)
+
+
+def test_series_refuses_inputs_over_the_memory_budget(monkeypatch):
+    # The budget is lowered, not the input grown: nothing large is allocated,
+    # and the series raises before its first channel application.
+    model = random_open_model(23)
+    rho0 = random_density(4, rng_from(24))
+    times = np.linspace(0.0, 2.0, 40)
+    need = _series_bytes(40, 4)
+    calls = []
+    apply_real = Channel.apply_real
+
+    def counting_apply_real(self, x):
+        calls.append(1)
+        return apply_real(self, x)
+
+    monkeypatch.setattr(Channel, "apply_real", counting_apply_real)
+    monkeypatch.setattr(linalg, "memory_budget", lambda: float(need))
+    decay_bound_check(model, rho0, times)  # exactly at the budget
+    assert calls
+    calls.clear()
+    # evolve also counts the 16 J N^2 bytes of its complex states
+    message = rf"needs {(need + 16 * 40 * 16) / 2**30:.3g} GiB, over the memory budget of {need / 2**30:.3g} GiB"
+    with pytest.raises(ValueError, match=message):
+        evolve(model, rho0, times)
+    monkeypatch.setattr(linalg, "memory_budget", lambda: float(need - 1))
+    with pytest.raises(ValueError, match="over the memory budget"):
+        decay_bound_check(model, rho0, times)
+    assert not calls
