@@ -159,14 +159,14 @@ def memory_budget(meminfo="/proc/meminfo", cgroup="/proc/self/cgroup", cgroup_ro
     """Bytes an allocation may take: min(MemAvailable, memory.max), or inf."""
     limits = [float("inf")]
     try:
-        with open(meminfo, encoding="ascii") as fh:
+        with open(meminfo, encoding="utf-8") as fh:
             limits += [1024 * int(line.split()[1]) for line in fh if line.startswith("MemAvailable:")]
     except (OSError, ValueError, IndexError):
         pass
     try:
-        with open(cgroup, encoding="ascii") as fh:
+        with open(cgroup, encoding="utf-8") as fh:
             path = next(line[3:].strip() for line in fh if line.startswith("0::"))
-        with open(os.path.join(cgroup_root, path.lstrip("/"), "memory.max"), encoding="ascii") as fh:
+        with open(os.path.join(cgroup_root, path.lstrip("/"), "memory.max"), encoding="utf-8") as fh:
             value = fh.read().strip()
         if value != "max":
             limits.append(int(value))

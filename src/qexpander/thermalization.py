@@ -314,9 +314,8 @@ def _check_inputs(model: ThermalModel, rho0, times) -> tuple[np.ndarray, np.ndar
 def evolve(model: ThermalModel, rho0: np.ndarray, times) -> Trajectory:
     """Solve rho(t) = exp(t gamma (Phi - I)) rho(0) at the sampled times.
 
-    The states are the series' real sums made complex once, by
-    hermitian_from_real; the series' memory check also counts their
-    16 J N^2 bytes."""
+    The states are the series' real sums made complex, whose 16 J N^2
+    bytes the series' memory check also counts."""
     rho0, times = _check_inputs(model, rho0, times)
     count, n = len(times), model.dim
     sums, applications, bound = _evolve_series(model, rho0, times, 16 * count * n * n)
@@ -359,10 +358,8 @@ def decay_bound_check(
     violation.  The worst margin is min_t (bound - residual); `strict`
     raises if any point exceeds the bound by more than DECAY_SLACK.
 
-    The residuals come from the series' real sums, as in `evolve`, and no
-    state is made complex: beyond the gap solve the check holds the
-    8 J N^2 bytes of the sums plus one temporary of their size, and
-    during the series the block's powers, weights and GEMM temporary.
+    The residuals come from the series' real sums, as in `evolve`, but no
+    state is made complex (see the module docstring for the memory held).
     """
     rho0, times = _check_inputs(model, rho0, times)
     residuals = _residuals(_evolve_series(model, rho0, times)[0], model.dim)
