@@ -498,17 +498,13 @@ def test_decay_check_peak_memory_is_the_sums_and_one_temporary():
     assert peak <= 2.25 * 8 * len(times) * 16 * 16
 
 
-def _series_bytes(count, n, block=32):
-    return 8 * (2 * count * n * n + block * n * n + count * block)
-
-
 def test_series_refuses_inputs_over_the_memory_budget(monkeypatch):
     # The budget is lowered, not the input grown: nothing large is allocated,
     # and the series raises before its first channel application.
     model = random_open_model(23)
     rho0 = random_density(4, rng_from(24))
     times = np.linspace(0.0, 2.0, 40)
-    need = _series_bytes(40, 4)
+    need = 8 * (2 * 40 * 16 + 32 * 16 + 40 * 32)  # sums, GEMM temporary, block of powers, weights
     calls = []
     apply_real = Channel.apply_real
 
