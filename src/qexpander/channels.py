@@ -47,10 +47,18 @@ x86_64), of which the concatenate and the two GEMMs take about 21.
 Power compositions of expanders and the hardness reduction are
 multi-stage, since their flattened degree grows geometrically: the Kraus
 products are never materialized.
+
+A stage whose Kraus operators each have one nonzero entry per column (Pauli
+strings, permutations with phases) is *monomial*, chosen from the Kraus
+data alone.  It stores its operators and, instead of GEMM operands, a
+sparse real-coordinate map (:func:`_monomial_map`), which
+:meth:`Channel.apply_real` runs as one gather and one ``np.bincount`` in
+time linear in its entries.  Its adjoint is the transposed map.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -96,7 +104,7 @@ class Channel:
     """
 
     __slots__ = ("_left", "_right", "_weights", "_signed", "_stages", "_runs",
-                 "_qubits", "_dim", "_targets", "_control", "_layout", "_mean")
+                 "_qubits", "_dim", "_targets", "_control", "_layout", "_mean", "_kraus", "_map")
 
     def __init__(self, kraus, weights, *, qubits=None, targets=None, control=None, signed=False):
         try:
@@ -135,37 +143,46 @@ class Channel:
             on, off = (idx, idx[:0]) if control is None else (idx[control], idx[~control])
             order = np.concatenate([on.ravel(), off.ravel()])
             layout = order, np.argsort(order), on.size
-        mean = None
-        if layout is not None and 0 < layout[2] < len(layout[0]) and not signed:
-            # Only an unsigned stage whose control leaves both P and Q
-            # nonzero has cross terms: [[Re M, Im M], [-Im M, Re M]] for
-            # M = sum_d w_d U_d.
-            mw = np.tensordot(w, x, axes=1)
-            mean = _real_blocks(mw.real, mw.imag, -mw.imag, mw.real)
-        self._set_stage(*_operands(x.real, x.imag, w), w, bool(signed), m, targets, control, layout, mean)
+        signed = bool(signed)
+        if np.count_nonzero(x) == len(x) * dim:
+            # Monomial: no column of a unitary is zero, so this is one nonzero
+            # entry per column, of unit modulus.
+            x.setflags(write=False)
+            self._set_stage(None, None, w, signed, m, targets, control, layout, None,
+                            x, _monomial_map(x, w, signed, layout, 2**m))
+        else:
+            mean = None
+            if _crossed(layout, signed):
+                # [[Re M, Im M], [-Im M, Re M]] for M = sum_d w_d U_d.
+                mw = np.tensordot(w, x, axes=1)
+                mean = _real_blocks(mw.real, mw.imag, -mw.imag, mw.real)
+            self._set_stage(*_operands(x.real, x.imag, w), w, signed, m, targets, control, layout, mean)
         eye = np.eye(2**m)
         defect = frobenius(self.apply_real(eye) - eye)
         if not defect <= ATOL:
             raise ValueError(f"channel is not unital: ||Phi(I) - I||_F = {defect:.3e}")
 
-    def _set_stage(self, left, right, w, signed, qubits, targets, control, layout, mean) -> None:
+    def _set_stage(self, left, right, w, signed, qubits, targets, control, layout, mean,
+                   kraus=None, sparse=None) -> None:
         """Store a validated stage by its real apply operands, all read-only:
         `left` and `right` of :func:`_operands`, which hold its Kraus
-        operators, and the cross-term operand `mean` or None."""
-        for arr in (left, right, w, mean):
+        operators, and the cross-term operand `mean` or None; or, for a
+        monomial stage, its Kraus operators `kraus` and the map `sparse` of
+        :func:`_monomial_map`."""
+        for arr in (left, right, w, mean, *(sparse or ())):
             if arr is not None:
                 arr.setflags(write=False)
         self._left, self._right, self._weights = left, right, w
         self._signed, self._stages, self._runs = signed, (), None
         self._qubits, self._dim, self._targets, self._control = qubits, 2**qubits, targets, control
-        self._layout, self._mean = layout, mean
+        self._layout, self._mean, self._kraus, self._map = layout, mean, kraus, sparse
 
-    def _with(self, left, right, signed, mean) -> "Channel":
+    def _with(self, left, right, signed, mean, kraus=None, sparse=None) -> "Channel":
         """This stage with other operands and `signed` flag, the weights,
         targets and control kept; not validated again."""
         out = object.__new__(Channel)
         out._set_stage(left, right, self._weights, signed, self._qubits, self._targets, self._control,
-                       self._layout, mean)
+                       self._layout, mean, kraus, sparse)
         return out
 
     @classmethod
@@ -233,8 +250,13 @@ class Channel:
         """The (D, 2^k, 2^k) Kraus array of a single-stage channel on its
         target qubits, the half set of a signed stage: a new read-only
         array R_d + i J_d, bit for bit the operators the stage was built
-        from, read back from the stored [[R_d, J_d], [J_d, -R_d]] blocks."""
-        blocks = _left_blocks(self._single())
+        from, read back from the stored [[R_d, J_d], [J_d, -R_d]] blocks or,
+        for a monomial stage, copied."""
+        if self._single()._map is not None:
+            x = self._kraus.copy()
+            x.setflags(write=False)
+            return x
+        blocks = _left_blocks(self)
         x = np.empty(blocks.shape[:1] + blocks.shape[2:3] * 2, dtype=complex)
         x.real, x.imag = blocks[:, 0, :, 0], blocks[:, 0, :, 1]
         x.setflags(write=False)
@@ -321,6 +343,9 @@ class Channel:
         to its last.  The first signed stage of a run zeroes the cross
         blocks, after which the later stages touch P X P alone; Q X Q is
         never touched.
+
+        A monomial stage is never part of a run: it adds coef * X.flat[src]
+        into X'.flat[dst] over its map, one gather and one ``np.bincount``.
         """
         if type(x) is not np.ndarray or x.dtype is not _REAL or x.shape != (self._dim, self._dim):
             if np.iscomplexobj(x) or np.shape(x) != (self._dim, self._dim):
@@ -328,7 +353,12 @@ class Channel:
                 raise ValueError(f"expected real coordinates of shape {(self._dim, self._dim)}, got {got}")
             x = np.asarray(x, dtype=float)
         for run in self._runs or ((self,),):
-            x = _mix_real(run[0], x) if run[0]._layout is None else _apply_run(run, x)
+            s = run[0]
+            if s._map is not None:
+                dst, src, coef = s._map
+                x = np.bincount(dst, coef * x.ravel()[src], x.size).reshape(x.shape)
+            else:
+                x = _mix_real(s, x) if s._layout is None else _apply_run(run, x)
         return x
 
     def apply(self, a: np.ndarray) -> np.ndarray:
@@ -353,6 +383,10 @@ class Channel:
         its cross-term operand M^dag from the transpose of M's."""
         if self._stages:
             return per_stage(Channel.staged(reversed(self._stages)), Channel.adjoint)
+        if self._map is not None:
+            dst, src, coef = self._map
+            kraus = self._kraus.conj().transpose(0, 2, 1)
+            return self._with(None, None, self._signed, None, kraus, (src, dst, coef))
         blocks = _left_blocks(self)
         re, im = blocks[:, 0, :, 0].transpose(0, 2, 1), -blocks[:, 0, :, 1].transpose(0, 2, 1)
         mean = None if self._mean is None else np.ascontiguousarray(self._mean.T)
@@ -365,6 +399,8 @@ def _shares_layout(s: Channel, t: Channel) -> bool:
     return (
         s._layout is not None
         and t._layout is not None
+        and s._map is None
+        and t._map is None
         and (s._qubits, s._targets) == (t._qubits, t._targets)
         and np.array_equal(s._control, t._control)
     )
@@ -395,6 +431,72 @@ def _apply_run(run: tuple[Channel, ...], x: np.ndarray) -> np.ndarray:
         x[:p, p:] = _rest_major(cross[:k], k, p, n - p)
         x[p:, :p] = _rest_major(cross[k:], k, p, n - p).T
     return x.take(inverse, 0).take(inverse, 1)
+
+
+def _crossed(layout, signed: bool) -> bool:
+    """True for a stage with cross terms P M A Q: unsigned, with a control
+    that leaves both P and Q nonzero."""
+    return layout is not None and 0 < layout[2] < len(layout[0]) and not signed
+
+
+def _monomial_map(x: np.ndarray, w: np.ndarray, signed: bool, layout, n: int):
+    """The real-coordinate map (dst, src, coef) of a monomial stage on an
+    n-dimensional space: X' is zero plus coef * X.flat[src] at X'.flat[dst].
+
+    An element E = P (U_d (x) I) + Q sends |j> to phi(j) |pi(j)>, so
+    E A E^dag carries A[i, j] to [pi(i), pi(j)] times phi(i) conj(phi(j))
+    = C + i S, which in real coordinates reads
+    X'[pi(i), pi(j)] = C X[i, j] + S X[j, i].  The elements are grouped by
+    target permutation and each group's weighted C + i S summed, so
+    duplicates merge (I with Z, X with Y for a Pauli stage) and exact zeros
+    drop.  On P X P that sum depends on the target pair (t, u) alone, and a
+    full index there is rest[a] + target[t] (disjoint bits), so each
+    nonzero spreads over every pair of active rest states by one addition.
+    On the cross blocks it is the phase of M = sum_d w_d U_d.  Q X Q is
+    mapped once with coefficient 1.  A signed stage's pairs +-U_d cancel on
+    the cross blocks, so they are left out."""
+    k = x.shape[1]
+    rows = (x != 0).argmax(axis=1)  # U_d |t> = phase[d, t] |rows[d, t]>
+    phase = x.sum(axis=1)
+    group: dict[bytes, int] = {}
+    gid = np.array([group.setdefault(r.tobytes(), len(group)) for r in rows])
+    perm = np.empty((len(group), k), dtype=np.intp)
+    perm[gid] = rows
+    share = (gid == np.arange(len(group))[:, None]) * w  # share[g, d] = w_d for U_d in group g
+    if layout is None:
+        on, off = np.arange(n)[None], np.arange(0)
+    else:
+        on, off = layout[0][: layout[2]].reshape(-1, k), layout[0][layout[2] :]
+    stride = np.array((n, 1))  # row strides of the sources: X[i, j] for C, X[j, i] for S
+    sums = (share[:, :, None] * phase).transpose(0, 2, 1) @ phase.conj()  # (G, k, k)
+    parts = sums.view(float).reshape(*sums.shape, 2)  # [..., 0] is C, [..., 1] is S
+    g, t, u, h = np.nonzero(parts)
+    rest = on[:, 0]
+    target = on[0] - rest[0] if len(on) else np.zeros(k, dtype=int)
+    pairs = rest[:, None] * n + rest
+    moved = target[perm[g, t]] * n + target[perm[g, u]]
+    read = target[t] * stride[h] + target[u] * stride[1 - h]
+    swapped = np.array((pairs.ravel(), pairs.T.ravel()))  # rest offsets of X[i, j] and of X[j, i]
+    dst = [(moved[:, None] + pairs.ravel()).ravel()]
+    src = [(read[:, None] + swapped[h]).ravel()]
+    coef = [parts[g, t, u, h].repeat(pairs.size)]
+    if _crossed(layout, signed):
+        # P X Q: [on[a, t], q] -> [on[a, pi(t)], q] times M's phase on t; Q X P
+        # is its transpose, where the swapped source flips the sign of S.
+        mean = share @ phase
+        parts = mean.view(float).reshape(*mean.shape, 2)
+        g, t, h = np.nonzero(parts)
+        image, row, lo, hi = on[:, perm[g, t], None], on[:, t, None], stride[h, None], stride[1 - h, None]
+        value = parts[g, t, h, None] + np.zeros((len(on), 1, len(off)))
+        dst += [(image * n + off).ravel(), (off * n + image).ravel()]
+        src += [(row * lo + off * hi).ravel(), (row * hi + off * lo).ravel()]
+        coef += [value.ravel(), (value * (1 - 2 * h[:, None])).ravel()]
+    still = (off[:, None] * n + off).ravel()
+    return (
+        np.concatenate((*dst, still)),
+        np.concatenate((*src, still)),
+        np.concatenate((*coef, np.ones(still.size))),
+    )
 
 
 def _operands(re: np.ndarray, im: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -475,11 +577,13 @@ def channel_power(channel: Channel, r: int) -> Channel:
     return Channel.staged((channel,) * r)
 
 
+@functools.cache
 def complete_depolarizer() -> Channel:
     """The single-qubit complete depolarizer, D(sigma) = I tr(sigma)/2, as
     the signed stage over {I, X, Y, Z}: the operation elements are
     {I, X, Y, Z, -I, -X, -Y, -Z}/8, which additionally satisfy the
-    zero-sum condition sum_d U_d = 0 needed for controlled use.
+    zero-sum condition sum_d U_d = 0 needed for controlled use.  A stage
+    is immutable, so the one instance is built once and shared.
     """
     return Channel(paulis(), np.full(4, 0.25), signed=True)
 
@@ -514,11 +618,14 @@ def per_stage(channel: Channel, make) -> Channel:
 def _sign_stage(stage: Channel) -> Channel:
     if stage._signed:
         return stage
-    if stage._mean is not None and zero_sum_defect(stage) > ATOL:
+    if _crossed(stage._layout, False) and zero_sum_defect(stage) > ATOL:
         raise ValueError(
             "sign-doubling the target elements of a controlled stage would drop its cross terms; "
             "sign-double the target channel before controlling it"
         )
+    if stage._map is not None:
+        sparse = _monomial_map(stage._kraus, stage._weights, True, stage._layout, stage._dim)
+        return stage._with(None, None, True, None, stage._kraus, sparse)
     return stage._with(stage._left, stage._right, True, None)
 
 

@@ -134,29 +134,31 @@ def split_index(num_qubits: int, qubits) -> np.ndarray:
     if any(q < 0 or q >= num_qubits for q in qubits):
         raise ValueError(f"qubit indices {qubits} out of range for {num_qubits} qubits")
     rest = tuple(q for q in range(num_qubits) if q not in qubits)
-
-    def spread(register):
-        values = np.arange(2 ** len(register))
-        out = np.zeros_like(values)
-        for pos, q in enumerate(register):
-            out |= ((values >> (len(register) - 1 - pos)) & 1) << (num_qubits - 1 - q)
-        return out
-
-    return spread(rest)[:, None] | spread(qubits)[None, :]
+    # The basis indices with one axis per qubit, reordered to (rest, qubits).
+    grid = np.arange(2**num_qubits).reshape((2,) * num_qubits).transpose(rest + qubits)
+    return grid.reshape(2 ** len(rest), 2 ** len(qubits))
 
 
 # ---------------------------------------------------------------------------
 # Memory budget.  An allocation that grows with the input is compared with
 # the memory this process may use before it is made: the least of
-# MemAvailable in /proc/meminfo and the memory.max of the process's cgroup
-# (v2), each where it can be read.  The budget is read, never set, once per
-# process; when neither can be read there is no limit.
+# MemAvailable in /proc/meminfo and the memory limits of the process's
+# cgroups, each where it can be read: memory.max for the unified (v2)
+# hierarchy, memory.limit_in_bytes for a v1 memory controller.  The budget
+# is read, never set, once per process; when nothing can be read there is
+# no limit.
 # ---------------------------------------------------------------------------
 
 
 @functools.cache
 def memory_budget(meminfo="/proc/meminfo", cgroup="/proc/self/cgroup", cgroup_root="/sys/fs/cgroup") -> float:
-    """Bytes an allocation may take: min(MemAvailable, memory.max), or inf."""
+    """Bytes an allocation may take: min(MemAvailable, cgroup limits), or inf.
+
+    A /proc/self/cgroup line is hierarchy:controllers:path.  The v2 line
+    "0::path" is limited by <cgroup_root>/path/memory.max ("max" for none),
+    and a v1 line whose controllers include memory by
+    <cgroup_root>/memory/path/memory.limit_in_bytes (a huge number for
+    none).  A hybrid host lists both, and the least limit counts."""
     limits = [float("inf")]
     try:
         with open(meminfo, encoding="utf-8") as fh:
@@ -165,13 +167,23 @@ def memory_budget(meminfo="/proc/meminfo", cgroup="/proc/self/cgroup", cgroup_ro
         pass
     try:
         with open(cgroup, encoding="utf-8") as fh:
-            path = next(line[3:].strip() for line in fh if line.startswith("0::"))
-        with open(os.path.join(cgroup_root, path.lstrip("/"), "memory.max"), encoding="utf-8") as fh:
-            value = fh.read().strip()
-        if value != "max":
-            limits.append(int(value))
-    except (OSError, ValueError, StopIteration):
-        pass
+            entries = [line.rstrip("\n").split(":", 2) for line in fh]
+    except OSError:
+        entries = []
+    for hierarchy, controllers, path in (entry for entry in entries if len(entry) == 3):
+        if hierarchy == "0" and not controllers:
+            limit = os.path.join(cgroup_root, path.lstrip("/"), "memory.max")
+        elif "memory" in controllers.split(","):
+            limit = os.path.join(cgroup_root, "memory", path.lstrip("/"), "memory.limit_in_bytes")
+        else:
+            continue
+        try:
+            with open(limit, encoding="utf-8") as fh:
+                value = fh.read().strip()
+            if value != "max":
+                limits.append(int(value))
+        except (OSError, ValueError):
+            pass
     return float(min(limits))
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import hermitian_from_real, rng_from, vec
+from .linalg import check_memory, hermitian_from_real, rng_from, vec
 
 #: Thick-restart Lanczos: vectors in the basis, Ritz pairs kept on restart.
 LANCZOS_BASIS = 24
@@ -207,6 +207,9 @@ def spectral_gap_iterative(
     next one comes at most RITZ_LOOKAHEAD - 1 matvecs after that step),
     still certified by the true residual.
 
+    Before it allocates, it checks the 2 size N^2 8 bytes of the basis and
+    its images against the memory budget (:func:`qexpander.linalg.check_memory`).
+
     If M annihilates the start vector, kappa = 0 and the solve is
     converged.  `max_iter` caps the applications of M; reaching it returns
     converged=False and never raises.  The one start vector comes from
@@ -217,9 +220,12 @@ def spectral_gap_iterative(
     dim = channel.dim
     if dim < 2:
         raise ValueError("a 1 x 1 channel has no traceless direction, so kappa is undefined")
-    adjoint = channel.adjoint()
     n = dim * dim
     size = min(LANCZOS_BASIS, n - 1)
+    check_memory(
+        2 * size * n * 8, f"the Lanczos basis and its images, {size} vectors each on {dim} x {dim} operators"
+    )
+    adjoint = channel.adjoint()
     keep = min(LANCZOS_KEEP, size - 1)
     basis = np.empty((size, n))  # rows: orthonormal vectors v_i
     images = np.empty((size, n))  # rows: M v_i

@@ -42,6 +42,22 @@ from qexpander.spectral import GapReport, _deflate, _iterative_report, _unit_tra
 from qexpander.thermalization import MAX_SERIES_TERMS, SERIES_TOL
 
 
+def bitwise_split_index(num_qubits: int, qubits) -> np.ndarray:
+    """The oracle for :func:`qexpander.linalg.split_index`: each register's
+    values spread bit by bit onto its qubits' positions (qubit 0 most
+    significant), rest states down the rows and `qubits` across."""
+    rest = [q for q in range(num_qubits) if q not in qubits]
+
+    def spread(register):
+        values = np.arange(2 ** len(register))
+        out = np.zeros_like(values)
+        for pos, q in enumerate(register):
+            out |= ((values >> (len(register) - 1 - pos)) & 1) << (num_qubits - 1 - q)
+        return out
+
+    return spread(rest)[:, None] | spread(list(qubits))[None, :]
+
+
 def embed(op: np.ndarray, qubits, num_qubits: int) -> np.ndarray:
     """Lift an operator acting on the given qubits to the full m-qubit space.
 

@@ -727,5 +727,186 @@ def test_controlled_kernel_is_bit_identical_to_row_major(active):
 @pytest.mark.parametrize("key", ["no_2w2a", "yes_2w2a"])
 def test_corpus_reduction_kernel_is_bit_identical_to_row_major(key):
     ch = _corpus_reduction(key)
-    # the controlled depolarizers (r = 12 and 8) and the six-stage controlled-F run (r = 1)
-    _assert_kernel_matches_row_major(ch, len(key), blocks=(6, 2))
+    # the six-stage controlled-F run (r = 1); the two controlled depolarizers are monomial stages
+    assert [s._map is not None for s in ch.stages] == [True, True] + [False] * 6
+    _assert_kernel_matches_row_major(ch, len(key), blocks=(6, 0))
+
+
+# --- monomial stages: Pauli strings and phased permutations -----------------
+
+
+CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+S_GATE = np.diag([1, 1j])
+
+
+def _phased_permutations(k, count, rng):
+    """`count` random k-qubit permutation matrices with random phases."""
+    out = np.zeros((count, 2**k, 2**k), dtype=complex)
+    for u in out:
+        u[rng.permutation(2**k), np.arange(2**k)] = np.exp(2j * np.pi * rng.random(2**k))
+    return out
+
+
+def _monomial_stage(kind):
+    """A monomial stage of each kind, on random weights."""
+    rng = rng_from(100, sorted(MONOMIAL_KINDS).index(kind))
+    paulis2 = np.array([np.kron(a, b) for a in (I, X, Y, Z) for b in (I, X, Y, Z)])
+    m, targets, ctrl, pattern, negate = STRUCTURED_CASES["non-contiguous, pattern"]
+    control = _control_vector(m, targets, ctrl, pattern, negate)
+    kraus, placement, signed = {
+        "flat Paulis": (paulis2, {}, False),
+        "flat CNOT.S and Y (x) S": (np.array([CNOT @ np.kron(S_GATE, I), np.kron(Y, S_GATE), np.eye(4)]), {}, False),
+        "targeted phased permutations": (_phased_permutations(2, 3, rng), {"qubits": 4, "targets": (3, 1)}, False),
+        "controlled, signed": (_phased_permutations(2, 3, rng), {"qubits": m, "targets": targets, "control": control}, True),
+        "controlled, unsigned": (_phased_permutations(2, 3, rng), {"qubits": m, "targets": targets, "control": control}, False),
+        "controlled Paulis, unsigned": (paulis2[[0, 5, 10]], {"qubits": m, "targets": targets, "control": control}, False),
+        "one target, Y and S": (np.array([Y, S_GATE]), {"qubits": 3, "targets": (1,)}, False),
+    }[kind]
+    w = rng.random(len(kraus))
+    return Channel(kraus, w / w.sum(), signed=signed, **placement), kraus
+
+
+MONOMIAL_KINDS = (
+    "flat Paulis",
+    "flat CNOT.S and Y (x) S",
+    "targeted phased permutations",
+    "controlled, signed",
+    "controlled, unsigned",
+    "controlled Paulis, unsigned",
+    "one target, Y and S",
+)
+
+
+def _real_matrix(channel):
+    """The (N^2, N^2) real matrix of channel.apply_real, column by column."""
+    n = channel.dim
+    return np.stack([channel.apply_real(e.reshape(n, n)).ravel() for e in np.eye(n * n)], axis=1)
+
+
+@pytest.mark.parametrize("kind", MONOMIAL_KINDS)
+def test_monomial_stage_matches_lifted_kraus_oracles(kind):
+    stage, kraus = _monomial_stage(kind)
+    assert stage._map is not None and stage._left is None  # selected from the Kraus data alone
+    assert not any(arr.flags.writeable for arr in stage._map + stage.adjoint()._map)
+    assert np.array_equal(stage.target_kraus, kraus) and not stage.target_kraus.flags.writeable
+    assert np.array_equal(stage.adjoint().target_kraus, kraus.conj().transpose(0, 2, 1))
+    lifted, weights = doubled_lift(stage)
+    assert np.array_equal(stage.kraus, lifted) and np.array_equal(stage.weights, weights)
+    assert stage.degree == len(kraus) << stage.signed
+    rng = rng_from(101, MONOMIAL_KINDS.index(kind))
+    n = stage.dim
+    for adjoint in (False, True):
+        channel = stage.adjoint() if adjoint else stage
+        x = rng.standard_normal((n, n))
+        assert frobenius(channel.apply_real(x) - kraus_sum_real(stage, x, adjoint)) <= 1e-13 * frobenius(x)
+        a = random_operator(n, rng)
+        assert frobenius(channel.apply(a) - lifted_kraus_sum(stage, a, adjoint)) <= 1e-13 * frobenius(a)
+    a = random_operator(n, rng)
+    assert frobenius(superoperator(stage) @ a.ravel() - stage.apply(a).ravel()) <= 1e-13 * frobenius(a)
+    eye = np.eye(n)
+    assert frobenius(stage.apply_real(eye) - eye) <= 1e-14
+
+
+def test_unsigned_controlled_monomial_stage_has_live_cross_terms():
+    stage, _ = _monomial_stage("controlled, unsigned")
+    assert zero_sum_defect(stage) > 0.1
+    n = stage.dim
+    x = rng_from(102).standard_normal((n, n))
+    p = np.zeros(n, dtype=bool)
+    p[stage._layout[0][: stage._layout[2]]] = True
+    cross = stage.apply_real(x)[np.ix_(p, ~p)]
+    assert frobenius(cross) > 0.1 and frobenius(cross - kraus_sum_real(stage, x)[np.ix_(p, ~p)]) < 1e-13
+
+
+@pytest.mark.parametrize("kind", MONOMIAL_KINDS)
+def test_monomial_adjoint_is_the_transposed_map(kind):
+    stage, _ = _monomial_stage(kind)
+    adjoint = stage.adjoint()
+    dst, src, coef = stage._map
+    assert adjoint._map[0] is src and adjoint._map[1] is dst and adjoint._map[2] is coef  # no operands built
+    assert np.array_equal(_real_matrix(adjoint), _real_matrix(stage).T)
+    assert np.array_equal(adjoint.adjoint().apply_real(np.eye(stage.dim)), stage.apply_real(np.eye(stage.dim)))
+
+
+def test_pauli_stage_map_merges_duplicates_and_drops_zeros():
+    # I and Z share a permutation, as do X and Y: two groups, and on P X P
+    # each keeps only the target pairs (t, u) whose coefficient survives.
+    from qexpander.reduction import controlled_depolarizer
+
+    control = np.zeros(16)
+    control[:12] = 1  # 24 of the 32 basis states controlled
+    stage = controlled_depolarizer(5, 4, control)
+    assert stage.signed and stage._map is not None
+    assert stage._map[0].size == 2 * 24 * 24 // 2 + 8 * 8  # 288 per group on P X P, Q X Q once
+    assert np.all(stage._map[2] != 0)
+    a = random_operator(32, rng_from(103))
+    assert frobenius(stage.apply(a) - lifted_kraus_sum(stage, a)) < 1e-13
+
+
+MONOMIAL_MUTANTS = {
+    # name: (kind, the mutant's map from the stage's kraus, weights and layout)
+    "wrong phase sign": ("flat CNOT.S and Y (x) S", lambda s: channels._monomial_map(
+        s._kraus.conj(), s._weights, s._signed, s._layout, s.dim)),
+    "dropped weight": ("targeted phased permutations", lambda s: channels._monomial_map(
+        s._kraus, np.full(len(s._weights), 1 / len(s._weights)), s._signed, s._layout, s.dim)),
+    "dropped cross term": ("controlled, unsigned", lambda s: channels._monomial_map(
+        s._kraus, s._weights, True, s._layout, s.dim)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MONOMIAL_MUTANTS))
+def test_monomial_oracle_rejects_mutants(name):
+    kind, mutate = MONOMIAL_MUTANTS[name]
+    stage, _ = _monomial_stage(kind)
+    mutant = stage._with(None, None, stage._signed, None, stage._kraus, mutate(stage))
+    x = rng_from(104).standard_normal((stage.dim, stage.dim))
+    want = kraus_sum_real(stage, x)
+    assert frobenius(stage.apply_real(x) - want) <= 1e-13 * frobenius(x)
+    assert frobenius(mutant.apply_real(x) - want) > 1e-3 * frobenius(x)
+
+
+def test_dense_and_nearly_monomial_stacks_take_the_gemm_kernel():
+    rng = rng_from(105)
+    haar = random_unitary_channel(3, 8, rng)
+    assert haar._map is None and haar._left is not None
+    mixed = Channel(np.array([np.kron(X, Z), random_unitary_channel(2, 1, rng).kraus[0]]), [0.5, 0.5])
+    assert mixed._map is None  # one dense operator makes the whole stage dense
+    nearly = np.kron(X, Y)
+    nearly[0, 0] = 1e-17  # an exact zero is required, not a small one
+    ch = Channel((nearly, np.eye(4)), [0.5, 0.5])
+    assert ch._map is None
+    a = random_operator(4, rng)
+    assert frobenius(ch.apply(a) - lifted_kraus_sum(ch, a)) < 1e-13
+
+
+def test_monomial_stages_never_join_gemm_runs():
+    stage, _ = _monomial_stage("controlled, signed")
+    m, targets, ctrl, pattern, negate = STRUCTURED_CASES["non-contiguous, pattern"]
+    control = _control_vector(m, targets, ctrl, pattern, negate)
+    dense = Channel(random_unitary_channel(2, 2, rng_from(106)).kraus, [0.5, 0.5], qubits=m, targets=targets,
+                    control=control, signed=True)
+    ch = Channel.staged((dense, stage, stage, dense, dense))
+    assert [len(run) for run in ch._runs] == [1, 1, 1, 2]
+    a = random_operator(ch.dim, rng_from(107))
+    assert frobenius(ch.apply(a) - lifted_kraus_sum(ch, a)) < 1e-12
+    assert frobenius(ch.adjoint().apply(a) - lifted_kraus_sum(ch, a, adjoint=True)) < 1e-12
+
+
+def test_sign_double_and_control_of_monomial_stages():
+    from qexpander.channels import sign_double
+    from qexpander.reduction import controlled_channel
+
+    flat, _ = _monomial_stage("flat CNOT.S and Y (x) S")
+    doubled = sign_double(flat)
+    assert doubled.signed and doubled._map is not None and doubled.degree == 6
+    assert np.array_equal(doubled.target_kraus, flat.target_kraus)
+    a = random_operator(4, rng_from(108))
+    assert frobenius(doubled.apply(a) - flat.apply(a)) < 1e-13
+    # controlled on qubits (0, 2) of 4 where qubit 1 is 1: a signed monomial stage with P X P mixing only
+    control = [0, 1, 0, 1]
+    ctrl = controlled_channel(Channel.staged((doubled, doubled)), (3, 1), control, 4)
+    assert len({id(s) for s in ctrl.stages}) == 1 and ctrl.stages[0]._map is not None
+    b = random_operator(16, rng_from(109))
+    assert frobenius(ctrl.apply(b) - lifted_kraus_sum(ctrl, b)) < 1e-12
+    with pytest.raises(ValueError, match="cross terms"):
+        sign_double(_monomial_stage("controlled, unsigned")[0])

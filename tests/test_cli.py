@@ -638,3 +638,19 @@ def test_thermalize_over_the_memory_budget_exits_2(corpus, tmp_path, capsys, mon
     assert code == 2 and stdout == ""
     assert stderr.startswith("error: the uniformization series over ") and stderr.count("\n") == 1
     assert f"over the memory budget of {budget / 2**30:.3g} GiB\n" in stderr
+
+
+@pytest.mark.parametrize("command", ["gap", "decide"])
+def test_gap_and_decide_over_the_memory_budget_exit_2(corpus, capsys, monkeypatch, command):
+    # The 1-qubit instance's basis and images take 2 * 3 * 2^2 * 8 = 192 bytes;
+    # one byte less of budget and both commands refuse before the solve.
+    path = str(corpus / "instances" / "depolarizer_1q.json")
+    monkeypatch.setattr(linalg, "memory_budget", lambda: 192.0)
+    assert cli.main([command, path]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(linalg, "memory_budget", lambda: 191.0)
+    code = cli.main([command, path])
+    stdout, stderr = capsys.readouterr()
+    assert code == 2 and stdout == "" and stderr.count("\n") == 1
+    assert stderr.startswith("error: the Lanczos basis and its images, 3 vectors each on 2 x 2 operators needs ")
+    assert "over the memory budget of" in stderr and "Traceback" not in stderr

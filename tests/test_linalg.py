@@ -13,11 +13,12 @@ from qexpander.linalg import (
     phi_state,
     qubits_for_dim,
     rng_from,
+    split_index,
     unvec,
     vec,
 )
 
-from oracles import embed, pattern_projector, random_operator, random_traceless
+from oracles import bitwise_split_index, embed, pattern_projector, random_operator, random_traceless
 
 I, X, Y, Z = paulis()
 
@@ -124,6 +125,23 @@ def test_projectors():
     assert np.allclose(np.diag(p), np.array(expect, dtype=float))
 
 
+@pytest.mark.parametrize(
+    "num_qubits, qubits",
+    [(0, ()), (1, (0,)), (1, ()), (3, (2, 0, 1)), (4, ()), (5, (4,)), (5, (0, 1, 2, 3)), (6, (3, 1)), (8, (7, 0, 4))],
+)
+def test_split_index_matches_the_bitwise_oracle(num_qubits, qubits):
+    got = split_index(num_qubits, qubits)
+    want = bitwise_split_index(num_qubits, qubits)
+    assert got.shape == want.shape and got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_split_index_rejects_bad_qubits():
+    with pytest.raises(ValueError, match="duplicate"):
+        split_index(3, (1, 1))
+    with pytest.raises(ValueError, match="out of range"):
+        split_index(3, (3,))
+
+
 def test_random_traceless():
     a = random_traceless(8, rng_from(2))
     assert abs(np.trace(a)) < 1e-12
@@ -137,21 +155,30 @@ def test_rng_streams_are_stable_and_distinct():
     assert not np.allclose(a, c)
 
 
-def _budget_files(tmp_path, meminfo=None, cgroup=None, limit=None):
-    """Fake /proc/meminfo, /proc/self/cgroup and cgroup root under tmp_path;
-    a file left as None does not exist."""
+def _budget_files(tmp_path, meminfo=None, cgroup=None, limit=None, v1_limit=None):
+    """Fake /proc/meminfo, /proc/self/cgroup and cgroup root under tmp_path:
+    `limit` is the v2 memory.max of cgroup /app, `v1_limit` the v1
+    memory.limit_in_bytes of the memory controller's /app; a file left as
+    None does not exist."""
     paths = {"meminfo": tmp_path / "meminfo", "cgroup": tmp_path / "cgroup", "cgroup_root": tmp_path / "fs"}
     if meminfo is not None:
         paths["meminfo"].write_text(meminfo)
     if cgroup is not None:
         paths["cgroup"].write_text(cgroup)
-    if limit is not None:
-        (paths["cgroup_root"] / "app").mkdir(parents=True)
-        (paths["cgroup_root"] / "app" / "memory.max").write_text(limit)
+    for value, where, name in ((limit, "app", "memory.max"), (v1_limit, "memory/app", "memory.limit_in_bytes")):
+        if value is not None:
+            (paths["cgroup_root"] / where).mkdir(parents=True)
+            (paths["cgroup_root"] / where / name).write_text(value)
     return {key: str(path) for key, path in paths.items()}
 
 
 MEMINFO = "MemTotal:        8000000 kB\nMemFree:         1000000 kB\nMemAvailable:    6000000 kB\n"
+
+#: The limit a v1 memory controller reports when none is set: 2^63 - 4096.
+V1_UNLIMITED = "9223372036854771712\n"
+
+#: /proc/self/cgroup of a hybrid host: v1 controllers beside the v2 line.
+HYBRID = "9:name=systemd:/\n4:memory:/app\n1:cpu:/\n0::/\n"
 
 
 @pytest.mark.parametrize(
@@ -169,6 +196,29 @@ MEMINFO = "MemTotal:        8000000 kB\nMemFree:         1000000 kB\nMemAvailabl
 )
 def test_memory_budget_reads_meminfo_and_cgroup_limit(tmp_path, meminfo, cgroup, limit, want):
     assert memory_budget(**_budget_files(tmp_path, meminfo, cgroup, limit)) == want
+
+
+@pytest.mark.parametrize(
+    "meminfo, cgroup, limit, v1_limit, want",
+    [
+        # v1 only, the memory controller alone or beside another on its line
+        (MEMINFO, "4:memory:/app\n", None, "2048000000\n", 2048000000.0),
+        (MEMINFO, "3:cpuacct,memory:/app\n", None, "2048000000\n", 2048000000.0),
+        (MEMINFO, "4:memory:/app\n", None, "9000000000\n", 6000000 * 1024.0),
+        (MEMINFO, "4:memory:/app\n", None, V1_UNLIMITED, 6000000 * 1024.0),
+        (None, "4:memory:/app\n", None, V1_UNLIMITED, 9223372036854771712.0),
+        (MEMINFO, "4:memory:/app\n", None, "lots\n", 6000000 * 1024.0),
+        # hybrid: the v2 line names the root, which has no memory.max
+        (MEMINFO, HYBRID, None, "2048000000\n", 2048000000.0),
+        (MEMINFO, HYBRID, None, V1_UNLIMITED, 6000000 * 1024.0),
+        # both limits readable: the least counts
+        (MEMINFO, "4:memory:/app\n0::/app\n", "3000000000\n", "2048000000\n", 2048000000.0),
+        (MEMINFO, "4:memory:/app\n0::/app\n", "1024000000\n", "2048000000\n", 1024000000.0),
+        (MEMINFO, "4:memory:/app\n0::/app\n", "max\n", V1_UNLIMITED, 6000000 * 1024.0),
+    ],
+)
+def test_memory_budget_reads_cgroup_v1_and_hybrid_limits(tmp_path, meminfo, cgroup, limit, v1_limit, want):
+    assert memory_budget(**_budget_files(tmp_path, meminfo, cgroup, limit, v1_limit)) == want
 
 
 def test_memory_budget_is_read_once_and_checked_against(monkeypatch):

@@ -621,3 +621,31 @@ def test_kappa_matches_complex_oracle_lanczos(corpus, name):
     got, want = spectral_gap_iterative(ch), lanczos_oracle(ch, kraus_sum=True)
     assert got.converged and want.converged
     assert abs(got.kappa - want.kappa) <= 1e-12
+
+
+def test_gap_refuses_inputs_over_the_memory_budget(monkeypatch):
+    # The budget is lowered, not the input grown: the solve raises before it
+    # allocates its basis and before its first channel application.
+    from qexpander import linalg
+
+    ch = random_unitary_channel(3, 4, rng_from(120))
+    need = 2 * spectral.LANCZOS_BASIS * 64 * 8  # basis and images, 24 vectors of 8^2 coordinates each
+    calls = []
+    apply_real = Channel.apply_real
+
+    def counting_apply_real(self, x):
+        calls.append(1)
+        return apply_real(self, x)
+
+    monkeypatch.setattr(Channel, "apply_real", counting_apply_real)
+    monkeypatch.setattr(linalg, "memory_budget", lambda: float(need))
+    assert spectral_gap(ch).converged and calls  # exactly at the budget
+    calls.clear()
+    monkeypatch.setattr(linalg, "memory_budget", lambda: float(need - 1))
+    message = (
+        r"^the Lanczos basis and its images, 24 vectors each on 8 x 8 operators needs "
+        rf"{need / 2**30:.3g} GiB, over the memory budget of {(need - 1) / 2**30:.3g} GiB$"
+    )
+    with pytest.raises(ValueError, match=message):
+        spectral_gap(ch)
+    assert not calls
