@@ -11,17 +11,25 @@ JSON number, never a bool for either; [int] and [float] are lists of
 such numbers; bool is true or false.  Every malformed file raises
 FileFormatError naming the file and the field.
 
-Matrices are stored row-major as [re, im] pairs of JSON numbers and
-phases as one pair; each matrix is one numpy conversion of its flattened
-pairs.  Kraus operators and coupling unitaries may be given inline as
-such matrices or as paths to circuit files (resolved relative to the
-referencing file), which are simulated to their unitaries on load;
+Matrices written by hand are stored row-major as [re, im] pairs of JSON
+numbers and phases as one pair; each matrix is one numpy conversion of
+its flattened pairs.  Kraus operators and coupling unitaries may be given
+inline as such matrices or as paths to circuit files (resolved relative
+to the referencing file), which are simulated to their unitaries on load.
+A channel stage may instead hold its whole Kraus stack as one field,
+"kraus_base64": standard base64 of the little-endian complex128 operators,
+row-major, one after another, their count D read off the byte length.
+`save_channel` writes every stage that way, so a saved channel formats
+and parses no float text and round-trips bit for bit.  Before any Kraus
+entry of a stage is decoded or simulated, the stage's bytes are checked
+against the memory budget (:func:`qexpander.linalg.check_memory`);
 unitarity of every element is re-checked by the channel constructor.
 The canonical circuit serializer is bit-exact under round trip.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from itertools import chain, groupby
@@ -31,6 +39,7 @@ import numpy as np
 
 from .channels import Channel
 from .circuits import GATE_KINDS, SIM_CAP_QUBITS, Gate, GateCircuit, RegisterLayout, simulate_unitary
+from .linalg import check_memory
 from .reduction import ReductionSpec, build_base_expander, make_reduction_spec
 from .spectral import NonExpanderInstance
 from .thermalization import ThermalModel
@@ -41,8 +50,9 @@ MAX_STAGES = 4096
 
 #: The default of a field that must be present.
 REQUIRED = object()
+#: A stage needs exactly one of "kraus" and "kraus_base64".
 _STAGE_BODY = {
-    "kraus": (list, REQUIRED), "weights": ([float], None), "targets": ([int], None), "control": ([int], None),
+    "kraus": (list, None), "kraus_base64": (str, None), "weights": ([float], None), "targets": ([int], None), "control": ([int], None),
     "signed": (bool, False),
 }
 _INSTANCE = {"qubits": (int, REQUIRED), "alpha": (float, None), "beta": (float, None)}
@@ -290,13 +300,20 @@ def _channel_from_doc(doc, base_dir: Path, where: str) -> tuple[Channel, dict]:
 
 
 def _stage(fields: dict, base_dir: Path, qubits: int, where: str) -> Channel:
-    if not fields["kraus"]:
+    entries, packed = fields["kraus"], fields["kraus_base64"]
+    if (entries is None) == (packed is None):
+        raise FileFormatError(f"{where}: need exactly one of 'kraus' or 'kraus_base64'")
+    if packed is None and not entries:
         raise FileFormatError(f"{where}: field 'kraus' must be a nonempty list")
     targets, weights = fields["targets"], fields["weights"]
-    kraus = [
-        _kraus_entry(entry, base_dir, qubits if targets is None else len(targets), f"{where} kraus[{i}]")
-        for i, entry in enumerate(fields["kraus"])
-    ]
+    k = qubits if targets is None else len(targets)
+    # 16 bytes per entry for the stack and 48 for the GEMM operands.
+    count = len(entries) if packed is None else len(packed) * 3 // 4 // (16 * 4**k)
+    check_memory(64 * count * 4**k, f"{where}: {count} Kraus operators of {2**k} x {2**k} and their operands")
+    if packed is None:
+        kraus = [_kraus_entry(entry, base_dir, k, f"{where} kraus[{i}]") for i, entry in enumerate(entries)]
+    else:
+        kraus = _packed_kraus(packed, k, where)
     weights = np.full(len(kraus), 1.0 / len(kraus)) if weights is None else np.array(weights)
     try:
         return Channel(
@@ -304,6 +321,26 @@ def _stage(fields: dict, base_dir: Path, qubits: int, where: str) -> Channel:
         )
     except ValueError as exc:
         raise FileFormatError(f"{where}: {exc}") from exc
+
+
+def _packed_kraus(text: str, k: int, where: str) -> np.ndarray:
+    """The (D, 2^k, 2^k) stack of a "kraus_base64" field: padded standard
+    base64 of little-endian complex128 entries, row-major, D read off the
+    length."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise FileFormatError(f"{where}: field 'kraus_base64' is not base64: {exc}") from exc
+    size = 16 * 4**k
+    if not raw or len(raw) % size:
+        raise FileFormatError(
+            f"{where}: field 'kraus_base64' holds {len(raw)} bytes, not a positive multiple of"
+            f" {size} (one {2**k} x {2**k} complex128 operator)"
+        )
+    kraus = np.frombuffer(raw, dtype="<c16").reshape(-1, 2**k, 2**k)
+    if not np.isfinite(kraus).all():
+        raise FileFormatError(f"{where}: field 'kraus_base64' must hold finite numbers")
+    return kraus
 
 
 def load_channel(path) -> Channel:
@@ -326,7 +363,7 @@ def load_instance(path) -> NonExpanderInstance:
 def _stage_doc(stage: Channel) -> dict:
     doc = {
         "weights": [float(w) for w in stage.target_weights],
-        "kraus": [matrix_to_json(u) for u in stage.target_kraus],
+        "kraus_base64": base64.b64encode(stage.target_kraus.astype("<c16").tobytes()).decode("ascii"),
     }
     if stage.signed:
         doc["signed"] = True
@@ -341,7 +378,8 @@ def save_channel(channel: Channel, path, alpha: float | None = None, beta: float
     """Write a channel (flat, or staged when it has several stages) with
     optional instance thresholds.  A run of consecutive stages that are one
     object is written once, with its length as "repeat".  A signed stage is
-    written as its half set with "signed": true."""
+    written as its half set with "signed": true.  Each stage's Kraus stack
+    is one "kraus_base64" field."""
     stages = []
     for _, run in groupby(channel.stages, key=id):
         run = list(run)

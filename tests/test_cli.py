@@ -3,11 +3,14 @@ import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from qexpander import cli, linalg, reduction
+from qexpander.channels import random_unitary_channel
 from qexpander.fileio import save_channel
+from qexpander.linalg import rng_from
 
 CLI = [sys.executable, "-m", "qexpander.cli"]
 
@@ -641,16 +644,53 @@ def test_thermalize_over_the_memory_budget_exits_2(corpus, tmp_path, capsys, mon
 
 
 @pytest.mark.parametrize("command", ["gap", "decide"])
-def test_gap_and_decide_over_the_memory_budget_exit_2(corpus, capsys, monkeypatch, command):
-    # The 1-qubit instance's basis and images take 2 * 3 * 2^2 * 8 = 192 bytes;
-    # one byte less of budget and both commands refuse before the solve.
-    path = str(corpus / "instances" / "depolarizer_1q.json")
-    monkeypatch.setattr(linalg, "memory_budget", lambda: 192.0)
-    assert cli.main([command, path]) == 0
+def test_gap_and_decide_over_the_memory_budget_exit_2(tmp_path, capsys, monkeypatch, command):
+    # A 3-qubit NO instance of 4 Kraus operators: loading it takes
+    # 64 * 4 * 8^2 = 16,384 bytes and the Lanczos basis and its images
+    # 2 * 24 * 8^2 * 8 = 24,576.  With the larger budget both commands run;
+    # under it they refuse before the solve, and under the smaller on load.
+    path = tmp_path / "three.json"
+    save_channel(random_unitary_channel(3, 4, rng_from(64)), path, alpha=0.99, beta=0.9)
+    monkeypatch.setattr(linalg, "memory_budget", lambda: 24576.0)
+    assert cli.main([command, str(path)]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(linalg, "memory_budget", lambda: 191.0)
-    code = cli.main([command, path])
-    stdout, stderr = capsys.readouterr()
-    assert code == 2 and stdout == "" and stderr.count("\n") == 1
-    assert stderr.startswith("error: the Lanczos basis and its images, 3 vectors each on 2 x 2 operators needs ")
-    assert "over the memory budget of" in stderr and "Traceback" not in stderr
+    lanczos = "error: the Lanczos basis and its images, 24 vectors each on 8 x 8 operators needs "
+    loading = f"error: {path}: 4 Kraus operators of 8 x 8 and their operands needs "
+    for budget, message in ((24575, lanczos), (16384, lanczos), (16383, loading)):
+        monkeypatch.setattr(linalg, "memory_budget", lambda: float(budget))
+        code = cli.main([command, str(path)])
+        stdout, stderr = capsys.readouterr()
+        assert code == 2 and stdout == "" and stderr.count("\n") == 1
+        assert stderr.startswith(message), stderr
+        assert "over the memory budget of" in stderr and "Traceback" not in stderr
+
+
+def test_loading_over_the_memory_budget_builds_no_kraus_stack(tmp_path, capsys, monkeypatch):
+    # Two 7-qubit circuit entries would simulate to 2 * 16 * 4^7 = 512 kB,
+    # and a packed 6-qubit stack of 4 decodes to 256 kB; with their operands
+    # they need 2 MiB and 1 MiB.  Under a 1 MiB budget both files exit 2
+    # from their stage's check, before any entry is simulated or decoded.
+    circuits = {
+        "u1.json": [{"kind": "H", "targets": [0]}, {"kind": "CNOT", "targets": [6], "controls": [0], "polarities": [1]}],
+        "u2.json": [{"kind": "T", "targets": [3]}, {"kind": "H", "targets": [5]}],
+    }
+    for name, gates in circuits.items():
+        (tmp_path / name).write_text(json.dumps({"qubits": 7, "gates": gates}))
+    compact, packed = tmp_path / "compact.json", tmp_path / "packed.json"
+    compact.write_text(json.dumps({"qubits": 7, "kraus": list(circuits)}))
+    save_channel(random_unitary_channel(6, 4, rng_from(65)), packed)
+    size = packed.stat().st_size
+    monkeypatch.setattr(linalg, "memory_budget", lambda: float(2**20 - 1))
+    # Reading and parsing the packed file hold its text twice; decoding would
+    # add an ASCII copy of the field and its 256 kB of bytes.
+    for path, need, bound in ((compact, 2**21, 16 * 4**7), (packed, 2**20, 2 * size + 2**17)):
+        tracemalloc.start()
+        try:
+            code = cli.main(["gap", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stdout, stderr = capsys.readouterr()
+        assert code == 2 and stdout == "" and stderr.count("\n") == 1
+        assert stderr.startswith(f"error: {path}: ") and f"needs {need / 2**30:.3g} GiB, over the memory budget" in stderr
+        assert peak < bound, (path.name, peak, bound)

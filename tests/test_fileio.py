@@ -1,9 +1,14 @@
+import base64
 import json
 import re
+import struct
+from itertools import groupby
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qexpander import cli
 from qexpander.channels import Channel, channel_power, complete_depolarizer, random_unitary_channel
 from qexpander.fileio import (
     FIELDS,
@@ -198,6 +203,16 @@ def test_structured_single_stage_round_trip(tmp_path):
     assert "stages" not in json.loads(first.read_text())
 
 
+def _stage_stacks(path) -> list[np.ndarray]:
+    """Each stage object's "kraus_base64" field of a saved channel file,
+    decoded here independently of the loader."""
+    doc = json.loads(Path(path).read_text())
+    return [
+        np.frombuffer(base64.b64decode(s["kraus_base64"]), dtype="<c16").reshape(len(s["weights"]), -1)
+        for s in doc.get("stages", [doc])
+    ]
+
+
 def test_dense_staged_file_without_structure_still_loads(tmp_path):
     # The layout written before stages carried targets and control: every
     # stage's Kraus operators lifted to the full space, one object per stage.
@@ -211,9 +226,14 @@ def test_dense_staged_file_without_structure_still_loads(tmp_path):
     back = load_channel(path)
     assert len(back.stages) == 5 and back.degree == ch.degree
     assert abs(dense_kappa(back) - dense_kappa(ch)) < 1e-12
-    resaved = tmp_path / "resaved.json"
+    resaved, fresh = tmp_path / "resaved.json", tmp_path / "fresh.json"
     save_channel(back, resaved)
-    assert json.loads(resaved.read_text()) == json.loads(path.read_text())
+    save_channel(Channel.staged([Channel(s.kraus, s.weights) for s in ch.stages]), fresh)
+    assert resaved.read_bytes() == fresh.read_bytes()
+    doc = json.loads(resaved.read_text())
+    assert [s["weights"] for s in doc["stages"]] == [s["weights"] for s in stages]
+    for stack, s in zip(_stage_stacks(resaved), stages):
+        assert stack.tobytes() == np.stack([matrix_from_json(u) for u in s["kraus"]]).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -231,9 +251,10 @@ def test_signed_stages_round_trip_byte_identical(no_reduction_file, tmp_path):
     doc = json.loads(first.read_text())
     # ancilla verifier, the folded witness verifier, six controlled F stages
     assert [s.get("signed", False) for s in doc["stages"]] == [True, True, True]
-    assert [len(s["kraus"]) for s in doc["stages"]] == [4, 4, 8]
+    assert [len(s["weights"]) for s in doc["stages"]] == [4, 4, 8]
+    assert all("kraus" not in s for s in doc["stages"])
     assert doc["stages"][-1]["repeat"] == 6 and doc["degree"] == 2**30 == channel.degree
-    assert first.stat().st_size <= 100_000
+    assert first.stat().st_size <= 50_000
     back = load_instance(first).channel
     assert [s.signed for s in back.stages] == [s.signed for s in channel.stages]
     second = tmp_path / "second.json"
@@ -243,13 +264,20 @@ def test_signed_stages_round_trip_byte_identical(no_reduction_file, tmp_path):
 
 def test_doubled_set_file_loads_as_unsigned_stages(no_reduction_file, tmp_path):
     # The layout written before stages carried "signed": each signed stage
-    # as its explicit doubled set [U, -U] with weights w / 2.
+    # as its explicit doubled set [U, -U] of [re, im] pairs, weights w / 2.
     channel, signed_path = no_reduction_file
     doc = json.loads(signed_path.read_text())
-    for stage in doc["stages"]:
-        if stage.pop("signed", False):
-            stage["kraus"] += [[[-re, -im] for re, im in u] for u in stage["kraus"]]
-            stage["weights"] = [w / 2 for w in stage["weights"] * 2]
+    firsts = [next(run) for _, run in groupby(channel.stages, key=id)]
+    doubled = []
+    for stage, s in zip(doc["stages"], firsts, strict=True):
+        del stage["kraus_base64"]
+        assert stage.pop("signed")
+        half = [matrix_to_json(u) for u in s.target_kraus]
+        stage["kraus"] = half + [[[-re, -im] for re, im in u] for u in half]
+        stage["weights"] = [w / 2 for w in stage["weights"] * 2]
+        kraus = np.concatenate([s.target_kraus, -s.target_kraus])
+        unsigned = Channel(kraus, np.array(stage["weights"]), qubits=s.qubits, targets=s.targets, control=s.control)
+        doubled += [unsigned] * stage.get("repeat", 1)
     old = tmp_path / "doubled.json"
     old.write_text(json.dumps(doc, sort_keys=True) + "\n")
     back = load_channel(old)
@@ -259,10 +287,11 @@ def test_doubled_set_file_loads_as_unsigned_stages(no_reduction_file, tmp_path):
     for _ in range(3):
         a = random_operator(32, rng)
         assert frobenius(back.apply(a) - channel.apply(a)) < 1e-13
-    resaved = tmp_path / "resaved.json"
+    resaved, fresh = tmp_path / "resaved.json", tmp_path / "fresh.json"
     save_channel(back, resaved, alpha=doc["alpha"], beta=doc["beta"])
-    assert resaved.read_bytes() == old.read_bytes()
-    assert old.stat().st_size > 1.8 * signed_path.stat().st_size
+    save_channel(Channel.staged(doubled), fresh, alpha=doc["alpha"], beta=doc["beta"])
+    assert resaved.read_bytes() == fresh.read_bytes()
+    assert resaved.stat().st_size > 1.8 * signed_path.stat().st_size
 
 
 STAGE = {"kraus": [matrix_to_json(I), matrix_to_json(Z)]}
@@ -294,6 +323,91 @@ def test_malformed_structured_stage_rejected(tmp_path, doc, message):
     path.write_text(json.dumps(doc))
     with pytest.raises(FileFormatError, match=re.escape(message)):
         load_channel(path)
+
+
+def _pairs_doc(channel: Channel, packed_doc: dict) -> dict:
+    """`packed_doc`, a saved file of `channel`, with each stage's Kraus
+    stack as [re, im] pair lists instead of "kraus_base64"."""
+    doc = json.loads(json.dumps(packed_doc))
+    firsts = [next(run) for _, run in groupby(channel.stages, key=id)]
+    for stage, s in zip(doc.get("stages", [doc]), firsts, strict=True):
+        del stage["kraus_base64"]
+        stage["kraus"] = [matrix_to_json(u) for u in s.target_kraus]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_unitary_channel(2, 3, rng_from(66)),
+        complete_depolarizer,
+        lambda: sign_double(random_unitary_channel(2, 2, rng_from(67))),
+        # controlled monomial, a signed controlled stage repeated 3 times, flat
+        _structured_channel,
+    ],
+    ids=["flat", "monomial", "signed", "controlled-repeated"],
+)
+def test_packed_and_pair_stages_load_bit_identical(tmp_path, make):
+    ch = make()
+    packed, pairs = tmp_path / "packed.json", tmp_path / "pairs.json"
+    save_channel(ch, packed)
+    pairs.write_text(json.dumps(_pairs_doc(ch, json.loads(packed.read_text()))))
+    a, b = load_channel(packed), load_channel(pairs)
+    assert len(a.stages) == len(b.stages) == len(ch.stages)
+    for x, y, s in zip(a.stages, b.stages, ch.stages):
+        assert x.target_kraus.tobytes() == y.target_kraus.tobytes() == s.target_kraus.tobytes()
+        assert x.target_weights.tobytes() == y.target_weights.tobytes() == s.target_weights.tobytes()
+        assert x.signed == y.signed == s.signed and x.targets == y.targets == s.targets
+    firsts = [next(run) for _, run in groupby(ch.stages, key=id)]
+    for stack, s in zip(_stage_stacks(packed), firsts, strict=True):
+        assert stack.tobytes() == s.target_kraus.tobytes()
+
+
+def test_packed_field_is_little_endian_complex128_row_major(tmp_path):
+    # Y then S, packed by hand: re and im of each entry, rows in order.
+    entries = [0, 0, 0, -1, 0, 1, 0, 0] + [1, 0, 0, 0, 0, 0, 0, 1]
+    text = base64.b64encode(struct.pack("<16d", *entries)).decode("ascii")
+    path, again = tmp_path / "ys.json", tmp_path / "again.json"
+    path.write_text(json.dumps({"qubits": 1, "kraus_base64": text}))
+    ch = load_channel(path)
+    assert np.array_equal(ch.target_kraus, [Y, np.diag([1, 1j])])
+    assert ch.target_weights.tolist() == [0.5, 0.5]
+    save_channel(ch, again)
+    assert json.loads(again.read_text()) == {"qubits": 1, "kraus_base64": text, "weights": [0.5, 0.5]}
+
+
+def _packed(*mats) -> str:
+    return base64.b64encode(np.array(mats, dtype="<c16").tobytes()).decode("ascii")
+
+
+IZ = _packed(I, Z)
+# (flat channel fields, the message its one error line must hold)
+MALFORMED_PACKED = [
+    ({"kraus_base64": IZ[:40] + "!" + IZ[41:]}, "field 'kraus_base64' is not base64"),
+    ({"kraus_base64": IZ[:40] + "\u00e9" + IZ[41:]}, "field 'kraus_base64' is not base64"),
+    ({"kraus_base64": IZ[:-1]}, "field 'kraus_base64' is not base64"),
+    ({"kraus_base64": IZ[:-4]}, "holds 126 bytes, not a positive multiple of 64 (one 2 x 2 complex128 operator)"),
+    ({"kraus_base64": ""}, "holds 0 bytes, not a positive multiple of 64"),
+    ({"kraus_base64": _packed(I, np.diag([1, np.nan]))}, "field 'kraus_base64' must hold finite numbers"),
+    ({"kraus_base64": _packed(I, np.diag([1, 1j * np.inf]))}, "field 'kraus_base64' must hold finite numbers"),
+    ({"kraus_base64": IZ, "kraus": STAGE["kraus"]}, "need exactly one of 'kraus' or 'kraus_base64'"),
+    ({}, "need exactly one of 'kraus' or 'kraus_base64'"),
+    ({"kraus_base64": IZ, "weights": [0.5, 0.25, 0.25]}, "3 weights for 2 Kraus operators"),
+    ({"kraus_base64": _packed(I, np.diag([1.0, 0.5]))}, "not unitary"),
+]
+
+
+@pytest.mark.parametrize("staged", [False, True], ids=["flat", "staged"])
+@pytest.mark.parametrize("fields,message", MALFORMED_PACKED)
+def test_malformed_packed_stage_exits_2_with_one_error_line(tmp_path, capsys, fields, message, staged):
+    doc = {"qubits": 1, "stages": [fields]} if staged else {"qubits": 1, **fields}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["gap", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}{' stage 0' if staged else ''}") and err.count("\n") == 1, err
+    assert message in err and "Traceback" not in err
 
 
 def test_integral_float_fields_load(tmp_path):
