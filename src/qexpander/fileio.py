@@ -52,8 +52,8 @@ MAX_STAGES = 4096
 REQUIRED = object()
 #: A stage needs exactly one of "kraus" and "kraus_base64".
 _STAGE_BODY = {
-    "kraus": (list, None), "kraus_base64": (str, None), "weights": ([float], None), "targets": ([int], None), "control": ([int], None),
-    "signed": (bool, False),
+    "kraus": (list, None), "kraus_base64": (str, None), "weights": ([float], None), "targets": ([int], None),
+    "control": ([int], None), "signed": (bool, False),
 }
 _INSTANCE = {"qubits": (int, REQUIRED), "alpha": (float, None), "beta": (float, None)}
 

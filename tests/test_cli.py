@@ -670,14 +670,9 @@ def test_loading_over_the_memory_budget_builds_no_kraus_stack(tmp_path, capsys, 
     # and a packed 6-qubit stack of 4 decodes to 256 kB; with their operands
     # they need 2 MiB and 1 MiB.  Under a 1 MiB budget both files exit 2
     # from their stage's check, before any entry is simulated or decoded.
-    circuits = {
-        "u1.json": [{"kind": "H", "targets": [0]}, {"kind": "CNOT", "targets": [6], "controls": [0], "polarities": [1]}],
-        "u2.json": [{"kind": "T", "targets": [3]}, {"kind": "H", "targets": [5]}],
-    }
-    for name, gates in circuits.items():
-        (tmp_path / name).write_text(json.dumps({"qubits": 7, "gates": gates}))
+    unitaries = json.loads(_seven_qubit_model(tmp_path).read_text())["unitaries"]
     compact, packed = tmp_path / "compact.json", tmp_path / "packed.json"
-    compact.write_text(json.dumps({"qubits": 7, "kraus": list(circuits)}))
+    compact.write_text(json.dumps({"qubits": 7, "kraus": unitaries}))
     save_channel(random_unitary_channel(6, 4, rng_from(65)), packed)
     size = packed.stat().st_size
     monkeypatch.setattr(linalg, "memory_budget", lambda: float(2**20 - 1))
@@ -692,5 +687,6 @@ def test_loading_over_the_memory_budget_builds_no_kraus_stack(tmp_path, capsys, 
             tracemalloc.stop()
         stdout, stderr = capsys.readouterr()
         assert code == 2 and stdout == "" and stderr.count("\n") == 1
-        assert stderr.startswith(f"error: {path}: ") and f"needs {need / 2**30:.3g} GiB, over the memory budget" in stderr
+        assert stderr.startswith(f"error: {path}: ")
+        assert f"needs {need / 2**30:.3g} GiB, over the memory budget" in stderr
         assert peak < bound, (path.name, peak, bound)

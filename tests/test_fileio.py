@@ -213,6 +213,21 @@ def _stage_stacks(path) -> list[np.ndarray]:
     ]
 
 
+def _written_stages(channel: Channel) -> list[Channel]:
+    """The stage objects `save_channel` writes: one per run of one object."""
+    return [next(run) for _, run in groupby(channel.stages, key=id)]
+
+
+def _pairs_doc(channel: Channel, packed_doc: dict) -> dict:
+    """`packed_doc`, a saved file of `channel`, with each stage's Kraus
+    stack as [re, im] pair lists instead of "kraus_base64"."""
+    doc = json.loads(json.dumps(packed_doc))
+    for stage, s in zip(doc.get("stages", [doc]), _written_stages(channel), strict=True):
+        del stage["kraus_base64"]
+        stage["kraus"] = [matrix_to_json(u) for u in s.target_kraus]
+    return doc
+
+
 def test_dense_staged_file_without_structure_still_loads(tmp_path):
     # The layout written before stages carried targets and control: every
     # stage's Kraus operators lifted to the full space, one object per stage.
@@ -266,14 +281,11 @@ def test_doubled_set_file_loads_as_unsigned_stages(no_reduction_file, tmp_path):
     # The layout written before stages carried "signed": each signed stage
     # as its explicit doubled set [U, -U] of [re, im] pairs, weights w / 2.
     channel, signed_path = no_reduction_file
-    doc = json.loads(signed_path.read_text())
-    firsts = [next(run) for _, run in groupby(channel.stages, key=id)]
+    doc = _pairs_doc(channel, json.loads(signed_path.read_text()))
     doubled = []
-    for stage, s in zip(doc["stages"], firsts, strict=True):
-        del stage["kraus_base64"]
+    for stage, s in zip(doc["stages"], _written_stages(channel), strict=True):
         assert stage.pop("signed")
-        half = [matrix_to_json(u) for u in s.target_kraus]
-        stage["kraus"] = half + [[[-re, -im] for re, im in u] for u in half]
+        stage["kraus"] += [[[-re, -im] for re, im in u] for u in stage["kraus"]]
         stage["weights"] = [w / 2 for w in stage["weights"] * 2]
         kraus = np.concatenate([s.target_kraus, -s.target_kraus])
         unsigned = Channel(kraus, np.array(stage["weights"]), qubits=s.qubits, targets=s.targets, control=s.control)
@@ -325,17 +337,6 @@ def test_malformed_structured_stage_rejected(tmp_path, doc, message):
         load_channel(path)
 
 
-def _pairs_doc(channel: Channel, packed_doc: dict) -> dict:
-    """`packed_doc`, a saved file of `channel`, with each stage's Kraus
-    stack as [re, im] pair lists instead of "kraus_base64"."""
-    doc = json.loads(json.dumps(packed_doc))
-    firsts = [next(run) for _, run in groupby(channel.stages, key=id)]
-    for stage, s in zip(doc.get("stages", [doc]), firsts, strict=True):
-        del stage["kraus_base64"]
-        stage["kraus"] = [matrix_to_json(u) for u in s.target_kraus]
-    return doc
-
-
 @pytest.mark.parametrize(
     "make",
     [
@@ -358,8 +359,7 @@ def test_packed_and_pair_stages_load_bit_identical(tmp_path, make):
         assert x.target_kraus.tobytes() == y.target_kraus.tobytes() == s.target_kraus.tobytes()
         assert x.target_weights.tobytes() == y.target_weights.tobytes() == s.target_weights.tobytes()
         assert x.signed == y.signed == s.signed and x.targets == y.targets == s.targets
-    firsts = [next(run) for _, run in groupby(ch.stages, key=id)]
-    for stack, s in zip(_stage_stacks(packed), firsts, strict=True):
+    for stack, s in zip(_stage_stacks(packed), _written_stages(ch), strict=True):
         assert stack.tobytes() == s.target_kraus.tobytes()
 
 
