@@ -9,10 +9,11 @@ is the quantum-expander form; non-uniform weights arise from weak-coupling
 thermalization models.  Every such channel is trace preserving and unital.
 
 :class:`Channel` is a tuple of such mixtures (stages), applied
-first-to-last.  Each stage has D Kraus operators on k target qubits T,
-stored once, inside the read-only real operands of its kernel (below),
-its weights as a read-only (D,) array, and optionally a 0/1 control
-vector c over the computational basis of the other m - k qubits.  Its
+first-to-last.  A stage's record is its read-only (D, 2^k, 2^k) stack of
+Kraus operators on k target qubits T, its weights as a read-only (D,)
+array, and optionally a 0/1 control vector c over the computational
+basis of the other m - k qubits; its kernel (the real GEMM operands
+below, or a monomial map) is derived from the stack once.  Its
 elements on the full space are P (U_d (x) I) + Q with P = diag(c) (x) I_T
 and Q = I - P; P commutes with every lifted U_d by construction.  A flat stage has T = all
 qubits and no control.  A *signed* stage stores only a half set {U_d}
@@ -50,8 +51,8 @@ products are never materialized.
 
 A stage whose Kraus operators each have one nonzero entry per column (Pauli
 strings, permutations with phases) is *monomial*, chosen from the Kraus
-data alone.  It stores its operators and, instead of GEMM operands, a
-sparse real-coordinate map (:func:`_monomial_map`), which
+data alone.  Instead of GEMM operands it derives a sparse
+real-coordinate map (:func:`_monomial_map`), which
 :meth:`Channel.apply_real` runs as one gather and one ``np.bincount`` in
 time linear in its entries.  Its adjoint is the transposed map.
 """
@@ -134,56 +135,46 @@ class Channel:
             if control.size != 2 ** (m - k) or np.any((control != 0) & (control != 1)):
                 raise ValueError(f"control must be a 0/1 vector of length {2 ** (m - k)}")
             control = control == 1
-            control.setflags(write=False)
-        layout = None
-        if targets != tuple(range(m)) or control is not None:
-            # Basis order putting the controlled subspace first, as
-            # (rest, target) index pairs: there the elements are I (x) U_d.
-            idx = split_index(m, targets)
-            on, off = (idx, idx[:0]) if control is None else (idx[control], idx[~control])
-            order = np.concatenate([on.ravel(), off.ravel()])
-            layout = order, np.argsort(order), on.size
-        signed = bool(signed)
-        if np.count_nonzero(x) == len(x) * dim:
-            # Monomial: no column of a unitary is zero, so this is one nonzero
-            # entry per column, of unit modulus.
-            x.setflags(write=False)
-            self._set_stage(None, None, w, signed, m, targets, control, layout, None,
-                            x, _monomial_map(x, w, signed, layout, 2**m))
-        else:
-            mean = None
-            if _crossed(layout, signed):
-                # [[Re M, Im M], [-Im M, Re M]] for M = sum_d w_d U_d.
-                mw = np.tensordot(w, x, axes=1)
-                mean = _real_blocks(mw.real, mw.imag, -mw.imag, mw.real)
-            self._set_stage(*_operands(x.real, x.imag, w), w, signed, m, targets, control, layout, mean)
+        # Monomial: no column of a unitary is zero, so this is one nonzero
+        # entry per column, of unit modulus.
+        self._build(x, w, m, targets, control, bool(signed), np.count_nonzero(x) == len(x) * dim)
         eye = np.eye(2**m)
         defect = frobenius(self.apply_real(eye) - eye)
         if not defect <= ATOL:
             raise ValueError(f"channel is not unital: ||Phi(I) - I||_F = {defect:.3e}")
 
-    def _set_stage(self, left, right, w, signed, qubits, targets, control, layout, mean,
-                   kraus=None, sparse=None) -> None:
-        """Store a validated stage by its real apply operands, all read-only:
-        `left` and `right` of :func:`_operands`, which hold its Kraus
-        operators, and the cross-term operand `mean` or None; or, for a
-        monomial stage, its Kraus operators `kraus` and the map `sparse` of
-        :func:`_monomial_map`."""
-        for arr in (left, right, w, mean, *(sparse or ())):
+    def _build(self, x, w, qubits, targets, control, signed, monomial, kernel=None) -> "Channel":
+        """Store a validated stage, made read-only, and return it: its record,
+        the Kraus stack `x` (the half set of a signed stage) with weights `w`,
+        `targets` among `qubits` and `control`, and the kernel derived from
+        the record once.  That is the map of :func:`_monomial_map` when
+        `monomial`, else the operands of :func:`_operands` plus the
+        cross-term operand when the stage has cross terms.  A map or operand
+        pair already derived from the same data is passed as `kernel`."""
+        layout = None
+        if targets != tuple(range(qubits)) or control is not None:
+            # Basis order putting the controlled subspace first, as
+            # (rest, target) index pairs: there the elements are I (x) U_d.
+            idx = split_index(qubits, targets)
+            on, off = (idx, idx[:0]) if control is None else (idx[control], idx[~control])
+            order = np.concatenate([on.ravel(), off.ravel()])
+            layout = order, np.argsort(order), on.size
+        left = right = mean = sparse = None
+        if monomial:
+            sparse = kernel or _monomial_map(x, w, signed, layout, 2**qubits)
+        else:
+            left, right = kernel or _operands(x.real, x.imag, w)
+            if _crossed(layout, signed):
+                # [[Re M, Im M], [-Im M, Re M]] for M = sum_d w_d U_d.
+                mw = np.tensordot(w, x, axes=1)
+                mean = _real_blocks(mw.real, mw.imag, -mw.imag, mw.real)
+        for arr in (x, w, control, left, right, mean, *(sparse or ())):
             if arr is not None:
                 arr.setflags(write=False)
-        self._left, self._right, self._weights = left, right, w
-        self._signed, self._stages, self._runs = signed, (), None
+        self._kraus, self._weights, self._signed, self._stages, self._runs = x, w, signed, (), None
         self._qubits, self._dim, self._targets, self._control = qubits, 2**qubits, targets, control
-        self._layout, self._mean, self._kraus, self._map = layout, mean, kraus, sparse
-
-    def _with(self, left, right, signed, mean, kraus=None, sparse=None) -> "Channel":
-        """This stage with other operands and `signed` flag, the weights,
-        targets and control kept; not validated again."""
-        out = object.__new__(Channel)
-        out._set_stage(left, right, self._weights, signed, self._qubits, self._targets, self._control,
-                       self._layout, mean, kraus, sparse)
-        return out
+        self._layout, self._left, self._right, self._mean, self._map = layout, left, right, mean, sparse
+        return self
 
     @classmethod
     def uniform(cls, kraus) -> "Channel":
@@ -248,17 +239,9 @@ class Channel:
     @property
     def target_kraus(self) -> np.ndarray:
         """The (D, 2^k, 2^k) Kraus array of a single-stage channel on its
-        target qubits, the half set of a signed stage: a new read-only
-        array R_d + i J_d, bit for bit the operators the stage was built
-        from, read back from the stored [[R_d, J_d], [J_d, -R_d]] blocks or,
-        for a monomial stage, copied."""
-        if self._single()._map is not None:
-            x = self._kraus.copy()
-            x.setflags(write=False)
-            return x
-        blocks = _left_blocks(self)
-        x = np.empty(blocks.shape[:1] + blocks.shape[2:3] * 2, dtype=complex)
-        x.real, x.imag = blocks[:, 0, :, 0], blocks[:, 0, :, 1]
+        target qubits, the half set of a signed stage: a new read-only copy
+        of the stage's stack, bit for bit the operators it was built from."""
+        x = self._single()._kraus.copy()
         x.setflags(write=False)
         return x
 
@@ -375,22 +358,18 @@ class Channel:
 
     def adjoint(self) -> "Channel":
         """The Hilbert-Schmidt adjoint: stages reversed, each with the same
-        weights, targets and control and the Kraus set {U_d^dag}, one
+        weights, targets and control and the Kraus stack {U_d^dag}, one
         adjoint per distinct stage object (see :func:`per_stage`).  The
-        stages are already validated, so they are not checked again.
-        U_d^dag = R_d^T - i J_d^T, so a stage's operands come from its
-        own by transposing each R_d and J_d block and negating J_d, and
-        its cross-term operand M^dag from the transpose of M's."""
+        stages are already validated, so they are not checked again, and
+        each keeps its kernel kind: a monomial map is transposed, and GEMM
+        operands and the cross-term operand come from U_d^dag and M^dag."""
         if self._stages:
             return per_stage(Channel.staged(reversed(self._stages)), Channel.adjoint)
-        if self._map is not None:
-            dst, src, coef = self._map
-            kraus = self._kraus.conj().transpose(0, 2, 1)
-            return self._with(None, None, self._signed, None, kraus, (src, dst, coef))
-        blocks = _left_blocks(self)
-        re, im = blocks[:, 0, :, 0].transpose(0, 2, 1), -blocks[:, 0, :, 1].transpose(0, 2, 1)
-        mean = None if self._mean is None else np.ascontiguousarray(self._mean.T)
-        return self._with(*_operands(re, im, self._weights), self._signed, mean)
+        flipped = None if self._map is None else (self._map[1], self._map[0], self._map[2])  # dst <-> src
+        return object.__new__(Channel)._build(
+            self._kraus.conj().transpose(0, 2, 1), self._weights, self._qubits, self._targets, self._control,
+            self._signed, flipped is not None, flipped,
+        )
 
 
 def _shares_layout(s: Channel, t: Channel) -> bool:
@@ -514,14 +493,6 @@ def _operands(re: np.ndarray, im: np.ndarray, w: np.ndarray) -> tuple[np.ndarray
     return left.reshape(2 * d * k, 2 * k), right
 
 
-def _left_blocks(stage: Channel) -> np.ndarray:
-    """A stage's left operand as a (D, 2, k, 2, k) view of its blocks, read
-    from the target-row order of :func:`_operands`: [:, 0, :, 0] is R_d and
-    [:, 0, :, 1] is J_d."""
-    k = stage._right.shape[1]
-    return stage._left.reshape(k, -1, 2, 2, k).transpose(1, 2, 0, 3, 4)
-
-
 def _real_blocks(a, b, c, d) -> np.ndarray:
     """The (..., 2 k, 2 k) block matrices [[a, b], [c, d]] of (..., k, k) blocks."""
     k = a.shape[-1]
@@ -601,7 +572,7 @@ def zero_sum_defect(channel: Channel) -> float:
     Zero for signed stages; multi-stage channels report the worst stage.
     """
     return max(
-        0.0 if s._signed else frobenius(np.tensordot(s._weights, s.target_kraus, axes=1)) for s in channel.stages
+        0.0 if s._signed else frobenius(np.tensordot(s._weights, s._kraus, axes=1)) for s in channel.stages
     )
 
 
@@ -623,10 +594,11 @@ def _sign_stage(stage: Channel) -> Channel:
             "sign-doubling the target elements of a controlled stage would drop its cross terms; "
             "sign-double the target channel before controlling it"
         )
-    if stage._map is not None:
-        sparse = _monomial_map(stage._kraus, stage._weights, True, stage._layout, stage._dim)
-        return stage._with(None, None, True, None, stage._kraus, sparse)
-    return stage._with(stage._left, stage._right, True, None)
+    monomial = stage._map is not None
+    return object.__new__(Channel)._build(
+        stage._kraus, stage._weights, stage._qubits, stage._targets, stage._control, True, monomial,
+        None if monomial else (stage._left, stage._right),
+    )
 
 
 def sign_double(channel: Channel) -> Channel:

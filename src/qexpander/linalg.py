@@ -189,12 +189,14 @@ def memory_budget(meminfo="/proc/meminfo", cgroup="/proc/self/cgroup", cgroup_ro
 
 def check_memory(need: int, what: str) -> None:
     """Raise ValueError, naming both figures, when `need` bytes for `what`
-    exceed :func:`memory_budget`."""
+    exceed :func:`memory_budget`: in GiB to 3 significant digits, or in
+    whole bytes when those would print alike."""
     budget = memory_budget()
     if need > budget:
-        raise ValueError(
-            f"{what} needs {need / 2**30:.3g} GiB, over the memory budget of {budget / 2**30:.3g} GiB"
-        )
+        figures = [f"{b / 2**30:.3g} GiB" for b in (need, budget)]
+        if figures[0] == figures[1]:
+            figures = [f"{int(b)} bytes" for b in (need, budget)]
+        raise ValueError(f"{what} needs {figures[0]}, over the memory budget of {figures[1]}")
 
 
 # ---------------------------------------------------------------------------

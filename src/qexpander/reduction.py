@@ -96,21 +96,38 @@ def controlled_channel(target: Channel, target_qubits, control, num_qubits: int)
     :class:`Channel` takes: the target acts where it is 1.  With
     P = diag(control) (x) I_T and Q = I - P, each target stage becomes one
     structured stage whose full-space elements are {P lift(U_d) + Q}; P is
-    diagonal and commutes with every lifted U_d by construction.  See
-    :meth:`Channel.apply` for the block form it is applied in; a signed
-    target stage gives a signed stage.  The weighted target elements must
-    sum to zero, M = sum_d w_d U_d = 0, so the action is
-    P A P (x) F(B) + Q A Q (x) B with no cross terms.  Multi-stage targets
-    are controlled stage by stage, which is exact because
-    Lambda(AB) = Lambda(A) Lambda(B) for a shared control subspace; each
-    distinct stage object is controlled once.
+    diagonal and commutes with every lifted U_d by construction.  A stage
+    keeps its own targets, its qubit j mapped to target_qubits[j], so a
+    local stage stays local; its control is `control` re-indexed over the
+    qubits outside those targets, which reads the bits outside
+    `target_qubits` alone, so P is unchanged.  See :meth:`Channel.apply`
+    for the block form it is applied in; a signed target stage gives a
+    signed stage.  The weighted target elements must sum to zero,
+    M = sum_d w_d U_d = 0, so the action is P A P (x) F(B) + Q A Q (x) B
+    with no cross terms.  A target stage with a control of its own (not
+    all ones) is refused: its elements are the identity where that control
+    is 0, so they never sum to zero.  Multi-stage targets are controlled
+    stage by stage, which is exact because Lambda(AB) = Lambda(A) Lambda(B)
+    for a shared control subspace; each distinct stage object is controlled
+    once.
     """
+    target_qubits = tuple(int(q) for q in target_qubits)
+    size = len(split_index(num_qubits, target_qubits))
+    control = np.asarray(control).reshape(-1)
+    if control.size != size:
+        raise ValueError(f"control must be a 0/1 vector of length {size}")
+    outer = [q for q in range(num_qubits) if q not in target_qubits]
+    place = 1 << np.arange(len(outer) - 1, -1, -1)  # rest-state index from the bits outside target_qubits
 
     def control_stage(s: Channel) -> Channel:
-        if s.targets != tuple(range(s.qubits)) or s.control is not None:
-            s = Channel(s.kraus, s.weights)  # lifted to the target register
-        return Channel(s.target_kraus, s.target_weights, qubits=num_qubits, targets=target_qubits,
-                       control=control, signed=s.signed)
+        if s.qubits != len(target_qubits):
+            raise ValueError(f"{s.qubits}-qubit target on {len(target_qubits)} target qubits")
+        if s.control is not None and not s.control.all():
+            raise ValueError("target elements lack the zero-sum property: a stage carries its own control")
+        targets = tuple(target_qubits[q] for q in s.targets)
+        own = control if targets == target_qubits else control[rest_bits(num_qubits, targets)[:, outer] @ place]
+        return Channel(s.target_kraus, s.target_weights, qubits=num_qubits, targets=targets, control=own,
+                       signed=s.signed)
 
     out = per_stage(target, control_stage)
     defect = zero_sum_defect(out)

@@ -119,7 +119,7 @@ class ThermalModel:
         w1 = self.r1 / ((self.r0 + self.r1) * d)
         kraus = [*self.unitaries, *(np.conj(u).T for u in self.unitaries)]
         channel = Channel(kraus, np.array([w0] * d + [w1] * d))
-        object.__setattr__(self, "unitaries", tuple(channel.kraus[:d]))
+        object.__setattr__(self, "unitaries", tuple(channel.target_kraus[:d]))
         object.__setattr__(self, "channel", channel)
 
     @property

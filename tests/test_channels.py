@@ -13,9 +13,10 @@ from qexpander.channels import (
     channel_power,
     complete_depolarizer,
     random_unitary_channel,
+    sign_double,
     zero_sum_defect,
 )
-from qexpander.fileio import save_channel
+from qexpander.fileio import load_channel, matrix_to_json, save_channel
 from qexpander.linalg import frobenius, hermitian_from_real, paulis, real_coordinates, rng_from
 
 from oracles import (
@@ -402,7 +403,7 @@ def test_apply_adjoint_pairing(name):
 def test_stage_operands_are_read_only(name):
     ch = _apply_cases()[name]
     for stage in (ch, ch.adjoint()):
-        operands = [stage._left, stage._right, stage._weights]
+        operands = [stage._kraus, stage._left, stage._right, stage._weights]
         if stage._mean is not None:
             operands.append(stage._mean)
         for arr in operands:
@@ -858,11 +859,48 @@ MONOMIAL_MUTANTS = {
 def test_monomial_oracle_rejects_mutants(name):
     kind, mutate = MONOMIAL_MUTANTS[name]
     stage, _ = _monomial_stage(kind)
-    mutant = stage._with(None, None, stage._signed, None, stage._kraus, mutate(stage))
+    mutant = object.__new__(Channel)._build(
+        stage._kraus, stage._weights, stage.qubits, stage.targets, stage.control, stage.signed, True, mutate(stage)
+    )
     x = rng_from(104).standard_normal((stage.dim, stage.dim))
     want = kraus_sum_real(stage, x)
     assert frobenius(stage.apply_real(x) - want) <= 1e-13 * frobenius(x)
     assert frobenius(mutant.apply_real(x) - want) > 1e-3 * frobenius(x)
+
+
+def test_stage_record_is_the_kraus_stack_it_was_built_from(tmp_path):
+    # target_kraus is bit for bit the constructor input for every kernel
+    # kind, the adjoint's is U_d^dag, and sign doubling shares the stack.
+    rng = rng_from(106)
+    haar = np.array([random_unitary_channel(2, 1, rng).target_kraus[0] for _ in range(3)])
+    pauli = np.array([np.kron(X, Z), np.kron(Y, I), np.kron(Z, Z)])
+    w = np.array([0.5, 0.3, 0.2])
+    stages = {
+        "flat": (Channel(haar, w), haar),
+        "structured": (Channel(haar, w, qubits=3, targets=(2, 0), control=[0, 1]), haar),
+        "monomial": (Channel(pauli, w, qubits=3, targets=(1, 2)), pauli),
+        "signed": (Channel(haar, w, qubits=3, targets=(0, 2), signed=True), haar),
+    }
+    for name, (stage, given) in stages.items():
+        assert stage.target_kraus.tobytes() == given.tobytes(), name
+        assert stage.adjoint().target_kraus.tobytes() == given.conj().transpose(0, 2, 1).tobytes(), name
+        assert not stage.target_kraus.flags.writeable
+    assert stages["monomial"][0]._map is not None and stages["flat"][0]._map is None
+    for name in ("flat", "monomial"):
+        stage = stages[name][0]
+        assert sign_double(stage)._kraus is stage._kraus and sign_double(stage).signed
+    three = Channel.staged(stage for name, (stage, _) in stages.items() if name != "flat")
+    packed, pairs = tmp_path / "packed.json", tmp_path / "pairs.json"
+    save_channel(three, packed)
+    doc = json.loads(packed.read_text())
+    for entry, stage in zip(doc["stages"], three.stages):
+        entry["kraus"] = [matrix_to_json(u) for u in stage.target_kraus]
+        del entry["kraus_base64"]
+    pairs.write_text(json.dumps(doc))
+    for path in (packed, pairs):
+        loaded = load_channel(path).stages
+        for stage, given in zip(loaded, (haar, pauli, haar)):
+            assert stage.target_kraus.tobytes() == given.tobytes(), path.name
 
 
 def test_dense_and_nearly_monomial_stacks_take_the_gemm_kernel():

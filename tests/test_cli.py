@@ -586,6 +586,22 @@ def test_reduce_roundtrip_yes_case(corpus, tmp_path):
     assert gap["kappa"] >= doc["alpha"] - 1e-9
 
 
+@pytest.mark.slow
+def test_reduce_local_base_expander_keeps_the_channel_file_small(corpus, tmp_path):
+    # 15 signed 2-qubit stages: each controlled stage keeps its two targets,
+    # so the file is about 46 kB instead of 21 MB of lifted 64 x 64 stacks.
+    out = tmp_path / "channel.json"
+    res = run_cli("reduce", corpus / "reductions" / "no_3w3a_local.json", "--out", out)
+    assert res.returncode == 0
+    check_reduce_fields(corpus, "no_3w3a_local", payload(res))
+    assert out.stat().st_size <= 100_000
+    stages = json.loads(out.read_text())["stages"]
+    assert sum(len(s.get("targets", ())) == 2 for s in stages) == 15
+    res = run_cli("decide", out)
+    assert res.returncode == 0 and payload(res)["decision"] == "NO"
+    assert abs(payload(res)["kappa"] - 0.7073977164780131) <= 1e-12
+
+
 def test_console_script_installed():
     exe = shutil.which("qexpander")
     if exe is None:
@@ -678,7 +694,12 @@ def test_loading_over_the_memory_budget_builds_no_kraus_stack(tmp_path, capsys, 
     monkeypatch.setattr(linalg, "memory_budget", lambda: float(2**20 - 1))
     # Reading and parsing the packed file hold its text twice; decoding would
     # add an ASCII copy of the field and its 256 kB of bytes.
-    for path, need, bound in ((compact, 2**21, 16 * 4**7), (packed, 2**20, 2 * size + 2**17)):
+    # 1 MiB and 1 MiB - 1 both print as 0.000977 GiB, so they are given in bytes.
+    cases = (
+        (compact, "needs 0.00195 GiB, over the memory budget of 0.000977 GiB", 16 * 4**7),
+        (packed, "needs 1048576 bytes, over the memory budget of 1048575 bytes", 2 * size + 2**17),
+    )
+    for path, message, bound in cases:
         tracemalloc.start()
         try:
             code = cli.main(["gap", str(path)])
@@ -688,5 +709,5 @@ def test_loading_over_the_memory_budget_builds_no_kraus_stack(tmp_path, capsys, 
         stdout, stderr = capsys.readouterr()
         assert code == 2 and stdout == "" and stderr.count("\n") == 1
         assert stderr.startswith(f"error: {path}: ")
-        assert f"needs {need / 2**30:.3g} GiB, over the memory budget" in stderr
+        assert stderr.endswith(f"{message}\n"), stderr
         assert peak < bound, (path.name, peak, bound)

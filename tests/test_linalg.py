@@ -230,3 +230,13 @@ def test_memory_budget_is_read_once_and_checked_against(monkeypatch):
     check_memory(2**30, "a block")
     with pytest.raises(ValueError, match=r"^a block needs 1\.5 GiB, over the memory budget of 1 GiB$"):
         check_memory(3 * 2**29, "a block")
+
+
+def test_memory_check_prints_bytes_when_the_gib_figures_tie(monkeypatch):
+    # One byte over a 1 GiB budget prints as 1 GiB against 1 GiB in .3g.
+    monkeypatch.setattr("qexpander.linalg.memory_budget", lambda: 2.0**30)
+    message = r"^a block needs 1073741825 bytes, over the memory budget of 1073741824 bytes$"
+    with pytest.raises(ValueError, match=message):
+        check_memory(2**30 + 1, "a block")
+    with pytest.raises(ValueError, match=r"needs 1\.01 GiB, over the memory budget of 1 GiB$"):
+        check_memory(2**30 + 2**23, "a block")

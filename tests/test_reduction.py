@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -311,6 +312,88 @@ def test_controlled_power_shares_one_stage():
     assert np.array_equal(first.control, [False, True])
     doubled = ensure_zero_sum(channel_power(random_unitary_channel(1, 2, rng_from(52)), 4))
     assert all(s is doubled.stages[0] for s in doubled.stages)
+
+
+def _hand_lifted(target: Channel) -> Channel:
+    """The oracle target: every stage lifted by hand to one flat stage on
+    the whole target register, so controlled_channel takes its flat path."""
+    return Channel.staged(Channel(s.kraus, s.weights) for s in target.stages)
+
+
+def _local_stage(kind: str, qubits: int, targets, rng) -> Channel:
+    """One stage on `targets` of a `qubits`-qubit register: a signed Haar or
+    Pauli half set, or an unsigned set {V, wV, w^2 V} (w = e^(2 pi i / 3)),
+    whose elements sum to zero without being signed."""
+    k = len(targets)
+    if kind == "signed":
+        kraus, signed = [random_unitary_channel(k, 1, rng).target_kraus[0] for _ in range(3)], True
+    elif kind == "pauli":
+        kraus, signed = [functools.reduce(np.kron, rng.choice(paulis(), k)) for _ in range(3)], True
+    else:
+        v = random_unitary_channel(k, 1, rng).target_kraus[0]
+        kraus, signed = [np.exp(2j * math.pi * j / 3) * v for j in range(3)], False
+    return Channel(kraus, np.full(3, 1 / 3), qubits=qubits, targets=targets, signed=signed)
+
+
+COMPOSED_CASES = {
+    # name: (num_qubits, target_qubits, control, [(stage kind, stage targets)])
+    "1-qubit stages, 2-qubit register": (3, (2, 0), [1, 0], [("signed", (0,)), ("unsigned", (1,))]),
+    "2-qubit stages in every order": (
+        4, (3, 0, 2), [0, 1], [("signed", (0, 1)), ("unsigned", (1, 0)), ("signed", (2, 0)), ("pauli", (1, 2))],
+    ),
+    "mixed, 4-qubit register in 5": (
+        5, (4, 1, 3, 0), [1, 0], [("pauli", (3,)), ("signed", (2, 0)), ("unsigned", (1, 3)), ("signed", (0,))],
+    ),
+    "two outer qubits": (
+        5, (3, 0, 2), [0, 1, 0, 1], [("signed", (1,)), ("unsigned", (2, 0)), ("pauli", (0, 1)), ("signed", (1, 2))],
+    ),
+    "flat stages": (4, (1, 3), [0, 1, 1, 0], [("signed", (0, 1)), ("unsigned", (0, 1))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSED_CASES))
+def test_controlled_stages_keep_their_targets_and_match_the_hand_lift(name):
+    m, target_qubits, control, kinds = COMPOSED_CASES[name]
+    rng = rng_from(53, sorted(COMPOSED_CASES).index(name))
+    k = len(target_qubits)
+    stages = [_local_stage(kind, k, targets, rng) for kind, targets in kinds]
+    target = Channel.staged((*stages, stages[0]))  # a repeated stage object
+    ctrl = controlled_channel(target, target_qubits, control, m)
+    oracle = controlled_channel(_hand_lifted(target), target_qubits, control, m)
+    assert [s.targets for s in ctrl.stages] == [tuple(target_qubits[q] for q in s.targets) for s in target.stages]
+    assert [s.target_kraus.shape for s in ctrl.stages] == [s.target_kraus.shape for s in target.stages]
+    assert ctrl.stages[0] is ctrl.stages[-1] and len({id(s) for s in ctrl.stages}) == len(stages)
+    assert [s.signed for s in ctrl.stages] == [s.signed for s in target.stages]
+    squared = channel_power(ctrl, 2)
+    for _ in range(2):
+        a = random_operator(2**m, rng)
+        assert frobenius(ctrl.apply(a) - oracle.apply(a)) < 1e-12
+        assert frobenius(ctrl.adjoint().apply(a) - oracle.adjoint().apply(a)) < 1e-12
+        assert frobenius(squared.apply(a) - oracle.apply(oracle.apply(a))) < 1e-12
+
+
+def test_controlled_channel_refuses_a_stage_with_its_own_control():
+    rng = rng_from(54)
+    own = Channel(random_unitary_channel(1, 2, rng).target_kraus, [0.5, 0.5], qubits=2, targets=(0,),
+                  control=[0, 1], signed=True)
+    with pytest.raises(ValueError, match="zero-sum"):
+        controlled_channel(own, (2, 0), [0, 1], 3)
+    # An all-ones control is no control.
+    ones = Channel(own.target_kraus, own.target_weights, qubits=2, targets=(0,), control=[1, 1], signed=True)
+    plain = Channel(own.target_kraus, own.target_weights, qubits=2, targets=(0,), signed=True)
+    ctrl, want = (controlled_channel(t, (2, 0), [0, 1], 3) for t in (ones, plain))
+    assert ctrl.targets == want.targets == (2,)
+    a = random_operator(8, rng)
+    assert frobenius(ctrl.apply(a) - want.apply(a)) == 0.0
+
+
+def test_controlled_channel_refuses_a_target_of_another_qubit_count():
+    rng = rng_from(55)
+    local = _local_stage("signed", 3, (0,), rng)  # mapped, qubit 0 would land on a qubit of a 2-qubit register
+    with pytest.raises(ValueError, match="3-qubit target on 2 target qubits"):
+        controlled_channel(local, (2, 0), [0, 1], 3)
+    with pytest.raises(ValueError, match="2-qubit target on 3 target qubits"):
+        controlled_channel(_local_stage("signed", 2, (0, 1), rng), (3, 0, 1), [0, 1], 4)
 
 
 def test_witness_verifier_matches_conjugated_dense_stage(no_reduction):
