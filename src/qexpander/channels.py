@@ -486,11 +486,15 @@ def _operands(re: np.ndarray, im: np.ndarray, w: np.ndarray) -> tuple[np.ndarray
     [R_d, J_d] for h = 0 and of [J_d, -R_d] for h = 1), and the
     (2 D k, k) stack of [w_d R_d^T; w_d J_d^T], rows ordered (d, h, j)."""
     d, k = re.shape[:2]
-    left = np.empty((k, d, 2, 2, k))  # filled in place: no second 32 D k^2-byte copy while building
-    for h, g, block in ((0, 0, re), (0, 1, im), (1, 0, im), (1, 1, -re)):
+    # Both filled in place, so building them takes no temporary copies.
+    left = np.empty((k, d, 2, 2, k))
+    for h, g, block in ((0, 0, re), (0, 1, im), (1, 0, im)):
         left[:, :, h, g] = block.transpose(1, 0, 2)
-    right = (w[:, None, None] * np.concatenate((re, im), axis=2)).transpose(0, 2, 1).reshape(2 * d * k, k)
-    return left.reshape(2 * d * k, 2 * k), right
+    np.negative(re.transpose(1, 0, 2), out=left[:, :, 1, 1])
+    right = np.empty((d, 2, k, k))
+    right[:, 0], right[:, 1] = re.transpose(0, 2, 1), im.transpose(0, 2, 1)
+    right *= w[:, None, None, None]
+    return left.reshape(2 * d * k, 2 * k), right.reshape(2 * d * k, k)
 
 
 def _real_blocks(a, b, c, d) -> np.ndarray:

@@ -99,7 +99,7 @@ def controlled_channel(target: Channel, target_qubits, control, num_qubits: int)
     diagonal and commutes with every lifted U_d by construction.  A stage
     keeps its own targets, its qubit j mapped to target_qubits[j], so a
     local stage stays local; its control is `control` re-indexed over the
-    qubits outside those targets, which reads the bits outside
+    qubits outside those targets, read off the bits outside
     `target_qubits` alone, so P is unchanged.  See :meth:`Channel.apply`
     for the block form it is applied in; a signed target stage gives a
     signed stage.  The weighted target elements must sum to zero,
@@ -125,8 +125,8 @@ def controlled_channel(target: Channel, target_qubits, control, num_qubits: int)
         if s.control is not None and not s.control.all():
             raise ValueError("target elements lack the zero-sum property: a stage carries its own control")
         targets = tuple(target_qubits[q] for q in s.targets)
-        own = control if targets == target_qubits else control[rest_bits(num_qubits, targets)[:, outer] @ place]
-        return Channel(s.target_kraus, s.target_weights, qubits=num_qubits, targets=targets, control=own,
+        mapped = control if targets == target_qubits else control[rest_bits(num_qubits, targets)[:, outer] @ place]
+        return Channel(s.target_kraus, s.target_weights, qubits=num_qubits, targets=targets, control=mapped,
                        signed=s.signed)
 
     out = per_stage(target, control_stage)
