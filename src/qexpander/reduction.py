@@ -113,8 +113,8 @@ def controlled_channel(target: Channel, target_qubits, control, num_qubits: int)
     """
     target_qubits = tuple(int(q) for q in target_qubits)
     size = len(split_index(num_qubits, target_qubits))
-    control = np.asarray(control).reshape(-1)
-    if control.size != size:
+    control = np.array(control, dtype=float).reshape(-1)
+    if control.size != size or np.any((control != 0) & (control != 1)):
         raise ValueError(f"control must be a 0/1 vector of length {size}")
     outer = [q for q in range(num_qubits) if q not in target_qubits]
     place = 1 << np.arange(len(outer) - 1, -1, -1)  # rest-state index from the bits outside target_qubits

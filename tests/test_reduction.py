@@ -266,6 +266,11 @@ def test_controlled_channel_rejects_overlap():
 def test_controlled_channel_rejects_non_projector():
     with pytest.raises(ValueError, match="0/1 vector"):
         controlled_channel(complete_depolarizer(), (1,), [0.5, 0.5], 2)
+    # A local stage's control is re-indexed; the outer one is checked as given.
+    local = Channel(paulis(), np.full(4, 0.25), qubits=2, targets=(0,), signed=True)
+    for control in ([0.5, 0.5], [0, 1, 1]):
+        with pytest.raises(ValueError, match="0/1 vector of length 2$"):
+            controlled_channel(local, (2, 0), control, 3)
 
 
 def _lifted_controlled(target, target_qubits, projector, num_qubits):
