@@ -12,8 +12,8 @@ thermalization models.  Every such channel is trace preserving and unital.
 first-to-last.  A stage's record is its read-only (D, 2^k, 2^k) stack of
 Kraus operators on k target qubits T, its weights as a read-only (D,)
 array, and optionally a 0/1 control vector c over the computational
-basis of the other m - k qubits; its kernel (the real GEMM operands
-below, or a monomial map) is derived from the stack once.  Its
+basis of the other m - k qubits; its kernel (one of the three below) is
+derived from the stack once.  Its
 elements on the full space are P (U_d (x) I) + Q with P = diag(c) (x) I_T
 and Q = I - P; P commutes with every lifted U_d by construction.  A flat stage has T = all
 qubits and no control.  A *signed* stage stores only a half set {U_d}
@@ -31,30 +31,47 @@ For Kraus operators U_d = R_d + i J_d that is
 
 two real GEMMs at 6 D k^3 multiply-adds for D operators on k dimensions,
 where the complex form sum_d w_d U_d A U_d^dag takes two complex GEMMs at
-8 D k^3.  :meth:`Channel.apply_real` is that kernel and the one stage
-kernel there is; :meth:`Channel.apply` runs on it.  Its real operands are
-built once, read-only, with the stage.  The left one stacks the rows of
-[[R_d, J_d], [J_d, -R_d]] ordered by target row first.  When the stage
-acts on one k x k block (every flat stage, and every controlled run with
-one active rest state), [X; X^T] is one concatenate and, by this row
-order, the first GEMM's product read as a (k, 2 D k) matrix is the
-second GEMM's left operand as it stands: two GEMMs and no copy between
-them.  A block of r > 1 rest states (r^2 blocks of k x k) takes the
-general path, which reorders the first product once for the second.
-The input check is one type, dtype and shape comparison; only an input
-that fails it gets the full check and conversion.  At 4 qubits and
-D = 8 a flat application takes about 22 us (one BLAS thread, 2-core
-x86_64), of which the concatenate and the two GEMMs take about 21.
-Power compositions of expanders and the hardness reduction are
-multi-stage, since their flattened degree grows geometrically: the Kraus
-products are never materialized.
+8 D k^3.  :meth:`Channel.apply_real` runs every stage on one of three
+kernels, derived once, read-only, from the stage's Kraus stack;
+:meth:`Channel.apply` runs on it.  The input check is one type, dtype
+and shape comparison; only an input that fails it gets the full check
+and conversion.  Power compositions of expanders and the hardness
+reduction are multi-stage, since their flattened degree grows
+geometrically: the Kraus products are never materialized.
 
-A stage whose Kraus operators each have one nonzero entry per column (Pauli
-strings, permutations with phases) is *monomial*, chosen from the Kraus
-data alone.  Instead of GEMM operands it derives a sparse
-real-coordinate map (:func:`_monomial_map`), which
-:meth:`Channel.apply_real` runs as one gather and one ``np.bincount`` in
-time linear in its entries.  Its adjoint is the transposed map.
+- **GEMM pair.**  The left operand stacks the rows of
+  [[R_d, J_d], [J_d, -R_d]] ordered by target row first, the right one
+  [w_d R_d^T; w_d J_d^T].  On one k x k block (every flat stage, and
+  every controlled run with one active rest state), [X; X^T] is one
+  concatenate and, by this row order, the first GEMM's product read as a
+  (k, 2 D k) matrix is the second GEMM's left operand as it stands.  A
+  block of r > 1 rest states (r^2 blocks of k x k) reorders the first
+  product once for the second.
+- **Superoperator.**  The real k^2 x k^2 matrix L = S_R + S_I P of
+  :func:`_superoperator`, S = sum_d w_d U_d (x) conj(U_d) and P the
+  transpose permutation: X' = L X on a block read as a vector, k^2
+  multiply-adds per entry whatever D.  A flat stage is one GEMV.  The
+  P X P block of a structured stage, r active rest states, is folded over
+  its rest pairs (:func:`_fold`), multiplied by L as one (k^2, r^2) GEMM
+  and unfolded.
+  The adjoint stage uses L^T, a view.
+- **Monomial map.**  A stage whose Kraus operators each have one nonzero
+  entry per column (Pauli strings, permutations with phases), chosen from
+  the Kraus data alone, derives a sparse real-coordinate map
+  (:func:`_monomial_map`), run as one gather and one ``np.bincount`` in
+  time linear in its entries.  Its adjoint is the transposed map.
+
+Between the first two, :func:`takes_superoperator` decides from D and the
+number of target qubits alone: L when the GEMM pair's 6 D 2^k multiply-adds
+per entry are at least SUPER_FACTOR = 6 times L's 4^k and L takes at most
+SUPER_MAX_BYTES (512 kB, 4 qubits).  Measured per application (one BLAS
+thread, 2-core x86_64, numpy 2.4): a flat 4-qubit stage of D = 32 takes
+55 us on the GEMM pair and 15 us on L; at D = 8, 21 us against 12 us
+alone, but in the thermalize benchmark, where other data evicts L's
+512 kB from cache between applications, L gave no gain and 0.9 MB more
+peak memory, so D = 8 stays on the GEMM pair.  A signed 2-qubit D = 8
+stage controlled by one qubit of 7 takes 0.90 ms on the GEMM pair and
+0.09 ms on L, and of 9 qubits 17.3 ms and 1.8 ms.
 """
 
 from __future__ import annotations
@@ -85,6 +102,28 @@ _EXPLICIT_KRAUS = (
     "its Kraus products are never materialized"
 )
 
+#: The kernel rule's factor: a stage takes its superoperator L when the
+#: GEMM pair's multiply-adds per entry reach this many times L's.
+SUPER_FACTOR = 6
+#: The kernel rule's cap on L's bytes: a stage on 4 qubits at most.
+SUPER_MAX_BYTES = 8 * 16**4
+
+
+def takes_superoperator(degree: int, qubits: int) -> bool:
+    """The kernel rule for a non-monomial stage of `degree` Kraus operators
+    on `qubits` target qubits: True when it applies its superoperator L
+    (see :func:`_superoperator`), whose 4^k multiply-adds per entry are at
+    most 1/SUPER_FACTOR of the GEMM pair's 6 D 2^k and whose 8 16^k bytes
+    are at most SUPER_MAX_BYTES; else it applies the GEMM pair."""
+    return SUPER_FACTOR * 4**qubits <= 6 * degree * 2**qubits and 8 * 16**qubits <= SUPER_MAX_BYTES
+
+
+def kernel_bytes(degree: int, qubits: int) -> int:
+    """The bytes of the kernel :func:`takes_superoperator` picks for a
+    stage of `degree` Kraus operators on `qubits` target qubits: 8 16^k for
+    L, 48 D 4^k for the GEMM operands."""
+    return 8 * 16**qubits if takes_superoperator(degree, qubits) else 48 * degree * 4**qubits
+
 
 class Channel:
     """Stages of weighted unitary mixtures on an m-qubit space, applied
@@ -104,8 +143,8 @@ class Channel:
     (automatic for unitary Kraus mixtures, asserted anyway).
     """
 
-    __slots__ = ("_left", "_right", "_weights", "_signed", "_stages", "_runs",
-                 "_qubits", "_dim", "_targets", "_control", "_layout", "_mean", "_kraus", "_map")
+    __slots__ = ("_left", "_right", "_weights", "_signed", "_stages", "_runs", "_qubits", "_dim",
+                 "_targets", "_control", "_layout", "_mean", "_kraus", "_map", "_super")
 
     def __init__(self, kraus, weights, *, qubits=None, targets=None, control=None, signed=False):
         try:
@@ -148,32 +187,41 @@ class Channel:
         the Kraus stack `x` (the half set of a signed stage) with weights `w`,
         `targets` among `qubits` and `control`, and the kernel derived from
         the record once.  That is the map of :func:`_monomial_map` when
-        `monomial`, else the operands of :func:`_operands` plus the
-        cross-term operand when the stage has cross terms.  A map or operand
-        pair already derived from the same data is passed as `kernel`."""
+        `monomial`, else the superoperator of :func:`_superoperator` or the
+        operands of :func:`_operands`, as :func:`takes_superoperator` picks,
+        plus the cross-term operand when the stage has cross terms.  A map,
+        superoperator or operand pair already derived from the same data is
+        passed as `kernel`."""
         layout = None
         if targets != tuple(range(qubits)) or control is not None:
-            # Basis order putting the controlled subspace first, as
-            # (rest, target) index pairs: there the elements are I (x) U_d.
+            # The controlled subspace as on[i, a], the basis index of
+            # target state i and active rest state a (there the elements
+            # are U_d (x) I), the other basis indices, and the 0/1 vector
+            # of the latter (the diagonal of Q).
             idx = split_index(qubits, targets)
             on, off = (idx, idx[:0]) if control is None else (idx[control], idx[~control])
-            order = np.concatenate([on.ravel(), off.ravel()])
-            layout = order, np.argsort(order), on.size
-        left = right = mean = sparse = None
+            q = np.ones(2**qubits)
+            q[on] = 0.0
+            layout = on.T.copy(), off.ravel(), q
+        left = right = mean = sparse = sup = None
         if monomial:
             sparse = kernel or _monomial_map(x, w, signed, layout, 2**qubits)
         else:
-            left, right = kernel or _operands(x.real, x.imag, w)
+            if takes_superoperator(len(x), len(targets)):
+                sup = _superoperator(x.real, x.imag, w) if kernel is None else kernel
+            else:
+                left, right = kernel or _operands(x.real, x.imag, w)
             if _crossed(layout, signed):
                 # [[Re M, Im M], [-Im M, Re M]] for M = sum_d w_d U_d.
                 mw = np.tensordot(w, x, axes=1)
                 mean = _real_blocks(mw.real, mw.imag, -mw.imag, mw.real)
-        for arr in (x, w, control, left, right, mean, *(sparse or ())):
+        for arr in (x, w, control, left, right, mean, sup, *(layout or ()), *(sparse or ())):
             if arr is not None:
                 arr.setflags(write=False)
         self._kraus, self._weights, self._signed, self._stages, self._runs = x, w, signed, (), None
         self._qubits, self._dim, self._targets, self._control = qubits, 2**qubits, targets, control
         self._layout, self._left, self._right, self._mean, self._map = layout, left, right, mean, sparse
+        self._super = sup
         return self
 
     @classmethod
@@ -229,11 +277,10 @@ class Channel:
             x = np.concatenate([x, -x])
         if self._layout is None:
             return x
-        order, _, p = self._layout
-        on = order[:p].reshape(-1, x.shape[1])
+        on, off = self._layout[0].T, self._layout[1]
         lifted = np.zeros((len(x), self.dim, self.dim), dtype=complex)
         lifted[:, on[:, :, None], on[:, None, :]] = x[:, None]
-        lifted[:, order[p:], order[p:]] = 1.0
+        lifted[:, off, off] = 1.0
         return lifted
 
     @property
@@ -300,19 +347,20 @@ class Channel:
         in full and converted with ``np.asarray(x, dtype=float)``, and
         complex or mis-shaped input raises ValueError.
 
-        A flat stage is two real GEMMs after one concatenate.  The stacked
-        [[R_d, J_d], [J_d, -R_d]], its rows ordered (target row i, d, half),
-        times [X; X^T] gives row i of R_d X + J_d X^T and of J_d X - R_d X^T
-        for every d.  Read as a (k, 2 D k) matrix, which by this row order
-        is a view, that product times the stacked [w_d R_d^T; w_d J_d^T]
-        gives X', the sum over d included.
-        A structured stage reorders the basis so that the controlled
-        subspace comes first as (rest, target) pairs, and computes
+        A flat GEMM-pair stage is two real GEMMs after one concatenate.  The
+        stacked [[R_d, J_d], [J_d, -R_d]], its rows ordered (target row i,
+        d, half), times [X; X^T] gives row i of R_d X + J_d X^T and of
+        J_d X - R_d X^T for every d.  Read as a (k, 2 D k) matrix, which by
+        this row order is a view, that product times the stacked
+        [w_d R_d^T; w_d J_d^T] gives X', the sum over d included.  A flat
+        superoperator stage is L times X read as a vector.
+        A structured stage gathers the controlled subspace as (target,
+        active rest state) pairs and computes
 
             Phi_T(P A P) + P M A Q + Q A M^dag P + Q A Q,    M = sum_d w_d U_d,
 
         block by block, each block a Hermiticity-preserving map of its own:
-        the same two GEMMs act on the target index of P X P, whose
+        the stage's kernel acts on the target indices of P X P, whose
         transpose is that of the whole P block, and the cross blocks go
         as one GEMM, [[Re M, Im M], [-Im M, Re M]] times [X_PQ; X_QP^T]
         on the target index giving [X'_PQ; X'_QP^T].  This is exact for
@@ -320,12 +368,17 @@ class Channel:
         and it only mixes P X P.
 
         Consecutive structured stages that share a layout (equal targets
-        and control) form a run, applied in one pass: the basis is
-        reordered once into the run and once out of it, and P X P and the
-        stacked cross blocks stay target-major from the run's first stage
-        to its last.  The first signed stage of a run zeroes the cross
-        blocks, after which the later stages touch P X P alone; Q X Q is
-        never touched.
+        and control) and a kernel kind form a run, applied in one pass:
+        P X P and the cross blocks are gathered once into the run and
+        scattered once out of it, and stay in the kind's layout (target-major
+        for the GEMM pair, folded for L) from the run's first stage to its
+        last.  The first signed stage of a run zeroes the cross blocks,
+        after which the later stages touch P X P alone; Q X Q is never
+        touched.  A signed run leaves the cross blocks of its Q zero, so a
+        signed run on the same Q right after it (the stages of a
+        controlled brickwork, say) does not zero them again.  A run works
+        in place on the array the previous stage returned, and on a copy
+        of the caller's.
 
         A monomial stage is never part of a run: it adds coef * X.flat[src]
         into X'.flat[dst] over its map, one gather and one ``np.bincount``.
@@ -335,13 +388,21 @@ class Channel:
                 got = f"{np.asarray(x).dtype} {np.shape(x)}"
                 raise ValueError(f"expected real coordinates of shape {(self._dim, self._dim)}, got {got}")
             x = np.asarray(x, dtype=float)
+        owned = False  # x is the caller's array until a stage returns a new one
+        clean = None  # the Q whose cross blocks with P the last run left zero
         for run in self._runs or ((self,),):
             s = run[0]
             if s._map is not None:
                 dst, src, coef = s._map
                 x = np.bincount(dst, coef * x.ravel()[src], x.size).reshape(x.shape)
+            elif s._layout is not None:
+                x = _apply_run(run, x if owned else x.copy(), clean)
+            elif s._super is not None:
+                x = (s._super @ x.ravel()).reshape(x.shape)
             else:
-                x = _mix_real(s, x) if s._layout is None else _apply_run(run, x)
+                x = _mix_real(s, x)
+            owned = True
+            clean = s._layout[2] if s._layout is not None and any(t._signed for t in run) else None
         return x
 
     def apply(self, a: np.ndarray) -> np.ndarray:
@@ -361,61 +422,93 @@ class Channel:
         weights, targets and control and the Kraus stack {U_d^dag}, one
         adjoint per distinct stage object (see :func:`per_stage`).  The
         stages are already validated, so they are not checked again, and
-        each keeps its kernel kind: a monomial map is transposed, and GEMM
-        operands and the cross-term operand come from U_d^dag and M^dag."""
+        each keeps its kernel kind: a monomial map is transposed, a
+        superoperator L is used as the view L^T, and GEMM operands and the
+        cross-term operand come from U_d^dag and M^dag."""
         if self._stages:
             return per_stage(Channel.staged(reversed(self._stages)), Channel.adjoint)
-        flipped = None if self._map is None else (self._map[1], self._map[0], self._map[2])  # dst <-> src
+        if self._map is not None:
+            kernel = self._map[1], self._map[0], self._map[2]  # dst <-> src
+        else:
+            kernel = None if self._super is None else self._super.T
         return object.__new__(Channel)._build(
             self._kraus.conj().transpose(0, 2, 1), self._weights, self._qubits, self._targets, self._control,
-            self._signed, flipped is not None, flipped,
+            self._signed, self._map is not None, kernel,
         )
 
 
 def _shares_layout(s: Channel, t: Channel) -> bool:
     """True when s and t are structured stages with equal targets and
-    control, so they reorder the basis alike."""
+    control, so they reorder the basis alike, and one kernel kind, so
+    they hold P X P alike between stages."""
     return (
         s._layout is not None
         and t._layout is not None
         and s._map is None
         and t._map is None
+        and (s._super is None) == (t._super is None)
         and (s._qubits, s._targets) == (t._qubits, t._targets)
         and np.array_equal(s._control, t._control)
     )
 
 
-def _apply_run(run: tuple[Channel, ...], x: np.ndarray) -> np.ndarray:
-    """A run of structured stages sharing one layout, in that layout's basis
-    and in real coordinates (see :meth:`Channel.apply_real`)."""
-    order, inverse, p = run[0]._layout
-    n, k = len(order), run[0]._right.shape[1]
-    x = x.take(order, 0).take(order, 1)
-    pxp = _target_major(x[:p, :p], k)
-    cross = None  # [X_PQ; X_QP^T], target-major, once an unsigned stage moves it
+def _apply_run(run: tuple[Channel, ...], x: np.ndarray, clean: np.ndarray | None) -> np.ndarray:
+    """A run of structured stages sharing one layout and kernel kind, in
+    real coordinates (see :meth:`Channel.apply_real`), written into the
+    C-contiguous x: P X P and the cross blocks are gathered once into
+    the kind's layout, every stage of the run acts on them there, and they
+    are scattered back; Q X Q is never touched.  Cross blocks known to be
+    zero already (x came from a run that zeroed those of the same Q,
+    `clean`) are not zeroed again."""
+    on, off, q = run[0]._layout
+    k = len(on)
+    flat, rows = x.reshape(-1), on * len(x)  # X[on[i, a], on[j, b]] is flat[rows[i, a] + on[j, b]]
+    if run[0]._super is None:
+        idx = rows[:, :, None, None] + on.T  # target-major: [i, (a, b, j)]
+        pxp = flat[idx].reshape(k, -1)
+    else:
+        idx = rows[:, None, :, None] + on[:, None, :]  # [(i, j), (a, b)]
+        pxp = _fold(flat[idx]).reshape(k * k, -1)
+    cross = None  # [X_PQ; X_QP^T] with rows i, once an unsigned stage moves it
     crossed = True  # the cross blocks X_PQ and X_QP may be nonzero
     for s in run:
         if s._signed:
             crossed = False
         elif crossed and s._mean is not None:
             if cross is None:
-                cross = np.concatenate((_target_major(x[:p, p:], k), _target_major(x[p:, :p].T, k)))
+                pq, qp = rows[:, :, None] + off, on[:, :, None] + off * len(x)
+                cross = np.concatenate((flat[pq].reshape(k, -1), flat[qp].reshape(k, -1)))
             cross = s._mean @ cross
-        pxp = _mix_real(s, pxp)
-    x[:p, :p] = _rest_major(pxp, k, p, p)
-    if not crossed:
-        x[:p, p:] = 0.0
-        x[p:, :p] = 0.0
+        pxp = _mix_real(s, pxp) if s._super is None else s._super @ pxp
+    if not crossed and off.size and not (clean is not None and (clean == q).all()):
+        x *= q[:, None]
+        x *= q
     elif cross is not None:
-        x[:p, p:] = _rest_major(cross[:k], k, p, n - p)
-        x[p:, :p] = _rest_major(cross[k:], k, p, n - p).T
-    return x.take(inverse, 0).take(inverse, 1)
+        flat[pq] = cross[:k].reshape(pq.shape)
+        flat[qp] = cross[k:].reshape(qp.shape)
+    if run[0]._super is not None:
+        pxp = _fold(pxp.reshape(idx.shape))
+        pxp *= 0.25
+    flat[idx] = pxp.reshape(idx.shape)
+    return x
+
+
+def _fold(z: np.ndarray) -> np.ndarray:
+    """The rest-pair fold F of a P X P block z[i, j, a, b] = X[on[i, a],
+    on[j, b]] (targets i, j and active rest states a, b):
+    F(X) = (X - X^T) + s(X + X^T), where s exchanges i and j.  F(F(X)) = 4 X,
+    and F commutes with every stage superoperator L, so L F(X) = F(X') for
+    the stage's X' (see :func:`_superoperator`)."""
+    out = z - z.transpose(1, 0, 3, 2)
+    out += z.transpose(1, 0, 2, 3)
+    out += z.transpose(0, 1, 3, 2)
+    return out
 
 
 def _crossed(layout, signed: bool) -> bool:
     """True for a stage with cross terms P M A Q: unsigned, with a control
     that leaves both P and Q nonzero."""
-    return layout is not None and 0 < layout[2] < len(layout[0]) and not signed
+    return layout is not None and layout[0].size > 0 and layout[1].size > 0 and not signed
 
 
 def _monomial_map(x: np.ndarray, w: np.ndarray, signed: bool, layout, n: int):
@@ -445,7 +538,7 @@ def _monomial_map(x: np.ndarray, w: np.ndarray, signed: bool, layout, n: int):
     if layout is None:
         on, off = np.arange(n)[None], np.arange(0)
     else:
-        on, off = layout[0][: layout[2]].reshape(-1, k), layout[0][layout[2] :]
+        on, off = layout[0].T, layout[1]
     stride = np.array((n, 1))  # row strides of the sources: X[i, j] for C, X[j, i] for S
     sums = (share[:, :, None] * phase).transpose(0, 2, 1) @ phase.conj()  # (G, k, k)
     parts = sums.view(float).reshape(*sums.shape, 2)  # [..., 0] is C, [..., 1] is S
@@ -497,6 +590,37 @@ def _operands(re: np.ndarray, im: np.ndarray, w: np.ndarray) -> tuple[np.ndarray
     return left.reshape(2 * d * k, 2 * k), right.reshape(2 * d * k, k)
 
 
+def _superoperator(re: np.ndarray, im: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The real (k^2, k^2) superoperator L of a stage with Kraus operators
+    U_d = R_d + i J_d (`re`, `im`) and weights w, 8 k^4 bytes: X' = L X
+    for the real coordinates X of a k x k block, both read row-major as
+    vectors.  With S = sum_d w_d U_d (x) conj(U_d) = S_R + i S_I and P the
+    transpose permutation, L = S_R + S_I P, entry by entry
+
+        L[(i, j), (i', j')] = sum_d w_d (R_d[i, i'] R_d[j, j'] + J_d[i, i'] J_d[j, j']
+                                         + J_d[i, j'] R_d[j, i'] - R_d[i, j'] J_d[j, i']).
+
+    Each line is one real GEMM over (d, h), rows [w_d R_d, w_d J_d] and
+    then [w_d J_d, -w_d R_d] against the columns [R_d; J_d], into one
+    preallocated product that is added, transposed, into L.  The adjoint
+    stage's L is L^T.  S_R commutes with P and S_I anticommutes with it,
+    so P L P = S_R - S_I P."""
+    d, k = re.shape[:2]
+    cols = np.stack((re, im), axis=1).reshape(2 * d, k * k)  # [(d, h), (j, j' or i')]
+    rows = np.empty((k, k, d, 2))  # [i, i' or j', d, h]
+    product = np.empty((k, k, k, k))  # [i, i' or j', j, j' or i']
+    out = np.empty((k, k, k, k))  # [i, j, i', j']
+    for line, (first, second) in enumerate(((re, im), (im, -re))):
+        np.multiply(first.transpose(1, 2, 0), w, out=rows[..., 0])
+        np.multiply(second.transpose(1, 2, 0), w, out=rows[..., 1])
+        np.matmul(rows.reshape(k * k, 2 * d), cols, out=product.reshape(k * k, k * k))
+        if line == 0:
+            out[...] = product.transpose(0, 2, 1, 3)
+        else:
+            out += product.transpose(0, 2, 3, 1)
+    return out.reshape(k * k, k * k)
+
+
 def _real_blocks(a, b, c, d) -> np.ndarray:
     """The (..., 2 k, 2 k) block matrices [[a, b], [c, d]] of (..., k, k) blocks."""
     k = a.shape[-1]
@@ -507,7 +631,7 @@ def _real_blocks(a, b, c, d) -> np.ndarray:
 
 
 def _mix_real(stage: Channel, t: np.ndarray) -> np.ndarray:
-    """The stage kernel: real coordinates X' of sum_d w_d U_d A U_d^dag for
+    """The GEMM-pair kernel: real coordinates X' of sum_d w_d U_d A U_d^dag for
     the real coordinates X of a square block A of r k rows, given
     target-major as the (k, r r k) matrix t, t[i, (a, b, j)] = X[(a, i), (b, j)];
     a flat stage has r = 1 and t = X.
@@ -531,18 +655,6 @@ def _mix_real(stage: Channel, t: np.ndarray) -> np.ndarray:
     halves = len(stage._left) // k  # 2 D rows per target row
     product = (stage._left @ stacked).reshape(k, halves, r * r, k).transpose(0, 2, 1, 3).reshape(cols, halves * k)
     return (product @ stage._right).reshape(k, cols)
-
-
-def _target_major(block: np.ndarray, k: int) -> np.ndarray:
-    """A block whose rows are (rest, target) pairs, as a (k, rest * cols)
-    matrix led by the target index, so one matmul acts on the targets."""
-    rows, cols = block.shape
-    return block.reshape(rows // k, k, cols).transpose(1, 0, 2).reshape(k, -1)
-
-
-def _rest_major(t: np.ndarray, k: int, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`_target_major` for a rows x cols block."""
-    return t.reshape(k, rows // k, cols).transpose(1, 0, 2).reshape(rows, cols)
 
 
 def channel_power(channel: Channel, r: int) -> Channel:
@@ -598,10 +710,13 @@ def _sign_stage(stage: Channel) -> Channel:
             "sign-doubling the target elements of a controlled stage would drop its cross terms; "
             "sign-double the target channel before controlling it"
         )
-    monomial = stage._map is not None
+    if stage._map is not None:
+        kernel = None
+    else:
+        kernel = (stage._left, stage._right) if stage._super is None else stage._super
     return object.__new__(Channel)._build(
-        stage._kraus, stage._weights, stage._qubits, stage._targets, stage._control, True, monomial,
-        None if monomial else (stage._left, stage._right),
+        stage._kraus, stage._weights, stage._qubits, stage._targets, stage._control, True, stage._map is not None,
+        kernel,
     )
 
 

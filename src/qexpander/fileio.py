@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import Channel
+from .channels import Channel, kernel_bytes
 from .circuits import GATE_KINDS, SIM_CAP_QUBITS, Gate, GateCircuit, RegisterLayout, simulate_unitary
 from .linalg import check_memory
 from .reduction import ReductionSpec, build_base_expander, make_reduction_spec
@@ -307,9 +307,12 @@ def _stage(fields: dict, base_dir: Path, qubits: int, where: str) -> Channel:
         raise FileFormatError(f"{where}: field 'kraus' must be a nonempty list")
     targets, weights = fields["targets"], fields["weights"]
     k = qubits if targets is None else len(targets)
-    # 16 bytes per entry for the stack and 48 for the GEMM operands.
+    # 16 bytes per entry for the stack, and the kernel the stage will build.
     count = len(entries) if packed is None else len(packed) * 3 // 4 // (16 * 4**k)
-    check_memory(64 * count * 4**k, f"{where}: {count} Kraus operators of {2**k} x {2**k} and their operands")
+    check_memory(
+        16 * count * 4**k + kernel_bytes(count, k),
+        f"{where}: {count} Kraus operators of {2**k} x {2**k} and their operands",
+    )
     if packed is None:
         kraus = [_kraus_entry(entry, base_dir, k, f"{where} kraus[{i}]") for i, entry in enumerate(entries)]
     else:

@@ -15,7 +15,9 @@ the bit-for-bit oracles for the engine's lean loops; the lifted Kraus
 sum, also in real coordinates, is the complex oracle for the engine's
 real-arithmetic stage kernel.  The row-major kernel, whose left operand
 is ordered (d, half, target row) and whose first product is copied side
-by side before the second GEMM, is its bit-for-bit oracle.
+by side before the second GEMM, is its bit-for-bit oracle; on the same
+stages rebuilt for the GEMM kernel, it is the oracle for the
+superoperator kernel.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from unittest import mock
 import numpy as np
 
 from qexpander import channels, spectral
-from qexpander.channels import Channel
+from qexpander.channels import Channel, per_stage
 from qexpander.circuits import GateCircuit, simulate_unitary
 from qexpander.linalg import (
     check_square,
@@ -212,6 +214,22 @@ def row_major_apply_real(channel: Channel, x: np.ndarray) -> np.ndarray:
 
     with mock.patch.object(channels, "_mix_real", mix):
         return channel.apply_real(x)
+
+
+def gemm_stages(channel: Channel) -> Channel:
+    """`channel` with every superoperator stage rebuilt from its record on
+    the GEMM kernel, so that :func:`row_major_apply_real` of the result is
+    an oracle for the superoperator kernel."""
+
+    def rebuild(stage: Channel) -> Channel:
+        if stage._super is None:
+            return stage
+        with mock.patch.object(channels, "takes_superoperator", lambda degree, qubits: False):
+            return object.__new__(Channel)._build(
+                stage._kraus, stage._weights, stage._qubits, stage._targets, stage._control, stage._signed, False
+            )
+
+    return per_stage(channel, rebuild)
 
 
 def is_regular(channel: Channel) -> bool:

@@ -14,6 +14,7 @@ from qexpander.channels import (
     complete_depolarizer,
     random_unitary_channel,
     sign_double,
+    takes_superoperator,
     zero_sum_defect,
 )
 from qexpander.fileio import load_channel, matrix_to_json, save_channel
@@ -23,6 +24,7 @@ from oracles import (
     compose,
     doubled_lift,
     embed,
+    gemm_stages,
     identity_channel,
     is_regular,
     kraus_sum_real,
@@ -690,6 +692,9 @@ def test_flat_kernel_is_bit_identical_to_row_major(qubits, weighting):
         kraus = random_unitary_channel(qubits, degree, rng).kraus
         w = np.full(degree, 1 / degree) if weighting == "uniform" else rng.random(degree)
         ch = Channel(kraus, w / w.sum())
+        if takes_superoperator(degree, qubits):
+            continue  # the superoperator kernel: test_superoperator_kernel_matches_oracles
+        assert ch._super is None and ch._left is not None
         assert np.array_equal(ch.target_kraus, kraus)
         assert np.array_equal(ch.adjoint().target_kraus, kraus.conj().transpose(0, 2, 1))
         _assert_kernel_matches_row_major(ch, degree, blocks=(1, 0))
@@ -731,6 +736,193 @@ def test_corpus_reduction_kernel_is_bit_identical_to_row_major(key):
     # the six-stage controlled-F run (r = 1); the two controlled depolarizers are monomial stages
     assert [s._map is not None for s in ch.stages] == [True, True] + [False] * 6
     _assert_kernel_matches_row_major(ch, len(key), blocks=(6, 0))
+
+
+# --- the superoperator kernel ------------------------------------------------
+
+
+SUPER_CASES = {
+    # name: (qubits, targets, control qubits, pattern, negate, degree, signed, weighting)
+    "1 target of 3, no control": (3, (1,), (), (), False, 4, False, "weighted"),
+    "1 target of 6, controlled, live cross terms": (6, (4,), (2,), (1,), False, 2, False, "weighted"),
+    "2 targets of 5, one active rest state, live cross terms": (5, (3, 1), (0, 2, 4), (1, 0, 1), False, 8, False,
+                                                                "weighted"),
+    "2 targets of 5, signed, several rest states": (5, (3, 1), (0, 2), (1, 0), False, 8, True, "weighted"),
+    "2 targets of 5, several rest states, live cross terms": (5, (3, 1), (0, 2), (1, 0), False, 8, False, "weighted"),
+    "2 targets of 7, signed, not-pattern": (7, (5, 0), (1, 3), (0, 0), True, 8, True, "uniform"),
+    "3 targets of 8, controlled, live cross terms": (8, (6, 2, 4), (0,), (1,), False, 8, False, "weighted"),
+    "3 targets of 8, no control": (8, (7, 1, 4), (), (), False, 16, False, "uniform"),
+}
+
+
+def _super_stage(name):
+    m, targets, ctrl, pattern, negate, degree, signed, weighting = SUPER_CASES[name]
+    rng = rng_from(110, sorted(SUPER_CASES).index(name))
+    kraus = random_unitary_channel(len(targets), degree, rng).kraus
+    w = np.full(degree, 1 / degree) if weighting == "uniform" else rng.random(degree)
+    control = _control_vector(m, targets, ctrl, pattern, negate) if ctrl else None
+    return Channel(kraus, w / w.sum(), qubits=m, targets=targets, control=control, signed=signed)
+
+
+def _assert_matches_oracles(stage, channel, x, adjoint=False):
+    """channel.apply_real(x) within 1e-13 ||x|| of the GEMM kernel on the same
+    stages and of the lifted Kraus sum of `stage` (its adjoint if `adjoint`)."""
+    got = channel.apply_real(x)
+    assert frobenius(got - row_major_apply_real(gemm_stages(channel), x)) <= 1e-13 * frobenius(x)
+    assert frobenius(got - kraus_sum_real(stage, x, adjoint)) <= 1e-13 * frobenius(x)
+
+
+@pytest.mark.parametrize("name", sorted(SUPER_CASES))
+def test_superoperator_kernel_matches_oracles(name):
+    stage = _super_stage(name)
+    assert stage._super is not None and stage._left is None and stage._right is None
+    crossed = stage.control is not None and not stage.signed
+    assert (stage._mean is not None) == crossed and (not crossed or zero_sum_defect(stage) > 0.1)
+    rng = rng_from(111, sorted(SUPER_CASES).index(name))
+    for adjoint in (False, True):
+        x = rng.standard_normal((stage.dim, stage.dim))
+        _assert_matches_oracles(stage, stage.adjoint() if adjoint else stage, x, adjoint)
+    if not crossed:
+        doubled = sign_double(stage)
+        x = rng.standard_normal((stage.dim, stage.dim))
+        _assert_matches_oracles(doubled, doubled, x)
+        assert frobenius(doubled.apply_real(x) - stage.apply_real(x)) <= 1e-13 * frobenius(x)
+
+
+# The flat cases of test_flat_kernel_is_bit_identical_to_row_major that the
+# kernel rule puts on the superoperator: (qubits, degree).
+SUPER_FLAT = [(1, 2), (1, 3), (1, 8), (1, 32), (2, 8), (2, 32), (3, 8), (3, 32), (4, 32)]
+
+
+@pytest.mark.parametrize("weighting", ["uniform", "weighted"])
+@pytest.mark.parametrize("qubits, degree", SUPER_FLAT)
+def test_flat_superoperator_kernel_matches_oracles(qubits, degree, weighting):
+    rng = rng_from(112, qubits, degree, weighting == "weighted")
+    kraus = random_unitary_channel(qubits, degree, rng).kraus
+    w = np.full(degree, 1 / degree) if weighting == "uniform" else rng.random(degree)
+    ch = Channel(kraus, w / w.sum())
+    assert takes_superoperator(degree, qubits) and ch._super is not None and ch._left is None
+    assert np.array_equal(ch.adjoint().target_kraus, kraus.conj().transpose(0, 2, 1))
+    for adjoint in (False, True):
+        x = rng.standard_normal((ch.dim, ch.dim))
+        _assert_matches_oracles(ch, ch.adjoint() if adjoint else ch, x, adjoint)
+
+
+def test_adjoint_and_sign_double_share_the_superoperator():
+    for name in ("1 target of 3, no control", "2 targets of 5, signed, several rest states"):
+        stage = _super_stage(name)
+        adjoint, doubled = stage.adjoint(), sign_double(stage)
+        assert np.shares_memory(adjoint._super, stage._super) and np.array_equal(adjoint._super, stage._super.T)
+        assert np.shares_memory(doubled._super, stage._super) and doubled._left is None
+        assert np.shares_memory(sign_double(adjoint)._super, stage._super)
+        assert not any(s._super.flags.writeable for s in (stage, adjoint, doubled))
+
+
+def test_kernel_rule_pins_the_benchmark_stage_shapes():
+    from qexpander.channels import kernel_bytes
+
+    rng = rng_from(114)
+    verify = random_unitary_channel(4, 32, rng)  # verify_protocol
+    four = random_unitary_channel(4, 8, rng)  # thermalize, and the reduction's G and controlled F
+    five = random_unitary_channel(5, 8, rng)  # matrix_free_gap
+    pauli = Channel(np.array([np.kron(a, b) for a in (I, X, Y, Z) for b in (I, X, Y, Z)]), np.full(16, 1 / 16))
+    control = _control_vector(7, (2, 3), (6,), (1,), False)  # no_3w3a_local's controlled F
+    local = Channel(random_unitary_channel(2, 8, rng).kraus, np.full(8, 1 / 8), qubits=7, targets=(2, 3),
+                    control=control, signed=True)
+    for ch in (verify, local):
+        assert ch._super is not None and ch._left is None and ch._right is None and ch._map is None
+    for ch in (four, five):
+        assert ch._super is None and ch._left is not None and ch._map is None
+    assert pauli._map is not None and pauli._super is None and pauli._left is None
+    assert [kernel_bytes(d, k) for d, k in ((32, 4), (8, 4), (8, 5), (8, 2))] == [
+        8 * 16**4, 48 * 8 * 4**4, 48 * 8 * 4**5, 8 * 16**2]
+    assert not takes_superoperator(64, 5)  # L of 5 qubits is over the byte cap
+
+
+def _pair_transposition(k):
+    """The permutation (i, j) -> (j, i) of the k^2 entries of a k x k block."""
+    return np.arange(k * k).reshape(k, k).T.ravel()
+
+
+def _superoperator_mutant(stage, kind):
+    """A stage's superoperator L = S_R + S_I P, rebuilt wrongly."""
+    lsup, k = stage._super, stage.target_kraus.shape[1]
+    p = _pair_transposition(k)
+    plp = lsup[p][:, p]  # P L P = S_R - S_I P
+    s_r, s_i = (lsup + plp) / 2, ((lsup - plp) / 2)[:, p]
+    if kind == "S_R and S_I swapped":
+        return s_i + s_r[:, p]
+    if kind == "X in place of X^T":
+        return s_r + s_i
+    bits = int(np.log2(k))  # reversed target-axis order: qubit order flipped on both indices
+    flip = np.array([int(format(i, f"0{bits}b")[::-1], 2) for i in range(k)])
+    q = np.arange(k * k).reshape(k, k)[flip][:, flip].ravel()
+    return lsup[q][:, q]
+
+
+@pytest.mark.parametrize("kind", ["S_R and S_I swapped", "X in place of X^T", "reversed target-axis order"])
+def test_superoperator_oracle_rejects_mutants(kind):
+    for name in ("2 targets of 5, several rest states, live cross terms", "3 targets of 8, no control"):
+        stage = _super_stage(name)
+        mutant = object.__new__(Channel)._build(
+            stage._kraus, stage._weights, stage.qubits, stage.targets, stage.control, stage.signed, False,
+            _superoperator_mutant(stage, kind),
+        )
+        x = rng_from(116).standard_normal((stage.dim, stage.dim))
+        want = kraus_sum_real(stage, x)
+        assert frobenius(stage.apply_real(x) - want) <= 1e-13 * frobenius(x)
+        assert frobenius(mutant.apply_real(x) - want) > 1e-3 * frobenius(x)
+
+
+def test_runs_group_by_kernel_kind():
+    # Superoperator (D = 8) and GEMM (D = 2) stages on the same targets and
+    # control, two active rest states: runs never mix the two kinds, and
+    # the cross blocks pass through the unsigned stages of both.
+    m, targets, ctrl, pattern = 5, (3, 1), (0, 2), (1, 0)
+    control = _control_vector(m, targets, ctrl, pattern, False)
+    rng = rng_from(117)
+
+    def stage(degree, signed):
+        w = rng.random(degree)
+        return Channel(random_unitary_channel(2, degree, rng).kraus, w / w.sum(), qubits=m, targets=targets,
+                       control=control, signed=signed)
+
+    lu, ls, gu, gs = stage(8, False), stage(8, True), stage(2, False), stage(2, True)
+    assert lu._super is not None and ls._super is not None and gu._super is None and gs._super is None
+    ch = Channel.staged((lu, lu, gu, ls, lu, gs, gs, lu, gu))
+    assert [len(run) for run in ch._runs] == [2, 1, 2, 2, 1, 1]
+    assert [run[0]._super is None for run in ch._runs] == [False, True, False, True, False, True]
+    a = random_operator(ch.dim, rng_from(118))
+    assert frobenius(ch.apply(a) - lifted_kraus_sum(ch, a)) < 1e-12
+    assert frobenius(ch.adjoint().apply(a) - lifted_kraus_sum(ch, a, adjoint=True)) < 1e-12
+    x = rng_from(119).standard_normal((ch.dim, ch.dim))
+    assert frobenius(ch.apply_real(x) - row_major_apply_real(gemm_stages(ch), x)) <= 1e-13 * frobenius(x)
+
+
+def test_runs_on_one_control_subspace_zero_the_cross_blocks_once():
+    # Signed stages on different targets but one full-space P, as a
+    # controlled brickwork makes them: the first zeroes the cross blocks,
+    # the next find them zero; a stage on another P (qubit 4 set, not
+    # qubit 3) zeroes its own.
+    from qexpander.reduction import controlled_channel
+
+    rng = rng_from(120)
+
+    def brick(degree):
+        return Channel.staged(
+            Channel(random_unitary_channel(2, degree, rng).kraus, np.full(degree, 1 / degree),
+                    qubits=3, targets=pair, signed=True)
+            for pair in ((0, 1), (1, 2), (2, 0))
+        )
+
+    for degree in (8, 2):  # superoperator and GEMM stages
+        on_three = controlled_channel(brick(degree), (0, 1, 2), [0, 0, 1, 1], 5)
+        on_four = controlled_channel(brick(degree), (0, 1, 2), [0, 1, 0, 1], 5)
+        ch = Channel.staged((on_three, on_four.stages[0], on_three))
+        assert len(ch._runs) == 7 and all(s._super is not None for s in ch.stages) == (degree == 8)
+        a = random_operator(32, rng)
+        assert frobenius(ch.apply(a) - lifted_kraus_sum(ch, a)) < 1e-12
+        assert frobenius(ch.adjoint().apply(a) - lifted_kraus_sum(ch, a, adjoint=True)) < 1e-12
 
 
 # --- monomial stages: Pauli strings and phased permutations -----------------
@@ -814,7 +1006,7 @@ def test_unsigned_controlled_monomial_stage_has_live_cross_terms():
     n = stage.dim
     x = rng_from(102).standard_normal((n, n))
     p = np.zeros(n, dtype=bool)
-    p[stage._layout[0][: stage._layout[2]]] = True
+    p[stage._layout[0]] = True  # the controlled subspace
     cross = stage.apply_real(x)[np.ix_(p, ~p)]
     assert frobenius(cross) > 0.1 and frobenius(cross - kraus_sum_real(stage, x)[np.ix_(p, ~p)]) < 1e-13
 
@@ -905,7 +1097,7 @@ def test_stage_record_is_the_kraus_stack_it_was_built_from(tmp_path):
 
 def test_dense_and_nearly_monomial_stacks_take_the_gemm_kernel():
     rng = rng_from(105)
-    haar = random_unitary_channel(3, 8, rng)
+    haar = random_unitary_channel(3, 2, rng)
     assert haar._map is None and haar._left is not None
     mixed = Channel(np.array([np.kron(X, Z), random_unitary_channel(2, 1, rng).kraus[0]]), [0.5, 0.5])
     assert mixed._map is None  # one dense operator makes the whole stage dense

@@ -602,6 +602,20 @@ def test_reduce_local_base_expander_keeps_the_channel_file_small(corpus, tmp_pat
     assert abs(payload(res)["kappa"] - 0.7073977164780131) <= 1e-12
 
 
+@pytest.mark.slow
+def test_reduce_nine_qubit_local_reduction_decides_no(corpus, tmp_path):
+    # 18 signed 2-qubit stages on 8 qubits, controlled by the indicator.
+    out = tmp_path / "channel.json"
+    res = run_cli("reduce", corpus / "reductions" / "no_4w4a_local.json", "--out", out)
+    assert res.returncode == 0
+    doc = payload(res)
+    check_reduce_fields(corpus, "no_4w4a_local", doc)
+    assert doc["qubits"] == 9 and out.stat().st_size <= 100_000
+    res = run_cli("decide", out)
+    assert res.returncode == 0 and payload(res)["decision"] == "NO"
+    assert payload(res)["kappa"] <= doc["beta"]
+
+
 def test_console_script_installed():
     exe = shutil.which("qexpander")
     if exe is None:
@@ -679,6 +693,33 @@ def test_gap_and_decide_over_the_memory_budget_exit_2(tmp_path, capsys, monkeypa
         assert code == 2 and stdout == "" and stderr.count("\n") == 1
         assert stderr.startswith(message), stderr
         assert "over the memory budget of" in stderr and "Traceback" not in stderr
+
+
+def test_loading_counts_the_kernel_the_stage_will_build(tmp_path, capsys, monkeypatch):
+    # A packed 4-qubit stack of 32 decodes to 128 kB and takes the
+    # superoperator, 8 * 16^4 = 512 kB, not 384 kB of GEMM operands: the
+    # stage needs 640 kB.  Under a budget below the superoperator alone it
+    # exits 2 from the stage's check, before the stack is decoded; at
+    # 640 kB it loads and solves.
+    path = tmp_path / "wide.json"
+    save_channel(random_unitary_channel(4, 32, rng_from(66)), path, alpha=0.99, beta=0.9)
+    size = path.stat().st_size
+    monkeypatch.setattr(linalg, "memory_budget", lambda: float(8 * 16**4 - 1))
+    tracemalloc.start()
+    try:
+        code = cli.main(["gap", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stdout, stderr = capsys.readouterr()
+    assert code == 2 and stdout == "" and "Traceback" not in stderr
+    assert stderr == (
+        f"error: {path}: 32 Kraus operators of 16 x 16 and their operands needs 0.00061 GiB, "
+        "over the memory budget of 0.000488 GiB\n"
+    )
+    assert peak < 2 * size + 2**17  # no ASCII copy of the field, no decoded stack
+    monkeypatch.setattr(linalg, "memory_budget", lambda: float(16 * 32 * 4**4 + 8 * 16**4))
+    assert cli.main(["gap", str(path)]) == 0
 
 
 def test_loading_over_the_memory_budget_builds_no_kraus_stack(tmp_path, capsys, monkeypatch):
