@@ -46,7 +46,8 @@ geometrically: the Kraus products are never materialized.
   concatenate and, by this row order, the first GEMM's product read as a
   (k, 2 D k) matrix is the second GEMM's left operand as it stands.  A
   block of r > 1 rest states (r^2 blocks of k x k) reorders the first
-  product once for the second.
+  product once for the second.  The gap engine's float32 phase builds
+  its own float32 operands once per solve (:func:`gram_operands`).
 - **Superoperator.**  The real k^2 x k^2 matrix L = S_R + S_I P of
   :func:`_superoperator`, S = sum_d w_d U_d (x) conj(U_d) and P the
   transpose permutation: X' = L X on a block read as a vector, k^2
@@ -140,7 +141,11 @@ class Channel:
     Invariants checked at construction of each stage: all elements finite
     and unitary (||U^dag U - I||_F <= 1e-10 * 2^k), weights nonnegative and
     summing to 1 within 1e-12, and unitality ||Phi(I) - I||_F <= 1e-10
-    (automatic for unitary Kraus mixtures, asserted anyway).
+    (automatic for unitary Kraus mixtures, asserted anyway).  Unitality is
+    checked on the kernel the stage derived: a GEMM-pair or superoperator
+    kernel on I_k alone, since Phi(I) - I repeats that k-qubit block's
+    defect in each active rest-state block and is zero elsewhere, and a
+    monomial map on the whole register, for which it is built.
     """
 
     __slots__ = ("_left", "_right", "_weights", "_signed", "_stages", "_runs", "_qubits", "_dim",
@@ -177,8 +182,14 @@ class Channel:
         # Monomial: no column of a unitary is zero, so this is one nonzero
         # entry per column, of unit modulus.
         self._build(x, w, m, targets, control, bool(signed), np.count_nonzero(x) == len(x) * dim)
-        eye = np.eye(2**m)
-        defect = frobenius(self.apply_real(eye) - eye)
+        if self._map is None:
+            # The cross blocks P M Q of Phi(I) are zero: M commutes with P.
+            eye = np.eye(dim)
+            image = _mix_real(self, eye) if self._super is None else (self._super @ eye.ravel()).reshape(dim, dim)
+        else:
+            eye = np.eye(2**m)  # a monomial map is built for the whole register
+            image = self.apply_real(eye)
+        defect = frobenius(image - eye)
         if not defect <= ATOL:
             raise ValueError(f"channel is not unital: ||Phi(I) - I||_F = {defect:.3e}")
 
@@ -573,18 +584,19 @@ def _monomial_map(x: np.ndarray, w: np.ndarray, signed: bool, layout, n: int):
 
 def _operands(re: np.ndarray, im: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The real apply operands of a stage with Kraus operators
-    U_d = R_d + i J_d (`re`, `im`) and weights w, 48 D k^2 bytes together:
+    U_d = R_d + i J_d (`re`, `im`) and weights w, at their dtype, 48 D k^2
+    bytes together at float64:
     the (2 D k, 2 k) rows of the blocks [[R_d, J_d], [J_d, -R_d]], ordered
     by target row i, then d, then half h (row (i, d, h) is row i of
     [R_d, J_d] for h = 0 and of [J_d, -R_d] for h = 1), and the
     (2 D k, k) stack of [w_d R_d^T; w_d J_d^T], rows ordered (d, h, j)."""
     d, k = re.shape[:2]
     # Both filled in place, so building them takes no temporary copies.
-    left = np.empty((k, d, 2, 2, k))
+    left = np.empty((k, d, 2, 2, k), re.dtype)
     for h, g, block in ((0, 0, re), (0, 1, im), (1, 0, im)):
         left[:, :, h, g] = block.transpose(1, 0, 2)
     np.negative(re.transpose(1, 0, 2), out=left[:, :, 1, 1])
-    right = np.empty((d, 2, k, k))
+    right = np.empty((d, 2, k, k), re.dtype)
     right[:, 0], right[:, 1] = re.transpose(0, 2, 1), im.transpose(0, 2, 1)
     right *= w[:, None, None, None]
     return left.reshape(2 * d * k, 2 * k), right.reshape(2 * d * k, k)
@@ -657,6 +669,37 @@ def _mix_real(stage: Channel, t: np.ndarray) -> np.ndarray:
     return (product @ stage._right).reshape(k, cols)
 
 
+def flat_gemm_pair(channel: Channel) -> bool:
+    """True when every stage of `channel` is flat and applies the GEMM
+    pair: none is structured, monomial or on its superoperator."""
+    return all(s._layout is None and s._left is not None for s in channel.stages)
+
+
+def gram_operands(channel: Channel, dtype) -> tuple[list, list]:
+    """The GEMM-pair operands (left, right) of Phi^dag Phi for a
+    :func:`flat_gemm_pair` channel Phi: a list for its stages, first to
+    last, and one for its adjoint's, built by :func:`_operands` in `dtype`
+    from each distinct stage's Kraus stack {U_d} and from {U_d^dag}.  The
+    stages keep none of them; together they take :func:`kernel_bytes` of
+    each distinct stage at float64, half that at float32."""
+
+    def build(s: Channel) -> tuple:
+        re, im, w = s._kraus.real.astype(dtype), s._kraus.imag.astype(dtype), s._weights.astype(dtype)
+        return _operands(re, im, w), _operands(re.transpose(0, 2, 1), -im.transpose(0, 2, 1), w)
+
+    made = _made_per_stage(channel, build)
+    return [forward for forward, _ in made], [adjoint for _, adjoint in reversed(made)]
+
+
+def apply_operands(operands: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray) -> np.ndarray:
+    """Phi in real coordinates, as :meth:`Channel.apply_real` computes it,
+    for flat stages with GEMM-pair `operands` (see :func:`gram_operands`),
+    at their dtype."""
+    for left, right in operands:
+        x = (left @ np.concatenate((x, x.T))).reshape(len(x), -1) @ right  # as _mix_real on one block
+    return x
+
+
 def channel_power(channel: Channel, r: int) -> Channel:
     """The r-fold composition Phi^r as a staged channel."""
     if r < 1:
@@ -692,14 +735,21 @@ def zero_sum_defect(channel: Channel) -> float:
     )
 
 
-def per_stage(channel: Channel, make) -> Channel:
-    """`channel` with each distinct stage object replaced by make(stage)
-    once, so stages shared by a power composition stay shared."""
-    made: dict[int, Channel] = {}
+def _made_per_stage(channel: Channel, make) -> list:
+    """make(stage) for each stage of `channel`, first to last, called once
+    per distinct stage object, so stages shared by a power composition
+    share the result."""
+    made: dict[int, object] = {}
     for s in channel.stages:
         if id(s) not in made:
             made[id(s)] = make(s)
-    return Channel.staged(made[id(s)] for s in channel.stages)
+    return [made[id(s)] for s in channel.stages]
+
+
+def per_stage(channel: Channel, make) -> Channel:
+    """`channel` with each distinct stage object replaced by make(stage)
+    once, so stages shared by a power composition stay shared."""
+    return Channel.staged(_made_per_stage(channel, make))
 
 
 def _sign_stage(stage: Channel) -> Channel:

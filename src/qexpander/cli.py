@@ -109,8 +109,7 @@ def cmd_verify(args) -> int:
         psi = merlin_witness(instance.channel)
     else:
         psi = load_state_vector(args.witness)
-    shots = None if args.shots in (None, "exact") else int(args.shots)
-    outcome = arthur_verify(instance, psi, shots=shots, seed=args.seed)
+    outcome = arthur_verify(instance, psi, shots=args.shots, seed=args.seed)
     _emit(
         {
             "command": "verify",
@@ -121,7 +120,7 @@ def cmd_verify(args) -> int:
             "confidence": outcome.confidence,
             "alpha": instance.alpha,
             "beta": instance.beta,
-            "shots": shots,
+            "shots": args.shots,
             "seed": args.seed,
         }
     )
@@ -221,6 +220,29 @@ def cmd_thermalize(args) -> int:
     return EXIT_OK if report.satisfied else EXIT_PROMISE_OR_NONCONV
 
 
+def _seed(text: str) -> int:
+    """The --seed type: a non-negative integer, as rng_from takes."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+def _shots(text: str) -> int | None:
+    """The --shots type: 'exact' (None) or a whole number of Hadamard tests;
+    arthur_verify checks its range."""
+    if text == "exact":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        message = f"expected 'exact' or a whole number of Hadamard tests, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves it unchanged."""
@@ -234,20 +256,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gap", help="compute the contraction coefficient of an instance channel")
     p.add_argument("instance", help="instance/channel file")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_gap)
 
     p = sub.add_parser("decide", help="decide a non-expander instance")
     p.add_argument("instance")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("verify", help="run the Merlin-Arthur verification protocol")
     p.add_argument("instance")
     p.add_argument("--witness", default="auto", help="'auto' (honest Merlin) or a state-vector file")
-    p.add_argument("--shots", default="exact", help="'exact' or the total number of Hadamard tests")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--shots", type=_shots, default=None, help="'exact' or the total number of Hadamard tests")
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reduce", help="build the hardness-reduction channel from a verifier spec")
@@ -259,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qubits", type=int, required=True)
     p.add_argument("--target-kappa", type=float, default=0.1)
     p.add_argument("--degree", type=int, default=8, help="degree per composition stage")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_synth_expander)
 

@@ -21,9 +21,11 @@ kappa, is unchanged, and the witness comes out Hermitian.  Phi and its
 adjoint act on these coordinates directly (:meth:`Channel.apply_real`, two
 real GEMMs per stage at 6 D k^3 multiply-adds for D Kraus operators on k
 dimensions, against 8 D k^3 for the complex form), so no complex matrix is
-formed until the witness is reported.  Every report
-carries an error bar on kappa, and `decide` answers YES or NO only when
-convergence and that error bar back the answer.
+formed until the witness is reported.  On a channel of flat GEMM-pair
+stages from 5 qubits up, a float32 Lanczos phase runs first and the
+float64 one finishes from its top Ritz vector.  Every report
+carries an error bar on kappa from float64 arithmetic, and `decide` answers
+YES or NO only when convergence and that error bar back the answer.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channels import apply_operands, flat_gemm_pair, gram_operands, kernel_bytes
 from .linalg import check_memory, hermitian_from_real, rng_from, vec
 
 #: Thick-restart Lanczos: vectors in the basis, Ritz pairs kept on restart.
@@ -50,6 +53,13 @@ TIE_TOL = 1e-9
 #: Ritz value, its residual and any evaluation of ||Phi(A)||_F for the
 #: witness all round at about this level, so no smaller bar can be backed.
 KAPPA_ROUNDING = 4 * float(np.finfo(float).eps)
+
+#: The two-precision rule (see spectral_gap_iterative): a channel on N >= SINGLE_MIN_DIM
+#: whose every stage is flat on the GEMM pair runs a float32 phase first.  Set from
+#: measurement: at N = 16 a solve is bound by per-call overhead, not by its GEMMs.
+SINGLE_MIN_DIM = 32
+#: Phase 1's least stop tolerance, four units of float32 rounding.
+SINGLE_TOL = 4 * float(np.finfo(np.float32).eps)
 
 
 class Decision(str, enum.Enum):
@@ -74,7 +84,10 @@ class GapReport:
     final eigen-residual ||M y - kappa^2 y|| of the top Ritz pair.
     `matvecs` counts applications of M = Pi W^dag W Pi, `iterations` the
     Lanczos restart cycles and `ritz_solves` the eigendecompositions of the
-    Rayleigh-Ritz matrix.  `method` is always "iterative".
+    Rayleigh-Ritz matrix.  A two-precision solve (see
+    spectral_gap_iterative) counts both phases in these three, and every
+    other field comes from its float64 phase alone.  `method` is always
+    "iterative".
     """
 
     kappa: float
@@ -133,15 +146,6 @@ def _unit_traceless(x: np.ndarray, dim: int) -> np.ndarray:
             return x / np.sqrt(2.0)
         x /= norm
     return x
-
-
-def _m_apply(channel, adjoint, x: np.ndarray, dim: int, out: np.ndarray) -> np.ndarray:
-    """M x in real coordinates, written into `out`: Phi, then its adjoint
-    channel, each by :meth:`Channel.apply_real`.  Both channels are unital
-    and trace preserving, so a traceless x stays traceless and one
-    deflation of the output removes the rounding along vec(I)."""
-    np.copyto(out.reshape(dim, dim), adjoint.apply_real(channel.apply_real(x.reshape(dim, dim))))
-    return _deflate(out, dim)
 
 
 def _iterative_report(theta, y, dim, cycles, resid, converged, matvecs, solves) -> GapReport:
@@ -207,13 +211,38 @@ def spectral_gap_iterative(
     next one comes at most RITZ_LOOKAHEAD - 1 matvecs after that step),
     still certified by the true residual.
 
+    **Two precisions.**  When N >= SINGLE_MIN_DIM and every stage of the
+    channel is flat on the GEMM pair (:func:`flat_gemm_pair`), the stage
+    GEMMs bound the solve and a float32 GEMM pair takes half the time of a
+    float64 one (5 qubits, D = 8, one BLAS thread: 34-36 us against 62-66 us),
+    so the solve runs in two phases (mixed-precision refinement; Higham &
+    Mary, Acta Numerica 31, 2022).  Phase 1 is the same engine with its
+    basis, images and GEMM operands in float32, the operands of Phi and of
+    its adjoint built once per solve from the Kraus stacks
+    (:func:`gram_operands`) and dropped when it ends, before the float64
+    adjoint is built.  It stops when its top Ritz pair passes the stop rule
+    at max(tol, SINGLE_TOL); at a restart whose top pair neither halved its
+    residual nor raised theta by more than that residual since the
+    restart before, which is its rounding floor; or one application of M
+    short of `max_iter` (at max_iter = 1 it does not run).  Phase 2 is the
+    float64 engine started from phase 1's top Ritz vector, and it alone
+    gives kappa, the witness, `residual`, `error_bound` and `converged`,
+    so every reported figure is float64 arithmetic.  Both phases fill one
+    allocation for the basis and images (phase 1 reads its first half as
+    float32), and `matvecs`, `ritz_solves` and `iterations` (restart
+    cycles) count both phases.  Every other channel (N = 16 and below, a
+    structured, monomial or superoperator stage) runs the float64 engine
+    alone, from the random start.
+
     Before it allocates, it checks the 2 size N^2 8 bytes of the basis and
-    its images against the memory budget (:func:`qexpander.linalg.check_memory`).
+    its images, plus the float32 operands of phase 1, against the memory
+    budget (:func:`qexpander.linalg.check_memory`).
 
     If M annihilates the start vector, kappa = 0 and the solve is
-    converged.  `max_iter` caps the applications of M; reaching it returns
-    converged=False and never raises.  The one start vector comes from
-    rng_from(seed, 0), so the result is deterministic given `seed`.
+    converged.  `max_iter` caps the applications of M over both phases;
+    reaching it returns converged=False and never raises.  The one start
+    vector comes from rng_from(seed, 0), so the result is deterministic
+    given `seed`.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -222,27 +251,77 @@ def spectral_gap_iterative(
         raise ValueError("a 1 x 1 channel has no traceless direction, so kappa is undefined")
     n = dim * dim
     size = min(LANCZOS_BASIS, n - 1)
-    check_memory(
-        2 * size * n * 8, f"the Lanczos basis and its images, {size} vectors each on {dim} x {dim} operators"
-    )
+    what = f"the Lanczos basis and its images, {size} vectors each on {dim} x {dim} operators"
+    single = dim >= SINGLE_MIN_DIM and max_iter > 1 and flat_gemm_pair(channel)
+    need = 2 * size * n * 8
+    if single:
+        distinct = {id(s): s for s in channel.stages}.values()
+        need += sum(kernel_bytes(len(s.target_weights), len(s.targets)) for s in distinct)
+        what += ", and the float32 GEMM operands"
+    check_memory(need, what)
+    # Rows: the orthonormal basis vectors v_i, then their images M v_i.  One
+    # allocation for both phases keeps the float32 one from adding to the
+    # heap's high-water mark.
+    basis, images = shared = np.empty((2, size, n))
+    start = _unit_traceless(rng_from(seed, 0).standard_normal(n), dim)
+    cycles = matvecs = solves = 0
+    if single:
+        # The float64 adjoint is built after phase 1, so that its operands
+        # and the float32 ones are never held at once.
+        forward, backward = gram_operands(channel, np.float32)
+        # Phase 1 fills the first half of the allocation as float32.
+        low = shared.reshape(-1).view(np.float32)[: 2 * size * n].reshape(2, size, n)
+        theta, y, resid, _, cycles, matvecs, solves = _lanczos(
+            lambda x: apply_operands(forward, x), lambda x: apply_operands(backward, x), start, *low,
+            max(tol, SINGLE_TOL), max_iter - 1, True,
+        )
+        del forward, backward, low
+        start = _unit_traceless(y.astype(float), dim)
     adjoint = channel.adjoint()
+    theta, y, resid, converged, *counts = _lanczos(
+        channel.apply_real, adjoint.apply_real, start, basis, images, tol, max_iter - matvecs, False
+    )
+    cycles, matvecs, solves = (a + b for a, b in zip((cycles, matvecs, solves), counts))
+    return _iterative_report(theta, y, dim, cycles, resid, converged, matvecs, solves)
+
+
+def _lanczos(phi, adjoint, start, basis, images, tol, max_iter, stall):
+    """The engine of :func:`spectral_gap_iterative` at the dtype of `basis`
+    and `images`, the (size, N^2) rows it fills, from the unit traceless
+    `start`, with phi(X) and adjoint(X) applying Phi and its adjoint to the
+    real coordinates X of an N x N Hermitian matrix.
+
+    Returns (theta, y, resid, converged, cycles, matvecs, solves): the top
+    Ritz pair and its residual, whether it passed the stop rule for `tol`
+    (or the Krylov space became invariant), and the counts.  It stops as
+    spectral_gap_iterative describes, after at most `max_iter`
+    applications of M, and with `stall` also, unconverged, at its rounding
+    floor (the stall rule of phase 1 there)."""
+    size, n = basis.shape
+    dim = math.isqrt(n)
+
+    def apply(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # M x into `out`.  Phi and its adjoint are unital and trace preserving,
+        # so a traceless x stays traceless and one deflation of the output
+        # removes the rounding along vec(I).
+        np.copyto(out.reshape(dim, dim), adjoint(phi(x.reshape(dim, dim))))
+        return _deflate(out, dim)
+
     keep = min(LANCZOS_KEEP, size - 1)
-    basis = np.empty((size, n))  # rows: orthonormal vectors v_i
-    images = np.empty((size, n))  # rows: M v_i
-    ritz = np.zeros((size, size))  # lower triangle of V^T M V
-    q = np.empty(n)  # the next Lanczos direction
-    row = np.empty(n)  # a combination of basis rows, subtracted from q
-    coef = np.empty(size)  # V^T q
-    rng = rng_from(seed, 0)
-    basis[0] = _unit_traceless(rng.standard_normal(n), dim)
-    action = math.sqrt(_m_apply(channel, adjoint, basis[0], dim, images[0]) @ images[0])
+    ritz = np.zeros((size, size), basis.dtype)  # lower triangle of V^T M V
+    q = np.empty(n, basis.dtype)  # the next Lanczos direction
+    row = np.empty(n, basis.dtype)  # a combination of basis rows, subtracted from q
+    coef = np.empty(size, basis.dtype)  # V^T q
+    basis[0] = start
+    action = math.sqrt(apply(basis[0], images[0]) @ images[0])
     if action <= 1e-14:
         # The action on a generic start is numerically zero: kappa ~ 0.
-        return _iterative_report(0.0, basis[0], dim, 1, action, True, 1, 0)
+        return 0.0, basis[0].copy(), action, True, 1, 1, 0
 
     k, cycles, matvecs, solves = 0, 1, 1, 0
     check = 1  # matvecs at the next scheduled Ritz solve
     last = None  # (matvecs, ln(estimate / target)) at the last solve whose estimate missed
+    previous = None  # the top Ritz pair's (theta, residual) at the last restart
     while True:
         k += 1
         v, image, ritz_row, c = basis[:k], images[k - 1], ritz[k - 1, :k], coef[:k]
@@ -268,9 +347,7 @@ def spectral_gap_iterative(
                 r = s @ images[:k] - theta * y
                 resid = math.sqrt(r @ r)
                 if stop or resid <= target:
-                    return _iterative_report(
-                        theta, y, dim, cycles, resid, invariant or resid <= target, matvecs, solves
-                    )
+                    return theta, y, resid, invariant or resid <= target, cycles, matvecs, solves
             # Schedule the next solve halfway to where ln(estimate / target)
             # reaches 0 at its mean drop per step since the last miss.
             ahead, miss = 1, None
@@ -288,7 +365,17 @@ def spectral_gap_iterative(
                 ritz[:keep, :keep] = np.diag(thetas[::-1][:keep])
                 k = keep
                 cycles += 1
-        _m_apply(channel, adjoint, np.divide(q, beta, out=basis[k]), dim, images[k])
+                if stall:
+                    # The restart's top pair is (theta, basis[0]) with image
+                    # images[0].  A cycle that neither halved its residual nor
+                    # raised theta by more than the previous residual has met
+                    # the rounding floor: in float32 theta then stays put.
+                    r = images[0] - theta * basis[0]
+                    resid = math.sqrt(r @ r)
+                    if previous is not None and resid > 0.5 * previous[1] and theta <= previous[0] + previous[1]:
+                        return theta, basis[0].copy(), resid, False, cycles, matvecs, solves
+                    previous = theta, resid
+        apply(np.divide(q, beta, out=basis[k]), images[k])
         matvecs += 1
 
 

@@ -106,6 +106,31 @@ def test_trace_preservation_and_unitality():
         assert abs(np.trace(ch.apply(a)) - np.trace(a)) <= 1e-10
 
 
+# kernel builder -> (a Kraus stack that takes it, the builder's output made
+# wrong by one part in 1e3)
+CORRUPTED_KERNELS = {
+    "_operands": (lambda: random_unitary_channel(2, 2, rng_from(130)).kraus, lambda out: (out[0] * 1.001, out[1])),
+    "_superoperator": (lambda: random_unitary_channel(2, 8, rng_from(131)).kraus, lambda out: out * 1.001),
+    "_monomial_map": (lambda: np.stack([np.kron(X, Z), np.kron(Y, I)]), lambda out: (*out[:2], out[2] * 1.001)),
+}
+
+
+@pytest.mark.parametrize("builder", CORRUPTED_KERNELS)
+@pytest.mark.parametrize("controlled", [False, True])
+def test_stage_with_a_corrupted_kernel_is_not_unital(builder, controlled):
+    # The unitality check runs on the kernel the stage derived, on its
+    # k-qubit block for the GEMM pair and L and on the register for a map.
+    make, corrupt = CORRUPTED_KERNELS[builder]
+    kraus = make()
+    weights = np.full(len(kraus), 1.0 / len(kraus))
+    where = {"qubits": 5, "targets": (3, 1), "control": [0, 1, 1, 0, 1, 0, 0, 1]} if controlled else {}
+    Channel(kraus, weights, **where)  # the intact kernel passes
+    build = getattr(channels, builder)
+    with mock.patch.object(channels, builder, lambda *args: corrupt(build(*args))):
+        with pytest.raises(ValueError, match="not unital"):
+            Channel(kraus, weights, **where)
+
+
 def test_norm_non_increase():
     rng = rng_from(10)
     ch = random_unitary_channel(2, 4, rng)

@@ -286,6 +286,28 @@ def test_verify_rejects_nonpositive_shots(corpus):
         assert "Traceback" not in res.stderr
 
 
+SEED = "expected a non-negative integer"
+SHOTS = "expected 'exact' or a whole number of Hadamard tests"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("gap", "identity_z_1q", "--seed", "-1"), f"--seed: {SEED}, got '-1'"),
+        (("decide", "identity_z_1q", "--seed", "1.5"), f"--seed: {SEED}, got '1.5'"),
+        (("verify", "identity_z_1q", "--seed=-7"), f"--seed: {SEED}, got '-7'"),
+        (("synth-expander", "--qubits", "2", "--seed", "-3"), f"--seed: {SEED}, got '-3'"),
+        (("verify", "identity_z_1q", "--shots", "3.5"), f"--shots: {SHOTS}, got '3.5'"),
+        (("verify", "identity_z_1q", "--shots", "many"), f"--shots: {SHOTS}, got 'many'"),
+    ],
+)
+def test_bad_seed_and_shots_name_the_flag(corpus, args, message):
+    res = run_cli(*(corpus / "instances" / f"{a}.json" if a == "identity_z_1q" else a for a in args))
+    assert res.returncode == 2 and res.stdout == ""
+    assert f"error: argument {message}" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_decide_exit_codes(corpus):
     assert run_cli("decide", corpus / "instances" / "identity_z_1q.json").returncode == 1
     assert run_cli("decide", corpus / "instances" / "depolarizer_1q.json").returncode == 0

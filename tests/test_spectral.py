@@ -1,7 +1,9 @@
 import dataclasses
 import functools
+import math
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -501,14 +503,23 @@ RITZ_ORACLE_CASES = {
 }
 
 
+def float64_engine(ch, **options) -> GapReport:
+    """spectral_gap_iterative with the two-precision rule off: the float64
+    engine alone, from the random start."""
+    with mock.patch.object(spectral, "SINGLE_MIN_DIM", math.inf):
+        return spectral_gap_iterative(ch, **options)
+
+
 def _check_against_per_step_oracle(ch, **options) -> tuple[GapReport, GapReport]:
-    """The engine's contract with the per-step Ritz oracle: the engine
-    solves the Ritz matrix on a subset of the oracle's steps over the same
-    Lanczos vectors, so it stops on the oracle's step or at most 3 steps
-    later.  On the same step every field but `ritz_solves` is bit
+    """The float64 engine's contract with the per-step Ritz oracle: the
+    engine solves the Ritz matrix on a subset of the oracle's steps over
+    the same Lanczos vectors, so it stops on the oracle's step or at most 3
+    steps later.  On the same step every field but `ritz_solves` is bit
     identical; a later stop is converged and within its error bar of the
-    dense oracle."""
-    got, want = spectral_gap_iterative(ch, **options), lanczos_oracle(ch, **options)
+    dense oracle.  The oracle is float64 from the random start, so the
+    engine runs with the two-precision rule off; the two-phase solve is
+    checked against this engine below."""
+    got, want = float64_engine(ch, **options), lanczos_oracle(ch, **options)
     assert want.matvecs <= got.matvecs <= want.matvecs + 3
     assert got.ritz_solves <= got.matvecs and want.ritz_solves == want.matvecs
     if got.matvecs == want.matvecs:
@@ -649,3 +660,150 @@ def test_gap_refuses_inputs_over_the_memory_budget(monkeypatch):
     with pytest.raises(ValueError, match=message):
         spectral_gap(ch)
     assert not calls
+
+
+# -- two precisions -----------------------------------------------------------
+
+
+def _phases(monkeypatch) -> list[tuple[str, tuple]]:
+    """Record each run of the engine as (dtype name, its return tuple
+    (theta, y, resid, converged, cycles, matvecs, solves))."""
+    runs = []
+    engine = spectral._lanczos
+
+    def recording(phi, adjoint, start, basis, images, tol, max_iter, stall):
+        out = engine(phi, adjoint, start, basis, images, tol, max_iter, stall)
+        runs.append((basis.dtype.name, out))
+        return out
+
+    monkeypatch.setattr(spectral, "_lanczos", recording)
+    return runs
+
+
+def _haar(qubits, degree, power):
+    ch = random_unitary_channel(qubits, degree, rng_from(56, qubits, degree))
+    return ch if power == 1 else channel_power(ch, power)
+
+
+def _thermal_5q():
+    return ThermalModel(tuple(haar_unitary(32, rng_from(57, d)) for d in range(4)), 1.0, 0.4).channel
+
+
+# Flat channels on N >= 32 whose stages are all on the GEMM pair.
+TWO_PHASE_CASES = {
+    **{
+        f"{q}q D={d} power {r}": functools.partial(_haar, q, d, r)
+        for q in (5, 6)
+        for d in (1, 2, 8, 64)
+        for r in (1, 2, 6)
+    },
+    "5q weighted thermal": _thermal_5q,
+}
+
+
+def _true_residual(ch, rep: GapReport) -> float:
+    """||M A - kappa^2 A||_F for the witness A, in float64 complex arithmetic."""
+    a = unvec(rep.witness)
+    return frobenius(ch.adjoint().apply(ch.apply(a)) - rep.kappa**2 * a)
+
+
+@pytest.mark.parametrize("name", TWO_PHASE_CASES)
+def test_two_phase_solve_matches_the_float64_engine(monkeypatch, name):
+    ch = TWO_PHASE_CASES[name]()
+    want = float64_engine(ch)
+    runs = _phases(monkeypatch)
+    got = spectral_gap_iterative(ch)
+    assert [dtype for dtype, _ in runs] == ["float32", "float64"]
+    assert got.converged and want.converged
+    assert abs(got.kappa - want.kappa) <= max(1e-12, got.error_bound + want.error_bound)
+    target = 1e-9 * max(2.0 * got.kappa, 1e-9)
+    assert _true_residual(ch, got) <= target
+    assert got.residual == runs[1][1][2] <= target
+    # Both phases are counted.
+    (_, single), (_, double) = runs
+    assert (got.iterations, got.matvecs, got.ritz_solves) == tuple(a + b for a, b in zip(single[4:], double[4:]))
+
+
+def test_two_phase_solve_is_deterministic():
+    ch = _haar(5, 8, 2)
+    first, second = spectral_gap_iterative(ch, seed=3), spectral_gap_iterative(ch, seed=3)
+    for f in dataclasses.fields(GapReport):
+        if f.name != "witness":
+            assert getattr(first, f.name) == getattr(second, f.name), f.name
+    assert first.witness.tobytes() == second.witness.tobytes()
+
+
+def test_max_iter_stops_two_phase_solve_inside_phase_one(monkeypatch):
+    runs = _phases(monkeypatch)
+    rep = spectral_gap_iterative(_haar(5, 8, 1), max_iter=5)
+    assert not rep.converged and rep.matvecs == 5
+    # Phase 1 ran out of its budget, one application of M short of max_iter,
+    # and phase 2 reports from its one float64 application.
+    (_, single), (_, double) = runs
+    assert single[5] == 4 and not single[3]
+    assert double[5] == 1 and rep.residual == double[2]
+
+
+def test_phase_one_stops_at_its_rounding_floor(monkeypatch):
+    # Noise of relative size 1e-3 on every float32 application of Phi keeps
+    # phase 1 from its target.  Its top residual reads 8.8e-4 at the first
+    # restart and 7.7e-5, the noise floor, at the second, so the stall rule
+    # ends it one cycle later, at the third; without the rule it would run
+    # to max_iter.
+    noise = rng_from(58)
+    apply_operands = spectral.apply_operands
+
+    def noisy(operands, x):
+        out = apply_operands(operands, x)
+        return out + 1e-3 * np.linalg.norm(out) / out.shape[0] * noise.standard_normal(out.shape).astype(out.dtype)
+
+    ch = _haar(5, 8, 1)
+    want = float64_engine(ch)
+    monkeypatch.setattr(spectral, "apply_operands", noisy)
+    runs = _phases(monkeypatch)
+    got = spectral_gap_iterative(ch)
+    (_, single), _ = runs
+    first_restart = spectral.LANCZOS_BASIS
+    cycle = spectral.LANCZOS_BASIS - spectral.LANCZOS_KEEP
+    assert not single[3] and single[4] == 4 and single[5] == first_restart + 2 * cycle
+    assert 5e-5 < single[2] < 1e-4
+    assert got.converged and abs(got.kappa - want.kappa) <= got.error_bound + want.error_bound
+
+
+TWO_PHASE_RULE_CASES = {
+    "4-qubit flat": lambda: _haar(4, 8, 2),
+    "structured": lambda: Channel(
+        random_unitary_channel(2, 8, rng_from(59)).kraus, np.full(8, 1 / 8), qubits=5, targets=(1, 3)
+    ),
+    "controlled": lambda: Channel(
+        random_unitary_channel(4, 2, rng_from(60)).kraus, np.full(2, 1 / 2), qubits=5, targets=(0, 1, 2, 3),
+        control=[0, 1],
+    ),
+    "monomial": lambda: Channel.uniform(
+        tuple(functools.reduce(np.kron, string) for string in ((X, I, Z, I, Y), (Z, Z, I, X, I), (I, Y, X, Z, Z)))
+    ),
+    "flat then structured": lambda: Channel.staged([_haar(5, 8, 1), TWO_PHASE_RULE_CASES["structured"]()]),
+}
+
+
+@pytest.mark.parametrize("name", TWO_PHASE_RULE_CASES)
+def test_two_phase_rule_leaves_other_channels_on_float64(monkeypatch, name):
+    ch = TWO_PHASE_RULE_CASES[name]()
+    runs = _phases(monkeypatch)
+    rep = spectral_gap_iterative(ch)
+    assert [dtype for dtype, _ in runs] == ["float64"]
+    assert rep.matvecs == runs[0][1][5]
+
+
+def test_two_phase_memory_check_counts_the_float32_operands(monkeypatch):
+    from qexpander import linalg
+
+    ch = _haar(5, 8, 2)  # one distinct stage, shared by both factors
+    size, n = spectral.LANCZOS_BASIS, 32 * 32
+    # The basis and images, then 6 D N^2 float32 entries of GEMM operands for the stage and its adjoint.
+    need = 2 * size * n * 8 + 2 * 6 * 8 * n * 4
+    monkeypatch.setattr(linalg, "memory_budget", lambda: float(need))
+    assert spectral_gap(ch).converged
+    monkeypatch.setattr(linalg, "memory_budget", lambda: float(need - 1))
+    with pytest.raises(ValueError, match="and the float32 GEMM operands needs"):
+        spectral_gap(ch)
