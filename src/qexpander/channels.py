@@ -47,7 +47,9 @@ geometrically: the Kraus products are never materialized.
   (k, 2 D k) matrix is the second GEMM's left operand as it stands.  A
   block of r > 1 rest states (r^2 blocks of k x k) reorders the first
   product once for the second.  The gap engine's float32 phase builds
-  its own float32 operands once per solve (:func:`gram_operands`).
+  its own float32 operands once per solve (:func:`gram_operands`), and
+  its float64 residuals apply the adjoint as the transposed pair
+  (:func:`apply_transposed`).
 - **Superoperator.**  The real k^2 x k^2 matrix L = S_R + S_I P of
   :func:`_superoperator`, S = sum_d w_d U_d (x) conj(U_d) and P the
   transpose permutation: X' = L X on a block read as a vector, k^2
@@ -697,6 +699,30 @@ def apply_operands(operands: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray)
     at their dtype."""
     for left, right in operands:
         x = (left @ np.concatenate((x, x.T))).reshape(len(x), -1) @ right  # as _mix_real on one block
+    return x
+
+
+def stage_operands(channel: Channel) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The GEMM-pair operands (left, right) of each stage of a
+    :func:`flat_gemm_pair` channel, first to last: the stages' own float64
+    arrays, not copies."""
+    return [(s._left, s._right) for s in channel.stages]
+
+
+def apply_transposed(operands: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray) -> np.ndarray:
+    """Phi^dag in real coordinates for flat stages with GEMM-pair `operands`
+    (first to last, see :func:`stage_operands`), at their dtype, as the
+    transpose of :func:`apply_operands`.  Real coordinates are an isometry
+    of the Hermitian matrices onto all real N x N matrices, so Phi^dag acts
+    on them as W^T for the matrix W of Phi.  A stage maps X to Z R, with Z
+    the product L [X; X^T] read as a (k, 2 D k) matrix, so its transpose
+    maps Y to A + B^T for [A; B] = L^T (Y R^T), the (k, 2 D k) matrix
+    Y R^T read as (2 D k, k); the stages go last to first.  It takes the
+    multiply-adds of the forward pair and builds no adjoint operands."""
+    k = len(x)
+    for left, right in reversed(operands):
+        z = left.T @ (x @ right.T).reshape(-1, k)
+        x = z[:k] + z[k:].T
     return x
 
 

@@ -22,8 +22,8 @@ adjoint act on these coordinates directly (:meth:`Channel.apply_real`, two
 real GEMMs per stage at 6 D k^3 multiply-adds for D Kraus operators on k
 dimensions, against 8 D k^3 for the complex form), so no complex matrix is
 formed until the witness is reported.  On a channel of flat GEMM-pair
-stages from 5 qubits up, a float32 Lanczos phase runs first and the
-float64 one finishes from its top Ritz vector.  Every report
+stages from 5 qubits up, a float32 Lanczos phase runs first, and float64
+residuals with float32 correction solves refine its top Ritz vector.  Every report
 carries an error bar on kappa from float64 arithmetic, and `decide` answers
 YES or NO only when convergence and that error bar back the answer.
 """
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import apply_operands, flat_gemm_pair, gram_operands, kernel_bytes
+from .channels import apply_operands, apply_transposed, flat_gemm_pair, gram_operands, kernel_bytes, stage_operands
 from .linalg import check_memory, hermitian_from_real, rng_from, vec
 
 #: Thick-restart Lanczos: vectors in the basis, Ritz pairs kept on restart.
@@ -60,6 +60,14 @@ KAPPA_ROUNDING = 4 * float(np.finfo(float).eps)
 SINGLE_MIN_DIM = 32
 #: Phase 1's least stop tolerance, four units of float32 rounding.
 SINGLE_TOL = 4 * float(np.finfo(np.float32).eps)
+#: Phase 2's refinement (see spectral_gap_iterative): the float32 correction
+#: solve's relative residual tolerance, its most applications of M, and the
+#: most refinement steps before the float64 engine takes over.  Set from
+#: measurement: one step to 1e-3 takes 12-58 applications on flat Haar channels
+#: at 5-7 qubits and meets the stop rule from phase 1's usual residual.
+REFINE_TOL = 1e-3
+REFINE_MATVECS = 64
+REFINE_STEPS = 3
 
 
 class Decision(str, enum.Enum):
@@ -82,12 +90,12 @@ class GapReport:
     |kappa - true kappa| (see spectral_gap_iterative); it is never below
     KAPPA_ROUNDING.  `residual` is the
     final eigen-residual ||M y - kappa^2 y|| of the top Ritz pair.
-    `matvecs` counts applications of M = Pi W^dag W Pi, `iterations` the
-    Lanczos restart cycles and `ritz_solves` the eigendecompositions of the
-    Rayleigh-Ritz matrix.  A two-precision solve (see
-    spectral_gap_iterative) counts both phases in these three, and every
-    other field comes from its float64 phase alone.  `method` is always
-    "iterative".
+    `matvecs` counts applications of M = Pi W^dag W Pi in either
+    precision, `iterations` the Lanczos restart cycles plus the refinement
+    steps of a two-precision solve (see spectral_gap_iterative), and
+    `ritz_solves` the eigendecompositions of the Rayleigh-Ritz matrix.
+    Every other field comes from float64 arithmetic alone.  `method` is
+    always "iterative".
     """
 
     kappa: float
@@ -215,31 +223,52 @@ def spectral_gap_iterative(
     channel is flat on the GEMM pair (:func:`flat_gemm_pair`), the stage
     GEMMs bound the solve and a float32 GEMM pair takes half the time of a
     float64 one (5 qubits, D = 8, one BLAS thread: 34-36 us against 62-66 us),
-    so the solve runs in two phases (mixed-precision refinement; Higham &
-    Mary, Acta Numerica 31, 2022).  Phase 1 is the same engine with its
-    basis, images and GEMM operands in float32, the operands of Phi and of
-    its adjoint built once per solve from the Kraus stacks
-    (:func:`gram_operands`) and dropped when it ends, before the float64
-    adjoint is built.  It stops when its top Ritz pair passes the stop rule
-    at max(tol, SINGLE_TOL); at a restart whose top pair neither halved its
-    residual nor raised theta by more than that residual since the
-    restart before, which is its rounding floor; or one application of M
-    short of `max_iter` (at max_iter = 1 it does not run).  Phase 2 is the
-    float64 engine started from phase 1's top Ritz vector, and it alone
-    gives kappa, the witness, `residual`, `error_bound` and `converged`,
-    so every reported figure is float64 arithmetic.  Both phases fill one
-    allocation for the basis and images (phase 1 reads its first half as
-    float32), and `matvecs`, `ritz_solves` and `iterations` (restart
-    cycles) count both phases.  Every other channel (N = 16 and below, a
-    structured, monomial or superoperator stage) runs the float64 engine
-    alone, from the random start.
+    so the solve is a mixed-precision refinement (Higham & Mary, Acta
+    Numerica 31, 2022): residuals in float64, the work in float32.
+
+    Phase 1 is the same engine with its basis, images and GEMM operands in
+    float32, the operands of Phi and of its adjoint built once per solve from
+    the Kraus stacks (:func:`gram_operands`).  It stops when its top Ritz
+    pair passes the stop rule at max(tol, SINGLE_TOL); at a restart whose
+    top pair neither halved its residual nor raised theta by more than that
+    residual since the restart before, which is its rounding floor; or one
+    application of M short of `max_iter` (at max_iter = 1 it does not run).
+
+    Phase 2 refines phase 1's top Ritz vector y.  Each step applies M to y
+    in float64, the adjoint as the transposed GEMM pair of the stages' own
+    operands (:func:`apply_transposed`, so no float64 adjoint is built),
+    and forms theta = y^T M y and the true residual r = M y - theta y; the
+    solve is converged when r passes the stop rule.  Otherwise float32
+    conjugate gradients on phase 1's operands solve the Jacobi-Davidson
+    correction equation (theta - M) t = r / ||r|| for t orthogonal to y
+    and vec(I) (Sleijpen & van der Vorst, SIAM J. Matrix Anal. Appl. 17,
+    1996), to relative residual REFINE_TOL or REFINE_MATVECS applications
+    of M, and y becomes the unit vector along y + ||r|| t.  A step that does
+    not halve the float64 residual, or REFINE_STEPS steps, hands over to
+    the float64 engine started from the current y; the float32 operands
+    are dropped before it builds the float64 adjoint, so the two are never
+    held at once.  Only float64 arithmetic reaches the report: kappa, the
+    witness, `residual`, `error_bound` and `converged` come from the last
+    float64 residual, or from the float64 engine after a hand-over.  On
+    flat Haar channels at 5-7 qubits one step of 12-58 float32
+    applications of M and two float64 ones replace 10-49 float64 Lanczos
+    steps.
+
+    Phase 1 and the hand-over fill one allocation for the basis and images
+    (phase 1 reads its first half as float32), and the refinement keeps its
+    vectors in rows of it that phase 1 has written.  `matvecs` counts the
+    applications of M in either precision, `iterations` the restart cycles
+    plus the refinement steps, and `ritz_solves` the eigendecompositions of
+    both engines.  Every other channel (N = 16 and below, a structured,
+    monomial or superoperator stage) runs the float64 engine alone, from
+    the random start.
 
     Before it allocates, it checks the 2 size N^2 8 bytes of the basis and
     its images, plus the float32 operands of phase 1, against the memory
     budget (:func:`qexpander.linalg.check_memory`).
 
     If M annihilates the start vector, kappa = 0 and the solve is
-    converged.  `max_iter` caps the applications of M over both phases;
+    converged.  `max_iter` caps the applications of M over all phases;
     reaching it returns converged=False and never raises.  The one start
     vector comes from rng_from(seed, 0), so the result is deterministic
     given `seed`.
@@ -266,30 +295,127 @@ def spectral_gap_iterative(
     start = _unit_traceless(rng_from(seed, 0).standard_normal(n), dim)
     cycles = matvecs = solves = 0
     if single:
-        # The float64 adjoint is built after phase 1, so that its operands
-        # and the float32 ones are never held at once.
         forward, backward = gram_operands(channel, np.float32)
+        gram32 = _gram(lambda x: apply_operands(forward, x), lambda x: apply_operands(backward, x))
         # Phase 1 fills the first half of the allocation as float32.
         low = shared.reshape(-1).view(np.float32)[: 2 * size * n].reshape(2, size, n)
         theta, y, resid, _, cycles, matvecs, solves = _lanczos(
-            lambda x: apply_operands(forward, x), lambda x: apply_operands(backward, x), start, *low,
-            max(tol, SINGLE_TOL), max_iter - 1, True,
+            gram32, start, *low, max(tol, SINGLE_TOL), max_iter - 1, True
         )
-        del forward, backward, low
-        start = _unit_traceless(y.astype(float), dim)
+        # Phase 2 works at the front of phase 1's basis rows: six float32 rows
+        # for the correction solve, then three float64 rows.
+        own = stage_operands(channel)
+        theta, y, resid, converged, steps, used = _refine(
+            _gram(channel.apply_real, lambda x: apply_transposed(own, x)), gram32,
+            _unit_traceless(y.astype(float), dim), low[0, :6], basis[3:6], tol, max_iter - matvecs,
+        )
+        cycles, matvecs = cycles + steps, matvecs + used
+        if converged or matvecs >= max_iter:
+            return _iterative_report(theta, y, dim, cycles, resid, converged, matvecs, solves)
+        # The hand-over.  The float32 operands are dropped before the float64
+        # adjoint is built, so that the two are never held at once.
+        del forward, backward, gram32, low
+        start = y.copy()
     adjoint = channel.adjoint()
     theta, y, resid, converged, *counts = _lanczos(
-        channel.apply_real, adjoint.apply_real, start, basis, images, tol, max_iter - matvecs, False
+        _gram(channel.apply_real, adjoint.apply_real), start, basis, images, tol, max_iter - matvecs, False
     )
     cycles, matvecs, solves = (a + b for a, b in zip((cycles, matvecs, solves), counts))
     return _iterative_report(theta, y, dim, cycles, resid, converged, matvecs, solves)
 
 
-def _lanczos(phi, adjoint, start, basis, images, tol, max_iter, stall):
+def _gram(phi, adjoint):
+    """M x into `out`, as gram(x, out), for phi(X) and adjoint(X) applying
+    Phi and its adjoint to the real coordinates X of an N x N Hermitian
+    matrix, at the dtype of `out`.  Phi and its adjoint are unital and
+    trace preserving, so a traceless x stays traceless and one deflation
+    of the output removes the rounding along vec(I)."""
+
+    def gram(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        dim = math.isqrt(len(x))
+        np.copyto(out.reshape(dim, dim), adjoint(phi(x.reshape(dim, dim))))
+        return _deflate(out, dim)
+
+    return gram
+
+
+def _refine(gram, gram32, start, low, rows, tol, max_iter):
+    """Phase 2 of a two-precision solve (see spectral_gap_iterative):
+    mixed-precision refinement from the unit traceless float64 `start`,
+    with gram and gram32 applying M in float64 and float32 (see
+    :func:`_gram`), the float32 correction solve in the six rows `low` and
+    the float64 vectors in the three rows `rows`.
+
+    Returns (theta, y, resid, converged, steps, matvecs) for the last
+    float64 pair (y is a row of `rows`): converged when it passed the stop
+    rule for `tol`; else it stopped at a step that did not halve the
+    float64 residual, after REFINE_STEPS steps, or with fewer than two of
+    its `max_iter` applications of M left."""
+    dim = math.isqrt(len(start))
+    y, image, r = rows
+    np.copyto(y, start)
+    steps = matvecs = 0
+    last = math.inf  # the float64 residual before the last step
+    while True:
+        gram(y, image)
+        matvecs += 1
+        theta = float(y @ image)
+        np.subtract(image, np.multiply(y, theta, out=r), out=r)
+        resid = math.sqrt(r @ r)
+        target = tol * max(2.0 * math.sqrt(max(theta, 0.0)), tol)
+        if resid <= target or resid > 0.5 * last or steps == REFINE_STEPS or matvecs + 2 > max_iter:
+            return theta, y, resid, resid <= target, steps, matvecs
+        r /= resid
+        t, used = _correct(gram32, theta, y, r, low, min(REFINE_MATVECS, max_iter - matvecs - 1))
+        t *= resid
+        y += t
+        y /= math.sqrt(_deflate(y, dim) @ y)
+        last, steps, matvecs = resid, steps + 1, matvecs + used
+
+
+def _correct(gram32, theta, y, b, low, most):
+    """The correction t of one refinement step, in float32: conjugate
+    gradients on (theta - M) t = b for t orthogonal to y and to vec(I), from
+    t = 0 and with gram32 applying M (see :func:`_gram`), in the six rows
+    `low`.  For the top Ritz pair (theta, y) this operator is positive
+    definite there when theta exceeds the second eigenvalue of M (the
+    Jacobi-Davidson correction equation; Sleijpen & van der Vorst, SIAM J.
+    Matrix Anal. Appl. 17, 1996).  It stops when its residual is below
+    REFINE_TOL times ||b||, after `most` applications of M, or where the
+    operator is not positive along the search direction.  Returns the row
+    holding t and the applications of M."""
+    t, res, p, q, y32, tmp = low
+    np.copyto(y32, y, casting="same_kind")
+    np.copyto(res, b, casting="same_kind")
+    np.copyto(p, res)
+    t.fill(0.0)
+    rr = float(res @ res)
+    stop = REFINE_TOL**2 * rr
+    used = 0
+    while used < most:
+        gram32(p, q)
+        used += 1
+        # q = -(theta - M) p, orthogonal to y.
+        q -= np.multiply(p, theta, out=tmp)
+        q -= np.multiply(y32, y32 @ q, out=tmp)
+        curve = -float(p @ q)
+        if curve <= 0.0:
+            break
+        alpha = rr / curve
+        t += np.multiply(p, alpha, out=tmp)
+        res += np.multiply(q, alpha, out=tmp)
+        rr, previous = float(res @ res), rr
+        if rr <= stop:
+            break
+        p *= rr / previous
+        p += res
+    return t, used
+
+
+def _lanczos(gram, start, basis, images, tol, max_iter, stall):
     """The engine of :func:`spectral_gap_iterative` at the dtype of `basis`
     and `images`, the (size, N^2) rows it fills, from the unit traceless
-    `start`, with phi(X) and adjoint(X) applying Phi and its adjoint to the
-    real coordinates X of an N x N Hermitian matrix.
+    `start`, with gram(x, out) applying M (see :func:`_gram`).
 
     Returns (theta, y, resid, converged, cycles, matvecs, solves): the top
     Ritz pair and its residual, whether it passed the stop rule for `tol`
@@ -299,21 +425,13 @@ def _lanczos(phi, adjoint, start, basis, images, tol, max_iter, stall):
     floor (the stall rule of phase 1 there)."""
     size, n = basis.shape
     dim = math.isqrt(n)
-
-    def apply(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        # M x into `out`.  Phi and its adjoint are unital and trace preserving,
-        # so a traceless x stays traceless and one deflation of the output
-        # removes the rounding along vec(I).
-        np.copyto(out.reshape(dim, dim), adjoint(phi(x.reshape(dim, dim))))
-        return _deflate(out, dim)
-
     keep = min(LANCZOS_KEEP, size - 1)
     ritz = np.zeros((size, size), basis.dtype)  # lower triangle of V^T M V
     q = np.empty(n, basis.dtype)  # the next Lanczos direction
     row = np.empty(n, basis.dtype)  # a combination of basis rows, subtracted from q
     coef = np.empty(size, basis.dtype)  # V^T q
     basis[0] = start
-    action = math.sqrt(apply(basis[0], images[0]) @ images[0])
+    action = math.sqrt(gram(basis[0], images[0]) @ images[0])
     if action <= 1e-14:
         # The action on a generic start is numerically zero: kappa ~ 0.
         return 0.0, basis[0].copy(), action, True, 1, 1, 0
@@ -375,7 +493,7 @@ def _lanczos(phi, adjoint, start, basis, images, tol, max_iter, stall):
                     if previous is not None and resid > 0.5 * previous[1] and theta <= previous[0] + previous[1]:
                         return theta, basis[0].copy(), resid, False, cycles, matvecs, solves
                     previous = theta, resid
-        apply(np.divide(q, beta, out=basis[k]), images[k])
+        gram(np.divide(q, beta, out=basis[k]), images[k])
         matvecs += 1
 
 

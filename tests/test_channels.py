@@ -725,6 +725,50 @@ def test_flat_kernel_is_bit_identical_to_row_major(qubits, weighting):
         _assert_kernel_matches_row_major(ch, degree, blocks=(1, 0))
 
 
+# name -> flat GEMM-pair channel: one stage, and powers whose stages are shared.
+TRANSPOSED_PAIR_CASES = {
+    f"{qubits}q D={degree} power {power}": (qubits, degree, power)
+    for qubits in (5, 6)
+    for degree in (1, 8)
+    for power in (1, 2, 6)
+}
+
+
+def _transposed_pair_case(name):
+    qubits, degree, power = TRANSPOSED_PAIR_CASES[name]
+    ch = channel_power(random_unitary_channel(qubits, degree, rng_from(140, qubits, degree)), power)
+    assert channels.flat_gemm_pair(ch)
+    return ch
+
+
+@pytest.mark.parametrize("name", TRANSPOSED_PAIR_CASES)
+def test_transposed_pair_is_the_adjoint(name):
+    # The stages' own operands, transposed and applied last to first, are
+    # Phi^dag in real coordinates: within float64 rounding of the adjoint
+    # channel's kernel, and within float32 rounding at float32 (a bound set
+    # from the dtype: 64 eps(float32)).
+    ch = _transposed_pair_case(name)
+    x = rng_from(141).standard_normal((ch.dim, ch.dim))
+    want = ch.adjoint().apply_real(x)
+    own = channels.stage_operands(ch)
+    assert all(left is s._left and right is s._right for (left, right), s in zip(own, ch.stages))
+    assert frobenius(channels.apply_transposed(own, x) - want) <= 1e-13 * frobenius(x)
+    single = [(left.astype(np.float32), right.astype(np.float32)) for left, right in own]
+    got = channels.apply_transposed(single, x.astype(np.float32))
+    assert got.dtype == np.float32
+    assert frobenius(got - want) <= 64 * np.finfo(np.float32).eps * frobenius(x)
+
+
+@pytest.mark.parametrize("name", [n for n, (_, degree, _) in TRANSPOSED_PAIR_CASES.items() if degree == 1])
+def test_transposed_pair_oracle_rejects_l_in_place_of_its_transpose(name):
+    # The mutant applies L where L^T belongs.  At D = 1, L is square, so the
+    # mutant runs, and it misses the adjoint.
+    ch = _transposed_pair_case(name)
+    x = rng_from(142).standard_normal((ch.dim, ch.dim))
+    mutant = [(left.T, right) for left, right in channels.stage_operands(ch)]
+    assert frobenius(channels.apply_transposed(mutant, x) - ch.adjoint().apply_real(x)) > 1e-3 * frobenius(x)
+
+
 def _controlled_stages(active):
     """A signed and an unsigned stage on targets (3, 1) of 5 qubits whose
     control has `active` rest states on (r = active), the unsigned one with

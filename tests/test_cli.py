@@ -609,6 +609,24 @@ def test_reduce_roundtrip_yes_case(corpus, tmp_path):
 
 
 @pytest.mark.slow
+def test_reduce_noisy_yes_case_decides_yes(corpus, tmp_path):
+    # The noisy verifier at theta_a = 3 accepts with a = sin^2(1.5) < 1, so
+    # alpha < 1 and kappa clears it by more than its error bar: decide says
+    # YES (exit 1), and Arthur accepts Merlin's witness exactly and at 400 shots.
+    out = tmp_path / "channel.json"
+    res = run_cli("reduce", corpus / "reductions" / "yes_noisy_2w2a.json", "--out", out)
+    assert res.returncode == 0
+    doc = payload(res)
+    check_reduce_fields(corpus, "yes_noisy_2w2a", doc)
+    decided = run_cli("decide", out)
+    verdict = payload(decided)
+    assert decided.returncode == 1 and verdict["decision"] == "YES"
+    assert verdict["kappa"] - verdict["error_bound"] > doc["alpha"]
+    for shots in ("400", "exact"):
+        assert run_cli("verify", out, "--shots", shots).returncode == 0
+
+
+@pytest.mark.slow
 def test_reduce_local_base_expander_keeps_the_channel_file_small(corpus, tmp_path):
     # 15 signed 2-qubit stages: each controlled stage keeps its two targets,
     # so the file is about 46 kB instead of 21 MB of lifted 64 x 64 stacks.

@@ -666,18 +666,37 @@ def test_gap_refuses_inputs_over_the_memory_budget(monkeypatch):
 
 
 def _phases(monkeypatch) -> list[tuple[str, tuple]]:
-    """Record each run of the engine as (dtype name, its return tuple
-    (theta, y, resid, converged, cycles, matvecs, solves))."""
+    """Record each phase of a solve, in order: a run of the Lanczos engine
+    as (its dtype name, its return tuple (theta, y, resid, converged,
+    cycles, matvecs, solves)), and the refinement as ("refine", its return
+    tuple (theta, y, resid, converged, steps, matvecs))."""
     runs = []
-    engine = spectral._lanczos
+    engine, refine = spectral._lanczos, spectral._refine
 
-    def recording(phi, adjoint, start, basis, images, tol, max_iter, stall):
-        out = engine(phi, adjoint, start, basis, images, tol, max_iter, stall)
+    def recording(gram, start, basis, images, tol, max_iter, stall):
+        out = engine(gram, start, basis, images, tol, max_iter, stall)
         runs.append((basis.dtype.name, out))
         return out
 
+    def refining(*args):
+        out = refine(*args)
+        runs.append(("refine", out))
+        return out
+
     monkeypatch.setattr(spectral, "_lanczos", recording)
+    monkeypatch.setattr(spectral, "_refine", refining)
     return runs
+
+
+def _counted(runs) -> tuple[int, int, int]:
+    """(iterations, matvecs, ritz_solves) summed over the recorded phases:
+    restart cycles and refinement steps, applications of M in either
+    precision, and the engines' Ritz solves."""
+    total = [0, 0, 0]
+    for kind, out in runs:
+        counts = (out[4], out[5], 0) if kind == "refine" else out[4:]
+        total = [a + b for a, b in zip(total, counts)]
+    return tuple(total)
 
 
 def _haar(qubits, degree, power):
@@ -707,21 +726,32 @@ def _true_residual(ch, rep: GapReport) -> float:
     return frobenius(ch.adjoint().apply(ch.apply(a)) - rep.kappa**2 * a)
 
 
+# Where the refinement hands over to the float64 engine: a top eigenvalue
+# of multiplicity N - 1 (D = 2, kappa = 1), where the correction solve cannot
+# separate the top eigenvector from its cluster, and kappa ~ 1.6e-5, where
+# phase 1's stop rule (on kappa, not theta) leaves theta 3.5 % below the top
+# eigenvalue and the correction equation indefinite.
+HANDOVER_CASES = {"5q D=2 power 1", "6q D=2 power 1", "5q D=64 power 6", "6q D=64 power 6"}
+
+
 @pytest.mark.parametrize("name", TWO_PHASE_CASES)
 def test_two_phase_solve_matches_the_float64_engine(monkeypatch, name):
     ch = TWO_PHASE_CASES[name]()
     want = float64_engine(ch)
     runs = _phases(monkeypatch)
     got = spectral_gap_iterative(ch)
-    assert [dtype for dtype, _ in runs] == ["float32", "float64"]
+    handover = name in HANDOVER_CASES
+    assert [kind for kind, _ in runs] == ["float32", "refine"] + ["float64"] * handover
     assert got.converged and want.converged
     assert abs(got.kappa - want.kappa) <= max(1e-12, got.error_bound + want.error_bound)
     target = 1e-9 * max(2.0 * got.kappa, 1e-9)
     assert _true_residual(ch, got) <= target
-    assert got.residual == runs[1][1][2] <= target
-    # Both phases are counted.
-    (_, single), (_, double) = runs
-    assert (got.iterations, got.matvecs, got.ritz_solves) == tuple(a + b for a, b in zip(single[4:], double[4:]))
+    assert got.residual == runs[-1][1][2] <= target
+    # The refinement converged, or stopped unconverged and handed over.
+    refined = runs[1][1]
+    assert refined[3] != handover and refined[4] <= spectral.REFINE_STEPS
+    # Every phase is counted.
+    assert (got.iterations, got.matvecs, got.ritz_solves) == _counted(runs)
 
 
 def test_two_phase_solve_is_deterministic():
@@ -738,10 +768,11 @@ def test_max_iter_stops_two_phase_solve_inside_phase_one(monkeypatch):
     rep = spectral_gap_iterative(_haar(5, 8, 1), max_iter=5)
     assert not rep.converged and rep.matvecs == 5
     # Phase 1 ran out of its budget, one application of M short of max_iter,
-    # and phase 2 reports from its one float64 application.
-    (_, single), (_, double) = runs
+    # and the refinement reports from its one float64 application.
+    assert [kind for kind, _ in runs] == ["float32", "refine"]
+    (_, single), (_, refined) = runs
     assert single[5] == 4 and not single[3]
-    assert double[5] == 1 and rep.residual == double[2]
+    assert refined[4:] == (0, 1) and rep.residual == refined[2]
 
 
 def test_phase_one_stops_at_its_rounding_floor(monkeypatch):
@@ -749,7 +780,7 @@ def test_phase_one_stops_at_its_rounding_floor(monkeypatch):
     # phase 1 from its target.  Its top residual reads 8.8e-4 at the first
     # restart and 7.7e-5, the noise floor, at the second, so the stall rule
     # ends it one cycle later, at the third; without the rule it would run
-    # to max_iter.
+    # to max_iter.  The float64 residuals of the refinement see no noise.
     noise = rng_from(58)
     apply_operands = spectral.apply_operands
 
@@ -762,12 +793,39 @@ def test_phase_one_stops_at_its_rounding_floor(monkeypatch):
     monkeypatch.setattr(spectral, "apply_operands", noisy)
     runs = _phases(monkeypatch)
     got = spectral_gap_iterative(ch)
-    (_, single), _ = runs
+    (_, single), *_ = runs
     first_restart = spectral.LANCZOS_BASIS
     cycle = spectral.LANCZOS_BASIS - spectral.LANCZOS_KEEP
     assert not single[3] and single[4] == 4 and single[5] == first_restart + 2 * cycle
     assert 5e-5 < single[2] < 1e-4
     assert got.converged and abs(got.kappa - want.kappa) <= got.error_bound + want.error_bound
+
+
+def test_corrupted_correction_hands_over_to_the_float64_engine(monkeypatch):
+    # A float32 correction replaced by noise does not halve the float64
+    # residual, so the first step hands over, and the float64 engine from
+    # the current y still converges to the float64-only engine's kappa.
+    noise = rng_from(61)
+    correct = spectral._correct
+
+    def corrupted(*args):
+        t, used = correct(*args)
+        t[...] = noise.standard_normal(t.shape)
+        return t, used
+
+    ch = _haar(5, 8, 1)
+    want = float64_engine(ch)
+    monkeypatch.setattr(spectral, "_correct", corrupted)
+    runs = _phases(monkeypatch)
+    got = spectral_gap_iterative(ch)
+    assert [kind for kind, _ in runs] == ["float32", "refine", "float64"]
+    (_, single), (_, refined), (_, double) = runs
+    assert refined[4] == 1 and not refined[3]
+    assert got.converged and abs(got.kappa - want.kappa) <= max(1e-12, got.error_bound + want.error_bound)
+    target = 1e-9 * max(2.0 * got.kappa, 1e-9)
+    assert _true_residual(ch, got) <= target
+    assert got.residual == double[2]
+    assert (got.iterations, got.matvecs, got.ritz_solves) == _counted(runs)
 
 
 TWO_PHASE_RULE_CASES = {
