@@ -46,10 +46,7 @@ geometrically: the Kraus products are never materialized.
   concatenate and, by this row order, the first GEMM's product read as a
   (k, 2 D k) matrix is the second GEMM's left operand as it stands.  A
   block of r > 1 rest states (r^2 blocks of k x k) reorders the first
-  product once for the second.  The gap engine's float32 phase builds
-  its own float32 operands once per solve (:func:`gram_operands`), and
-  its float64 residuals apply the adjoint as the transposed pair
-  (:func:`apply_transposed`).
+  product once for the second.
 - **Superoperator.**  The real k^2 x k^2 matrix L = S_R + S_I P of
   :func:`_superoperator`, S = sum_d w_d U_d (x) conj(U_d) and P the
   transpose permutation: X' = L X on a block read as a vector, k^2
@@ -75,6 +72,9 @@ alone, but in the thermalize benchmark, where other data evicts L's
 peak memory, so D = 8 stays on the GEMM pair.  A signed 2-qubit D = 8
 stage controlled by one qubit of 7 takes 0.90 ms on the GEMM pair and
 0.09 ms on L, and of 9 qubits 17.3 ms and 1.8 ms.
+
+Kernels are float64, or float32 in the copy :meth:`Channel.astype`
+derives from the same Kraus stacks for the gap engine's float32 phases.
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ from .linalg import (
     split_index,
 )
 
-#: NumPy's float64 descriptor; builtin descriptors are singletons, so `is`
-#: tests it, and an array with any other descriptor gets the full check.
+#: NumPy's float64 descriptor, a channel's dtype unless :meth:`Channel.astype`
+#: sets float32.  Builtin descriptors are singletons, so `is` tests them.
 _REAL = np.dtype(float)
 
 _EXPLICIT_KRAUS = (
@@ -150,7 +150,7 @@ class Channel:
     monomial map on the whole register, for which it is built.
     """
 
-    __slots__ = ("_left", "_right", "_weights", "_signed", "_stages", "_runs", "_qubits", "_dim",
+    __slots__ = ("_left", "_right", "_weights", "_signed", "_stages", "_runs", "_qubits", "_dim", "_real",
                  "_targets", "_control", "_layout", "_mean", "_kraus", "_map", "_super")
 
     def __init__(self, kraus, weights, *, qubits=None, targets=None, control=None, signed=False):
@@ -195,16 +195,16 @@ class Channel:
         if not defect <= ATOL:
             raise ValueError(f"channel is not unital: ||Phi(I) - I||_F = {defect:.3e}")
 
-    def _build(self, x, w, qubits, targets, control, signed, monomial, kernel=None) -> "Channel":
+    def _build(self, x, w, qubits, targets, control, signed, monomial, kernel=None, real=_REAL) -> "Channel":
         """Store a validated stage, made read-only, and return it: its record,
         the Kraus stack `x` (the half set of a signed stage) with weights `w`,
         `targets` among `qubits` and `control`, and the kernel derived from
-        the record once.  That is the map of :func:`_monomial_map` when
-        `monomial`, else the superoperator of :func:`_superoperator` or the
-        operands of :func:`_operands`, as :func:`takes_superoperator` picks,
-        plus the cross-term operand when the stage has cross terms.  A map,
-        superoperator or operand pair already derived from the same data is
-        passed as `kernel`."""
+        the record once, at the float dtype `real`.  That is the map of
+        :func:`_monomial_map` when `monomial`, else the superoperator of
+        :func:`_superoperator` or the operands of :func:`_operands`, as
+        :func:`takes_superoperator` picks, plus the cross-term operand when
+        the stage has cross terms.  A map, superoperator or operand pair
+        already derived from the same data at `real` is passed as `kernel`."""
         layout = None
         if targets != tuple(range(qubits)) or control is not None:
             # The controlled subspace as on[i, a], the basis index of
@@ -218,21 +218,22 @@ class Channel:
             layout = on.T.copy(), off.ravel(), q
         left = right = mean = sparse = sup = None
         if monomial:
-            sparse = kernel or _monomial_map(x, w, signed, layout, 2**qubits)
+            sparse = kernel or _monomial_map(x, w, signed, layout, 2**qubits, real)
         else:
+            re, im, wr = (a.astype(real, copy=False) for a in (x.real, x.imag, w))
             if takes_superoperator(len(x), len(targets)):
-                sup = _superoperator(x.real, x.imag, w) if kernel is None else kernel
+                sup = _superoperator(re, im, wr) if kernel is None else kernel
             else:
-                left, right = kernel or _operands(x.real, x.imag, w)
+                left, right = kernel or _operands(re, im, wr)
             if _crossed(layout, signed):
                 # [[Re M, Im M], [-Im M, Re M]] for M = sum_d w_d U_d.
                 mw = np.tensordot(w, x, axes=1)
-                mean = _real_blocks(mw.real, mw.imag, -mw.imag, mw.real)
+                mean = _real_blocks(mw.real, mw.imag, -mw.imag, mw.real, real)
         for arr in (x, w, control, left, right, mean, sup, *(layout or ()), *(sparse or ())):
             if arr is not None:
                 arr.setflags(write=False)
         self._kraus, self._weights, self._signed, self._stages, self._runs = x, w, signed, (), None
-        self._qubits, self._dim, self._targets, self._control = qubits, 2**qubits, targets, control
+        self._qubits, self._dim, self._real, self._targets, self._control = qubits, 2**qubits, real, targets, control
         self._layout, self._left, self._right, self._mean, self._map = layout, left, right, mean, sparse
         self._super = sup
         return self
@@ -253,8 +254,8 @@ class Channel:
         stages = tuple(s for ch in channels for s in ch.stages)
         if not stages:
             raise ValueError("staged channel needs at least one stage")
-        if any(s.dim != stages[0].dim for s in stages):
-            raise ValueError("all stages must share one dimension")
+        if any(s.dim != stages[0].dim or s._real is not stages[0]._real for s in stages):
+            raise ValueError("all stages must share one dimension and one dtype")
         if len(stages) == 1:
             return stages[0]
         runs = []
@@ -265,7 +266,7 @@ class Channel:
                 runs.append([s])
         out = object.__new__(cls)
         out._weights = None
-        out._dim = stages[0]._dim
+        out._dim, out._real = stages[0]._dim, stages[0]._real
         out._stages, out._runs = stages, tuple(map(tuple, runs))
         return out
 
@@ -354,11 +355,12 @@ class Channel:
         X' = Re Phi(A) + Im Phi(A) for the Hermitian A with X = Re A + Im A
         (see the module docstring).
 
-        An array that is exactly an ndarray of float64 and shape (N, N)
-        passes with one comparison, whatever its strides; anything else
-        (integers, other float types, subclasses, nested lists) is checked
-        in full and converted with ``np.asarray(x, dtype=float)``, and
-        complex or mis-shaped input raises ValueError.
+        An array that is exactly an ndarray of the channel's dtype (float64,
+        or float32 after :meth:`astype`) and shape (N, N) passes with one
+        comparison, whatever its strides; anything else (integers, other
+        float types, subclasses, nested lists) is checked in full and
+        converted to that dtype, and complex or mis-shaped input raises
+        ValueError.  The result has the channel's dtype.
 
         A flat GEMM-pair stage is two real GEMMs after one concatenate.  The
         stacked [[R_d, J_d], [J_d, -R_d]], its rows ordered (target row i,
@@ -394,20 +396,21 @@ class Channel:
         of the caller's.
 
         A monomial stage is never part of a run: it adds coef * X.flat[src]
-        into X'.flat[dst] over its map, one gather and one ``np.bincount``.
+        into X'.flat[dst] over its map, one gather and one ``np.bincount``,
+        whose float64 sum a float32 channel casts back.
         """
-        if type(x) is not np.ndarray or x.dtype is not _REAL or x.shape != (self._dim, self._dim):
+        if type(x) is not np.ndarray or x.dtype is not self._real or x.shape != (self._dim, self._dim):
             if np.iscomplexobj(x) or np.shape(x) != (self._dim, self._dim):
                 got = f"{np.asarray(x).dtype} {np.shape(x)}"
                 raise ValueError(f"expected real coordinates of shape {(self._dim, self._dim)}, got {got}")
-            x = np.asarray(x, dtype=float)
+            x = np.asarray(x, dtype=self._real)
         owned = False  # x is the caller's array until a stage returns a new one
         clean = None  # the Q whose cross blocks with P the last run left zero
         for run in self._runs or ((self,),):
             s = run[0]
             if s._map is not None:
                 dst, src, coef = s._map
-                x = np.bincount(dst, coef * x.ravel()[src], x.size).reshape(x.shape)
+                x = np.bincount(dst, coef * x.ravel()[src], x.size).astype(self._real, copy=False).reshape(x.shape)
             elif s._layout is not None:
                 x = _apply_run(run, x if owned else x.copy(), clean)
             elif s._super is not None:
@@ -430,14 +433,26 @@ class Channel:
             out += 1j * hermitian_from_real(self.apply_real(real_coordinates(-1j * a)))
         return out
 
+    def astype(self, dtype) -> "Channel":
+        """The channel with its kernels at `dtype`, float32 or float64: each
+        distinct stage object (see :func:`per_stage`) rebuilt once, without
+        checks, from its float64 record cast to `dtype`.  Its
+        :meth:`apply_real` takes and returns arrays of `dtype`."""
+        real = np.dtype(dtype)
+        if real not in (np.float32, np.float64):
+            raise ValueError(f"a channel's dtype is float32 or float64, got {real}")
+        return per_stage(self, lambda s: object.__new__(Channel)._build(
+            s._kraus, s._weights, s._qubits, s._targets, s._control, s._signed, s._map is not None, real=real,
+        ))
+
     def adjoint(self) -> "Channel":
-        """The Hilbert-Schmidt adjoint: stages reversed, each with the same
-        weights, targets and control and the Kraus stack {U_d^dag}, one
-        adjoint per distinct stage object (see :func:`per_stage`).  The
-        stages are already validated, so they are not checked again, and
-        each keeps its kernel kind: a monomial map is transposed, a
-        superoperator L is used as the view L^T, and GEMM operands and the
-        cross-term operand come from U_d^dag and M^dag."""
+        """The Hilbert-Schmidt adjoint, at the channel's dtype: stages
+        reversed, each with the same weights, targets and control and the
+        Kraus stack {U_d^dag}, one adjoint per distinct stage object (see
+        :func:`per_stage`).  The stages are already validated, so they are
+        not checked again, and each keeps its kernel kind: a monomial map is
+        transposed, a superoperator L is used as the view L^T, and GEMM
+        operands and the cross-term operand come from U_d^dag and M^dag."""
         if self._stages:
             return per_stage(Channel.staged(reversed(self._stages)), Channel.adjoint)
         if self._map is not None:
@@ -446,7 +461,7 @@ class Channel:
             kernel = None if self._super is None else self._super.T
         return object.__new__(Channel)._build(
             self._kraus.conj().transpose(0, 2, 1), self._weights, self._qubits, self._targets, self._control,
-            self._signed, self._map is not None, kernel,
+            self._signed, self._map is not None, kernel, self._real,
         )
 
 
@@ -524,9 +539,10 @@ def _crossed(layout, signed: bool) -> bool:
     return layout is not None and layout[0].size > 0 and layout[1].size > 0 and not signed
 
 
-def _monomial_map(x: np.ndarray, w: np.ndarray, signed: bool, layout, n: int):
+def _monomial_map(x: np.ndarray, w: np.ndarray, signed: bool, layout, n: int, real=_REAL):
     """The real-coordinate map (dst, src, coef) of a monomial stage on an
-    n-dimensional space: X' is zero plus coef * X.flat[src] at X'.flat[dst].
+    n-dimensional space, coef at the dtype `real`: X' is zero plus
+    coef * X.flat[src] at X'.flat[dst].
 
     An element E = P (U_d (x) I) + Q sends |j> to phi(j) |pi(j)>, so
     E A E^dag carries A[i, j] to [pi(i), pi(j)] times phi(i) conj(phi(j))
@@ -580,7 +596,7 @@ def _monomial_map(x: np.ndarray, w: np.ndarray, signed: bool, layout, n: int):
     return (
         np.concatenate((*dst, still)),
         np.concatenate((*src, still)),
-        np.concatenate((*coef, np.ones(still.size))),
+        np.concatenate((*coef, np.ones(still.size))).astype(real, copy=False),
     )
 
 
@@ -606,7 +622,7 @@ def _operands(re: np.ndarray, im: np.ndarray, w: np.ndarray) -> tuple[np.ndarray
 
 def _superoperator(re: np.ndarray, im: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The real (k^2, k^2) superoperator L of a stage with Kraus operators
-    U_d = R_d + i J_d (`re`, `im`) and weights w, 8 k^4 bytes: X' = L X
+    U_d = R_d + i J_d (`re`, `im`) and weights w, at their dtype: X' = L X
     for the real coordinates X of a k x k block, both read row-major as
     vectors.  With S = sum_d w_d U_d (x) conj(U_d) = S_R + i S_I and P the
     transpose permutation, L = S_R + S_I P, entry by entry
@@ -621,9 +637,9 @@ def _superoperator(re: np.ndarray, im: np.ndarray, w: np.ndarray) -> np.ndarray:
     so P L P = S_R - S_I P."""
     d, k = re.shape[:2]
     cols = np.stack((re, im), axis=1).reshape(2 * d, k * k)  # [(d, h), (j, j' or i')]
-    rows = np.empty((k, k, d, 2))  # [i, i' or j', d, h]
-    product = np.empty((k, k, k, k))  # [i, i' or j', j, j' or i']
-    out = np.empty((k, k, k, k))  # [i, j, i', j']
+    rows = np.empty((k, k, d, 2), re.dtype)  # [i, i' or j', d, h]
+    product = np.empty((k, k, k, k), re.dtype)  # [i, i' or j', j, j' or i']
+    out = np.empty((k, k, k, k), re.dtype)  # [i, j, i', j']
     for line, (first, second) in enumerate(((re, im), (im, -re))):
         np.multiply(first.transpose(1, 2, 0), w, out=rows[..., 0])
         np.multiply(second.transpose(1, 2, 0), w, out=rows[..., 1])
@@ -635,10 +651,10 @@ def _superoperator(re: np.ndarray, im: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out.reshape(k * k, k * k)
 
 
-def _real_blocks(a, b, c, d) -> np.ndarray:
-    """The (..., 2 k, 2 k) block matrices [[a, b], [c, d]] of (..., k, k) blocks."""
+def _real_blocks(a, b, c, d, real) -> np.ndarray:
+    """The (..., 2 k, 2 k) block matrices [[a, b], [c, d]] of (..., k, k) blocks, at dtype `real`."""
     k = a.shape[-1]
-    out = np.empty((*a.shape[:-2], 2, k, 2, k))
+    out = np.empty((*a.shape[:-2], 2, k, 2, k), real)
     for i, j, block in ((0, 0, a), (0, 1, b), (1, 0, c), (1, 1, d)):
         out[..., i, :, j, :] = block
     return out.reshape(*a.shape[:-2], 2 * k, 2 * k)
@@ -663,7 +679,7 @@ def _mix_real(stage: Channel, t: np.ndarray) -> np.ndarray:
     if cols == k:
         return (stage._left @ np.concatenate((t, t.T))).reshape(k, -1) @ stage._right
     r = math.isqrt(cols // k)
-    stacked = np.empty((2 * k, cols))  # [X; X^T], both target-major
+    stacked = np.empty((2 * k, cols), t.dtype)  # [X; X^T], both target-major
     stacked[:k] = t
     stacked[k:].reshape(k, r, r, k)[...] = t.reshape(k, r, r, k).transpose(3, 2, 1, 0)
     halves = len(stage._left) // k  # 2 D rows per target row
@@ -675,55 +691,6 @@ def flat_gemm_pair(channel: Channel) -> bool:
     """True when every stage of `channel` is flat and applies the GEMM
     pair: none is structured, monomial or on its superoperator."""
     return all(s._layout is None and s._left is not None for s in channel.stages)
-
-
-def gram_operands(channel: Channel, dtype) -> tuple[list, list]:
-    """The GEMM-pair operands (left, right) of Phi^dag Phi for a
-    :func:`flat_gemm_pair` channel Phi: a list for its stages, first to
-    last, and one for its adjoint's, built by :func:`_operands` in `dtype`
-    from each distinct stage's Kraus stack {U_d} and from {U_d^dag}.  The
-    stages keep none of them; together they take :func:`kernel_bytes` of
-    each distinct stage at float64, half that at float32."""
-
-    def build(s: Channel) -> tuple:
-        re, im, w = s._kraus.real.astype(dtype), s._kraus.imag.astype(dtype), s._weights.astype(dtype)
-        return _operands(re, im, w), _operands(re.transpose(0, 2, 1), -im.transpose(0, 2, 1), w)
-
-    made = _made_per_stage(channel, build)
-    return [forward for forward, _ in made], [adjoint for _, adjoint in reversed(made)]
-
-
-def apply_operands(operands: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray) -> np.ndarray:
-    """Phi in real coordinates, as :meth:`Channel.apply_real` computes it,
-    for flat stages with GEMM-pair `operands` (see :func:`gram_operands`),
-    at their dtype."""
-    for left, right in operands:
-        x = (left @ np.concatenate((x, x.T))).reshape(len(x), -1) @ right  # as _mix_real on one block
-    return x
-
-
-def stage_operands(channel: Channel) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The GEMM-pair operands (left, right) of each stage of a
-    :func:`flat_gemm_pair` channel, first to last: the stages' own float64
-    arrays, not copies."""
-    return [(s._left, s._right) for s in channel.stages]
-
-
-def apply_transposed(operands: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray) -> np.ndarray:
-    """Phi^dag in real coordinates for flat stages with GEMM-pair `operands`
-    (first to last, see :func:`stage_operands`), at their dtype, as the
-    transpose of :func:`apply_operands`.  Real coordinates are an isometry
-    of the Hermitian matrices onto all real N x N matrices, so Phi^dag acts
-    on them as W^T for the matrix W of Phi.  A stage maps X to Z R, with Z
-    the product L [X; X^T] read as a (k, 2 D k) matrix, so its transpose
-    maps Y to A + B^T for [A; B] = L^T (Y R^T), the (k, 2 D k) matrix
-    Y R^T read as (2 D k, k); the stages go last to first.  It takes the
-    multiply-adds of the forward pair and builds no adjoint operands."""
-    k = len(x)
-    for left, right in reversed(operands):
-        z = left.T @ (x @ right.T).reshape(-1, k)
-        x = z[:k] + z[k:].T
-    return x
 
 
 def channel_power(channel: Channel, r: int) -> Channel:
@@ -761,21 +728,14 @@ def zero_sum_defect(channel: Channel) -> float:
     )
 
 
-def _made_per_stage(channel: Channel, make) -> list:
-    """make(stage) for each stage of `channel`, first to last, called once
-    per distinct stage object, so stages shared by a power composition
-    share the result."""
-    made: dict[int, object] = {}
-    for s in channel.stages:
-        if id(s) not in made:
-            made[id(s)] = make(s)
-    return [made[id(s)] for s in channel.stages]
-
-
 def per_stage(channel: Channel, make) -> Channel:
     """`channel` with each distinct stage object replaced by make(stage)
     once, so stages shared by a power composition stay shared."""
-    return Channel.staged(_made_per_stage(channel, make))
+    made: dict[int, Channel] = {}
+    for s in channel.stages:
+        if id(s) not in made:
+            made[id(s)] = make(s)
+    return Channel.staged(made[id(s)] for s in channel.stages)
 
 
 def _sign_stage(stage: Channel) -> Channel:
@@ -792,7 +752,7 @@ def _sign_stage(stage: Channel) -> Channel:
         kernel = (stage._left, stage._right) if stage._super is None else stage._super
     return object.__new__(Channel)._build(
         stage._kraus, stage._weights, stage._qubits, stage._targets, stage._control, True, stage._map is not None,
-        kernel,
+        kernel, stage._real,
     )
 
 

@@ -70,7 +70,6 @@ def cmd_gap(args) -> int:
             "command": "gap",
             "kappa": report.kappa,
             "gap": report.gap,
-            "method": report.method,
             "iterations": report.iterations,
             "residual": report.residual,
             "error_bound": report.error_bound,
@@ -93,7 +92,6 @@ def cmd_decide(args) -> int:
             "error_bound": report.error_bound,
             "alpha": instance.alpha,
             "beta": instance.beta,
-            "method": report.method,
         }
     )
     if decision is Decision.NO:

@@ -22,8 +22,9 @@ adjoint act on these coordinates directly (:meth:`Channel.apply_real`, two
 real GEMMs per stage at 6 D k^3 multiply-adds for D Kraus operators on k
 dimensions, against 8 D k^3 for the complex form), so no complex matrix is
 formed until the witness is reported.  On a channel of flat GEMM-pair
-stages from 5 qubits up, a float32 Lanczos phase runs first, and float64
-residuals with float32 correction solves refine its top Ritz vector.  Every report
+stages from 5 qubits up, a float32 Lanczos phase runs first on the
+channel's float32 copy (:meth:`Channel.astype`), and float64 residuals
+with float32 correction solves refine its top Ritz vector.  Every report
 carries an error bar on kappa from float64 arithmetic, and `decide` answers
 YES or NO only when convergence and that error bar back the answer.
 """
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import apply_operands, apply_transposed, flat_gemm_pair, gram_operands, kernel_bytes, stage_operands
+from .channels import flat_gemm_pair, kernel_bytes
 from .linalg import check_memory, hermitian_from_real, rng_from, vec
 
 #: Thick-restart Lanczos: vectors in the basis, Ritz pairs kept on restart.
@@ -68,6 +69,12 @@ SINGLE_TOL = 4 * float(np.finfo(np.float32).eps)
 REFINE_TOL = 1e-3
 REFINE_MATVECS = 64
 REFINE_STEPS = 3
+#: The refinement hands over before its first correction solve unless theta
+#: exceeds phase 1's second Ritz value by more than this many float64
+#: residuals.  Set from measurement on flat Haar channels at 5-6 qubits: the
+#: margin is 1.8-2.3 residuals where the correction equation is indefinite,
+#: and 120 or more where one correction solve converges.
+REFINE_GAP = 10
 
 
 class Decision(str, enum.Enum):
@@ -94,13 +101,11 @@ class GapReport:
     precision, `iterations` the Lanczos restart cycles plus the refinement
     steps of a two-precision solve (see spectral_gap_iterative), and
     `ritz_solves` the eigendecompositions of the Rayleigh-Ritz matrix.
-    Every other field comes from float64 arithmetic alone.  `method` is
-    always "iterative".
+    Every other field comes from float64 arithmetic alone.
     """
 
     kappa: float
     witness: np.ndarray
-    method: str
     iterations: int = 0
     residual: float = 0.0
     converged: bool = True
@@ -168,7 +173,6 @@ def _iterative_report(theta, y, dim, cycles, resid, converged, matvecs, solves) 
     return GapReport(
         kappa=kappa,
         witness=vec(hermitian_from_real(_unit_traceless(y, dim).reshape(dim, dim))),
-        method="iterative",
         iterations=cycles,
         residual=float(resid),
         converged=converged,
@@ -226,28 +230,29 @@ def spectral_gap_iterative(
     so the solve is a mixed-precision refinement (Higham & Mary, Acta
     Numerica 31, 2022): residuals in float64, the work in float32.
 
-    Phase 1 is the same engine with its basis, images and GEMM operands in
-    float32, the operands of Phi and of its adjoint built once per solve from
-    the Kraus stacks (:func:`gram_operands`).  It stops when its top Ritz
-    pair passes the stop rule at max(tol, SINGLE_TOL); at a restart whose
-    top pair neither halved its residual nor raised theta by more than that
-    residual since the restart before, which is its rounding floor; or one
-    application of M short of `max_iter` (at max_iter = 1 it does not run).
+    Phase 1 is the same engine in float32: its basis and images, and the
+    channel and adjoint it applies (:meth:`Channel.astype`, built once per
+    solve).  It stops when its top Ritz pair passes the stop rule at
+    max(tol, SINGLE_TOL); at a restart whose top pair neither halved its
+    residual nor raised theta by more than that residual since the restart
+    before, which is its rounding floor; or one application of M short of
+    `max_iter` (at max_iter = 1 it does not run).
 
     Phase 2 refines phase 1's top Ritz vector y.  Each step applies M to y
-    in float64, the adjoint as the transposed GEMM pair of the stages' own
-    operands (:func:`apply_transposed`, so no float64 adjoint is built),
-    and forms theta = y^T M y and the true residual r = M y - theta y; the
-    solve is converged when r passes the stop rule.  Otherwise float32
-    conjugate gradients on phase 1's operands solve the Jacobi-Davidson
-    correction equation (theta - M) t = r / ||r|| for t orthogonal to y
-    and vec(I) (Sleijpen & van der Vorst, SIAM J. Matrix Anal. Appl. 17,
-    1996), to relative residual REFINE_TOL or REFINE_MATVECS applications
-    of M, and y becomes the unit vector along y + ||r|| t.  A step that does
-    not halve the float64 residual, or REFINE_STEPS steps, hands over to
-    the float64 engine started from the current y; the float32 operands
-    are dropped before it builds the float64 adjoint, so the two are never
-    held at once.  Only float64 arithmetic reaches the report: kappa, the
+    in float64, with the one float64 adjoint of the solve, and forms
+    theta = y^T M y and the true residual r = M y - theta y; the solve is
+    converged when r passes the stop rule.  Otherwise float32 conjugate
+    gradients on phase 1's channels solve the Jacobi-Davidson correction
+    equation (theta - M) t = r / ||r|| for t orthogonal to y and vec(I)
+    (Sleijpen & van der Vorst, SIAM J. Matrix Anal. Appl. 17, 1996), to
+    relative residual REFINE_TOL or REFINE_MATVECS applications of M, and
+    y becomes the unit vector along y + ||r|| t.  That operator is positive
+    definite only when theta exceeds the top eigenvalue of M orthogonal to
+    y, which is at least phase 1's second Ritz value theta_2.  So
+    theta - theta_2 of at most REFINE_GAP float64 residuals before the
+    first correction solve, a step that does not halve the float64
+    residual, or REFINE_STEPS steps hand over to the float64 engine
+    started from the current y.  Only float64 arithmetic reaches the report: kappa, the
     witness, `residual`, `error_bound` and `converged` come from the last
     float64 residual, or from the float64 engine after a hand-over.  On
     flat Haar channels at 5-7 qubits one step of 12-58 float32
@@ -264,8 +269,8 @@ def spectral_gap_iterative(
     the random start.
 
     Before it allocates, it checks the 2 size N^2 8 bytes of the basis and
-    its images, plus the float32 operands of phase 1, against the memory
-    budget (:func:`qexpander.linalg.check_memory`).
+    its images, plus the kernels of the float64 adjoint and of phase 1's
+    channels, against the memory budget (:func:`qexpander.linalg.check_memory`).
 
     If M annihilates the start vector, kappa = 0 and the solve is
     converged.  `max_iter` caps the applications of M over all phases;
@@ -284,9 +289,10 @@ def spectral_gap_iterative(
     single = dim >= SINGLE_MIN_DIM and max_iter > 1 and flat_gemm_pair(channel)
     need = 2 * size * n * 8
     if single:
+        # The float64 adjoint, then phase 1's two channels at half its bytes each.
         distinct = {id(s): s for s in channel.stages}.values()
-        need += sum(kernel_bytes(len(s.target_weights), len(s.targets)) for s in distinct)
-        what += ", and the float32 GEMM operands"
+        need += 2 * sum(kernel_bytes(len(s.target_weights), len(s.targets)) for s in distinct)
+        what += ", the float64 adjoint and the float32 GEMM operands"
     check_memory(need, what)
     # Rows: the orthonormal basis vectors v_i, then their images M v_i.  One
     # allocation for both phases keeps the float32 one from adding to the
@@ -294,32 +300,28 @@ def spectral_gap_iterative(
     basis, images = shared = np.empty((2, size, n))
     start = _unit_traceless(rng_from(seed, 0).standard_normal(n), dim)
     cycles = matvecs = solves = 0
+    adjoint = channel.adjoint()
+    gram = _gram(channel.apply_real, adjoint.apply_real)
     if single:
-        forward, backward = gram_operands(channel, np.float32)
-        gram32 = _gram(lambda x: apply_operands(forward, x), lambda x: apply_operands(backward, x))
+        # adjoint.astype is the float32 channel's adjoint, without a second conjugated Kraus stack.
+        gram32 = _gram(channel.astype(np.float32).apply_real, adjoint.astype(np.float32).apply_real)
         # Phase 1 fills the first half of the allocation as float32.
-        low = shared.reshape(-1).view(np.float32)[: 2 * size * n].reshape(2, size, n)
-        theta, y, resid, _, cycles, matvecs, solves = _lanczos(
-            gram32, start, *low, max(tol, SINGLE_TOL), max_iter - 1, True
+        rows32 = shared.reshape(-1).view(np.float32)[: 2 * size * n].reshape(2, size, n)
+        theta, y, resid, _, cycles, matvecs, solves, second = _lanczos(
+            gram32, start, *rows32, max(tol, SINGLE_TOL), max_iter - 1, True
         )
         # Phase 2 works at the front of phase 1's basis rows: six float32 rows
         # for the correction solve, then three float64 rows.
-        own = stage_operands(channel)
         theta, y, resid, converged, steps, used = _refine(
-            _gram(channel.apply_real, lambda x: apply_transposed(own, x)), gram32,
-            _unit_traceless(y.astype(float), dim), low[0, :6], basis[3:6], tol, max_iter - matvecs,
+            gram, gram32, _unit_traceless(y.astype(float), dim), second, rows32[0, :6], basis[3:6], tol,
+            max_iter - matvecs,
         )
         cycles, matvecs = cycles + steps, matvecs + used
         if converged or matvecs >= max_iter:
             return _iterative_report(theta, y, dim, cycles, resid, converged, matvecs, solves)
-        # The hand-over.  The float32 operands are dropped before the float64
-        # adjoint is built, so that the two are never held at once.
-        del forward, backward, gram32, low
+        del gram32  # the hand-over drops the float32 channels
         start = y.copy()
-    adjoint = channel.adjoint()
-    theta, y, resid, converged, *counts = _lanczos(
-        _gram(channel.apply_real, adjoint.apply_real), start, basis, images, tol, max_iter - matvecs, False
-    )
+    theta, y, resid, converged, *counts, _ = _lanczos(gram, start, basis, images, tol, max_iter - matvecs, False)
     cycles, matvecs, solves = (a + b for a, b in zip((cycles, matvecs, solves), counts))
     return _iterative_report(theta, y, dim, cycles, resid, converged, matvecs, solves)
 
@@ -339,18 +341,21 @@ def _gram(phi, adjoint):
     return gram
 
 
-def _refine(gram, gram32, start, low, rows, tol, max_iter):
+def _refine(gram, gram32, start, second, low, rows, tol, max_iter):
     """Phase 2 of a two-precision solve (see spectral_gap_iterative):
     mixed-precision refinement from the unit traceless float64 `start`,
     with gram and gram32 applying M in float64 and float32 (see
-    :func:`_gram`), the float32 correction solve in the six rows `low` and
-    the float64 vectors in the three rows `rows`.
+    :func:`_gram`), phase 1's second Ritz value `second`, the float32
+    correction solve in the six rows `low` and the float64 vectors in the
+    three rows `rows`.
 
     Returns (theta, y, resid, converged, steps, matvecs) for the last
     float64 pair (y is a row of `rows`): converged when it passed the stop
-    rule for `tol`; else it stopped at a step that did not halve the
-    float64 residual, after REFINE_STEPS steps, or with fewer than two of
-    its `max_iter` applications of M left."""
+    rule for `tol`; else it stopped before the first correction solve,
+    where theta - `second` is at most REFINE_GAP float64 residuals (the
+    correction equation may then be indefinite), at a step that did not
+    halve the float64 residual, after REFINE_STEPS steps, or with fewer
+    than two of its `max_iter` applications of M left."""
     dim = math.isqrt(len(start))
     y, image, r = rows
     np.copyto(y, start)
@@ -363,7 +368,8 @@ def _refine(gram, gram32, start, low, rows, tol, max_iter):
         np.subtract(image, np.multiply(y, theta, out=r), out=r)
         resid = math.sqrt(r @ r)
         target = tol * max(2.0 * math.sqrt(max(theta, 0.0)), tol)
-        if resid <= target or resid > 0.5 * last or steps == REFINE_STEPS or matvecs + 2 > max_iter:
+        indefinite = steps == 0 and theta - second <= REFINE_GAP * resid
+        if resid <= target or indefinite or resid > 0.5 * last or steps == REFINE_STEPS or matvecs + 2 > max_iter:
             return theta, y, resid, resid <= target, steps, matvecs
         r /= resid
         t, used = _correct(gram32, theta, y, r, low, min(REFINE_MATVECS, max_iter - matvecs - 1))
@@ -417,9 +423,10 @@ def _lanczos(gram, start, basis, images, tol, max_iter, stall):
     and `images`, the (size, N^2) rows it fills, from the unit traceless
     `start`, with gram(x, out) applying M (see :func:`_gram`).
 
-    Returns (theta, y, resid, converged, cycles, matvecs, solves): the top
-    Ritz pair and its residual, whether it passed the stop rule for `tol`
-    (or the Krylov space became invariant), and the counts.  It stops as
+    Returns (theta, y, resid, converged, cycles, matvecs, solves, second):
+    the top Ritz pair and its residual, whether it passed the stop rule for
+    `tol` (or the Krylov space became invariant), the counts, and the
+    second Ritz value of the last Ritz solve (-inf if it had none).  It stops as
     spectral_gap_iterative describes, after at most `max_iter`
     applications of M, and with `stall` also, unconverged, at its rounding
     floor (the stall rule of phase 1 there)."""
@@ -434,7 +441,7 @@ def _lanczos(gram, start, basis, images, tol, max_iter, stall):
     action = math.sqrt(gram(basis[0], images[0]) @ images[0])
     if action <= 1e-14:
         # The action on a generic start is numerically zero: kappa ~ 0.
-        return 0.0, basis[0].copy(), action, True, 1, 1, 0
+        return 0.0, basis[0].copy(), action, True, 1, 1, 0, -math.inf
 
     k, cycles, matvecs, solves = 0, 1, 1, 0
     check = 1  # matvecs at the next scheduled Ritz solve
@@ -458,6 +465,7 @@ def _lanczos(gram, start, basis, images, tol, max_iter, stall):
             thetas, vecs = np.linalg.eigh(ritz[:k, :k])  # eigh reads the lower triangle
             solves += 1
             theta, s = float(thetas[-1]), vecs[:, -1]
+            second = float(thetas[-2]) if k > 1 else -math.inf
             target = tol * max(2.0 * math.sqrt(max(theta, 0.0)), tol)
             estimate = abs(s[-1]) * beta
             if stop or estimate <= target:
@@ -465,7 +473,7 @@ def _lanczos(gram, start, basis, images, tol, max_iter, stall):
                 r = s @ images[:k] - theta * y
                 resid = math.sqrt(r @ r)
                 if stop or resid <= target:
-                    return theta, y, resid, invariant or resid <= target, cycles, matvecs, solves
+                    return theta, y, resid, invariant or resid <= target, cycles, matvecs, solves, second
             # Schedule the next solve halfway to where ln(estimate / target)
             # reaches 0 at its mean drop per step since the last miss.
             ahead, miss = 1, None
@@ -491,7 +499,7 @@ def _lanczos(gram, start, basis, images, tol, max_iter, stall):
                     r = images[0] - theta * basis[0]
                     resid = math.sqrt(r @ r)
                     if previous is not None and resid > 0.5 * previous[1] and theta <= previous[0] + previous[1]:
-                        return theta, basis[0].copy(), resid, False, cycles, matvecs, solves
+                        return theta, basis[0].copy(), resid, False, cycles, matvecs, solves, second
                     previous = theta, resid
         gram(np.divide(q, beta, out=basis[k]), images[k])
         matvecs += 1

@@ -17,7 +17,9 @@ real-arithmetic stage kernel.  The row-major kernel, whose left operand
 is ordered (d, half, target row) and whose first product is copied side
 by side before the second GEMM, is its bit-for-bit oracle; on the same
 stages rebuilt for the GEMM kernel, it is the oracle for the
-superoperator kernel.
+superoperator kernel.  GEMM operands cast from the Kraus stacks and
+applied stage by stage are the bit-for-bit oracle for a float32 flat
+channel and its adjoint.
 """
 
 from __future__ import annotations
@@ -214,6 +216,30 @@ def row_major_apply_real(channel: Channel, x: np.ndarray) -> np.ndarray:
 
     with mock.patch.object(channels, "_mix_real", mix):
         return channel.apply_real(x)
+
+
+def gram_operands(channel: Channel, dtype) -> tuple[list, list]:
+    """The GEMM-pair operands (left, right) of Phi^dag Phi for a channel Phi
+    of flat GEMM-pair stages: a list for its stages, first to last, and one
+    for its adjoint's, built by the stage operand builder in `dtype` from
+    each distinct stage's Kraus stack {U_d} and from {U_d^dag}, cast once."""
+    made = {}
+    for s in channel.stages:
+        if id(s) not in made:
+            re, im, w = (a.astype(dtype) for a in (s._kraus.real, s._kraus.imag, s._weights))
+            adjoint = channels._operands(re.transpose(0, 2, 1), -im.transpose(0, 2, 1), w)
+            made[id(s)] = channels._operands(re, im, w), adjoint
+    pairs = [made[id(s)] for s in channel.stages]
+    return [forward for forward, _ in pairs], [adjoint for _, adjoint in reversed(pairs)]
+
+
+def apply_operands(operands: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray) -> np.ndarray:
+    """Phi in real coordinates for flat stages with GEMM-pair `operands`
+    (see :func:`gram_operands`), at their dtype: per stage, the left
+    operand times [X; X^T], read as a (k, 2 D k) matrix, times the right."""
+    for left, right in operands:
+        x = (left @ np.concatenate((x, x.T))).reshape(len(x), -1) @ right
+    return x
 
 
 def gemm_stages(channel: Channel) -> Channel:

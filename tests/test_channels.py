@@ -21,9 +21,11 @@ from qexpander.fileio import load_channel, matrix_to_json, save_channel
 from qexpander.linalg import frobenius, hermitian_from_real, paulis, real_coordinates, rng_from
 
 from oracles import (
+    apply_operands,
     compose,
     doubled_lift,
     embed,
+    gram_operands,
     gemm_stages,
     identity_channel,
     is_regular,
@@ -429,7 +431,7 @@ def test_apply_adjoint_pairing(name):
 @pytest.mark.parametrize("name", APPLY_NAMES)
 def test_stage_operands_are_read_only(name):
     ch = _apply_cases()[name]
-    for stage in (ch, ch.adjoint()):
+    for stage in (ch, ch.adjoint(), ch.astype(np.float32)):
         operands = [stage._kraus, stage._left, stage._right, stage._weights]
         if stage._mean is not None:
             operands.append(stage._mean)
@@ -726,7 +728,7 @@ def test_flat_kernel_is_bit_identical_to_row_major(qubits, weighting):
 
 
 # name -> flat GEMM-pair channel: one stage, and powers whose stages are shared.
-TRANSPOSED_PAIR_CASES = {
+FLOAT32_PAIR_CASES = {
     f"{qubits}q D={degree} power {power}": (qubits, degree, power)
     for qubits in (5, 6)
     for degree in (1, 8)
@@ -734,39 +736,101 @@ TRANSPOSED_PAIR_CASES = {
 }
 
 
-def _transposed_pair_case(name):
-    qubits, degree, power = TRANSPOSED_PAIR_CASES[name]
+def _float32_pair_case(name):
+    qubits, degree, power = FLOAT32_PAIR_CASES[name]
     ch = channel_power(random_unitary_channel(qubits, degree, rng_from(140, qubits, degree)), power)
     assert channels.flat_gemm_pair(ch)
     return ch
 
 
-@pytest.mark.parametrize("name", TRANSPOSED_PAIR_CASES)
-def test_transposed_pair_is_the_adjoint(name):
-    # The stages' own operands, transposed and applied last to first, are
-    # Phi^dag in real coordinates: within float64 rounding of the adjoint
-    # channel's kernel, and within float32 rounding at float32 (a bound set
-    # from the dtype: 64 eps(float32)).
-    ch = _transposed_pair_case(name)
-    x = rng_from(141).standard_normal((ch.dim, ch.dim))
-    want = ch.adjoint().apply_real(x)
-    own = channels.stage_operands(ch)
-    assert all(left is s._left and right is s._right for (left, right), s in zip(own, ch.stages))
-    assert frobenius(channels.apply_transposed(own, x) - want) <= 1e-13 * frobenius(x)
-    single = [(left.astype(np.float32), right.astype(np.float32)) for left, right in own]
-    got = channels.apply_transposed(single, x.astype(np.float32))
-    assert got.dtype == np.float32
-    assert frobenius(got - want) <= 64 * np.finfo(np.float32).eps * frobenius(x)
+def _float32_pair_matches_oracle(ch) -> bool:
+    """True when ch.astype(np.float32) and its adjoint apply, bit for bit,
+    the float32 GEMM operands that the oracle builds from the Kraus stacks."""
+    low = ch.astype(np.float32)
+    forward, backward = gram_operands(ch, np.float32)
+    x = rng_from(141).standard_normal((ch.dim, ch.dim)).astype(np.float32)
+    for channel, operands in ((low, forward), (low.adjoint(), backward)):
+        got = channel.apply_real(x)
+        assert got.dtype == np.float32
+        if not np.array_equal(got, apply_operands(operands, x)):
+            return False
+    return True
 
 
-@pytest.mark.parametrize("name", [n for n, (_, degree, _) in TRANSPOSED_PAIR_CASES.items() if degree == 1])
-def test_transposed_pair_oracle_rejects_l_in_place_of_its_transpose(name):
-    # The mutant applies L where L^T belongs.  At D = 1, L is square, so the
-    # mutant runs, and it misses the adjoint.
-    ch = _transposed_pair_case(name)
-    x = rng_from(142).standard_normal((ch.dim, ch.dim))
-    mutant = [(left.T, right) for left, right in channels.stage_operands(ch)]
-    assert frobenius(channels.apply_transposed(mutant, x) - ch.adjoint().apply_real(x)) > 1e-3 * frobenius(x)
+@pytest.mark.parametrize("name", FLOAT32_PAIR_CASES)
+def test_float32_flat_channel_is_bit_identical_to_its_operand_oracle(name):
+    ch = _float32_pair_case(name)
+    assert _float32_pair_matches_oracle(ch)
+    low = ch.astype(np.float32)
+    # Stages shared by a power stay shared, and every kernel array is float32 and read-only.
+    assert len({id(s) for s in low.stages}) == len({id(s) for s in ch.stages}) == 1
+    for s in (*low.stages, *low.adjoint().stages):
+        for arr in (s._left, s._right):
+            assert arr.dtype == np.float32 and not arr.flags.writeable
+
+
+def _fused_controlled_run(active):
+    (signed, _), (unsigned, _) = _controlled_stages(active)
+    return Channel.staged((unsigned, unsigned, signed, unsigned))
+
+
+FLOAT32_KERNEL_CASES = {
+    "monomial, flat Paulis": lambda: _monomial_stage("flat Paulis")[0],
+    "monomial, controlled, unsigned": lambda: _monomial_stage("controlled, unsigned")[0],
+    "superoperator, flat": lambda: _super_stage("1 target of 3, no control"),
+    "superoperator, signed, several rest states": lambda: _super_stage("2 targets of 5, signed, several rest states"),
+    "superoperator, live cross terms": lambda: _super_stage("2 targets of 5, several rest states, live cross terms"),
+    "GEMM pair, controlled, signed": lambda: _controlled_stages(3)[0][0],
+    "GEMM pair, controlled, unsigned": lambda: _controlled_stages(3)[1][0],
+    "GEMM pair, fused run": lambda: _fused_controlled_run(3),
+    "corpus NO reduction": lambda: _corpus_reduction("no_2w2a"),
+}
+
+
+def _float32_error(ch) -> float:
+    """The larger ||X'_32 - X'_64||_F / ||X||_F of ch and of its adjoint,
+    X'_32 from ch.astype(np.float32) and its adjoint on X rounded to
+    float32, X'_64 from ch and ch.adjoint() in float64."""
+    low = ch.astype(np.float32)
+    x = rng_from(143, ch.dim).standard_normal((ch.dim, ch.dim))
+    worst = 0.0
+    for high, single in ((ch, low), (ch.adjoint(), low.adjoint())):
+        got = single.apply_real(x.astype(np.float32))
+        assert got.dtype == np.float32
+        worst = max(worst, frobenius(got - high.apply_real(x)) / frobenius(x))
+    return worst
+
+
+@pytest.mark.parametrize("name", FLOAT32_KERNEL_CASES)
+def test_float32_channel_is_within_float32_rounding_of_float64(name):
+    # A bound set from the dtype: 64 eps(float32).
+    ch = FLOAT32_KERNEL_CASES[name]()
+    assert _float32_error(ch) <= 64 * np.finfo(np.float32).eps
+    low = ch.astype(np.float32)
+    for high, single in zip(ch.stages, low.stages):
+        assert (high._map is None, high._super is None, high._mean is None) == (
+            single._map is None, single._super is None, single._mean is None
+        )
+        kernel = (single._left, single._right, single._mean, single._super, single._map and single._map[2])
+        assert all(a.dtype == np.float32 and not a.flags.writeable for a in kernel if a is not None)
+    with pytest.raises(ValueError, match="one dtype"):
+        Channel.staged((ch, low))
+    with pytest.raises(ValueError, match="float32 or float64"):
+        ch.astype(np.float16)
+
+
+def test_float32_oracles_reject_a_channel_that_drops_the_weights(monkeypatch):
+    build = Channel._build
+
+    def unweighted(self, x, w, *args, **kwargs):
+        return build(self, x, np.ones_like(w), *args, **kwargs)
+
+    cases = {name: FLOAT32_KERNEL_CASES[name]() for name in FLOAT32_KERNEL_CASES}
+    pair = _float32_pair_case("5q D=8 power 2")
+    monkeypatch.setattr(Channel, "_build", unweighted)
+    assert not _float32_pair_matches_oracle(pair)
+    for name, ch in cases.items():
+        assert _float32_error(ch) > 0.1, name
 
 
 def _controlled_stages(active):

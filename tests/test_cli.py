@@ -35,7 +35,7 @@ def test_gap_iz_iterative(corpus):
     res = run_cli("gap", corpus / "instances" / "identity_z_1q.json", "--seed", "3")
     assert res.returncode == 0
     assert payload(res)["kappa"] == pytest.approx(1.0, abs=1e-8)
-    assert payload(res)["method"] == "iterative"
+    assert "method" not in payload(res)
 
 
 @pytest.mark.parametrize("command", ["gap", "decide"])
@@ -329,7 +329,7 @@ def test_decide_iterative_forwards_tol_and_seed(corpus):
     default = run_cli("decide", path)
     tuned = run_cli("decide", path, "--tol", "1e-10", "--seed", "3")
     assert tuned.returncode == default.returncode == 1
-    assert payload(tuned)["method"] == "iterative"
+    assert "method" not in payload(tuned)
     assert run_cli("decide", path, "--tol", "0").returncode == 2
 
 
@@ -409,11 +409,11 @@ def test_verify_rejects_witness_pairs_not_of_length_2(corpus, tmp_path, amplitud
 def test_output_schemas(corpus):
     gap = payload(run_cli("gap", corpus / "instances" / "identity_z_1q.json"))
     assert set(gap) == {
-        "command", "kappa", "gap", "method", "iterations", "residual", "error_bound",
+        "command", "kappa", "gap", "iterations", "residual", "error_bound",
         "converged", "qubits", "degree",
     }
     dec = payload(run_cli("decide", corpus / "instances" / "identity_z_1q.json"))
-    assert set(dec) == {"command", "decision", "kappa", "error_bound", "alpha", "beta", "method"}
+    assert set(dec) == {"command", "decision", "kappa", "error_bound", "alpha", "beta"}
     ver = payload(run_cli("verify", corpus / "instances" / "identity_z_1q.json"))
     assert set(ver) == {
         "command", "accepted", "estimated_contraction_sq", "orthogonality_passed",
