@@ -21,6 +21,13 @@ with weights w_d and stands for the 2D elements {+U_d, -U_d}, each of
 weight w_d / 2: the action is that of the half set, and the element sum
 M = sum w_d U_d over the 2D elements is zero by construction.
 
+A structured stage applies on P X P alone and zeroes the cross blocks
+P X Q and Q X P, as a zero-sum stage does: signed, with P or Q empty, or
+with ||M||_F <= ATOL for M = sum_d w_d U_d.  A stage with live cross terms
+(any other) keeps its record, but its kernel is derived from its elements
+on the whole register (:func:`_lift`), so it applies as a flat stage:
+cross terms live only in the lift.
+
 Every stage maps Hermitian operators to Hermitian operators and is
 C-linear, so it acts on real coordinates: a Hermitian A has coordinates
 X = Re A + Im A (an isometry; A = (X + X^T)/2 + i (X - X^T)/2), and
@@ -86,6 +93,7 @@ import numpy as np
 
 from .linalg import (
     ATOL,
+    check_memory,
     check_unitary,
     frobenius,
     haar_unitary,
@@ -144,14 +152,15 @@ class Channel:
     and unitary (||U^dag U - I||_F <= 1e-10 * 2^k), weights nonnegative and
     summing to 1 within 1e-12, and unitality ||Phi(I) - I||_F <= 1e-10
     (automatic for unitary Kraus mixtures, asserted anyway).  Unitality is
-    checked on the kernel the stage derived: a GEMM-pair or superoperator
-    kernel on I_k alone, since Phi(I) - I repeats that k-qubit block's
-    defect in each active rest-state block and is zero elsewhere, and a
-    monomial map on the whole register, for which it is built.
+    checked on the kernel the stage derived: a structured GEMM-pair or
+    superoperator kernel on I_k alone, since Phi(I) - I repeats that
+    k-qubit block's defect in each active rest-state block and is zero
+    elsewhere, and every other kernel (flat, lifted, or a monomial map) on
+    the whole register, for which it is built.
     """
 
     __slots__ = ("_left", "_right", "_weights", "_signed", "_stages", "_runs", "_qubits", "_dim", "_real",
-                 "_targets", "_control", "_layout", "_mean", "_kraus", "_map", "_super")
+                 "_targets", "_control", "_layout", "_kraus", "_map", "_super")
 
     def __init__(self, kraus, weights, *, qubits=None, targets=None, control=None, signed=False):
         try:
@@ -184,13 +193,12 @@ class Channel:
         # Monomial: no column of a unitary is zero, so this is one nonzero
         # entry per column, of unit modulus.
         self._build(x, w, m, targets, control, bool(signed), np.count_nonzero(x) == len(x) * dim)
-        if self._map is None:
-            # The cross blocks P M Q of Phi(I) are zero: M commutes with P.
+        if self._layout is None or self._map is not None:
+            eye = np.eye(2**m)  # a kernel built for the whole register
+            image = self.apply_real(eye)
+        else:
             eye = np.eye(dim)
             image = _mix_real(self, eye) if self._super is None else (self._super @ eye.ravel()).reshape(dim, dim)
-        else:
-            eye = np.eye(2**m)  # a monomial map is built for the whole register
-            image = self.apply_real(eye)
         defect = frobenius(image - eye)
         if not defect <= ATOL:
             raise ValueError(f"channel is not unital: ||Phi(I) - I||_F = {defect:.3e}")
@@ -202,10 +210,12 @@ class Channel:
         the record once, at the float dtype `real`.  That is the map of
         :func:`_monomial_map` when `monomial`, else the superoperator of
         :func:`_superoperator` or the operands of :func:`_operands`, as
-        :func:`takes_superoperator` picks, plus the cross-term operand when
-        the stage has cross terms.  A map, superoperator or operand pair
-        already derived from the same data at `real` is passed as `kernel`."""
-        layout = None
+        :func:`takes_superoperator` picks.  A map, superoperator or operand
+        pair already derived from the same data at `real` is passed as
+        `kernel`.  A stage with live cross terms gets no layout, and its
+        kernel is derived from :func:`_lift` of `x`, once the lifted stack
+        and kernel fit the memory budget."""
+        layout, stack = None, x
         if targets != tuple(range(qubits)) or control is not None:
             # The controlled subspace as on[i, a], the basis index of
             # target state i and active rest state a (there the elements
@@ -213,29 +223,29 @@ class Channel:
             # of the latter (the diagonal of Q).
             idx = split_index(qubits, targets)
             on, off = (idx, idx[:0]) if control is None else (idx[control], idx[~control])
-            q = np.ones(2**qubits)
-            q[on] = 0.0
-            layout = on.T.copy(), off.ravel(), q
-        left = right = mean = sparse = sup = None
+            if signed or not (on.size and off.size) or frobenius(np.tensordot(w, x, axes=1)) <= ATOL:
+                q = np.ones(2**qubits)
+                q[on] = 0.0
+                layout = on.T.copy(), off.ravel(), q
+            elif kernel is None:
+                need = 16 * len(x) * 4**qubits + kernel_bytes(len(x), qubits)
+                check_memory(need, f"{len(x)} lifted Kraus operators of {2**qubits} x {2**qubits} and their kernel")
+                stack = _lift(x, qubits, targets, control)
+        left = right = sparse = sup = None
         if monomial:
-            sparse = kernel or _monomial_map(x, w, signed, layout, 2**qubits, real)
+            sparse = kernel or _monomial_map(stack, w, layout, 2**qubits, real)
         else:
-            re, im, wr = (a.astype(real, copy=False) for a in (x.real, x.imag, w))
-            if takes_superoperator(len(x), len(targets)):
+            re, im, wr = (a.astype(real, copy=False) for a in (stack.real, stack.imag, w))
+            if takes_superoperator(len(x), len(targets) if layout else qubits):
                 sup = _superoperator(re, im, wr) if kernel is None else kernel
             else:
                 left, right = kernel or _operands(re, im, wr)
-            if _crossed(layout, signed):
-                # [[Re M, Im M], [-Im M, Re M]] for M = sum_d w_d U_d.
-                mw = np.tensordot(w, x, axes=1)
-                mean = _real_blocks(mw.real, mw.imag, -mw.imag, mw.real, real)
-        for arr in (x, w, control, left, right, mean, sup, *(layout or ()), *(sparse or ())):
+        for arr in (x, w, control, left, right, sup, *(layout or ()), *(sparse or ())):
             if arr is not None:
                 arr.setflags(write=False)
         self._kraus, self._weights, self._signed, self._stages, self._runs = x, w, signed, (), None
         self._qubits, self._dim, self._real, self._targets, self._control = qubits, 2**qubits, real, targets, control
-        self._layout, self._left, self._right, self._mean, self._map = layout, left, right, mean, sparse
-        self._super = sup
+        self._layout, self._left, self._right, self._map, self._super = layout, left, right, sparse, sup
         return self
 
     @classmethod
@@ -289,13 +299,7 @@ class Channel:
         x = self.target_kraus
         if self._signed:
             x = np.concatenate([x, -x])
-        if self._layout is None:
-            return x
-        on, off = self._layout[0].T, self._layout[1]
-        lifted = np.zeros((len(x), self.dim, self.dim), dtype=complex)
-        lifted[:, on[:, :, None], on[:, None, :]] = x[:, None]
-        lifted[:, off, off] = 1.0
-        return lifted
+        return _lift(x, self._qubits, self._targets, self._control)
 
     @property
     def target_kraus(self) -> np.ndarray:
@@ -370,30 +374,25 @@ class Channel:
         [w_d R_d^T; w_d J_d^T] gives X', the sum over d included.  A flat
         superoperator stage is L times X read as a vector.
         A structured stage gathers the controlled subspace as (target,
-        active rest state) pairs and computes
-
-            Phi_T(P A P) + P M A Q + Q A M^dag P + Q A Q,    M = sum_d w_d U_d,
-
-        block by block, each block a Hermiticity-preserving map of its own:
-        the stage's kernel acts on the target indices of P X P, whose
-        transpose is that of the whole P block, and the cross blocks go
-        as one GEMM, [[Re M, Im M], [-Im M, Re M]] times [X_PQ; X_QP^T]
-        on the target index giving [X'_PQ; X'_QP^T].  This is exact for
-        any weights; a signed stage has M = 0, so its cross terms are zero
-        and it only mixes P X P.
+        active rest state) pairs and computes Phi_T(P A P) + Q A Q: the
+        stage's kernel acts on the target indices of P X P, whose transpose
+        is that of the whole P block, and the cross blocks P X Q and Q X P
+        are zeroed.  That is the action of a zero-sum stage, as every
+        structured stage is (see the module docstring); an unsigned one
+        with 0 < ||M||_F <= ATOL, M = sum_d w_d U_d, drops cross terms
+        P M A Q + Q A M^dag P of at most ATOL ||X||_F.  A stage with live
+        cross terms has no layout and applies as a flat stage, on its
+        lifted elements.
 
         Consecutive structured stages that share a layout (equal targets
         and control) and a kernel kind form a run, applied in one pass:
-        P X P and the cross blocks are gathered once into the run and
-        scattered once out of it, and stay in the kind's layout (target-major
-        for the GEMM pair, folded for L) from the run's first stage to its
-        last.  The first signed stage of a run zeroes the cross blocks,
-        after which the later stages touch P X P alone; Q X Q is never
-        touched.  A signed run leaves the cross blocks of its Q zero, so a
-        signed run on the same Q right after it (the stages of a
-        controlled brickwork, say) does not zero them again.  A run works
-        in place on the array the previous stage returned, and on a copy
-        of the caller's.
+        P X P is gathered once into the run and scattered once out of it,
+        and stays in the kind's layout (target-major for the GEMM pair,
+        folded for L) from the run's first stage to its last.  A run
+        zeroes the cross blocks of its Q, unless the run before it left
+        those of the same Q zero (the stages of a controlled brickwork,
+        say); Q X Q is never touched.  A run works in place on the array
+        the previous stage returned, and on a copy of the caller's.
 
         A monomial stage is never part of a run: it adds coef * X.flat[src]
         into X'.flat[dst] over its map, one gather and one ``np.bincount``,
@@ -418,7 +417,7 @@ class Channel:
             else:
                 x = _mix_real(s, x)
             owned = True
-            clean = s._layout[2] if s._layout is not None and any(t._signed for t in run) else None
+            clean = None if s._layout is None else s._layout[2]
         return x
 
     def apply(self, a: np.ndarray) -> np.ndarray:
@@ -452,7 +451,8 @@ class Channel:
         :func:`per_stage`).  The stages are already validated, so they are
         not checked again, and each keeps its kernel kind: a monomial map is
         transposed, a superoperator L is used as the view L^T, and GEMM
-        operands and the cross-term operand come from U_d^dag and M^dag."""
+        operands come from U_d^dag, lifted for a stage with live cross
+        terms."""
         if self._stages:
             return per_stage(Channel.staged(reversed(self._stages)), Channel.adjoint)
         if self._map is not None:
@@ -483,11 +483,10 @@ def _shares_layout(s: Channel, t: Channel) -> bool:
 def _apply_run(run: tuple[Channel, ...], x: np.ndarray, clean: np.ndarray | None) -> np.ndarray:
     """A run of structured stages sharing one layout and kernel kind, in
     real coordinates (see :meth:`Channel.apply_real`), written into the
-    C-contiguous x: P X P and the cross blocks are gathered once into
-    the kind's layout, every stage of the run acts on them there, and they
-    are scattered back; Q X Q is never touched.  Cross blocks known to be
-    zero already (x came from a run that zeroed those of the same Q,
-    `clean`) are not zeroed again."""
+    C-contiguous x: P X P is gathered once into the kind's layout, every
+    stage of the run acts on it there, and it is scattered back; the cross
+    blocks are zeroed, unless x came from a run that zeroed those of the
+    same Q (`clean`), and Q X Q is never touched."""
     on, off, q = run[0]._layout
     k = len(on)
     flat, rows = x.reshape(-1), on * len(x)  # X[on[i, a], on[j, b]] is flat[rows[i, a] + on[j, b]]
@@ -497,23 +496,11 @@ def _apply_run(run: tuple[Channel, ...], x: np.ndarray, clean: np.ndarray | None
     else:
         idx = rows[:, None, :, None] + on[:, None, :]  # [(i, j), (a, b)]
         pxp = _fold(flat[idx]).reshape(k * k, -1)
-    cross = None  # [X_PQ; X_QP^T] with rows i, once an unsigned stage moves it
-    crossed = True  # the cross blocks X_PQ and X_QP may be nonzero
     for s in run:
-        if s._signed:
-            crossed = False
-        elif crossed and s._mean is not None:
-            if cross is None:
-                pq, qp = rows[:, :, None] + off, on[:, :, None] + off * len(x)
-                cross = np.concatenate((flat[pq].reshape(k, -1), flat[qp].reshape(k, -1)))
-            cross = s._mean @ cross
         pxp = _mix_real(s, pxp) if s._super is None else s._super @ pxp
-    if not crossed and off.size and not (clean is not None and (clean == q).all()):
+    if off.size and not (clean is not None and (clean == q).all()):
         x *= q[:, None]
         x *= q
-    elif cross is not None:
-        flat[pq] = cross[:k].reshape(pq.shape)
-        flat[qp] = cross[k:].reshape(qp.shape)
     if run[0]._super is not None:
         pxp = _fold(pxp.reshape(idx.shape))
         pxp *= 0.25
@@ -533,13 +520,22 @@ def _fold(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _crossed(layout, signed: bool) -> bool:
-    """True for a stage with cross terms P M A Q: unsigned, with a control
-    that leaves both P and Q nonzero."""
-    return layout is not None and layout[0].size > 0 and layout[1].size > 0 and not signed
+def _lift(x: np.ndarray, qubits: int, targets: tuple[int, ...], control) -> np.ndarray:
+    """The elements P (U_d (x) I) + Q on the whole `qubits`-qubit register of
+    the (D, 2^k, 2^k) stack x on `targets` with `control` (see
+    :class:`Channel`): a new (D, N, N) complex array, or x itself for a
+    flat stage."""
+    if targets == tuple(range(qubits)) and control is None:
+        return x
+    idx = split_index(qubits, targets)
+    on, off = (idx, idx[:0]) if control is None else (idx[control], idx[~control])
+    lifted = np.zeros((len(x), 2**qubits, 2**qubits), dtype=complex)
+    lifted[:, on[:, :, None], on[:, None, :]] = x[:, None]
+    lifted[:, off, off] = 1.0
+    return lifted
 
 
-def _monomial_map(x: np.ndarray, w: np.ndarray, signed: bool, layout, n: int, real=_REAL):
+def _monomial_map(x: np.ndarray, w: np.ndarray, layout, n: int, real=_REAL):
     """The real-coordinate map (dst, src, coef) of a monomial stage on an
     n-dimensional space, coef at the dtype `real`: X' is zero plus
     coef * X.flat[src] at X'.flat[dst].
@@ -553,9 +549,9 @@ def _monomial_map(x: np.ndarray, w: np.ndarray, signed: bool, layout, n: int, re
     drop.  On P X P that sum depends on the target pair (t, u) alone, and a
     full index there is rest[a] + target[t] (disjoint bits), so each
     nonzero spreads over every pair of active rest states by one addition.
-    On the cross blocks it is the phase of M = sum_d w_d U_d.  Q X Q is
-    mapped once with coefficient 1.  A signed stage's pairs +-U_d cancel on
-    the cross blocks, so they are left out."""
+    Q X Q is mapped once with coefficient 1, and the cross blocks are left
+    out: the stage is zero-sum (see the module docstring), so its signed
+    and unsigned forms share one map."""
     k = x.shape[1]
     rows = (x != 0).argmax(axis=1)  # U_d |t> = phase[d, t] |rows[d, t]>
     phase = x.sum(axis=1)
@@ -578,25 +574,11 @@ def _monomial_map(x: np.ndarray, w: np.ndarray, signed: bool, layout, n: int, re
     moved = target[perm[g, t]] * n + target[perm[g, u]]
     read = target[t] * stride[h] + target[u] * stride[1 - h]
     swapped = np.array((pairs.ravel(), pairs.T.ravel()))  # rest offsets of X[i, j] and of X[j, i]
-    dst = [(moved[:, None] + pairs.ravel()).ravel()]
-    src = [(read[:, None] + swapped[h]).ravel()]
-    coef = [parts[g, t, u, h].repeat(pairs.size)]
-    if _crossed(layout, signed):
-        # P X Q: [on[a, t], q] -> [on[a, pi(t)], q] times M's phase on t; Q X P
-        # is its transpose, where the swapped source flips the sign of S.
-        mean = share @ phase
-        parts = mean.view(float).reshape(*mean.shape, 2)
-        g, t, h = np.nonzero(parts)
-        image, row, lo, hi = on[:, perm[g, t], None], on[:, t, None], stride[h, None], stride[1 - h, None]
-        value = parts[g, t, h, None] + np.zeros((len(on), 1, len(off)))
-        dst += [(image * n + off).ravel(), (off * n + image).ravel()]
-        src += [(row * lo + off * hi).ravel(), (row * hi + off * lo).ravel()]
-        coef += [value.ravel(), (value * (1 - 2 * h[:, None])).ravel()]
     still = (off[:, None] * n + off).ravel()
     return (
-        np.concatenate((*dst, still)),
-        np.concatenate((*src, still)),
-        np.concatenate((*coef, np.ones(still.size))).astype(real, copy=False),
+        np.concatenate(((moved[:, None] + pairs.ravel()).ravel(), still)),
+        np.concatenate(((read[:, None] + swapped[h]).ravel(), still)),
+        np.concatenate((parts[g, t, u, h].repeat(pairs.size), np.ones(still.size))).astype(real, copy=False),
     )
 
 
@@ -651,15 +633,6 @@ def _superoperator(re: np.ndarray, im: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out.reshape(k * k, k * k)
 
 
-def _real_blocks(a, b, c, d, real) -> np.ndarray:
-    """The (..., 2 k, 2 k) block matrices [[a, b], [c, d]] of (..., k, k) blocks, at dtype `real`."""
-    k = a.shape[-1]
-    out = np.empty((*a.shape[:-2], 2, k, 2, k), real)
-    for i, j, block in ((0, 0, a), (0, 1, b), (1, 0, c), (1, 1, d)):
-        out[..., i, :, j, :] = block
-    return out.reshape(*a.shape[:-2], 2 * k, 2 * k)
-
-
 def _mix_real(stage: Channel, t: np.ndarray) -> np.ndarray:
     """The GEMM-pair kernel: real coordinates X' of sum_d w_d U_d A U_d^dag for
     the real coordinates X of a square block A of r k rows, given
@@ -687,9 +660,21 @@ def _mix_real(stage: Channel, t: np.ndarray) -> np.ndarray:
     return (product @ stage._right).reshape(k, cols)
 
 
+def stage_bytes(channel: Channel) -> tuple[int, int]:
+    """The bytes of the Kraus records of the distinct stages of `channel`,
+    and of their GEMM-pair operands, on all qubits for a stage with live
+    cross terms."""
+    distinct = {id(s): s for s in channel.stages}.values()
+    return (
+        sum(s._kraus.nbytes for s in distinct),
+        sum(s._left.nbytes + s._right.nbytes for s in distinct if s._left is not None),
+    )
+
+
 def flat_gemm_pair(channel: Channel) -> bool:
-    """True when every stage of `channel` is flat and applies the GEMM
-    pair: none is structured, monomial or on its superoperator."""
+    """True when every stage of `channel` applies the GEMM pair as a flat
+    stage, a stage with live cross terms on its lift included: none has a
+    layout, a monomial map or a superoperator."""
     return all(s._layout is None and s._left is not None for s in channel.stages)
 
 
@@ -741,15 +726,12 @@ def per_stage(channel: Channel, make) -> Channel:
 def _sign_stage(stage: Channel) -> Channel:
     if stage._signed:
         return stage
-    if _crossed(stage._layout, False) and zero_sum_defect(stage) > ATOL:
+    if stage._layout is None and stage._control is not None:  # a controlled stage with live cross terms
         raise ValueError(
             "sign-doubling the target elements of a controlled stage would drop its cross terms; "
             "sign-double the target channel before controlling it"
         )
-    if stage._map is not None:
-        kernel = None
-    else:
-        kernel = (stage._left, stage._right) if stage._super is None else stage._super
+    kernel = stage._map or ((stage._left, stage._right) if stage._super is None else stage._super)
     return object.__new__(Channel)._build(
         stage._kraus, stage._weights, stage._qubits, stage._targets, stage._control, True, stage._map is not None,
         kernel, stage._real,
@@ -763,8 +745,9 @@ def sign_double(channel: Channel) -> Channel:
 
     Each term is invariant under U -> -U, so the action of a flat or
     uncontrolled stage is unchanged, and the element sum becomes exactly
-    zero.  Signed stages are kept as they are.  A controlled stage whose
-    cross terms are live (M != 0) is refused: doubling its target elements
+    zero.  Signed stages are kept as they are, and every other stage shares
+    its kernel with its signed form.  A controlled stage whose cross terms
+    are live (||M||_F > ATOL) is refused: doubling its target elements
     would drop them.
     """
     return per_stage(channel, _sign_stage)

@@ -104,12 +104,13 @@ def controlled_channel(target: Channel, target_qubits, control, num_qubits: int)
     for the block form it is applied in; a signed target stage gives a
     signed stage.  The weighted target elements must sum to zero,
     M = sum_d w_d U_d = 0, so the action is P A P (x) F(B) + Q A Q (x) B
-    with no cross terms.  A target stage with a control of its own (not
-    all ones) is refused: its elements are the identity where that control
-    is 0, so they never sum to zero.  Multi-stage targets are controlled
-    stage by stage, which is exact because Lambda(AB) = Lambda(A) Lambda(B)
-    for a shared control subspace; each distinct stage object is controlled
-    once.
+    with no cross terms; that is checked on `target` before any stage is
+    built, so a refused target is never lifted to the full register.  A
+    target stage with a control of its own (not all ones) is refused: its
+    elements are the identity where that control is 0, so they never sum
+    to zero.  Multi-stage targets are controlled stage by stage, which is
+    exact because Lambda(AB) = Lambda(A) Lambda(B) for a shared control
+    subspace; each distinct stage object is controlled once.
     """
     target_qubits = tuple(int(q) for q in target_qubits)
     size = len(split_index(num_qubits, target_qubits))
@@ -129,14 +130,13 @@ def controlled_channel(target: Channel, target_qubits, control, num_qubits: int)
         return Channel(s.target_kraus, s.target_weights, qubits=num_qubits, targets=targets, control=mapped,
                        signed=s.signed)
 
-    out = per_stage(target, control_stage)
-    defect = zero_sum_defect(out)
+    defect = zero_sum_defect(target)
     if defect > ATOL:
         raise ValueError(
             f"target elements lack the zero-sum property (weighted sum has Frobenius norm {defect:.3e}); "
             "sign-double the channel first (cross terms otherwise)"
         )
-    return out
+    return per_stage(target, control_stage)
 
 
 def controlled_depolarizer(num_qubits: int, target_qubit: int, control) -> Channel:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import flat_gemm_pair, kernel_bytes
+from .channels import flat_gemm_pair, stage_bytes
 from .linalg import check_memory, hermitian_from_real, rng_from, vec
 
 #: Thick-restart Lanczos: vectors in the basis, Ritz pairs kept on restart.
@@ -269,17 +269,23 @@ def spectral_gap_iterative(
     the random start.
 
     Before it allocates, it checks the 2 size N^2 8 bytes of the basis and
-    its images, plus the kernels of the float64 adjoint and of phase 1's
-    channels, against the memory budget (:func:`qexpander.linalg.check_memory`).
+    its images, plus what the float64 adjoint builds and on the
+    two-precision path phase 1's two float32 channels, against the memory
+    budget (:func:`qexpander.linalg.check_memory`).  The adjoint builds a
+    conjugated Kraus record per distinct stage and new GEMM-pair operands
+    (:func:`qexpander.channels.stage_bytes`); its L^T is a view and its
+    monomial maps are shared.
 
     If M annihilates the start vector, kappa = 0 and the solve is
-    converged.  `max_iter` caps the applications of M over all phases;
-    reaching it returns converged=False and never raises.  The one start
-    vector comes from rng_from(seed, 0), so the result is deterministic
-    given `seed`.
+    converged.  `max_iter`, a positive int, caps the applications of M over
+    all phases; reaching it returns converged=False and never raises.  The
+    one start vector comes from rng_from(seed, 0), so the result is
+    deterministic given `seed`.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if type(max_iter) is not int or max_iter < 1:
+        raise ValueError(f"max_iter must be a positive int, got {max_iter!r}")
     dim = channel.dim
     if dim < 2:
         raise ValueError("a 1 x 1 channel has no traceless direction, so kappa is undefined")
@@ -287,12 +293,11 @@ def spectral_gap_iterative(
     size = min(LANCZOS_BASIS, n - 1)
     what = f"the Lanczos basis and its images, {size} vectors each on {dim} x {dim} operators"
     single = dim >= SINGLE_MIN_DIM and max_iter > 1 and flat_gemm_pair(channel)
-    need = 2 * size * n * 8
-    if single:
-        # The float64 adjoint, then phase 1's two channels at half its bytes each.
-        distinct = {id(s): s for s in channel.stages}.values()
-        need += 2 * sum(kernel_bytes(len(s.target_weights), len(s.targets)) for s in distinct)
-        what += ", the float64 adjoint and the float32 GEMM operands"
+    # The float64 adjoint's Kraus records and operands, and phase 1's two
+    # float32 channels at half the operands' bytes each.
+    records, operands = stage_bytes(channel)
+    need = 2 * size * n * 8 + records + operands * (1 + single)
+    what += ", the float64 adjoint" + " and the float32 GEMM operands" * single
     check_memory(need, what)
     # Rows: the orthonormal basis vectors v_i, then their images M v_i.  One
     # allocation for both phases keeps the float32 one from adding to the

@@ -175,10 +175,12 @@ def kraus_sum_real(channel: Channel, x: np.ndarray, adjoint: bool = False) -> np
 
 
 def row_major_left(stage: Channel) -> np.ndarray:
-    """A stage's left kernel operand in row-major order, rebuilt from its
-    target Kraus operators U_d = R_d + i J_d: rows (d, h, i) of the blocks
-    [[R_d, J_d], [J_d, -R_d]]."""
-    x = stage.target_kraus
+    """A stage's left kernel operand in row-major order, rebuilt from the
+    Kraus operators U_d = R_d + i J_d its kernel acts with: rows (d, h, i)
+    of the blocks [[R_d, J_d], [J_d, -R_d]].  Those are its target
+    operators, or the :func:`doubled_lift` elements of an unsigned stage
+    with live cross terms, which has a control and no layout."""
+    x = stage.target_kraus if stage._layout is not None or stage.control is None else doubled_lift(stage)[0]
     d, k = x.shape[:2]
     left = np.empty((d, 2, k, 2, k))
     for h, g, block in ((0, 0, x.real), (0, 1, x.imag), (1, 0, x.imag), (1, 1, -x.real)):

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import re
 import warnings
 from unittest import mock
@@ -18,7 +19,7 @@ from qexpander.channels import (
     zero_sum_defect,
 )
 from qexpander.fileio import load_channel, matrix_to_json, save_channel
-from qexpander.linalg import frobenius, hermitian_from_real, paulis, real_coordinates, rng_from
+from qexpander.linalg import frobenius, hermitian_from_real, paulis, real_coordinates, rng_from, split_index
 
 from oracles import (
     apply_operands,
@@ -122,10 +123,11 @@ CORRUPTED_KERNELS = {
 def test_stage_with_a_corrupted_kernel_is_not_unital(builder, controlled):
     # The unitality check runs on the kernel the stage derived, on its
     # k-qubit block for the GEMM pair and L and on the register for a map.
+    # The controlled stage is signed, so it keeps its structured kernel.
     make, corrupt = CORRUPTED_KERNELS[builder]
     kraus = make()
     weights = np.full(len(kraus), 1.0 / len(kraus))
-    where = {"qubits": 5, "targets": (3, 1), "control": [0, 1, 1, 0, 1, 0, 0, 1]} if controlled else {}
+    where = {"qubits": 5, "targets": (3, 1), "control": [0, 1, 1, 0, 1, 0, 0, 1], "signed": True} if controlled else {}
     Channel(kraus, weights, **where)  # the intact kernel passes
     build = getattr(channels, builder)
     with mock.patch.object(channels, builder, lambda *args: corrupt(build(*args))):
@@ -432,10 +434,7 @@ def test_apply_adjoint_pairing(name):
 def test_stage_operands_are_read_only(name):
     ch = _apply_cases()[name]
     for stage in (ch, ch.adjoint(), ch.astype(np.float32)):
-        operands = [stage._kraus, stage._left, stage._right, stage._weights]
-        if stage._mean is not None:
-            operands.append(stage._mean)
-        for arr in operands:
+        for arr in (stage._kraus, stage._left, stage._right, stage._weights):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.0
@@ -469,7 +468,6 @@ def test_signed_stage_matches_doubled_lift(kind, weighting):
     assert stage.signed and stage.degree == 6 and stage.target_kraus.shape[0] == 3
     assert np.max(np.abs(stage.kraus - lifted)) < 1e-12
     assert np.max(np.abs(stage.weights - weights)) == 0.0
-    assert stage._mean is None  # M = 0 is never built
     assert zero_sum_defect(stage) == 0.0
     rng = rng_from(71)
     for _ in range(3):
@@ -480,9 +478,10 @@ def test_signed_stage_matches_doubled_lift(kind, weighting):
 
 
 def _run_channel():
-    """Four-qubit stages whose runs are [s1, s1, u, s1], [t], [v], [flat],
-    [s1]: u is unsigned with s1's targets and control (a distinct layout
-    object), t has s1's targets and another control, v has them and none."""
+    """Four-qubit stages whose runs are [s1, s1], [u], [s1], [t], [v],
+    [flat], [s1]: u is unsigned with s1's targets and control and live
+    cross terms, so it applies as a flat stage on its lift, as does t,
+    which has s1's targets and another control; v has them and none."""
     m, targets, ctrl, pattern, negate = STRUCTURED_CASES["non-contiguous, pattern"]
     control = _control_vector(m, targets, ctrl, pattern, negate)
     rng = rng_from(72)
@@ -498,7 +497,8 @@ def _run_channel():
 
 def test_fused_run_matches_stage_by_stage():
     ch = _run_channel()
-    assert [len(run) for run in ch._runs] == [4, 1, 1, 1, 1]
+    assert [len(run) for run in ch._runs] == [2, 1, 1, 1, 1, 1, 1]
+    assert [run[0]._layout is None for run in ch._runs] == [False, True, False, True, False, True, False]
     rng = rng_from(73)
     for channel in (ch, ch.adjoint()):
         for _ in range(3):
@@ -511,8 +511,8 @@ def test_fused_run_matches_stage_by_stage():
 
 
 def test_unsigned_run_keeps_cross_terms():
-    # A run of unsigned controlled stages must carry P A Q through every
-    # stage: M_2 M_1 on the cross block, not zero.
+    # Unsigned controlled stages must carry P A Q through every stage:
+    # M_2 M_1 on the cross block, not zero.  Each applies on its lift.
     m, targets, ctrl, pattern, negate = STRUCTURED_CASES["non-contiguous, pattern"]
     control = _control_vector(m, targets, ctrl, pattern, negate)
     rng = rng_from(74)
@@ -521,7 +521,7 @@ def test_unsigned_run_keeps_cross_terms():
         for _ in range(3)
     ]
     ch = Channel.staged(stages)
-    assert [len(run) for run in ch._runs] == [3]
+    assert [len(run) for run in ch._runs] == [1, 1, 1] and all(s._layout is None for s in stages)
     a = random_operator(16, rng)
     assert frobenius(ch.apply(a) - lifted_kraus_sum(ch, a)) < 1e-12
 
@@ -529,7 +529,7 @@ def test_unsigned_run_keeps_cross_terms():
 def test_signed_run_adjoint_pairing():
     ch = _run_channel()
     adjoint = ch.adjoint()
-    assert [len(run) for run in adjoint._runs] == [1, 1, 1, 1, 4]
+    assert [len(run) for run in adjoint._runs] == [1, 1, 1, 1, 1, 1, 2]
     rng = rng_from(75)
     for _ in range(3):
         a, b = random_operator(16, rng), random_operator(16, rng)
@@ -600,7 +600,7 @@ KERNEL_CASES = {
 def test_real_kernel_matches_complex_oracle(name):
     ch = KERNEL_CASES[name]()
     if name == "unsigned, live cross terms":
-        assert zero_sum_defect(ch) > 0.5 and ch._mean is not None
+        assert zero_sum_defect(ch) > 0.5 and ch._layout is None  # a flat kernel on its lift
     n = ch.dim
     rng = rng_from(83, sorted(KERNEL_CASES).index(name))
     for adjoint in (False, True):
@@ -808,10 +808,10 @@ def test_float32_channel_is_within_float32_rounding_of_float64(name):
     assert _float32_error(ch) <= 64 * np.finfo(np.float32).eps
     low = ch.astype(np.float32)
     for high, single in zip(ch.stages, low.stages):
-        assert (high._map is None, high._super is None, high._mean is None) == (
-            single._map is None, single._super is None, single._mean is None
+        assert (high._map is None, high._super is None, high._layout is None) == (
+            single._map is None, single._super is None, single._layout is None
         )
-        kernel = (single._left, single._right, single._mean, single._super, single._map and single._map[2])
+        kernel = (single._left, single._right, single._super, single._map and single._map[2])
         assert all(a.dtype == np.float32 and not a.flags.writeable for a in kernel if a is not None)
     with pytest.raises(ValueError, match="one dtype"):
         Channel.staged((ch, low))
@@ -853,14 +853,15 @@ def _controlled_stages(active):
 @pytest.mark.parametrize("active", [1, 3, 6])
 def test_controlled_kernel_is_bit_identical_to_row_major(active):
     (signed, signed_kraus), (unsigned, unsigned_kraus) = _controlled_stages(active)
-    assert unsigned._mean is not None and zero_sum_defect(unsigned) > 0.1  # live cross terms
+    assert unsigned._layout is None and zero_sum_defect(unsigned) > 0.1  # live cross terms: a flat kernel
     for stage, kraus in ((signed, signed_kraus), (unsigned, unsigned_kraus)):
         assert np.array_equal(stage.target_kraus, kraus)
         assert np.array_equal(stage.adjoint().target_kraus, kraus.conj().transpose(0, 2, 1))
-        _assert_kernel_matches_row_major(stage, active, blocks=(1, 0) if active == 1 else (0, 1))
-    # one fused run: the cross blocks go through the unsigned stage, then the signed one zeroes them
+    _assert_kernel_matches_row_major(signed, active, blocks=(1, 0) if active == 1 else (0, 1))
+    _assert_kernel_matches_row_major(unsigned, active, blocks=(1, 0))  # one 32 x 32 block
+    # the unsigned stages on their lifts, the signed one on its block, which zeroes the cross blocks
     run = Channel.staged((unsigned, unsigned, signed, unsigned))
-    _assert_kernel_matches_row_major(run, active + 10, blocks=(4, 0) if active == 1 else (0, 4))
+    _assert_kernel_matches_row_major(run, active + 10, blocks=(4, 0) if active == 1 else (3, 1))
 
 
 @pytest.mark.parametrize("key", ["no_2w2a", "yes_2w2a"])
@@ -885,6 +886,7 @@ SUPER_CASES = {
     "2 targets of 7, signed, not-pattern": (7, (5, 0), (1, 3), (0, 0), True, 8, True, "uniform"),
     "3 targets of 8, controlled, live cross terms": (8, (6, 2, 4), (0,), (1,), False, 8, False, "weighted"),
     "3 targets of 8, no control": (8, (7, 1, 4), (), (), False, 16, False, "uniform"),
+    "2 targets of 4, live cross terms, lifted onto L": (4, (3, 1), (0,), (1,), False, 16, False, "weighted"),
 }
 
 
@@ -907,10 +909,14 @@ def _assert_matches_oracles(stage, channel, x, adjoint=False):
 
 @pytest.mark.parametrize("name", sorted(SUPER_CASES))
 def test_superoperator_kernel_matches_oracles(name):
+    # A stage with live cross terms takes its kernel by the rule for its
+    # lift, a flat stage on all its qubits: L only for the 4-qubit D = 16 case.
     stage = _super_stage(name)
-    assert stage._super is not None and stage._left is None and stage._right is None
     crossed = stage.control is not None and not stage.signed
-    assert (stage._mean is not None) == crossed and (not crossed or zero_sum_defect(stage) > 0.1)
+    assert (stage._layout is None) == crossed and (not crossed or zero_sum_defect(stage) > 0.1)
+    on_super = takes_superoperator(len(stage.target_weights), stage.qubits if crossed else len(stage.targets))
+    assert on_super == (not crossed or stage.qubits == 4)
+    assert (stage._super is not None, stage._left is None, stage._right is None) == (on_super,) * 3
     rng = rng_from(111, sorted(SUPER_CASES).index(name))
     for adjoint in (False, True):
         x = rng.standard_normal((stage.dim, stage.dim))
@@ -979,7 +985,8 @@ def _pair_transposition(k):
 
 def _superoperator_mutant(stage, kind):
     """A stage's superoperator L = S_R + S_I P, rebuilt wrongly."""
-    lsup, k = stage._super, stage.target_kraus.shape[1]
+    lsup = stage._super
+    k = math.isqrt(len(lsup))
     p = _pair_transposition(k)
     plp = lsup[p][:, p]  # P L P = S_R - S_I P
     s_r, s_i = (lsup + plp) / 2, ((lsup - plp) / 2)[:, p]
@@ -995,7 +1002,8 @@ def _superoperator_mutant(stage, kind):
 
 @pytest.mark.parametrize("kind", ["S_R and S_I swapped", "X in place of X^T", "reversed target-axis order"])
 def test_superoperator_oracle_rejects_mutants(kind):
-    for name in ("2 targets of 5, several rest states, live cross terms", "3 targets of 8, no control"):
+    for name in ("2 targets of 5, signed, several rest states", "3 targets of 8, no control",
+                 "2 targets of 4, live cross terms, lifted onto L"):
         stage = _super_stage(name)
         mutant = object.__new__(Channel)._build(
             stage._kraus, stage._weights, stage.qubits, stage.targets, stage.control, stage.signed, False,
@@ -1009,16 +1017,19 @@ def test_superoperator_oracle_rejects_mutants(kind):
 
 def test_runs_group_by_kernel_kind():
     # Superoperator (D = 8) and GEMM (D = 2) stages on the same targets and
-    # control, two active rest states: runs never mix the two kinds, and
-    # the cross blocks pass through the unsigned stages of both.
+    # control, two active rest states: runs never mix the two kinds.  The
+    # unsigned stages hold pairs {U, -U} of equal weight, so they are
+    # zero-sum and keep their structured kernels.
     m, targets, ctrl, pattern = 5, (3, 1), (0, 2), (1, 0)
     control = _control_vector(m, targets, ctrl, pattern, False)
     rng = rng_from(117)
 
     def stage(degree, signed):
-        w = rng.random(degree)
-        return Channel(random_unitary_channel(2, degree, rng).kraus, w / w.sum(), qubits=m, targets=targets,
-                       control=control, signed=signed)
+        half = degree if signed else degree // 2
+        kraus, w = random_unitary_channel(2, half, rng).kraus, rng.random(half)
+        if not signed:
+            kraus, w = np.concatenate((kraus, -kraus)), np.concatenate((w, w))
+        return Channel(kraus, w / w.sum(), qubits=m, targets=targets, control=control, signed=signed)
 
     lu, ls, gu, gs = stage(8, False), stage(8, True), stage(2, False), stage(2, True)
     assert lu._super is not None and ls._super is not None and gu._super is None and gs._super is None
@@ -1134,12 +1145,13 @@ def test_monomial_stage_matches_lifted_kraus_oracles(kind):
 
 
 def test_unsigned_controlled_monomial_stage_has_live_cross_terms():
+    # Its map is built on its lift, for the whole register.
     stage, _ = _monomial_stage("controlled, unsigned")
-    assert zero_sum_defect(stage) > 0.1
+    assert zero_sum_defect(stage) > 0.1 and stage._layout is None and stage._map is not None
+    m, targets, ctrl, pattern, negate = STRUCTURED_CASES["non-contiguous, pattern"]
     n = stage.dim
     x = rng_from(102).standard_normal((n, n))
-    p = np.zeros(n, dtype=bool)
-    p[stage._layout[0]] = True  # the controlled subspace
+    p = np.diag(pattern_projector(m, ctrl, pattern)).real == 1  # the controlled subspace
     cross = stage.apply_real(x)[np.ix_(p, ~p)]
     assert frobenius(cross) > 0.1 and frobenius(cross - kraus_sum_real(stage, x)[np.ix_(p, ~p)]) < 1e-13
 
@@ -1172,11 +1184,12 @@ def test_pauli_stage_map_merges_duplicates_and_drops_zeros():
 MONOMIAL_MUTANTS = {
     # name: (kind, the mutant's map from the stage's kraus, weights and layout)
     "wrong phase sign": ("flat CNOT.S and Y (x) S", lambda s: channels._monomial_map(
-        s._kraus.conj(), s._weights, s._signed, s._layout, s.dim)),
+        s._kraus.conj(), s._weights, s._layout, s.dim)),
     "dropped weight": ("targeted phased permutations", lambda s: channels._monomial_map(
-        s._kraus, np.full(len(s._weights), 1 / len(s._weights)), s._signed, s._layout, s.dim)),
-    "dropped cross term": ("controlled, unsigned", lambda s: channels._monomial_map(
-        s._kraus, s._weights, True, s._layout, s.dim)),
+        s._kraus, np.full(len(s._weights), 1 / len(s._weights)), s._layout, s.dim)),
+    # the map of the signed stage on the same record, which has no cross terms
+    "dropped cross term": ("controlled, unsigned", lambda s: Channel(
+        s.target_kraus, s.target_weights, qubits=s.qubits, targets=s.targets, control=s.control, signed=True)._map),
 }
 
 
@@ -1273,3 +1286,101 @@ def test_sign_double_and_control_of_monomial_stages():
     assert frobenius(ctrl.apply(b) - lifted_kraus_sum(ctrl, b)) < 1e-12
     with pytest.raises(ValueError, match="cross terms"):
         sign_double(_monomial_stage("controlled, unsigned")[0])
+
+
+# --- stages with live cross terms: one flat kernel on the lift --------------
+
+
+def test_nearly_zero_sum_stage_keeps_its_structured_kernel():
+    # {U, -e^{i eps} U} at equal weights: ||M||_F = |1 - e^{i eps}| ||U||_F / 2,
+    # about eps for two qubits.  At or below ATOL the stage keeps its layout and
+    # zeroes the cross blocks, which moves the action by at most ATOL ||X||_F.
+    from qexpander.linalg import ATOL
+
+    m, targets, ctrl, pattern, negate = STRUCTURED_CASES["non-contiguous, pattern"]
+    control = _control_vector(m, targets, ctrl, pattern, negate)
+    p = np.diag(pattern_projector(m, ctrl, pattern)).real == 1  # the controlled subspace
+    u = random_unitary_channel(2, 1, rng_from(150)).target_kraus[0]
+    x = rng_from(151).standard_normal((2**m, 2**m))
+    for eps, structured in ((0.5 * ATOL, True), (3 * ATOL, False)):
+        stage = Channel([u, -np.exp(1j * eps) * u], [0.5, 0.5], qubits=m, targets=targets, control=control)
+        assert 0.0 < zero_sum_defect(stage) and (zero_sum_defect(stage) <= ATOL) == structured
+        assert (stage._layout is not None) == structured
+        out = stage.apply_real(x)
+        assert frobenius(out - kraus_sum_real(stage, x)) <= (ATOL if structured else 1e-13) * frobenius(x)
+        assert out[np.ix_(p, ~p)].any() != structured  # only the structured kernel zeroes the cross blocks
+
+
+def _live_cross_need(degree, qubits):
+    """The bytes the lift of a stage with live cross terms is checked for:
+    its (D, N, N) complex stack and the kernel its rule picks on all qubits."""
+    return 16 * degree * 4**qubits + channels.kernel_bytes(degree, qubits)
+
+
+def test_lift_checks_the_memory_budget_before_it_allocates(monkeypatch):
+    from qexpander import linalg
+
+    m, targets, ctrl, pattern, negate = STRUCTURED_CASES["non-contiguous, pattern"]
+    control = _control_vector(m, targets, ctrl, pattern, negate)
+    kraus = random_unitary_channel(2, 2, rng_from(152)).target_kraus
+    need = _live_cross_need(2, m)
+    lifts = []
+    lift = channels._lift
+    monkeypatch.setattr(channels, "_lift", lambda *args: lifts.append(1) or lift(*args))
+    monkeypatch.setattr(linalg, "memory_budget", lambda: float(need))
+    assert Channel(kraus, [0.3, 0.7], qubits=m, targets=targets, control=control)._layout is None and lifts
+    lifts.clear()
+    monkeypatch.setattr(linalg, "memory_budget", lambda: float(need - 1))
+    message = rf"^2 lifted Kraus operators of 16 x 16 and their kernel needs {need} bytes, over the memory budget"
+    with pytest.raises(ValueError, match=message):
+        Channel(kraus, [0.3, 0.7], qubits=m, targets=targets, control=control)
+    assert not lifts
+
+
+def test_live_cross_stage_round_trips_through_a_channel_file(tmp_path):
+    # The record is kept as given: stack, targets and control, bit for bit.
+    stage, _ = _monomial_stage("controlled, unsigned")
+    dense = _live_cross_stage()
+    for ch in (stage, dense, Channel.staged((dense, stage, dense))):
+        path = tmp_path / "live.json"
+        save_channel(ch, path)
+        loaded = load_channel(path)
+        assert len(loaded.stages) == len(ch.stages)
+        for got, want in zip(loaded.stages, ch.stages):
+            assert want._layout is None and got._layout is None and not got.signed
+            assert got.target_kraus.tobytes() == want.target_kraus.tobytes()
+            assert got.target_weights.tobytes() == want.target_weights.tobytes()
+            assert got.targets == want.targets and np.array_equal(got.control, want.control)
+        x = rng_from(153).standard_normal((ch.dim, ch.dim))
+        assert np.array_equal(loaded.apply_real(x), ch.apply_real(x))
+        with pytest.raises(ValueError, match="cross terms"):
+            sign_double(loaded)
+
+
+def _lift_negated_control(x, qubits, targets, control, lift=channels._lift):
+    return lift(x, qubits, targets, None if control is None else ~control)
+
+
+def _lift_without_q(x, qubits, targets, control):
+    idx = split_index(qubits, targets)
+    on = idx if control is None else idx[control]
+    lifted = np.zeros((len(x), 2**qubits, 2**qubits), dtype=complex)
+    lifted[:, on[:, :, None], on[:, None, :]] = x[:, None]
+    return lifted
+
+
+@pytest.mark.parametrize("mutant", [_lift_negated_control, _lift_without_q])
+def test_lift_oracle_rejects_mutants(monkeypatch, mutant):
+    # A stage built on a wrong lift must fail the lifted Kraus sum, whose
+    # elements the oracle builds from the record alone.
+    for make in (_live_cross_stage, lambda: _monomial_stage("controlled, unsigned")[0]):
+        stage = make()
+        x = rng_from(154).standard_normal((stage.dim, stage.dim))
+        want = kraus_sum_real(stage, x)
+        assert frobenius(stage.apply_real(x) - want) <= 1e-13 * frobenius(x)
+        with monkeypatch.context() as patch:
+            patch.setattr(channels, "_lift", mutant)
+            wrong = object.__new__(Channel)._build(
+                stage._kraus, stage._weights, stage.qubits, stage.targets, stage.control, False, stage._map is not None
+            )
+        assert frobenius(wrong.apply_real(x) - want) > 1e-3 * frobenius(x)

@@ -716,17 +716,18 @@ def test_thermalize_over_the_memory_budget_exits_2(corpus, tmp_path, capsys, mon
 @pytest.mark.parametrize("command", ["gap", "decide"])
 def test_gap_and_decide_over_the_memory_budget_exit_2(tmp_path, capsys, monkeypatch, command):
     # A 3-qubit NO instance of 4 Kraus operators: loading it takes
-    # 64 * 4 * 8^2 = 16,384 bytes and the Lanczos basis and its images
-    # 2 * 24 * 8^2 * 8 = 24,576.  With the larger budget both commands run;
-    # under it they refuse before the solve, and under the smaller on load.
+    # 64 * 4 * 8^2 = 16,384 bytes, and the solve the Lanczos basis and its
+    # images, 2 * 24 * 8^2 * 8 = 24,576, plus the adjoint's 16,384, so
+    # 40,960.  With the larger budget both commands run; under it they
+    # refuse before the solve, and under the smaller on load.
     path = tmp_path / "three.json"
     save_channel(random_unitary_channel(3, 4, rng_from(64)), path, alpha=0.99, beta=0.9)
-    monkeypatch.setattr(linalg, "memory_budget", lambda: 24576.0)
+    monkeypatch.setattr(linalg, "memory_budget", lambda: 40960.0)
     assert cli.main([command, str(path)]) == 0
     capsys.readouterr()
-    lanczos = "error: the Lanczos basis and its images, 24 vectors each on 8 x 8 operators needs "
+    lanczos = "error: the Lanczos basis and its images, 24 vectors each on 8 x 8 operators, the float64 adjoint needs "
     loading = f"error: {path}: 4 Kraus operators of 8 x 8 and their operands needs "
-    for budget, message in ((24575, lanczos), (16384, lanczos), (16383, loading)):
+    for budget, message in ((40959, lanczos), (16384, lanczos), (16383, loading)):
         monkeypatch.setattr(linalg, "memory_budget", lambda: float(budget))
         code = cli.main([command, str(path)])
         stdout, stderr = capsys.readouterr()

@@ -256,6 +256,18 @@ def test_controlled_channel_rejects_non_zero_sum():
         controlled_channel(identity_channel(1), (1,), [0, 1], 2)
 
 
+def test_controlled_channel_refuses_before_it_builds_a_stage(monkeypatch):
+    # The zero-sum check reads the target's own record, so a refused target
+    # builds no controlled stage and no full-register lift.
+    target = random_unitary_channel(2, 3, rng_from(56))
+    built = []
+    build = Channel._build
+    monkeypatch.setattr(Channel, "_build", lambda self, *args: built.append(1) or build(self, *args))
+    with pytest.raises(ValueError, match="zero-sum"):
+        controlled_channel(target, (1, 2), [0, 1], 3)
+    assert not built
+
+
 def test_controlled_channel_rejects_overlap():
     # A control that reads the target qubit itself, like the projector
     # |1><1| on the only qubit, has the wrong length for the rest register.

@@ -143,6 +143,17 @@ def test_iterative_rejects_non_finite_tol(tol):
         spectral_gap(ch, method="iterative", tol=tol)
 
 
+@pytest.mark.parametrize("max_iter", [0, -5, 2.5, True, np.int64(3), "3", None])
+def test_iterative_rejects_a_max_iter_that_is_not_a_positive_int(monkeypatch, max_iter):
+    # Refused before any application of M.
+    ch = random_unitary_channel(3, 4, rng_from(8))
+    calls = []
+    monkeypatch.setattr(spectral, "_gram", lambda *args: calls.append(1))
+    with pytest.raises(ValueError, match=r"^max_iter must be a positive int, got "):
+        spectral_gap_iterative(ch, max_iter=max_iter)
+    assert not calls
+
+
 def test_power_composition_contraction():
     rng = rng_from(7)
     ch = random_unitary_channel(2, 3, rng)
@@ -640,7 +651,10 @@ def test_gap_refuses_inputs_over_the_memory_budget(monkeypatch):
     from qexpander import linalg
 
     ch = random_unitary_channel(3, 4, rng_from(120))
-    need = 2 * spectral.LANCZOS_BASIS * 64 * 8  # basis and images, 24 vectors of 8^2 coordinates each
+    # Basis and images, 24 vectors of 8^2 coordinates each, then the float64
+    # adjoint: its conjugated Kraus record, 4 operators of 8^2 complex
+    # entries, and its GEMM operands, 6 D N^2 float64 entries.
+    need = 2 * spectral.LANCZOS_BASIS * 64 * 8 + 16 * 4 * 64 + 6 * 4 * 64 * 8
     calls = []
     apply_real = Channel.apply_real
 
@@ -654,7 +668,7 @@ def test_gap_refuses_inputs_over_the_memory_budget(monkeypatch):
     calls.clear()
     monkeypatch.setattr(linalg, "memory_budget", lambda: float(need - 1))
     message = (
-        r"^the Lanczos basis and its images, 24 vectors each on 8 x 8 operators needs "
+        r"^the Lanczos basis and its images, 24 vectors each on 8 x 8 operators, the float64 adjoint needs "
         rf"{need} bytes, over the memory budget of {need - 1} bytes$"
     )
     with pytest.raises(ValueError, match=message):
@@ -845,7 +859,7 @@ TWO_PHASE_RULE_CASES = {
     ),
     "controlled": lambda: Channel(
         random_unitary_channel(4, 2, rng_from(60)).kraus, np.full(2, 1 / 2), qubits=5, targets=(0, 1, 2, 3),
-        control=[0, 1],
+        control=[0, 1], signed=True,
     ),
     "monomial": lambda: Channel.uniform(
         tuple(functools.reduce(np.kron, string) for string in ((X, I, Z, I, Y), (Z, Z, I, X, I), (I, Y, X, Z, Z)))
@@ -869,8 +883,9 @@ def test_two_phase_memory_check_counts_the_float32_operands(monkeypatch):
     ch = _haar(5, 8, 2)  # one distinct stage, shared by both factors
     size, n = spectral.LANCZOS_BASIS, 32 * 32
     # The basis and images, then 6 D N^2 float32 entries of GEMM operands for the
-    # stage and its adjoint, and 6 D N^2 float64 ones for the float64 adjoint.
-    need = 2 * size * n * 8 + 2 * 6 * 8 * n * 4 + 6 * 8 * n * 8
+    # stage and its adjoint, and for the float64 adjoint 6 D N^2 float64 ones
+    # and its conjugated Kraus record, D N^2 complex entries.
+    need = 2 * size * n * 8 + 2 * 6 * 8 * n * 4 + 6 * 8 * n * 8 + 16 * 8 * n
     monkeypatch.setattr(linalg, "memory_budget", lambda: float(need))
     assert spectral_gap(ch).converged
     monkeypatch.setattr(linalg, "memory_budget", lambda: float(need - 1))
