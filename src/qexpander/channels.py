@@ -660,14 +660,17 @@ def _mix_real(stage: Channel, t: np.ndarray) -> np.ndarray:
     return (product @ stage._right).reshape(k, cols)
 
 
-def stage_bytes(channel: Channel) -> tuple[int, int]:
+def stage_bytes(channel: Channel) -> tuple[int, int, int]:
     """The bytes of the Kraus records of the distinct stages of `channel`,
-    and of their GEMM-pair operands, on all qubits for a stage with live
-    cross terms."""
+    of their GEMM-pair operands, on all qubits for a stage with live cross
+    terms, and of the lifted Kraus stacks that such a stage on the GEMM pair
+    builds again for its adjoint or :meth:`Channel.astype` copy."""
     distinct = {id(s): s for s in channel.stages}.values()
+    gemm = [s for s in distinct if s._left is not None]
     return (
         sum(s._kraus.nbytes for s in distinct),
-        sum(s._left.nbytes + s._right.nbytes for s in distinct if s._left is not None),
+        sum(s._left.nbytes + s._right.nbytes for s in gemm),
+        sum(16 * len(s._kraus) * s._dim**2 for s in gemm if s._layout is None and s._control is not None),
     )
 
 

@@ -24,7 +24,8 @@ dimensions, against 8 D k^3 for the complex form), so no complex matrix is
 formed until the witness is reported.  On a channel of flat GEMM-pair
 stages from 5 qubits up, a float32 Lanczos phase runs first on the
 channel's float32 copy (:meth:`Channel.astype`), and float64 residuals
-with float32 correction solves refine its top Ritz vector.  Every report
+with float32 correction solves, deflated by its next Ritz vectors, refine
+its top Ritz vector.  Every report
 carries an error bar on kappa from float64 arithmetic, and `decide` answers
 YES or NO only when convergence and that error bar back the answer.
 """
@@ -59,8 +60,12 @@ KAPPA_ROUNDING = 4 * float(np.finfo(float).eps)
 #: whose every stage is flat on the GEMM pair runs a float32 phase first.  Set from
 #: measurement: at N = 16 a solve is bound by per-call overhead, not by its GEMMs.
 SINGLE_MIN_DIM = 32
-#: Phase 1's least stop tolerance, four units of float32 rounding.
-SINGLE_TOL = 4 * float(np.finfo(np.float32).eps)
+#: Phase 1's least stop tolerance, eight units of float32 rounding.  Set from
+#: measurement: the best of 4-16 units on the benchmark's flat Haar channels.
+SINGLE_TOL = 8 * float(np.finfo(np.float32).eps)
+#: Phase 1's rounding floor (see spectral_gap_iterative): a top residual of at
+#: most STALL_FLOOR N theta for a basis on N^2 coordinates.
+STALL_FLOOR = 64 * float(np.finfo(np.float32).eps)
 #: Phase 2's refinement (see spectral_gap_iterative): the float32 correction
 #: solve's relative residual tolerance, its most applications of M, and the
 #: most refinement steps before the float64 engine takes over.  Set from
@@ -69,11 +74,14 @@ SINGLE_TOL = 4 * float(np.finfo(np.float32).eps)
 REFINE_TOL = 1e-3
 REFINE_MATVECS = 64
 REFINE_STEPS = 3
+#: Phase 1's Ritz pairs after the top one that deflate the correction solves.
+DEFLATE = 5
 #: The refinement hands over before its first correction solve unless theta
-#: exceeds phase 1's second Ritz value by more than this many float64
-#: residuals.  Set from measurement on flat Haar channels at 5-6 qubits: the
-#: margin is 1.8-2.3 residuals where the correction equation is indefinite,
-#: and 120 or more where one correction solve converges.
+#: exceeds phase 1's first Ritz value outside the deflated pairs by more than
+#: this many float64 residuals.  Set from measurement on flat Haar channels at
+#: 5-6 qubits: that margin is 8.2-8.8 residuals where kappa ~ 1.6e-5 and
+#: float32 cannot resolve the correction, and 990 or more where one
+#: correction solve converges.
 REFINE_GAP = 10
 
 
@@ -233,10 +241,15 @@ def spectral_gap_iterative(
     Phase 1 is the same engine in float32: its basis and images, and the
     channel and adjoint it applies (:meth:`Channel.astype`, built once per
     solve).  It stops when its top Ritz pair passes the stop rule at
-    max(tol, SINGLE_TOL); at a restart whose top pair neither halved its
+    max(tol, SINGLE_TOL), one application of M short of `max_iter` (at
+    max_iter = 1 it does not run), or unconverged at a restart where its
+    rounding floor is plausible: one whose top pair neither halved its
     residual nor raised theta by more than that residual since the restart
-    before, which is its rounding floor; or one application of M short of
-    `max_iter` (at max_iter = 1 it does not run).
+    before, with a residual of at most STALL_FLOOR N theta, or the second
+    of two restarts in a row whose top residual did not fall.  A residual
+    that falls slowly but steadily above that floor (as at 7 qubits) keeps
+    it running.  It ends as a restart would begin: its top LANCZOS_KEEP
+    Ritz vectors and their images fill the first rows of its basis.
 
     Phase 2 refines phase 1's top Ritz vector y.  Each step applies M to y
     in float64, with the one float64 adjoint of the solve, and forms
@@ -244,37 +257,46 @@ def spectral_gap_iterative(
     converged when r passes the stop rule.  Otherwise float32 conjugate
     gradients on phase 1's channels solve the Jacobi-Davidson correction
     equation (theta - M) t = r / ||r|| for t orthogonal to y and vec(I)
-    (Sleijpen & van der Vorst, SIAM J. Matrix Anal. Appl. 17, 1996), to
-    relative residual REFINE_TOL or REFINE_MATVECS applications of M, and
-    y becomes the unit vector along y + ||r|| t.  That operator is positive
-    definite only when theta exceeds the top eigenvalue of M orthogonal to
-    y, which is at least phase 1's second Ritz value theta_2.  So
-    theta - theta_2 of at most REFINE_GAP float64 residuals before the
-    first correction solve, a step that does not halve the float64
-    residual, or REFINE_STEPS steps hand over to the float64 engine
-    started from the current y.  Only float64 arithmetic reaches the report: kappa, the
-    witness, `residual`, `error_bound` and `converged` come from the last
-    float64 residual, or from the float64 engine after a hand-over.  On
-    flat Haar channels at 5-7 qubits one step of 12-58 float32
-    applications of M and two float64 ones replace 10-49 float64 Lanczos
-    steps.
+    (Sleijpen & van der Vorst, SIAM J. Matrix Anal. Appl. 17, 1996),
+    deflated by phase 1's next DEFLATE Ritz pairs (see :func:`_correct`),
+    to relative residual REFINE_TOL or REFINE_MATVECS applications of M,
+    and y becomes the unit vector along y + ||r|| t.  The deflated operator
+    is positive definite when theta exceeds the top eigenvalue of M
+    orthogonal to y and the deflation vectors, which is at least phase 1's
+    first Ritz value outside them, theta_out.  So theta - theta_out of at
+    most REFINE_GAP float64 residuals before the first correction solve, a
+    step that does not halve the float64 residual, a correction solve that
+    takes all REFINE_MATVECS applications (as at a cluster at the top,
+    which no correction separates), or REFINE_STEPS steps hand over to the
+    float64 engine started from the current y.  Only float64 arithmetic
+    reaches the report: kappa, the witness, `residual`, `error_bound` and
+    `converged` come from the last float64 residual, or from the float64
+    engine after a hand-over.  On flat Haar channels at 5-7 qubits (D = 8
+    and 64, powers 1, 2 and 6, kappa above 1e-3) phase 1 runs to its
+    target and one step of 10-53 float32 applications of M and two float64
+    ones meets the stop rule: 0.95-1.11 times the applications of M of the
+    float64 engine alone, most of them at float32 cost.
 
     Phase 1 and the hand-over fill one allocation for the basis and images
-    (phase 1 reads its first half as float32), and the refinement keeps its
-    vectors in rows of it that phase 1 has written.  `matvecs` counts the
+    (phase 1 reads its first half as float32).  The refinement reads its
+    deflation pairs in place and keeps its vectors in other rows that phase
+    1 has written, so it touches no new page.  `matvecs` counts the
     applications of M in either precision, `iterations` the restart cycles
     plus the refinement steps, and `ritz_solves` the eigendecompositions of
     both engines.  Every other channel (N = 16 and below, a structured,
     monomial or superoperator stage) runs the float64 engine alone, from
     the random start.
 
-    Before it allocates, it checks the 2 size N^2 8 bytes of the basis and
-    its images, plus what the float64 adjoint builds and on the
+    Before it builds anything, it checks the 2 size N^2 8 bytes of the
+    basis and its images, plus what the float64 adjoint builds and on the
     two-precision path phase 1's two float32 channels, against the memory
     budget (:func:`qexpander.linalg.check_memory`).  The adjoint builds a
-    conjugated Kraus record per distinct stage and new GEMM-pair operands
+    conjugated Kraus record per distinct stage and new GEMM-pair operands,
+    and a GEMM-pair stage with live cross terms lifts its Kraus stack again
+    on the way, 16 D N^2 bytes counted once per distinct stage
     (:func:`qexpander.channels.stage_bytes`); its L^T is a view and its
-    monomial maps are shared.
+    monomial maps are shared.  It builds the adjoint and phase 1's channels
+    before the basis, so no lift is built beside it.
 
     If M annihilates the start vector, kappa = 0 and the solve is
     converged.  `max_iter`, a positive int, caps the applications of M over
@@ -293,33 +315,43 @@ def spectral_gap_iterative(
     size = min(LANCZOS_BASIS, n - 1)
     what = f"the Lanczos basis and its images, {size} vectors each on {dim} x {dim} operators"
     single = dim >= SINGLE_MIN_DIM and max_iter > 1 and flat_gemm_pair(channel)
-    # The float64 adjoint's Kraus records and operands, and phase 1's two
+    # The float64 adjoint's Kraus records and operands, the lifted stacks
+    # its stages with live cross terms build on the way, and phase 1's two
     # float32 channels at half the operands' bytes each.
-    records, operands = stage_bytes(channel)
-    need = 2 * size * n * 8 + records + operands * (1 + single)
-    what += ", the float64 adjoint" + " and the float32 GEMM operands" * single
+    records, operands, lifts = stage_bytes(channel)
+    need = 2 * size * n * 8 + records + lifts + operands * (1 + single)
+    what += ", the float64 adjoint" + " with its lifts" * bool(lifts) + " and the float32 GEMM operands" * single
     check_memory(need, what)
+    # The channels come first, so no lift is built beside the basis.
+    adjoint = channel.adjoint()
+    gram = _gram(channel.apply_real, adjoint.apply_real)
+    if single:
+        # adjoint.astype is the float32 channel's adjoint, without a second conjugated Kraus stack.
+        gram32 = _gram(channel.astype(np.float32).apply_real, adjoint.astype(np.float32).apply_real)
     # Rows: the orthonormal basis vectors v_i, then their images M v_i.  One
     # allocation for both phases keeps the float32 one from adding to the
     # heap's high-water mark.
     basis, images = shared = np.empty((2, size, n))
     start = _unit_traceless(rng_from(seed, 0).standard_normal(n), dim)
     cycles = matvecs = solves = 0
-    adjoint = channel.adjoint()
-    gram = _gram(channel.apply_real, adjoint.apply_real)
     if single:
-        # adjoint.astype is the float32 channel's adjoint, without a second conjugated Kraus stack.
-        gram32 = _gram(channel.astype(np.float32).apply_real, adjoint.astype(np.float32).apply_real)
         # Phase 1 fills the first half of the allocation as float32.
         rows32 = shared.reshape(-1).view(np.float32)[: 2 * size * n].reshape(2, size, n)
-        theta, y, resid, _, cycles, matvecs, solves, second = _lanczos(
-            gram32, start, *rows32, max(tol, SINGLE_TOL), max_iter - 1, True
+        theta, y, resid, _, cycles, matvecs, solves, ritz = _lanczos(
+            gram32, start, rows32[0], rows32[1], max(tol, SINGLE_TOL), max_iter - 1, True
         )
-        # Phase 2 works at the front of phase 1's basis rows: six float32 rows
-        # for the correction solve, then three float64 rows.
+        # Phase 1 left its top Ritz pairs in its first rows, as a restart
+        # would; the next `deflate` of them deflate the correction solves,
+        # short of its last Ritz value, which the hand-over test reads.
+        deflate = max(min(DEFLATE, LANCZOS_KEEP - 1, len(ritz) - 2), 0)
+        outside = float(ritz[deflate + 1]) if len(ritz) > deflate + 1 else -math.inf
+        pairs = rows32[0, 1 : deflate + 1], rows32[1, 1 : deflate + 1]
+        # Phase 2 works in rows that phase 1 has written, so it touches no
+        # new page: three float64 rows over phase 1's basis rows 6-11, and
+        # the float32 rows of the correction solve past the deflation images.
         theta, y, resid, converged, steps, used = _refine(
-            gram, gram32, _unit_traceless(y.astype(float), dim), second, rows32[0, :6], basis[3:6], tol,
-            max_iter - matvecs,
+            gram, gram32, _unit_traceless(y.astype(float), dim), outside, pairs,
+            rows32[1, deflate + 1 : 2 * deflate + 7], basis[3:6], tol, max_iter - matvecs,
         )
         cycles, matvecs = cycles + steps, matvecs + used
         if converged or matvecs >= max_iter:
@@ -346,20 +378,21 @@ def _gram(phi, adjoint):
     return gram
 
 
-def _refine(gram, gram32, start, second, low, rows, tol, max_iter):
+def _refine(gram, gram32, start, outside, pairs, low, rows, tol, max_iter):
     """Phase 2 of a two-precision solve (see spectral_gap_iterative):
     mixed-precision refinement from the unit traceless float64 `start`,
     with gram and gram32 applying M in float64 and float32 (see
-    :func:`_gram`), phase 1's second Ritz value `second`, the float32
-    correction solve in the six rows `low` and the float64 vectors in the
-    three rows `rows`.
+    :func:`_gram`), phase 1's deflation `pairs` and its first Ritz value
+    `outside` them (see :func:`_correct`), the float32 correction solve in
+    the rows `low` and the float64 vectors in the three rows `rows`.
 
     Returns (theta, y, resid, converged, steps, matvecs) for the last
     float64 pair (y is a row of `rows`): converged when it passed the stop
     rule for `tol`; else it stopped before the first correction solve,
-    where theta - `second` is at most REFINE_GAP float64 residuals (the
-    correction equation may then be indefinite), at a step that did not
-    halve the float64 residual, after REFINE_STEPS steps, or with fewer
+    where theta - `outside` is at most REFINE_GAP float64 residuals (the
+    deflated correction equation may then be indefinite), at a step that
+    did not halve the float64 residual or whose correction solve took all
+    REFINE_MATVECS applications, after REFINE_STEPS steps, or with fewer
     than two of its `max_iter` applications of M left."""
     dim = math.isqrt(len(start))
     y, image, r = rows
@@ -373,40 +406,60 @@ def _refine(gram, gram32, start, second, low, rows, tol, max_iter):
         np.subtract(image, np.multiply(y, theta, out=r), out=r)
         resid = math.sqrt(r @ r)
         target = tol * max(2.0 * math.sqrt(max(theta, 0.0)), tol)
-        indefinite = steps == 0 and theta - second <= REFINE_GAP * resid
+        indefinite = steps == 0 and theta - outside <= REFINE_GAP * resid
         if resid <= target or indefinite or resid > 0.5 * last or steps == REFINE_STEPS or matvecs + 2 > max_iter:
             return theta, y, resid, resid <= target, steps, matvecs
         r /= resid
-        t, used = _correct(gram32, theta, y, r, low, min(REFINE_MATVECS, max_iter - matvecs - 1))
+        t, used = _correct(gram32, theta, y, r, low, pairs, min(REFINE_MATVECS, max_iter - matvecs - 1))
         t *= resid
         y += t
         y /= math.sqrt(_deflate(y, dim) @ y)
-        last, steps, matvecs = resid, steps + 1, matvecs + used
+        # A correction solve that took all REFINE_MATVECS applications ends
+        # the refinement at the next residual, as a step that did not halve it.
+        last = 0.0 if used == REFINE_MATVECS else resid
+        steps, matvecs = steps + 1, matvecs + used
 
 
-def _correct(gram32, theta, y, b, low, most):
+def _correct(gram32, theta, y, b, low, pairs, most):
     """The correction t of one refinement step, in float32: conjugate
-    gradients on (theta - M) t = b for t orthogonal to y and to vec(I), from
-    t = 0 and with gram32 applying M (see :func:`_gram`), in the six rows
-    `low`.  For the top Ritz pair (theta, y) this operator is positive
-    definite there when theta exceeds the second eigenvalue of M (the
-    Jacobi-Davidson correction equation; Sleijpen & van der Vorst, SIAM J.
-    Matrix Anal. Appl. 17, 1996).  It stops when its residual is below
-    REFINE_TOL times ||b||, after `most` applications of M, or where the
-    operator is not positive along the search direction.  Returns the row
-    holding t and the applications of M."""
-    t, res, p, q, y32, tmp = low
+    gradients on A t = b, A = theta - M, for t orthogonal to y and to
+    vec(I), with gram32 applying M (see :func:`_gram`), in the rows `low`
+    (six, then one per deflation pair).  For the top Ritz pair (theta, y)
+    A is positive definite there when theta exceeds the second eigenvalue
+    of M (the Jacobi-Davidson correction equation; Sleijpen & van der
+    Vorst, SIAM J. Matrix Anal. Appl. 17, 1996).
+
+    The solve is deflated (Saad, Yeung, Erhel & Guyomarc'h, SIAM J. Sci.
+    Comput. 21, 2000) by `pairs` = (Z, M Z), phase 1's next Ritz vectors
+    and their float32 images: A Z = theta Z - M Z needs no application of
+    M.  t starts as the solution on span Z, and each search direction is
+    kept A-conjugate to Z, so the iterations see A only outside span Z,
+    where it is positive definite once theta exceeds the top eigenvalue of
+    M there.  It stops when its residual is below REFINE_TOL times ||b||,
+    after `most` applications of M, or where A is not positive along the
+    search direction.  Returns the row holding t and the applications of
+    M."""
+    t, res, p, q, y32, tmp = low[:6]
+    z, mz = pairs
+    az = low[6 : 6 + len(z)]
+    np.subtract(np.multiply(z, theta, out=az), mz, out=az)  # A Z
+    # Ritz vectors are M-orthogonal, so Z^T A Z is diagonal.
+    inverse = 1.0 / np.einsum("ij,ij->i", z, az)
     np.copyto(y32, y, casting="same_kind")
     np.copyto(res, b, casting="same_kind")
-    np.copyto(p, res)
-    t.fill(0.0)
+    stop = REFINE_TOL**2 * float(res @ res)
+    # t = Z (Z^T A Z)^-1 Z^T b, its residual b - A t, and p = res minus its
+    # A-projection onto span Z.
+    c = inverse * (z @ res)
+    np.matmul(c, z, out=t)
+    res -= np.matmul(c, az, out=tmp)
+    np.subtract(res, np.matmul(inverse * (az @ res), z, out=tmp), out=p)
     rr = float(res @ res)
-    stop = REFINE_TOL**2 * rr
     used = 0
-    while used < most:
+    while used < most and rr > stop:
         gram32(p, q)
         used += 1
-        # q = -(theta - M) p, orthogonal to y.
+        # q = -A p, orthogonal to y.
         q -= np.multiply(p, theta, out=tmp)
         q -= np.multiply(y32, y32 @ q, out=tmp)
         curve = -float(p @ q)
@@ -420,6 +473,7 @@ def _correct(gram32, theta, y, b, low, most):
             break
         p *= rr / previous
         p += res
+        p -= np.matmul(inverse * (az @ res), z, out=tmp)
     return t, used
 
 
@@ -428,13 +482,16 @@ def _lanczos(gram, start, basis, images, tol, max_iter, stall):
     and `images`, the (size, N^2) rows it fills, from the unit traceless
     `start`, with gram(x, out) applying M (see :func:`_gram`).
 
-    Returns (theta, y, resid, converged, cycles, matvecs, solves, second):
+    Returns (theta, y, resid, converged, cycles, matvecs, solves, ritz):
     the top Ritz pair and its residual, whether it passed the stop rule for
-    `tol` (or the Krylov space became invariant), the counts, and the
-    second Ritz value of the last Ritz solve (-inf if it had none).  It stops as
-    spectral_gap_iterative describes, after at most `max_iter`
-    applications of M, and with `stall` also, unconverged, at its rounding
-    floor (the stall rule of phase 1 there)."""
+    `tol` (or the Krylov space became invariant), the counts, and the Ritz
+    values of the last Ritz solve in descending order ([0.0] if it had
+    none).  It stops as spectral_gap_iterative describes, after at most
+    `max_iter` applications of M, and with `stall` (phase 1) also,
+    unconverged, at its rounding floor.  With `stall`, wherever it stops
+    after a Ritz solve, rows [:LANCZOS_KEEP] of `basis` and `images` hold
+    the top Ritz vectors of that solve and their images, as after a
+    restart, as many as it had."""
     size, n = basis.shape
     dim = math.isqrt(n)
     keep = min(LANCZOS_KEEP, size - 1)
@@ -446,12 +503,13 @@ def _lanczos(gram, start, basis, images, tol, max_iter, stall):
     action = math.sqrt(gram(basis[0], images[0]) @ images[0])
     if action <= 1e-14:
         # The action on a generic start is numerically zero: kappa ~ 0.
-        return 0.0, basis[0].copy(), action, True, 1, 1, 0, -math.inf
+        return 0.0, basis[0].copy(), action, True, 1, 1, 0, np.zeros(1)
 
     k, cycles, matvecs, solves = 0, 1, 1, 0
     check = 1  # matvecs at the next scheduled Ritz solve
     last = None  # (matvecs, ln(estimate / target)) at the last solve whose estimate missed
     previous = None  # the top Ritz pair's (theta, residual) at the last restart
+    rises = 0  # consecutive restarts whose top residual did not fall
     while True:
         k += 1
         v, image, ritz_row, c = basis[:k], images[k - 1], ritz[k - 1, :k], coef[:k]
@@ -470,7 +528,6 @@ def _lanczos(gram, start, basis, images, tol, max_iter, stall):
             thetas, vecs = np.linalg.eigh(ritz[:k, :k])  # eigh reads the lower triangle
             solves += 1
             theta, s = float(thetas[-1]), vecs[:, -1]
-            second = float(thetas[-2]) if k > 1 else -math.inf
             target = tol * max(2.0 * math.sqrt(max(theta, 0.0)), tol)
             estimate = abs(s[-1]) * beta
             if stop or estimate <= target:
@@ -478,7 +535,11 @@ def _lanczos(gram, start, basis, images, tol, max_iter, stall):
                 r = s @ images[:k] - theta * y
                 resid = math.sqrt(r @ r)
                 if stop or resid <= target:
-                    return theta, y, resid, invariant or resid <= target, cycles, matvecs, solves, second
+                    if stall:  # as a restart would
+                        top = vecs[:, ::-1][:, :keep]
+                        basis[: top.shape[1]], images[: top.shape[1]] = top.T @ v, top.T @ images[:k]
+                    converged = invariant or resid <= target
+                    return theta, y, resid, converged, cycles, matvecs, solves, thetas[::-1]
             # Schedule the next solve halfway to where ln(estimate / target)
             # reaches 0 at its mean drop per step since the last miss.
             ahead, miss = 1, None
@@ -498,13 +559,19 @@ def _lanczos(gram, start, basis, images, tol, max_iter, stall):
                 cycles += 1
                 if stall:
                     # The restart's top pair is (theta, basis[0]) with image
-                    # images[0].  A cycle that neither halved its residual nor
-                    # raised theta by more than the previous residual has met
-                    # the rounding floor: in float32 theta then stays put.
+                    # images[0].  Its rounding floor is plausible at a restart
+                    # that neither halved the top residual nor raised theta by
+                    # more than the residual of the restart before, with the
+                    # residual within STALL_FLOOR N theta; the second of two
+                    # restarts in a row whose residual did not fall stops
+                    # phase 1 wherever its floor lies.
                     r = images[0] - theta * basis[0]
                     resid = math.sqrt(r @ r)
-                    if previous is not None and resid > 0.5 * previous[1] and theta <= previous[0] + previous[1]:
-                        return theta, basis[0].copy(), resid, False, cycles, matvecs, solves, second
+                    if previous is not None:
+                        rises = 0 if resid < previous[1] else rises + 1
+                        flat = resid > 0.5 * previous[1] and theta <= previous[0] + previous[1]
+                        if rises == 2 or flat and resid <= STALL_FLOOR * dim * theta:
+                            return theta, basis[0].copy(), resid, False, cycles, matvecs, solves, thetas[::-1]
                     previous = theta, resid
         gram(np.divide(q, beta, out=basis[k]), images[k])
         matvecs += 1

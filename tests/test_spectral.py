@@ -676,13 +676,42 @@ def test_gap_refuses_inputs_over_the_memory_budget(monkeypatch):
     assert not calls
 
 
+def test_gap_counts_the_lifts_of_stages_with_live_cross_terms(monkeypatch):
+    # An unsigned 2-qubit D = 2 Haar stage on targets (2, 0) of 3 qubits,
+    # controlled by qubit 1 being 1, has live cross terms: it applies as the
+    # flat stage of its lifted elements, and its adjoint lifts them again,
+    # 16 D 4^3 bytes for a moment.  The solve builds that adjoint before its
+    # basis and counts the lift, so a budget that covers all but the lift
+    # refuses before any basis is allocated.
+    from qexpander import linalg
+
+    ch = Channel(random_unitary_channel(2, 2, rng_from(121)).kraus, [0.5, 0.5], qubits=3, targets=(2, 0),
+                 control=[0, 1])
+    assert ch._layout is None
+    basis = (2, spectral.LANCZOS_BASIS, 64)
+    # Basis and images, the adjoint's Kraus record (D 4^2 complex entries)
+    # and GEMM operands (6 D 8^2 float64 entries), then the lift.
+    need = 2 * spectral.LANCZOS_BASIS * 64 * 8 + 16 * 2 * 16 + 6 * 2 * 64 * 8
+    lift = 16 * 2 * 64
+    shapes = []
+    empty = np.empty
+    monkeypatch.setattr(np, "empty", lambda shape, *args, **kwargs: shapes.append(shape) or empty(shape, *args, **kwargs))
+    monkeypatch.setattr(linalg, "memory_budget", lambda: float(need + lift))
+    assert spectral_gap(ch).converged and basis in shapes
+    shapes.clear()
+    monkeypatch.setattr(linalg, "memory_budget", lambda: float(need))
+    with pytest.raises(ValueError, match=r"^the Lanczos basis .* the float64 adjoint with its lifts needs "):
+        spectral_gap(ch)
+    assert basis not in shapes
+
+
 # -- two precisions -----------------------------------------------------------
 
 
 def _phases(monkeypatch) -> list[tuple[str, tuple]]:
     """Record each phase of a solve, in order: a run of the Lanczos engine
     as (its dtype name, its return tuple (theta, y, resid, converged,
-    cycles, matvecs, solves, second)), and the refinement as ("refine", its return
+    cycles, matvecs, solves, ritz)), and the refinement as ("refine", its return
     tuple (theta, y, resid, converged, steps, matvecs))."""
     runs = []
     engine, refine = spectral._lanczos, spectral._refine
@@ -740,18 +769,16 @@ def _true_residual(ch, rep: GapReport) -> float:
     return frobenius(ch.adjoint().apply(ch.apply(a)) - rep.kappa**2 * a)
 
 
-# Where the refinement hands over to the float64 engine before any
-# correction solve, theta being within REFINE_GAP float64 residuals of phase
-# 1's second Ritz value: a top eigenvalue of multiplicity N - 1 (D = 2,
-# kappa = 1), where the correction solve cannot separate the top
-# eigenvector from its cluster; kappa ~ 1.6e-5, where phase 1's stop rule
-# (on kappa, not theta) leaves theta 3.5 % below the top eigenvalue and the
-# correction equation indefinite; and two channels whose phase 1 stalls
-# with a residual above theta - theta_2, where correction solves would
-# converge but take more applications of M than the float64 engine does.
-HANDOVER_CASES = {
-    "5q D=2 power 1", "6q D=2 power 1", "5q D=64 power 6", "6q D=64 power 6", "5q D=2 power 2", "6q D=64 power 1",
-}
+# Where the refinement hands over to the float64 engine, with its steps
+# before the hand-over.  Before any correction solve, theta being within
+# REFINE_GAP float64 residuals of phase 1's first Ritz value outside the
+# deflation pairs: kappa ~ 1.6e-5, where phase 1's stop rule (on kappa, not
+# theta) leaves theta a few percent below the top eigenvalue, and phase 1
+# has only four or five Ritz values, all within 10 residuals of theta.
+# After one step whose correction solve took all REFINE_MATVECS
+# applications of M: a top eigenvalue of multiplicity N - 1 (D = 2,
+# kappa = 1), which no correction solve separates from its cluster.
+HANDOVER_CASES = {"5q D=64 power 6": 0, "6q D=64 power 6": 0, "5q D=2 power 1": 1, "6q D=2 power 1": 1}
 
 
 @pytest.mark.parametrize("name", TWO_PHASE_CASES)
@@ -767,11 +794,12 @@ def test_two_phase_solve_matches_the_float64_engine(monkeypatch, name):
     target = 1e-9 * max(2.0 * got.kappa, 1e-9)
     assert _true_residual(ch, got) <= target
     assert got.residual == runs[-1][1][2] <= target
-    # The refinement converged, or handed over before its first correction solve.
+    # The refinement converged, or handed over where HANDOVER_CASES says.
     refined = runs[1][1]
     assert refined[3] != handover and refined[4] <= spectral.REFINE_STEPS
     if handover:
-        assert refined[4:] == (0, 1)
+        steps = HANDOVER_CASES[name]
+        assert refined[4:] == (steps, 1 + steps * (spectral.REFINE_MATVECS + 1))
     # Every phase is counted.
     assert (got.iterations, got.matvecs, got.ritz_solves) == _counted(runs)
 
@@ -797,12 +825,16 @@ def test_max_iter_stops_two_phase_solve_inside_phase_one(monkeypatch):
     assert refined[4:] == (0, 1) and rep.residual == refined[2]
 
 
-def test_phase_one_stops_at_its_rounding_floor(monkeypatch):
-    # Noise of relative size 1e-3 on every float32 application of Phi keeps
-    # phase 1 from its target.  Its top residual reads 8.8e-4 at the first
-    # restart and 7.7e-5, the noise floor, at the second, so the stall rule
-    # ends it one cycle later, at the third; without the rule it would run
-    # to max_iter.  The float64 residuals of the refinement see no noise.
+@pytest.mark.parametrize("level", [1e-3, 1e-2, 3e-2])
+def test_phase_one_stops_at_its_rounding_floor(monkeypatch, level):
+    # Noise of relative size `level` on every float32 application of Phi
+    # keeps phase 1 from its target.  At 1e-3 its top residual reads 8.8e-4
+    # at the first restart and 7.7e-5, the noise floor, at the second, within
+    # STALL_FLOOR N theta (1.1e-4), so the stall rule ends it one cycle
+    # later, at the third; without the rule it would run to max_iter.  At
+    # 1e-2 and 3e-2 the floor lies above STALL_FLOOR N theta, and two
+    # restarts in a row whose residual did not fall end phase 1 instead.
+    # The float64 residuals of the refinement see no noise.
     noise = rng_from(58)
     apply_real = Channel.apply_real
 
@@ -810,7 +842,7 @@ def test_phase_one_stops_at_its_rounding_floor(monkeypatch):
         out = apply_real(channel, x)
         if out.dtype != np.float32:
             return out
-        return out + 1e-3 * np.linalg.norm(out) / out.shape[0] * noise.standard_normal(out.shape).astype(out.dtype)
+        return out + level * np.linalg.norm(out) / out.shape[0] * noise.standard_normal(out.shape).astype(out.dtype)
 
     ch = _haar(5, 8, 1)
     want = float64_engine(ch)
@@ -820,9 +852,68 @@ def test_phase_one_stops_at_its_rounding_floor(monkeypatch):
     (_, single), *_ = runs
     first_restart = spectral.LANCZOS_BASIS
     cycle = spectral.LANCZOS_BASIS - spectral.LANCZOS_KEEP
-    assert not single[3] and single[4] == 4 and single[5] == first_restart + 2 * cycle
-    assert 5e-5 < single[2] < 1e-4
+    assert not single[3] and single[4] <= 5
+    if level == 1e-3:
+        assert single[4] == 4 and single[5] == first_restart + 2 * cycle
+        assert 5e-5 < single[2] < 1e-4
     assert got.converged and abs(got.kappa - want.kappa) <= got.error_bound + want.error_bound
+
+
+@pytest.mark.slow
+def test_phase_one_runs_on_where_it_converges_slowly(monkeypatch):
+    # At 7 qubits phase 1's residual falls slowly but steadily, far above
+    # STALL_FLOOR N theta.  A rule that stopped phase 1 at its first restart
+    # without progress would hand over after 42 float32 applications of M,
+    # and the float64 engine would take 145 more.
+    ch = _haar(7, 8, 1)
+    want = float64_engine(ch)
+    runs = _phases(monkeypatch)
+    got = spectral_gap_iterative(ch)
+    assert [kind for kind, _ in runs] == ["float32", "refine"]
+    assert got.converged and abs(got.kappa - want.kappa) <= got.error_bound + want.error_bound
+
+
+# Upper bounds on the matvecs of two-precision solves with deflated
+# correction solves: the benchmark's shapes (78, 62, 88 and 57 matvecs
+# with undeflated ones), and a sixth power whose theta ~ 6e-5, where the
+# projection off y shows.
+DEFLATION_BOUNDS = {
+    **{name: (BENCHMARK_SHAPED[name], bound) for name, bound in (
+        ("flat-5q-0", 69), ("flat-5q-0 squared", 53), ("flat-5q-1", 81), ("flat-5q-1 squared", 51)
+    )},
+    "6q D=8 power 6": (TWO_PHASE_CASES["6q D=8 power 6"], 36),
+}
+
+
+def _deflation_matvecs(monkeypatch) -> dict[str, int]:
+    counts, runs = {}, _phases(monkeypatch)
+    for name, (make, _) in DEFLATION_BOUNDS.items():
+        runs.clear()
+        rep = spectral_gap_iterative(make())
+        assert (rep.iterations, rep.matvecs, rep.ritz_solves) == _counted(runs)
+        counts[name] = rep.matvecs
+    return counts
+
+
+def test_deflated_correction_solves_keep_their_matvecs(monkeypatch):
+    counts = _deflation_matvecs(monkeypatch)
+    assert all(counts[name] <= bound for name, (_, bound) in DEFLATION_BOUNDS.items()), counts
+
+
+# (Z, M Z) -> Z with its images dropped (A Z = theta Z); y -> 0 drops every
+# projection off y.
+DEFLATION_MUTANTS = {
+    "images dropped": lambda g, theta, y, b, low, pairs, most: (g, theta, y, b, low, (pairs[0], 0 * pairs[1]), most),
+    "no projection off y": lambda g, theta, y, b, low, pairs, most: (g, theta, 0 * y, b, low, pairs, most),
+}
+
+
+@pytest.mark.parametrize("mutant", DEFLATION_MUTANTS)
+def test_deflation_mutants_exceed_the_bounds(monkeypatch, mutant):
+    correct, mutate = spectral._correct, DEFLATION_MUTANTS[mutant]
+    monkeypatch.setattr(spectral, "_correct", lambda *args: correct(*mutate(*args)))
+    counts = _deflation_matvecs(monkeypatch)
+    assert any(counts[name] > bound for name, (_, bound) in DEFLATION_BOUNDS.items()), counts
 
 
 def test_corrupted_correction_hands_over_to_the_float64_engine(monkeypatch):
