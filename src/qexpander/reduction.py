@@ -237,12 +237,20 @@ def build_base_expander(
     Draws a seeded random unitary channel per attempt, measures its
     contraction with the spectral module, composes it with itself r times
     (r the smallest integer with measured_kappa^r <= target), and
-    re-measures.  Returns (channel, certified_kappa).
+    re-measures.  Returns (channel, certified_kappa).  A degree below 3
+    is refused before any draw: a uniform mixture of at most two unitaries
+    has kappa = 1, since every traceless X commuting with U_1^dag U_2 keeps
+    its norm, so no power of it certifies.
     """
     if not 1 <= num_qubits <= SIM_CAP_QUBITS:
         raise ValueError(f"qubits must lie in [1, {SIM_CAP_QUBITS}], got {num_qubits}")
     if degree_per_stage < 1:
         raise ValueError(f"degree per stage must be >= 1, got {degree_per_stage}")
+    if degree_per_stage < 3:
+        raise ValueError(
+            f"degree per stage must be >= 3 to certify, got {degree_per_stage}: a mixture of at most two "
+            "unitaries has kappa = 1 (every traceless X commuting with U_1^dag U_2 keeps its norm)"
+        )
     last_error = None
     for attempt in range(MAX_SYNTH_ATTEMPTS):
         stage = random_unitary_channel(num_qubits, degree_per_stage, rng_from(seed, attempt))

@@ -25,7 +25,7 @@ formed until the witness is reported.  On a channel of flat GEMM-pair
 stages from 5 qubits up, a float32 Lanczos phase runs first on the
 channel's float32 copy (:meth:`Channel.astype`), and float64 residuals
 with float32 correction solves, deflated by its next Ritz vectors, refine
-its top Ritz vector.  Every report
+its top Ritz vector or hand it over to the float64 engine.  Every report
 carries an error bar on kappa from float64 arithmetic, and `decide` answers
 YES or NO only when convergence and that error bar back the answer.
 """
@@ -67,15 +67,11 @@ SINGLE_TOL = 8 * float(np.finfo(np.float32).eps)
 #: most STALL_FLOOR N theta for a basis on N^2 coordinates.
 STALL_FLOOR = 64 * float(np.finfo(np.float32).eps)
 #: Phase 2's refinement (see spectral_gap_iterative): the float32 correction
-#: solve's relative residual tolerance, its most applications of M, and the
-#: most refinement steps before the float64 engine takes over.  Set from
-#: measurement: one step to 1e-3 takes 12-58 applications on flat Haar channels
-#: at 5-7 qubits and meets the stop rule from phase 1's usual residual.
+#: solve's relative residual tolerance and its most applications of M.  Set
+#: from measurement: one step to 1e-3 takes 12-58 applications on flat Haar
+#: channels at 5-7 qubits and meets the stop rule from phase 1's usual residual.
 REFINE_TOL = 1e-3
 REFINE_MATVECS = 64
-REFINE_STEPS = 3
-#: Phase 1's Ritz pairs after the top one that deflate the correction solves.
-DEFLATE = 5
 #: The refinement hands over before its first correction solve unless theta
 #: exceeds phase 1's first Ritz value outside the deflated pairs by more than
 #: this many float64 residuals.  Set from measurement on flat Haar channels at
@@ -258,29 +254,31 @@ def spectral_gap_iterative(
     gradients on phase 1's channels solve the Jacobi-Davidson correction
     equation (theta - M) t = r / ||r|| for t orthogonal to y and vec(I)
     (Sleijpen & van der Vorst, SIAM J. Matrix Anal. Appl. 17, 1996),
-    deflated by phase 1's next DEFLATE Ritz pairs (see :func:`_correct`),
-    to relative residual REFINE_TOL or REFINE_MATVECS applications of M,
-    and y becomes the unit vector along y + ||r|| t.  The deflated operator
-    is positive definite when theta exceeds the top eigenvalue of M
-    orthogonal to y and the deflation vectors, which is at least phase 1's
-    first Ritz value outside them, theta_out.  So theta - theta_out of at
-    most REFINE_GAP float64 residuals before the first correction solve, a
-    step that does not halve the float64 residual, a correction solve that
-    takes all REFINE_MATVECS applications (as at a cluster at the top,
-    which no correction separates), or REFINE_STEPS steps hand over to the
-    float64 engine started from the current y.  Only float64 arithmetic
-    reaches the report: kappa, the witness, `residual`, `error_bound` and
-    `converged` come from the last float64 residual, or from the float64
-    engine after a hand-over.  On flat Haar channels at 5-7 qubits (D = 8
-    and 64, powers 1, 2 and 6, kappa above 1e-3) phase 1 runs to its
-    target and one step of 10-53 float32 applications of M and two float64
-    ones meets the stop rule: 0.95-1.11 times the applications of M of the
-    float64 engine alone, most of them at float32 cost.
+    deflated by phase 1's kept Ritz pairs after the top one (see
+    :func:`_correct`), to relative residual REFINE_TOL or REFINE_MATVECS
+    applications of M, and y becomes the unit vector along y + ||r|| t.
+    The deflated operator is positive definite when theta exceeds the top
+    eigenvalue of M orthogonal to y and the deflation vectors, which is at
+    least phase 1's first Ritz value outside them, theta_out.  So the
+    refinement hands over to the float64 engine, started from the current
+    y, on one of three failures: theta - theta_out of at most REFINE_GAP
+    float64 residuals before the first correction solve, a step that does
+    not halve the float64 residual (as at a cluster at the top, which no
+    correction separates), or fewer than two of the `max_iter` applications
+    of M left.  Only float64 arithmetic reaches the report: kappa, the
+    witness, `residual`, `error_bound` and `converged` come from the last
+    float64 residual, or from the float64 engine after a hand-over.  On
+    flat Haar channels at 5-7 qubits (D = 8 and 64, powers 1, 2 and 6,
+    kappa above 1e-3) phase 1 runs to its target and one step of 10-53
+    float32 applications of M and two float64 ones meets the stop rule:
+    0.95-1.11 times the applications of M of the float64 engine alone, most
+    of them at float32 cost.
 
-    Phase 1 and the hand-over fill one allocation for the basis and images
-    (phase 1 reads its first half as float32).  The refinement reads its
-    deflation pairs in place and keeps its vectors in other rows that phase
-    1 has written, so it touches no new page.  `matvecs` counts the
+    Phase 1 fills its own float32 rows for the basis and images; the
+    refinement adds three float64 vectors (y, M y and r) and keeps its
+    correction solve in phase 1's image rows past the deflation pairs.  A
+    hand-over drops phase 1's rows and channels before it allocates the
+    float64 basis, which outweighs them.  `matvecs` counts the
     applications of M in either precision, `iterations` the restart cycles
     plus the refinement steps, and `ritz_solves` the eigendecompositions of
     both engines.  Every other channel (N = 16 and below, a structured,
@@ -288,15 +286,15 @@ def spectral_gap_iterative(
     the random start.
 
     Before it builds anything, it checks the 2 size N^2 8 bytes of the
-    basis and its images, plus what the float64 adjoint builds and on the
-    two-precision path phase 1's two float32 channels, against the memory
-    budget (:func:`qexpander.linalg.check_memory`).  The adjoint builds a
-    conjugated Kraus record per distinct stage and new GEMM-pair operands,
-    and a GEMM-pair stage with live cross terms lifts its Kraus stack again
-    on the way, 16 D N^2 bytes counted once per distinct stage
+    float64 basis and its images, plus what the float64 adjoint builds and
+    on the two-precision path phase 1's two float32 channels, against the
+    memory budget (:func:`qexpander.linalg.check_memory`).  The adjoint
+    builds a conjugated Kraus record per distinct stage and new GEMM-pair
+    operands, and a GEMM-pair stage with live cross terms lifts its Kraus
+    stack again on the way, 16 D N^2 bytes counted once per distinct stage
     (:func:`qexpander.channels.stage_bytes`); its L^T is a view and its
     monomial maps are shared.  It builds the adjoint and phase 1's channels
-    before the basis, so no lift is built beside it.
+    before either basis, so no lift is built beside one.
 
     If M annihilates the start vector, kappa = 0 and the solve is
     converged.  `max_iter`, a positive int, caps the applications of M over
@@ -322,43 +320,36 @@ def spectral_gap_iterative(
     need = 2 * size * n * 8 + records + lifts + operands * (1 + single)
     what += ", the float64 adjoint" + " with its lifts" * bool(lifts) + " and the float32 GEMM operands" * single
     check_memory(need, what)
-    # The channels come first, so no lift is built beside the basis.
+    # The channels come first, so no lift is built beside a basis.
     adjoint = channel.adjoint()
     gram = _gram(channel.apply_real, adjoint.apply_real)
-    if single:
-        # adjoint.astype is the float32 channel's adjoint, without a second conjugated Kraus stack.
-        gram32 = _gram(channel.astype(np.float32).apply_real, adjoint.astype(np.float32).apply_real)
-    # Rows: the orthonormal basis vectors v_i, then their images M v_i.  One
-    # allocation for both phases keeps the float32 one from adding to the
-    # heap's high-water mark.
-    basis, images = shared = np.empty((2, size, n))
     start = _unit_traceless(rng_from(seed, 0).standard_normal(n), dim)
     cycles = matvecs = solves = 0
     if single:
-        # Phase 1 fills the first half of the allocation as float32.
-        rows32 = shared.reshape(-1).view(np.float32)[: 2 * size * n].reshape(2, size, n)
+        # adjoint.astype is the float32 channel's adjoint, without a second conjugated Kraus stack.
+        gram32 = _gram(channel.astype(np.float32).apply_real, adjoint.astype(np.float32).apply_real)
+        # Rows: phase 1's orthonormal basis vectors v_i, then their images M v_i.
+        basis32, images32 = np.empty((2, size, n), np.float32)
         theta, y, resid, _, cycles, matvecs, solves, ritz = _lanczos(
-            gram32, start, rows32[0], rows32[1], max(tol, SINGLE_TOL), max_iter - 1, True
+            gram32, start, basis32, images32, max(tol, SINGLE_TOL), max_iter - 1
         )
         # Phase 1 left its top Ritz pairs in its first rows, as a restart
-        # would; the next `deflate` of them deflate the correction solves,
-        # short of its last Ritz value, which the hand-over test reads.
-        deflate = max(min(DEFLATE, LANCZOS_KEEP - 1, len(ritz) - 2), 0)
+        # would; those after the top one deflate the correction solves, short
+        # of its last Ritz value, which the hand-over test reads.
+        deflate = max(min(LANCZOS_KEEP - 1, len(ritz) - 2), 0)
         outside = float(ritz[deflate + 1]) if len(ritz) > deflate + 1 else -math.inf
-        pairs = rows32[0, 1 : deflate + 1], rows32[1, 1 : deflate + 1]
-        # Phase 2 works in rows that phase 1 has written, so it touches no
-        # new page: three float64 rows over phase 1's basis rows 6-11, and
-        # the float32 rows of the correction solve past the deflation images.
         theta, y, resid, converged, steps, used = _refine(
-            gram, gram32, _unit_traceless(y.astype(float), dim), outside, pairs,
-            rows32[1, deflate + 1 : 2 * deflate + 7], basis[3:6], tol, max_iter - matvecs,
+            gram, gram32, _unit_traceless(y.astype(float), dim), outside,
+            (basis32[1 : deflate + 1], images32[1 : deflate + 1]), images32[deflate + 1 :], tol, max_iter - matvecs,
         )
         cycles, matvecs = cycles + steps, matvecs + used
         if converged or matvecs >= max_iter:
             return _iterative_report(theta, y, dim, cycles, resid, converged, matvecs, solves)
-        del gram32  # the hand-over drops the float32 channels
-        start = y.copy()
-    theta, y, resid, converged, *counts, _ = _lanczos(gram, start, basis, images, tol, max_iter - matvecs, False)
+        # The hand-over drops phase 1's rows and channels before the float64 basis.
+        del gram32, basis32, images32
+        start = y
+    basis, images = np.empty((2, size, n))
+    theta, y, resid, converged, *counts, _ = _lanczos(gram, start, basis, images, tol, max_iter - matvecs)
     cycles, matvecs, solves = (a + b for a, b in zip((cycles, matvecs, solves), counts))
     return _iterative_report(theta, y, dim, cycles, resid, converged, matvecs, solves)
 
@@ -378,25 +369,22 @@ def _gram(phi, adjoint):
     return gram
 
 
-def _refine(gram, gram32, start, outside, pairs, low, rows, tol, max_iter):
+def _refine(gram, gram32, y, outside, pairs, low, tol, max_iter):
     """Phase 2 of a two-precision solve (see spectral_gap_iterative):
-    mixed-precision refinement from the unit traceless float64 `start`,
+    mixed-precision refinement, in place, of the unit traceless float64 `y`,
     with gram and gram32 applying M in float64 and float32 (see
     :func:`_gram`), phase 1's deflation `pairs` and its first Ritz value
-    `outside` them (see :func:`_correct`), the float32 correction solve in
-    the rows `low` and the float64 vectors in the three rows `rows`.
+    `outside` them (see :func:`_correct`), and the float32 correction solve
+    in the rows `low`.
 
     Returns (theta, y, resid, converged, steps, matvecs) for the last
-    float64 pair (y is a row of `rows`): converged when it passed the stop
-    rule for `tol`; else it stopped before the first correction solve,
-    where theta - `outside` is at most REFINE_GAP float64 residuals (the
-    deflated correction equation may then be indefinite), at a step that
-    did not halve the float64 residual or whose correction solve took all
-    REFINE_MATVECS applications, after REFINE_STEPS steps, or with fewer
-    than two of its `max_iter` applications of M left."""
-    dim = math.isqrt(len(start))
-    y, image, r = rows
-    np.copyto(y, start)
+    float64 pair: converged when it passed the stop rule for `tol`; else it
+    stopped before the first correction solve, where theta - `outside` is at
+    most REFINE_GAP float64 residuals (the deflated correction equation may
+    then be indefinite), at a step that did not halve the float64 residual,
+    or with fewer than two of its `max_iter` applications of M left."""
+    dim = math.isqrt(len(y))
+    image, r = np.empty((2, len(y)))
     steps = matvecs = 0
     last = math.inf  # the float64 residual before the last step
     while True:
@@ -407,16 +395,14 @@ def _refine(gram, gram32, start, outside, pairs, low, rows, tol, max_iter):
         resid = math.sqrt(r @ r)
         target = tol * max(2.0 * math.sqrt(max(theta, 0.0)), tol)
         indefinite = steps == 0 and theta - outside <= REFINE_GAP * resid
-        if resid <= target or indefinite or resid > 0.5 * last or steps == REFINE_STEPS or matvecs + 2 > max_iter:
+        if resid <= target or indefinite or resid > 0.5 * last or matvecs + 2 > max_iter:
             return theta, y, resid, resid <= target, steps, matvecs
         r /= resid
         t, used = _correct(gram32, theta, y, r, low, pairs, min(REFINE_MATVECS, max_iter - matvecs - 1))
         t *= resid
         y += t
         y /= math.sqrt(_deflate(y, dim) @ y)
-        # A correction solve that took all REFINE_MATVECS applications ends
-        # the refinement at the next residual, as a step that did not halve it.
-        last = 0.0 if used == REFINE_MATVECS else resid
+        last = resid
         steps, matvecs = steps + 1, matvecs + used
 
 
@@ -477,7 +463,7 @@ def _correct(gram32, theta, y, b, low, pairs, most):
     return t, used
 
 
-def _lanczos(gram, start, basis, images, tol, max_iter, stall):
+def _lanczos(gram, start, basis, images, tol, max_iter):
     """The engine of :func:`spectral_gap_iterative` at the dtype of `basis`
     and `images`, the (size, N^2) rows it fills, from the unit traceless
     `start`, with gram(x, out) applying M (see :func:`_gram`).
@@ -487,14 +473,15 @@ def _lanczos(gram, start, basis, images, tol, max_iter, stall):
     `tol` (or the Krylov space became invariant), the counts, and the Ritz
     values of the last Ritz solve in descending order ([0.0] if it had
     none).  It stops as spectral_gap_iterative describes, after at most
-    `max_iter` applications of M, and with `stall` (phase 1) also,
-    unconverged, at its rounding floor.  With `stall`, wherever it stops
-    after a Ritz solve, rows [:LANCZOS_KEEP] of `basis` and `images` hold
-    the top Ritz vectors of that solve and their images, as after a
-    restart, as many as it had."""
+    `max_iter` applications of M.  A float32 run is phase 1: it also stops,
+    unconverged, at its rounding floor, and wherever it stops after a Ritz
+    solve, rows [:LANCZOS_KEEP] of `basis` and `images` hold the top Ritz
+    vectors of that solve and their images, as after a restart, as many as
+    it had."""
     size, n = basis.shape
     dim = math.isqrt(n)
     keep = min(LANCZOS_KEEP, size - 1)
+    phase1 = basis.dtype == np.float32
     ritz = np.zeros((size, size), basis.dtype)  # lower triangle of V^T M V
     q = np.empty(n, basis.dtype)  # the next Lanczos direction
     row = np.empty(n, basis.dtype)  # a combination of basis rows, subtracted from q
@@ -535,7 +522,7 @@ def _lanczos(gram, start, basis, images, tol, max_iter, stall):
                 r = s @ images[:k] - theta * y
                 resid = math.sqrt(r @ r)
                 if stop or resid <= target:
-                    if stall:  # as a restart would
+                    if phase1:  # as a restart would
                         top = vecs[:, ::-1][:, :keep]
                         basis[: top.shape[1]], images[: top.shape[1]] = top.T @ v, top.T @ images[:k]
                     converged = invariant or resid <= target
@@ -557,7 +544,7 @@ def _lanczos(gram, start, basis, images, tol, max_iter, stall):
                 ritz[:keep, :keep] = np.diag(thetas[::-1][:keep])
                 k = keep
                 cycles += 1
-                if stall:
+                if phase1:
                     # The restart's top pair is (theta, basis[0]) with image
                     # images[0].  Its rounding floor is plausible at a restart
                     # that neither halved the top residual nor raised theta by

@@ -495,6 +495,7 @@ def test_thermalize_too_many_times_exit_2(corpus, num):
         (("--qubits", "11"), "qubits must lie in [1, 10], got 11"),
         (("--qubits", "1", "--degree", "0"), "degree per stage must be >= 1, got 0"),
         (("--qubits", "1", "--degree", "-3"), "degree per stage must be >= 1, got -3"),
+        (("--qubits", "7", "--degree", "2"), "degree per stage must be >= 3 to certify, got 2"),
     ],
 )
 def test_synth_expander_bad_arguments_exit_2(args, message):

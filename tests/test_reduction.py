@@ -698,6 +698,19 @@ def test_build_base_expander_certifies_target(base_expander):
     assert dense_kappa(base) == pytest.approx(kappa_f, abs=1e-10)
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+def test_build_base_expander_refuses_degrees_that_cannot_certify(monkeypatch, degree):
+    # A mixture of at most two unitaries has kappa = 1 for every draw, so
+    # such a degree is refused before any draw or solve.
+    assert dense_kappa(random_unitary_channel(3, degree, rng_from(62))) == pytest.approx(1.0, abs=1e-10)
+    calls = []
+    monkeypatch.setattr(reduction, "random_unitary_channel", lambda *args: calls.append(args))
+    monkeypatch.setattr(reduction, "spectral_gap", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match=rf"^degree per stage must be >= 3 to certify, got {degree}: .* kappa = 1 "):
+        build_base_expander(5, degree_per_stage=degree)
+    assert calls == []
+
+
 # --- reduction spec ----------------------------------------------------------
 
 

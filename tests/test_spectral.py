@@ -716,8 +716,8 @@ def _phases(monkeypatch) -> list[tuple[str, tuple]]:
     runs = []
     engine, refine = spectral._lanczos, spectral._refine
 
-    def recording(gram, start, basis, images, tol, max_iter, stall):
-        out = engine(gram, start, basis, images, tol, max_iter, stall)
+    def recording(gram, start, basis, images, tol, max_iter):
+        out = engine(gram, start, basis, images, tol, max_iter)
         runs.append((basis.dtype.name, out))
         return out
 
@@ -775,10 +775,15 @@ def _true_residual(ch, rep: GapReport) -> float:
 # deflation pairs: kappa ~ 1.6e-5, where phase 1's stop rule (on kappa, not
 # theta) leaves theta a few percent below the top eigenvalue, and phase 1
 # has only four or five Ritz values, all within 10 residuals of theta.
-# After one step whose correction solve took all REFINE_MATVECS
-# applications of M: a top eigenvalue of multiplicity N - 1 (D = 2,
-# kappa = 1), which no correction solve separates from its cluster.
-HANDOVER_CASES = {"5q D=64 power 6": 0, "6q D=64 power 6": 0, "5q D=2 power 1": 1, "6q D=2 power 1": 1}
+# After three steps whose correction solves took all REFINE_MATVECS
+# applications of M, the last of which did not halve the float64 residual:
+# a top eigenvalue of multiplicity N - 1 (D = 2, kappa = 1), which no
+# correction solve separates from its cluster.  At 5 qubits the same
+# cluster converges in the refinement, after three such steps.
+HANDOVER_CASES = {"5q D=64 power 6": 0, "6q D=64 power 6": 0, "6q D=2 power 1": 3}
+# Upper bounds on the matvecs of the kappa = 1 clusters: 306 float32 and 4
+# float64 applications of M at 5 qubits, and 288 and 558 at 6.
+CLUSTER_MATVECS = {"5q D=2 power 1": 310, "6q D=2 power 1": 846}
 
 
 @pytest.mark.parametrize("name", TWO_PHASE_CASES)
@@ -796,12 +801,14 @@ def test_two_phase_solve_matches_the_float64_engine(monkeypatch, name):
     assert got.residual == runs[-1][1][2] <= target
     # The refinement converged, or handed over where HANDOVER_CASES says.
     refined = runs[1][1]
-    assert refined[3] != handover and refined[4] <= spectral.REFINE_STEPS
+    assert refined[3] != handover
     if handover:
         steps = HANDOVER_CASES[name]
         assert refined[4:] == (steps, 1 + steps * (spectral.REFINE_MATVECS + 1))
     # Every phase is counted.
     assert (got.iterations, got.matvecs, got.ritz_solves) == _counted(runs)
+    if name in CLUSTER_MATVECS:
+        assert got.matvecs <= CLUSTER_MATVECS[name]
 
 
 def test_two_phase_solve_is_deterministic():
